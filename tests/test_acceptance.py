@@ -8,6 +8,7 @@ defaults, per-seed ablation direction, argmax scale invariance, and codec
 integrity. Tolerances are pinned here and nowhere else.
 """
 
+import hashlib
 import json
 import time
 from dataclasses import replace
@@ -76,6 +77,48 @@ SMALL_GEN = dict(
     seed=0,
 )
 SMALL_TRAIN = dict(batch_size=4, epochs=2, hidden=8, embed_dim=4, seed=0)
+
+# sha256 of every file the SMALL_GEN/SMALL_TRAIN pipeline writes. A change
+# that alters artifact bytes on purpose updates these and says so.
+GOLDEN_SMALL_PIPELINE = {
+    "bench/candidates.image.arfm": "9377ad9b123d8788e4d2715207494d5ce7d73feb97f82b221ced15c5324e8050",
+    "bench/candidates.image.manifest.jsonl": "be1406d042c347c8f85d072ec6e44ee40e22d2ca5c33dd85b7e1e35e4d255de6",
+    "bench/candidates.text.arfm": "81aba3ff2caf365da8abf75a440f7ce09c583e2a4f5511a2bd9fb0def97e7dd6",
+    "bench/candidates.text.manifest.jsonl": "c192ad27751bb80afe6f7199215b8b4ce4cae8d92623e1a63dd13c64427f1be0",
+    "bench/captions.arfm": "a58038ffe896784e091ee0dfa5f0d0945b6003015d2cc8c303ac7e5f4206d429",
+    "bench/captions.manifest.jsonl": "2c5365cfa4a5f7b4fbe39903719c8a4856e0a6e3f8c2f2c4bdf652baa14b227d",
+    "bench/finetune.arfm": "6ba54e7d727408e7dd4a56e0e6ee32cf3df4042d34559e5b64b3692334880bfe",
+    "bench/finetune.manifest.jsonl": "2829a202119affb94569421c56cdda830f4b9aa44b9dd985300e4b6e7b2184a4",
+    "bench/gen_config.json": "1c1a47c525c4b5248833ba02749512144a6b917b8eba34113adf9ab333a6e46e",
+    "bench/pretrain.image.arfm": "0f24128acccdfe117897e36ce89e27a97b1885fda1801b06e40713bbd8381eb1",
+    "bench/pretrain.image.manifest.jsonl": "08bcc62f8199077efc19875764e0775f1e6b81f513fa0df354b3e6f3ab7cc2d0",
+    "bench/pretrain.text.arfm": "f71b68fc391259224e257fd5831e6c51228a8a80245db32a43787fc0e81412cb",
+    "bench/pretrain.text.manifest.jsonl": "6fffbebb0e95fc1f8dea103822dd57d143c38e7e4e528e4629ec764aa592fe71",
+    "bench/prompts_id.arfm": "8c70cca24b7ce23426841e7baea8ce3626e46e97a9ce53b631a123ea2d504925",
+    "bench/prompts_id.manifest.jsonl": "853fa753faaac3b46bf3e0072d4ecad1ebd387caf41c02072cabf93520ffeddc",
+    "bench/prompts_zsl.arfm": "7ed96131339f9a02e18de814c47aca54396682cb015cdf6a7c29a86dc7557a53",
+    "bench/prompts_zsl.manifest.jsonl": "a351cebbd3ae7422a739c72eeed6a878c371af719e403fe6df5d3fc3b251174f",
+    "bench/test_ds1.arfm": "154ec65e2195cc15b18f3f8c2f9e56ede7f6432e394476fc0fb531b4f05ad3b8",
+    "bench/test_ds1.manifest.jsonl": "da54a7c13ee70aa899a1461454f9e7264dc473099d9b6f646c16fbda65b6aae8",
+    "bench/test_id.arfm": "1b01d9462ffc5d662fa7d375d7f269ae9772c289bd2144690277654b3c4b1aa2",
+    "bench/test_id.manifest.jsonl": "93c9fd55f3e06fb3d48ff871417f8c17f1394d698f719864d89c582787e04da5",
+    "bench/test_zsl.arfm": "a51a7758666d44bb986b8dd79d37a6df674a0c458677df9e6856bbd26c147927",
+    "bench/test_zsl.manifest.jsonl": "3441181bd424e106662818a76a5dc13093adc9f01c9cf94c1fd4ee3547091fa2",
+    "curve.csv": "8a84e27c7b448389583bfd89eb838e91e7629e88c777f79c8e1154489439097d",
+    "ft.json": "eb0bd784ca9d3f4d6ba6e56523989414262a37da7f54905da1e2a913708374b9",
+    "ft.log.jsonl": "caff07f57b7f8640e35258b3169df80f2c516070f351d08c7afa036db31c4e0d",
+    "gen.json": "e23b4302d28950e71de4ffee6857d21a27e64f5e126d435e0906c9d6c529aa55",
+    "index/image_embeddings.arfi": "01984c2bd733451bc9cf81cb45d78568ea2cfa9d70686bba96c78d81096086a8",
+    "index/meta.json": "4cc40d47d491081cb9f1a980e1a56c9a729cd94a5d1b2eab5c13cb2f3ef0cbcc",
+    "index/text_embeddings.arfi": "dff56df08e8067f06dfe83fc9a5622f44cf25ef85f93f640d81483ad5e1b5375",
+    "metrics.json": "cf602347fc48ec02f2f038bdd332a9eee784f510ef0ad9df819ae27e2ea7d9b7",
+    "pre.json": "df2899f56db62330b728e3682e5b9379807c411a0d6d859f069a9a8696416742",
+    "pre.log.jsonl": "31c6499b4f569d9a083a74effdc9536487cb0f60daa4385ff98aebea306a24c6",
+    "train.json": "0f77e92899c0b5b06f7597193f8017d27609e543455244c4d538a58777e27e50",
+}
+# Seed-0 checkpoint ids under the shipped defaults.
+GOLDEN_SEED0_PRETRAINED_ID = "f8f633a1c635555bd7f8380d3ef4397ae0f8ed96fe23e0c9b8b000c591f1e771"
+GOLDEN_SEED0_ANCHORED_ID = "8aeba7979a620c46c74fcd04066302e6d41909f3ebe902b89fa1ee4560d752b6"
 
 
 def _ds_mean(metrics) -> float:
@@ -361,7 +404,14 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert left.keys() == right.keys()
     for name in left:
         assert left[name] == right[name], f"{name} differs between identical runs"
-    print(f"[PASS] two identical pipeline runs agree byte for byte on {len(left)} files")
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in left.items()}
+    assert digests.keys() == GOLDEN_SMALL_PIPELINE.keys()
+    for name, digest in digests.items():
+        assert digest == GOLDEN_SMALL_PIPELINE[name], f"{name} differs from its golden digest"
+    print(
+        f"[PASS] two identical pipeline runs agree byte for byte on {len(left)} files, "
+        f"all matching their golden digests"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -374,6 +424,7 @@ def frozen_default_runs():
         "anchored": ("cl", "cap", "ret"),
     }
     results = {name: [] for name in variants}
+    seed0_ids = {}
     run_seconds = []
     t_total = time.perf_counter()
     for seed in range(10):
@@ -382,6 +433,8 @@ def frozen_default_runs():
         start, _ = pretrain(bundle.pretrain_pool, TrainConfig(seed=seed))
         index = build_candidate_index(start.params, bundle.candidates)
         shared = time.perf_counter() - t_shared
+        if seed == 0:
+            seed0_ids["pretrained"] = start.id
         for name, losses in variants.items():
             t_run = time.perf_counter()
             cfg = replace(TrainConfig(seed=seed), enabled_losses=losses)
@@ -389,16 +442,18 @@ def frozen_default_runs():
                 bundle.finetune, bundle.prompts_id, bundle.captions,
                 index, bundle.candidates, start, cfg,
             )
+            if seed == 0:
+                seed0_ids[name] = ckpt.id
             metrics = evaluate_splits(ckpt.params, bundle)
             results[name].append(
                 (metrics.accuracy("id"), _ds_mean(metrics), metrics.accuracy("zsl"))
             )
             run_seconds.append(shared + time.perf_counter() - t_run)
-    return results, run_seconds, time.perf_counter() - t_total
+    return results, run_seconds, time.perf_counter() - t_total, seed0_ids
 
 
 def test_anchored_finetune_preserves_transfer_under_frozen_defaults(frozen_default_runs):
-    results, run_seconds, total = frozen_default_runs
+    results, run_seconds, total, _ = frozen_default_runs
     base = np.mean(results["base"], axis=0)
     anchored = np.mean(results["anchored"], axis=0)
     id_gap = anchored[0] - base[0]
@@ -417,7 +472,7 @@ def test_anchored_finetune_preserves_transfer_under_frozen_defaults(frozen_defau
 
 
 def test_each_anchor_alone_beats_baseline_zsl_per_seed(frozen_default_runs):
-    results, _, _ = frozen_default_runs
+    results, _, _, _ = frozen_default_runs
     wins = {}
     for name in ("cap", "ret"):
         wins[name] = sum(
@@ -428,6 +483,13 @@ def test_each_anchor_alone_beats_baseline_zsl_per_seed(frozen_default_runs):
         f"[PASS] per-seed ZSL wins over baseline: captions {wins['cap']}/10, "
         f"retrieval {wins['ret']}/10 (need >= {WINS_REQUIRED})"
     )
+
+
+def test_seed0_default_checkpoints_match_golden_ids(frozen_default_runs):
+    _, _, _, seed0_ids = frozen_default_runs
+    assert seed0_ids["pretrained"] == GOLDEN_SEED0_PRETRAINED_ID
+    assert seed0_ids["anchored"] == GOLDEN_SEED0_ANCHORED_ID
+    print("[PASS] seed-0 pretrained and anchored checkpoint ids match their golden values")
 
 
 def test_classification_invariant_under_positive_score_scaling():
