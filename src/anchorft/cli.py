@@ -24,11 +24,23 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import fileio
-from .anchors import ANCHOR_LAYOUTS, RETRIEVAL_MODES, build_candidate_index
-from .benchgen import generate_benchmark
-from .contrastive import grad_check
+from .anchors import (
+    ANCHOR_LAYOUTS,
+    RETRIEVAL_MODES,
+    assemble_anchor_batch,
+    build_candidate_index,
+    retrieve,
+)
+from .benchgen import GenConfig, generate_benchmark
+from .encoders import init_params
 from .evaluation import EVAL_SPLITS, ensemble_sweep, evaluate_splits
-from .training import pretrain, run_finetune
+from .training import (
+    TrainConfig,
+    check_gradients,
+    compute_total_loss_and_grads,
+    pretrain,
+    run_finetune,
+)
 
 __all__ = ["main"]
 
@@ -50,8 +62,6 @@ def _log_path(checkpoint_path) -> Path:
 def _train_config(args):
     doc = fileio.read_json(args.config) if args.config else {}
     config = fileio.parse_train_config(doc)
-    if args.paper_defaults:
-        config = config.paper_defaults()
     overrides = {}
     if getattr(args, "losses", None) is not None:
         overrides["enabled_losses"] = tuple(t for t in args.losses.split(",") if t)
@@ -157,12 +167,58 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
+def _gradcheck_problem(seed: int):
+    """A small real finetuning step with the cl, cap and ret terms engaged.
+
+    Four samples of a generated bundle, their captions, and two retrieved
+    candidates each, with freshly initialized towers and a trainable tau.
+    """
+    bundle = generate_benchmark(
+        GenConfig(
+            n_id_classes=4,
+            n_zsl_classes=2,
+            n_domains=1,
+            d_latent=5,
+            d_img_raw=6,
+            d_txt_raw=7,
+            n_pretrain_per_class=1,
+            n_finetune_per_class=4,
+            n_test_per_class=1,
+            candidate_pool_size=10,
+            seed=seed,
+        )
+    )
+    config = TrainConfig(
+        batch_size=4, hidden=8, embed_dim=4, seed=seed, retrieval_k=2, tau_trainable=True
+    )
+    params = init_params(seed, (6, 7), config.hidden, config.embed_dim)
+    batch = bundle.finetune[: config.batch_size]
+    index = build_candidate_index(params, bundle.candidates)
+    assignments: dict[int, list] = {}
+    queries = [(s.id, s.feature) for s in batch]
+    for hit in retrieve(index, queries, params, config.retrieval_mode, config.retrieval_k):
+        assignments.setdefault(hit.query_sample_id, []).append(hit)
+    anchor_batch = assemble_anchor_batch(
+        batch,
+        {r.sample_id: r for r in bundle.captions},
+        assignments,
+        {c.id: c for c in bundle.candidates},
+        config.anchor_layout,
+    )
+    return params, batch, bundle.prompts_id, anchor_batch, config
+
+
 def cmd_gradcheck(args) -> int:
-    report = grad_check(seed=args.seed, eps=args.eps)
+    problem = _gradcheck_problem(args.seed)
+    breakdown, _ = compute_total_loss_and_grads(*problem)
+    terms = [("cl", breakdown.l_cl), ("cap", breakdown.l_cap), ("ret", breakdown.l_ret)]
+    engaged = ",".join(name for name, loss in terms if loss > 0.0)
+    report = check_gradients(*problem, eps=args.eps)
     verdict = "pass" if report.passed else "FAIL"
     print(
-        f"gradcheck seed={args.seed}: {verdict}, "
-        f"max_rel_err={report.max_rel_err:.3e} over {report.n_checked} elements"
+        f"gradcheck seed={args.seed}: {verdict}, max_rel_err={report.max_rel_err:.3e} "
+        f"over {report.n_checked} of {problem[0].theta.size} elements of theta "
+        f"(terms {engaged}, log_tau trainable)"
     )
     return 0 if report.passed else 2
 
@@ -219,10 +275,7 @@ def cmd_report(args) -> int:
         sections.append(f"best alpha by id accuracy: {_best_curve_alpha(rows):g}")
     text = "\n".join(sections) + "\n"
     if args.out:
-        out = Path(args.out)
-        tmp = out.with_name(out.name + ".tmp")
-        tmp.write_text(text)
-        tmp.replace(out)
+        fileio.write_text(args.out, text)
     else:
         print(text, end="")
     return 0
@@ -230,11 +283,6 @@ def cmd_report(args) -> int:
 
 def _add_train_flags(parser, with_anchors: bool) -> None:
     parser.add_argument("--config", help="train config JSON (strict keys)")
-    parser.add_argument(
-        "--paper-defaults",
-        action="store_true",
-        help="start from batch 512, 10 epochs, lr 1e-5, weight decay 0.1",
-    )
     parser.add_argument("--seed", type=int, help="training seed override")
     parser.add_argument("--epochs", type=int, help="epoch count override")
     parser.add_argument("--batch-size", type=int, help="batch size override")

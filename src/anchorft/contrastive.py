@@ -15,23 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import (
-    DualEncoderParams,
-    encode_batch,
-    encoder_backward_batch,
-    init_params,
-    zero_grads,
-)
 from .numerics import as_float_array
 
 __all__ = [
-    "CheckReport",
     "LossValue",
     "PairBatch",
-    "contrastive_grads",
     "contrastive_loss",
     "contrastive_loss_and_grads",
-    "grad_check",
 ]
 
 _UNIT_ROW_TOL = 1e-9
@@ -90,7 +80,10 @@ def contrastive_loss(batch: PairBatch, tau: float) -> LossValue:
     return LossValue(total=i2t + t2i, image_to_text=i2t, text_to_image=t2i)
 
 
-def _grad_terms(batch: PairBatch, tau: float):
+def contrastive_loss_and_grads(
+    batch: PairBatch, tau: float
+) -> tuple[LossValue, np.ndarray, np.ndarray, float]:
+    """Loss plus embedding gradients and d(loss)/d(log tau), sharing one pass."""
     s, row_ls, col_ls = _similarity_terms(batch, tau)
     b = batch.size
     p = np.exp(row_ls)
@@ -105,125 +98,3 @@ def _grad_terms(batch: PairBatch, tau: float):
         text_to_image=float(-np.mean(np.diag(col_ls))),
     )
     return loss, df, dg, dlog_tau
-
-
-def contrastive_grads(batch: PairBatch, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """d(loss)/d(image embeddings), d(loss)/d(text embeddings)."""
-    _, df, dg, _ = _grad_terms(batch, tau)
-    return df, dg
-
-
-def contrastive_loss_and_grads(
-    batch: PairBatch, tau: float
-) -> tuple[LossValue, np.ndarray, np.ndarray, float]:
-    """Loss plus embedding gradients and d(loss)/d(log tau), sharing one pass."""
-    return _grad_terms(batch, tau)
-
-
-@dataclass
-class CheckReport:
-    """Outcome of a finite-difference gradient check."""
-
-    max_rel_err: float
-    n_checked: int
-    eps: float
-    passed: bool
-
-
-def grad_check(
-    seed: int = 0,
-    dims: tuple[int, int, int, int] = (6, 7, 8, 4),
-    eps: float = 1e-5,
-    batch_size: int = 4,
-    corruption: float = 0.0,
-) -> CheckReport:
-    """Compare analytic parameter gradients against central differences.
-
-    Builds a small synthetic batch (generated images paired with their class
-    prompts), pushes it through both towers and the pair loss, then perturbs
-    every parameter element (including log_tau) by +-eps. Elements with
-    |analytic| <= 1e-8 are skipped; the check passes iff the worst relative
-    error among the rest is <= 1e-4.
-
-    `corruption` is a self-test knob: it is added to the first analytic
-    gradient element so callers can confirm the check actually fails when
-    gradients are wrong.
-    """
-    from .benchgen import GenConfig, generate_benchmark  # deferred to avoid a cycle
-
-    img_dim, txt_dim, hidden, embed = dims
-    cfg = GenConfig(
-        n_id_classes=max(2, batch_size),
-        n_zsl_classes=2,
-        n_domains=1,
-        d_latent=min(img_dim, txt_dim),
-        d_img_raw=img_dim,
-        d_txt_raw=txt_dim,
-        n_pretrain_per_class=1,
-        n_finetune_per_class=max(2, batch_size),
-        n_test_per_class=1,
-        candidate_pool_size=max(2, batch_size) + 2,
-        seed=seed,
-    )
-    bundle = generate_benchmark(cfg)
-    samples = bundle.finetune[:batch_size]
-    images = np.stack([s.feature for s in samples])
-    texts = np.stack([bundle.prompts_id.feature_for(s.class_id) for s in samples])
-
-    params = init_params(seed, (img_dim, txt_dim), hidden, embed)
-
-    def loss_at(p: DualEncoderParams) -> float:
-        f, _ = encode_batch(p, "image", images)
-        g, _ = encode_batch(p, "text", texts)
-        return contrastive_loss(PairBatch(f, g), p.tau).total
-
-    f, cache_f = encode_batch(params, "image", images)
-    g, cache_g = encode_batch(params, "text", texts)
-    _, df, dg, dlog_tau = contrastive_loss_and_grads(PairBatch(f, g), params.tau)
-    analytic = zero_grads(params)
-    analytic.add_tower("image", encoder_backward_batch(params, "image", cache_f, df))
-    analytic.add_tower("text", encoder_backward_batch(params, "text", cache_g, dg))
-    analytic.log_tau = dlog_tau
-
-    analytic_flat = np.concatenate(
-        [arr.reshape(-1) for tower in (analytic.image, analytic.text) for _, arr in tower.leaves()]
-        + [np.array([analytic.log_tau])]
-    )
-    if corruption != 0.0:
-        analytic_flat[0] += corruption
-
-    param_views = [
-        arr.reshape(-1) for tower in (params.image, params.text) for _, arr in tower.leaves()
-    ]
-
-    max_rel = 0.0
-    checked = 0
-    flat_pos = 0
-    for view in param_views:
-        for idx in range(view.size):
-            a = analytic_flat[flat_pos]
-            flat_pos += 1
-            if abs(a) <= 1e-8:
-                continue
-            orig = view[idx]
-            view[idx] = orig + eps
-            hi = loss_at(params)
-            view[idx] = orig - eps
-            lo = loss_at(params)
-            view[idx] = orig
-            numeric = (hi - lo) / (2 * eps)
-            max_rel = max(max_rel, abs(a - numeric) / max(abs(a), abs(numeric)))
-            checked += 1
-    # log_tau is last: perturb it through fresh param objects so the tau
-    # validation in DualEncoderParams still runs.
-    a = analytic_flat[flat_pos]
-    if abs(a) > 1e-8:
-        hi = loss_at(DualEncoderParams(params.image, params.text, params.log_tau + eps))
-        lo = loss_at(DualEncoderParams(params.image, params.text, params.log_tau - eps))
-        numeric = (hi - lo) / (2 * eps)
-        max_rel = max(max_rel, abs(a - numeric) / max(abs(a), abs(numeric)))
-        checked += 1
-
-    return CheckReport(
-        max_rel_err=float(max_rel), n_checked=checked, eps=eps, passed=bool(max_rel <= 1e-4)
-    )

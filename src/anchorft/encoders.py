@@ -3,6 +3,11 @@
 Each tower is affine -> tanh -> affine followed by L2 normalization.
 Backpropagation is closed-form; for pre-normalization output u with unit
 embedding e = u/|u|, the normalization Jacobian is (I - e e^T)/|u|.
+
+All parameters live in one flat float64 vector theta, laid out as image
+w1, b1, w2, b2, then text w1, b1, w2, b2, then log_tau. The named leaves
+are reshaped views into it; gradients and optimizer moments are vectors
+with the same layout.
 """
 
 from __future__ import annotations
@@ -11,11 +16,13 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .numerics import (
     ZERO_NORM_THRESHOLD,
+    NonFiniteError,
     ZeroVectorError,
     as_float_array,
     gaussian_stream,
@@ -26,14 +33,10 @@ __all__ = [
     "DualEncoderParams",
     "EncodeCache",
     "EncoderParams",
-    "ParamGrads",
-    "encode",
     "encode_batch",
-    "encoder_backward",
     "encoder_backward_batch",
     "init_params",
     "param_fingerprint",
-    "zero_grads",
 ]
 
 # Temperature starts at 0.07, the usual contrastive default, and must stay
@@ -43,11 +46,9 @@ TAU_MIN = 1e-4
 TAU_MAX = 10.0
 
 MODALITIES = ("image", "text")
-_LEAF_NAMES = ("w1", "b1", "w2", "b2")
 
 
-@dataclass
-class EncoderParams:
+class EncoderParams(NamedTuple):
     """One tower: w1 (hidden, in), b1 (hidden,), w2 (embed, hidden), b2 (embed,)."""
 
     w1: np.ndarray
@@ -55,54 +56,61 @@ class EncoderParams:
     w2: np.ndarray
     b2: np.ndarray
 
-    def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64)
-        if self.w1.ndim != 2 or self.w2.ndim != 2:
-            raise ValueError("w1 and w2 must be matrices")
-        hidden, _ = self.w1.shape
-        embed, hidden2 = self.w2.shape
-        if self.b1.shape != (hidden,) or hidden2 != hidden or self.b2.shape != (embed,):
-            raise ValueError("encoder parameter shapes are inconsistent")
-
     @property
     def input_dim(self) -> int:
         return self.w1.shape[1]
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[0]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.w2.shape[0]
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
-    def leaves(self):
-        """(name, array) pairs in the fixed serialization order."""
-        for name in _LEAF_NAMES:
-            yield name, getattr(self, name)
+def _tower_size(in_dim: int, hidden: int, embed: int) -> int:
+    return hidden * in_dim + hidden + embed * hidden + embed
 
 
-@dataclass
+def _tower_views(vec: np.ndarray, start: int, in_dim: int, hidden: int, embed: int):
+    """EncoderParams of reshaped views into vec, beginning at offset start."""
+    shapes = ((hidden, in_dim), (hidden,), (embed, hidden), (embed,))
+    views = []
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(vec[start : start + size].reshape(shape))
+        start += size
+    return EncoderParams(*views)
+
+
+def _param_count(dims: tuple[int, int, int, int]) -> int:
+    """Length of theta for dims (image_in, text_in, hidden, embed)."""
+    image_in, text_in, hidden, embed = dims
+    return _tower_size(image_in, hidden, embed) + _tower_size(text_in, hidden, embed) + 1
+
+
 class DualEncoderParams:
-    """Both towers plus the shared temperature, stored as log_tau."""
+    """Both towers plus the shared temperature, stored as one vector theta.
 
-    image: EncoderParams
-    text: EncoderParams
-    log_tau: float = DEFAULT_LOG_TAU
+    dims is (image_in, text_in, hidden, embed). `image` and `text` are
+    EncoderParams of views into theta, and theta[-1] is log_tau, so writing
+    through any of them changes the others.
+    """
 
-    def __post_init__(self):
-        self.log_tau = float(self.log_tau)
-        if self.image.embed_dim != self.text.embed_dim:
-            raise ValueError("image and text towers must share the embedding dim")
-        tau = math.exp(self.log_tau)
-        if not TAU_MIN < tau < TAU_MAX:
-            raise ValueError(f"tau {tau:.4g} outside ({TAU_MIN}, {TAU_MAX})")
+    def __init__(self, theta, dims: tuple[int, int, int, int]):
+        self.dims = tuple(int(d) for d in dims)
+        image_in, text_in, hidden, embed = self.dims
+        if min(image_in, text_in, hidden) < 1 or embed < 2:
+            raise ValueError("dims must be positive and embed_dim at least 2")
+        self.theta = np.ascontiguousarray(theta, dtype=np.float64)
+        if self.theta.shape != (_param_count(self.dims),):
+            raise ValueError(
+                f"theta must have shape ({_param_count(self.dims)},) for dims {self.dims}, "
+                f"got {self.theta.shape}"
+            )
+        split = _tower_size(image_in, hidden, embed)
+        self.image = _tower_views(self.theta, 0, image_in, hidden, embed)
+        self.text = _tower_views(self.theta, split, text_in, hidden, embed)
+        self._spans = {"image": slice(0, split), "text": slice(split, self.theta.size - 1)}
+        if not TAU_MIN < self.tau < TAU_MAX:
+            raise ValueError(f"tau {self.tau:.4g} outside ({TAU_MIN}, {TAU_MAX})")
+
+    @property
+    def log_tau(self) -> float:
+        return float(self.theta[-1])
 
     @property
     def tau(self) -> float:
@@ -110,10 +118,10 @@ class DualEncoderParams:
 
     @property
     def embed_dim(self) -> int:
-        return self.image.embed_dim
+        return self.dims[3]
 
     def copy(self) -> "DualEncoderParams":
-        return DualEncoderParams(self.image.copy(), self.text.copy(), self.log_tau)
+        return DualEncoderParams(self.theta.copy(), self.dims)
 
     def tower(self, modality: str) -> EncoderParams:
         if modality == "image":
@@ -122,31 +130,11 @@ class DualEncoderParams:
             return self.text
         raise ValueError(f"unknown modality {modality!r}")
 
-
-@dataclass
-class ParamGrads:
-    """Gradient accumulator congruent with DualEncoderParams."""
-
-    image: EncoderParams
-    text: EncoderParams
-    log_tau: float = 0.0
-
-    def add_tower(self, modality: str, grads: EncoderParams, scale: float = 1.0) -> None:
-        """In-place `acc += scale * grads` on one tower."""
-        acc = self.image if modality == "image" else self.text
-        acc.w1 += scale * grads.w1
-        acc.b1 += scale * grads.b1
-        acc.w2 += scale * grads.w2
-        acc.b2 += scale * grads.b2
-
-
-def zero_grads(params: DualEncoderParams) -> ParamGrads:
-    def zeros_like(p: EncoderParams) -> EncoderParams:
-        return EncoderParams(
-            np.zeros_like(p.w1), np.zeros_like(p.b1), np.zeros_like(p.w2), np.zeros_like(p.b2)
-        )
-
-    return ParamGrads(zeros_like(params.image), zeros_like(params.text), 0.0)
+    def span(self, modality: str) -> slice:
+        """The slice of theta that holds one tower."""
+        if modality not in self._spans:
+            raise ValueError(f"unknown modality {modality!r}")
+        return self._spans[modality]
 
 
 def init_params(
@@ -157,17 +145,15 @@ def init_params(
     Draw order is fixed: image tower w1 then w2 (row-major), then the text
     tower, so a given seed always produces the same parameters.
     """
-    img_dim, txt_dim = input_dims
-    if min(img_dim, txt_dim, hidden) < 1 or embed_dim < 2:
-        raise ValueError("dims must be positive and embed_dim at least 2")
+    dims = (input_dims[0], input_dims[1], hidden, embed_dim)
+    theta = np.zeros(_param_count(dims))
+    theta[-1] = DEFAULT_LOG_TAU
+    params = DualEncoderParams(theta, dims)
     stream = gaussian_stream(seed)
-
-    def tower(in_dim: int) -> EncoderParams:
-        w1 = stream.normal_matrix(hidden, in_dim) / math.sqrt(in_dim)
-        w2 = stream.normal_matrix(embed_dim, hidden) / math.sqrt(hidden)
-        return EncoderParams(w1, np.zeros(hidden), w2, np.zeros(embed_dim))
-
-    return DualEncoderParams(tower(img_dim), tower(txt_dim), DEFAULT_LOG_TAU)
+    for tower in (params.image, params.text):
+        tower.w1[...] = stream.normal_matrix(hidden, tower.input_dim) / math.sqrt(tower.input_dim)
+        tower.w2[...] = stream.normal_matrix(embed_dim, hidden) / math.sqrt(hidden)
+    return params
 
 
 @dataclass
@@ -195,28 +181,22 @@ def encode_batch(
     h = np.tanh(x @ tower.w1.T + tower.b1)
     u = h @ tower.w2.T + tower.b2
     norms = np.linalg.norm(u, axis=1)
+    if not np.all(np.isfinite(norms)):
+        raise NonFiniteError(f"{modality} encoder produced a non-finite pre-normalization norm")
     if np.any(norms <= ZERO_NORM_THRESHOLD):
         raise ZeroVectorError("encoder produced a zero-length pre-normalization vector")
     e = u / norms[:, None]
     return e, EncodeCache(x=x, h=h, e=e, norms=norms)
 
 
-def encode(params: DualEncoderParams, modality: str, raw) -> np.ndarray:
-    """Embed a single raw feature vector to a unit-length embedding."""
-    raw = as_float_array(raw, name="raw feature")
-    if raw.ndim != 1:
-        raise ValueError("encode expects a single 1-D feature vector")
-    embeddings, _ = encode_batch(params, modality, raw[None, :])
-    return embeddings[0]
-
-
 def encoder_backward_batch(
     params: DualEncoderParams, modality: str, cache: EncodeCache, grad_embeddings
-) -> EncoderParams:
-    """Parameter gradients for one tower given d(loss)/d(embeddings).
+) -> np.ndarray:
+    """Gradient of one tower's slice of theta given d(loss)/d(embeddings).
 
     Gradients of all rows are summed. The normalization backward is
-    du = (dE - (dE . e) e)/|u| per row.
+    du = (dE - (dE . e) e)/|u| per row. The result lines up with
+    theta[params.span(modality)].
     """
     tower = params.tower(modality)
     de = as_float_array(grad_embeddings, name="embedding grads")
@@ -224,33 +204,29 @@ def encoder_backward_batch(
         raise ValueError("embedding grads must match the cached embeddings' shape")
     proj = np.sum(de * cache.e, axis=1, keepdims=True)
     du = (de - proj * cache.e) / cache.norms[:, None]
-    dw2 = du.T @ cache.h
-    db2 = du.sum(axis=0)
+    span = params.span(modality)
+    _, _, hidden, embed = params.dims
+    grad = np.empty(span.stop - span.start)
+    dw1, db1, dw2, db2 = _tower_views(grad, 0, tower.input_dim, hidden, embed)
+    dw2[...] = du.T @ cache.h
+    db2[...] = du.sum(axis=0)
     dh = du @ tower.w2
     dz1 = (1.0 - cache.h**2) * dh
-    dw1 = dz1.T @ cache.x
-    db1 = dz1.sum(axis=0)
-    return EncoderParams(dw1, db1, dw2, db2)
-
-
-def encoder_backward(
-    params: DualEncoderParams, modality: str, raw, grad_embedding
-) -> EncoderParams:
-    """Single-sample convenience wrapper around encoder_backward_batch."""
-    raw = as_float_array(raw, name="raw feature")
-    _, cache = encode_batch(params, modality, raw[None, :])
-    grad = as_float_array(grad_embedding, name="embedding grad")
-    return encoder_backward_batch(params, modality, cache, grad[None, :])
+    dw1[...] = dz1.T @ cache.x
+    db1[...] = dz1.sum(axis=0)
+    return grad
 
 
 def param_fingerprint(params: DualEncoderParams) -> str:
     """Content hash of the parameters (canonical little-endian bytes).
 
-    Ties candidate indexes to the exact checkpoint that produced them.
+    Ties candidate indexes to the exact checkpoint that produced them. The
+    hash names every leaf, so it is the same as when the leaves were stored
+    as separate arrays.
     """
     digest = hashlib.sha256()
-    for tower_name, tower in (("image", params.image), ("text", params.text)):
-        for leaf_name, arr in tower.leaves():
+    for tower_name in MODALITIES:
+        for leaf_name, arr in zip(EncoderParams._fields, params.tower(tower_name)):
             digest.update(f"{tower_name}.{leaf_name}".encode())
             digest.update(struct.pack("<q", arr.ndim))
             for dim in arr.shape:

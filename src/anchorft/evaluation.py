@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .encoders import DualEncoderParams, EncoderParams, encode_batch
+from .encoders import DualEncoderParams, encode_batch
 from .numerics import as_float_array
 
 if TYPE_CHECKING:
@@ -201,29 +201,13 @@ def ensemble_weights(
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     p, q = pre.params, ft.params
-    for tower_name in ("image", "text"):
-        a, b = getattr(p, tower_name), getattr(q, tower_name)
-        for (_, arr_a), (_, arr_b) in zip(a.leaves(), b.leaves()):
-            if arr_a.shape != arr_b.shape:
-                raise ValueError("checkpoints have incongruent parameter shapes")
+    if p.dims != q.dims:
+        raise ValueError("checkpoints have incongruent parameter shapes")
     if alpha == 0.0:
         return p.copy()
     if alpha == 1.0:
         return q.copy()
-
-    def blend_tower(a: EncoderParams, b: EncoderParams) -> EncoderParams:
-        return EncoderParams(
-            (1.0 - alpha) * a.w1 + alpha * b.w1,
-            (1.0 - alpha) * a.b1 + alpha * b.b1,
-            (1.0 - alpha) * a.w2 + alpha * b.w2,
-            (1.0 - alpha) * a.b2 + alpha * b.b2,
-        )
-
-    return DualEncoderParams(
-        blend_tower(p.image, q.image),
-        blend_tower(p.text, q.text),
-        (1.0 - alpha) * p.log_tau + alpha * q.log_tau,
-    )
+    return DualEncoderParams((1.0 - alpha) * p.theta + alpha * q.theta, p.dims)
 
 
 @dataclass

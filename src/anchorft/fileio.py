@@ -21,7 +21,7 @@ import numpy as np
 
 from .anchors import CandidateIndex, CandidatePair, CaptionRecord, Sample
 from .benchgen import BenchmarkBundle, GenConfig
-from .encoders import DualEncoderParams, EncoderParams
+from .encoders import MODALITIES, DualEncoderParams, EncoderParams
 from .evaluation import EnsembleCurve, Metrics, PromptTable
 from .numerics import as_float_array
 from .training import Checkpoint, TrainConfig, checkpoint_id
@@ -56,6 +56,7 @@ __all__ = [
     "write_jsonl",
     "write_matrix",
     "write_metrics",
+    "write_text",
 ]
 
 FEATURE_MAGIC = b"ARFM"  # 32-bit feature storage
@@ -107,13 +108,14 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def write_text(path, text: str) -> None:
+    """UTF-8 text, written to a temporary file and renamed into place."""
     _atomic_write_bytes(Path(path), text.encode("utf-8"))
 
 
 def write_json(path, doc: dict) -> None:
     """JSON with fixed (insertion) key order and shortest round-trip floats."""
-    _atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def read_json(path) -> dict:
@@ -127,7 +129,7 @@ def read_json(path) -> dict:
 
 
 def write_jsonl(path, records: Iterable[dict]) -> None:
-    _atomic_write_text(path, "".join(json.dumps(r) + "\n" for r in records))
+    write_text(path, "".join(json.dumps(r) + "\n" for r in records))
 
 
 def read_jsonl(path) -> list[dict]:
@@ -237,7 +239,7 @@ def write_feature_set(stem, feature_set: FeatureSet) -> None:
                 {"id": r.id, "class_id": r.class_id, "domain_id": r.domain_id, "kind": r.kind}
             )
         )
-    _atomic_write_text(_manifest_path(stem), "".join(line + "\n" for line in lines))
+    write_text(_manifest_path(stem), "".join(line + "\n" for line in lines))
     write_matrix(_matrix_path(stem), feature_set.matrix, FEATURE_MAGIC)
 
 
@@ -266,22 +268,25 @@ def read_feature_set(stem) -> FeatureSet:
 
 
 def _tower_doc(tower: EncoderParams) -> dict:
-    return {
-        "w1": tower.w1.tolist(),
-        "b1": tower.b1.tolist(),
-        "w2": tower.w2.tolist(),
-        "b2": tower.b2.tolist(),
-    }
+    return {name: leaf.tolist() for name, leaf in zip(EncoderParams._fields, tower)}
 
 
-def _tower_from_doc(doc: dict, where: str) -> EncoderParams:
-    _require(doc, ("w1", "b1", "w2", "b2"), where)
-    return EncoderParams(
-        np.array(doc["w1"], dtype=np.float64),
-        np.array(doc["b1"], dtype=np.float64),
-        np.array(doc["w2"], dtype=np.float64),
-        np.array(doc["b2"], dtype=np.float64),
-    )
+def _params_from_doc(doc: dict, where: str) -> DualEncoderParams:
+    """Pack the named leaves of both towers and log_tau into one theta vector."""
+    leaves = []
+    for modality in MODALITIES:
+        tower = doc[modality]
+        _require(tower, EncoderParams._fields, f"{where}: {modality} tower")
+        leaves += [np.array(tower[name], dtype=np.float64) for name in EncoderParams._fields]
+    image_w1, _, image_w2, _, text_w1, _, _, _ = leaves
+    if image_w1.ndim != 2 or image_w2.ndim != 2 or text_w1.ndim != 2:
+        raise CodecError(f"{where}: w1 and w2 must be matrices")
+    dims = (image_w1.shape[1], text_w1.shape[1], image_w1.shape[0], image_w2.shape[0])
+    log_tau = np.array([float(doc["log_tau"])])
+    params = DualEncoderParams(np.concatenate([leaf.ravel() for leaf in leaves] + [log_tau]), dims)
+    if [leaf.shape for leaf in leaves] != [view.shape for view in (*params.image, *params.text)]:
+        raise CodecError(f"{where}: encoder parameter shapes are inconsistent")
+    return params
 
 
 def write_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -309,11 +314,7 @@ def read_checkpoint(path) -> Checkpoint:
         raise VersionUnsupportedError(
             f"{path}: version {doc['version']}, supported {CHECKPOINT_VERSION}"
         )
-    params = DualEncoderParams(
-        _tower_from_doc(doc["image"], f"{path}: image tower"),
-        _tower_from_doc(doc["text"], f"{path}: text tower"),
-        float(doc["log_tau"]),
-    )
+    params = _params_from_doc(doc, str(path))
     expected = checkpoint_id(params, doc["config_fingerprint"], doc["provenance"])
     if expected != doc["id"]:
         raise HashMismatchError(f"{path}: stored id does not match recomputed content hash")
@@ -546,7 +547,7 @@ def write_curve_csv(path, curve: EnsembleCurve) -> None:
         cells += [repr(metrics.accuracy(n)) for n in names]
         cells.append("" if metrics.avg_ood is None else repr(metrics.avg_ood))
         lines.append(",".join(cells))
-    _atomic_write_text(path, "".join(line + "\n" for line in lines))
+    write_text(path, "".join(line + "\n" for line in lines))
 
 
 def read_curve_csv(path) -> tuple[list[str], list[dict]]:

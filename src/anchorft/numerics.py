@@ -1,6 +1,6 @@
 """Float64 numeric primitives shared by every other module.
 
-Provides L2 normalization, log-domain softmax, and a seeded random stream
+Provides L2 normalization, input validation, and a seeded random stream
 whose exact algorithm is documented here so that whole-pipeline runs are
 bit-reproducible on any platform.
 """
@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "NonFiniteError",
     "RandomStream",
     "ZERO_NORM_THRESHOLD",
     "ZeroVectorError",
@@ -20,7 +21,6 @@ __all__ = [
     "gaussian_stream",
     "l2_normalize",
     "splitmix64",
-    "stable_log_softmax",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -31,6 +31,10 @@ ZERO_NORM_THRESHOLD = 1e-12
 
 class ZeroVectorError(ValueError):
     """Normalization was requested for a vector of (near-)zero length."""
+
+
+class NonFiniteError(ValueError):
+    """A computed quantity overflowed to infinity or became NaN."""
 
 
 def as_float_array(values, *, name: str = "array") -> np.ndarray:
@@ -52,19 +56,6 @@ def l2_normalize(v) -> np.ndarray:
     if norm <= ZERO_NORM_THRESHOLD:
         raise ZeroVectorError(f"cannot normalize vector with norm {norm:.3e}")
     return arr / norm
-
-
-def stable_log_softmax(x) -> np.ndarray:
-    """Log-softmax of a 1-D array, stable for components up to ~1e308.
-
-    The maximum is subtracted before exponentiation, so the largest
-    exponent is exactly 0 and the sum inside the log is always >= 1.
-    """
-    arr = as_float_array(x, name="logits")
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("logits must be a non-empty 1-D array")
-    shifted = arr - arr.max()
-    return shifted - math.log(float(np.exp(shifted).sum()))
 
 
 def splitmix64(state: int) -> tuple[int, int]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Mapping, Sequence
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,27 +29,27 @@ from .anchors import (
 from .contrastive import PairBatch, contrastive_loss_and_grads
 from .encoders import (
     DualEncoderParams,
-    EncoderParams,
-    ParamGrads,
     encode_batch,
     encoder_backward_batch,
     init_params,
     param_fingerprint,
-    zero_grads,
 )
-from .numerics import derive_seed, gaussian_stream
+from .numerics import NonFiniteError, derive_seed, gaussian_stream
 
 if TYPE_CHECKING:
     from .evaluation import PromptTable
 
 __all__ = [
+    "CheckReport",
     "Checkpoint",
+    "DivergenceError",
     "EmptyFinetuneSetError",
     "LOSS_TERMS",
     "LossBreakdown",
     "OptimizerState",
     "TrainConfig",
     "adamw_update",
+    "check_gradients",
     "checkpoint_id",
     "compute_total_loss_and_grads",
     "config_fingerprint",
@@ -74,14 +74,13 @@ class EmptyFinetuneSetError(ValueError):
     """Finetuning was started with no samples."""
 
 
+class DivergenceError(ValueError):
+    """A training step produced a non-finite loss, gradient or embedding."""
+
+
 @dataclass
 class TrainConfig:
-    """Optimizer, loss mix, and architecture settings for one run.
-
-    Desk-scale defaults; paper_defaults() switches the optimizer settings to
-    the large-scale recipe (batch 512, lr 1e-5), which is mainly useful to
-    document what the full-size runs would use.
-    """
+    """Optimizer, loss mix, and architecture settings for one run (desk-scale defaults)."""
 
     batch_size: int = 32
     epochs: int = 10
@@ -130,10 +129,6 @@ class TrainConfig:
             raise ValueError("retrieval_k must be at least 1")
         if self.hidden < 1 or self.embed_dim < 2:
             raise ValueError("hidden must be positive and embed_dim at least 2")
-
-    def paper_defaults(self) -> "TrainConfig":
-        """The large-scale optimizer recipe, keeping everything else."""
-        return replace(self, batch_size=512, epochs=10, learning_rate=1e-5, weight_decay=0.1)
 
     def to_dict(self) -> dict:
         out = {}
@@ -193,29 +188,30 @@ class LossBreakdown:
 
 @dataclass
 class OptimizerState:
-    """Adam first/second moments (same layout as the grads) and step count."""
+    """Adam first/second moments (vectors shaped like theta) and step count."""
 
-    m: ParamGrads
-    v: ParamGrads
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
 def init_optimizer_state(params: DualEncoderParams) -> OptimizerState:
-    return OptimizerState(m=zero_grads(params), v=zero_grads(params), step=0)
+    return OptimizerState(m=np.zeros_like(params.theta), v=np.zeros_like(params.theta), step=0)
 
 
 def _pair_term(
     params: DualEncoderParams,
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    grads: ParamGrads,
+    grads: np.ndarray,
     weight: float,
     tau_trainable: bool,
 ) -> float:
     """One contrastive term over raw (image, text) pairs.
 
-    Returns the unweighted loss; gradient work is skipped entirely when the
-    weight is zero so that zero-weight runs match disabled-term runs bit for
-    bit.
+    Adds weight times the term's gradient into the theta-shaped vector grads
+    and returns the unweighted loss. Gradient work is skipped entirely when
+    the weight is zero so that zero-weight runs match disabled-term runs bit
+    for bit.
     """
     images = np.stack([img for img, _ in pairs])
     texts = np.stack([txt for _, txt in pairs])
@@ -223,14 +219,14 @@ def _pair_term(
     g, cache_g = encode_batch(params, "text", texts)
     loss, df, dg, dlog_tau = contrastive_loss_and_grads(PairBatch(f, g), params.tau)
     if weight != 0.0:
-        grads.add_tower(
-            "image", encoder_backward_batch(params, "image", cache_f, df), weight
+        grads[params.span("image")] += weight * encoder_backward_batch(
+            params, "image", cache_f, df
         )
-        grads.add_tower(
-            "text", encoder_backward_batch(params, "text", cache_g, dg), weight
+        grads[params.span("text")] += weight * encoder_backward_batch(
+            params, "text", cache_g, dg
         )
         if tau_trainable:
-            grads.log_tau += weight * dlog_tau
+            grads[-1] += weight * dlog_tau
     return loss.total
 
 
@@ -240,15 +236,15 @@ def compute_total_loss_and_grads(
     prompt_table: "PromptTable",
     anchor_batch: AnchorBatch,
     config: TrainConfig,
-) -> tuple[LossBreakdown, ParamGrads]:
-    """Weighted sum of the enabled pair-loss terms, with gradients.
+) -> tuple[LossBreakdown, np.ndarray]:
+    """Weighted sum of the enabled pair-loss terms, with its gradient over theta.
 
     Accumulation order is fixed (cl, then cap, then ret) so runs are
     bit-reproducible. Disabled terms and a skipped retrieval term are
     exactly 0. Class prompts go through the text tower, so the prompt
     embeddings receive text-tower gradients like any caption would.
     """
-    grads = zero_grads(params)
+    grads = np.zeros_like(params.theta)
     enabled = set(config.enabled_losses)
     l_cl = l_cap = l_ret = 0.0
 
@@ -282,9 +278,62 @@ def compute_total_loss_and_grads(
     return breakdown, grads
 
 
+@dataclass
+class CheckReport:
+    """Outcome of a finite-difference gradient check."""
+
+    max_rel_err: float
+    n_checked: int
+    eps: float
+    passed: bool
+
+
+def check_gradients(
+    params: DualEncoderParams,
+    batch: Sequence[Sample],
+    prompt_table: "PromptTable",
+    anchor_batch: AnchorBatch,
+    config: TrainConfig,
+    *,
+    eps: float = 1e-5,
+    skip_below: float = 1e-8,
+    tol: float = 1e-4,
+) -> CheckReport:
+    """Check compute_total_loss_and_grads' gradient against central differences.
+
+    Every element of theta whose analytic gradient exceeds skip_below in
+    magnitude, log_tau included, is moved by +-eps in place and restored.
+    The check passes iff the worst relative error is at most tol.
+    """
+
+    def total_loss() -> float:
+        breakdown, _ = compute_total_loss_and_grads(
+            params, batch, prompt_table, anchor_batch, config
+        )
+        return breakdown.total
+
+    _, analytic = compute_total_loss_and_grads(params, batch, prompt_table, anchor_batch, config)
+    theta = params.theta
+    checked = np.flatnonzero(np.abs(analytic) > skip_below)
+    worst = 0.0
+    for i in checked:
+        orig = theta[i]
+        theta[i] = orig + eps
+        hi = total_loss()
+        theta[i] = orig - eps
+        lo = total_loss()
+        theta[i] = orig
+        numeric = (hi - lo) / (2 * eps)
+        a = analytic[i]
+        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric)))
+    return CheckReport(
+        max_rel_err=float(worst), n_checked=int(checked.size), eps=eps, passed=bool(worst <= tol)
+    )
+
+
 def adamw_update(
     params: DualEncoderParams,
-    grads: ParamGrads,
+    grads: np.ndarray,
     state: OptimizerState,
     lr: float,
     wd: float,
@@ -299,47 +348,13 @@ def adamw_update(
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-
-    def update_leaf(theta: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray):
-        m_new = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v_new = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        step_dir = (m_new / bc1) / (np.sqrt(v_new / bc2) + ADAM_EPS)
-        theta_new = theta - lr * (step_dir + wd * theta)
-        return theta_new, m_new, v_new
-
-    new_towers = {}
-    new_m = {}
-    new_v = {}
-    for tower_name in ("image", "text"):
-        theta_t = getattr(params, tower_name)
-        g_t = getattr(grads, tower_name)
-        m_t = getattr(state.m, tower_name)
-        v_t = getattr(state.v, tower_name)
-        updated = [
-            update_leaf(theta, g, m, v)
-            for (_, theta), (_, g), (_, m), (_, v) in zip(
-                theta_t.leaves(), g_t.leaves(), m_t.leaves(), v_t.leaves()
-            )
-        ]
-        new_towers[tower_name] = EncoderParams(*(u[0] for u in updated))
-        new_m[tower_name] = EncoderParams(*(u[1] for u in updated))
-        new_v[tower_name] = EncoderParams(*(u[2] for u in updated))
-
-    if tau_trainable:
-        m_tau = ADAM_BETA1 * state.m.log_tau + (1.0 - ADAM_BETA1) * grads.log_tau
-        v_tau = ADAM_BETA2 * state.v.log_tau + (1.0 - ADAM_BETA2) * grads.log_tau**2
-        step_dir = (m_tau / bc1) / (math.sqrt(v_tau / bc2) + ADAM_EPS)
-        log_tau = params.log_tau - lr * (step_dir + wd * params.log_tau)
-    else:
-        m_tau, v_tau, log_tau = state.m.log_tau, state.v.log_tau, params.log_tau
-
-    new_params = DualEncoderParams(new_towers["image"], new_towers["text"], log_tau)
-    new_state = OptimizerState(
-        m=ParamGrads(new_m["image"], new_m["text"], m_tau),
-        v=ParamGrads(new_v["image"], new_v["text"], v_tau),
-        step=t,
-    )
-    return new_params, new_state
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    step_dir = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    theta = params.theta - lr * (step_dir + wd * params.theta)
+    if not tau_trainable:
+        theta[-1], m[-1], v[-1] = params.theta[-1], state.m[-1], state.v[-1]
+    return DualEncoderParams(theta, params.dims), OptimizerState(m=m, v=v, step=t)
 
 
 def _epoch_batches(
@@ -349,6 +364,53 @@ def _epoch_batches(
     perm = gaussian_stream(derive_seed(seed, tag, epoch)).permutation(n)
     batches = [perm[i : i + batch_size] for i in range(0, n, batch_size)]
     return [b for b in batches if len(b) >= 2]
+
+
+def _optimize(
+    params: DualEncoderParams,
+    config: TrainConfig,
+    n_items: int,
+    tag: int,
+    step_loss: Callable[[DualEncoderParams, list[int]], tuple[LossBreakdown, np.ndarray]],
+) -> tuple[DualEncoderParams, list[dict]]:
+    """The epoch loop shared by pretraining and finetuning.
+
+    step_loss maps the current parameters and a batch of item indices to
+    the step's losses and gradient. The log gets one record per step:
+    {step, epoch, l_cl, l_cap, l_ret, total, skip_ret}. The first step with
+    a non-finite loss, gradient or embedding raises DivergenceError.
+    """
+    state = init_optimizer_state(params)
+    log: list[dict] = []
+    for epoch in range(config.epochs):
+        for batch_idx in _epoch_batches(n_items, config.batch_size, config.seed, epoch, tag):
+            where = f"training diverged at step {len(log)} (epoch {epoch})"
+            try:
+                breakdown, grads = step_loss(params, batch_idx)
+            except NonFiniteError as exc:
+                raise DivergenceError(f"{where}: {exc}") from exc
+            if not (math.isfinite(breakdown.total) and np.isfinite(grads).all()):
+                raise DivergenceError(f"{where}: non-finite loss or gradient")
+            params, state = adamw_update(
+                params,
+                grads,
+                state,
+                config.learning_rate,
+                config.weight_decay,
+                tau_trainable=config.tau_trainable,
+            )
+            log.append(
+                {
+                    "step": len(log),
+                    "epoch": epoch,
+                    "l_cl": breakdown.l_cl,
+                    "l_cap": breakdown.l_cap,
+                    "l_ret": breakdown.l_ret,
+                    "total": breakdown.total,
+                    "skip_ret": breakdown.skip_ret,
+                }
+            )
+    return params, log
 
 
 def pretrain(
@@ -368,37 +430,14 @@ def pretrain(
     img_dim = pool[0].image_feature.shape[0]
     txt_dim = pool[0].text_feature.shape[0]
     params = init_params(config.seed, (img_dim, txt_dim), config.hidden, config.embed_dim)
-    state = init_optimizer_state(params)
 
-    log: list[dict] = []
-    step = 0
-    for epoch in range(config.epochs):
-        for batch_idx in _epoch_batches(
-            len(pool), config.batch_size, config.seed, epoch, _TAG_PRETRAIN_EPOCH
-        ):
-            pairs = [(pool[i].image_feature, pool[i].text_feature) for i in batch_idx]
-            grads = zero_grads(params)
-            loss = _pair_term(params, pairs, grads, 1.0, config.tau_trainable)
-            params, state = adamw_update(
-                params,
-                grads,
-                state,
-                config.learning_rate,
-                config.weight_decay,
-                tau_trainable=config.tau_trainable,
-            )
-            log.append(
-                {
-                    "step": step,
-                    "epoch": epoch,
-                    "l_cl": loss,
-                    "l_cap": 0.0,
-                    "l_ret": 0.0,
-                    "total": loss,
-                    "skip_ret": True,
-                }
-            )
-            step += 1
+    def pair_step(params: DualEncoderParams, batch_idx: list[int]):
+        pairs = [(pool[i].image_feature, pool[i].text_feature) for i in batch_idx]
+        grads = np.zeros_like(params.theta)
+        loss = _pair_term(params, pairs, grads, 1.0, config.tau_trainable)
+        return LossBreakdown(l_cl=loss, l_cap=0.0, l_ret=0.0, total=loss, skip_ret=True), grads
+
+    params, log = _optimize(params, config, len(pool), _TAG_PRETRAIN_EPOCH, pair_step)
     return make_checkpoint(params, config, "pretrained"), log
 
 
@@ -414,8 +453,8 @@ def run_finetune(
     """Anchored finetuning from a pretrained checkpoint.
 
     Retrieval assignments are computed here, once, with the starting
-    parameters, then reused for every epoch. The log gets one record per
-    step: {step, epoch, l_cl, l_cap, l_ret, total, skip_ret}.
+    parameters, then reused for every epoch. The log has the same records
+    as pretraining.
     """
     config.validate()
     if not finetune_set:
@@ -447,39 +486,14 @@ def run_finetune(
             grouped.setdefault(assignment.query_sample_id, []).append(assignment)
         assignments = grouped
 
-    params = start.params.copy()
-    state = init_optimizer_state(params)
-    log: list[dict] = []
-    step = 0
-    for epoch in range(config.epochs):
-        for batch_idx in _epoch_batches(
-            len(finetune_set), config.batch_size, config.seed, epoch, _TAG_FINETUNE_EPOCH
-        ):
-            batch = [finetune_set[i] for i in batch_idx]
-            anchor_batch = assemble_anchor_batch(
-                batch, caption_map, assignments, candidate_map, config.anchor_layout
-            )
-            breakdown, grads = compute_total_loss_and_grads(
-                params, batch, prompt_table, anchor_batch, config
-            )
-            params, state = adamw_update(
-                params,
-                grads,
-                state,
-                config.learning_rate,
-                config.weight_decay,
-                tau_trainable=config.tau_trainable,
-            )
-            log.append(
-                {
-                    "step": step,
-                    "epoch": epoch,
-                    "l_cl": breakdown.l_cl,
-                    "l_cap": breakdown.l_cap,
-                    "l_ret": breakdown.l_ret,
-                    "total": breakdown.total,
-                    "skip_ret": breakdown.skip_ret,
-                }
-            )
-            step += 1
+    def anchored_step(params: DualEncoderParams, batch_idx: list[int]):
+        batch = [finetune_set[i] for i in batch_idx]
+        anchor_batch = assemble_anchor_batch(
+            batch, caption_map, assignments, candidate_map, config.anchor_layout
+        )
+        return compute_total_loss_and_grads(params, batch, prompt_table, anchor_batch, config)
+
+    params, log = _optimize(
+        start.params.copy(), config, len(finetune_set), _TAG_FINETUNE_EPOCH, anchored_step
+    )
     return make_checkpoint(params, config, "finetuned"), log

@@ -47,6 +47,7 @@ from anchorft.fileio import (
 from anchorft.numerics import derive_seed, gaussian_stream, l2_normalize
 from anchorft.training import (
     TrainConfig,
+    check_gradients,
     compute_total_loss_and_grads,
     make_checkpoint,
     pretrain,
@@ -216,44 +217,15 @@ def test_full_objective_gradients_match_finite_differences():
             batch, captions, assignments, {c.id: c for c in bundle.candidates}, "sep"
         )
 
-        breakdown, grads = compute_total_loss_and_grads(
-            params, batch, bundle.prompts_id, anchor, cfg
-        )
+        breakdown, _ = compute_total_loss_and_grads(params, batch, bundle.prompts_id, anchor, cfg)
         assert breakdown.l_cap > 0.0 and breakdown.l_ret > 0.0 and not breakdown.skip_ret
 
-        def loss_at() -> float:
-            b, _ = compute_total_loss_and_grads(params, batch, bundle.prompts_id, anchor, cfg)
-            return b.total
-
-        for tower_name in ("image", "text"):
-            tower_g = getattr(grads, tower_name)
-            tower_p = getattr(params, tower_name)
-            for (_, g_arr), (_, p_arr) in zip(tower_g.leaves(), tower_p.leaves()):
-                flat_g = g_arr.reshape(-1)
-                flat_p = p_arr.reshape(-1)
-                for idx in range(flat_p.size):
-                    a = flat_g[idx]
-                    if abs(a) <= FD_SKIP_BELOW:
-                        continue
-                    orig = flat_p[idx]
-                    flat_p[idx] = orig + FD_STEP
-                    hi = loss_at()
-                    flat_p[idx] = orig - FD_STEP
-                    lo = loss_at()
-                    flat_p[idx] = orig
-                    numeric = (hi - lo) / (2 * FD_STEP)
-                    worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric)))
-                    checked += 1
-        if abs(grads.log_tau) > FD_SKIP_BELOW:
-            orig = params.log_tau
-            params.log_tau = orig + FD_STEP
-            hi = loss_at()
-            params.log_tau = orig - FD_STEP
-            lo = loss_at()
-            params.log_tau = orig
-            numeric = (hi - lo) / (2 * FD_STEP)
-            worst = max(worst, abs(grads.log_tau - numeric) / max(abs(grads.log_tau), abs(numeric)))
-            checked += 1
+        report = check_gradients(
+            params, batch, bundle.prompts_id, anchor, cfg,
+            eps=FD_STEP, skip_below=FD_SKIP_BELOW, tol=FD_REL_TOL,
+        )
+        worst = max(worst, report.max_rel_err)
+        checked += report.n_checked
     elapsed = time.perf_counter() - t0
     assert worst <= FD_REL_TOL
     assert elapsed < 60.0
@@ -344,24 +316,11 @@ def small_checkpoints():
 
 def test_ensemble_interpolation_identities(small_checkpoints):
     pre, ft = small_checkpoints
-    worst = 0.0
     for alpha, reference in ((0.0, pre.params), (1.0, ft.params)):
-        blended = ensemble_weights(pre, ft, alpha)
-        for tower_name in ("image", "text"):
-            got = getattr(blended, tower_name)
-            want = getattr(reference, tower_name)
-            for (_, a), (_, b) in zip(got.leaves(), want.leaves()):
-                assert a.tobytes() == b.tobytes()
-        assert blended.log_tau == reference.log_tau
+        assert ensemble_weights(pre, ft, alpha).theta.tobytes() == reference.theta.tobytes()
 
     mid = ensemble_weights(pre, ft, 0.5)
-    for tower_name in ("image", "text"):
-        got = getattr(mid, tower_name)
-        a_side = getattr(pre.params, tower_name)
-        b_side = getattr(ft.params, tower_name)
-        for (_, m), (_, a), (_, b) in zip(got.leaves(), a_side.leaves(), b_side.leaves()):
-            worst = max(worst, float(np.max(np.abs(m - (a + b) / 2.0))))
-    worst = max(worst, abs(mid.log_tau - (pre.params.log_tau + ft.params.log_tau) / 2.0))
+    worst = float(np.max(np.abs(mid.theta - (pre.params.theta + ft.params.theta) / 2.0)))
     assert worst <= TOL_MIDPOINT
     print(f"[PASS] ensemble endpoints bit-exact; midpoint within {worst:.2e} of the mean")
 
@@ -533,12 +492,7 @@ def test_codecs_round_trip_and_reject_corruption(tmp_path):
     ckpt = make_checkpoint(params, TrainConfig(**SMALL_TRAIN), "pretrained")
     write_checkpoint(tmp_path / "ckpt.json", ckpt)
     reread = read_checkpoint(tmp_path / "ckpt.json")
-    for tower_name in ("image", "text"):
-        for (_, a), (_, b) in zip(
-            getattr(reread.params, tower_name).leaves(),
-            getattr(ckpt.params, tower_name).leaves(),
-        ):
-            assert a.tobytes() == b.tobytes()
+    assert reread.params.theta.tobytes() == ckpt.params.theta.tobytes()
     assert reread.id == ckpt.id
 
     doc = json.loads((tmp_path / "ckpt.json").read_text())

@@ -18,7 +18,7 @@ from anchorft.anchors import (
     build_candidate_index,
     retrieve,
 )
-from anchorft.encoders import encode, encode_batch, init_params
+from anchorft.encoders import encode_batch, init_params
 from anchorft.numerics import gaussian_stream
 
 
@@ -118,7 +118,7 @@ class TestRetrieve:
         # Give both towers identical weights; then a query equal to a
         # candidate's text feature lands exactly on its text embedding.
         params = make_params(2)
-        params.text = params.image.copy()
+        params.theta[params.span("text")] = params.theta[params.span("image")]
         candidates = make_candidates(6)
         index = build_candidate_index(params, candidates)
         target = candidates[3]
@@ -131,7 +131,7 @@ class TestRetrieve:
         candidates = make_candidates(3)
         index = build_candidate_index(params, candidates)
         query = gaussian_stream(9).normals(IMG_DIM)
-        q = encode(params, "image", query)
+        q = encode_batch(params, "image", query)[0][0]
         scores = [float(q @ row) for row in index.text_embeddings]
         [hit] = retrieve(index, [(7, query)], params, "v2t", k=1)
         assert hit.candidate_id == candidates[int(np.argmax(scores))].id
@@ -148,7 +148,7 @@ class TestRetrieve:
             text_feature=base[1].text_feature.copy(),
         )
         candidates = base + [dup]
-        params.text = params.image.copy()
+        params.theta[params.span("text")] = params.theta[params.span("image")]
         index = build_candidate_index(params, candidates)
         query = base[1].text_feature  # lands exactly on the duplicated pair
         hits = retrieve(index, [(0, query)], params, "v2t", k=2)
@@ -180,7 +180,7 @@ class TestRetrieve:
         side = index.text_embeddings if mode[-1] == "t" else index.image_embeddings
         ids = np.array(index.candidate_ids)
         for qi, (sample_id, raw) in enumerate(queries):
-            q = encode(params, modality, raw)
+            q = encode_batch(params, modality, raw)[0][0]
             scores = side @ q
             expected = oracle_top_k(scores, ids, k)
             got = [h.candidate_id for h in hits[qi * k : (qi + 1) * k]]

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from anchorft.cli import _train_config, build_parser, main
-from anchorft.contrastive import CheckReport
+from anchorft.training import CheckReport
 
 GEN = {
     "n_id_classes": 3,
@@ -152,10 +152,10 @@ class TestExitCodes:
     def test_gradcheck_failure_exit_two(self, monkeypatch, capsys):
         import anchorft.cli as cli
 
-        def fake_grad_check(seed, eps):
+        def fake_check(*problem, eps):
             return CheckReport(max_rel_err=1.0, n_checked=5, eps=eps, passed=False)
 
-        monkeypatch.setattr(cli, "grad_check", fake_grad_check)
+        monkeypatch.setattr(cli, "check_gradients", fake_check)
         assert main(["gradcheck"]) == 2
         assert "FAIL" in capsys.readouterr().out
 
@@ -163,14 +163,6 @@ class TestExitCodes:
 class TestFlagResolution:
     def parse(self, *argv):
         return build_parser().parse_args(list(argv))
-
-    def test_paper_defaults(self):
-        args = self.parse("pretrain", "--bundle", "b", "--out", "o", "--paper-defaults")
-        config = _train_config(args)
-        assert config.batch_size == 512
-        assert config.epochs == 10
-        assert config.learning_rate == 1e-5
-        assert config.weight_decay == 0.1
 
     def test_flags_override_config_file(self, tmp_path):
         path = tmp_path / "t.json"

@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from anchorft.contrastive import (
-    PairBatch,
-    contrastive_grads,
-    contrastive_loss,
-    contrastive_loss_and_grads,
-    grad_check,
-)
+import anchorft.training as training
+from anchorft.anchors import assemble_anchor_batch
+from anchorft.benchgen import GenConfig, generate_benchmark
+from anchorft.contrastive import PairBatch, contrastive_loss, contrastive_loss_and_grads
+from anchorft.encoders import init_params
 from anchorft.numerics import gaussian_stream, l2_normalize
+from anchorft.training import TrainConfig, check_gradients
 
 
 def unit_rows(seed: int, n: int, d: int) -> np.ndarray:
@@ -115,21 +114,21 @@ class TestContrastiveLoss:
 class TestContrastiveGrads:
     def test_single_pair_zero_grads(self):
         batch = random_batch(0, n=1)
-        df, dg = contrastive_grads(batch, 0.07)
+        _, df, dg, _ = contrastive_loss_and_grads(batch, 0.07)
         assert not df.any() and not dg.any()
 
     def test_identical_sides_give_identical_grads(self):
         # F = G makes S symmetric, so the row and column softmaxes are
         # transposes and both sides receive the same gradient.
         f = unit_rows(7, 4, 5)
-        df, dg = contrastive_grads(PairBatch(f, f.copy()), 0.07)
+        _, df, dg, _ = contrastive_loss_and_grads(PairBatch(f, f.copy()), 0.07)
         assert np.max(np.abs(df - dg)) <= 1e-12
 
     def test_embedding_gradients_match_finite_differences(self):
         eps = 1e-6
         batch = random_batch(21, n=3, d=4)
         tau = 0.2
-        df, dg = contrastive_grads(batch, tau)
+        _, df, dg, _ = contrastive_loss_and_grads(batch, tau)
         f = batch.image_embeddings.copy()
         g = batch.text_embeddings.copy()
         # Perturbing an entry breaks the unit-row property, so differences
@@ -167,17 +166,43 @@ def _raw_loss(f: np.ndarray, g: np.ndarray, tau: float) -> float:
     return total / b
 
 
+def pair_term_problem(seed: int):
+    """Generated images paired with their class prompts, the pair term alone."""
+    bundle = generate_benchmark(
+        GenConfig(
+            n_id_classes=4, n_zsl_classes=2, n_domains=1, d_latent=6, d_img_raw=6,
+            d_txt_raw=7, n_pretrain_per_class=1, n_finetune_per_class=4,
+            n_test_per_class=1, candidate_pool_size=6, seed=seed,
+        )
+    )
+    config = TrainConfig(
+        hidden=8, embed_dim=4, seed=seed, enabled_losses=("cl",), tau_trainable=True
+    )
+    params = init_params(seed, (6, 7), config.hidden, config.embed_dim)
+    batch = bundle.finetune[:4]
+    captions = {r.sample_id: r for r in bundle.captions}
+    anchor_batch = assemble_anchor_batch(batch, captions, None, {}, "sep")
+    return params, batch, bundle.prompts_id, anchor_batch, config
+
+
 class TestGradCheck:
+    # The training objective's finite-difference checker, on the pair term.
     def test_passes_on_clean_gradients(self):
-        report = grad_check(seed=0)
+        report = check_gradients(*pair_term_problem(0))
         assert report.passed
         assert report.max_rel_err <= 1e-4
         assert report.n_checked > 50
         assert report.eps == 1e-5
 
-    def test_fails_when_corrupted(self):
-        report = grad_check(seed=0, corruption=1e-2)
+    def test_fails_when_corrupted(self, monkeypatch):
+        def corrupted(batch, tau):
+            loss, df, dg, dlog_tau = contrastive_loss_and_grads(batch, tau)
+            df[0, 0] += 1e-2
+            return loss, df, dg, dlog_tau
+
+        monkeypatch.setattr(training, "contrastive_loss_and_grads", corrupted)
+        report = check_gradients(*pair_term_problem(0))
         assert not report.passed
 
     def test_deterministic(self):
-        assert grad_check(seed=3) == grad_check(seed=3)
+        assert check_gradients(*pair_term_problem(3)) == check_gradients(*pair_term_problem(3))

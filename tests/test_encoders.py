@@ -8,20 +8,63 @@ import pytest
 from anchorft.encoders import (
     DEFAULT_LOG_TAU,
     DualEncoderParams,
-    EncoderParams,
-    encode,
     encode_batch,
-    encoder_backward,
     encoder_backward_batch,
     init_params,
     param_fingerprint,
-    zero_grads,
 )
-from anchorft.numerics import gaussian_stream, l2_normalize
+from anchorft.numerics import NonFiniteError, gaussian_stream, l2_normalize
 
 
 def tiny_params(seed=0, img_dim=5, txt_dim=6, hidden=7, embed=4):
     return init_params(seed, (img_dim, txt_dim), hidden, embed)
+
+
+def encode_row(p, modality, x):
+    return encode_batch(p, modality, x)[0][0]
+
+
+def backward_row(p, modality, x, grad_embedding):
+    _, cache = encode_batch(p, modality, x)
+    return encoder_backward_batch(p, modality, cache, np.asarray(grad_embedding)[None, :])
+
+
+class TestParamLayout:
+    def test_leaves_are_views_in_layout_order(self):
+        p = tiny_params()
+        img, txt, hidden, embed = p.dims
+        assert p.theta.shape == (hidden * (img + txt + 2) + 2 * embed * (hidden + 1) + 1,)
+        offset = 0
+        for leaf in (*p.image, *p.text):
+            assert np.shares_memory(leaf, p.theta)
+            assert np.array_equal(leaf.reshape(-1), p.theta[offset : offset + leaf.size])
+            offset += leaf.size
+        assert offset == p.theta.size - 1
+        assert p.theta[-1] == p.log_tau
+
+    def test_writes_through_theta_reach_the_leaves(self):
+        p = tiny_params()
+        p.theta[p.span("text")] = 0.0
+        assert not p.text.w1.any() and not p.text.b2.any()
+        assert p.image.w1.any()
+
+    def test_wrong_length_rejected(self):
+        p = tiny_params()
+        with pytest.raises(ValueError):
+            DualEncoderParams(p.theta[:-1], p.dims)
+
+    def test_tau_out_of_band_rejected(self):
+        p = tiny_params()
+        theta = p.theta.copy()
+        theta[-1] = math.log(20.0)
+        with pytest.raises(ValueError):
+            DualEncoderParams(theta, p.dims)
+
+    def test_copy_is_independent(self):
+        p = tiny_params()
+        q = p.copy()
+        q.image.w1[0, 0] += 1.0
+        assert q.image.w1[0, 0] != p.image.w1[0, 0]
 
 
 class TestInitParams:
@@ -55,38 +98,35 @@ class TestInitParams:
 class TestEncodeForward:
     def test_unit_norm(self):
         p = tiny_params()
-        stream = gaussian_stream(5)
-        for _ in range(20):
-            e = encode(p, "image", stream.normals(5))
-            assert abs(np.linalg.norm(e) - 1.0) <= 1e-12
+        e, _ = encode_batch(p, "image", gaussian_stream(5).normal_matrix(20, 5))
+        assert np.max(np.abs(np.linalg.norm(e, axis=1) - 1.0)) <= 1e-12
 
     def test_constant_tower(self):
         # With w2 = 0 the pre-normalization output is b2 for every input.
         p = tiny_params()
         p.image.w2[:] = 0.0
         p.image.b2[:] = [3.0, 0.0, 4.0, 0.0]
-        e = encode(p, "image", np.ones(5))
+        e = encode_row(p, "image", np.ones(5))
         assert np.allclose(e, [0.6, 0.0, 0.8, 0.0], atol=1e-15)
 
     def test_one_hidden_unit_by_hand(self):
         # Single hidden unit, x = 0.5: u = (tanh 0.5, tanh 0.5 + 1), normalized.
-        tower = EncoderParams(
-            w1=[[1.0]], b1=[0.0], w2=[[1.0], [1.0]], b2=[0.0, 1.0]
-        )
-        p = DualEncoderParams(tower, EncoderParams([[1.0]], [0.0], [[1.0], [1.0]], [0.0, 0.0]))
+        # theta: image w1, b1, w2, b2, then text w1, b1, w2, b2, then log_tau.
+        theta = [1.0, 0.0, 1.0, 1.0, 0.0, 1.0] + [1.0, 0.0, 1.0, 1.0, 0.0, 0.0] + [DEFAULT_LOG_TAU]
+        p = DualEncoderParams(theta, (1, 1, 1, 2))
         t = math.tanh(0.5)
         expected = l2_normalize([t, t + 1.0])
-        e = encode(p, "image", [0.5])
+        e = encode_row(p, "image", [0.5])
         assert np.max(np.abs(e - expected)) <= 1e-15
 
     def test_output_scale_invariance(self):
         # Scaling (w2, b2) jointly rescales u and cancels in the normalization.
         p = tiny_params(2)
         x = gaussian_stream(0).normals(5)
-        base = encode(p, "image", x)
-        p.image.w2 *= 3.7
-        p.image.b2 *= 3.7
-        assert np.max(np.abs(encode(p, "image", x) - base)) <= 1e-12
+        base = encode_row(p, "image", x)
+        p.image.w2[...] *= 3.7
+        p.image.b2[...] *= 3.7
+        assert np.max(np.abs(encode_row(p, "image", x) - base)) <= 1e-12
 
     def test_batch_matches_single(self):
         # Different BLAS kernels may reorder the dot sums, so agreement is to
@@ -95,37 +135,43 @@ class TestEncodeForward:
         xs = gaussian_stream(1).normal_matrix(6, 5)
         batch, _ = encode_batch(p, "image", xs)
         for i, row in enumerate(xs):
-            assert np.max(np.abs(batch[i] - encode(p, "image", row))) <= 1e-14
+            assert np.max(np.abs(batch[i] - encode_row(p, "image", row))) <= 1e-14
 
     def test_modalities_have_separate_towers(self):
         p = tiny_params(6, img_dim=5, txt_dim=5)
         x = gaussian_stream(2).normals(5)
-        assert not np.array_equal(encode(p, "image", x), encode(p, "text", x))
+        assert not np.array_equal(encode_row(p, "image", x), encode_row(p, "text", x))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            encode(tiny_params(), "image", np.ones(9))
+            encode_batch(tiny_params(), "image", np.ones(9))
 
     def test_unknown_modality(self):
         with pytest.raises(ValueError):
-            encode(tiny_params(), "audio", np.ones(5))
+            encode_batch(tiny_params(), "audio", np.ones(5))
+
+    def test_overflowing_norm_rejected(self):
+        p = tiny_params()
+        p.image.w2[...] *= 1e300
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            encode_batch(p, "image", np.ones(5))
 
 
 class TestEncoderBackward:
     def test_zero_grad_in_zero_out(self):
         p = tiny_params()
-        g = encoder_backward(p, "image", np.ones(5), np.zeros(4))
-        assert not g.w1.any() and not g.b1.any() and not g.w2.any() and not g.b2.any()
+        g = backward_row(p, "image", np.ones(5), np.zeros(4))
+        assert g.shape == p.theta[p.span("image")].shape
+        assert not g.any()
 
     def test_grad_parallel_to_embedding_vanishes(self):
         # A gradient along e is annihilated by (I - e e^T): unit outputs
         # cannot grow along themselves.
         p = tiny_params(8)
         x = gaussian_stream(3).normals(5)
-        e = encode(p, "image", x)
-        g = encoder_backward(p, "image", x, 2.5 * e)
-        for _, arr in g.leaves():
-            assert np.max(np.abs(arr)) <= 1e-12
+        e = encode_row(p, "image", x)
+        g = backward_row(p, "image", x, 2.5 * e)
+        assert np.max(np.abs(g)) <= 1e-12
 
     def test_batch_backward_sums_rows(self):
         p = tiny_params(9)
@@ -133,11 +179,8 @@ class TestEncoderBackward:
         de = gaussian_stream(5).normal_matrix(3, 4)
         _, cache = encode_batch(p, "image", xs)
         batch_grads = encoder_backward_batch(p, "image", cache, de)
-        acc = zero_grads(p)
-        for row, grad_row in zip(xs, de):
-            acc.add_tower("image", encoder_backward(p, "image", row, grad_row))
-        for (_, a), (_, b) in zip(batch_grads.leaves(), acc.image.leaves()):
-            assert np.max(np.abs(a - b)) <= 1e-12
+        acc = sum(backward_row(p, "image", row, grad_row) for row, grad_row in zip(xs, de))
+        assert np.max(np.abs(batch_grads - acc)) <= 1e-12
 
     def test_finite_difference_oracle(self):
         # Central differences of J = g_e . e(x) against the analytic backward,
@@ -148,26 +191,24 @@ class TestEncoderBackward:
             stream = gaussian_stream(1000 + seed)
             x = stream.normals(5)
             ge = stream.normals(4)
-            analytic = encoder_backward(p, "image", x, ge)
+            analytic = backward_row(p, "image", x, ge)
 
             def objective() -> float:
-                return float(np.dot(ge, encode(p, "image", x)))
+                return float(np.dot(ge, encode_row(p, "image", x)))
 
-            for name, arr in p.image.leaves():
-                a_grad = getattr(analytic, name)
-                flat = arr.reshape(-1)
-                for idx in range(flat.size):
-                    orig = flat[idx]
-                    flat[idx] = orig + eps
-                    hi = objective()
-                    flat[idx] = orig - eps
-                    lo = objective()
-                    flat[idx] = orig
-                    numeric = (hi - lo) / (2 * eps)
-                    a = a_grad.reshape(-1)[idx]
-                    if abs(a) > 1e-8:
-                        rel = abs(a - numeric) / max(abs(a), abs(numeric))
-                        assert rel <= 1e-4, f"seed {seed} {name}[{idx}]: {rel:.2e}"
+            tower = p.theta[p.span("image")]
+            for idx in range(tower.size):
+                orig = tower[idx]
+                tower[idx] = orig + eps
+                hi = objective()
+                tower[idx] = orig - eps
+                lo = objective()
+                tower[idx] = orig
+                numeric = (hi - lo) / (2 * eps)
+                a = analytic[idx]
+                if abs(a) > 1e-8:
+                    rel = abs(a - numeric) / max(abs(a), abs(numeric))
+                    assert rel <= 1e-4, f"seed {seed} image[{idx}]: {rel:.2e}"
 
 
 class TestParamFingerprint:
@@ -181,7 +222,7 @@ class TestParamFingerprint:
     def test_log_tau_included(self):
         p = tiny_params(1)
         q = tiny_params(1)
-        q.log_tau += 1e-9
+        q.theta[-1] += 1e-9
         assert param_fingerprint(p) != param_fingerprint(q)
 
     def test_copy_preserves_fingerprint(self):

@@ -7,7 +7,7 @@ import pytest
 
 from anchorft.anchors import Sample
 from anchorft.benchgen import GenConfig, generate_benchmark
-from anchorft.encoders import DualEncoderParams, encode_batch, init_params
+from anchorft.encoders import encode_batch, init_params
 from anchorft.evaluation import (
     EmptySplitError,
     PromptTable,
@@ -154,7 +154,7 @@ class TestEvaluateSplits:
         # Shared towers plus image features copied from the prompts give
         # self-similarity 1 per class, so ID accuracy is exactly 100.
         params = tiny_params(dims=(7, 7))
-        params = DualEncoderParams(params.image, params.image.copy(), params.log_tau)
+        params.theta[params.span("text")] = params.theta[params.span("image")]
         rng = np.random.default_rng(8)
         prompts = PromptTable([0, 1, 2], rng.normal(size=(3, 7)))
         id_test = [

@@ -183,12 +183,8 @@ class TestCheckpointCodec:
         back = read_checkpoint(tmp_path / "ck.json")
         assert back.id == ckpt.id
         assert back.provenance == "pretrained"
-        for name in ("image", "text"):
-            for (_, a), (_, b) in zip(
-                getattr(back.params, name).leaves(), getattr(ckpt.params, name).leaves()
-            ):
-                assert a.tobytes() == b.tobytes()
-        assert back.params.log_tau == ckpt.params.log_tau
+        assert back.params.theta.tobytes() == ckpt.params.theta.tobytes()
+        assert back.params.dims == ckpt.params.dims
 
     def test_tampered_weight(self, tmp_path):
         write_checkpoint(tmp_path / "ck.json", self.checkpoint())
@@ -196,6 +192,15 @@ class TestCheckpointCodec:
         doc["image"]["w1"][0][0] += 1e-9
         (tmp_path / "ck.json").write_text(json.dumps(doc))
         with pytest.raises(HashMismatchError):
+            read_checkpoint(tmp_path / "ck.json")
+
+    def test_inconsistent_leaf_shapes(self, tmp_path):
+        write_checkpoint(tmp_path / "ck.json", self.checkpoint())
+        doc = json.loads((tmp_path / "ck.json").read_text())
+        doc["text"]["b1"] = doc["text"]["b1"][:-1]
+        doc["text"]["b2"].append(0.0)
+        (tmp_path / "ck.json").write_text(json.dumps(doc))
+        with pytest.raises(CodecError):
             read_checkpoint(tmp_path / "ck.json")
 
     def test_missing_log_tau(self, tmp_path):

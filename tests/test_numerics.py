@@ -14,7 +14,6 @@ from anchorft.numerics import (
     gaussian_stream,
     l2_normalize,
     splitmix64,
-    stable_log_softmax,
 )
 
 
@@ -55,46 +54,6 @@ class TestL2Normalize:
         a = l2_normalize(v)
         b = l2_normalize(scale * v)
         assert np.max(np.abs(a - b)) <= 1e-12
-
-
-class TestStableLogSoftmax:
-    def test_two_zeros(self):
-        out = stable_log_softmax([0.0, 0.0])
-        assert np.allclose(out, [-math.log(2)] * 2, atol=1e-15)
-
-    def test_extreme_components_no_overflow(self):
-        # Reference values from a 60-digit evaluation: the exact outputs are
-        # [-e^-1000 + O(e^-2000), -1000 - e^-1000 + ...], which round to
-        # [0.0, -1000.0] in float64.
-        out = stable_log_softmax([1000.0, 0.0])
-        assert np.all(np.isfinite(out))
-        assert abs(out[0]) <= 1e-300
-        assert out[1] == -1000.0
-
-    def test_shift_invariance_fixed(self):
-        x = np.array([0.3, -1.2, 4.0, 2.2])
-        a = stable_log_softmax(x)
-        b = stable_log_softmax(x + 7.3)
-        assert np.max(np.abs(a - b)) <= 1e-9
-
-    def test_probabilities_sum_to_one(self):
-        stream = gaussian_stream(7)
-        for _ in range(20):
-            x = stream.normals(6) * 400.0
-            total = np.exp(stable_log_softmax(x)).sum()
-            assert abs(total - 1.0) <= 1e-12
-
-    @settings(deadline=None, max_examples=60)
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8), st.floats(-1e2, 1e2))
-    def test_shift_invariance(self, values, shift):
-        x = np.asarray(values)
-        a = stable_log_softmax(x)
-        b = stable_log_softmax(x + shift)
-        assert np.max(np.abs(a - b)) <= 1e-9
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            stable_log_softmax([])
 
 
 class TestSplitmixAndDerive:

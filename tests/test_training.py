@@ -1,20 +1,19 @@
 """Optimizer, composite loss, and training-loop checks."""
 
-import math
-
 import numpy as np
 import pytest
 
+import anchorft.training as training
 from anchorft.anchors import assemble_anchor_batch, build_candidate_index, retrieve
 from anchorft.benchgen import GenConfig, generate_benchmark
-from anchorft.encoders import DualEncoderParams, EncoderParams, ParamGrads, init_params, zero_grads
+from anchorft.encoders import init_params
 from anchorft.training import (
-    Checkpoint,
+    DivergenceError,
     EmptyFinetuneSetError,
     LossBreakdown,
     TrainConfig,
     adamw_update,
-    checkpoint_id,
+    check_gradients,
     compute_total_loss_and_grads,
     config_fingerprint,
     init_optimizer_state,
@@ -58,13 +57,6 @@ def finetune_inputs(gen_cfg=None, train_cfg=None):
 
 
 class TestTrainConfig:
-    def test_paper_defaults(self):
-        cfg = tiny_train_config().paper_defaults()
-        assert cfg.batch_size == 512
-        assert cfg.epochs == 10
-        assert cfg.learning_rate == 1e-5
-        assert cfg.weight_decay == 0.1
-
     def test_batch_floor(self):
         with pytest.raises(ValueError):
             tiny_train_config(batch_size=1).validate()
@@ -81,12 +73,14 @@ class TestTrainConfig:
 
 
 class TestAdamW:
+    DIMS = (1, 1, 1, 2)  # one input, one hidden unit, two embedding dims per tower
+
     def scalar_setup(self, theta=1.0, g=1.0):
-        tower = lambda val: EncoderParams(
-            np.array([[val]]), np.zeros(1), np.array([[val], [val]]), np.zeros(2)
-        )
-        params = DualEncoderParams(tower(theta), tower(theta))
-        grads = ParamGrads(tower(g), tower(g))
+        # Every tower entry is theta (gradient g); log_tau keeps its default.
+        params = init_params(0, self.DIMS[:2], *self.DIMS[2:])
+        params.theta[:-1] = theta
+        grads = np.full(params.theta.size, g)
+        grads[-1] = 0.0
         return params, grads
 
     def test_first_step_matches_hand_formula(self):
@@ -100,32 +94,43 @@ class TestAdamW:
 
     def test_zero_grads_no_decay_leaves_params(self):
         params, _ = self.scalar_setup()
-        zero = zero_grads(params)
+        zero = np.zeros_like(params.theta)
         new_params, _ = adamw_update(params, zero, init_optimizer_state(params), 0.1, 0.0)
         assert new_params.image.w1.tobytes() == params.image.w1.tobytes()
         assert new_params.text.w2.tobytes() == params.text.w2.tobytes()
 
     def test_zero_grads_with_decay_shrinks(self):
         params, _ = self.scalar_setup(theta=2.0)
-        zero = zero_grads(params)
+        zero = np.zeros_like(params.theta)
         new_params, _ = adamw_update(params, zero, init_optimizer_state(params), 0.1, 0.5)
         expected = 2.0 * (1.0 - 0.1 * 0.5)
         assert abs(new_params.image.w1[0, 0] - expected) <= 1e-15 * abs(expected)
 
     def test_log_tau_frozen_by_default(self):
         params, grads = self.scalar_setup()
-        grads.log_tau = 5.0
-        new_params, _ = adamw_update(params, grads, init_optimizer_state(params), 0.1, 0.0)
+        grads[-1] = 5.0
+        new_params, new_state = adamw_update(
+            params, grads, init_optimizer_state(params), 0.1, 0.5
+        )
         assert new_params.log_tau == params.log_tau
+        assert new_state.m[-1] == 0.0 and new_state.v[-1] == 0.0
 
     def test_log_tau_moves_when_trainable(self):
         params, grads = self.scalar_setup()
-        grads.log_tau = 5.0
+        grads[-1] = 5.0
         new_params, new_state = adamw_update(
             params, grads, init_optimizer_state(params), 0.01, 0.0, tau_trainable=True
         )
         assert new_params.log_tau != params.log_tau
-        assert new_state.m.log_tau != 0.0
+        assert new_state.m[-1] != 0.0
+
+    def test_update_leaves_its_inputs_alone(self):
+        params, grads = self.scalar_setup()
+        before = params.theta.copy()
+        state = init_optimizer_state(params)
+        adamw_update(params, grads, state, 0.1, 0.1)
+        assert params.theta.tobytes() == before.tobytes()
+        assert not state.m.any() and not state.v.any()
 
     def test_two_steps_accumulate_moments(self):
         # Same gradient twice: with bias correction the normalized step stays
@@ -175,9 +180,7 @@ class TestComputeTotalLoss:
         assert breakdown.l_cap == 0.0
         assert breakdown.l_ret == 0.0
         assert breakdown.total == 0.0
-        for tower in (grads.image, grads.text):
-            for _, arr in tower.leaves():
-                assert not arr.any()
+        assert not grads.any()
 
     def test_disabled_terms_are_exactly_zero(self):
         bundle, start, index, _ = finetune_inputs()
@@ -204,13 +207,9 @@ class TestComputeTotalLoss:
         _, g_b = compute_total_loss_and_grads(
             start.params, batch, bundle.prompts_id, anchor, zero_weight
         )
-        for tower_a, tower_b in ((g_a.image, g_b.image), (g_a.text, g_b.text)):
-            for (_, a), (_, b) in zip(tower_a.leaves(), tower_b.leaves()):
-                assert a.tobytes() == b.tobytes()
+        assert g_a.tobytes() == g_b.tobytes()
 
-    def test_full_objective_matches_finite_differences(self):
-        # The all-terms composite gradient against central differences on a
-        # handful of parameter slices (the acceptance suite sweeps them all).
+    def anchored_problem(self):
         bundle, start, index, _ = finetune_inputs()
         cfg = tiny_train_config(tau_trainable=True)
         batch = bundle.finetune[:4]
@@ -222,32 +221,30 @@ class TestComputeTotalLoss:
             assignments.setdefault(h.query_sample_id, []).append(h)
         candidate_map = {c.id: c for c in bundle.candidates}
         anchor = assemble_anchor_batch(batch, captions, assignments, candidate_map, "sep")
+        return start.params, batch, bundle.prompts_id, anchor, cfg
 
-        params = start.params
-        _, grads = compute_total_loss_and_grads(params, batch, bundle.prompts_id, anchor, cfg)
+    def test_full_objective_matches_finite_differences(self):
+        # The all-terms composite gradient against central differences over
+        # every element of theta, log_tau included.
+        problem = self.anchored_problem()
+        report = check_gradients(*problem, eps=1e-5, skip_below=1e-8, tol=1e-4)
+        assert report.passed
+        assert report.n_checked > 0.9 * problem[0].theta.size
 
-        def loss_at() -> float:
-            breakdown, _ = compute_total_loss_and_grads(
-                params, batch, bundle.prompts_id, anchor, cfg
-            )
-            return breakdown.total
+    def test_checker_catches_a_wrong_log_tau_gradient(self, monkeypatch):
+        # log_tau is checked like any other element: a 1% error in its
+        # analytic gradient, with the loss left exact, must fail.
+        problem = self.anchored_problem()
+        real_loss = training.contrastive_loss_and_grads
 
-        eps = 1e-5
-        stream_positions = [(0, 0), (2, 3), (5, 1)]
-        for tower_name in ("image", "text"):
-            w1 = getattr(params, tower_name).w1
-            g_w1 = getattr(grads, tower_name).w1
-            for i, j in stream_positions:
-                orig = w1[i, j]
-                w1[i, j] = orig + eps
-                hi = loss_at()
-                w1[i, j] = orig - eps
-                lo = loss_at()
-                w1[i, j] = orig
-                numeric = (hi - lo) / (2 * eps)
-                a = g_w1[i, j]
-                if abs(a) > 1e-8:
-                    assert abs(a - numeric) / max(abs(a), abs(numeric)) <= 1e-4
+        def skewed_loss(batch, tau):
+            loss, df, dg, dlog_tau = real_loss(batch, tau)
+            return loss, df, dg, 1.01 * dlog_tau
+
+        monkeypatch.setattr(training, "contrastive_loss_and_grads", skewed_loss)
+        report = check_gradients(*problem, eps=1e-5, skip_below=1e-8, tol=1e-4)
+        assert not report.passed
+        assert report.max_rel_err > 1e-3
 
 
 class TestPretrain:
@@ -285,6 +282,14 @@ class TestPretrain:
         bundle = generate_benchmark(tiny_gen_config())
         with pytest.raises(ValueError):
             pretrain(bundle.pretrain_pool[:3], tiny_train_config(batch_size=8))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_divergence_names_the_step(self):
+        # lr 1e3 with weight decay 0.1 multiplies the weights by -99 a step,
+        # until the pre-normalization norms overflow.
+        bundle = generate_benchmark(GenConfig(seed=0))
+        with pytest.raises(DivergenceError, match=r"at step 76 \(epoch 0\): image encoder"):
+            pretrain(bundle.pretrain_pool, TrainConfig(seed=0, epochs=2, learning_rate=1e3))
 
 
 class TestRunFinetune:
@@ -358,6 +363,22 @@ class TestRunFinetune:
         with pytest.raises(EmptyFinetuneSetError):
             run_finetune([], bundle.prompts_id, bundle.captions, index,
                          bundle.candidates, start, cfg)
+
+    def test_non_finite_gradient_names_the_step(self, monkeypatch):
+        bundle, start, index, cfg = finetune_inputs()
+        real_backward = training.encoder_backward_batch
+
+        def backward_with_nan(params, modality, cache, grad_embeddings):
+            grad = real_backward(params, modality, cache, grad_embeddings)
+            grad[0] = np.nan
+            return grad
+
+        monkeypatch.setattr(training, "encoder_backward_batch", backward_with_nan)
+        with pytest.raises(DivergenceError, match=r"at step 0 \(epoch 0\): non-finite"):
+            run_finetune(
+                bundle.finetune, bundle.prompts_id, bundle.captions, index,
+                bundle.candidates, start, cfg,
+            )
 
     def test_ret_needs_index(self):
         bundle, start, _, cfg = finetune_inputs()
