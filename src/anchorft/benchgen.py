@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .anchors import CandidatePair, CaptionRecord, Sample, attach_captions
+from .anchors import CaptionRecord, PairSet, Sample, SampleSet, attach_captions
 from .evaluation import PromptTable
-from .numerics import RandomStream, derive_seed, gaussian_stream, l2_normalize
+from .numerics import RandomStream, derive_seed, l2_normalize
 
 __all__ = [
     "BenchmarkBundle",
@@ -105,15 +105,15 @@ class BenchmarkBundle:
     gen_config: GenConfig
     id_class_ids: list[int]
     zsl_class_ids: list[int]
-    pretrain_pool: list[CandidatePair]
-    finetune: list[Sample]
+    pretrain_pool: PairSet
+    finetune: SampleSet
     captions: list[CaptionRecord]
     prompts_id: PromptTable
     prompts_zsl: PromptTable
-    candidates: list[CandidatePair]
-    id_test: list[Sample]
-    ds_tests: dict[int, list[Sample]]
-    zsl_test: list[Sample]
+    candidates: PairSet
+    id_test: SampleSet
+    ds_tests: dict[int, SampleSet]
+    zsl_test: SampleSet
 
 
 def random_rotation(seed: int, dim: int) -> np.ndarray:
@@ -127,7 +127,7 @@ def random_rotation(seed: int, dim: int) -> np.ndarray:
     if dim < 1:
         raise ValueError("dim must be positive")
     for attempt in range(8):
-        stream = gaussian_stream(derive_seed(seed, _TAG_ROTATION, attempt))
+        stream = RandomStream(derive_seed(seed, _TAG_ROTATION, attempt))
         a = stream.normal_matrix(dim, dim)
         q = np.empty_like(a)
         ok = True
@@ -172,7 +172,7 @@ class SynthCaptionProvider:
     def context_mix(self, entity_id: int) -> np.ndarray:
         if self.contexts_per_sample == 0:
             return np.zeros(self.context_bank.shape[1])
-        stream = gaussian_stream(derive_seed(self.seed, _TAG_CONTEXT_PICK, entity_id))
+        stream = RandomStream(derive_seed(self.seed, _TAG_CONTEXT_PICK, entity_id))
         picks = stream.sample_indices(self.context_bank.shape[0], self.contexts_per_sample)
         return self.context_bank[picks].sum(axis=0)
 
@@ -180,7 +180,7 @@ class SynthCaptionProvider:
         return self.latent_prototypes[class_id] + self.strength * self.context_mix(entity_id)
 
     def caption_feature(self, entity_id: int, class_id: int) -> np.ndarray:
-        stream = gaussian_stream(derive_seed(self.seed, _TAG_CAPTION, entity_id))
+        stream = RandomStream(derive_seed(self.seed, _TAG_CAPTION, entity_id))
         noise = stream.normals(self.m_txt.shape[0])
         return self.m_txt @ self.content_latent(entity_id, class_id) + self.sigma_txt * noise
 
@@ -201,7 +201,7 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
     zsl_classes = list(range(cfg.n_id_classes, cfg.n_id_classes + cfg.n_zsl_classes))
     all_classes = id_classes + zsl_classes
 
-    proto_stream = gaussian_stream(derive_seed(seed, _TAG_PROTO))
+    proto_stream = RandomStream(derive_seed(seed, _TAG_PROTO))
     prototypes = {
         c: l2_normalize(proto_stream.normals(cfg.d_latent)) for c in all_classes
     }
@@ -214,7 +214,7 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
     for domain in range(1, cfg.n_domains):
         rotations[domain] = random_rotation(seed ^ domain, cfg.d_img_raw)
 
-    template = l2_normalize(gaussian_stream(derive_seed(seed, _TAG_TEMPLATE)).normals(cfg.d_txt_raw))
+    template = l2_normalize(RandomStream(derive_seed(seed, _TAG_TEMPLATE)).normals(cfg.d_txt_raw))
     prompt_rows = np.stack(
         [m_txt @ prototypes[c] + cfg.template_offset_scale * template for c in all_classes]
     )
@@ -222,7 +222,7 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
     prompts_zsl = PromptTable(zsl_classes, prompt_rows[len(id_classes):])
 
     context_bank = _unit_rows(
-        gaussian_stream(derive_seed(seed, _TAG_CONTEXT)), cfg.context_bank_size, cfg.d_latent
+        RandomStream(derive_seed(seed, _TAG_CONTEXT)), cfg.context_bank_size, cfg.d_latent
     )
     provider = SynthCaptionProvider(
         seed=seed,
@@ -236,42 +236,38 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
 
     next_id = 0
 
-    def take_id() -> int:
+    def take_ids(n: int) -> np.ndarray:
         nonlocal next_id
-        next_id += 1
-        return next_id - 1
+        next_id += n
+        return np.arange(next_id - n, next_id, dtype=np.int64)
 
     def image_feature(entity_id: int, class_id: int, domain: int) -> np.ndarray:
         latent = provider.content_latent(entity_id, class_id)
-        stream = gaussian_stream(derive_seed(seed, _TAG_IMG_NOISE, entity_id))
+        stream = RandomStream(derive_seed(seed, _TAG_IMG_NOISE, entity_id))
         raw = m_img @ latent + cfg.sigma_img * stream.normals(cfg.d_img_raw)
         return rotations[domain] @ raw
 
-    pretrain_pool = []
-    for class_id in all_classes:
-        for domain in range(cfg.n_domains):
-            for _ in range(cfg.n_pretrain_per_class):
-                pair_id = take_id()
-                pretrain_pool.append(
-                    CandidatePair(
-                        id=pair_id,
-                        image_feature=image_feature(pair_id, class_id, domain),
-                        text_feature=provider.caption_feature(pair_id, class_id),
-                    )
-                )
+    # Every entity's features come from streams keyed by its own id, so only
+    # the order in which ids are handed out fixes the bundle.
+    def pair_set(class_ids: np.ndarray, domain_ids: np.ndarray) -> PairSet:
+        ids = take_ids(class_ids.size).tolist()
+        images = [image_feature(*e) for e in zip(ids, class_ids.tolist(), domain_ids.tolist())]
+        texts = [provider.caption_feature(*e) for e in zip(ids, class_ids.tolist())]
+        return PairSet(ids, np.array(images), np.array(texts))
 
-    finetune = []
-    for class_id in id_classes:
-        for _ in range(cfg.n_finetune_per_class):
-            sample_id = take_id()
-            finetune.append(
-                Sample(
-                    id=sample_id,
-                    feature=image_feature(sample_id, class_id, 0),
-                    class_id=class_id,
-                    domain_id=0,
-                )
-            )
+    def sample_set(class_list: Sequence[int], per_class: int, domain: int) -> SampleSet:
+        class_ids = np.repeat(class_list, per_class)
+        ids = take_ids(class_ids.size)
+        features = [image_feature(i, c, domain) for i, c in zip(ids.tolist(), class_ids.tolist())]
+        return SampleSet(ids, np.array(features), class_ids, np.full(ids.size, domain))
+
+    n_classes, n_domains = len(all_classes), cfg.n_domains
+    pretrain_pool = pair_set(
+        np.repeat(all_classes, n_domains * cfg.n_pretrain_per_class),
+        np.tile(np.repeat(np.arange(n_domains), cfg.n_pretrain_per_class), n_classes),
+    )
+
+    finetune = sample_set(id_classes, cfg.n_finetune_per_class, 0)
     captions = attach_captions(finetune, provider)
 
     # Round-robin over classes so any pool of at least n_classes candidates
@@ -279,43 +275,22 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
     # domain 0; every fourth is drawn from a rotated domain in turn, so the
     # pool keeps a slice of every domain's geometry without being dominated
     # by it.
-    candidates = []
-    for i in range(cfg.candidate_pool_size):
-        class_id = all_classes[i % len(all_classes)]
-        if cfg.n_domains > 1 and i % 4 == 3:
-            domain = 1 + (i // 4) % (cfg.n_domains - 1)
-        else:
-            domain = 0
-        pair_id = take_id()
-        candidates.append(
-            CandidatePair(
-                id=pair_id,
-                image_feature=image_feature(pair_id, class_id, domain),
-                text_feature=provider.caption_feature(pair_id, class_id),
-            )
-        )
-    covered = {all_classes[i % len(all_classes)] for i in range(len(candidates))}
-    if covered != set(all_classes):
+    slots = np.arange(cfg.candidate_pool_size)
+    candidate_classes = np.asarray(all_classes)[slots % n_classes]
+    candidate_domains = np.zeros_like(slots)
+    if n_domains > 1:
+        shifted = slots % 4 == 3
+        candidate_domains[shifted] = 1 + (slots[shifted] // 4) % (n_domains - 1)
+    if set(candidate_classes.tolist()) != set(all_classes):
         raise RuntimeError("candidate pool failed to cover every class")
+    candidates = pair_set(candidate_classes, candidate_domains)
 
-    def test_split(class_list: Sequence[int], domain: int) -> list[Sample]:
-        samples = []
-        for class_id in class_list:
-            for _ in range(cfg.n_test_per_class):
-                sample_id = take_id()
-                samples.append(
-                    Sample(
-                        id=sample_id,
-                        feature=image_feature(sample_id, class_id, domain),
-                        class_id=class_id,
-                        domain_id=domain,
-                    )
-                )
-        return samples
-
-    id_test = test_split(id_classes, 0)
-    ds_tests = {domain: test_split(id_classes, domain) for domain in range(1, cfg.n_domains)}
-    zsl_test = test_split(zsl_classes, 0)
+    id_test = sample_set(id_classes, cfg.n_test_per_class, 0)
+    ds_tests = {
+        domain: sample_set(id_classes, cfg.n_test_per_class, domain)
+        for domain in range(1, n_domains)
+    }
+    zsl_test = sample_set(zsl_classes, cfg.n_test_per_class, 0)
 
     return BenchmarkBundle(
         gen_config=cfg,

@@ -23,21 +23,18 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import fileio
-from .anchors import (
-    ANCHOR_LAYOUTS,
-    RETRIEVAL_MODES,
-    assemble_anchor_batch,
-    build_candidate_index,
-    retrieve,
-)
+from .anchors import ANCHOR_LAYOUTS, RETRIEVAL_MODES, build_candidate_index
 from .benchgen import GenConfig, generate_benchmark
 from .encoders import init_params
-from .evaluation import EVAL_SPLITS, ensemble_sweep, evaluate_splits
+from .evaluation import EVAL_SPLITS, best_alpha, ensemble_sweep, evaluate_splits
 from .training import (
     TrainConfig,
     check_gradients,
     compute_total_loss_and_grads,
+    finetune_batcher,
     pretrain,
     run_finetune,
 )
@@ -171,7 +168,8 @@ def _gradcheck_problem(seed: int):
     """A small real finetuning step with the cl, cap and ret terms engaged.
 
     Four samples of a generated bundle, their captions, and two retrieved
-    candidates each, with freshly initialized towers and a trainable tau.
+    candidates each, with freshly initialized towers and a trainable tau,
+    cut by the same finetune_batcher that run_finetune steps through.
     """
     bundle = generate_benchmark(
         GenConfig(
@@ -192,20 +190,12 @@ def _gradcheck_problem(seed: int):
         batch_size=4, hidden=8, embed_dim=4, seed=seed, retrieval_k=2, tau_trainable=True
     )
     params = init_params(seed, (6, 7), config.hidden, config.embed_dim)
-    batch = bundle.finetune[: config.batch_size]
     index = build_candidate_index(params, bundle.candidates)
-    assignments: dict[int, list] = {}
-    queries = [(s.id, s.feature) for s in batch]
-    for hit in retrieve(index, queries, params, config.retrieval_mode, config.retrieval_k):
-        assignments.setdefault(hit.query_sample_id, []).append(hit)
-    anchor_batch = assemble_anchor_batch(
-        batch,
-        {r.sample_id: r for r in bundle.captions},
-        assignments,
-        {c.id: c for c in bundle.candidates},
-        config.anchor_layout,
+    batch_inputs = finetune_batcher(
+        bundle.finetune[: config.batch_size], bundle.prompts_id, bundle.captions, index,
+        bundle.candidates, params, config,
     )
-    return params, batch, bundle.prompts_id, anchor_batch, config
+    return (params, *batch_inputs(np.arange(config.batch_size)), config)
 
 
 def cmd_gradcheck(args) -> int:
@@ -221,11 +211,6 @@ def cmd_gradcheck(args) -> int:
         f"(terms {engaged}, log_tau trainable)"
     )
     return 0 if report.passed else 2
-
-
-def _best_curve_alpha(rows: list[dict]) -> float:
-    # Highest id accuracy, ties to the smaller alpha.
-    return max(rows, key=lambda r: (r["id"], -r["alpha"]))["alpha"]
 
 
 def _format_cell(value) -> str:
@@ -272,7 +257,8 @@ def cmd_report(args) -> int:
             [f"{row['alpha']:g}"] + [_format_cell(row[c]) for c in header[1:]] for row in rows
         ]
         sections += _render_table(header, body, args.format)
-        sections.append(f"best alpha by id accuracy: {_best_curve_alpha(rows):g}")
+        best = best_alpha([row["alpha"] for row in rows], [row["id"] for row in rows])
+        sections.append(f"best alpha by id accuracy: {best:g}")
     text = "\n".join(sections) + "\n"
     if args.out:
         fileio.write_text(args.out, text)

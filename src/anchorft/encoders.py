@@ -23,9 +23,9 @@ import numpy as np
 from .numerics import (
     ZERO_NORM_THRESHOLD,
     NonFiniteError,
+    RandomStream,
     ZeroVectorError,
     as_float_array,
-    gaussian_stream,
 )
 
 __all__ = [
@@ -149,7 +149,7 @@ def init_params(
     theta = np.zeros(_param_count(dims))
     theta[-1] = DEFAULT_LOG_TAU
     params = DualEncoderParams(theta, dims)
-    stream = gaussian_stream(seed)
+    stream = RandomStream(seed)
     for tower in (params.image, params.text):
         tower.w1[...] = stream.normal_matrix(hidden, tower.input_dim) / math.sqrt(tower.input_dim)
         tower.w2[...] = stream.normal_matrix(embed_dim, hidden) / math.sqrt(hidden)
@@ -180,7 +180,8 @@ def encode_batch(
         )
     h = np.tanh(x @ tower.w1.T + tower.b1)
     u = h @ tower.w2.T + tower.b2
-    norms = np.linalg.norm(u, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(u, axis=1)
     if not np.all(np.isfinite(norms)):
         raise NonFiniteError(f"{modality} encoder produced a non-finite pre-normalization norm")
     if np.any(norms <= ZERO_NORM_THRESHOLD):

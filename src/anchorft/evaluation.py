@@ -11,7 +11,7 @@ from .encoders import DualEncoderParams, encode_batch
 from .numerics import as_float_array
 
 if TYPE_CHECKING:
-    from .anchors import Sample
+    from .anchors import SampleSet
     from .benchgen import BenchmarkBundle
     from .training import Checkpoint
 
@@ -21,6 +21,7 @@ __all__ = [
     "Metrics",
     "PromptTable",
     "SplitResult",
+    "best_alpha",
     "build_prompt_classifier",
     "classify",
     "ensemble_sweep",
@@ -102,14 +103,15 @@ def build_prompt_classifier(params: DualEncoderParams, prompts: PromptTable) -> 
 
 def classify(
     params: DualEncoderParams,
-    images: Sequence["Sample"] | np.ndarray,
+    images: np.ndarray,
     classifier: np.ndarray,
     class_ids: Sequence[int],
 ) -> np.ndarray:
-    """Predict a class id per image by maximum embedding similarity.
+    """Predict a class id per row of a raw image feature matrix.
 
-    Ties go to the lowest class id: columns are ordered by ascending id
-    before the argmax, which picks the first maximum.
+    Each row gets the class of maximum embedding similarity. Ties go to the
+    lowest class id: columns are ordered by ascending id before the argmax,
+    which picks the first maximum.
     """
     classifier = as_float_array(classifier, name="classifier")
     ids = np.asarray(class_ids, dtype=np.int64)
@@ -117,8 +119,6 @@ def classify(
         raise ValueError("classifier must have one row per class id")
     if len(set(ids.tolist())) != ids.size:
         raise ValueError("class ids must be unique")
-    if not isinstance(images, np.ndarray):
-        images = np.stack([s.feature for s in images])
     embeddings, _ = encode_batch(params, "image", images)
 
     order = np.argsort(ids)
@@ -126,11 +126,10 @@ def classify(
     return ids[order][np.argmax(sims, axis=1)]
 
 
-def _accuracy(params, samples, prompts: PromptTable, split_name: str) -> SplitResult:
+def _accuracy(params, samples: "SampleSet", prompts: PromptTable, split_name: str) -> SplitResult:
     classifier = build_prompt_classifier(params, prompts)
-    predictions = classify(params, samples, classifier, prompts.class_ids)
-    labels = np.asarray([s.class_id for s in samples], dtype=np.int64)
-    correct = int(np.sum(predictions == labels))
+    predictions = classify(params, samples.features, classifier, prompts.class_ids)
+    correct = int(np.sum(predictions == samples.class_ids))
     return SplitResult(
         split_name=split_name,
         n=len(samples),
@@ -210,6 +209,11 @@ def ensemble_weights(
     return DualEncoderParams((1.0 - alpha) * p.theta + alpha * q.theta, p.dims)
 
 
+def best_alpha(alphas: Sequence[float], id_accuracies: Sequence[float]) -> float:
+    """The mixing weight with the highest ID accuracy; ties go to the smaller alpha."""
+    return max(zip(id_accuracies, alphas), key=lambda row: (row[0], -row[1]))[1]
+
+
 @dataclass
 class EnsembleCurve:
     """Metrics along the interpolation path plus the ID-selected mixing weight."""
@@ -229,10 +233,9 @@ def ensemble_sweep(
     bundle: "BenchmarkBundle",
     splits: Iterable[str] = EVAL_SPLITS,
 ) -> EnsembleCurve:
-    """Evaluate every interpolated model; pick the best alpha by ID accuracy.
+    """Evaluate every interpolated model; pick the best alpha with best_alpha.
 
-    Alphas must be strictly increasing within [0, 1]. Ties on ID accuracy go
-    to the smaller alpha.
+    Alphas must be strictly increasing within [0, 1].
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
@@ -248,5 +251,5 @@ def ensemble_sweep(
         params = ensemble_weights(pre, ft, alpha)
         rows.append((alpha, evaluate_splits(params, bundle, requested)))
 
-    best_id_alpha = max(rows, key=lambda row: (row[1].accuracy("id"), -row[0]))[0]
+    best_id_alpha = best_alpha(alphas, [metrics.accuracy("id") for _, metrics in rows])
     return EnsembleCurve(rows=rows, best_id_alpha=best_id_alpha)

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .anchors import CandidateIndex, CandidatePair, CaptionRecord, Sample
+from .anchors import CandidateIndex, CaptionRecord, PairSet, SampleSet
 from .benchgen import BenchmarkBundle, GenConfig
 from .encoders import MODALITIES, DualEncoderParams, EncoderParams
 from .evaluation import EnsembleCurve, Metrics, PromptTable
@@ -102,10 +102,20 @@ class UnknownKeyError(CodecError):
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+    """Write payload to a uniquely named temp file beside path, then rename it over path.
+
+    Concurrent writers never share a temp file; a failed write removes its own.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_text(path, text: str) -> None:
@@ -401,61 +411,45 @@ def parse_train_config(doc: dict) -> TrainConfig:
 # ---------------------------------------------------------------------------
 # benchmark bundles
 
-_SAMPLE_STEMS = ("finetune", "test_id", "test_zsl")
+def _records(ids, kind: str, class_ids=None, domain_ids=None) -> list[ManifestRecord]:
+    """One manifest record per id; the manifest is one JSON line per row."""
+    tags = [[None] * len(ids) if c is None else np.asarray(c).tolist()
+            for c in (ids, class_ids, domain_ids)]
+    return [ManifestRecord(i, kind, c, d) for i, c, d in zip(*tags)]
 
 
-def _sample_set(samples: Sequence[Sample]) -> FeatureSet:
-    return FeatureSet(
-        records=[
-            ManifestRecord(id=s.id, kind="image", class_id=s.class_id, domain_id=s.domain_id)
-            for s in samples
-        ],
-        matrix=np.stack([s.feature for s in samples]),
-    )
+def _write_samples(stem: Path, samples: SampleSet) -> None:
+    records = _records(samples.ids, "image", samples.class_ids, samples.domain_ids)
+    write_feature_set(stem, FeatureSet(records, samples.features))
 
 
-def _samples_from(feature_set: FeatureSet, where: str) -> list[Sample]:
-    samples = []
-    for record, row in zip(feature_set.records, feature_set.matrix):
-        if record.class_id is None or record.domain_id is None:
-            raise MissingFieldError(f"{where}: sample records need class_id and domain_id")
-        samples.append(
-            Sample(
-                id=record.id,
-                feature=row,
-                class_id=int(record.class_id),
-                domain_id=int(record.domain_id),
-            )
-        )
-    return samples
+def _read_samples(stem: Path) -> SampleSet:
+    fs = read_feature_set(stem)
+    tags = [(r.id, r.class_id, r.domain_id) for r in fs.records]
+    if any(None in tag for tag in tags):
+        raise MissingFieldError(f"{stem}: sample records need class_id and domain_id")
+    ids, class_ids, domain_ids = np.array(tags, dtype=np.int64).reshape(-1, 3).T
+    return SampleSet(ids, fs.matrix, class_ids, domain_ids)
 
 
-def _write_pair_set(dir_path: Path, stem: str, pairs: Sequence[CandidatePair]) -> None:
-    for side, kind in (("image", "pair_image"), ("text", "pair_text")):
-        rows = np.stack([getattr(p, f"{side}_feature") for p in pairs])
-        records = [ManifestRecord(id=p.id, kind=kind) for p in pairs]
-        write_feature_set(dir_path / f"{stem}.{side}", FeatureSet(records, rows))
+def _write_pairs(dir_path: Path, stem: str, pairs: PairSet) -> None:
+    for side, matrix in (("image", pairs.images), ("text", pairs.texts)):
+        records = _records(pairs.ids, f"pair_{side}")
+        write_feature_set(dir_path / f"{stem}.{side}", FeatureSet(records, matrix))
 
 
-def _read_pair_set(dir_path: Path, stem: str) -> list[CandidatePair]:
+def _read_pairs(dir_path: Path, stem: str) -> PairSet:
     image = read_feature_set(dir_path / f"{stem}.image")
     text = read_feature_set(dir_path / f"{stem}.text")
-    image_ids = [r.id for r in image.records]
-    if image_ids != [r.id for r in text.records]:
+    ids = [r.id for r in image.records]
+    if ids != [r.id for r in text.records]:
         raise CodecError(f"{dir_path}/{stem}: image and text manifests disagree on ids")
-    return [
-        CandidatePair(id=i, image_feature=img, text_feature=txt)
-        for i, img, txt in zip(image_ids, image.matrix, text.matrix)
-    ]
+    return PairSet(ids, image.matrix, text.matrix)
 
 
 def _prompt_set(prompts: PromptTable) -> FeatureSet:
-    return FeatureSet(
-        records=[
-            ManifestRecord(id=c, kind="prompt", class_id=c) for c in prompts.class_ids
-        ],
-        matrix=prompts.prompt_features,
-    )
+    records = _records(prompts.class_ids, "prompt", class_ids=prompts.class_ids)
+    return FeatureSet(records, prompts.prompt_features)
 
 
 def write_bundle(dir_path, bundle: BenchmarkBundle) -> None:
@@ -463,22 +457,22 @@ def write_bundle(dir_path, bundle: BenchmarkBundle) -> None:
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
     write_json(dir_path / "gen_config.json", bundle.gen_config.to_dict())
-    _write_pair_set(dir_path, "pretrain", bundle.pretrain_pool)
-    _write_pair_set(dir_path, "candidates", bundle.candidates)
-    write_feature_set(dir_path / "finetune", _sample_set(bundle.finetune))
+    _write_pairs(dir_path, "pretrain", bundle.pretrain_pool)
+    _write_pairs(dir_path, "candidates", bundle.candidates)
+    _write_samples(dir_path / "finetune", bundle.finetune)
     write_feature_set(
         dir_path / "captions",
         FeatureSet(
-            records=[ManifestRecord(id=c.sample_id, kind="caption") for c in bundle.captions],
-            matrix=np.stack([c.caption_feature for c in bundle.captions]),
+            _records([c.sample_id for c in bundle.captions], "caption"),
+            np.array([c.caption_feature for c in bundle.captions]),
         ),
     )
     write_feature_set(dir_path / "prompts_id", _prompt_set(bundle.prompts_id))
     write_feature_set(dir_path / "prompts_zsl", _prompt_set(bundle.prompts_zsl))
-    write_feature_set(dir_path / "test_id", _sample_set(bundle.id_test))
+    _write_samples(dir_path / "test_id", bundle.id_test)
     for domain in sorted(bundle.ds_tests):
-        write_feature_set(dir_path / f"test_ds{domain}", _sample_set(bundle.ds_tests[domain]))
-    write_feature_set(dir_path / "test_zsl", _sample_set(bundle.zsl_test))
+        _write_samples(dir_path / f"test_ds{domain}", bundle.ds_tests[domain])
+    _write_samples(dir_path / "test_zsl", bundle.zsl_test)
 
 
 def load_bundle(dir_path) -> BenchmarkBundle:
@@ -492,27 +486,25 @@ def load_bundle(dir_path) -> BenchmarkBundle:
         prompts[name] = PromptTable(
             class_ids=[r.id for r in fs.records], prompt_features=fs.matrix
         )
-    ds_tests = {}
-    for domain in range(1, config.n_domains):
-        ds_tests[domain] = _samples_from(
-            read_feature_set(dir_path / f"test_ds{domain}"), f"test_ds{domain}"
-        )
     return BenchmarkBundle(
         gen_config=config,
         id_class_ids=prompts["prompts_id"].class_ids,
         zsl_class_ids=prompts["prompts_zsl"].class_ids,
-        pretrain_pool=_read_pair_set(dir_path, "pretrain"),
-        finetune=_samples_from(read_feature_set(dir_path / "finetune"), "finetune"),
+        pretrain_pool=_read_pairs(dir_path, "pretrain"),
+        finetune=_read_samples(dir_path / "finetune"),
         captions=[
             CaptionRecord(sample_id=r.id, caption_feature=row)
             for r, row in zip(captions_set.records, captions_set.matrix)
         ],
         prompts_id=prompts["prompts_id"],
         prompts_zsl=prompts["prompts_zsl"],
-        candidates=_read_pair_set(dir_path, "candidates"),
-        id_test=_samples_from(read_feature_set(dir_path / "test_id"), "test_id"),
-        ds_tests=ds_tests,
-        zsl_test=_samples_from(read_feature_set(dir_path / "test_zsl"), "test_zsl"),
+        candidates=_read_pairs(dir_path, "candidates"),
+        id_test=_read_samples(dir_path / "test_id"),
+        ds_tests={
+            domain: _read_samples(dir_path / f"test_ds{domain}")
+            for domain in range(1, config.n_domains)
+        },
+        zsl_test=_read_samples(dir_path / "test_zsl"),
     )
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "ZeroVectorError",
     "as_float_array",
     "derive_seed",
-    "gaussian_stream",
     "l2_normalize",
     "splitmix64",
 ]
@@ -186,8 +185,3 @@ class RandomStream:
             j = i + self.next_u64() % (n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:m]
-
-
-def gaussian_stream(seed: int) -> RandomStream:
-    """Seeded stream of standard normals (see RandomStream for the contract)."""
-    return RandomStream(seed)

@@ -12,18 +12,23 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .anchors import (
+    ANCHOR_LAYOUTS,
+    RETRIEVAL_MODES,
     AnchorBatch,
     CandidateIndex,
-    CandidatePair,
     CaptionRecord,
-    Sample,
+    MissingAssignmentError,
+    MissingCaptionError,
+    PairSet,
+    SampleSet,
     assemble_anchor_batch,
+    lookup_rows,
     retrieve,
 )
 from .contrastive import PairBatch, contrastive_loss_and_grads
@@ -34,10 +39,8 @@ from .encoders import (
     init_params,
     param_fingerprint,
 )
-from .numerics import NonFiniteError, derive_seed, gaussian_stream
-
-if TYPE_CHECKING:
-    from .evaluation import PromptTable
+from .evaluation import PromptTable
+from .numerics import NonFiniteError, RandomStream, derive_seed
 
 __all__ = [
     "CheckReport",
@@ -53,6 +56,7 @@ __all__ = [
     "checkpoint_id",
     "compute_total_loss_and_grads",
     "config_fingerprint",
+    "finetune_batcher",
     "init_optimizer_state",
     "make_checkpoint",
     "pretrain",
@@ -115,14 +119,12 @@ class TrainConfig:
         unknown = [t for t in self.enabled_losses if t not in LOSS_TERMS]
         if unknown or len(set(self.enabled_losses)) != len(self.enabled_losses):
             raise ValueError(f"enabled_losses must be distinct terms from {LOSS_TERMS}")
-        if self.anchor_layout not in ("sep", "merge"):
-            raise ValueError("anchor_layout must be 'sep' or 'merge'")
+        if self.anchor_layout not in ANCHOR_LAYOUTS:
+            raise ValueError(f"anchor_layout must be one of {ANCHOR_LAYOUTS}")
         if self.anchor_layout == "merge" and "ret" in self.enabled_losses and (
             "cap" not in self.enabled_losses
         ):
             raise ValueError("merge layout folds retrieved pairs into the caption term")
-        from .anchors import RETRIEVAL_MODES
-
         if self.retrieval_mode not in RETRIEVAL_MODES:
             raise ValueError(f"retrieval_mode must be one of {RETRIEVAL_MODES}")
         if self.retrieval_k < 1:
@@ -177,7 +179,10 @@ def make_checkpoint(
 
 @dataclass
 class LossBreakdown:
-    """Per-term unweighted losses; total applies the lambda weights."""
+    """Per-term unweighted losses; total applies the lambda weights.
+
+    The field order is the key order of the step log's records.
+    """
 
     l_cl: float
     l_cap: float
@@ -201,20 +206,19 @@ def init_optimizer_state(params: DualEncoderParams) -> OptimizerState:
 
 def _pair_term(
     params: DualEncoderParams,
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    images: np.ndarray,
+    texts: np.ndarray,
     grads: np.ndarray,
     weight: float,
     tau_trainable: bool,
 ) -> float:
-    """One contrastive term over raw (image, text) pairs.
+    """One contrastive term over row-aligned raw image and text matrices.
 
     Adds weight times the term's gradient into the theta-shaped vector grads
     and returns the unweighted loss. Gradient work is skipped entirely when
     the weight is zero so that zero-weight runs match disabled-term runs bit
     for bit.
     """
-    images = np.stack([img for img, _ in pairs])
-    texts = np.stack([txt for _, txt in pairs])
     f, cache_f = encode_batch(params, "image", images)
     g, cache_g = encode_batch(params, "text", texts)
     loss, df, dg, dlog_tau = contrastive_loss_and_grads(PairBatch(f, g), params.tau)
@@ -232,43 +236,47 @@ def _pair_term(
 
 def compute_total_loss_and_grads(
     params: DualEncoderParams,
-    batch: Sequence[Sample],
-    prompt_table: "PromptTable",
+    batch: SampleSet,
+    prompts: np.ndarray,
     anchor_batch: AnchorBatch,
     config: TrainConfig,
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Weighted sum of the enabled pair-loss terms, with its gradient over theta.
 
-    Accumulation order is fixed (cl, then cap, then ret) so runs are
-    bit-reproducible. Disabled terms and a skipped retrieval term are
-    exactly 0. Class prompts go through the text tower, so the prompt
-    embeddings receive text-tower gradients like any caption would.
+    prompts holds the class-prompt feature of each batch row. Accumulation
+    order is fixed (cl, then cap, then ret) so runs are bit-reproducible.
+    Disabled terms and a skipped retrieval term are exactly 0. Class prompts
+    go through the text tower, so the prompt embeddings receive text-tower
+    gradients like any caption would.
     """
     grads = np.zeros_like(params.theta)
     enabled = set(config.enabled_losses)
     l_cl = l_cap = l_ret = 0.0
 
-    if "cl" in enabled and batch:
-        prompt_pairs = [
-            (sample.feature, prompt_table.feature_for(sample.class_id)) for sample in batch
-        ]
-        l_cl = _pair_term(params, prompt_pairs, grads, config.lambda_cl, config.tau_trainable)
-
-    if "cap" in enabled and anchor_batch.caption_pairs:
-        if anchor_batch.layout == "sep" and len(anchor_batch.caption_pairs) != len(batch):
-            raise ValueError("caption pairs must cover the batch exactly in the sep layout")
-        l_cap = _pair_term(
-            params, anchor_batch.caption_pairs, grads, config.lambda_cap, config.tau_trainable
+    if "cl" in enabled and len(batch):
+        l_cl = _pair_term(
+            params, batch.features, prompts, grads, config.lambda_cl, config.tau_trainable
         )
 
+    captions = anchor_batch.caption_pairs
+    if "cap" in enabled and len(captions):
+        if anchor_batch.layout == "sep" and len(captions) != len(batch):
+            raise ValueError("caption pairs must cover the batch exactly in the sep layout")
+        l_cap = _pair_term(
+            params, captions.images, captions.texts, grads, config.lambda_cap,
+            config.tau_trainable,
+        )
+
+    retrieved = anchor_batch.retrieved_pairs
     if (
         "ret" in enabled
         and anchor_batch.layout == "sep"
         and not anchor_batch.skip_ret
-        and anchor_batch.retrieved_pairs
+        and len(retrieved)
     ):
         l_ret = _pair_term(
-            params, anchor_batch.retrieved_pairs, grads, config.lambda_ret, config.tau_trainable
+            params, retrieved.images, retrieved.texts, grads, config.lambda_ret,
+            config.tau_trainable,
         )
 
     total = config.lambda_cl * l_cl + config.lambda_cap * l_cap + config.lambda_ret * l_ret
@@ -290,8 +298,8 @@ class CheckReport:
 
 def check_gradients(
     params: DualEncoderParams,
-    batch: Sequence[Sample],
-    prompt_table: "PromptTable",
+    batch: SampleSet,
+    prompts: np.ndarray,
     anchor_batch: AnchorBatch,
     config: TrainConfig,
     *,
@@ -307,12 +315,10 @@ def check_gradients(
     """
 
     def total_loss() -> float:
-        breakdown, _ = compute_total_loss_and_grads(
-            params, batch, prompt_table, anchor_batch, config
-        )
+        breakdown, _ = compute_total_loss_and_grads(params, batch, prompts, anchor_batch, config)
         return breakdown.total
 
-    _, analytic = compute_total_loss_and_grads(params, batch, prompt_table, anchor_batch, config)
+    _, analytic = compute_total_loss_and_grads(params, batch, prompts, anchor_batch, config)
     theta = params.theta
     checked = np.flatnonzero(np.abs(analytic) > skip_below)
     worst = 0.0
@@ -359,9 +365,9 @@ def adamw_update(
 
 def _epoch_batches(
     n: int, batch_size: int, seed: int, epoch: int, tag: int
-) -> list[list[int]]:
-    """Seeded shuffle split into batches; a trailing batch of 1 is dropped."""
-    perm = gaussian_stream(derive_seed(seed, tag, epoch)).permutation(n)
+) -> list[np.ndarray]:
+    """Seeded shuffle split into index arrays; a trailing batch of 1 is dropped."""
+    perm = np.array(RandomStream(derive_seed(seed, tag, epoch)).permutation(n), dtype=np.int64)
     batches = [perm[i : i + batch_size] for i in range(0, n, batch_size)]
     return [b for b in batches if len(b) >= 2]
 
@@ -371,14 +377,15 @@ def _optimize(
     config: TrainConfig,
     n_items: int,
     tag: int,
-    step_loss: Callable[[DualEncoderParams, list[int]], tuple[LossBreakdown, np.ndarray]],
+    step_loss: Callable[[DualEncoderParams, np.ndarray], tuple[LossBreakdown, np.ndarray]],
 ) -> tuple[DualEncoderParams, list[dict]]:
     """The epoch loop shared by pretraining and finetuning.
 
-    step_loss maps the current parameters and a batch of item indices to
+    step_loss maps the current parameters and an index array of items to
     the step's losses and gradient. The log gets one record per step:
     {step, epoch, l_cl, l_cap, l_ret, total, skip_ret}. The first step with
-    a non-finite loss, gradient or embedding raises DivergenceError.
+    a non-finite loss, gradient or embedding, or whose update moves a
+    trainable temperature out of its range, raises DivergenceError.
     """
     state = init_optimizer_state(params)
     log: list[dict] = []
@@ -391,31 +398,22 @@ def _optimize(
                 raise DivergenceError(f"{where}: {exc}") from exc
             if not (math.isfinite(breakdown.total) and np.isfinite(grads).all()):
                 raise DivergenceError(f"{where}: non-finite loss or gradient")
-            params, state = adamw_update(
-                params,
-                grads,
-                state,
-                config.learning_rate,
-                config.weight_decay,
-                tau_trainable=config.tau_trainable,
-            )
-            log.append(
-                {
-                    "step": len(log),
-                    "epoch": epoch,
-                    "l_cl": breakdown.l_cl,
-                    "l_cap": breakdown.l_cap,
-                    "l_ret": breakdown.l_ret,
-                    "total": breakdown.total,
-                    "skip_ret": breakdown.skip_ret,
-                }
-            )
+            try:
+                params, state = adamw_update(
+                    params,
+                    grads,
+                    state,
+                    config.learning_rate,
+                    config.weight_decay,
+                    tau_trainable=config.tau_trainable,
+                )
+            except ValueError as exc:  # the updated tau left its range
+                raise DivergenceError(f"{where}: {exc}") from exc
+            log.append({"step": len(log), "epoch": epoch, **asdict(breakdown)})
     return params, log
 
 
-def pretrain(
-    pool: Sequence[CandidatePair], config: TrainConfig
-) -> tuple[Checkpoint, list[dict]]:
+def pretrain(pool: PairSet, config: TrainConfig) -> tuple[Checkpoint, list[dict]]:
     """Contrastive pretraining over an (image, text) pair pool.
 
     Freshly initialized towers are trained with the pair loss alone. Returns
@@ -427,71 +425,96 @@ def pretrain(
         raise ValueError(
             f"pool of {len(pool)} pairs is smaller than one batch of {config.batch_size}"
         )
-    img_dim = pool[0].image_feature.shape[0]
-    txt_dim = pool[0].text_feature.shape[0]
-    params = init_params(config.seed, (img_dim, txt_dim), config.hidden, config.embed_dim)
+    input_dims = (pool.images.shape[1], pool.texts.shape[1])
+    params = init_params(config.seed, input_dims, config.hidden, config.embed_dim)
 
-    def pair_step(params: DualEncoderParams, batch_idx: list[int]):
-        pairs = [(pool[i].image_feature, pool[i].text_feature) for i in batch_idx]
+    def pair_step(params: DualEncoderParams, batch_idx: np.ndarray):
         grads = np.zeros_like(params.theta)
-        loss = _pair_term(params, pairs, grads, 1.0, config.tau_trainable)
+        loss = _pair_term(
+            params, pool.images[batch_idx], pool.texts[batch_idx], grads, 1.0,
+            config.tau_trainable,
+        )
         return LossBreakdown(l_cl=loss, l_cap=0.0, l_ret=0.0, total=loss, skip_ret=True), grads
 
     params, log = _optimize(params, config, len(pool), _TAG_PRETRAIN_EPOCH, pair_step)
     return make_checkpoint(params, config, "pretrained"), log
 
 
-def run_finetune(
-    finetune_set: Sequence[Sample],
-    prompt_table: "PromptTable",
+def finetune_batcher(
+    finetune_set: SampleSet,
+    prompt_table: PromptTable,
     captions: Sequence[CaptionRecord],
     candidate_index: CandidateIndex | None,
-    candidates: Sequence[CandidatePair] | None,
+    candidates: PairSet | None,
+    params: DualEncoderParams,
+    config: TrainConfig,
+) -> Callable[[np.ndarray], tuple[SampleSet, np.ndarray, AnchorBatch]]:
+    """Build what every finetuning step reads, once, and return its batch cutter.
+
+    That is each finetune sample's class-prompt and caption rows and, with
+    the ret term, its retrieved candidates as row positions in `candidates`.
+    A sample without a caption raises MissingCaptionError here. The cutter
+    maps an index array of finetune rows to (batch, prompts, anchor_batch).
+    """
+    prompts = prompt_table.prompt_features[
+        lookup_rows(prompt_table.class_ids, finetune_set.class_ids)
+    ]
+    try:
+        caption_rows = lookup_rows([r.sample_id for r in captions], finetune_set.ids)
+    except KeyError as exc:
+        raise MissingCaptionError(f"no caption for sample {exc.args[0]}") from None
+    caption_features = np.array([captions[i].caption_feature for i in caption_rows.tolist()])
+
+    assignments = None
+    if "ret" in config.enabled_losses:
+        if candidate_index is None or candidates is None or not len(candidates):
+            raise ValueError("retrieval anchors need a candidate index and the pool")
+        queries = finetune_set.features if config.retrieval_mode[0] == "v" else prompts
+        candidate_ids, _ = retrieve(
+            candidate_index, queries, params, config.retrieval_mode, config.retrieval_k
+        )
+        try:
+            ranked = lookup_rows(candidates.ids, candidate_ids)
+        except KeyError as exc:
+            raise MissingAssignmentError(f"candidate {exc.args[0]} is not in the pool") from None
+        assignments = dict(zip(finetune_set.ids.tolist(), ranked))
+
+    def batch_inputs(batch_idx: np.ndarray) -> tuple[SampleSet, np.ndarray, AnchorBatch]:
+        batch = finetune_set[batch_idx]
+        anchor_batch = assemble_anchor_batch(
+            batch, caption_features[batch_idx], assignments, candidates, config.anchor_layout
+        )
+        return batch, prompts[batch_idx], anchor_batch
+
+    return batch_inputs
+
+
+def run_finetune(
+    finetune_set: SampleSet,
+    prompt_table: PromptTable,
+    captions: Sequence[CaptionRecord],
+    candidate_index: CandidateIndex | None,
+    candidates: PairSet | None,
     start: Checkpoint,
     config: TrainConfig,
 ) -> tuple[Checkpoint, list[dict]]:
     """Anchored finetuning from a pretrained checkpoint.
 
-    Retrieval assignments are computed here, once, with the starting
-    parameters, then reused for every epoch. The log has the same records
-    as pretraining.
+    Retrieval assignments are computed once, with the starting parameters,
+    then reused for every epoch. The log has the same records as pretraining.
     """
     config.validate()
-    if not finetune_set:
+    if not len(finetune_set):
         raise EmptyFinetuneSetError("finetune set is empty")
     if start.provenance != "pretrained":
         raise ValueError(f"finetuning must start from a pretrained checkpoint, got "
                          f"{start.provenance!r}")
+    batch_inputs = finetune_batcher(
+        finetune_set, prompt_table, captions, candidate_index, candidates, start.params, config
+    )
 
-    caption_map = {record.sample_id: record for record in captions}
-
-    assignments: Mapping[int, list] | None = None
-    candidate_map: dict[int, CandidatePair] = {}
-    if "ret" in config.enabled_losses:
-        if candidate_index is None or not candidates:
-            raise ValueError("retrieval anchors need a candidate index and the pool")
-        candidate_map = {c.id: c for c in candidates}
-        queries = []
-        for sample in finetune_set:
-            if config.retrieval_mode[0] == "v":
-                query_feature = sample.feature
-            else:
-                query_feature = prompt_table.feature_for(sample.class_id)
-            queries.append((sample.id, query_feature))
-        flat = retrieve(
-            candidate_index, queries, start.params, config.retrieval_mode, config.retrieval_k
-        )
-        grouped: dict[int, list] = {}
-        for assignment in flat:
-            grouped.setdefault(assignment.query_sample_id, []).append(assignment)
-        assignments = grouped
-
-    def anchored_step(params: DualEncoderParams, batch_idx: list[int]):
-        batch = [finetune_set[i] for i in batch_idx]
-        anchor_batch = assemble_anchor_batch(
-            batch, caption_map, assignments, candidate_map, config.anchor_layout
-        )
-        return compute_total_loss_and_grads(params, batch, prompt_table, anchor_batch, config)
+    def anchored_step(params: DualEncoderParams, batch_idx: np.ndarray):
+        return compute_total_loss_and_grads(params, *batch_inputs(batch_idx), config)
 
     params, log = _optimize(
         start.params.copy(), config, len(finetune_set), _TAG_FINETUNE_EPOCH, anchored_step

@@ -16,13 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from anchorft.anchors import (
-    CandidatePair,
-    RETRIEVAL_MODES,
-    assemble_anchor_batch,
-    build_candidate_index,
-    retrieve,
-)
+from anchorft.anchors import PairSet, RETRIEVAL_MODES, build_candidate_index, retrieve
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.cli import main
 from anchorft.contrastive import PairBatch, contrastive_loss
@@ -44,11 +38,12 @@ from anchorft.fileio import (
     write_checkpoint,
     write_feature_set,
 )
-from anchorft.numerics import derive_seed, gaussian_stream, l2_normalize
+from anchorft.numerics import RandomStream, derive_seed, l2_normalize
 from anchorft.training import (
     TrainConfig,
     check_gradients,
     compute_total_loss_and_grads,
+    finetune_batcher,
     make_checkpoint,
     pretrain,
     run_finetune,
@@ -132,7 +127,7 @@ def test_single_pair_loss_is_zero():
     t0 = time.perf_counter()
     worst = 0.0
     for i in range(100):
-        stream = gaussian_stream(derive_seed(901, i))
+        stream = RandomStream(derive_seed(901, i))
         d = 2 + i % 7
         f = l2_normalize(stream.normals(d)).reshape(1, d)
         g = l2_normalize(stream.normals(d)).reshape(1, d)
@@ -159,7 +154,7 @@ def test_loss_matches_softmax_cross_entropy_oracle():
     t0 = time.perf_counter()
     worst = 0.0
     for i in range(200):
-        stream = gaussian_stream(derive_seed(902, i))
+        stream = RandomStream(derive_seed(902, i))
         b = 1 + stream.next_u64() % 16
         d = 2 + stream.next_u64() % 7
         f = np.stack([l2_normalize(stream.normals(d)) for _ in range(b)])
@@ -204,25 +199,18 @@ def test_full_objective_gradients_match_finite_differences():
             tau_trainable=True,
         )
         params = init_params(seed, (gen.d_img_raw, gen.d_txt_raw), cfg.hidden, cfg.embed_dim)
-        batch = bundle.finetune[:4]
-        captions = {r.sample_id: r for r in bundle.captions}
         index = build_candidate_index(params, bundle.candidates)
-        hits = retrieve(
-            index, [(s.id, s.feature) for s in batch], params, cfg.retrieval_mode, cfg.retrieval_k
+        batch_inputs = finetune_batcher(
+            bundle.finetune[:4], bundle.prompts_id, bundle.captions, index, bundle.candidates,
+            params, cfg,
         )
-        assignments = {}
-        for h in hits:
-            assignments.setdefault(h.query_sample_id, []).append(h)
-        anchor = assemble_anchor_batch(
-            batch, captions, assignments, {c.id: c for c in bundle.candidates}, "sep"
-        )
+        problem = (params, *batch_inputs(np.arange(4)), cfg)
 
-        breakdown, _ = compute_total_loss_and_grads(params, batch, bundle.prompts_id, anchor, cfg)
+        breakdown, _ = compute_total_loss_and_grads(*problem)
         assert breakdown.l_cap > 0.0 and breakdown.l_ret > 0.0 and not breakdown.skip_ret
 
         report = check_gradients(
-            params, batch, bundle.prompts_id, anchor, cfg,
-            eps=FD_STEP, skip_below=FD_SKIP_BELOW, tol=FD_REL_TOL,
+            *problem, eps=FD_STEP, skip_below=FD_SKIP_BELOW, tol=FD_REL_TOL
         )
         worst = max(worst, report.max_rel_err)
         checked += report.n_checked
@@ -241,17 +229,13 @@ def test_retrieval_matches_brute_force_oracle():
     # are a shuffled permutation so id order differs from row order.
     t0 = time.perf_counter()
     n_candidates, n_queries, book = 5000, 1000, 500
-    stream = gaussian_stream(derive_seed(904, 0))
+    stream = RandomStream(derive_seed(904, 0))
     params = init_params(17, (6, 7), 8, 4)
     img_book = stream.normal_matrix(book, 6)
     txt_book = stream.normal_matrix(book, 7)
     ids = stream.permutation(n_candidates)
-    candidates = [
-        CandidatePair(
-            id=ids[j], image_feature=img_book[j % book], text_feature=txt_book[j % book]
-        )
-        for j in range(n_candidates)
-    ]
+    rows = np.arange(n_candidates) % book
+    candidates = PairSet(ids, img_book[rows], txt_book[rows])
     index = build_candidate_index(params, candidates)
     ids_arr = np.asarray(index.candidate_ids, dtype=np.int64)
 
@@ -277,22 +261,17 @@ def test_retrieval_matches_brute_force_oracle():
         query_emb, _ = encode_batch(params, modality, raw)
         scores = query_emb @ side.T
         for k in (1, 5):
-            hits = retrieve(
-                index, [(10_000 + q, raw[q]) for q in range(n_queries)], params, mode, k
-            )
-            assert len(hits) == n_queries * k
+            hit_ids, hit_scores = retrieve(index, raw, params, mode, k)
+            assert hit_ids.shape == hit_scores.shape == (n_queries, k)
             for q in range(n_queries):
-                group = hits[q * k : (q + 1) * k]
-                assert all(h.query_sample_id == 10_000 + q for h in group)
-                assert [h.candidate_id for h in group] == oracle_top_k(scores[q], k)
+                assert hit_ids[q].tolist() == oracle_top_k(scores[q], k)
 
     # Three candidates with identical features and only ids to tell them
     # apart: the winner must be the smallest id.
-    twins = [CandidatePair(id=i, image_feature=img_book[0], text_feature=txt_book[0])
-             for i in (42, 7, 99)]
+    twins = PairSet([42, 7, 99], img_book[[0, 0, 0]], txt_book[[0, 0, 0]])
     twin_index = build_candidate_index(params, twins)
-    hit = retrieve(twin_index, [(0, queries_raw["v"][0])], params, "v2t", 1)[0]
-    assert hit.candidate_id == 7
+    hit_ids, _ = retrieve(twin_index, queries_raw["v"][:1], params, "v2t", 1)
+    assert hit_ids[0, 0] == 7
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -454,7 +433,7 @@ def test_seed0_default_checkpoints_match_golden_ids(frozen_default_runs):
 def test_classification_invariant_under_positive_score_scaling():
     count = 0
     for i in range(100):
-        stream = gaussian_stream(derive_seed(909, i))
+        stream = RandomStream(derive_seed(909, i))
         d_img = 5 + i % 4
         n_classes = 3 + i % 10
         params = init_params(derive_seed(909, i, 1), (d_img, 6), 8, 4)
@@ -471,7 +450,7 @@ def test_classification_invariant_under_positive_score_scaling():
 
 
 def test_codecs_round_trip_and_reject_corruption(tmp_path):
-    stream = gaussian_stream(derive_seed(910, 0))
+    stream = RandomStream(derive_seed(910, 0))
     records = [
         ManifestRecord(id=50 + i, kind="image", class_id=i % 3, domain_id=i % 2)
         for i in range(6)

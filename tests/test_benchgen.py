@@ -37,10 +37,10 @@ class TestRandomRotation:
 
     def test_preserves_norms(self):
         r = random_rotation(3, 9)
-        from anchorft.numerics import gaussian_stream
+        from anchorft.numerics import RandomStream
 
         for _ in range(10):
-            x = gaussian_stream(5).normals(9)
+            x = RandomStream(5).normals(9)
             assert abs(np.linalg.norm(r @ x) - np.linalg.norm(x)) <= 1e-10
 
     def test_deterministic(self):

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 import anchorft.training as training
-from anchorft.anchors import assemble_anchor_batch
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.contrastive import PairBatch, contrastive_loss, contrastive_loss_and_grads
 from anchorft.encoders import init_params
-from anchorft.numerics import gaussian_stream, l2_normalize
-from anchorft.training import TrainConfig, check_gradients
+from anchorft.numerics import RandomStream, l2_normalize
+from anchorft.training import TrainConfig, check_gradients, finetune_batcher
 
 
 def unit_rows(seed: int, n: int, d: int) -> np.ndarray:
-    stream = gaussian_stream(seed)
+    stream = RandomStream(seed)
     return np.stack([l2_normalize(stream.normals(d)) for _ in range(n)])
 
 
@@ -92,7 +91,7 @@ class TestContrastiveLoss:
 
     def test_batch_permutation_invariance(self):
         batch = random_batch(13, n=6)
-        perm = gaussian_stream(1).permutation(6)
+        perm = RandomStream(1).permutation(6)
         shuffled = PairBatch(batch.image_embeddings[perm], batch.text_embeddings[perm])
         assert abs(
             contrastive_loss(batch, 0.07).total - contrastive_loss(shuffled, 0.07).total
@@ -179,10 +178,10 @@ def pair_term_problem(seed: int):
         hidden=8, embed_dim=4, seed=seed, enabled_losses=("cl",), tau_trainable=True
     )
     params = init_params(seed, (6, 7), config.hidden, config.embed_dim)
-    batch = bundle.finetune[:4]
-    captions = {r.sample_id: r for r in bundle.captions}
-    anchor_batch = assemble_anchor_batch(batch, captions, None, {}, "sep")
-    return params, batch, bundle.prompts_id, anchor_batch, config
+    batch_inputs = finetune_batcher(
+        bundle.finetune[:4], bundle.prompts_id, bundle.captions, None, None, params, config
+    )
+    return (params, *batch_inputs(np.arange(4)), config)
 
 
 class TestGradCheck:

@@ -13,7 +13,7 @@ from anchorft.encoders import (
     init_params,
     param_fingerprint,
 )
-from anchorft.numerics import NonFiniteError, gaussian_stream, l2_normalize
+from anchorft.numerics import NonFiniteError, RandomStream, l2_normalize
 
 
 def tiny_params(seed=0, img_dim=5, txt_dim=6, hidden=7, embed=4):
@@ -98,7 +98,7 @@ class TestInitParams:
 class TestEncodeForward:
     def test_unit_norm(self):
         p = tiny_params()
-        e, _ = encode_batch(p, "image", gaussian_stream(5).normal_matrix(20, 5))
+        e, _ = encode_batch(p, "image", RandomStream(5).normal_matrix(20, 5))
         assert np.max(np.abs(np.linalg.norm(e, axis=1) - 1.0)) <= 1e-12
 
     def test_constant_tower(self):
@@ -122,7 +122,7 @@ class TestEncodeForward:
     def test_output_scale_invariance(self):
         # Scaling (w2, b2) jointly rescales u and cancels in the normalization.
         p = tiny_params(2)
-        x = gaussian_stream(0).normals(5)
+        x = RandomStream(0).normals(5)
         base = encode_row(p, "image", x)
         p.image.w2[...] *= 3.7
         p.image.b2[...] *= 3.7
@@ -132,14 +132,14 @@ class TestEncodeForward:
         # Different BLAS kernels may reorder the dot sums, so agreement is to
         # rounding, not bitwise.
         p = tiny_params(4)
-        xs = gaussian_stream(1).normal_matrix(6, 5)
+        xs = RandomStream(1).normal_matrix(6, 5)
         batch, _ = encode_batch(p, "image", xs)
         for i, row in enumerate(xs):
             assert np.max(np.abs(batch[i] - encode_row(p, "image", row))) <= 1e-14
 
     def test_modalities_have_separate_towers(self):
         p = tiny_params(6, img_dim=5, txt_dim=5)
-        x = gaussian_stream(2).normals(5)
+        x = RandomStream(2).normals(5)
         assert not np.array_equal(encode_row(p, "image", x), encode_row(p, "text", x))
 
     def test_dimension_mismatch(self):
@@ -150,10 +150,11 @@ class TestEncodeForward:
         with pytest.raises(ValueError):
             encode_batch(tiny_params(), "audio", np.ones(5))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_norm_rejected(self):
         p = tiny_params()
         p.image.w2[...] *= 1e300
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError):
             encode_batch(p, "image", np.ones(5))
 
 
@@ -168,15 +169,15 @@ class TestEncoderBackward:
         # A gradient along e is annihilated by (I - e e^T): unit outputs
         # cannot grow along themselves.
         p = tiny_params(8)
-        x = gaussian_stream(3).normals(5)
+        x = RandomStream(3).normals(5)
         e = encode_row(p, "image", x)
         g = backward_row(p, "image", x, 2.5 * e)
         assert np.max(np.abs(g)) <= 1e-12
 
     def test_batch_backward_sums_rows(self):
         p = tiny_params(9)
-        xs = gaussian_stream(4).normal_matrix(3, 5)
-        de = gaussian_stream(5).normal_matrix(3, 4)
+        xs = RandomStream(4).normal_matrix(3, 5)
+        de = RandomStream(5).normal_matrix(3, 4)
         _, cache = encode_batch(p, "image", xs)
         batch_grads = encoder_backward_batch(p, "image", cache, de)
         acc = sum(backward_row(p, "image", row, grad_row) for row, grad_row in zip(xs, de))
@@ -188,7 +189,7 @@ class TestEncoderBackward:
         eps = 1e-5
         for seed in range(20):
             p = tiny_params(seed)
-            stream = gaussian_stream(1000 + seed)
+            stream = RandomStream(1000 + seed)
             x = stream.normals(5)
             ge = stream.normals(4)
             analytic = backward_row(p, "image", x, ge)

@@ -5,12 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from anchorft.anchors import Sample
+from anchorft.anchors import SampleSet
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.encoders import encode_batch, init_params
 from anchorft.evaluation import (
     EmptySplitError,
     PromptTable,
+    best_alpha,
     build_prompt_classifier,
     classify,
     ensemble_sweep,
@@ -111,17 +112,6 @@ class TestClassify:
         scaled = classify(params, images, 7.3 * classifier, ids)
         assert np.array_equal(base, scaled)
 
-    def test_accepts_samples(self):
-        params = tiny_params()
-        rng = np.random.default_rng(2)
-        feats = rng.normal(size=(6, 6))
-        samples = [Sample(i, feats[i], class_id=0, domain_id=0) for i in range(6)]
-        classifier = rng.normal(size=(3, 5))
-        assert np.array_equal(
-            classify(params, samples, classifier, [0, 1, 2]),
-            classify(params, feats, classifier, [0, 1, 2]),
-        )
-
     def test_shape_and_id_validation(self):
         params = tiny_params()
         images = np.zeros((2, 6))
@@ -157,10 +147,8 @@ class TestEvaluateSplits:
         params.theta[params.span("text")] = params.theta[params.span("image")]
         rng = np.random.default_rng(8)
         prompts = PromptTable([0, 1, 2], rng.normal(size=(3, 7)))
-        id_test = [
-            Sample(i, prompts.feature_for(i % 3), class_id=i % 3, domain_id=0)
-            for i in range(9)
-        ]
+        classes = np.arange(9) % 3
+        id_test = SampleSet(np.arange(9), prompts.prompt_features[classes], classes, np.zeros(9))
         bundle = SimpleNamespace(
             id_test=id_test, ds_tests={}, zsl_test=[], prompts_id=prompts, prompts_zsl=None
         )
@@ -188,7 +176,7 @@ class TestEvaluateSplits:
         params = tiny_params()
         preds = classify(
             params,
-            np.stack([s.feature for s in bundle.zsl_test]),
+            bundle.zsl_test.features,
             build_prompt_classifier(params, bundle.prompts_zsl),
             bundle.prompts_zsl.class_ids,
         )
@@ -263,6 +251,11 @@ class TestEnsembleSweep:
         clone = make_checkpoint(pre.params.copy(), cfg, "finetuned")
         curve = ensemble_sweep(pre, clone, [0.0, 0.5, 1.0], tiny_bundle())
         assert curve.best_id_alpha == 0.0
+
+    def test_best_alpha_takes_top_id_accuracy_then_smaller_alpha(self):
+        assert best_alpha([0.0, 0.5, 1.0], [80.0, 90.0, 85.0]) == 0.5
+        assert best_alpha([0.0, 0.5, 1.0], [80.0, 90.0, 90.0]) == 0.5
+        assert best_alpha([1.0, 0.25, 0.5], [70.0, 70.0, 70.0]) == 0.25
 
     def test_alpha_validation(self):
         pre, ft = two_checkpoints()

@@ -36,6 +36,7 @@ from anchorft.fileio import (
     write_checkpoint,
     write_curve_csv,
     write_feature_set,
+    write_json,
     write_jsonl,
     write_matrix,
     write_metrics,
@@ -125,6 +126,22 @@ class TestMatrixCodec:
     def test_no_temp_files_left(self, tmp_path):
         write_matrix(tmp_path / "m.arfm", np.zeros((2, 2)))
         assert [p.name for p in tmp_path.iterdir()] == ["m.arfm"]
+
+    def test_leftover_tmp_directory_does_not_block_writes(self, tmp_path):
+        # Temp files get unique names, so a stale "<name>.tmp" is not in the way.
+        (tmp_path / "doc.json.tmp").mkdir()
+        write_json(tmp_path / "doc.json", {"a": 1})
+        assert json.loads((tmp_path / "doc.json").read_text()) == {"a": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json", "doc.json.tmp"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("anchorft.fileio.os.replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_json(tmp_path / "doc.json", {"a": 1})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFeatureSetCodec:

@@ -11,7 +11,6 @@ from anchorft.numerics import (
     RandomStream,
     ZeroVectorError,
     derive_seed,
-    gaussian_stream,
     l2_normalize,
     splitmix64,
 )
@@ -78,42 +77,42 @@ class TestRandomStream:
         assert [stream.next_u64() for _ in range(3)] == [11520, 0, 1509978240]
 
     def test_same_seed_same_sequence(self):
-        a = gaussian_stream(123)
-        b = gaussian_stream(123)
+        a = RandomStream(123)
+        b = RandomStream(123)
         assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
 
     def test_same_seed_same_normals(self):
-        a = gaussian_stream(9).normals(64)
-        b = gaussian_stream(9).normals(64)
+        a = RandomStream(9).normals(64)
+        b = RandomStream(9).normals(64)
         assert a.tobytes() == b.tobytes()
 
     def test_different_seeds_differ(self):
-        a = gaussian_stream(0).normals(8)
-        b = gaussian_stream(1).normals(8)
+        a = RandomStream(0).normals(8)
+        b = RandomStream(1).normals(8)
         assert not np.array_equal(a, b)
 
     def test_uniform_range(self):
-        stream = gaussian_stream(3)
+        stream = RandomStream(3)
         draws = [stream.uniform() for _ in range(2000)]
         assert all(0.0 <= u < 1.0 for u in draws)
 
     def test_normal_moments(self):
         # 1e5 draws: the sample mean of iid standard normals has sd ~0.0032,
         # so 0.02 is a >6 sigma band; variance lands near 1 similarly.
-        draws = gaussian_stream(2024).normals(100_000)
+        draws = RandomStream(2024).normals(100_000)
         assert abs(draws.mean()) <= 0.02
         assert abs(draws.var() - 1.0) <= 0.02
 
     def test_permutation_is_permutation(self):
-        stream = gaussian_stream(5)
+        stream = RandomStream(5)
         perm = stream.permutation(100)
         assert sorted(perm) == list(range(100))
 
     def test_permutation_deterministic(self):
-        assert gaussian_stream(17).permutation(50) == gaussian_stream(17).permutation(50)
+        assert RandomStream(17).permutation(50) == RandomStream(17).permutation(50)
 
     def test_sample_indices_distinct(self):
-        stream = gaussian_stream(11)
+        stream = RandomStream(11)
         for _ in range(50):
             picks = stream.sample_indices(10, 4)
             assert len(set(picks)) == 4
@@ -121,10 +120,10 @@ class TestRandomStream:
 
     def test_sample_indices_bounds(self):
         with pytest.raises(ValueError):
-            gaussian_stream(0).sample_indices(3, 4)
+            RandomStream(0).sample_indices(3, 4)
 
     def test_draw_count_advances(self):
-        stream = gaussian_stream(1)
+        stream = RandomStream(1)
         stream.normal()
         assert stream.draw_count == 2  # Box-Muller consumes a pair
         stream.normal()

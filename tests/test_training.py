@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import anchorft.training as training
-from anchorft.anchors import assemble_anchor_batch, build_candidate_index, retrieve
+from anchorft.anchors import MissingCaptionError, build_candidate_index
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.encoders import init_params
 from anchorft.training import (
@@ -16,6 +16,7 @@ from anchorft.training import (
     check_gradients,
     compute_total_loss_and_grads,
     config_fingerprint,
+    finetune_batcher,
     init_optimizer_state,
     make_checkpoint,
     pretrain,
@@ -54,6 +55,15 @@ def finetune_inputs(gen_cfg=None, train_cfg=None):
     start, _ = pretrain(bundle.pretrain_pool, train_cfg)
     index = build_candidate_index(start.params, bundle.candidates)
     return bundle, start, index, train_cfg
+
+
+def step_inputs(bundle, params, index, cfg, n):
+    """(batch, prompts, anchor_batch) of the first n finetune samples, cut as run_finetune cuts them."""
+    batch_inputs = finetune_batcher(
+        bundle.finetune[:n], bundle.prompts_id, bundle.captions, index, bundle.candidates,
+        params, cfg,
+    )
+    return batch_inputs(np.arange(n))
 
 
 class TestTrainConfig:
@@ -145,21 +155,10 @@ class TestAdamW:
 
 class TestComputeTotalLoss:
     def test_breakdown_identity(self):
-        bundle, start, index, cfg = finetune_inputs()
-        cfg = tiny_train_config(lambda_cl=0.7, lambda_cap=1.3, lambda_ret=0.5)
-        batch = bundle.finetune[: cfg.batch_size]
-        captions = {r.sample_id: r for r in bundle.captions}
-        queries = [(s.id, s.feature) for s in batch]
-        hits = retrieve(index, queries, start.params, "v2t", 2)
-        assignments = {}
-        for h in hits:
-            assignments.setdefault(h.query_sample_id, []).append(h)
-        anchor = assemble_anchor_batch(
-            batch, captions, assignments, {c.id: c for c in bundle.candidates}, "sep"
-        )
-        breakdown, _ = compute_total_loss_and_grads(
-            start.params, batch, bundle.prompts_id, anchor, cfg
-        )
+        bundle, start, index, _ = finetune_inputs()
+        cfg = tiny_train_config(lambda_cl=0.7, lambda_cap=1.3, lambda_ret=0.5, retrieval_k=2)
+        problem = step_inputs(bundle, start.params, index, cfg, cfg.batch_size)
+        breakdown, _ = compute_total_loss_and_grads(start.params, *problem, cfg)
         recomputed = (
             cfg.lambda_cl * breakdown.l_cl
             + cfg.lambda_cap * breakdown.l_cap
@@ -170,12 +169,8 @@ class TestComputeTotalLoss:
 
     def test_single_sample_batch_all_zero(self):
         bundle, start, index, cfg = finetune_inputs()
-        batch = bundle.finetune[:1]
-        captions = {r.sample_id: r for r in bundle.captions}
-        anchor = assemble_anchor_batch(batch, captions, None, {}, "sep")
-        breakdown, grads = compute_total_loss_and_grads(
-            start.params, batch, bundle.prompts_id, anchor, cfg
-        )
+        problem = step_inputs(bundle, start.params, index, cfg, 1)
+        breakdown, grads = compute_total_loss_and_grads(start.params, *problem, cfg)
         assert breakdown.l_cl == 0.0
         assert breakdown.l_cap == 0.0
         assert breakdown.l_ret == 0.0
@@ -185,43 +180,24 @@ class TestComputeTotalLoss:
     def test_disabled_terms_are_exactly_zero(self):
         bundle, start, index, _ = finetune_inputs()
         cfg = tiny_train_config(enabled_losses=("cl",))
-        batch = bundle.finetune[: cfg.batch_size]
-        captions = {r.sample_id: r for r in bundle.captions}
-        anchor = assemble_anchor_batch(batch, captions, None, {}, "sep")
-        breakdown, _ = compute_total_loss_and_grads(
-            start.params, batch, bundle.prompts_id, anchor, cfg
-        )
+        problem = step_inputs(bundle, start.params, index, cfg, cfg.batch_size)
+        breakdown, _ = compute_total_loss_and_grads(start.params, *problem, cfg)
         assert breakdown.l_cap == 0.0 and breakdown.l_ret == 0.0
         assert breakdown.total == breakdown.l_cl
 
     def test_zero_weights_match_disabled_grads_bitwise(self):
         bundle, start, index, _ = finetune_inputs()
-        batch = bundle.finetune[:4]
-        captions = {r.sample_id: r for r in bundle.captions}
-        anchor = assemble_anchor_batch(batch, captions, None, {}, "sep")
         only_cl = tiny_train_config(enabled_losses=("cl",))
         zero_weight = tiny_train_config(lambda_cap=0.0, lambda_ret=0.0)
-        _, g_a = compute_total_loss_and_grads(
-            start.params, batch, bundle.prompts_id, anchor, only_cl
-        )
-        _, g_b = compute_total_loss_and_grads(
-            start.params, batch, bundle.prompts_id, anchor, zero_weight
-        )
+        problem = step_inputs(bundle, start.params, index, only_cl, 4)
+        _, g_a = compute_total_loss_and_grads(start.params, *problem, only_cl)
+        _, g_b = compute_total_loss_and_grads(start.params, *problem, zero_weight)
         assert g_a.tobytes() == g_b.tobytes()
 
     def anchored_problem(self):
         bundle, start, index, _ = finetune_inputs()
-        cfg = tiny_train_config(tau_trainable=True)
-        batch = bundle.finetune[:4]
-        captions = {r.sample_id: r for r in bundle.captions}
-        queries = [(s.id, s.feature) for s in batch]
-        hits = retrieve(index, queries, start.params, "v2t", 2)
-        assignments = {}
-        for h in hits:
-            assignments.setdefault(h.query_sample_id, []).append(h)
-        candidate_map = {c.id: c for c in bundle.candidates}
-        anchor = assemble_anchor_batch(batch, captions, assignments, candidate_map, "sep")
-        return start.params, batch, bundle.prompts_id, anchor, cfg
+        cfg = tiny_train_config(tau_trainable=True, retrieval_k=2)
+        return (start.params, *step_inputs(bundle, start.params, index, cfg, 4), cfg)
 
     def test_full_objective_matches_finite_differences(self):
         # The all-terms composite gradient against central differences over
@@ -283,13 +259,30 @@ class TestPretrain:
         with pytest.raises(ValueError):
             pretrain(bundle.pretrain_pool[:3], tiny_train_config(batch_size=8))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_names_the_step(self):
         # lr 1e3 with weight decay 0.1 multiplies the weights by -99 a step,
-        # until the pre-normalization norms overflow.
+        # until the pre-normalization norms overflow. No numpy warning may
+        # come before the error.
         bundle = generate_benchmark(GenConfig(seed=0))
         with pytest.raises(DivergenceError, match=r"at step 76 \(epoch 0\): image encoder"):
             pretrain(bundle.pretrain_pool, TrainConfig(seed=0, epochs=2, learning_rate=1e3))
+
+    def test_tau_leaving_its_range_is_a_divergence(self):
+        # lr 1 on a trainable temperature pushes tau past its upper bound.
+        bundle = generate_benchmark(
+            GenConfig(
+                n_id_classes=4, n_zsl_classes=2, n_domains=1, d_latent=5, d_img_raw=6,
+                d_txt_raw=7, n_pretrain_per_class=1, n_finetune_per_class=4,
+                n_test_per_class=1, candidate_pool_size=10, seed=0,
+            )
+        )
+        cfg = TrainConfig(
+            batch_size=4, epochs=20, hidden=10, embed_dim=5, tau_trainable=True,
+            learning_rate=1.0, weight_decay=0.0,
+        )
+        with pytest.raises(DivergenceError, match=r"at step 8 \(epoch 4\): tau 11\.69 outside"):
+            pretrain(bundle.pretrain_pool, cfg)
 
 
 class TestRunFinetune:
@@ -379,6 +372,23 @@ class TestRunFinetune:
                 bundle.finetune, bundle.prompts_id, bundle.captions, index,
                 bundle.candidates, start, cfg,
             )
+
+    def test_missing_caption_raises_before_the_first_step(self, monkeypatch):
+        bundle, start, index, cfg = finetune_inputs()
+        steps = []
+        real_step = training.compute_total_loss_and_grads
+
+        def counted_step(*args):
+            steps.append(1)
+            return real_step(*args)
+
+        monkeypatch.setattr(training, "compute_total_loss_and_grads", counted_step)
+        with pytest.raises(MissingCaptionError, match=str(bundle.finetune[-1].id)):
+            run_finetune(
+                bundle.finetune, bundle.prompts_id, bundle.captions[:-1], index,
+                bundle.candidates, start, cfg,
+            )
+        assert steps == []
 
     def test_ret_needs_index(self):
         bundle, start, _, cfg = finetune_inputs()
