@@ -11,7 +11,7 @@ integrity. Tolerances are pinned here and nowhere else.
 import hashlib
 import json
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from anchorft.fileio import (
     ManifestRecord,
     read_checkpoint,
     read_feature_set,
+    write_bundle,
     write_checkpoint,
     write_feature_set,
 )
@@ -115,6 +116,74 @@ GOLDEN_SMALL_PIPELINE = {
 # Seed-0 checkpoint ids under the shipped defaults.
 GOLDEN_SEED0_PRETRAINED_ID = "f8f633a1c635555bd7f8380d3ef4397ae0f8ed96fe23e0c9b8b000c591f1e771"
 GOLDEN_SEED0_ANCHORED_ID = "8aeba7979a620c46c74fcd04066302e6d41909f3ebe902b89fa1ee4560d752b6"
+# The seed-0 default bundle: every file write_bundle writes, plus "float64"
+# over the in-memory columns (see _bundle_digests).
+GOLDEN_SEED0_BUNDLE = {
+    "candidates.image.arfm": "61edf8bebded13acc602e36142eecfed55a236cefb99d4eee2455c7e11ef668b",
+    "candidates.image.manifest.jsonl": "b52e3f0365bd049b943b18deb7e750ee382c8613c6663e237b795223e4198d4b",
+    "candidates.text.arfm": "d6f52ceb7e1b8e2a6eb230d5d33807c8ec5b2d4a2db2648008b608bbf94ea758",
+    "candidates.text.manifest.jsonl": "518b588ff7dc1a1a696d6486eef479345fff87b09d0e59e328b7d514379ece32",
+    "captions.arfm": "ea738a678bdaf5e0b70212f19e9abe265e24c95059e0ed3f6633115510ee56d8",
+    "captions.manifest.jsonl": "04a291c9ea726943d0493ac17bbff80503f60ef16fa8d7b0cb8b854a807c0885",
+    "finetune.arfm": "132682e74ae84bb77abd1c99071cc0bc66c0c47946d70c878506de74f145ba47",
+    "finetune.manifest.jsonl": "d683a119e14f1590b1b87d861c927b12ab54227b6a718f9b7edae13ef65c8e90",
+    "gen_config.json": "6544f6bb1610fe213d9e5c50dfb6b1c1dd98b3f383afb528351d85dbb2e32f38",
+    "pretrain.image.arfm": "644be1a235136442ed2d0e428888ecaaeee8c2111a0cfe8b4509552224899603",
+    "pretrain.image.manifest.jsonl": "d5766ed3b28462ea57d0a7299781b16bdc07b5b1c4481fd93466fd3ca8d3154c",
+    "pretrain.text.arfm": "87a254becd885b59a6d827de3d24ced1e275d8cb2f8d5ba5ef2f7bcd8b5f2f47",
+    "pretrain.text.manifest.jsonl": "33a1ff7e0a63ed74c2dc5b2c34a83d7b7597ab1e14a9ac2c3c581137d9100f11",
+    "prompts_id.arfm": "e84a02699d1c643818274953ef0cc25d298d4e5dd49ca5bd2661677a02d8e571",
+    "prompts_id.manifest.jsonl": "8bb5c69e77609e3afe59cee74f4701db38e1f45fbe328fd6a36f9d199d4f1b04",
+    "prompts_zsl.arfm": "2aab1e2d962d047ceac6fe5975197ad5699ebb310c95bf4d8fb1fcabd575e2d0",
+    "prompts_zsl.manifest.jsonl": "45cbda8c70fe5f3ab4baa3abe8d0ffede80da59697b1e39ad330f7973b3e3a43",
+    "test_ds1.arfm": "4db02d17a8c0b6ba3becfa80a263fbbe378146dee6d9fc113d62bb3463160272",
+    "test_ds1.manifest.jsonl": "72d267eaedf8bba58c52ea0901bc2a4d1b0749c6d30f2b1521bd03e83b78c785",
+    "test_ds2.arfm": "572836c343d2828a4d810ddcd300335a2d41ad1da64edfa4f422fb5b9ae588fa",
+    "test_ds2.manifest.jsonl": "f1636bb2f2a11b964cbd2625160342fef448eb1c2ba366bd1236a14ec1e5a4fe",
+    "test_id.arfm": "6f5a16430c4edea180a09285d8faa8da386b9cca4c825e682057700e6691af88",
+    "test_id.manifest.jsonl": "2952a84f669a38f758b63746a96c9f84ea5c1558471911a216eb895080eb27d6",
+    "test_zsl.arfm": "fea0128e7e8d5b6c4abf9a46065230a165241ebfb71ea408b249914f0d894517",
+    "test_zsl.manifest.jsonl": "3b8a37d4390a012eadb57357f15f265c7ffebd6768ba1de07b9f5db6f067dfef",
+    "float64": "714c91e8931f67d9392f35beebd49b091d9cdd5e0443e43ed00da8ce5075d7e0",
+}
+# SMALL_GEN with d_img_raw=9, by contexts_per_sample: (digest of the
+# _bundle_digests dict, its "float64" entry).
+GOLDEN_SMALL_BUNDLES = {
+    0: (
+        "5e3b20c6f10ce2dc1e852a594f7f0c817749feb06d3f2f5c3e79afb5c6b03380",
+        "f6a12eb31f24bfcc6be99639433b08d752596cd4189cbd7c0dd04522ef414828",
+    ),
+    3: (
+        "16984cedf3db6c87a5f80784f15cddfa5996bbb27aae04f568847000d2c1452a",
+        "67d7f632745ef417c618648d8d8472410a86e41e7d40a7f600bab9e2ed857381",
+    ),
+}
+
+
+def _bundle_digests(bundle, root) -> dict[str, str]:
+    """sha256 of every file write_bundle writes, plus "float64" over the columns in memory.
+
+    The feature files store float32, so "float64" is what pins the
+    generator's own output bit for bit.
+    """
+    write_bundle(root, bundle)
+    digests = {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+    columns = hashlib.sha256()
+    splits = [bundle.pretrain_pool, bundle.finetune, bundle.candidates, bundle.id_test,
+              *(bundle.ds_tests[d] for d in sorted(bundle.ds_tests)), bundle.zsl_test]
+    for split in splits:
+        for f in fields(split):
+            columns.update(getattr(split, f.name).tobytes())
+    for record in bundle.captions:
+        columns.update(record.caption_feature.tobytes())
+    for table in (bundle.prompts_id, bundle.prompts_zsl):
+        columns.update(table.prompt_features.tobytes())
+    digests["float64"] = columns.hexdigest()
+    return digests
 
 
 def _ds_mean(metrics) -> float:
@@ -352,8 +421,19 @@ def test_identical_runs_are_byte_identical(tmp_path):
     )
 
 
+@pytest.mark.parametrize("contexts", [0, 3])
+def test_small_bundles_match_golden_digests(contexts, tmp_path):
+    # No context pick and a sum of three picks, with an odd image width so
+    # every image stream ends on half a Box-Muller pair.
+    config = GenConfig(**{**SMALL_GEN, "contexts_per_sample": contexts, "d_img_raw": 9})
+    digests = _bundle_digests(generate_benchmark(config), tmp_path)
+    files = hashlib.sha256(json.dumps(digests, sort_keys=True).encode()).hexdigest()
+    assert (files, digests["float64"]) == GOLDEN_SMALL_BUNDLES[contexts], digests
+    print(f"[PASS] small bundle with {contexts} context picks matches its golden digests")
+
+
 @pytest.fixture(scope="module")
-def frozen_default_runs():
+def frozen_default_runs(tmp_path_factory):
     """All four loss mixes under the shipped defaults, seeds 0-9."""
     variants = {
         "base": ("cl",),
@@ -373,6 +453,7 @@ def frozen_default_runs():
         shared = time.perf_counter() - t_shared
         if seed == 0:
             seed0_ids["pretrained"] = start.id
+            seed0_ids["bundle"] = _bundle_digests(bundle, tmp_path_factory.mktemp("seed0"))
         for name, losses in variants.items():
             t_run = time.perf_counter()
             cfg = replace(TrainConfig(seed=seed), enabled_losses=losses)
@@ -428,6 +509,12 @@ def test_seed0_default_checkpoints_match_golden_ids(frozen_default_runs):
     assert seed0_ids["pretrained"] == GOLDEN_SEED0_PRETRAINED_ID
     assert seed0_ids["anchored"] == GOLDEN_SEED0_ANCHORED_ID
     print("[PASS] seed-0 pretrained and anchored checkpoint ids match their golden values")
+
+
+def test_seed0_default_bundle_matches_golden_digests(frozen_default_runs):
+    _, _, _, seed0_ids = frozen_default_runs
+    assert seed0_ids["bundle"] == GOLDEN_SEED0_BUNDLE
+    print(f"[PASS] seed-0 default bundle matches its {len(GOLDEN_SEED0_BUNDLE)} golden digests")
 
 
 def test_classification_invariant_under_positive_score_scaling():
