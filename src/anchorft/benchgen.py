@@ -14,13 +14,22 @@ seeded random rotation to raw image space.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .anchors import CaptionRecord, PairSet, Sample, SampleSet, attach_captions
+from .anchors import CaptionRecord, PairSet, SampleSet
 from .evaluation import PromptTable
-from .numerics import RandomStream, derive_seed, l2_normalize
+from .numerics import (
+    LANE_BLOCK,
+    RandomStream,
+    derive_seed,
+    derive_seeds,
+    l2_normalize,
+    lane_normals,
+    lane_sample_indices,
+)
 
 __all__ = [
     "BenchmarkBundle",
@@ -158,34 +167,53 @@ class SynthCaptionProvider:
     Images are built from the identical latent point, so a caption carries
     the semantics of its image beyond the class label, the way a natural
     caption describes more than the class word. The subset and eta depend
-    only on (seed, i): captions never change between calls.
+    only on (seed, i): captions never change between calls. Every method
+    takes a column of entity ids and draws their streams in lockstep; row
+    k of a result belongs to ids[k].
     """
 
     seed: int
-    latent_prototypes: dict[int, np.ndarray]
+    latent_prototypes: np.ndarray  # row c is class c's unit prototype
     context_bank: np.ndarray
     m_txt: np.ndarray
     strength: float
     contexts_per_sample: int
     sigma_txt: float
 
-    def context_mix(self, entity_id: int) -> np.ndarray:
-        if self.contexts_per_sample == 0:
-            return np.zeros(self.context_bank.shape[1])
-        stream = RandomStream(derive_seed(self.seed, _TAG_CONTEXT_PICK, entity_id))
-        picks = stream.sample_indices(self.context_bank.shape[0], self.contexts_per_sample)
-        return self.context_bank[picks].sum(axis=0)
+    def context_mix(self, ids: np.ndarray) -> np.ndarray:
+        """Each id's sum of its distinct context bank rows, added in pick order."""
+        if not self.contexts_per_sample:
+            return np.zeros((len(ids), self.context_bank.shape[1]))
+        picks = lane_sample_indices(
+            derive_seeds(self.seed, _TAG_CONTEXT_PICK, ids),
+            self.context_bank.shape[0],
+            self.contexts_per_sample,
+        )
+        mix = self.context_bank[picks[:, 0]]
+        for column in picks[:, 1:].T:
+            mix += self.context_bank[column]
+        return mix
 
-    def content_latent(self, entity_id: int, class_id: int) -> np.ndarray:
-        return self.latent_prototypes[class_id] + self.strength * self.context_mix(entity_id)
+    def content_latents(self, ids: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
+        return self.latent_prototypes[class_ids] + self.strength * self.context_mix(ids)
 
-    def caption_feature(self, entity_id: int, class_id: int) -> np.ndarray:
-        stream = RandomStream(derive_seed(self.seed, _TAG_CAPTION, entity_id))
-        noise = stream.normals(self.m_txt.shape[0])
-        return self.m_txt @ self.content_latent(entity_id, class_id) + self.sigma_txt * noise
+    def caption_feature(self, ids: np.ndarray, latents: np.ndarray) -> np.ndarray:
+        """Caption rows for the ids whose content_latents are `latents`."""
+        noise = lane_normals(derive_seeds(self.seed, _TAG_CAPTION, ids), self.m_txt.shape[0])
+        lifted = _matvec_rows(repeat(self.m_txt), latents, self.m_txt.shape[0])
+        return lifted + self.sigma_txt * noise
 
-    def __call__(self, sample: Sample) -> np.ndarray:
-        return self.caption_feature(sample.id, sample.class_id)
+
+def _matvec_rows(matrices: Iterable[np.ndarray], rows: np.ndarray, dim: int) -> np.ndarray:
+    """The (len(rows), dim) matrix of matrix @ row, one matrix-vector product per row.
+
+    A single matrix product over all rows rounds differently, and the
+    bundle's bytes are fixed by these per-row products.
+    """
+    out = np.empty((len(rows), dim))
+    for k, (matrix, row) in enumerate(zip(matrices, rows)):
+        np.matmul(matrix, row, out=out[k])
+    return out
 
 
 def _unit_rows(stream: RandomStream, n: int, dim: int) -> np.ndarray:
@@ -201,18 +229,17 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
     zsl_classes = list(range(cfg.n_id_classes, cfg.n_id_classes + cfg.n_zsl_classes))
     all_classes = id_classes + zsl_classes
 
-    proto_stream = RandomStream(derive_seed(seed, _TAG_PROTO))
-    prototypes = {
-        c: l2_normalize(proto_stream.normals(cfg.d_latent)) for c in all_classes
-    }
+    prototypes = _unit_rows(
+        RandomStream(derive_seed(seed, _TAG_PROTO)), len(all_classes), cfg.d_latent
+    )
     # First d_latent columns of a random rotation: an exact isometry, so
     # latent geometry survives the lift into each raw space.
     m_img = random_rotation(derive_seed(seed, _TAG_LIFT_IMG), cfg.d_img_raw)[:, : cfg.d_latent]
     m_txt = random_rotation(derive_seed(seed, _TAG_LIFT_TXT), cfg.d_txt_raw)[:, : cfg.d_latent]
 
-    rotations = {0: np.eye(cfg.d_img_raw)}
+    rotations = [np.eye(cfg.d_img_raw)]
     for domain in range(1, cfg.n_domains):
-        rotations[domain] = random_rotation(seed ^ domain, cfg.d_img_raw)
+        rotations.append(random_rotation(seed ^ domain, cfg.d_img_raw))
 
     template = l2_normalize(RandomStream(derive_seed(seed, _TAG_TEMPLATE)).normals(cfg.d_txt_raw))
     prompt_rows = np.stack(
@@ -236,30 +263,34 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
 
     next_id = 0
 
-    def take_ids(n: int) -> np.ndarray:
-        nonlocal next_id
-        next_id += n
-        return np.arange(next_id - n, next_id, dtype=np.int64)
-
-    def image_feature(entity_id: int, class_id: int, domain: int) -> np.ndarray:
-        latent = provider.content_latent(entity_id, class_id)
-        stream = RandomStream(derive_seed(seed, _TAG_IMG_NOISE, entity_id))
-        raw = m_img @ latent + cfg.sigma_img * stream.normals(cfg.d_img_raw)
-        return rotations[domain] @ raw
-
     # Every entity's features come from streams keyed by its own id, so only
-    # the order in which ids are handed out fixes the bundle.
+    # the order in which ids are handed out fixes the bundle. Entities are
+    # built a block at a time, their latents once for image and caption.
+    def entities(class_ids: np.ndarray, domain_ids: np.ndarray, captions: bool):
+        nonlocal next_id
+        ids = np.arange(next_id, next_id + class_ids.size, dtype=np.int64)
+        next_id += ids.size
+        images = np.empty((ids.size, cfg.d_img_raw))
+        texts = np.empty((ids.size, cfg.d_txt_raw)) if captions else None
+        for start in range(0, ids.size, LANE_BLOCK):
+            rows = slice(start, start + LANE_BLOCK)
+            latents = provider.content_latents(ids[rows], class_ids[rows])
+            noise = lane_normals(derive_seeds(seed, _TAG_IMG_NOISE, ids[rows]), cfg.d_img_raw)
+            raw = _matvec_rows(repeat(m_img), latents, cfg.d_img_raw) + cfg.sigma_img * noise
+            domain_rotations = [rotations[d] for d in domain_ids[rows]]
+            images[rows] = _matvec_rows(domain_rotations, raw, cfg.d_img_raw)
+            if captions:
+                texts[rows] = provider.caption_feature(ids[rows], latents)
+        return ids, images, texts
+
     def pair_set(class_ids: np.ndarray, domain_ids: np.ndarray) -> PairSet:
-        ids = take_ids(class_ids.size).tolist()
-        images = [image_feature(*e) for e in zip(ids, class_ids.tolist(), domain_ids.tolist())]
-        texts = [provider.caption_feature(*e) for e in zip(ids, class_ids.tolist())]
-        return PairSet(ids, np.array(images), np.array(texts))
+        return PairSet(*entities(class_ids, domain_ids, captions=True))
 
     def sample_set(class_list: Sequence[int], per_class: int, domain: int) -> SampleSet:
         class_ids = np.repeat(class_list, per_class)
-        ids = take_ids(class_ids.size)
-        features = [image_feature(i, c, domain) for i, c in zip(ids.tolist(), class_ids.tolist())]
-        return SampleSet(ids, np.array(features), class_ids, np.full(ids.size, domain))
+        domain_ids = np.full(class_ids.size, domain)
+        ids, features, _ = entities(class_ids, domain_ids, captions=False)
+        return SampleSet(ids, features, class_ids, domain_ids)
 
     n_classes, n_domains = len(all_classes), cfg.n_domains
     pretrain_pool = pair_set(
@@ -267,8 +298,11 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
         np.tile(np.repeat(np.arange(n_domains), cfg.n_pretrain_per_class), n_classes),
     )
 
-    finetune = sample_set(id_classes, cfg.n_finetune_per_class, 0)
-    captions = attach_captions(finetune, provider)
+    finetune_classes = np.repeat(id_classes, cfg.n_finetune_per_class)
+    finetune_domains = np.zeros_like(finetune_classes)
+    ids, features, caption_rows = entities(finetune_classes, finetune_domains, captions=True)
+    finetune = SampleSet(ids, features, finetune_classes, finetune_domains)
+    captions = [CaptionRecord(i, row) for i, row in zip(ids.tolist(), caption_rows)]
 
     # Round-robin over classes so any pool of at least n_classes candidates
     # covers every class, seen and held-out alike. Most candidates live in

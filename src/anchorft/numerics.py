@@ -3,6 +3,15 @@
 Provides L2 normalization, input validation, and a seeded random stream
 whose exact algorithm is documented here so that whole-pipeline runs are
 bit-reproducible on any platform.
+
+RandomStream is the scalar reference: one xoshiro256** stream (Blackman &
+Vigna, "Scrambled linear pseudorandom number generators") advanced in pure
+Python. derive_seeds, lane_normals and lane_sample_indices run many fresh
+streams in lockstep instead, one numpy uint64 lane per stream, and give row
+i exactly what RandomStream(seeds[i]) gives. The integer recurrence is
+exact in any lane width; Box-Muller's log, cos and sin are applied with the
+libm functions in `math`, element by element, because numpy's own versions
+differ from them by an ulp on some inputs.
 """
 
 from __future__ import annotations
@@ -18,11 +27,17 @@ __all__ = [
     "ZeroVectorError",
     "as_float_array",
     "derive_seed",
+    "derive_seeds",
     "l2_normalize",
+    "lane_normals",
+    "lane_sample_indices",
     "splitmix64",
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# Streams advanced together by the lane functions; bounds their temporaries.
+LANE_BLOCK = 256
 
 # Norms at or below this are treated as zero; normalizing them is an error.
 ZERO_NORM_THRESHOLD = 1e-12
@@ -80,6 +95,33 @@ def derive_seed(seed: int, *components: int) -> int:
         _, state = splitmix64(state ^ (part & _MASK64))
     _, state = splitmix64(state)
     return state
+
+
+def derive_seeds(seed: int, *components) -> np.ndarray:
+    """derive_seed over integer arrays, as a 1-D uint64 vector.
+
+    Components are ints or integer arrays, broadcast against each other
+    (negative values wrap mod 2^64, as in derive_seed). Entry i equals
+    derive_seed(seed, *(c[i] for c in components)).
+    """
+    parts = [
+        np.asarray(c & _MASK64 if isinstance(c, int) else c).astype(np.uint64)
+        for c in components
+    ]
+    shape = np.broadcast_shapes(*(p.shape for p in parts))
+    state = np.full(shape, seed & _MASK64, dtype=np.uint64).reshape(-1)
+    for part in parts:
+        _, state = _splitmix64_lanes(state ^ np.broadcast_to(part, shape).reshape(-1))
+    _, state = _splitmix64_lanes(state)
+    return state
+
+
+def _splitmix64_lanes(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """splitmix64 on every lane of a uint64 vector (arithmetic wraps mod 2^64)."""
+    state = state + np.uint64(0x9E3779B97F4A7C15)
+    z = (state ^ (state >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return state, z ^ (z >> np.uint64(31))
 
 
 def _rotl(x: int, k: int) -> int:
@@ -185,3 +227,90 @@ class RandomStream:
             j = i + self.next_u64() % (n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:m]
+
+
+class _Lanes:
+    """xoshiro256** state for a block of fresh streams, one uint64 lane each.
+
+    Seeded and advanced exactly as RandomStream; next_u64 returns every
+    lane's output at once.
+    """
+
+    def __init__(self, seeds: np.ndarray):
+        self.size = seeds.size
+        self.s = []
+        state = seeds
+        for _ in range(4):
+            state, out = _splitmix64_lanes(state)
+            self.s.append(out)
+
+    def next_u64(self) -> np.ndarray:
+        s0, s1, s2, s3 = self.s
+        x = s1 * np.uint64(5)
+        x = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+        t = s1 << np.uint64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self.s[3] = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
+        return x
+
+
+def _lane_blocks(seeds: np.ndarray):
+    """(rows, lanes) for each run of at most LANE_BLOCK seeds."""
+    for start in range(0, seeds.size, LANE_BLOCK):
+        rows = slice(start, start + LANE_BLOCK)
+        yield rows, _Lanes(seeds[rows])
+
+
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """fn from `math` on every element: libm's rounding, not numpy's."""
+    flat = np.ascontiguousarray(values).reshape(-1)
+    return np.fromiter(map(fn, memoryview(flat)), np.float64, flat.size).reshape(values.shape)
+
+
+def lane_normals(seeds, n: int) -> np.ndarray:
+    """(len(seeds), n) standard normals; row i is RandomStream(seeds[i]).normals(n).
+
+    Bit for bit, odd n included: each lane draws the Box-Muller pairs a
+    fresh RandomStream would, in the same order, and an odd n drops the last
+    pair's second value, which RandomStream would have cached.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    out = np.empty((seeds.size, n))
+    pairs = (n + 1) // 2
+    for rows, lanes in _lane_blocks(seeds):
+        a = np.empty((pairs, lanes.size), dtype=np.uint64)
+        b = np.empty_like(a)
+        for p in range(pairs):
+            a[p] = lanes.next_u64()
+            b[p] = lanes.next_u64()
+        u1 = ((a >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+        u2 = (b >> np.uint64(11)) * 2.0**-53
+        r = np.sqrt(-2.0 * _libm(math.log, u1))
+        theta = 2.0 * math.pi * u2
+        z = np.empty((lanes.size, 2 * pairs))
+        z[:, 0::2] = (r * _libm(math.cos, theta)).T
+        z[:, 1::2] = (r * _libm(math.sin, theta)).T
+        out[rows] = z[:, :n]
+    return out
+
+
+def lane_sample_indices(seeds, n: int, m: int) -> np.ndarray:
+    """(len(seeds), m) int64; row i is RandomStream(seeds[i]).sample_indices(n, m)."""
+    if not 0 <= m <= n:
+        raise ValueError(f"cannot draw {m} distinct indices from {n}")
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    out = np.empty((seeds.size, m), dtype=np.int64)
+    for rows, lanes in _lane_blocks(seeds):
+        pool = np.tile(np.arange(n, dtype=np.int64), (lanes.size, 1))
+        lane = np.arange(lanes.size)
+        for i in range(m):
+            j = i + (lanes.next_u64() % np.uint64(n - i)).astype(np.int64)
+            picked = pool[lane, j]
+            pool[lane, j] = pool[:, i]
+            pool[:, i] = picked
+        out[rows] = pool[:, :m]
+    return out

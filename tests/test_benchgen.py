@@ -185,17 +185,22 @@ class TestSynthCaptionProvider:
     def test_direct_provider_calls_are_deterministic(self):
         provider = SynthCaptionProvider(
             seed=5,
-            latent_prototypes={0: np.ones(4), 1: -np.ones(4)},
+            latent_prototypes=np.array([np.ones(4), -np.ones(4)]),
             context_bank=np.eye(4),
             m_txt=np.eye(6)[:, :4],
             strength=0.3,
             contexts_per_sample=2,
             sigma_txt=0.1,
         )
-        a = provider.caption_feature(17, 1)
-        b = provider.caption_feature(17, 1)
+        ids = np.array([17, 18])
+        latents = provider.content_latents(ids, np.array([1, 1]))
+        a = provider.caption_feature(ids, latents)
+        b = provider.caption_feature(ids, latents)
         assert a.tobytes() == b.tobytes()
-        assert not np.array_equal(a, provider.caption_feature(18, 1))
+        assert not np.array_equal(a[0], a[1])
+        # A row depends on its own id only, not on the rest of the column.
+        alone = provider.caption_feature(ids[1:], provider.content_latents(ids[1:], np.array([1])))
+        assert alone[0].tobytes() == a[1].tobytes()
 
     def test_context_mix_sums_distinct_bank_rows(self):
         # With an identity bank the mix of k picks must be a 0/1 vector with
@@ -203,17 +208,17 @@ class TestSynthCaptionProvider:
         # average.
         provider = SynthCaptionProvider(
             seed=11,
-            latent_prototypes={0: np.zeros(6)},
+            latent_prototypes=np.zeros((1, 6)),
             context_bank=np.eye(6),
             m_txt=np.eye(6),
             strength=1.0,
             contexts_per_sample=3,
             sigma_txt=0.0,
         )
-        for entity_id in range(20):
-            mix = provider.context_mix(entity_id)
-            assert set(np.unique(mix)) <= {0.0, 1.0}
-            assert int(mix.sum()) == 3
+        mix = provider.context_mix(np.arange(20))
+        assert mix.shape == (20, 6)
+        assert set(np.unique(mix)) <= {0.0, 1.0}
+        assert np.all(mix.sum(axis=1) == 3)
 
     def test_deterministic_per_id(self):
         bundle = generate_benchmark(small_config())

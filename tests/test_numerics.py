@@ -1,19 +1,26 @@
-"""Checks for normalization, stable softmax, and the seeded random stream."""
+"""Checks for normalization, the seeded random stream, and its lockstep lanes."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchorft.numerics import (
+    LANE_BLOCK,
     RandomStream,
     ZeroVectorError,
     derive_seed,
+    derive_seeds,
     l2_normalize,
+    lane_normals,
+    lane_sample_indices,
     splitmix64,
 )
+
+U64 = st.integers(0, 2**64 - 1)
+SEED_LISTS = st.lists(U64, max_size=6)
 
 
 class TestL2Normalize:
@@ -128,3 +135,54 @@ class TestRandomStream:
         assert stream.draw_count == 2  # Box-Muller consumes a pair
         stream.normal()
         assert stream.draw_count == 2  # second of the pair was cached
+
+
+class TestLanes:
+    """Row i of every lane function is what the scalar reference gives stream i."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(U64, st.integers(-(2**63), 2**64 - 1), st.lists(st.integers(-(2**63), 2**63 - 1)))
+    @example(0, 0, [])
+    @example(2**64 - 1, -1, [7])
+    def test_derive_seeds_matches_derive_seed(self, seed, tag, ids):
+        got = derive_seeds(seed, tag, np.array(ids, dtype=np.int64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [derive_seed(seed, tag, i) for i in ids]
+
+    def test_derive_seeds_without_an_array_is_one_lane(self):
+        assert derive_seeds(9, 4, 2).tolist() == [derive_seed(9, 4, 2)]
+        assert derive_seeds(9).tolist() == [derive_seed(9)]
+
+    @settings(deadline=None, max_examples=60)
+    @given(SEED_LISTS, st.integers(0, 51))
+    @example([], 3)
+    @example([5], 0)
+    @example([5, 6], 1)
+    @example([5, 6, 2**64 - 1], 48)
+    def test_lane_normals_match_random_stream(self, seeds, n):
+        got = lane_normals(np.array(seeds, dtype=np.uint64), n)
+        assert got.shape == (len(seeds), n)
+        for row, seed in zip(got, seeds):
+            assert row.tobytes() == RandomStream(seed).normals(n).tobytes()
+
+    @settings(deadline=None, max_examples=60)
+    @given(SEED_LISTS, st.integers(0, 30), st.data())
+    @example([], 4, None)
+    @example([3], 1, None)
+    def test_lane_sample_indices_match_random_stream(self, seeds, n, data):
+        m = data.draw(st.integers(0, n)) if data is not None else n
+        got = lane_sample_indices(np.array(seeds, dtype=np.uint64), n, m)
+        assert got.shape == (len(seeds), m) and got.dtype == np.int64
+        assert got.tolist() == [RandomStream(seed).sample_indices(n, m) for seed in seeds]
+
+    def test_rows_past_a_block_boundary_match(self):
+        seeds = derive_seeds(3, 25, np.arange(LANE_BLOCK + 5))
+        normals = lane_normals(seeds, 5)
+        picks = lane_sample_indices(seeds, 24, 3)
+        for i in (0, LANE_BLOCK - 1, LANE_BLOCK, LANE_BLOCK + 4):
+            assert normals[i].tobytes() == RandomStream(int(seeds[i])).normals(5).tobytes()
+            assert picks[i].tolist() == RandomStream(int(seeds[i])).sample_indices(24, 3)
+
+    def test_lane_sample_indices_bounds(self):
+        with pytest.raises(ValueError):
+            lane_sample_indices([0], 3, 4)

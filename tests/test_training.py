@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import anchorft.training as training
-from anchorft.anchors import MissingCaptionError, build_candidate_index
+from anchorft.anchors import MissingCaptionError, PairSet, build_candidate_index
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.encoders import init_params
 from anchorft.training import (
@@ -406,6 +406,33 @@ class TestRunFinetune:
         )
         assert all(r["l_ret"] == 0.0 for r in log)
         assert all(r["l_cap"] > 0.0 for r in log)
+
+    def test_merge_layout_rejects_candidate_ids_shared_with_samples(self, monkeypatch):
+        # 18 finetune samples and 16 candidates renamed to the first 16 sample
+        # ids: every retrieved candidate clashes with a sample in the merged set.
+        bundle, start, _, _ = finetune_inputs(tiny_gen_config(n_finetune_per_class=6))
+        pool = bundle.candidates
+        clashing = PairSet(bundle.finetune.ids[: len(pool)], pool.images, pool.texts)
+        index = build_candidate_index(start.params, clashing)
+        steps = []
+        real_step = training.compute_total_loss_and_grads
+
+        def counted_step(*args):
+            steps.append(1)
+            return real_step(*args)
+
+        monkeypatch.setattr(training, "compute_total_loss_and_grads", counted_step)
+        with pytest.raises(ValueError, match="merge layout .* ids must be distinct"):
+            run_finetune(
+                bundle.finetune, bundle.prompts_id, bundle.captions, index, clashing, start,
+                tiny_train_config(anchor_layout="merge"),
+            )
+        assert steps == []
+        _, log = run_finetune(
+            bundle.finetune, bundle.prompts_id, bundle.captions, index, clashing, start,
+            tiny_train_config(),
+        )
+        assert steps and any(r["l_ret"] > 0.0 for r in log)
 
     def test_text_side_queries_use_prompts(self):
         # t2t retrieval must run (queries come from the prompt table, whose
