@@ -453,10 +453,10 @@ def finetune_batcher(
 
     That is each finetune sample's class-prompt and caption rows and, with
     the ret term, its retrieved candidates as row positions in `candidates`.
-    A sample without a caption raises MissingCaptionError here, and so does
-    (as ValueError) a retrieved candidate whose id is also a finetune sample
-    id in the merge layout. The cutter maps an index array of finetune rows
-    to (batch, prompts, anchor_batch).
+    A sample without a caption raises MissingCaptionError here. In the merge
+    layout, a retrieved candidate whose id is also a finetune sample id
+    raises ValueError here too. The cutter maps an index array of finetune
+    rows to (batch, prompts, anchor_batch).
     """
     prompts = prompt_table.prompt_features[
         lookup_rows(prompt_table.class_ids, finetune_set.class_ids)
@@ -479,13 +479,14 @@ def finetune_batcher(
             ranked = lookup_rows(candidates.ids, candidate_ids)
         except KeyError as exc:
             raise MissingAssignmentError(f"candidate {exc.args[0]} is not in the pool") from None
-        shared = np.intersect1d(candidate_ids, finetune_set.ids)
-        if config.anchor_layout == "merge" and shared.size:
-            raise ValueError(
-                f"the merge layout puts retrieved candidates and finetune samples in one "
-                f"pair set, so their ids must be distinct; retrieved candidate {shared[0]} "
-                f"is also a finetune sample id"
-            )
+        if config.anchor_layout == "merge":
+            shared = np.intersect1d(candidate_ids, finetune_set.ids)
+            if shared.size:
+                raise ValueError(
+                    f"the merge layout puts retrieved candidates and finetune samples in "
+                    f"one pair set, so their ids must be distinct; retrieved candidate "
+                    f"{shared[0]} is also a finetune sample id"
+                )
         assignments = dict(zip(finetune_set.ids.tolist(), ranked))
 
     def batch_inputs(batch_idx: np.ndarray) -> tuple[SampleSet, np.ndarray, AnchorBatch]:
