@@ -146,6 +146,64 @@ GOLDEN_SEED0_BUNDLE = {
     "test_zsl.manifest.jsonl": "3b8a37d4390a012eadb57357f15f265c7ffebd6768ba1de07b9f5db6f067dfef",
     "float64": "714c91e8931f67d9392f35beebd49b091d9cdd5e0443e43ed00da8ce5075d7e0",
 }
+# Step variants finetuned from the SMALL_GEN/SMALL_TRAIN pretrained
+# checkpoint: the TrainConfig changes of each, and its (checkpoint id,
+# sha256 of the JSON-lines step log). The default anchored run is pinned by
+# ft.json and ft.log.jsonl above.
+SMALL_VARIANTS = {
+    "cl": {"enabled_losses": ("cl",)},
+    "cl_cap": {"enabled_losses": ("cl", "cap")},
+    "cap": {"enabled_losses": ("cap",)},
+    "ret": {"enabled_losses": ("ret",)},
+    "merge": {"anchor_layout": "merge"},
+    "k2": {"retrieval_k": 2},
+    "v2v": {"retrieval_mode": "v2v"},
+    "t2t": {"retrieval_mode": "t2t"},
+    "t2v": {"retrieval_mode": "t2v"},
+    "tau_trainable": {"tau_trainable": True},
+}
+GOLDEN_SMALL_VARIANTS = {
+    "cl": (
+        "b817874e85f7f575fecb96f2accedfc5624997785266cb33d6d9cc1344646e71",
+        "53d1cbd22895d3d3c85c96d4a65d95bdbb596d5d1fb6a3872ca3cd3b2a858353",
+    ),
+    "cl_cap": (
+        "fa85d9a899305adc3adf2ec405d9af0292a962a105ef8f9a404c75faa102a5cf",
+        "cb6788084e477c011b3617c25503644c8cd88dc21a28c3a0b087056530108375",
+    ),
+    "cap": (
+        "82b2380511863186fe28b535e64f35c1d1deba82e2933e7b9d556a3da77a498e",
+        "6e9f4193854de2f6c7f5d1c7f69678699f541c89f7c294e25d3e7a43d8fa5ce1",
+    ),
+    "ret": (
+        "c908560272c7c048d27e6b8d3a2f2322af198d9287a2087b6b2033e618b3ef34",
+        "a3c75baa158414c03f541888938e5863809785c513025631023d5d88324d1226",
+    ),
+    "merge": (
+        "4b90b4b9425c179aaa1dd326d9bf2b8032b3051360b890a4717d1da0f0d7db3f",
+        "37cbc06e7aa65c02dd0ea1cf3bd16532626f22c2402c32ca9f50b6e25685c2e5",
+    ),
+    "k2": (
+        "2092c1d90eaf8e9472f8f284661db8b4e65d45777466e4d555999f170c7ebf35",
+        "a95bea2d8a6ca93236c6b6870616da7b8a67c26d691c6781cb02b3129122dc3a",
+    ),
+    "v2v": (
+        "f5108d704ea0a3fdbce919e868c79bb56eb26ac91c5eaa9786a566464f2ca52d",
+        "b2b4ed88b67ee7fa27a31b0430631dad75d8009c70f70e839334b3f624097c28",
+    ),
+    "t2t": (
+        "0b66ae8ba75cb277886b291dc37f78d3adfbd5ea789e06f34868de2e2ca5f19a",
+        "e46d868c09b7393f0795d65cbe8d4d5a31784cd7b07a0871cf93ef497befb850",
+    ),
+    "t2v": (
+        "2ce00f091ace2a032455d9af29bb07c2754d8566cfccca4815508b37ebce4df1",
+        "52528bef73c973a1d6c65828fd8f592fdcafc2582113d19883931b0af203106a",
+    ),
+    "tau_trainable": (
+        "87ba833d4cbee9b2b8f52bda5b8f1da295f14fd2146f22b43ddb49a4b245764f",
+        "dcea8fcdbbbc71184f2de4759653eaee84c684cce0cf4ad4492df5e9b124ff58",
+    ),
+}
 # SMALL_GEN with d_img_raw=9, by contexts_per_sample: (digest of the
 # _bundle_digests dict, its "float64" entry).
 GOLDEN_SMALL_BUNDLES = {
@@ -351,15 +409,25 @@ def test_retrieval_matches_brute_force_oracle():
 
 
 @pytest.fixture(scope="module")
-def small_checkpoints():
+def small_start():
+    """The SMALL_GEN bundle, its SMALL_TRAIN pretrained checkpoint and the index."""
     bundle = generate_benchmark(GenConfig(**SMALL_GEN))
-    cfg = TrainConfig(**SMALL_TRAIN)
-    start, _ = pretrain(bundle.pretrain_pool, cfg)
-    index = build_candidate_index(start.params, bundle.candidates)
-    ft, _ = run_finetune(
-        bundle.finetune, bundle.prompts_id, bundle.captions, index, bundle.candidates, start, cfg
+    start, _ = pretrain(bundle.pretrain_pool, TrainConfig(**SMALL_TRAIN))
+    return bundle, start, build_candidate_index(start.params, bundle.candidates)
+
+
+def _small_finetune(small_start, **changes):
+    bundle, start, index = small_start
+    return run_finetune(
+        bundle.finetune, bundle.prompts_id, bundle.captions, index, bundle.candidates, start,
+        replace(TrainConfig(**SMALL_TRAIN), **changes),
     )
-    return start, ft
+
+
+@pytest.fixture(scope="module")
+def small_checkpoints(small_start):
+    ft, _ = _small_finetune(small_start)
+    return small_start[1], ft
 
 
 def test_ensemble_interpolation_identities(small_checkpoints):
@@ -371,6 +439,14 @@ def test_ensemble_interpolation_identities(small_checkpoints):
     worst = float(np.max(np.abs(mid.theta - (pre.params.theta + ft.params.theta) / 2.0)))
     assert worst <= TOL_MIDPOINT
     print(f"[PASS] ensemble endpoints bit-exact; midpoint within {worst:.2e} of the mean")
+
+
+@pytest.mark.parametrize("variant", sorted(SMALL_VARIANTS))
+def test_small_finetune_variants_match_golden_ids(small_start, variant):
+    ckpt, log = _small_finetune(small_start, **SMALL_VARIANTS[variant])
+    log_digest = hashlib.sha256("".join(json.dumps(r) + "\n" for r in log).encode()).hexdigest()
+    assert (ckpt.id, log_digest) == GOLDEN_SMALL_VARIANTS[variant]
+    print(f"[PASS] the {variant} finetune matches its golden checkpoint id and step log")
 
 
 def _run_pipeline(root) -> None:
