@@ -12,7 +12,8 @@ index is computed once from a checkpoint and never refreshed.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Mapping
+from functools import cache
+from typing import Mapping
 
 import numpy as np
 
@@ -32,7 +33,6 @@ __all__ = [
     "Sample",
     "SampleSet",
     "assemble_anchor_batch",
-    "attach_captions",
     "build_candidate_index",
     "lookup_rows",
     "retrieve",
@@ -84,45 +84,67 @@ class CandidatePair:
     text_feature: np.ndarray
 
 
+@cache
+def _column_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 class _Columns:
     """A set whose dataclass fields are columns with one entry per row.
 
     Checked once, when built: the fields named in _matrices become finite
     2-D float64 matrices, the others int64 vectors, every column has the
     same number of rows, and ids are unique. An int index gives one row as
-    _row; a slice or an index array gives a set of the same kind.
+    _row; a slice or an index array gives a set of the same kind, and so
+    does concat. Such a set's columns are cut from checked ones, so it is
+    built by _from_checked, which checks only shapes and ids.
     """
 
     _row: type
     _matrices: tuple[str, ...]
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in self._matrices:
-                column, ndim = as_float_array(value, name=f.name), 2
+        for name in _column_names(type(self)):
+            value = getattr(self, name)
+            if name in self._matrices:
+                setattr(self, name, as_float_array(value, name=name))
             else:
-                column, ndim = np.asarray(value, dtype=np.int64), 1
+                setattr(self, name, np.asarray(value, dtype=np.int64))
+        self._check_shapes_and_ids()
+
+    @classmethod
+    def _from_checked(cls, *columns):
+        """A set over columns cut from checked ones: no dtype conversion or finite scan."""
+        out = cls.__new__(cls)
+        out.__dict__.update(zip(_column_names(cls), columns))
+        out._check_shapes_and_ids()
+        return out
+
+    def _check_shapes_and_ids(self) -> None:
+        rows = set()
+        for name in _column_names(type(self)):
+            column = getattr(self, name)
+            ndim = 2 if name in self._matrices else 1
             if column.ndim != ndim:
-                raise ValueError(f"{f.name} must be {ndim}-D, got shape {column.shape}")
-            setattr(self, f.name, column)
-        if len({len(getattr(self, f.name)) for f in fields(self)}) != 1:
+                raise ValueError(f"{name} must be {ndim}-D, got shape {column.shape}")
+            rows.add(len(column))
+        if len(rows) != 1:
             raise ValueError("every column needs one entry per row")
-        if np.unique(self.ids).size != self.ids.size:
+        if len(set(self.ids.tolist())) != self.ids.size:
             raise ValueError("ids must be unique")
 
     def __len__(self) -> int:
         return self.ids.size
 
     def __iter__(self):
-        columns = [getattr(self, f.name) for f in fields(self)]
+        columns = [getattr(self, name) for name in _column_names(type(self))]
         return map(self._row, *(c.tolist() if c.ndim == 1 else c for c in columns))
 
     def __getitem__(self, key):
-        columns = [getattr(self, f.name)[key] for f in fields(self)]
+        columns = [getattr(self, name)[key] for name in _column_names(type(self))]
         if isinstance(key, (int, np.integer)):
             return self._row(*(c.item() if c.ndim == 0 else c for c in columns))
-        return type(self)(*columns)
+        return self._from_checked(*columns)
 
 
 @dataclass(eq=False)
@@ -147,7 +169,7 @@ class PairSet(_Columns):
 
     def concat(self, other: "PairSet") -> "PairSet":
         """This set's rows followed by other's; the ids of both must be disjoint."""
-        return PairSet(
+        return PairSet._from_checked(
             np.concatenate([self.ids, other.ids]),
             np.concatenate([self.images, other.images]),
             np.concatenate([self.texts, other.texts]),
@@ -207,25 +229,6 @@ class AnchorBatch:
     retrieved_pairs: PairSet
     layout: str
     skip_ret: bool
-
-
-def attach_captions(
-    samples: Iterable[Sample],
-    provider: Callable[[Sample], np.ndarray],
-) -> list[CaptionRecord]:
-    """Fetch one caption feature per sample, in sample order.
-
-    The provider must be a deterministic function of the sample; any failure
-    (or a non-finite result) is surfaced as MissingCaptionError.
-    """
-    records = []
-    for sample in samples:
-        try:
-            feature = as_float_array(provider(sample), name=f"caption for sample {sample.id}")
-        except (MissingCaptionError, KeyError, ValueError) as exc:
-            raise MissingCaptionError(f"no caption for sample {sample.id}") from exc
-        records.append(CaptionRecord(sample_id=sample.id, caption_feature=feature))
-    return records
 
 
 def build_candidate_index(params: DualEncoderParams, candidates: PairSet) -> CandidateIndex:
@@ -296,17 +299,22 @@ def assemble_anchor_batch(
     """Collect anchor pairs for one batch of samples.
 
     captions holds one caption feature row per batch row, so caption pairs
-    keep batch order. assignments maps a sample id to its ranked candidates
-    as row positions in `candidates`; pass None when retrieval anchors are
-    disabled. Retrieved pairs are the batch's ranked candidates (each
-    sample's in rank order, samples in batch order) deduped with the first
-    occurrence winning; a duplicated pair would appear as its own false
-    negative in the contrastive term.
+    keep batch order and their image matrix is batch.features itself. Its
+    rows are not scanned here: finetune_batcher checks every caption once,
+    before the first step, and encode_batch rejects a non-finite row.
+    assignments maps a sample id to its ranked candidates as row positions
+    in `candidates`; pass None when retrieval anchors are disabled.
+    Retrieved pairs are the batch's ranked candidates (each sample's in rank
+    order, samples in batch order) deduped with the first occurrence
+    winning; a duplicated pair would appear as its own false negative in the
+    contrastive term.
     """
     if layout not in ANCHOR_LAYOUTS:
         raise ValueError(f"layout must be one of {ANCHOR_LAYOUTS}, got {layout!r}")
 
-    caption_pairs = PairSet(batch.ids, batch.features, captions)
+    caption_pairs = PairSet._from_checked(
+        batch.ids, batch.features, np.asarray(captions, dtype=np.float64)
+    )
     if assignments is None:
         retrieved_pairs = caption_pairs[:0]
     else:

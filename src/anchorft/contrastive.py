@@ -72,12 +72,17 @@ def _similarity_terms(batch: PairBatch, tau: float):
     return s, row_ls, col_ls
 
 
+def _loss_value(row_ls: np.ndarray, col_ls: np.ndarray, b: int) -> LossValue:
+    """Minus the diagonal means; sum()/b is np.mean's own arithmetic, bit for bit."""
+    i2t = float(-(np.diagonal(row_ls).sum() / b))
+    t2i = float(-(np.diagonal(col_ls).sum() / b))
+    return LossValue(total=i2t + t2i, image_to_text=i2t, text_to_image=t2i)
+
+
 def contrastive_loss(batch: PairBatch, tau: float) -> LossValue:
     """Mean bidirectional cross-entropy at the diagonal. 0 for a single pair."""
     _, row_ls, col_ls = _similarity_terms(batch, tau)
-    i2t = float(-np.mean(np.diag(row_ls)))
-    t2i = float(-np.mean(np.diag(col_ls)))
-    return LossValue(total=i2t + t2i, image_to_text=i2t, text_to_image=t2i)
+    return _loss_value(row_ls, col_ls, batch.size)
 
 
 def contrastive_loss_and_grads(
@@ -92,9 +97,4 @@ def contrastive_loss_and_grads(
     df = dlds @ batch.text_embeddings / tau
     dg = dlds.T @ batch.image_embeddings / tau
     dlog_tau = float(-np.sum(dlds * s))
-    loss = LossValue(
-        total=float(-np.mean(np.diag(row_ls)) - np.mean(np.diag(col_ls))),
-        image_to_text=float(-np.mean(np.diag(row_ls))),
-        text_to_image=float(-np.mean(np.diag(col_ls))),
-    )
-    return loss, df, dg, dlog_tau
+    return _loss_value(row_ls, col_ls, b), df, dg, dlog_tau

@@ -197,10 +197,11 @@ def encoder_backward_batch(
 
     Gradients of all rows are summed. The normalization backward is
     du = (dE - (dE . e) e)/|u| per row. The result lines up with
-    theta[params.span(modality)].
+    theta[params.span(modality)]. grad_embeddings is not scanned for
+    non-finite entries; training rejects a non-finite gradient at its step.
     """
     tower = params.tower(modality)
-    de = as_float_array(grad_embeddings, name="embedding grads")
+    de = np.asarray(grad_embeddings, dtype=np.float64)
     if de.shape != cache.e.shape:
         raise ValueError("embedding grads must match the cached embeddings' shape")
     proj = np.sum(de * cache.e, axis=1, keepdims=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ from .anchors import (
 from .contrastive import PairBatch, contrastive_loss_and_grads
 from .encoders import (
     DualEncoderParams,
+    EncodeCache,
     encode_batch,
     encoder_backward_batch,
     init_params,
@@ -211,15 +212,17 @@ def _pair_term(
     grads: np.ndarray,
     weight: float,
     tau_trainable: bool,
+    image_forward: tuple[np.ndarray, EncodeCache] | None = None,
 ) -> float:
     """One contrastive term over row-aligned raw image and text matrices.
 
     Adds weight times the term's gradient into the theta-shaped vector grads
     and returns the unweighted loss. Gradient work is skipped entirely when
     the weight is zero so that zero-weight runs match disabled-term runs bit
-    for bit.
+    for bit. image_forward is what encode_batch returned for images, when
+    the caller already has it.
     """
-    f, cache_f = encode_batch(params, "image", images)
+    f, cache_f = image_forward or encode_batch(params, "image", images)
     g, cache_g = encode_batch(params, "text", texts)
     loss, df, dg, dlog_tau = contrastive_loss_and_grads(PairBatch(f, g), params.tau)
     if weight != 0.0:
@@ -247,24 +250,32 @@ def compute_total_loss_and_grads(
     order is fixed (cl, then cap, then ret) so runs are bit-reproducible.
     Disabled terms and a skipped retrieval term are exactly 0. Class prompts
     go through the text tower, so the prompt embeddings receive text-tower
-    gradients like any caption would.
+    gradients like any caption would. When the caption pairs' image matrix
+    is batch.features itself, cl and cap share one image forward pass; each
+    still runs its own backward pass.
     """
     grads = np.zeros_like(params.theta)
     enabled = set(config.enabled_losses)
     l_cl = l_cap = l_ret = 0.0
+    captions = anchor_batch.caption_pairs
+    use_cl = "cl" in enabled and len(batch)
+    use_cap = "cap" in enabled and len(captions)
+    if use_cap and anchor_batch.layout == "sep" and len(captions) != len(batch):
+        raise ValueError("caption pairs must cover the batch exactly in the sep layout")
+    shared = None
+    if use_cl and use_cap and captions.images is batch.features:
+        shared = encode_batch(params, "image", batch.features)
 
-    if "cl" in enabled and len(batch):
+    if use_cl:
         l_cl = _pair_term(
-            params, batch.features, prompts, grads, config.lambda_cl, config.tau_trainable
+            params, batch.features, prompts, grads, config.lambda_cl, config.tau_trainable,
+            shared,
         )
 
-    captions = anchor_batch.caption_pairs
-    if "cap" in enabled and len(captions):
-        if anchor_batch.layout == "sep" and len(captions) != len(batch):
-            raise ValueError("caption pairs must cover the batch exactly in the sep layout")
+    if use_cap:
         l_cap = _pair_term(
             params, captions.images, captions.texts, grads, config.lambda_cap,
-            config.tau_trainable,
+            config.tau_trainable, shared,
         )
 
     retrieved = anchor_batch.retrieved_pairs
@@ -409,7 +420,7 @@ def _optimize(
                 )
             except ValueError as exc:  # the updated tau left its range
                 raise DivergenceError(f"{where}: {exc}") from exc
-            log.append({"step": len(log), "epoch": epoch, **asdict(breakdown)})
+            log.append({"step": len(log), "epoch": epoch, **vars(breakdown)})
     return params, log
 
 
@@ -453,9 +464,11 @@ def finetune_batcher(
 
     That is each finetune sample's class-prompt and caption rows and, with
     the ret term, its retrieved candidates as row positions in `candidates`.
-    A sample without a caption raises MissingCaptionError here. In the merge
-    layout, a retrieved candidate whose id is also a finetune sample id
-    raises ValueError here too. The cutter maps an index array of finetune
+    A sample without a caption raises MissingCaptionError here, and one
+    whose caption has a non-finite entry raises ValueError naming it; the
+    steps do not scan caption rows again. In the merge layout, a retrieved
+    candidate whose id is also a finetune sample id raises ValueError here
+    too. The cutter maps an index array of finetune
     rows to (batch, prompts, anchor_batch).
     """
     prompts = prompt_table.prompt_features[
@@ -465,7 +478,14 @@ def finetune_batcher(
         caption_rows = lookup_rows([r.sample_id for r in captions], finetune_set.ids)
     except KeyError as exc:
         raise MissingCaptionError(f"no caption for sample {exc.args[0]}") from None
-    caption_features = np.array([captions[i].caption_feature for i in caption_rows.tolist()])
+    caption_features = np.array(
+        [captions[i].caption_feature for i in caption_rows.tolist()], dtype=np.float64
+    )
+    finite = np.isfinite(caption_features).all(axis=-1)
+    if not np.all(finite):
+        raise ValueError(
+            f"caption for sample {finetune_set.ids[~finite][0]} contains non-finite entries"
+        )
 
     assignments = None
     if "ret" in config.enabled_losses:

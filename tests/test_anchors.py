@@ -1,4 +1,6 @@
-"""Columnar sets, caption attachment, candidate indexing, retrieval, and batch assembly."""
+"""Columnar sets, candidate indexing, retrieval, and batch assembly."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,13 +11,11 @@ from anchorft.anchors import (
     CandidatePair,
     CheckpointMismatchError,
     MissingAssignmentError,
-    MissingCaptionError,
     PairSet,
     RETRIEVAL_MODES,
     Sample,
     SampleSet,
     assemble_anchor_batch,
-    attach_captions,
     build_candidate_index,
     lookup_rows,
     retrieve,
@@ -104,6 +104,63 @@ class TestSets:
         assert joined.texts.tobytes() == np.vstack([a.texts, b.texts]).tobytes()
 
 
+def _columns(s):
+    return [getattr(s, f.name) for f in fields(s)]
+
+
+def _assert_same_columns(got, want):
+    for a, b in zip(_columns(got), _columns(want), strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def sets_and_keys(draw):
+    """A checked set with shuffled ids, and a slice or an index array of distinct rows."""
+    n = draw(st.integers(0, 9))
+    ids = np.array(draw(st.permutations(range(100, 100 + n))), dtype=np.int64)
+    stream = RandomStream(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        s = SampleSet(ids, stream.normal_matrix(n, 3), ids % 4, ids % 2)
+    else:
+        s = PairSet(ids, stream.normal_matrix(n, 3), stream.normal_matrix(n, 2))
+    if n and draw(st.booleans()):
+        rows = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        return s, np.array(rows, dtype=np.int64)
+    return s, draw(st.slices(max(n, 1)))
+
+
+class TestSubsets:
+    @settings(max_examples=150, deadline=None)
+    @given(sets_and_keys())
+    def test_subset_equals_the_checked_constructor(self, set_and_key):
+        s, key = set_and_key
+        subset = s[key]
+        assert type(subset) is type(s)
+        _assert_same_columns(subset, type(s)(*(column[key] for column in _columns(s))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sets_and_keys(), st.data())
+    def test_repeated_index_still_raises(self, set_and_key, data):
+        s, _ = set_and_key
+        if not len(s):
+            return
+        rows = data.draw(st.lists(st.integers(0, len(s) - 1), min_size=1, max_size=5))
+        with pytest.raises(ValueError, match="ids must be unique"):
+            s[np.array(rows + rows[:1], dtype=np.int64)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 5))
+    def test_concat_equals_the_checked_constructor(self, n, m, shift):
+        a = make_candidates(n, start_id=10)
+        b = make_candidates(m, seed=7, start_id=10 + n)
+        checked = PairSet(*(np.concatenate(pair) for pair in zip(_columns(a), _columns(b))))
+        _assert_same_columns(a.concat(b), checked)
+        overlapping = make_candidates(m + 1, seed=7, start_id=10 + min(shift, n - 1))
+        with pytest.raises(ValueError, match="ids must be unique"):
+            a.concat(overlapping)
+
+
 class TestLookupRows:
     def test_positions_follow_the_wanted_order(self):
         assert lookup_rows([30, 10, 20], [20, 30, 20]).tolist() == [2, 0, 2]
@@ -114,33 +171,6 @@ class TestLookupRows:
             lookup_rows([30, 10, 20], [10, 40])
         with pytest.raises(KeyError):
             lookup_rows([], [1])
-
-
-class TestAttachCaptions:
-    def test_one_record_per_sample_in_order(self):
-        samples = make_samples(5)
-        records = attach_captions(samples, lambda s: s.feature * 2.0)
-        assert [r.sample_id for r in records] == [s.id for s in samples]
-        assert np.array_equal(records[3].caption_feature, samples[3].feature * 2.0)
-
-    def test_deterministic_provider_gives_identical_records(self):
-        samples = make_samples(4)
-        provider = lambda s: s.feature + 0.5
-        a = attach_captions(samples, provider)
-        b = attach_captions(samples, provider)
-        for ra, rb in zip(a, b):
-            assert ra.caption_feature.tobytes() == rb.caption_feature.tobytes()
-
-    def test_provider_failure_becomes_missing_caption(self):
-        def broken(sample):
-            raise KeyError(sample.id)
-
-        with pytest.raises(MissingCaptionError):
-            attach_captions(make_samples(2), broken)
-
-    def test_non_finite_caption_rejected(self):
-        with pytest.raises(MissingCaptionError):
-            attach_captions(make_samples(1), lambda s: np.full(TXT_DIM, np.nan))
 
 
 class TestBuildCandidateIndex:

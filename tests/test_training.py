@@ -1,10 +1,12 @@
 """Optimizer, composite loss, and training-loop checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import anchorft.training as training
-from anchorft.anchors import MissingCaptionError, PairSet, build_candidate_index
+from anchorft.anchors import CaptionRecord, MissingCaptionError, PairSet, build_candidate_index
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.encoders import init_params
 from anchorft.training import (
@@ -193,6 +195,31 @@ class TestComputeTotalLoss:
         _, g_a = compute_total_loss_and_grads(start.params, *problem, only_cl)
         _, g_b = compute_total_loss_and_grads(start.params, *problem, zero_weight)
         assert g_a.tobytes() == g_b.tobytes()
+
+    def test_shared_image_forward_matches_separate_forwards_bitwise(self, monkeypatch):
+        bundle, start, index, _ = finetune_inputs()
+        cfg = tiny_train_config(tau_trainable=True, retrieval_k=2)
+        batch, prompts, anchor_batch = step_inputs(bundle, start.params, index, cfg, 4)
+        captions, retrieved = anchor_batch.caption_pairs, anchor_batch.retrieved_pairs
+        assert captions.images is batch.features
+        image_rows = []
+        real_encode = training.encode_batch
+
+        def counted_encode(params, modality, raw):
+            if modality == "image":
+                image_rows.append(len(raw))
+            return real_encode(params, modality, raw)
+
+        monkeypatch.setattr(training, "encode_batch", counted_encode)
+        shared = compute_total_loss_and_grads(start.params, batch, prompts, anchor_batch, cfg)
+        assert image_rows == [4, len(retrieved)]
+        copied = PairSet(captions.ids, captions.images.copy(), captions.texts)
+        separate = compute_total_loss_and_grads(
+            start.params, batch, prompts, replace(anchor_batch, caption_pairs=copied), cfg
+        )
+        assert image_rows[2:] == [4, 4, len(retrieved)]
+        assert vars(shared[0]) == vars(separate[0])
+        assert shared[1].tobytes() == separate[1].tobytes()
 
     def anchored_problem(self):
         bundle, start, index, _ = finetune_inputs()
@@ -387,6 +414,29 @@ class TestRunFinetune:
             run_finetune(
                 bundle.finetune, bundle.prompts_id, bundle.captions[:-1], index,
                 bundle.candidates, start, cfg,
+            )
+        assert steps == []
+
+    def test_non_finite_caption_raises_naming_the_sample_before_the_first_step(
+        self, monkeypatch
+    ):
+        bundle, start, index, cfg = finetune_inputs()
+        steps = []
+        real_step = training.compute_total_loss_and_grads
+
+        def counted_step(*args):
+            steps.append(1)
+            return real_step(*args)
+
+        monkeypatch.setattr(training, "compute_total_loss_and_grads", counted_step)
+        captions = list(bundle.captions)
+        bad = captions[5]
+        feature = bad.caption_feature.copy()
+        feature[1] = np.inf
+        captions[5] = CaptionRecord(bad.sample_id, feature)
+        with pytest.raises(ValueError, match=rf"caption for sample {bad.sample_id} contains"):
+            run_finetune(
+                bundle.finetune, bundle.prompts_id, captions, index, bundle.candidates, start, cfg
             )
         assert steps == []
 
