@@ -1,7 +1,8 @@
 """Columnar datasets, anchor supervision, retrieval, and batch assembly.
 
-A SampleSet holds a labeled split and a PairSet holds (image, text) pairs:
-the pretraining pool, the candidate pool, and each step's anchor pairs.
+A SampleSet holds a labeled split, a CaptionSet the finetune captions, and
+a PairSet (image, text) pairs: the pretraining pool, the candidate pool, and
+each step's anchor pairs.
 
 Two kinds of anchors regularize finetuning: caption pairs attached to each
 finetune sample, and image-text pairs retrieved from a fixed candidate pool
@@ -18,13 +19,13 @@ from typing import Mapping
 import numpy as np
 
 from .encoders import DualEncoderParams, encode_batch, param_fingerprint
-from .numerics import as_float_array
 
 __all__ = [
     "AnchorBatch",
     "CandidateIndex",
     "CandidatePair",
     "CaptionRecord",
+    "CaptionSet",
     "CheckpointMismatchError",
     "MissingAssignmentError",
     "MissingCaptionError",
@@ -69,7 +70,7 @@ class Sample:
 
 @dataclass(frozen=True)
 class CaptionRecord:
-    """Caption feature attached to a sample."""
+    """Caption feature attached to a sample: a row of a CaptionSet."""
 
     sample_id: int
     caption_feature: np.ndarray
@@ -92,37 +93,49 @@ def _column_names(cls) -> tuple[str, ...]:
 class _Columns:
     """A set whose dataclass fields are columns with one entry per row.
 
-    Checked once, when built: the fields named in _matrices become finite
-    2-D float64 matrices, the others int64 vectors, every column has the
-    same number of rows, and ids are unique. An int index gives one row as
-    _row; a slice or an index array gives a set of the same kind, and so
-    does concat. Such a set's columns are cut from checked ones, so it is
-    built by _from_checked, which checks only shapes and ids.
+    The first field is the key column. Checked once, when built: the fields
+    named in _matrices become finite 2-D float64 matrices, the others int64
+    vectors, every column has the same number of rows, and keys are unique.
+    A non-finite matrix row raises ValueError naming its key. An int index
+    gives one row as _row; a slice or an index array gives a set of the
+    same kind, and so does concat. Such a set's columns are cut from checked
+    ones, so it is built by _from_checked, which checks only shapes and keys.
     """
 
-    _row: type
     _matrices: tuple[str, ...]
 
+    @staticmethod
+    def _row(*entries):
+        """A row of a set without a row type: the tuple of its column entries."""
+        return entries
+
     def __post_init__(self):
-        for name in _column_names(type(self)):
-            value = getattr(self, name)
-            if name in self._matrices:
-                setattr(self, name, as_float_array(value, name=name))
-            else:
-                setattr(self, name, np.asarray(value, dtype=np.int64))
-        self._check_shapes_and_ids()
+        names = _column_names(type(self))
+        for name in names:
+            dtype = np.float64 if name in self._matrices else np.int64
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        self._check_shapes_and_keys()
+        key = getattr(self, names[0])
+        for name in self._matrices:
+            finite = np.isfinite(getattr(self, name)).all(axis=1)
+            if not finite.all():
+                raise ValueError(
+                    f"{type(self).__name__}.{name}: the row with {names[0]} "
+                    f"{key[~finite][0]} contains non-finite entries"
+                )
 
     @classmethod
     def _from_checked(cls, *columns):
         """A set over columns cut from checked ones: no dtype conversion or finite scan."""
         out = cls.__new__(cls)
         out.__dict__.update(zip(_column_names(cls), columns))
-        out._check_shapes_and_ids()
+        out._check_shapes_and_keys()
         return out
 
-    def _check_shapes_and_ids(self) -> None:
+    def _check_shapes_and_keys(self) -> None:
+        names = _column_names(type(self))
         rows = set()
-        for name in _column_names(type(self)):
+        for name in names:
             column = getattr(self, name)
             ndim = 2 if name in self._matrices else 1
             if column.ndim != ndim:
@@ -130,11 +143,11 @@ class _Columns:
             rows.add(len(column))
         if len(rows) != 1:
             raise ValueError("every column needs one entry per row")
-        if len(set(self.ids.tolist())) != self.ids.size:
-            raise ValueError("ids must be unique")
+        if len(set(getattr(self, names[0]).tolist())) != len(self):
+            raise ValueError(f"{names[0]} must be unique")
 
     def __len__(self) -> int:
-        return self.ids.size
+        return len(getattr(self, _column_names(type(self))[0]))
 
     def __iter__(self):
         columns = [getattr(self, name) for name in _column_names(type(self))]
@@ -145,6 +158,13 @@ class _Columns:
         if isinstance(key, (int, np.integer)):
             return self._row(*(c.item() if c.ndim == 0 else c for c in columns))
         return self._from_checked(*columns)
+
+    def concat(self, other):
+        """This set's rows followed by other's; the keys of both must be disjoint."""
+        return self._from_checked(*(
+            np.concatenate([getattr(self, name), getattr(other, name)])
+            for name in _column_names(type(self))
+        ))
 
 
 @dataclass(eq=False)
@@ -159,6 +179,15 @@ class SampleSet(_Columns):
 
 
 @dataclass(eq=False)
+class CaptionSet(_Columns):
+    """Captions as columns; row i is the caption feature of sample ids[i]."""
+
+    _row, _matrices = CaptionRecord, ("features",)
+    ids: np.ndarray
+    features: np.ndarray
+
+
+@dataclass(eq=False)
 class PairSet(_Columns):
     """(image, text) pairs as columns; row i is (ids[i], images[i], texts[i])."""
 
@@ -166,14 +195,6 @@ class PairSet(_Columns):
     ids: np.ndarray
     images: np.ndarray
     texts: np.ndarray
-
-    def concat(self, other: "PairSet") -> "PairSet":
-        """This set's rows followed by other's; the ids of both must be disjoint."""
-        return PairSet._from_checked(
-            np.concatenate([self.ids, other.ids]),
-            np.concatenate([self.images, other.images]),
-            np.concatenate([self.texts, other.texts]),
-        )
 
 
 def lookup_rows(ids, wanted) -> np.ndarray:
@@ -194,23 +215,24 @@ def lookup_rows(ids, wanted) -> np.ndarray:
 
 @dataclass
 class CandidateIndex:
-    """Precomputed pool embeddings; row i belongs to candidate_ids[i]."""
+    """Precomputed pool embeddings; row i belongs to candidate_ids[i], an int64 column."""
 
-    candidate_ids: list[int]
+    candidate_ids: np.ndarray
     image_embeddings: np.ndarray
     text_embeddings: np.ndarray
     source_checkpoint_id: str
 
     def __post_init__(self):
-        n = len(self.candidate_ids)
-        if len(set(self.candidate_ids)) != n:
+        self.candidate_ids = np.asarray(self.candidate_ids, dtype=np.int64)
+        n = self.candidate_ids.size
+        if len(set(self.candidate_ids.tolist())) != n:
             raise ValueError("candidate ids must be unique")
         if self.image_embeddings.shape[0] != n or self.text_embeddings.shape[0] != n:
             raise ValueError("embedding row count must match candidate_ids")
 
     @property
     def size(self) -> int:
-        return len(self.candidate_ids)
+        return self.candidate_ids.size
 
 
 @dataclass
@@ -238,7 +260,7 @@ def build_candidate_index(params: DualEncoderParams, candidates: PairSet) -> Can
     image_emb, _ = encode_batch(params, "image", candidates.images)
     text_emb, _ = encode_batch(params, "text", candidates.texts)
     return CandidateIndex(
-        candidate_ids=candidates.ids.tolist(),
+        candidate_ids=candidates.ids,
         image_embeddings=image_emb,
         text_embeddings=text_emb,
         source_checkpoint_id=param_fingerprint(params),
@@ -273,7 +295,7 @@ def retrieve(
 
     modality = "image" if mode[0] == "v" else "text"
     side = index.text_embeddings if mode[-1] == "t" else index.image_embeddings
-    ids = np.asarray(index.candidate_ids, dtype=np.int64)
+    ids = index.candidate_ids
     order = np.argsort(ids, kind="stable")
     query_emb, _ = encode_batch(params, modality, query_features)
     scores = query_emb @ side[order].T

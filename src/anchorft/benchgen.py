@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .anchors import CaptionRecord, PairSet, SampleSet
+from .anchors import CaptionSet, PairSet, SampleSet
 from .evaluation import PromptTable
 from .numerics import (
     LANE_BLOCK,
@@ -112,11 +112,9 @@ class BenchmarkBundle:
     """Everything one experiment needs, generated from a single seed."""
 
     gen_config: GenConfig
-    id_class_ids: list[int]
-    zsl_class_ids: list[int]
     pretrain_pool: PairSet
     finetune: SampleSet
-    captions: list[CaptionRecord]
+    captions: CaptionSet
     prompts_id: PromptTable
     prompts_zsl: PromptTable
     candidates: PairSet
@@ -302,7 +300,7 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
     finetune_domains = np.zeros_like(finetune_classes)
     ids, features, caption_rows = entities(finetune_classes, finetune_domains, captions=True)
     finetune = SampleSet(ids, features, finetune_classes, finetune_domains)
-    captions = [CaptionRecord(i, row) for i, row in zip(ids.tolist(), caption_rows)]
+    captions = CaptionSet(ids, caption_rows)
 
     # Round-robin over classes so any pool of at least n_classes candidates
     # covers every class, seen and held-out alike. Most candidates live in
@@ -328,8 +326,6 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
 
     return BenchmarkBundle(
         gen_config=cfg,
-        id_class_ids=id_classes,
-        zsl_class_ids=zsl_classes,
         pretrain_pool=pretrain_pool,
         finetune=finetune,
         captions=captions,

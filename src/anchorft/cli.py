@@ -86,8 +86,8 @@ def cmd_benchgen(args) -> int:
     bundle = generate_benchmark(config)
     fileio.write_bundle(args.out, bundle)
     print(
-        f"wrote bundle to {args.out}: {len(bundle.id_class_ids)} seen + "
-        f"{len(bundle.zsl_class_ids)} held-out classes, "
+        f"wrote bundle to {args.out}: {len(bundle.prompts_id)} seen + "
+        f"{len(bundle.prompts_zsl)} held-out classes, "
         f"{len(bundle.finetune)} finetune samples, {len(bundle.candidates)} candidates"
     )
     return 0

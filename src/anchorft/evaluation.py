@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .anchors import _Columns
 from .encoders import DualEncoderParams, encode_batch
 from .numerics import as_float_array
 
@@ -36,23 +37,13 @@ class EmptySplitError(ValueError):
     """A requested evaluation split has no samples."""
 
 
-@dataclass
-class PromptTable:
-    """Class prompts: row i of prompt_features is the prompt for class_ids[i]."""
+@dataclass(eq=False)
+class PromptTable(_Columns):
+    """Class prompts as columns keyed by class id; row i is the prompt for class_ids[i]."""
 
-    class_ids: list[int]
+    _matrices = ("prompt_features",)
+    class_ids: np.ndarray
     prompt_features: np.ndarray
-
-    def __post_init__(self):
-        self.prompt_features = as_float_array(self.prompt_features, name="prompt features")
-        if len(self.class_ids) != self.prompt_features.shape[0]:
-            raise ValueError("one prompt row per class id required")
-        if len(set(self.class_ids)) != len(self.class_ids):
-            raise ValueError("class ids must be unique")
-        self._row_of = {c: i for i, c in enumerate(self.class_ids)}
-
-    def feature_for(self, class_id: int) -> np.ndarray:
-        return self.prompt_features[self._row_of[class_id]]
 
 
 @dataclass
@@ -177,12 +168,7 @@ def evaluate_splits(
                 raise EmptySplitError("zsl split is empty")
             prompts = bundle.prompts_zsl
             if zsl_strict:
-                prompts = PromptTable(
-                    class_ids=bundle.prompts_id.class_ids + bundle.prompts_zsl.class_ids,
-                    prompt_features=np.vstack(
-                        [bundle.prompts_id.prompt_features, bundle.prompts_zsl.prompt_features]
-                    ),
-                )
+                prompts = bundle.prompts_id.concat(bundle.prompts_zsl)
             results.append(_accuracy(params, bundle.zsl_test, prompts, "zsl"))
 
     ood = [r.accuracy_percent for r in results if r.split_name != "id"]

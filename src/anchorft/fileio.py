@@ -13,13 +13,12 @@ import dataclasses
 import json
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .anchors import CandidateIndex, CaptionRecord, PairSet, SampleSet
+from .anchors import CandidateIndex, CaptionSet, PairSet, SampleSet
 from .benchgen import BenchmarkBundle, GenConfig
 from .encoders import MODALITIES, DualEncoderParams, EncoderParams
 from .evaluation import EnsembleCurve, Metrics, PromptTable
@@ -29,9 +28,8 @@ from .training import Checkpoint, TrainConfig, checkpoint_id
 __all__ = [
     "BadMagicError",
     "CodecError",
-    "FeatureSet",
+    "FieldTypeError",
     "HashMismatchError",
-    "ManifestRecord",
     "MissingFieldError",
     "RowCountMismatchError",
     "UnknownKeyError",
@@ -87,6 +85,10 @@ class RowCountMismatchError(CodecError):
 
 class MissingFieldError(CodecError):
     """A required field is absent from a structured artifact."""
+
+
+class FieldTypeError(CodecError):
+    """An id or tag is not a JSON integer in the int64 range."""
 
 
 class HashMismatchError(CodecError):
@@ -160,6 +162,14 @@ def _require(doc: dict, keys: Sequence[str], where: str) -> None:
         raise MissingFieldError(f"{where}: missing fields {missing}")
 
 
+def _int_column(values: list, where: str) -> np.ndarray:
+    """An int64 column of JSON values; floats, strings, bools and nulls are rejected."""
+    bad = [v for v in values if type(v) is not int or not -(2**63) <= v < 2**63]
+    if bad:
+        raise FieldTypeError(f"{where}: {json.dumps(bad[0])} is not a 64-bit JSON integer")
+    return np.array(values, dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # binary matrices
 
@@ -203,36 +213,6 @@ def read_matrix(path, magic: bytes = FEATURE_MAGIC) -> np.ndarray:
 _MANIFEST_KEYS = ("id", "class_id", "domain_id", "kind")
 
 
-@dataclass(frozen=True)
-class ManifestRecord:
-    """One row of a feature set: identity and tags, features live in the matrix."""
-
-    id: int
-    kind: str
-    class_id: int | None = None
-    domain_id: int | None = None
-
-
-@dataclass
-class FeatureSet:
-    """Ordered manifest records plus the matrix whose row i belongs to record i."""
-
-    records: list[ManifestRecord]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = as_float_array(self.matrix, name="feature matrix")
-        if self.matrix.ndim != 2:
-            raise ValueError("feature matrix must be 2-D")
-        if len(self.records) != self.matrix.shape[0]:
-            raise RowCountMismatchError(
-                f"{len(self.records)} manifest records vs {self.matrix.shape[0]} matrix rows"
-            )
-        ids = [r.id for r in self.records]
-        if len(set(ids)) != len(ids):
-            raise ValueError("feature set ids must be unique")
-
-
 def _manifest_path(stem) -> Path:
     return Path(str(stem) + ".manifest.jsonl")
 
@@ -241,36 +221,53 @@ def _matrix_path(stem) -> Path:
     return Path(str(stem) + ".arfm")
 
 
-def write_feature_set(stem, feature_set: FeatureSet) -> None:
-    lines = []
-    for r in feature_set.records:
-        lines.append(
-            json.dumps(
-                {"id": r.id, "class_id": r.class_id, "domain_id": r.domain_id, "kind": r.kind}
-            )
-        )
+def write_feature_set(stem, kind: str, ids, matrix, class_ids=None, domain_ids=None) -> None:
+    """A manifest line per row (id, class_id, domain_id, kind), then the 32-bit matrix.
+
+    Row i of the matrix belongs to line i; a tag column given as None is
+    null on every line.
+    """
+    n = len(matrix)
+    columns = [
+        [None] * n if c is None else np.asarray(c).tolist() for c in (ids, class_ids, domain_ids)
+    ]
+    if any(len(c) != n for c in columns):
+        raise RowCountMismatchError(f"{stem}: every id and tag column needs {n} rows")
+    lines = (
+        json.dumps({"id": i, "class_id": c, "domain_id": d, "kind": kind})
+        for i, c, d in zip(*columns)
+    )
     write_text(_manifest_path(stem), "".join(line + "\n" for line in lines))
-    write_matrix(_matrix_path(stem), feature_set.matrix, FEATURE_MAGIC)
+    write_matrix(_matrix_path(stem), matrix, FEATURE_MAGIC)
 
 
-def read_feature_set(stem) -> FeatureSet:
+def read_feature_set(stem, kind: str) -> tuple:
+    """(ids, class_ids, domain_ids, matrix) of a feature set whose lines all have `kind`.
+
+    Ids and tags come back as int64 columns. A tag column is None when a
+    non-empty manifest has it null on every line; a null beside integers
+    raises FieldTypeError.
+    """
     manifest = _manifest_path(stem)
-    records = []
-    for doc in read_jsonl(manifest):
+    docs = read_jsonl(manifest)
+    for doc in docs:
         unknown = sorted(set(doc) - set(_MANIFEST_KEYS))
         if unknown:
             raise UnknownKeyError(f"{manifest}: unknown manifest keys {unknown}")
         _require(doc, ("id", "kind"), str(manifest))
-        records.append(
-            ManifestRecord(
-                id=int(doc["id"]),
-                kind=str(doc["kind"]),
-                class_id=doc.get("class_id"),
-                domain_id=doc.get("domain_id"),
-            )
-        )
+        if doc["kind"] != kind:
+            raise CodecError(f"{manifest}: kind {doc['kind']!r}, expected {kind!r}")
+    columns = [_int_column([doc["id"] for doc in docs], f"{manifest}: id")]
+    for name in ("class_id", "domain_id"):
+        values = [doc.get(name) for doc in docs]
+        null = bool(values) and all(v is None for v in values)
+        columns.append(None if null else _int_column(values, f"{manifest}: {name}"))
     matrix = read_matrix(_matrix_path(stem), FEATURE_MAGIC)
-    return FeatureSet(records=records, matrix=matrix)
+    if matrix.shape[0] != len(docs):
+        raise RowCountMismatchError(
+            f"{manifest}: {len(docs)} manifest lines vs {matrix.shape[0]} matrix rows"
+        )
+    return (*columns, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +346,7 @@ def write_candidate_index(dir_path, index: CandidateIndex) -> None:
         {
             "version": INDEX_VERSION,
             "source_checkpoint_id": index.source_checkpoint_id,
-            "candidate_ids": list(index.candidate_ids),
+            "candidate_ids": index.candidate_ids.tolist(),
         },
     )
     write_matrix(dir_path / "image_embeddings.arfi", index.image_embeddings, EMBEDDING_MAGIC)
@@ -366,7 +363,7 @@ def read_candidate_index(dir_path) -> CandidateIndex:
         )
     image = read_matrix(dir_path / "image_embeddings.arfi", EMBEDDING_MAGIC)
     text = read_matrix(dir_path / "text_embeddings.arfi", EMBEDDING_MAGIC)
-    ids = [int(c) for c in meta["candidate_ids"]]
+    ids = _int_column(meta["candidate_ids"], f"{dir_path}: candidate_ids")
     if image.shape[0] != len(ids) or text.shape[0] != len(ids):
         raise RowCountMismatchError(
             f"{dir_path}: {len(ids)} candidate ids vs "
@@ -411,45 +408,36 @@ def parse_train_config(doc: dict) -> TrainConfig:
 # ---------------------------------------------------------------------------
 # benchmark bundles
 
-def _records(ids, kind: str, class_ids=None, domain_ids=None) -> list[ManifestRecord]:
-    """One manifest record per id; the manifest is one JSON line per row."""
-    tags = [[None] * len(ids) if c is None else np.asarray(c).tolist()
-            for c in (ids, class_ids, domain_ids)]
-    return [ManifestRecord(i, kind, c, d) for i, c, d in zip(*tags)]
-
-
 def _write_samples(stem: Path, samples: SampleSet) -> None:
-    records = _records(samples.ids, "image", samples.class_ids, samples.domain_ids)
-    write_feature_set(stem, FeatureSet(records, samples.features))
+    write_feature_set(
+        stem, "image", samples.ids, samples.features, samples.class_ids, samples.domain_ids
+    )
 
 
 def _read_samples(stem: Path) -> SampleSet:
-    fs = read_feature_set(stem)
-    tags = [(r.id, r.class_id, r.domain_id) for r in fs.records]
-    if any(None in tag for tag in tags):
+    ids, class_ids, domain_ids, matrix = read_feature_set(stem, "image")
+    if class_ids is None or domain_ids is None:
         raise MissingFieldError(f"{stem}: sample records need class_id and domain_id")
-    ids, class_ids, domain_ids = np.array(tags, dtype=np.int64).reshape(-1, 3).T
-    return SampleSet(ids, fs.matrix, class_ids, domain_ids)
+    return SampleSet(ids, matrix, class_ids, domain_ids)
 
 
 def _write_pairs(dir_path: Path, stem: str, pairs: PairSet) -> None:
     for side, matrix in (("image", pairs.images), ("text", pairs.texts)):
-        records = _records(pairs.ids, f"pair_{side}")
-        write_feature_set(dir_path / f"{stem}.{side}", FeatureSet(records, matrix))
+        write_feature_set(dir_path / f"{stem}.{side}", f"pair_{side}", pairs.ids, matrix)
 
 
 def _read_pairs(dir_path: Path, stem: str) -> PairSet:
-    image = read_feature_set(dir_path / f"{stem}.image")
-    text = read_feature_set(dir_path / f"{stem}.text")
-    ids = [r.id for r in image.records]
-    if ids != [r.id for r in text.records]:
+    ids, _, _, images = read_feature_set(dir_path / f"{stem}.image", "pair_image")
+    text_ids, _, _, texts = read_feature_set(dir_path / f"{stem}.text", "pair_text")
+    if not np.array_equal(ids, text_ids):
         raise CodecError(f"{dir_path}/{stem}: image and text manifests disagree on ids")
-    return PairSet(ids, image.matrix, text.matrix)
+    return PairSet(ids, images, texts)
 
 
-def _prompt_set(prompts: PromptTable) -> FeatureSet:
-    records = _records(prompts.class_ids, "prompt", class_ids=prompts.class_ids)
-    return FeatureSet(records, prompts.prompt_features)
+def _read_keyed(stem: Path, kind: str, cls):
+    """A set of a key column and one matrix: captions or prompts."""
+    ids, _, _, matrix = read_feature_set(stem, kind)
+    return cls(ids, matrix)
 
 
 def write_bundle(dir_path, bundle: BenchmarkBundle) -> None:
@@ -460,15 +448,14 @@ def write_bundle(dir_path, bundle: BenchmarkBundle) -> None:
     _write_pairs(dir_path, "pretrain", bundle.pretrain_pool)
     _write_pairs(dir_path, "candidates", bundle.candidates)
     _write_samples(dir_path / "finetune", bundle.finetune)
-    write_feature_set(
-        dir_path / "captions",
-        FeatureSet(
-            _records([c.sample_id for c in bundle.captions], "caption"),
-            np.array([c.caption_feature for c in bundle.captions]),
-        ),
-    )
-    write_feature_set(dir_path / "prompts_id", _prompt_set(bundle.prompts_id))
-    write_feature_set(dir_path / "prompts_zsl", _prompt_set(bundle.prompts_zsl))
+    captions = bundle.captions
+    write_feature_set(dir_path / "captions", "caption", captions.ids, captions.features)
+    for name in ("prompts_id", "prompts_zsl"):
+        prompts = getattr(bundle, name)
+        write_feature_set(
+            dir_path / name, "prompt", prompts.class_ids, prompts.prompt_features,
+            prompts.class_ids,
+        )
     _write_samples(dir_path / "test_id", bundle.id_test)
     for domain in sorted(bundle.ds_tests):
         _write_samples(dir_path / f"test_ds{domain}", bundle.ds_tests[domain])
@@ -479,25 +466,13 @@ def load_bundle(dir_path) -> BenchmarkBundle:
     """Rebuild a bundle from disk; features come back through the 32-bit store."""
     dir_path = Path(dir_path)
     config = parse_gen_config(read_json(dir_path / "gen_config.json"))
-    captions_set = read_feature_set(dir_path / "captions")
-    prompts = {}
-    for name in ("prompts_id", "prompts_zsl"):
-        fs = read_feature_set(dir_path / name)
-        prompts[name] = PromptTable(
-            class_ids=[r.id for r in fs.records], prompt_features=fs.matrix
-        )
     return BenchmarkBundle(
         gen_config=config,
-        id_class_ids=prompts["prompts_id"].class_ids,
-        zsl_class_ids=prompts["prompts_zsl"].class_ids,
         pretrain_pool=_read_pairs(dir_path, "pretrain"),
         finetune=_read_samples(dir_path / "finetune"),
-        captions=[
-            CaptionRecord(sample_id=r.id, caption_feature=row)
-            for r, row in zip(captions_set.records, captions_set.matrix)
-        ],
-        prompts_id=prompts["prompts_id"],
-        prompts_zsl=prompts["prompts_zsl"],
+        captions=_read_keyed(dir_path / "captions", "caption", CaptionSet),
+        prompts_id=_read_keyed(dir_path / "prompts_id", "prompt", PromptTable),
+        prompts_zsl=_read_keyed(dir_path / "prompts_zsl", "prompt", PromptTable),
         candidates=_read_pairs(dir_path, "candidates"),
         id_test=_read_samples(dir_path / "test_id"),
         ds_tests={

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .anchors import (
     RETRIEVAL_MODES,
     AnchorBatch,
     CandidateIndex,
-    CaptionRecord,
+    CaptionSet,
     MissingAssignmentError,
     MissingCaptionError,
     PairSet,
@@ -454,7 +454,7 @@ def pretrain(pool: PairSet, config: TrainConfig) -> tuple[Checkpoint, list[dict]
 def finetune_batcher(
     finetune_set: SampleSet,
     prompt_table: PromptTable,
-    captions: Sequence[CaptionRecord],
+    captions: CaptionSet,
     candidate_index: CandidateIndex | None,
     candidates: PairSet | None,
     params: DualEncoderParams,
@@ -464,28 +464,19 @@ def finetune_batcher(
 
     That is each finetune sample's class-prompt and caption rows and, with
     the ret term, its retrieved candidates as row positions in `candidates`.
-    A sample without a caption raises MissingCaptionError here, and one
-    whose caption has a non-finite entry raises ValueError naming it; the
-    steps do not scan caption rows again. In the merge layout, a retrieved
-    candidate whose id is also a finetune sample id raises ValueError here
-    too. The cutter maps an index array of finetune
-    rows to (batch, prompts, anchor_batch).
+    A sample without a caption raises MissingCaptionError here; building
+    the CaptionSet checked every caption row, so the steps do not scan
+    them again. In the merge layout, a retrieved candidate whose id is
+    also a finetune sample id raises ValueError here too. The cutter maps
+    an index array of finetune rows to (batch, prompts, anchor_batch).
     """
     prompts = prompt_table.prompt_features[
         lookup_rows(prompt_table.class_ids, finetune_set.class_ids)
     ]
     try:
-        caption_rows = lookup_rows([r.sample_id for r in captions], finetune_set.ids)
+        caption_features = captions.features[lookup_rows(captions.ids, finetune_set.ids)]
     except KeyError as exc:
         raise MissingCaptionError(f"no caption for sample {exc.args[0]}") from None
-    caption_features = np.array(
-        [captions[i].caption_feature for i in caption_rows.tolist()], dtype=np.float64
-    )
-    finite = np.isfinite(caption_features).all(axis=-1)
-    if not np.all(finite):
-        raise ValueError(
-            f"caption for sample {finetune_set.ids[~finite][0]} contains non-finite entries"
-        )
 
     assignments = None
     if "ret" in config.enabled_losses:
@@ -522,7 +513,7 @@ def finetune_batcher(
 def run_finetune(
     finetune_set: SampleSet,
     prompt_table: PromptTable,
-    captions: Sequence[CaptionRecord],
+    captions: CaptionSet,
     candidate_index: CandidateIndex | None,
     candidates: PairSet | None,
     start: Checkpoint,

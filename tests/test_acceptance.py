@@ -30,9 +30,7 @@ from anchorft.evaluation import (
 )
 from anchorft.fileio import (
     BadMagicError,
-    FeatureSet,
     HashMismatchError,
-    ManifestRecord,
     read_checkpoint,
     read_feature_set,
     write_bundle,
@@ -614,21 +612,19 @@ def test_classification_invariant_under_positive_score_scaling():
 
 def test_codecs_round_trip_and_reject_corruption(tmp_path):
     stream = RandomStream(derive_seed(910, 0))
-    records = [
-        ManifestRecord(id=50 + i, kind="image", class_id=i % 3, domain_id=i % 2)
-        for i in range(6)
-    ]
+    rows = np.arange(6)
+    columns = (50 + rows, rows % 3, rows % 2)
     matrix = stream.normal_matrix(6, 5)
-    write_feature_set(tmp_path / "fs", FeatureSet(records=records, matrix=matrix))
-    loaded = read_feature_set(tmp_path / "fs")
+    write_feature_set(tmp_path / "fs", "image", columns[0], matrix, *columns[1:])
+    *loaded, loaded_matrix = read_feature_set(tmp_path / "fs", "image")
     stored = matrix.astype(np.float32).astype(np.float64)
-    assert loaded.matrix.tobytes() == stored.tobytes()
-    assert loaded.records == records
+    assert loaded_matrix.tobytes() == stored.tobytes()
+    assert all(np.array_equal(got, want) for got, want in zip(loaded, columns))
 
     payload = (tmp_path / "fs.arfm").read_bytes()
     (tmp_path / "fs.arfm").write_bytes(b"XXXX" + payload[4:])
     with pytest.raises(BadMagicError):
-        read_feature_set(tmp_path / "fs")
+        read_feature_set(tmp_path / "fs", "image")
 
     params = init_params(3, (6, 7), 8, 4)
     ckpt = make_checkpoint(params, TrainConfig(**SMALL_TRAIN), "pretrained")

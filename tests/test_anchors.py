@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from anchorft.anchors import (
     CandidatePair,
+    CaptionRecord,
+    CaptionSet,
     CheckpointMismatchError,
     MissingAssignmentError,
     PairSet,
@@ -21,6 +23,7 @@ from anchorft.anchors import (
     retrieve,
 )
 from anchorft.encoders import encode_batch, init_params
+from anchorft.evaluation import PromptTable
 from anchorft.numerics import RandomStream
 
 
@@ -67,6 +70,9 @@ class TestSets:
         pair = make_candidates(3)[1]
         assert isinstance(pair, CandidatePair) and pair.id == 1001
         assert np.array_equal(pair.text_feature, make_candidates(3).texts[1])
+        caption = CaptionSet([7, 3], np.eye(2))[1]
+        assert isinstance(caption, CaptionRecord) and caption.sample_id == 3
+        assert caption.caption_feature.tolist() == [0.0, 1.0]
 
     def test_slices_and_index_arrays_give_sets(self):
         samples = make_samples(6)
@@ -97,6 +103,19 @@ class TestSets:
         with pytest.raises(ValueError):
             make_candidates(2).concat(make_candidates(2))
 
+    def test_the_first_column_is_the_key(self):
+        bad = np.zeros((2, 3))
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match="PairSet.texts: the row with ids 7 contains"):
+            PairSet([0, 7], np.zeros((2, 3)), bad)
+        with pytest.raises(ValueError, match="prompt_features: the row with class_ids 9 contains"):
+            PromptTable([4, 9], bad)
+        with pytest.raises(ValueError, match="class_ids must be unique"):
+            PromptTable([4, 4], np.zeros((2, 3)))
+        prompts = PromptTable([4, 9], np.eye(2)).concat(PromptTable([1], np.ones((1, 2))))
+        assert prompts.class_ids.tolist() == [4, 9, 1] and len(prompts) == 3
+        assert prompts[1][0] == 9
+
     def test_concat_keeps_row_order(self):
         a, b = make_candidates(2), make_candidates(3, start_id=7)
         joined = a.concat(b)
@@ -120,10 +139,12 @@ def sets_and_keys(draw):
     n = draw(st.integers(0, 9))
     ids = np.array(draw(st.permutations(range(100, 100 + n))), dtype=np.int64)
     stream = RandomStream(draw(st.integers(0, 2**32)))
-    if draw(st.booleans()):
-        s = SampleSet(ids, stream.normal_matrix(n, 3), ids % 4, ids % 2)
-    else:
-        s = PairSet(ids, stream.normal_matrix(n, 3), stream.normal_matrix(n, 2))
+    s = draw(st.sampled_from([
+        lambda: SampleSet(ids, stream.normal_matrix(n, 3), ids % 4, ids % 2),
+        lambda: PairSet(ids, stream.normal_matrix(n, 3), stream.normal_matrix(n, 2)),
+        lambda: CaptionSet(ids, stream.normal_matrix(n, 3)),
+        lambda: PromptTable(ids, stream.normal_matrix(n, 3)),
+    ]))()
     if n and draw(st.booleans()):
         rows = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
         return s, np.array(rows, dtype=np.int64)
@@ -178,7 +199,8 @@ class TestBuildCandidateIndex:
         params = make_params()
         candidates = make_candidates(7)
         index = build_candidate_index(params, candidates)
-        assert index.candidate_ids == [c.id for c in candidates]
+        assert index.candidate_ids.dtype == np.int64
+        assert index.candidate_ids.tolist() == [c.id for c in candidates]
         norms = np.linalg.norm(index.image_embeddings, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from anchorft.anchors import lookup_rows
 from anchorft.benchgen import (
     GenConfig,
     SynthCaptionProvider,
@@ -74,7 +75,9 @@ class TestGenConfig:
 class TestGenerateBenchmark:
     def test_class_sets_disjoint(self):
         bundle = generate_benchmark(small_config())
-        assert not set(bundle.id_class_ids) & set(bundle.zsl_class_ids)
+        assert not set(bundle.prompts_id.class_ids.tolist()) & set(
+            bundle.prompts_zsl.class_ids.tolist()
+        )
 
     def test_split_sizes(self):
         cfg = small_config()
@@ -91,7 +94,7 @@ class TestGenerateBenchmark:
     def test_finetune_split_is_domain_zero_seen_classes(self):
         bundle = generate_benchmark(small_config())
         assert all(s.domain_id == 0 for s in bundle.finetune)
-        assert set(s.class_id for s in bundle.finetune) <= set(bundle.id_class_ids)
+        assert set(s.class_id for s in bundle.finetune) <= set(bundle.prompts_id.class_ids.tolist())
 
     def test_prompts_are_unit_lifts_without_offset(self):
         # With the template offset silenced, prompt rows are isometric lifts
@@ -107,8 +110,7 @@ class TestGenerateBenchmark:
         # still holds one candidate per class.
         cfg = small_config(candidate_pool_size=5)
         bundle = generate_benchmark(cfg)
-        all_ids = bundle.id_class_ids + bundle.zsl_class_ids
-        assert len(bundle.candidates) == len(all_ids)
+        assert len(bundle.candidates) == len(bundle.prompts_id) + len(bundle.prompts_zsl)
 
     def test_ids_globally_unique(self):
         bundle = generate_benchmark(small_config())
@@ -138,8 +140,10 @@ class TestGenerateBenchmark:
 
     def test_prompt_tables_match_class_lists(self):
         bundle = generate_benchmark(small_config())
-        assert bundle.prompts_id.class_ids == bundle.id_class_ids
-        assert bundle.prompts_zsl.class_ids == bundle.zsl_class_ids
+        cfg = small_config()
+        n_classes = cfg.n_id_classes + cfg.n_zsl_classes
+        assert bundle.prompts_id.class_ids.tolist() == list(range(cfg.n_id_classes))
+        assert bundle.prompts_zsl.class_ids.tolist() == list(range(cfg.n_id_classes, n_classes))
 
     def test_domain_rotations_preserve_feature_norms(self):
         # Same class and noise scale in every domain; rotations keep the
@@ -161,8 +165,9 @@ class TestGenerateBenchmark:
         # Captions carry context and noise; they must not collapse onto the
         # class prompts, otherwise the caption anchors would be vacuous.
         bundle = generate_benchmark(small_config())
-        for sample, record in zip(bundle.finetune, bundle.captions):
-            prompt = bundle.prompts_id.feature_for(sample.class_id)
+        prompts = bundle.prompts_id
+        rows = prompts.prompt_features[lookup_rows(prompts.class_ids, bundle.finetune.class_ids)]
+        for prompt, record in zip(rows, bundle.captions):
             assert np.linalg.norm(record.caption_feature - prompt) > 1e-3
 
     def test_image_and_caption_share_latent_content(self):

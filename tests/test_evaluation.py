@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from anchorft.anchors import SampleSet
+from anchorft.anchors import SampleSet, lookup_rows
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.encoders import encode_batch, init_params
 from anchorft.evaluation import (
@@ -56,8 +56,9 @@ class TestPromptTable:
     def test_feature_lookup(self):
         rows = np.arange(6.0).reshape(3, 2)
         table = PromptTable(class_ids=[4, 1, 9], prompt_features=rows)
-        assert np.array_equal(table.feature_for(1), rows[1])
-        assert np.array_equal(table.feature_for(9), rows[2])
+        assert table.class_ids.dtype == np.int64
+        got = table.prompt_features[lookup_rows(table.class_ids, [1, 9])]
+        assert np.array_equal(got, rows[[1, 2]])
 
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 """Codec contracts: round trips, corruption detection, strict configs."""
 
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorft.anchors import build_candidate_index
 from anchorft.benchgen import GenConfig, generate_benchmark
@@ -14,9 +17,8 @@ from anchorft.fileio import (
     BadMagicError,
     CodecError,
     EMBEDDING_MAGIC,
-    FeatureSet,
+    FieldTypeError,
     HashMismatchError,
-    ManifestRecord,
     MissingFieldError,
     RowCountMismatchError,
     UnknownKeyError,
@@ -62,12 +64,23 @@ def small_bundle(seed=0):
 
 
 def sample_feature_set(n=10, d=4, seed=0):
+    """(ids, class_ids, domain_ids, matrix) columns of an "image" feature set."""
     rng = np.random.default_rng(seed)
-    records = [
-        ManifestRecord(id=100 + i, kind="image", class_id=i % 3, domain_id=i % 2)
-        for i in range(n)
-    ]
-    return FeatureSet(records=records, matrix=rng.normal(size=(n, d)))
+    rows = np.arange(n)
+    return 100 + rows, rows % 3, rows % 2, rng.normal(size=(n, d))
+
+
+def write_sample_feature_set(stem, n=10, d=4):
+    ids, class_ids, domain_ids, matrix = sample_feature_set(n, d)
+    write_feature_set(stem, "image", ids, matrix, class_ids, domain_ids)
+    return ids, class_ids, domain_ids, matrix
+
+
+def rewrite_manifest_line(stem, lineno, **fields):
+    manifest = stem.parent / (stem.name + ".manifest.jsonl")
+    lines = manifest.read_text().splitlines()
+    lines[lineno] = json.dumps({**json.loads(lines[lineno]), **fields})
+    manifest.write_text("".join(line + "\n" for line in lines))
 
 
 class TestMatrixCodec:
@@ -146,46 +159,107 @@ class TestMatrixCodec:
 
 class TestFeatureSetCodec:
     def test_round_trip(self, tmp_path):
-        fs = sample_feature_set()
-        write_feature_set(tmp_path / "fs", fs)
-        back = read_feature_set(tmp_path / "fs")
-        assert back.records == fs.records
-        assert np.array_equal(back.matrix, fs.matrix.astype(np.float32).astype(np.float64))
+        ids, class_ids, domain_ids, matrix = write_sample_feature_set(tmp_path / "fs")
+        back = read_feature_set(tmp_path / "fs", "image")
+        for got, want in zip(back[:3], (ids, class_ids, domain_ids)):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert np.array_equal(back[3], matrix.astype(np.float32).astype(np.float64))
 
     def test_manifest_key_order(self, tmp_path):
-        write_feature_set(tmp_path / "fs", sample_feature_set(n=1))
+        write_sample_feature_set(tmp_path / "fs", n=1)
         line = (tmp_path / "fs.manifest.jsonl").read_text().splitlines()[0]
         assert list(json.loads(line)) == ["id", "class_id", "domain_id", "kind"]
 
     def test_manifest_vs_matrix_rows(self, tmp_path):
-        fs = sample_feature_set(n=10)
-        write_feature_set(tmp_path / "fs", fs)
-        write_matrix(tmp_path / "fs.arfm", fs.matrix[:9])
+        *_, matrix = write_sample_feature_set(tmp_path / "fs", n=10)
+        write_matrix(tmp_path / "fs.arfm", matrix[:9])
         with pytest.raises(RowCountMismatchError):
-            read_feature_set(tmp_path / "fs")
+            read_feature_set(tmp_path / "fs", "image")
+
+    def test_writer_needs_a_column_entry_per_matrix_row(self, tmp_path):
+        ids, class_ids, domain_ids, matrix = sample_feature_set(n=3)
+        with pytest.raises(RowCountMismatchError):
+            write_feature_set(tmp_path / "fs", "image", ids, matrix, class_ids[:2], domain_ids)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_manifest_key(self, tmp_path):
-        write_feature_set(tmp_path / "fs", sample_feature_set(n=2, d=2))
-        manifest = tmp_path / "fs.manifest.jsonl"
-        lines = manifest.read_text().splitlines()
-        doc = json.loads(lines[0])
-        doc["surprise"] = 1
-        lines[0] = json.dumps(doc)
-        manifest.write_text("".join(line + "\n" for line in lines))
+        write_sample_feature_set(tmp_path / "fs", n=2, d=2)
+        rewrite_manifest_line(tmp_path / "fs", 0, surprise=1)
         with pytest.raises(UnknownKeyError):
-            read_feature_set(tmp_path / "fs")
+            read_feature_set(tmp_path / "fs", "image")
 
     def test_missing_id(self, tmp_path):
-        write_feature_set(tmp_path / "fs", sample_feature_set(n=1, d=2))
+        write_sample_feature_set(tmp_path / "fs", n=1, d=2)
         manifest = tmp_path / "fs.manifest.jsonl"
         manifest.write_text(json.dumps({"kind": "image"}) + "\n")
         with pytest.raises(MissingFieldError):
-            read_feature_set(tmp_path / "fs")
+            read_feature_set(tmp_path / "fs", "image")
 
-    def test_duplicate_ids_rejected(self):
-        records = [ManifestRecord(id=1, kind="image"), ManifestRecord(id=1, kind="image")]
-        with pytest.raises(ValueError):
-            FeatureSet(records=records, matrix=np.zeros((2, 2)))
+    def test_duplicate_ids_rejected(self, tmp_path):
+        # The codec returns columns; the set built from them rejects repeated keys.
+        write_bundle(tmp_path / "b", small_bundle())
+        rewrite_manifest_line(tmp_path / "b" / "finetune", 1, id=0)
+        rewrite_manifest_line(tmp_path / "b" / "finetune", 0, id=0)
+        with pytest.raises(ValueError, match="ids must be unique"):
+            load_bundle(tmp_path / "b")
+
+    def test_kind_must_match_the_reader(self, tmp_path):
+        write_sample_feature_set(tmp_path / "fs", n=3)
+        with pytest.raises(CodecError, match="kind 'image', expected 'caption'"):
+            read_feature_set(tmp_path / "fs", "caption")
+        rewrite_manifest_line(tmp_path / "fs", 2, kind="caption")
+        with pytest.raises(CodecError, match="kind 'caption', expected 'image'"):
+            read_feature_set(tmp_path / "fs", "image")
+
+    @pytest.mark.parametrize("field", ["id", "class_id", "domain_id"])
+    @pytest.mark.parametrize("value", [2.9, 2.0, "0", True, False, None, 2**63, -(2**63) - 1])
+    def test_ids_and_tags_must_be_64_bit_json_integers(self, tmp_path, field, value):
+        write_sample_feature_set(tmp_path / "fs", n=3)
+        rewrite_manifest_line(tmp_path / "fs", 1, **{field: value})
+        with pytest.raises(FieldTypeError, match=re.escape(f"{field}: {json.dumps(value)} is not")):
+            read_feature_set(tmp_path / "fs", "image")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=8, unique=True),
+        tags=st.lists(st.none() | st.integers(-(2**63), 2**63 - 1), min_size=2, max_size=2),
+        kind=st.text(max_size=12),
+        data=st.data(),
+    )
+    def test_codec_property(self, tmp_path_factory, ids, tags, kind, data):
+        # A tag is either null on every row or an integer column.
+        n = len(ids)
+        class_ids, domain_ids = (
+            None if tag is None else [tag ^ i for i in range(n)] for tag in tags
+        )
+        finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+        values = data.draw(st.lists(finite32, min_size=3 * n, max_size=3 * n), label="matrix")
+        matrix = np.array(values).reshape(n, 3)
+        stem = tmp_path_factory.mktemp("fs") / "fs"
+        write_feature_set(stem, kind, ids, matrix, class_ids, domain_ids)
+
+        # The manifest is byte for byte what a per-row record writer produced.
+        oracle = "".join(
+            json.dumps({"id": i, "class_id": c, "domain_id": d, "kind": kind}) + "\n"
+            for i, c, d in zip(ids, class_ids or [None] * n, domain_ids or [None] * n)
+        )
+        assert (stem.parent / "fs.manifest.jsonl").read_text("utf-8") == oracle
+
+        back_ids, back_class, back_domain, back_matrix = read_feature_set(stem, kind)
+        assert back_ids.dtype == np.int64 and back_ids.tolist() == ids
+        for got, want in ((back_class, class_ids), (back_domain, domain_ids)):
+            if want is None and n:
+                assert got is None
+            else:
+                assert got.dtype == np.int64 and got.tolist() == (want or [])
+        assert back_matrix.tobytes() == matrix.tobytes()
+
+        arfm = stem.parent / "fs.arfm"
+        payload = arfm.read_bytes()
+        cut = data.draw(st.integers(0, len(payload) - 1), label="truncate at")
+        arfm.write_bytes(payload[:cut])
+        with pytest.raises(CodecError):
+            read_feature_set(stem, kind)
 
 
 class TestCheckpointCodec:
@@ -244,7 +318,8 @@ class TestIndexCodec:
         index = build_candidate_index(params, bundle.candidates)
         write_candidate_index(tmp_path / "idx", index)
         back = read_candidate_index(tmp_path / "idx")
-        assert back.candidate_ids == index.candidate_ids
+        assert back.candidate_ids.dtype == np.int64
+        assert np.array_equal(back.candidate_ids, index.candidate_ids)
         assert back.image_embeddings.tobytes() == index.image_embeddings.tobytes()
         assert back.text_embeddings.tobytes() == index.text_embeddings.tobytes()
         assert back.source_checkpoint_id == index.source_checkpoint_id
@@ -291,8 +366,8 @@ class TestBundleCodec:
         write_bundle(tmp_path / "b", bundle)
         back = load_bundle(tmp_path / "b")
         assert back.gen_config == bundle.gen_config
-        assert back.id_class_ids == bundle.id_class_ids
-        assert back.zsl_class_ids == bundle.zsl_class_ids
+        for name in ("prompts_id", "prompts_zsl"):
+            assert np.array_equal(getattr(back, name).class_ids, getattr(bundle, name).class_ids)
         assert [s.id for s in back.finetune] == [s.id for s in bundle.finetune]
         assert [p.id for p in back.pretrain_pool] == [p.id for p in bundle.pretrain_pool]
         assert [c.sample_id for c in back.captions] == [c.sample_id for c in bundle.captions]
@@ -307,6 +382,30 @@ class TestBundleCodec:
         write_bundle(tmp_path / "b", bundle)
         for name in sorted(p.name for p in (tmp_path / "a").iterdir()):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_swapped_pair_sides_rejected(self, tmp_path):
+        root = tmp_path / "b"
+        write_bundle(root, small_bundle())
+        for suffix in (".manifest.jsonl", ".arfm"):
+            image, text = (root / f"pretrain.{side}{suffix}" for side in ("image", "text"))
+            image.rename(tmp_path / "swap")
+            text.rename(image)
+            (tmp_path / "swap").rename(text)
+        with pytest.raises(CodecError, match="kind 'pair_text', expected 'pair_image'"):
+            load_bundle(root)
+
+    def test_finetune_line_of_another_kind_rejected(self, tmp_path):
+        write_bundle(tmp_path / "b", small_bundle())
+        rewrite_manifest_line(tmp_path / "b" / "finetune", 4, kind="caption")
+        with pytest.raises(CodecError, match="kind 'caption', expected 'image'"):
+            load_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("field,value", [("class_id", 2.9), ("id", "0"), ("domain_id", True)])
+    def test_finetune_ids_and_tags_must_be_integers(self, tmp_path, field, value):
+        write_bundle(tmp_path / "b", small_bundle())
+        rewrite_manifest_line(tmp_path / "b" / "finetune", 0, **{field: value})
+        with pytest.raises(FieldTypeError):
+            load_bundle(tmp_path / "b")
 
     def test_pair_manifest_disagreement(self, tmp_path):
         bundle = small_bundle()

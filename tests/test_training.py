@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import anchorft.training as training
-from anchorft.anchors import CaptionRecord, MissingCaptionError, PairSet, build_candidate_index
+from anchorft.anchors import CaptionSet, MissingCaptionError, PairSet, build_candidate_index
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.encoders import init_params
 from anchorft.training import (
@@ -429,12 +429,11 @@ class TestRunFinetune:
             return real_step(*args)
 
         monkeypatch.setattr(training, "compute_total_loss_and_grads", counted_step)
-        captions = list(bundle.captions)
-        bad = captions[5]
-        feature = bad.caption_feature.copy()
-        feature[1] = np.inf
-        captions[5] = CaptionRecord(bad.sample_id, feature)
-        with pytest.raises(ValueError, match=rf"caption for sample {bad.sample_id} contains"):
+        features = bundle.captions.features.copy()
+        features[5, 1] = np.inf
+        bad_id = bundle.captions.ids[5]
+        with pytest.raises(ValueError, match=rf"the row with ids {bad_id} contains non-finite"):
+            captions = CaptionSet(bundle.captions.ids, features)
             run_finetune(
                 bundle.finetune, bundle.prompts_id, captions, index, bundle.candidates, start, cfg
             )
