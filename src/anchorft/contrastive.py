@@ -29,7 +29,11 @@ _UNIT_ROW_TOL = 1e-9
 
 @dataclass
 class PairBatch:
-    """Aligned unit-embedding batches; row i of each side is a positive pair."""
+    """Aligned unit-embedding batches; row i of each side is a positive pair.
+
+    Training steps build theirs with _from_encoded, which skips the finite
+    and unit-row scan: encode_batch has just checked those rows' norms.
+    """
 
     image_embeddings: np.ndarray
     text_embeddings: np.ndarray
@@ -37,14 +41,26 @@ class PairBatch:
     def __post_init__(self):
         f = as_float_array(self.image_embeddings, name="image embeddings")
         g = as_float_array(self.text_embeddings, name="text embeddings")
-        if f.ndim != 2 or f.shape != g.shape or f.shape[0] < 1:
-            raise ValueError(f"embedding batches must match, got {f.shape} vs {g.shape}")
+        self.image_embeddings = f
+        self.text_embeddings = g
+        self._check_shapes()
         for name, side in (("image", f), ("text", g)):
             norms = np.linalg.norm(side, axis=1)
             if np.max(np.abs(norms - 1.0)) > _UNIT_ROW_TOL:
                 raise ValueError(f"{name} embeddings must have unit rows")
-        self.image_embeddings = f
-        self.text_embeddings = g
+
+    @classmethod
+    def _from_encoded(cls, f: np.ndarray, g: np.ndarray) -> "PairBatch":
+        """A batch over two encode_batch outputs: only the shapes are checked."""
+        out = cls.__new__(cls)
+        out.image_embeddings, out.text_embeddings = f, g
+        out._check_shapes()
+        return out
+
+    def _check_shapes(self) -> None:
+        f, g = self.image_embeddings, self.text_embeddings
+        if f.ndim != 2 or f.shape != g.shape or f.shape[0] < 1:
+            raise ValueError(f"embedding batches must match, got {f.shape} vs {g.shape}")
 
     @property
     def size(self) -> int:
@@ -74,8 +90,8 @@ def _similarity_terms(batch: PairBatch, tau: float):
 
 def _loss_value(row_ls: np.ndarray, col_ls: np.ndarray, b: int) -> LossValue:
     """Minus the diagonal means; sum()/b is np.mean's own arithmetic, bit for bit."""
-    i2t = float(-(np.diagonal(row_ls).sum() / b))
-    t2i = float(-(np.diagonal(col_ls).sum() / b))
+    i2t = float(-(row_ls.diagonal().sum() / b))
+    t2i = float(-(col_ls.diagonal().sum() / b))
     return LossValue(total=i2t + t2i, image_to_text=i2t, text_to_image=t2i)
 
 
@@ -93,8 +109,10 @@ def contrastive_loss_and_grads(
     b = batch.size
     p = np.exp(row_ls)
     q = np.exp(col_ls)
-    dlds = (p + q - 2.0 * np.eye(b)) / b
+    dlds = p + q
+    dlds.flat[:: b + 1] -= 2.0  # minus 2I: x - 0.0 is x, so off-diagonals need no pass
+    dlds /= b
     df = dlds @ batch.text_embeddings / tau
     dg = dlds.T @ batch.image_embeddings / tau
-    dlog_tau = float(-np.sum(dlds * s))
+    dlog_tau = float(-(dlds * s).sum())
     return _loss_value(row_ls, col_ls, b), df, dg, dlog_tau

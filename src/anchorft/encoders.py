@@ -105,6 +105,10 @@ class DualEncoderParams:
         self.image = _tower_views(self.theta, 0, image_in, hidden, embed)
         self.text = _tower_views(self.theta, split, text_in, hidden, embed)
         self._spans = {"image": slice(0, split), "text": slice(split, self.theta.size - 1)}
+        self.check_tau()
+
+    def check_tau(self) -> None:
+        """Raise ValueError unless tau lies in (TAU_MIN, TAU_MAX)."""
         if not TAU_MIN < self.tau < TAU_MAX:
             raise ValueError(f"tau {self.tau:.4g} outside ({TAU_MIN}, {TAU_MAX})")
 
@@ -181,10 +185,10 @@ def encode_batch(
     h = np.tanh(x @ tower.w1.T + tower.b1)
     u = h @ tower.w2.T + tower.b2
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(u, axis=1)
-    if not np.all(np.isfinite(norms)):
+        norms = np.sqrt(np.add.reduce(u * u, axis=1))  # np.linalg.norm's own formula
+    if not np.isfinite(norms).all():
         raise NonFiniteError(f"{modality} encoder produced a non-finite pre-normalization norm")
-    if np.any(norms <= ZERO_NORM_THRESHOLD):
+    if (norms <= ZERO_NORM_THRESHOLD).any():
         raise ZeroVectorError("encoder produced a zero-length pre-normalization vector")
     e = u / norms[:, None]
     return e, EncodeCache(x=x, h=h, e=e, norms=norms)
@@ -196,7 +200,8 @@ def encoder_backward_batch(
     """Gradient of one tower's slice of theta given d(loss)/d(embeddings).
 
     Gradients of all rows are summed. The normalization backward is
-    du = (dE - (dE . e) e)/|u| per row. The result lines up with
+    du = (dE - (dE . e) e)/|u| per row. The result is one vector, the leaf
+    gradients concatenated in layout order, lined up with
     theta[params.span(modality)]. grad_embeddings is not scanned for
     non-finite entries; training rejects a non-finite gradient at its step.
     """
@@ -204,19 +209,12 @@ def encoder_backward_batch(
     de = np.asarray(grad_embeddings, dtype=np.float64)
     if de.shape != cache.e.shape:
         raise ValueError("embedding grads must match the cached embeddings' shape")
-    proj = np.sum(de * cache.e, axis=1, keepdims=True)
+    proj = (de * cache.e).sum(axis=1, keepdims=True)
     du = (de - proj * cache.e) / cache.norms[:, None]
-    span = params.span(modality)
-    _, _, hidden, embed = params.dims
-    grad = np.empty(span.stop - span.start)
-    dw1, db1, dw2, db2 = _tower_views(grad, 0, tower.input_dim, hidden, embed)
-    dw2[...] = du.T @ cache.h
-    db2[...] = du.sum(axis=0)
-    dh = du @ tower.w2
-    dz1 = (1.0 - cache.h**2) * dh
-    dw1[...] = dz1.T @ cache.x
-    db1[...] = dz1.sum(axis=0)
-    return grad
+    dz1 = (1.0 - cache.h**2) * (du @ tower.w2)
+    return np.concatenate(
+        ((dz1.T @ cache.x).ravel(), dz1.sum(axis=0), (du.T @ cache.h).ravel(), du.sum(axis=0))
+    )
 
 
 def param_fingerprint(params: DualEncoderParams) -> str:

@@ -34,6 +34,7 @@ __all__ = [
     "RowCountMismatchError",
     "UnknownKeyError",
     "VersionUnsupportedError",
+    "WidthMismatchError",
     "load_bundle",
     "parse_gen_config",
     "parse_train_config",
@@ -97,6 +98,10 @@ class HashMismatchError(CodecError):
 
 class UnknownKeyError(CodecError):
     """A config or manifest carries a key this build does not define."""
+
+
+class WidthMismatchError(CodecError):
+    """A bundle matrix does not have the width its gen_config declares."""
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +419,18 @@ def _write_samples(stem: Path, samples: SampleSet) -> None:
     )
 
 
-def _read_samples(stem: Path) -> SampleSet:
-    ids, class_ids, domain_ids, matrix = read_feature_set(stem, "image")
+def _read_checked(stem: Path, kind: str, width: int) -> tuple:
+    """read_feature_set, with the matrix width checked against the bundle's gen_config."""
+    *columns, matrix = read_feature_set(stem, kind)
+    if matrix.shape[1] != width:
+        raise WidthMismatchError(
+            f"{_matrix_path(stem)}: {matrix.shape[1]} columns, gen_config says {width}"
+        )
+    return (*columns, matrix)
+
+
+def _read_samples(stem: Path, width: int) -> SampleSet:
+    ids, class_ids, domain_ids, matrix = _read_checked(stem, "image", width)
     if class_ids is None or domain_ids is None:
         raise MissingFieldError(f"{stem}: sample records need class_id and domain_id")
     return SampleSet(ids, matrix, class_ids, domain_ids)
@@ -426,17 +441,18 @@ def _write_pairs(dir_path: Path, stem: str, pairs: PairSet) -> None:
         write_feature_set(dir_path / f"{stem}.{side}", f"pair_{side}", pairs.ids, matrix)
 
 
-def _read_pairs(dir_path: Path, stem: str) -> PairSet:
-    ids, _, _, images = read_feature_set(dir_path / f"{stem}.image", "pair_image")
-    text_ids, _, _, texts = read_feature_set(dir_path / f"{stem}.text", "pair_text")
+def _read_pairs(dir_path: Path, stem: str, config: GenConfig) -> PairSet:
+    image, text = dir_path / f"{stem}.image", dir_path / f"{stem}.text"
+    ids, _, _, images = _read_checked(image, "pair_image", config.d_img_raw)
+    text_ids, _, _, texts = _read_checked(text, "pair_text", config.d_txt_raw)
     if not np.array_equal(ids, text_ids):
         raise CodecError(f"{dir_path}/{stem}: image and text manifests disagree on ids")
     return PairSet(ids, images, texts)
 
 
-def _read_keyed(stem: Path, kind: str, cls):
+def _read_keyed(stem: Path, kind: str, cls, width: int):
     """A set of a key column and one matrix: captions or prompts."""
-    ids, _, _, matrix = read_feature_set(stem, kind)
+    ids, _, _, matrix = _read_checked(stem, kind, width)
     return cls(ids, matrix)
 
 
@@ -463,23 +479,28 @@ def write_bundle(dir_path, bundle: BenchmarkBundle) -> None:
 
 
 def load_bundle(dir_path) -> BenchmarkBundle:
-    """Rebuild a bundle from disk; features come back through the 32-bit store."""
+    """Rebuild a bundle from disk; features come back through the 32-bit store.
+
+    A matrix not d_img_raw (images) or d_txt_raw (texts) wide raises
+    WidthMismatchError.
+    """
     dir_path = Path(dir_path)
     config = parse_gen_config(read_json(dir_path / "gen_config.json"))
+    d_img, d_txt = config.d_img_raw, config.d_txt_raw
     return BenchmarkBundle(
         gen_config=config,
-        pretrain_pool=_read_pairs(dir_path, "pretrain"),
-        finetune=_read_samples(dir_path / "finetune"),
-        captions=_read_keyed(dir_path / "captions", "caption", CaptionSet),
-        prompts_id=_read_keyed(dir_path / "prompts_id", "prompt", PromptTable),
-        prompts_zsl=_read_keyed(dir_path / "prompts_zsl", "prompt", PromptTable),
-        candidates=_read_pairs(dir_path, "candidates"),
-        id_test=_read_samples(dir_path / "test_id"),
+        pretrain_pool=_read_pairs(dir_path, "pretrain", config),
+        finetune=_read_samples(dir_path / "finetune", d_img),
+        captions=_read_keyed(dir_path / "captions", "caption", CaptionSet, d_txt),
+        prompts_id=_read_keyed(dir_path / "prompts_id", "prompt", PromptTable, d_txt),
+        prompts_zsl=_read_keyed(dir_path / "prompts_zsl", "prompt", PromptTable, d_txt),
+        candidates=_read_pairs(dir_path, "candidates", config),
+        id_test=_read_samples(dir_path / "test_id", d_img),
         ds_tests={
-            domain: _read_samples(dir_path / f"test_ds{domain}")
+            domain: _read_samples(dir_path / f"test_ds{domain}", d_img)
             for domain in range(1, config.n_domains)
         },
-        zsl_test=_read_samples(dir_path / "test_zsl"),
+        zsl_test=_read_samples(dir_path / "test_zsl", d_img),
     )
 
 

@@ -54,7 +54,7 @@ class NonFiniteError(ValueError):
 def as_float_array(values, *, name: str = "array") -> np.ndarray:
     """Coerce to a float64 ndarray, rejecting NaN and infinities."""
     arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

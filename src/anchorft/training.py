@@ -220,11 +220,13 @@ def _pair_term(
     and returns the unweighted loss. Gradient work is skipped entirely when
     the weight is zero so that zero-weight runs match disabled-term runs bit
     for bit. image_forward is what encode_batch returned for images, when
-    the caller already has it.
+    the caller already has it. The embeddings go to the loss without a
+    second unit-row scan: encode_batch has checked their norms.
     """
     f, cache_f = image_forward or encode_batch(params, "image", images)
     g, cache_g = encode_batch(params, "text", texts)
-    loss, df, dg, dlog_tau = contrastive_loss_and_grads(PairBatch(f, g), params.tau)
+    batch = PairBatch._from_encoded(f, g)
+    loss, df, dg, dlog_tau = contrastive_loss_and_grads(batch, params.tau)
     if weight != 0.0:
         grads[params.span("image")] += weight * encoder_backward_batch(
             params, "image", cache_f, df
@@ -357,21 +359,34 @@ def adamw_update(
     *,
     tau_trainable: bool = False,
 ) -> tuple[DualEncoderParams, OptimizerState]:
-    """One decoupled-weight-decay Adam step with bias correction.
+    """One decoupled-weight-decay Adam step with bias correction, in place.
 
-    theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta).
-    log_tau is left untouched (moments included) unless tau_trainable.
+    theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta), with
+    the out-of-place formula's elementwise order, so its bits. theta, m and
+    v are overwritten and the same params and state returned. log_tau is
+    left untouched (moments included) unless tau_trainable; a trained tau
+    that leaves its range raises ValueError.
     """
     t = state.step + 1
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
-    step_dir = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    theta = params.theta - lr * (step_dir + wd * params.theta)
-    if not tau_trainable:
-        theta[-1], m[-1], v[-1] = params.theta[-1], state.m[-1], state.v[-1]
-    return DualEncoderParams(theta, params.dims), OptimizerState(m=m, v=v, step=t)
+    theta, m, v = params.theta, state.m, state.v
+    frozen = (theta[-1], m[-1], v[-1])
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    step = m / bc1
+    step /= np.sqrt(v / bc2) + ADAM_EPS
+    step += wd * theta
+    step *= lr
+    theta -= step
+    state.step = t
+    if tau_trainable:
+        params.check_tau()
+    else:
+        theta[-1], m[-1], v[-1] = frozen
+    return params, state
 
 
 def _epoch_batches(
@@ -393,7 +408,8 @@ def _optimize(
     """The epoch loop shared by pretraining and finetuning.
 
     step_loss maps the current parameters and an index array of items to
-    the step's losses and gradient. The log gets one record per step:
+    the step's losses and gradient. params is updated in place, so callers
+    pass parameters they own. The log gets one record per step:
     {step, epoch, l_cl, l_cap, l_ret, total, skip_ret}. The first step with
     a non-finite loss, gradient or embedding, or whose update moves a
     trainable temperature out of its range, raises DivergenceError.

@@ -109,6 +109,15 @@ class TestContrastiveLoss:
         with pytest.raises(ValueError):
             PairBatch(np.eye(3), np.eye(4))
 
+    def test_pre_encoded_batches_still_need_matching_shapes(self):
+        f, g = unit_rows(0, 3, 5), unit_rows(1, 4, 5)
+        with pytest.raises(ValueError, match=r"must match, got \(3, 5\) vs \(4, 5\)"):
+            PairBatch._from_encoded(f, g)
+        with pytest.raises(ValueError, match="must match"):
+            PairBatch._from_encoded(f[:0], g[:0])
+        batch = PairBatch._from_encoded(f, g[:3])
+        assert batch.image_embeddings is f and batch.size == 3
+
 
 class TestContrastiveGrads:
     def test_single_pair_zero_grads(self):

@@ -23,6 +23,7 @@ from anchorft.fileio import (
     RowCountMismatchError,
     UnknownKeyError,
     VersionUnsupportedError,
+    WidthMismatchError,
     load_bundle,
     parse_gen_config,
     parse_train_config,
@@ -393,6 +394,36 @@ class TestBundleCodec:
             (tmp_path / "swap").rename(text)
         with pytest.raises(CodecError, match="kind 'pair_text', expected 'pair_image'"):
             load_bundle(root)
+
+    def test_swapped_pair_matrices_rejected_by_width(self, tmp_path):
+        # Manifests stay put, so every kind check passes; only the widths
+        # (d_img_raw 6, d_txt_raw 7) tell the two matrices apart.
+        root = tmp_path / "b"
+        write_bundle(root, small_bundle())
+        image, text = root / "pretrain.image.arfm", root / "pretrain.text.arfm"
+        image.rename(tmp_path / "swap")
+        text.rename(image)
+        (tmp_path / "swap").rename(text)
+        with pytest.raises(
+            WidthMismatchError, match=r"pretrain\.image\.arfm: 7 columns, gen_config says 6"
+        ):
+            load_bundle(root)
+
+    @pytest.mark.parametrize(
+        "stem,width",
+        [("pretrain.text", 7), ("candidates.image", 6), ("candidates.text", 7),
+         ("finetune", 6), ("captions", 7), ("prompts_id", 7), ("prompts_zsl", 7),
+         ("test_id", 6), ("test_ds1", 6), ("test_zsl", 6)],
+    )
+    def test_every_matrix_width_is_checked(self, tmp_path, stem, width):
+        write_bundle(tmp_path / "b", small_bundle())
+        path = tmp_path / "b" / f"{stem}.arfm"
+        matrix = read_matrix(path)
+        write_matrix(path, np.hstack([matrix, matrix[:, :1]]))
+        with pytest.raises(
+            WidthMismatchError, match=rf"{stem}\.arfm: {width + 1} columns, gen_config says {width}"
+        ):
+            load_bundle(tmp_path / "b")
 
     def test_finetune_line_of_another_kind_rejected(self, tmp_path):
         write_bundle(tmp_path / "b", small_bundle())

@@ -8,7 +8,8 @@ import pytest
 import anchorft.training as training
 from anchorft.anchors import CaptionSet, MissingCaptionError, PairSet, build_candidate_index
 from anchorft.benchgen import GenConfig, generate_benchmark
-from anchorft.encoders import init_params
+from anchorft.contrastive import PairBatch
+from anchorft.encoders import DEFAULT_LOG_TAU, init_params
 from anchorft.training import (
     DivergenceError,
     EmptyFinetuneSetError,
@@ -106,10 +107,10 @@ class TestAdamW:
 
     def test_zero_grads_no_decay_leaves_params(self):
         params, _ = self.scalar_setup()
+        before = params.theta.copy()
         zero = np.zeros_like(params.theta)
         new_params, _ = adamw_update(params, zero, init_optimizer_state(params), 0.1, 0.0)
-        assert new_params.image.w1.tobytes() == params.image.w1.tobytes()
-        assert new_params.text.w2.tobytes() == params.text.w2.tobytes()
+        assert new_params.theta.tobytes() == before.tobytes()
 
     def test_zero_grads_with_decay_shrinks(self):
         params, _ = self.scalar_setup(theta=2.0)
@@ -120,29 +121,66 @@ class TestAdamW:
 
     def test_log_tau_frozen_by_default(self):
         params, grads = self.scalar_setup()
+        log_tau = params.log_tau
         grads[-1] = 5.0
         new_params, new_state = adamw_update(
             params, grads, init_optimizer_state(params), 0.1, 0.5
         )
-        assert new_params.log_tau == params.log_tau
+        assert new_params.log_tau == log_tau
         assert new_state.m[-1] == 0.0 and new_state.v[-1] == 0.0
 
     def test_log_tau_moves_when_trainable(self):
         params, grads = self.scalar_setup()
+        log_tau = params.log_tau
         grads[-1] = 5.0
         new_params, new_state = adamw_update(
             params, grads, init_optimizer_state(params), 0.01, 0.0, tau_trainable=True
         )
-        assert new_params.log_tau != params.log_tau
+        assert new_params.log_tau != log_tau
         assert new_state.m[-1] != 0.0
 
-    def test_update_leaves_its_inputs_alone(self):
+    def test_update_is_in_place_and_returns_its_inputs(self):
         params, grads = self.scalar_setup()
-        before = params.theta.copy()
+        theta, state = params.theta, init_optimizer_state(params)
+        m, v = state.m, state.v
+        before = theta.copy()
+        new_params, new_state = adamw_update(params, grads, state, 0.1, 0.1)
+        assert new_params is params and new_state is state
+        assert params.theta is theta and state.m is m and state.v is v
+        assert theta.tobytes() != before.tobytes()
+        assert m.any() and v.any() and state.step == 1
+        assert params.image.w1.base is theta  # the leaves still view theta
+
+    @pytest.mark.parametrize("tau_trainable", [False, True])
+    def test_matches_the_out_of_place_formula_bitwise(self, tau_trainable):
+        def reference(theta, m, v, step, g, lr, wd):
+            t = step + 1
+            bc1 = 1.0 - training.ADAM_BETA1**t
+            bc2 = 1.0 - training.ADAM_BETA2**t
+            m_new = training.ADAM_BETA1 * m + (1.0 - training.ADAM_BETA1) * g
+            v_new = training.ADAM_BETA2 * v + (1.0 - training.ADAM_BETA2) * g * g
+            step_dir = (m_new / bc1) / (np.sqrt(v_new / bc2) + training.ADAM_EPS)
+            theta_new = theta - lr * (step_dir + wd * theta)
+            if not tau_trainable:
+                theta_new[-1], m_new[-1], v_new[-1] = theta[-1], m[-1], v[-1]
+            return theta_new, m_new, v_new, t
+
+        params = init_params(3, (4, 5), 6, 3)
         state = init_optimizer_state(params)
-        adamw_update(params, grads, state, 0.1, 0.1)
-        assert params.theta.tobytes() == before.tobytes()
-        assert not state.m.any() and not state.v.any()
+        ref = (params.theta.copy(), state.m.copy(), state.v.copy(), 0)
+        rng = np.random.default_rng(0)
+        for step in range(6):
+            grads = rng.normal(scale=10.0 ** (step - 3), size=params.theta.size)
+            grads[::7] = 0.0
+            grads[3::7] = -0.0
+            grads[-1] = 0.3 * (step - 2)  # log_tau's gradient, 0.0 at step 2
+            lr, wd = 10.0 ** -(step % 3 + 1), 0.1 * (step % 2)
+            ref = reference(*ref, grads, lr, wd)
+            params, state = adamw_update(params, grads, state, lr, wd, tau_trainable=tau_trainable)
+            for got, want in zip((params.theta, state.m, state.v), ref[:3]):
+                assert got.tobytes() == want.tobytes()
+            assert state.step == ref[3]
+        assert (params.log_tau != DEFAULT_LOG_TAU) == tau_trainable
 
     def test_two_steps_accumulate_moments(self):
         # Same gradient twice: with bias correction the normalized step stays
@@ -313,6 +351,50 @@ class TestPretrain:
 
 
 class TestRunFinetune:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"enabled_losses": ("cl",)}, {"anchor_layout": "merge"}, {"retrieval_k": 2}],
+    )
+    def test_each_step_updates_once_and_runs_one_loss_per_engaged_term(
+        self, monkeypatch, overrides
+    ):
+        bundle, start, index, _ = finetune_inputs()
+        cfg = tiny_train_config(**overrides)
+        calls = {"adamw": 0, "loss": 0, "pairbatch": 0}
+
+        def counted(key, real):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(training, "adamw_update", counted("adamw", training.adamw_update))
+        monkeypatch.setattr(
+            training, "contrastive_loss_and_grads",
+            counted("loss", training.contrastive_loss_and_grads),
+        )
+        monkeypatch.setattr(
+            PairBatch, "__post_init__", counted("pairbatch", PairBatch.__post_init__)
+        )
+        _, log = run_finetune(
+            bundle.finetune, bundle.prompts_id, bundle.captions, index,
+            bundle.candidates, start, cfg,
+        )
+        sep_ret = "ret" in cfg.enabled_losses and cfg.anchor_layout == "sep"
+        terms = [
+            1 + ("cap" in cfg.enabled_losses) + (sep_ret and not r["skip_ret"]) for r in log
+        ]
+        assert log and calls == {"adamw": len(log), "loss": sum(terms), "pairbatch": 0}
+
+    def test_pair_term_rejects_misaligned_rows(self):
+        params = init_params(0, (6, 7), 10, 5)
+        images, texts = np.ones((3, 6)), np.ones((4, 7))
+        grads = np.zeros_like(params.theta)
+        with pytest.raises(ValueError, match=r"must match, got \(3, 5\) vs \(4, 5\)"):
+            training._pair_term(params, images, texts, grads, 1.0, False)
+        assert not grads.any()
+
     def test_log_record_count_full_batches(self):
         # 12 finetune samples, batch 4: exactly 3 steps per epoch.
         bundle, start, index, _ = finetune_inputs()
