@@ -89,7 +89,7 @@ class MissingFieldError(CodecError):
 
 
 class FieldTypeError(CodecError):
-    """An id or tag is not a JSON integer in the int64 range."""
+    """A field has the wrong JSON type, e.g. an id or tag that is not a 64-bit integer."""
 
 
 class HashMismatchError(CodecError):
@@ -149,15 +149,32 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
     write_text(path, "".join(json.dumps(r) + "\n" for r in records))
 
 
-def read_jsonl(path) -> list[dict]:
+_DECODE = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
+
+
+def read_jsonl(path) -> list:
+    """The JSON value of every non-blank line, each exactly what json.loads(line) gives.
+
+    A line stripped of JSON whitespace must decode to its end in one
+    raw_decode; any other line goes to json.loads, whose error is reported
+    as a CodecError naming the line.
+    """
     records = []
     for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
         if not line.strip():
             continue
+        text = line.strip(_JSON_SPACE)
         try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise CodecError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
+            value, end = _DECODE(text)
+        except ValueError:
+            end = None
+        if end != len(text):
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CodecError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
+        records.append(value)
     return records
 
 
@@ -168,7 +185,9 @@ def _require(doc: dict, keys: Sequence[str], where: str) -> None:
 
 
 def _int_column(values: list, where: str) -> np.ndarray:
-    """An int64 column of JSON values; floats, strings, bools and nulls are rejected."""
+    """An int64 column of a JSON list; floats, strings, bools and nulls are rejected."""
+    if type(values) is not list:
+        raise FieldTypeError(f"{where}: expected a JSON list of integers")
     bad = [v for v in values if type(v) is not int or not -(2**63) <= v < 2**63]
     if bad:
         raise FieldTypeError(f"{where}: {json.dumps(bad[0])} is not a 64-bit JSON integer")
@@ -230,38 +249,53 @@ def write_feature_set(stem, kind: str, ids, matrix, class_ids=None, domain_ids=N
     """A manifest line per row (id, class_id, domain_id, kind), then the 32-bit matrix.
 
     Row i of the matrix belongs to line i; a tag column given as None is
-    null on every line.
+    null on every line. Every line is rendered from one template and equals
+    json.dumps of the row's record. Ids and tags must be 64-bit integers, as
+    the reader requires: anything else raises FieldTypeError before a file
+    is written.
     """
     n = len(matrix)
-    columns = [
-        [None] * n if c is None else np.asarray(c).tolist() for c in (ids, class_ids, domain_ids)
-    ]
-    if any(len(c) != n for c in columns):
+    tags = {"class_id": class_ids, "domain_id": domain_ids}
+    columns = {"id": ids, **{name: c for name, c in tags.items() if c is not None}}
+    columns = {name: np.asarray(c).tolist() for name, c in columns.items()}
+    if any(len(c) != n for c in columns.values()):
         raise RowCountMismatchError(f"{stem}: every id and tag column needs {n} rows")
-    lines = (
-        json.dumps({"id": i, "class_id": c, "domain_id": d, "kind": kind})
-        for i, c, d in zip(*columns)
-    )
-    write_text(_manifest_path(stem), "".join(line + "\n" for line in lines))
+    for name, values in columns.items():
+        _int_column(values, f"{stem}: {name}")
+    cells = [f'"{name}": ' + ("%d" if name in columns else "null") for name in ("id", *tags)]
+    line = "{" + ", ".join(cells) + ', "kind": ' + json.dumps(kind).replace("%", "%%") + "}\n"
+    write_text(_manifest_path(stem), "".join(map(line.__mod__, zip(*columns.values()))))
     write_matrix(_matrix_path(stem), matrix, FEATURE_MAGIC)
+
+
+def _line_number(path, index: int) -> int:
+    """The line of a JSONL file that read_jsonl returns as record `index`."""
+    lines = Path(path).read_text("utf-8").splitlines()
+    return [n for n, line in enumerate(lines, start=1) if line.strip()][index]
 
 
 def read_feature_set(stem, kind: str) -> tuple:
     """(ids, class_ids, domain_ids, matrix) of a feature set whose lines all have `kind`.
 
-    Ids and tags come back as int64 columns. A tag column is None when a
-    non-empty manifest has it null on every line; a null beside integers
-    raises FieldTypeError.
+    Every line must be a JSON object. Keys are checked once per distinct key
+    layout and the columns are built a whole column at a time. Ids and tags
+    come back as int64 columns. A tag column is None when a non-empty
+    manifest has it null on every line; a null beside integers raises
+    FieldTypeError.
     """
     manifest = _manifest_path(stem)
     docs = read_jsonl(manifest)
-    for doc in docs:
-        unknown = sorted(set(doc) - set(_MANIFEST_KEYS))
+    if set(map(type, docs)) - {dict}:
+        index = next(i for i, doc in enumerate(docs) if type(doc) is not dict)
+        raise CodecError(f"{manifest}:{_line_number(manifest, index)}: expected a JSON object")
+    for layout in dict.fromkeys(map(tuple, docs)):
+        unknown = sorted(set(layout) - set(_MANIFEST_KEYS))
         if unknown:
             raise UnknownKeyError(f"{manifest}: unknown manifest keys {unknown}")
-        _require(doc, ("id", "kind"), str(manifest))
-        if doc["kind"] != kind:
-            raise CodecError(f"{manifest}: kind {doc['kind']!r}, expected {kind!r}")
+        _require(layout, ("id", "kind"), str(manifest))
+    wrong = [doc["kind"] for doc in docs if doc["kind"] != kind]
+    if wrong:
+        raise CodecError(f"{manifest}: kind {wrong[0]!r}, expected {kind!r}")
     columns = [_int_column([doc["id"] for doc in docs], f"{manifest}: id")]
     for name in ("class_id", "domain_id"):
         values = [doc.get(name) for doc in docs]
@@ -288,12 +322,20 @@ def _params_from_doc(doc: dict, where: str) -> DualEncoderParams:
     leaves = []
     for modality in MODALITIES:
         tower = doc[modality]
+        if type(tower) is not dict:
+            raise FieldTypeError(f"{where}: the {modality} tower must be a JSON object")
         _require(tower, EncoderParams._fields, f"{where}: {modality} tower")
-        leaves += [np.array(tower[name], dtype=np.float64) for name in EncoderParams._fields]
+        for name in EncoderParams._fields:
+            try:
+                leaves.append(np.array(tower[name], dtype=np.float64))
+            except (TypeError, ValueError) as exc:
+                raise FieldTypeError(f"{where}: {modality} {name} is not numeric ({exc})") from exc
     image_w1, _, image_w2, _, text_w1, _, _, _ = leaves
     if image_w1.ndim != 2 or image_w2.ndim != 2 or text_w1.ndim != 2:
         raise CodecError(f"{where}: w1 and w2 must be matrices")
     dims = (image_w1.shape[1], text_w1.shape[1], image_w1.shape[0], image_w2.shape[0])
+    if type(doc["log_tau"]) not in (int, float):
+        raise FieldTypeError(f"{where}: log_tau {json.dumps(doc['log_tau'])} is not a JSON number")
     log_tau = np.array([float(doc["log_tau"])])
     params = DualEncoderParams(np.concatenate([leaf.ravel() for leaf in leaves] + [log_tau]), dims)
     if [leaf.shape for leaf in leaves] != [view.shape for view in (*params.image, *params.text)]:
@@ -326,6 +368,9 @@ def read_checkpoint(path) -> Checkpoint:
         raise VersionUnsupportedError(
             f"{path}: version {doc['version']}, supported {CHECKPOINT_VERSION}"
         )
+    for key in ("provenance", "config_fingerprint", "id"):
+        if type(doc[key]) is not str:
+            raise FieldTypeError(f"{path}: {key} must be a JSON string")
     params = _params_from_doc(doc, str(path))
     expected = checkpoint_id(params, doc["config_fingerprint"], doc["provenance"])
     if expected != doc["id"]:
@@ -368,7 +413,7 @@ def read_candidate_index(dir_path) -> CandidateIndex:
         )
     image = read_matrix(dir_path / "image_embeddings.arfi", EMBEDDING_MAGIC)
     text = read_matrix(dir_path / "text_embeddings.arfi", EMBEDDING_MAGIC)
-    ids = _int_column(meta["candidate_ids"], f"{dir_path}: candidate_ids")
+    ids = _int_column(meta["candidate_ids"], f"{dir_path / 'meta.json'}: candidate_ids")
     if image.shape[0] != len(ids) or text.shape[0] != len(ids):
         raise RowCountMismatchError(
             f"{dir_path}: {len(ids)} candidate ids vs "

@@ -220,6 +220,64 @@ class TestFeatureSetCodec:
         with pytest.raises(FieldTypeError, match=re.escape(f"{field}: {json.dumps(value)} is not")):
             read_feature_set(tmp_path / "fs", "image")
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("5", "fs.manifest.jsonl:3: expected a JSON object"),
+            ("null", "fs.manifest.jsonl:3: expected a JSON object"),
+            ("true", "fs.manifest.jsonl:3: expected a JSON object"),
+            ('"abc"', "fs.manifest.jsonl:3: expected a JSON object"),
+            ("[]", "fs.manifest.jsonl:3: expected a JSON object"),
+            ("2.5", "fs.manifest.jsonl:3: expected a JSON object"),
+            ('[{"id": 101, "kind": "image"}]', "fs.manifest.jsonl:3: expected a JSON object"),
+            ('{"id": 101, "kind": ["image"]}', "kind ['image'], expected 'image'"),
+            ('{"id": 101, "kind": {"image": 1}}', "kind {'image': 1}, expected 'image'"),
+        ],
+        ids=["int", "null", "bool", "string", "list", "float", "list-of-object", "list-kind",
+             "object-kind"],
+    )
+    def test_every_line_must_be_an_object_of_the_kind(self, tmp_path, line, message):
+        # Line 2 is blank, so the faulty record is the second but sits on line 3.
+        write_sample_feature_set(tmp_path / "fs", n=2, d=2)
+        manifest = tmp_path / "fs.manifest.jsonl"
+        first = manifest.read_text().splitlines()[0]
+        manifest.write_text(f"{first}\n  \n{line}\n")
+        with pytest.raises(CodecError, match=re.escape(message)):
+            read_feature_set(tmp_path / "fs", "image")
+
+    @pytest.mark.parametrize(
+        "field,column,shown",
+        [
+            ("id", [100.0, 101.0, 102.0], "100.0"),
+            ("id", np.array([2**63, 1, 2], dtype=np.uint64), str(2**63)),
+            ("class_id", [True, False, True], "true"),
+            ("class_id", [0, 1.5, 2], "0.0"),
+            ("domain_id", np.array([2.0, 1.0, 0.0]), "2.0"),
+            ("domain_id", [0, None, 1], "null"),
+        ],
+        ids=["float-id", "uint64-id", "bool-tag", "mixed-tag", "float-tag", "null-in-tag"],
+    )
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, field, column, shown):
+        ids, class_ids, domain_ids, matrix = sample_feature_set(n=3)
+        columns = {"id": ids, "class_id": class_ids, "domain_id": domain_ids, field: column}
+        with pytest.raises(FieldTypeError, match=re.escape(f"{field}: {shown} is not")):
+            write_feature_set(
+                tmp_path / "fs", "image", columns["id"], matrix,
+                columns["class_id"], columns["domain_id"],
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["100%", "%d %s %%", 'say "hi"\\', "caf\xe9 \u2028"])
+    def test_kind_with_format_and_escape_characters(self, tmp_path, kind):
+        ids, class_ids, domain_ids, matrix = sample_feature_set(n=2)
+        write_feature_set(tmp_path / "fs", kind, ids, matrix, None, domain_ids)
+        expected = "".join(
+            json.dumps({"id": i, "class_id": None, "domain_id": d, "kind": kind}) + "\n"
+            for i, d in zip(ids.tolist(), domain_ids.tolist())
+        )
+        assert (tmp_path / "fs.manifest.jsonl").read_text("utf-8") == expected
+        assert read_feature_set(tmp_path / "fs", kind)[0].tolist() == ids.tolist()
+
     @settings(max_examples=60, deadline=None)
     @given(
         ids=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=8, unique=True),
@@ -263,6 +321,73 @@ class TestFeatureSetCodec:
             read_feature_set(stem, kind)
 
 
+# JSON text pieces: values with random separators, escapes and padding, and
+# lines that are blank, truncated, doubled, split in two or junk. Padding mixes
+# JSON whitespace with whitespace only Python strips (no-break and ideographic
+# spaces), which json.loads rejects.
+PADDING = st.text(alphabet=" \t\r\xa0\u3000", max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+SEPARATORS = st.tuples(
+    st.sampled_from([",", ", ", " ,\t", ",\r"]), st.sampled_from([":", ": ", "\t: "])
+)
+ESCAPES = ["\\ud83d\\ude00", "\\ud800", "\\udc00x", "\\u00e9", "\\u12", "\\x41", "\\n"]
+BLANKS = ["", " ", "\t \r", "\x0c", "\x0b", "\xa0", "\u2028", " \x85 "]
+JUNK = st.text(alphabet=' \t{}[]",:0123456789-+.eEtrufalsnNIy\\\ufeff\xe9', max_size=12)
+
+
+@st.composite
+def jsonl_lines(draw):
+    value, ascii_only = draw(JSON_VALUES), draw(st.booleans())
+    text = json.dumps(value, separators=draw(SEPARATORS), ensure_ascii=ascii_only)
+    forms = ["value", "two values", "split", "truncated", "escape", "blank", "junk"]
+    form = draw(st.sampled_from(forms))
+    if form == "two values":
+        text += draw(PADDING) + json.dumps(draw(JSON_VALUES))
+    elif form == "split":
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + "\n" + text[cut:]
+    elif form == "truncated":
+        text = text[: draw(st.integers(0, len(text)))]
+    elif form == "escape":
+        text = '"' + draw(st.sampled_from(ESCAPES)) + '"'
+    elif form == "blank":
+        text = draw(st.sampled_from(BLANKS))
+    elif form == "junk":
+        text = draw(JUNK)
+    return draw(PADDING) + text + draw(PADDING)
+
+
+class TestJsonl:
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(jsonl_lines(), max_size=6))
+    def test_decodes_each_line_as_json_loads_does(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("jsonl") / "doc.jsonl"
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        # The oracle: json.loads on every non-blank line, up to the first it rejects.
+        values, fault = [], None
+        for lineno, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                values.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                fault = f"{path}:{lineno}: not valid JSON ({exc})"
+                break
+        if fault is None:
+            # repr tells 1 from 1.0 and True, and NaN equals itself.
+            assert repr(read_jsonl(path)) == repr(values)
+        else:
+            with pytest.raises(CodecError) as info:
+                read_jsonl(path)
+            assert str(info.value) == fault
+
+
 class TestCheckpointCodec:
     def checkpoint(self, seed=0):
         params = init_params(seed, (6, 7), 8, 4)
@@ -303,6 +428,39 @@ class TestCheckpointCodec:
         with pytest.raises(MissingFieldError):
             read_checkpoint(tmp_path / "ck.json")
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"image": 5}, "the image tower must be a JSON object"),
+            ({"text": None}, "the text tower must be a JSON object"),
+            ({"image": "w1 b1 w2 b2"}, "the image tower must be a JSON object"),
+            ({"log_tau": [1]}, "log_tau [1] is not a JSON number"),
+            ({"log_tau": True}, "log_tau true is not a JSON number"),
+            ({"provenance": 5}, "provenance must be a JSON string"),
+            ({"config_fingerprint": None}, "config_fingerprint must be a JSON string"),
+        ],
+        ids=["int-tower", "null-tower", "string-tower", "list-log-tau", "bool-log-tau",
+             "int-provenance", "null-fingerprint"],
+    )
+    def test_field_of_the_wrong_type(self, tmp_path, edit, message):
+        path = tmp_path / "ck.json"
+        write_checkpoint(path, self.checkpoint())
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        with pytest.raises(FieldTypeError, match=re.escape(f"{path}: {message}")):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "leaf", [{"a": 1}, "abc", [[1.0, 2.0], [3.0]]], ids=["object", "string", "ragged"]
+    )
+    def test_leaf_that_is_not_numeric(self, tmp_path, leaf):
+        path = tmp_path / "ck.json"
+        write_checkpoint(path, self.checkpoint())
+        doc = json.loads(path.read_text())
+        doc["text"]["w2"] = leaf
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FieldTypeError, match=re.escape(f"{path}: text w2 is not numeric")):
+            read_checkpoint(path)
+
     def test_unsupported_version(self, tmp_path):
         write_checkpoint(tmp_path / "ck.json", self.checkpoint())
         doc = json.loads((tmp_path / "ck.json").read_text())
@@ -333,6 +491,21 @@ class TestIndexCodec:
         meta["candidate_ids"] = meta["candidate_ids"][:-1]
         (tmp_path / "idx" / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(RowCountMismatchError):
+            read_candidate_index(tmp_path / "idx")
+
+    @pytest.mark.parametrize(
+        "value", [5, None, "0", {"0": 0}], ids=["int", "null", "string", "object"]
+    )
+    def test_candidate_ids_must_be_a_list(self, tmp_path, value):
+        bundle = small_bundle()
+        index = build_candidate_index(init_params(0, (6, 7), 8, 4), bundle.candidates)
+        write_candidate_index(tmp_path / "idx", index)
+        meta_path = tmp_path / "idx" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, "candidate_ids": value}))
+        with pytest.raises(
+            FieldTypeError, match=re.escape(f"{meta_path}: candidate_ids: expected a JSON list")
+        ):
             read_candidate_index(tmp_path / "idx")
 
 
@@ -437,6 +610,37 @@ class TestBundleCodec:
         rewrite_manifest_line(tmp_path / "b" / "finetune", 0, **{field: value})
         with pytest.raises(FieldTypeError):
             load_bundle(tmp_path / "b")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stem=st.sampled_from(
+            ["pretrain.image", "pretrain.text", "candidates.image", "candidates.text", "finetune",
+             "captions", "prompts_id", "prompts_zsl", "test_id", "test_ds1", "test_zsl"]
+        ),
+        edit=st.sampled_from(["flip", "delete", "insert"]),
+        byte=st.integers(1, 255),
+        data=st.data(),
+    )
+    def test_one_byte_edit_of_a_manifest_loads_or_raises_value_error(
+        self, tmp_path_factory, stem, edit, byte, data
+    ):
+        # ValueError covers CodecError, the sets' own checks and UnicodeDecodeError.
+        root = tmp_path_factory.mktemp("b")
+        write_bundle(root, small_bundle())
+        manifest = root / f"{stem}.manifest.jsonl"
+        raw = bytearray(manifest.read_bytes())
+        at = data.draw(st.integers(0, len(raw) - (edit != "insert")), label="at")
+        if edit == "flip":
+            raw[at] ^= byte
+        elif edit == "delete":
+            del raw[at]
+        else:
+            raw.insert(at, byte)
+        manifest.write_bytes(bytes(raw))
+        try:
+            load_bundle(root)
+        except ValueError:
+            pass
 
     def test_pair_manifest_disagreement(self, tmp_path):
         bundle = small_bundle()
