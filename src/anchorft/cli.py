@@ -10,8 +10,10 @@ Each subcommand reads the artifacts the previous one wrote, so a full run is
     anchorft ensemble  --pre pre.json --ft ft.json --bundle bench --out curve.csv
 
 with no hidden state beyond those files: rerunning any stage with the same
-inputs rewrites its outputs byte for byte. The effective run configuration
-is the strict JSON config (unknown keys rejected) plus explicit flags.
+inputs rewrites its outputs byte for byte. A stage opens the bundle with
+fileio.BundleReader and reads only the parts it uses. The effective run
+configuration is the strict JSON config (unknown keys rejected) plus
+explicit flags.
 
 Exit codes: 0 success, 1 usage or validation error, 2 verification failure.
 """
@@ -94,7 +96,7 @@ def cmd_benchgen(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    bundle = fileio.load_bundle(args.bundle)
+    bundle = fileio.BundleReader(args.bundle)
     config = _train_config(args)
     checkpoint, log = pretrain(bundle.pretrain_pool, config)
     fileio.write_checkpoint(args.out, checkpoint)
@@ -105,7 +107,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_precompute(args) -> int:
     checkpoint = fileio.read_checkpoint(args.checkpoint)
-    bundle = fileio.load_bundle(args.bundle)
+    bundle = fileio.BundleReader(args.bundle)
     index = build_candidate_index(checkpoint.params, bundle.candidates)
     fileio.write_candidate_index(args.out, index)
     print(f"indexed {index.size} candidates under {checkpoint.id[:12]} -> {args.out}")
@@ -113,16 +115,17 @@ def cmd_precompute(args) -> int:
 
 
 def cmd_train(args) -> int:
-    bundle = fileio.load_bundle(args.bundle)
+    bundle = fileio.BundleReader(args.bundle)
     start = fileio.read_checkpoint(args.start)
     config = _train_config(args)
     index = fileio.read_candidate_index(args.index) if args.index else None
+    candidates = bundle.candidates if "ret" in config.enabled_losses else None
     checkpoint, log = run_finetune(
         bundle.finetune,
         bundle.prompts_id,
         bundle.captions,
         index,
-        bundle.candidates,
+        candidates,
         start,
         config,
     )
@@ -137,7 +140,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     checkpoint = fileio.read_checkpoint(args.checkpoint)
-    bundle = fileio.load_bundle(args.bundle)
+    bundle = fileio.BundleReader(args.bundle)
     splits = [s for s in args.splits.split(",") if s] if args.splits else list(EVAL_SPLITS)
     metrics = evaluate_splits(checkpoint.params, bundle, splits, zsl_strict=args.zsl_strict)
     if args.out:
@@ -152,7 +155,7 @@ def cmd_eval(args) -> int:
 def cmd_ensemble(args) -> int:
     pre = fileio.read_checkpoint(args.pre)
     ft = fileio.read_checkpoint(args.ft)
-    bundle = fileio.load_bundle(args.bundle)
+    bundle = fileio.BundleReader(args.bundle)
     if args.alphas:
         alphas = [float(a) for a in args.alphas.split(",") if a]
     else:

@@ -14,6 +14,7 @@ from .numerics import as_float_array
 if TYPE_CHECKING:
     from .anchors import SampleSet
     from .benchgen import BenchmarkBundle
+    from .fileio import BundleReader
     from .training import Checkpoint
 
 __all__ = [
@@ -131,7 +132,7 @@ def _accuracy(params, samples: "SampleSet", prompts: PromptTable, split_name: st
 
 def evaluate_splits(
     params: DualEncoderParams,
-    bundle: "BenchmarkBundle",
+    bundle: "BenchmarkBundle | BundleReader",
     splits: Iterable[str] = EVAL_SPLITS,
     *,
     zsl_strict: bool = False,
@@ -140,7 +141,10 @@ def evaluate_splits(
 
     `id` and the per-domain `ds` splits classify over the seen-class prompts;
     `zsl` classifies over the held-out-class prompts only, unless zsl_strict
-    widens the label space to the union of both prompt tables.
+    widens the label space to the union of both prompt tables. `bundle` is
+    a BenchmarkBundle or a fileio.BundleReader: only the test splits and
+    prompt tables of the requested splits are touched, so a reader reads
+    no other file.
     """
     requested = list(splits)
     unknown = [s for s in requested if s not in EVAL_SPLITS]
@@ -216,12 +220,13 @@ def ensemble_sweep(
     pre: "Checkpoint",
     ft: "Checkpoint",
     alphas: Sequence[float],
-    bundle: "BenchmarkBundle",
+    bundle: "BenchmarkBundle | BundleReader",
     splits: Iterable[str] = EVAL_SPLITS,
 ) -> EnsembleCurve:
     """Evaluate every interpolated model; pick the best alpha with best_alpha.
 
-    Alphas must be strictly increasing within [0, 1].
+    `bundle` is taken as by evaluate_splits. Alphas must be strictly
+    increasing within [0, 1].
     """
     alphas = [float(a) for a in alphas]
     if not alphas:

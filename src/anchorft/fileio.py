@@ -4,15 +4,21 @@ Feature matrices are stored at 32-bit precision (file size) and upcast to
 64-bit on read (gradient-check precision); that boundary is the only lossy
 step in the pipeline. Index embeddings and checkpoints round-trip the full
 64-bit values. All writes go to a temp file first and are renamed into
-place, so readers never observe a half-written artifact.
+place, so readers never observe a half-written artifact; a directory
+artifact is built in a temp directory and renamed into place the same way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import errno
 import json
 import os
+import shutil
 import struct
+import sys
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,6 +33,7 @@ from .training import Checkpoint, TrainConfig, checkpoint_id
 
 __all__ = [
     "BadMagicError",
+    "BundleReader",
     "CodecError",
     "FieldTypeError",
     "HashMismatchError",
@@ -114,7 +121,7 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
     Concurrent writers never share a temp file; a failed write removes its own.
     """
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp = _sibling(path, "tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -123,6 +130,49 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _sibling(path: Path, suffix: str) -> Path:
+    return path.with_name(f"{path.name}.{os.urandom(8).hex()}.{suffix}")
+
+
+@contextlib.contextmanager
+def _atomic_dir(dir_path, marker: str):
+    """Yield a fresh temp directory beside dir_path, renamed onto dir_path when the body ends.
+
+    An existing dir_path is replaced only once the new directory is
+    complete, and only when it is a directory (not a symlink) that is empty
+    or holds `marker`, the file every artifact of this kind has; anything
+    else raises FileExistsError before a file is written. A failed write
+    removes its temp directory and leaves dir_path as it was.
+    """
+    dir_path = Path(dir_path)
+    if dir_path.is_symlink() or (dir_path.exists() and not (
+        dir_path.is_dir() and ((dir_path / marker).is_file() or not any(dir_path.iterdir()))
+    )):
+        raise FileExistsError(
+            f"{dir_path}: not an empty directory or one holding {marker}; not replacing it"
+        )
+    dir_path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = _sibling(dir_path, "tmp")
+    tmp.mkdir()
+    try:
+        yield tmp
+        old = None
+        if dir_path.exists():
+            old = _sibling(dir_path, "old")
+            os.rename(dir_path, old)
+        try:
+            os.rename(tmp, dir_path)
+        except BaseException:
+            if old is not None:
+                os.rename(old, dir_path)
+            raise
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if old is not None:
+        shutil.rmtree(old)
 
 
 def write_text(path, text: str) -> None:
@@ -388,19 +438,18 @@ def read_checkpoint(path) -> Checkpoint:
 
 
 def write_candidate_index(dir_path, index: CandidateIndex) -> None:
-    """Directory with a meta JSON and two 64-bit embedding matrices."""
-    dir_path = Path(dir_path)
-    dir_path.mkdir(parents=True, exist_ok=True)
-    write_json(
-        dir_path / "meta.json",
-        {
-            "version": INDEX_VERSION,
-            "source_checkpoint_id": index.source_checkpoint_id,
-            "candidate_ids": index.candidate_ids.tolist(),
-        },
-    )
-    write_matrix(dir_path / "image_embeddings.arfi", index.image_embeddings, EMBEDDING_MAGIC)
-    write_matrix(dir_path / "text_embeddings.arfi", index.text_embeddings, EMBEDDING_MAGIC)
+    """Directory with a meta JSON and two 64-bit embedding matrices, renamed into place."""
+    with _atomic_dir(dir_path, "meta.json") as tmp:
+        write_json(
+            tmp / "meta.json",
+            {
+                "version": INDEX_VERSION,
+                "source_checkpoint_id": index.source_checkpoint_id,
+                "candidate_ids": index.candidate_ids.tolist(),
+            },
+        )
+        write_matrix(tmp / "image_embeddings.arfi", index.image_embeddings, EMBEDDING_MAGIC)
+        write_matrix(tmp / "text_embeddings.arfi", index.text_embeddings, EMBEDDING_MAGIC)
 
 
 def read_candidate_index(dir_path) -> CandidateIndex:
@@ -501,51 +550,107 @@ def _read_keyed(stem: Path, kind: str, cls, width: int):
     return cls(ids, matrix)
 
 
+def _bundle_files(config: GenConfig) -> list[str]:
+    """The name of every file write_bundle writes for a bundle of this config."""
+    stems = [
+        "pretrain.image", "pretrain.text", "candidates.image", "candidates.text", "finetune",
+        "captions", "prompts_id", "prompts_zsl", "test_id",
+        *(f"test_ds{domain}" for domain in range(1, config.n_domains)), "test_zsl",
+    ]
+    return ["gen_config.json", *(s + ext for s in stems for ext in (".manifest.jsonl", ".arfm"))]
+
+
 def write_bundle(dir_path, bundle: BenchmarkBundle) -> None:
-    """One directory holding every artifact generate_benchmark produced."""
-    dir_path = Path(dir_path)
-    dir_path.mkdir(parents=True, exist_ok=True)
-    write_json(dir_path / "gen_config.json", bundle.gen_config.to_dict())
-    _write_pairs(dir_path, "pretrain", bundle.pretrain_pool)
-    _write_pairs(dir_path, "candidates", bundle.candidates)
-    _write_samples(dir_path / "finetune", bundle.finetune)
-    captions = bundle.captions
-    write_feature_set(dir_path / "captions", "caption", captions.ids, captions.features)
-    for name in ("prompts_id", "prompts_zsl"):
-        prompts = getattr(bundle, name)
-        write_feature_set(
-            dir_path / name, "prompt", prompts.class_ids, prompts.prompt_features,
-            prompts.class_ids,
-        )
-    _write_samples(dir_path / "test_id", bundle.id_test)
-    for domain in sorted(bundle.ds_tests):
-        _write_samples(dir_path / f"test_ds{domain}", bundle.ds_tests[domain])
-    _write_samples(dir_path / "test_zsl", bundle.zsl_test)
+    """One directory holding every artifact generate_benchmark produced, renamed into place."""
+    with _atomic_dir(dir_path, "gen_config.json") as tmp:
+        write_json(tmp / "gen_config.json", bundle.gen_config.to_dict())
+        _write_pairs(tmp, "pretrain", bundle.pretrain_pool)
+        _write_pairs(tmp, "candidates", bundle.candidates)
+        _write_samples(tmp / "finetune", bundle.finetune)
+        captions = bundle.captions
+        write_feature_set(tmp / "captions", "caption", captions.ids, captions.features)
+        for name in ("prompts_id", "prompts_zsl"):
+            prompts = getattr(bundle, name)
+            write_feature_set(
+                tmp / name, "prompt", prompts.class_ids, prompts.prompt_features,
+                prompts.class_ids,
+            )
+        _write_samples(tmp / "test_id", bundle.id_test)
+        for domain in sorted(bundle.ds_tests):
+            _write_samples(tmp / f"test_ds{domain}", bundle.ds_tests[domain])
+        _write_samples(tmp / "test_zsl", bundle.zsl_test)
+
+
+class BundleReader:
+    """A bundle directory whose parts are read on first use, each with every check.
+
+    Opening one parses gen_config.json strictly and checks that every file
+    write_bundle writes is present, so a missing file raises
+    FileNotFoundError naming it before any work starts. Every other
+    BenchmarkBundle field is an attribute read and checked on first access
+    and cached after: kinds, integer ids and tags, widths against
+    gen_config (a matrix not d_img_raw or d_txt_raw wide raises
+    WidthMismatchError), image/text id agreement and the set's own checks.
+    Features come back through the 32-bit store.
+    """
+
+    def __init__(self, dir_path):
+        self.path = Path(dir_path)
+        self.gen_config = parse_gen_config(read_json(self.path / "gen_config.json"))
+        for name in _bundle_files(self.gen_config):
+            if not (self.path / name).is_file():
+                raise FileNotFoundError(
+                    errno.ENOENT, os.strerror(errno.ENOENT), str(self.path / name)
+                )
+
+    @cached_property
+    def pretrain_pool(self) -> PairSet:
+        return _read_pairs(self.path, "pretrain", self.gen_config)
+
+    @cached_property
+    def finetune(self) -> SampleSet:
+        return _read_samples(self.path / "finetune", self.gen_config.d_img_raw)
+
+    @cached_property
+    def captions(self) -> CaptionSet:
+        return self._prompts_or_captions("captions", "caption", CaptionSet)
+
+    @cached_property
+    def prompts_id(self) -> PromptTable:
+        return self._prompts_or_captions("prompts_id", "prompt", PromptTable)
+
+    @cached_property
+    def prompts_zsl(self) -> PromptTable:
+        return self._prompts_or_captions("prompts_zsl", "prompt", PromptTable)
+
+    @cached_property
+    def candidates(self) -> PairSet:
+        return _read_pairs(self.path, "candidates", self.gen_config)
+
+    @cached_property
+    def id_test(self) -> SampleSet:
+        return _read_samples(self.path / "test_id", self.gen_config.d_img_raw)
+
+    @cached_property
+    def ds_tests(self) -> dict[int, SampleSet]:
+        return {
+            domain: _read_samples(self.path / f"test_ds{domain}", self.gen_config.d_img_raw)
+            for domain in range(1, self.gen_config.n_domains)
+        }
+
+    @cached_property
+    def zsl_test(self) -> SampleSet:
+        return _read_samples(self.path / "test_zsl", self.gen_config.d_img_raw)
+
+    def _prompts_or_captions(self, stem: str, kind: str, cls):
+        return _read_keyed(self.path / stem, kind, cls, self.gen_config.d_txt_raw)
 
 
 def load_bundle(dir_path) -> BenchmarkBundle:
-    """Rebuild a bundle from disk; features come back through the 32-bit store.
-
-    A matrix not d_img_raw (images) or d_txt_raw (texts) wide raises
-    WidthMismatchError.
-    """
-    dir_path = Path(dir_path)
-    config = parse_gen_config(read_json(dir_path / "gen_config.json"))
-    d_img, d_txt = config.d_img_raw, config.d_txt_raw
+    """Every part of a bundle, read through a BundleReader in BenchmarkBundle field order."""
+    reader = BundleReader(dir_path)
     return BenchmarkBundle(
-        gen_config=config,
-        pretrain_pool=_read_pairs(dir_path, "pretrain", config),
-        finetune=_read_samples(dir_path / "finetune", d_img),
-        captions=_read_keyed(dir_path / "captions", "caption", CaptionSet, d_txt),
-        prompts_id=_read_keyed(dir_path / "prompts_id", "prompt", PromptTable, d_txt),
-        prompts_zsl=_read_keyed(dir_path / "prompts_zsl", "prompt", PromptTable, d_txt),
-        candidates=_read_pairs(dir_path, "candidates", config),
-        id_test=_read_samples(dir_path / "test_id", d_img),
-        ds_tests={
-            domain: _read_samples(dir_path / f"test_ds{domain}", d_img)
-            for domain in range(1, config.n_domains)
-        },
-        zsl_test=_read_samples(dir_path / "test_zsl", d_img),
+        **{f.name: getattr(reader, f.name) for f in dataclasses.fields(BenchmarkBundle)}
     )
 
 
@@ -559,13 +664,30 @@ def write_metrics(path, metrics: Metrics, checkpoint: str | None = None) -> None
     write_json(path, doc)
 
 
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float: bools and ints past float range are not."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
 def read_metrics(path) -> dict:
+    """A metrics document, with the fields report reads type-checked."""
     doc = read_json(path)
     _require(doc, ("version", "splits", "avg_ood"), str(path))
     if doc["version"] != METRICS_VERSION:
         raise VersionUnsupportedError(
             f"{path}: version {doc['version']}, supported {METRICS_VERSION}"
         )
+    splits = doc["splits"]
+    if type(splits) is not list or not all(
+        type(s) is dict and type(s.get("split")) is str and _is_number(s.get("accuracy_percent"))
+        for s in splits
+    ):
+        raise FieldTypeError(
+            f"{path}: splits must be a JSON list of objects with a string split "
+            f"and a numeric accuracy_percent"
+        )
+    if doc["avg_ood"] is not None and not _is_number(doc["avg_ood"]):
+        raise FieldTypeError(f"{path}: avg_ood must be a JSON number or null")
     return doc
 
 
@@ -584,13 +706,20 @@ def write_curve_csv(path, curve: EnsembleCurve) -> None:
 
 
 def read_curve_csv(path) -> tuple[list[str], list[dict]]:
-    """Returns (column names, one dict per row); empty cells come back as None."""
+    """Returns (column names, one dict per row); empty cells come back as None.
+
+    There must be at least one row. The first column must be alpha and one
+    column must be id; both are set on every row. A cell that is not a
+    number raises CodecError.
+    """
     lines = Path(path).read_text("utf-8").splitlines()
-    if not lines:
-        raise CodecError(f"{path}: empty curve file")
+    if len(lines) < 2:
+        raise CodecError(f"{path}: a curve needs a header and at least one row")
     header = lines[0].split(",")
     if header[0] != "alpha":
         raise CodecError(f"{path}: first column must be alpha, got {header[0]!r}")
+    if "id" not in header:
+        raise CodecError(f"{path}: no id column")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -598,7 +727,11 @@ def read_curve_csv(path) -> tuple[list[str], list[dict]]:
             raise RowCountMismatchError(
                 f"{path}:{lineno}: {len(cells)} cells for {len(header)} columns"
             )
-        rows.append(
-            {name: (None if cell == "" else float(cell)) for name, cell in zip(header, cells)}
-        )
+        row = dict(zip(header, cells))
+        if not row["alpha"] or not row["id"]:
+            raise CodecError(f"{path}:{lineno}: empty alpha or id cell")
+        try:
+            rows.append({name: (float(cell) if cell else None) for name, cell in row.items()})
+        except ValueError as exc:
+            raise CodecError(f"{path}:{lineno}: {exc}") from exc
     return header, rows

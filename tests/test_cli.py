@@ -1,10 +1,17 @@
 """End-to-end pipeline runs, exit codes, and flag resolution."""
 
+import contextlib
+import io
 import json
+import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anchorft import cli
 from anchorft.cli import _train_config, build_parser, main
+from anchorft.fileio import CodecError, load_bundle
 from anchorft.training import CheckReport
 
 GEN = {
@@ -106,6 +113,134 @@ class TestPipeline:
         assert main(["report", "--metrics", f"ft={pipeline / 'metrics.json'}",
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("| run |")
+
+
+def flip_first_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[0] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def stage_argvs(pipeline, bench, out) -> dict[str, list[str]]:
+    """The five bundle-reading stages of run_pipeline on `bench`, writing under `out`.
+
+    Every stage but pretrain starts from the pipeline's own checkpoints and index.
+    """
+    argvs = {
+        "pretrain": ["pretrain", "--bundle", bench, "--out", out / "pre.json",
+                     "--config", pipeline / "train.json"],
+        "precompute": ["precompute", "--checkpoint", pipeline / "pre.json", "--bundle", bench,
+                       "--out", out / "index"],
+        "train": ["train", "--bundle", bench, "--start", pipeline / "pre.json",
+                  "--index", pipeline / "index", "--out", out / "ft.json",
+                  "--config", pipeline / "train.json"],
+        "eval": ["eval", "--checkpoint", pipeline / "ft.json", "--bundle", bench,
+                 "--out", out / "metrics.json"],
+        "ensemble": ["ensemble", "--pre", pipeline / "pre.json", "--ft", pipeline / "ft.json",
+                     "--bundle", bench, "--alphas", "0,0.5,1", "--out", out / "curve.csv"],
+    }
+    return {stage: [str(a) for a in argv] for stage, argv in argvs.items()}
+
+
+class TestPerStageReads:
+    @pytest.fixture
+    def bench(self, pipeline, tmp_path):
+        return shutil.copytree(pipeline / "bench", tmp_path / "bench")
+
+    def test_only_pretrain_reads_the_pretraining_pool(self, pipeline, bench, tmp_path, capsys):
+        manifest = bench / "pretrain.image.manifest.jsonl"
+        flip_first_byte(manifest)
+        out = tmp_path / "out"
+        out.mkdir()
+        argvs = stage_argvs(pipeline, bench, out)
+        for stage in ("precompute", "train", "eval", "ensemble"):
+            assert main(argvs[stage]) == 0, stage
+        outputs = ["ft.json", "ft.log.jsonl", "metrics.json", "curve.csv"]
+        outputs += [f"index/{p.name}" for p in (pipeline / "index").iterdir()]
+        for name in outputs:
+            assert (out / name).read_bytes() == (pipeline / name).read_bytes(), name
+        capsys.readouterr()
+        assert main(argvs["pretrain"]) == 1
+        assert f"{manifest}:1: not valid JSON" in capsys.readouterr().err
+        with pytest.raises(CodecError):
+            load_bundle(bench)
+
+    def test_missing_file_rejected_by_every_stage_at_open(
+        self, pipeline, bench, tmp_path, monkeypatch, capsys
+    ):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a stage started work on an incomplete bundle")
+
+        for name in ("pretrain", "build_candidate_index", "run_finetune", "evaluate_splits",
+                     "ensemble_sweep"):
+            monkeypatch.setattr(cli, name, no_step)
+        names = sorted(p.name for p in bench.iterdir())
+        assert len(names) == 23
+        for name in names:
+            partial = shutil.copytree(bench, tmp_path / "partial")
+            (partial / name).unlink()
+            for stage, argv in stage_argvs(pipeline, partial, tmp_path / "out").items():
+                assert main(argv) == 1, (name, stage)
+                assert str(partial / name) in capsys.readouterr().err, (name, stage)
+            assert not (tmp_path / "out").exists()
+            shutil.rmtree(partial)
+
+    def test_eval_id_split_reads_only_its_files(self, pipeline, bench, capsys):
+        flip_first_byte(bench / "test_zsl.manifest.jsonl")
+        argv = ["eval", "--checkpoint", str(pipeline / "ft.json"), "--bundle", str(bench)]
+        assert main(argv + ["--splits", "id"]) == 0
+        assert capsys.readouterr().out.startswith("id:")
+        assert main(argv) == 1
+        assert "test_zsl.manifest.jsonl:1: not valid JSON" in capsys.readouterr().err
+
+    def test_cl_baseline_does_not_read_the_candidate_pool(self, pipeline, bench, tmp_path):
+        flip_first_byte(bench / "candidates.image.manifest.jsonl")
+        argv = stage_argvs(pipeline, bench, tmp_path)["train"]
+        assert main(argv + ["--losses", "cl"]) == 0
+        assert main(argv) == 1
+
+
+class TestReportInputs:
+    def test_mistyped_metrics_exit_one(self, pipeline, tmp_path, capsys):
+        doc = json.loads((pipeline / "metrics.json").read_text())
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps({**doc, "splits": 5}))
+        assert main(["report", "--metrics", f"a={bad}"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: splits")
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_empty_alpha_or_id_cell_exit_one(self, pipeline, tmp_path, capsys, column):
+        lines = (pipeline / "curve.csv").read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[column] = ""
+        lines[1] = ",".join(cells)
+        bad = tmp_path / "c.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--curve", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}:2: empty alpha or id cell")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(["metrics.json", "curve.csv"]),
+        edit=st.sampled_from(["flip", "delete", "insert"]),
+        byte=st.integers(1, 255),
+        data=st.data(),
+    )
+    def test_one_byte_edit_exits_zero_or_one(self, pipeline, tmp_path_factory, name, edit,
+                                             byte, data):
+        raw = bytearray((pipeline / name).read_bytes())
+        at = data.draw(st.integers(0, len(raw) - (edit != "insert")), label="at")
+        if edit == "flip":
+            raw[at] ^= byte
+        elif edit == "delete":
+            del raw[at]
+        else:
+            raw.insert(at, byte)
+        path = tmp_path_factory.mktemp("edit") / name
+        path.write_bytes(bytes(raw))
+        flag = ["--metrics", f"a={path}"] if name == "metrics.json" else ["--curve", str(path)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["report", *flag]) in (0, 1)
 
 
 class TestExitCodes:

@@ -1,20 +1,24 @@
 """Codec contracts: round trips, corruption detection, strict configs."""
 
+import dataclasses
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorft import fileio
 from anchorft.anchors import build_candidate_index
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.encoders import init_params
 from anchorft.evaluation import ensemble_sweep
 from anchorft.fileio import (
     BadMagicError,
+    BundleReader,
     CodecError,
     EMBEDDING_MAGIC,
     FieldTypeError,
@@ -653,6 +657,157 @@ class TestBundleCodec:
             load_bundle(tmp_path / "b")
 
 
+BUNDLE_STEMS = [
+    "pretrain.image", "pretrain.text", "candidates.image", "candidates.text", "finetune",
+    "captions", "prompts_id", "prompts_zsl", "test_id", "test_ds1", "test_zsl",
+]
+BUNDLE_FILES = ["gen_config.json"] + [
+    stem + ext for stem in BUNDLE_STEMS for ext in (".manifest.jsonl", ".arfm")
+]
+
+
+def same_part(a, b) -> bool:
+    """A bundle field of two bundles holds equal columns (dict parts key by domain)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_part(a[k], b[k]) for k in a)
+    if isinstance(a, GenConfig):
+        return a == b
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+    )
+
+
+class TestBundleReader:
+    def test_parts_equal_load_bundle(self, tmp_path):
+        write_bundle(tmp_path / "b", small_bundle())
+        reader, loaded = BundleReader(tmp_path / "b"), load_bundle(tmp_path / "b")
+        for f in dataclasses.fields(loaded):
+            assert same_part(getattr(reader, f.name), getattr(loaded, f.name)), f.name
+
+    def test_each_part_is_read_on_first_use_only(self, tmp_path, monkeypatch):
+        write_bundle(tmp_path / "b", small_bundle())
+        read = []
+        original = fileio.read_feature_set
+
+        def recording(stem, kind):
+            read.append(Path(stem).name)
+            return original(stem, kind)
+
+        monkeypatch.setattr(fileio, "read_feature_set", recording)
+        reader = BundleReader(tmp_path / "b")
+        assert read == []
+        assert reader.id_test is reader.id_test
+        assert reader.candidates is reader.candidates
+        assert read == ["test_id", "candidates.image", "candidates.text"]
+        load_bundle(tmp_path / "b")  # every part, in BenchmarkBundle field order
+        assert read[3:] == [
+            "pretrain.image", "pretrain.text", "finetune", "captions", "prompts_id",
+            "prompts_zsl", "candidates.image", "candidates.text", "test_id", "test_ds1",
+            "test_zsl",
+        ]
+
+    def test_corrupt_part_raises_when_read(self, tmp_path):
+        write_bundle(tmp_path / "b", small_bundle())
+        manifest = tmp_path / "b" / "pretrain.image.manifest.jsonl"
+        raw = bytearray(manifest.read_bytes())
+        raw[0] ^= 0x01
+        manifest.write_bytes(bytes(raw))
+        reader = BundleReader(tmp_path / "b")
+        assert len(reader.finetune) and len(reader.candidates)
+        match = re.escape(f"{manifest}:1: not valid JSON")
+        with pytest.raises(CodecError, match=match):
+            reader.pretrain_pool
+        with pytest.raises(CodecError, match=match):
+            load_bundle(tmp_path / "b")
+
+    def test_writes_exactly_the_files_it_requires(self, tmp_path):
+        write_bundle(tmp_path / "b", small_bundle())
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == sorted(BUNDLE_FILES)
+
+    @pytest.mark.parametrize("name", BUNDLE_FILES)
+    def test_missing_file_rejected_at_open(self, tmp_path, name):
+        write_bundle(tmp_path / "b", small_bundle())
+        (tmp_path / "b" / name).unlink()
+        for open_bundle in (BundleReader, load_bundle):
+            with pytest.raises(FileNotFoundError, match=re.escape(name)):
+                open_bundle(tmp_path / "b")
+
+
+def _fail_on_call(monkeypatch, owner, name: str, n: int) -> None:
+    """Make the n-th call of owner.<name> raise, as a crash mid-write would."""
+    original, calls = getattr(owner, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == n:
+            raise OSError("disk full")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+class TestDirectoryWrites:
+    def test_rewrite_replaces_the_whole_bundle(self, tmp_path):
+        three = dataclasses.replace(small_bundle().gen_config, n_domains=3)
+        write_bundle(tmp_path / "b", generate_benchmark(three))
+        assert (tmp_path / "b" / "test_ds2.arfm").exists()
+        write_bundle(tmp_path / "b", small_bundle())
+        write_bundle(tmp_path / "fresh", small_bundle())
+        assert tree_bytes(tmp_path / "b") == tree_bytes(tmp_path / "fresh")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b", "fresh"]
+
+    def test_failed_rewrite_keeps_the_old_bundle(self, tmp_path, monkeypatch):
+        write_bundle(tmp_path / "b", small_bundle())
+        before = tree_bytes(tmp_path / "b")
+        _fail_on_call(monkeypatch, fileio, "write_matrix", 5)
+        with pytest.raises(OSError, match="disk full"):
+            write_bundle(tmp_path / "b", small_bundle(seed=1))
+        assert tree_bytes(tmp_path / "b") == before
+        assert [p.name for p in tmp_path.iterdir()] == ["b"]
+
+    def test_failed_index_write_leaves_nothing(self, tmp_path, monkeypatch):
+        index = build_candidate_index(init_params(0, (6, 7), 8, 4), small_bundle().candidates)
+        _fail_on_call(monkeypatch, fileio, "write_matrix", 2)
+        with pytest.raises(OSError, match="disk full"):
+            write_candidate_index(tmp_path / "idx", index)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_restores_the_old_directory(self, tmp_path, monkeypatch):
+        index = build_candidate_index(init_params(0, (6, 7), 8, 4), small_bundle().candidates)
+        write_candidate_index(tmp_path / "idx", index)
+        before = tree_bytes(tmp_path / "idx")
+        _fail_on_call(monkeypatch, fileio.os, "rename", 2)
+        with pytest.raises(OSError, match="disk full"):
+            write_candidate_index(tmp_path / "idx", index)
+        assert tree_bytes(tmp_path / "idx") == before
+        assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+
+    @pytest.mark.parametrize("other", ["notes.txt", "gen_config.json"])
+    def test_foreign_directory_is_not_replaced(self, tmp_path, other):
+        index = build_candidate_index(init_params(0, (6, 7), 8, 4), small_bundle().candidates)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / other).write_text("keep")
+        with pytest.raises(FileExistsError, match="not an empty directory or one holding meta"):
+            write_candidate_index(tmp_path / "out", index)
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [other]
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_file_or_symlink_target_is_not_replaced(self, tmp_path):
+        (tmp_path / "b").write_text("keep")
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "empty")
+        for target in ("b", "link"):
+            with pytest.raises(FileExistsError):
+                write_bundle(tmp_path / target, small_bundle())
+        assert (tmp_path / "b").read_text() == "keep"
+        assert (tmp_path / "link").is_symlink() and not any((tmp_path / "empty").iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b", "empty", "link"]
+
+
 class TestMetricsAndCurves:
     def curve(self):
         bundle = small_bundle()
@@ -692,3 +847,32 @@ class TestMetricsAndCurves:
         records = [{"step": 0, "total": 1.5}, {"step": 1, "total": 0.75}]
         write_jsonl(tmp_path / "log.jsonl", records)
         assert read_jsonl(tmp_path / "log.jsonl") == records
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("splits", 5), ("splits", [5]), ("splits", [{"split": 1, "accuracy_percent": 50.0}]),
+         ("splits", [{"split": "id", "accuracy_percent": "50"}]), ("splits", [{"split": "id"}]),
+         ("splits", [{"split": "id", "accuracy_percent": True}]),
+         ("splits", [{"split": "id", "accuracy_percent": 10**400}]), ("avg_ood", "45"),
+         ("avg_ood", [45.0]), ("avg_ood", -(10**400))],
+    )
+    def test_metrics_field_types_checked(self, tmp_path, field, value):
+        curve, _ = self.curve()
+        write_metrics(tmp_path / "m.json", curve.rows[0][1])
+        doc = json.loads((tmp_path / "m.json").read_text())
+        (tmp_path / "m.json").write_text(json.dumps({**doc, field: value}))
+        with pytest.raises(FieldTypeError, match=re.escape(f"{tmp_path / 'm.json'}: {field}")):
+            read_metrics(tmp_path / "m.json")
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [("alpha,id,zsl\n0.0,,1.0\n", "empty alpha or id cell"),
+         ("alpha,id,zsl\n,50.0,1.0\n", "empty alpha or id cell"),
+         ("alpha,id,zsl\n0.0,fifty,1.0\n", "could not convert"),
+         ("alpha,ids,zsl\n0.0,50.0,1.0\n", "no id column"),
+         ("alpha,id,zsl\n", "at least one row")],
+    )
+    def test_curve_cells_checked(self, tmp_path, text, match):
+        (tmp_path / "c.csv").write_text(text)
+        with pytest.raises(CodecError, match=match):
+            read_curve_csv(tmp_path / "c.csv")
