@@ -227,8 +227,13 @@ class CandidateIndex:
         n = self.candidate_ids.size
         if len(set(self.candidate_ids.tolist())) != n:
             raise ValueError("candidate ids must be unique")
-        if self.image_embeddings.shape[0] != n or self.text_embeddings.shape[0] != n:
+        image, text = self.image_embeddings, self.text_embeddings
+        if image.ndim != 2 or text.ndim != 2 or image.shape[1] != text.shape[1]:
+            raise ValueError("image and text embeddings must be matrices of one width")
+        if image.shape[0] != n or text.shape[0] != n:
             raise ValueError("embedding row count must match candidate_ids")
+        if not (np.isfinite(image).all() and np.isfinite(text).all()):
+            raise ValueError("candidate embeddings contain non-finite entries")
 
     @property
     def size(self) -> int:

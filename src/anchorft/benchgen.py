@@ -14,8 +14,7 @@ seeded random rotation to raw image space.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -198,19 +197,21 @@ class SynthCaptionProvider:
     def caption_feature(self, ids: np.ndarray, latents: np.ndarray) -> np.ndarray:
         """Caption rows for the ids whose content_latents are `latents`."""
         noise = lane_normals(derive_seeds(self.seed, _TAG_CAPTION, ids), self.m_txt.shape[0])
-        lifted = _matvec_rows(repeat(self.m_txt), latents, self.m_txt.shape[0])
-        return lifted + self.sigma_txt * noise
+        return _matvec_rows(self.m_txt, latents) + self.sigma_txt * noise
 
 
-def _matvec_rows(matrices: Iterable[np.ndarray], rows: np.ndarray, dim: int) -> np.ndarray:
-    """The (len(rows), dim) matrix of matrix @ row, one matrix-vector product per row.
+def _matvec_rows(matrix: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
+    """out[k] = matrix @ rows[k] for every row k; out defaults to a new array.
 
-    A single matrix product over all rows rounds differently, and the
-    bundle's bytes are fixed by these per-row products.
+    Each row stays its own matrix-vector product: numpy's matmul loop runs
+    one BLAS gemv per (dim, 1) column of the broadcast operand, the same
+    call a per-row `matrix @ row` makes. A single matrix product over all
+    rows rounds differently, and the bundle's bytes are fixed by the
+    per-row products.
     """
-    out = np.empty((len(rows), dim))
-    for k, (matrix, row) in enumerate(zip(matrices, rows)):
-        np.matmul(matrix, row, out=out[k])
+    if out is None:
+        out = np.empty((len(rows), matrix.shape[0]))
+    np.matmul(matrix, rows[:, :, None], out=out[:, :, None])
     return out
 
 
@@ -240,9 +241,7 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
         rotations.append(random_rotation(seed ^ domain, cfg.d_img_raw))
 
     template = l2_normalize(RandomStream(derive_seed(seed, _TAG_TEMPLATE)).normals(cfg.d_txt_raw))
-    prompt_rows = np.stack(
-        [m_txt @ prototypes[c] + cfg.template_offset_scale * template for c in all_classes]
-    )
+    prompt_rows = _matvec_rows(m_txt, prototypes) + cfg.template_offset_scale * template
     prompts_id = PromptTable(id_classes, prompt_rows[: len(id_classes)])
     prompts_zsl = PromptTable(zsl_classes, prompt_rows[len(id_classes):])
 
@@ -274,9 +273,11 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
             rows = slice(start, start + LANE_BLOCK)
             latents = provider.content_latents(ids[rows], class_ids[rows])
             noise = lane_normals(derive_seeds(seed, _TAG_IMG_NOISE, ids[rows]), cfg.d_img_raw)
-            raw = _matvec_rows(repeat(m_img), latents, cfg.d_img_raw) + cfg.sigma_img * noise
-            domain_rotations = [rotations[d] for d in domain_ids[rows]]
-            images[rows] = _matvec_rows(domain_rotations, raw, cfg.d_img_raw)
+            raw = _matvec_rows(m_img, latents) + cfg.sigma_img * noise
+            block, block_domains = images[rows], domain_ids[rows]
+            for domain, rotation in enumerate(rotations):
+                in_domain = block_domains == domain
+                block[in_domain] = _matvec_rows(rotation, raw[in_domain])
             if captions:
                 texts[rows] = provider.caption_feature(ids[rows], latents)
         return ids, images, texts

@@ -378,13 +378,13 @@ def _params_from_doc(doc: dict, where: str) -> DualEncoderParams:
         for name in EncoderParams._fields:
             try:
                 leaves.append(np.array(tower[name], dtype=np.float64))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise FieldTypeError(f"{where}: {modality} {name} is not numeric ({exc})") from exc
     image_w1, _, image_w2, _, text_w1, _, _, _ = leaves
     if image_w1.ndim != 2 or image_w2.ndim != 2 or text_w1.ndim != 2:
         raise CodecError(f"{where}: w1 and w2 must be matrices")
     dims = (image_w1.shape[1], text_w1.shape[1], image_w1.shape[0], image_w2.shape[0])
-    if type(doc["log_tau"]) not in (int, float):
+    if not _is_number(doc["log_tau"]):
         raise FieldTypeError(f"{where}: log_tau {json.dumps(doc['log_tau'])} is not a JSON number")
     log_tau = np.array([float(doc["log_tau"])])
     params = DualEncoderParams(np.concatenate([leaf.ravel() for leaf in leaves] + [log_tau]), dims)
@@ -452,6 +452,13 @@ def write_candidate_index(dir_path, index: CandidateIndex) -> None:
         write_matrix(tmp / "text_embeddings.arfi", index.text_embeddings, EMBEDDING_MAGIC)
 
 
+def _read_embeddings(path: Path) -> np.ndarray:
+    matrix = read_matrix(path, EMBEDDING_MAGIC)
+    if not np.isfinite(matrix).all():
+        raise CodecError(f"{path}: embeddings contain non-finite entries")
+    return matrix
+
+
 def read_candidate_index(dir_path) -> CandidateIndex:
     dir_path = Path(dir_path)
     meta = read_json(dir_path / "meta.json")
@@ -460,8 +467,8 @@ def read_candidate_index(dir_path) -> CandidateIndex:
         raise VersionUnsupportedError(
             f"{dir_path}: version {meta['version']}, supported {INDEX_VERSION}"
         )
-    image = read_matrix(dir_path / "image_embeddings.arfi", EMBEDDING_MAGIC)
-    text = read_matrix(dir_path / "text_embeddings.arfi", EMBEDDING_MAGIC)
+    image = _read_embeddings(dir_path / "image_embeddings.arfi")
+    text = _read_embeddings(dir_path / "text_embeddings.arfi")
     ids = _int_column(meta["candidate_ids"], f"{dir_path / 'meta.json'}: candidate_ids")
     if image.shape[0] != len(ids) or text.shape[0] != len(ids):
         raise RowCountMismatchError(

@@ -37,7 +37,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 # Streams advanced together by the lane functions; bounds their temporaries.
-LANE_BLOCK = 256
+LANE_BLOCK = 512
 
 # Norms at or below this are treated as zero; normalizing them is an error.
 ZERO_NORM_THRESHOLD = 1e-12
@@ -211,11 +211,27 @@ class RandomStream:
         return self.normals(rows * cols).reshape(rows, cols)
 
     def permutation(self, n: int) -> list[int]:
-        """Fisher-Yates shuffle of range(n); index via next_u64() % m."""
+        """Fisher-Yates shuffle of range(n); index via next_u64() % m.
+
+        The next_u64 recurrence runs inline on local ints, and the state and
+        draw_count are written back once: the same draws, without a method
+        call per swap.
+        """
         items = list(range(n))
+        s0, s1, s2, s3 = self._s
         for i in range(n - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
+            x = (s1 * 5) & _MASK64
+            j = ((((x << 7) | (x >> 57)) * 9) & _MASK64) % (i + 1)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
             items[i], items[j] = items[j], items[i]
+        self._s = [s0, s1, s2, s3]
+        self.draw_count += max(n - 1, 0)
         return items
 
     def sample_indices(self, n: int, m: int) -> list[int]:

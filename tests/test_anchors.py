@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorft.anchors import (
+    CandidateIndex,
     CandidatePair,
     CaptionRecord,
     CaptionSet,
@@ -214,6 +215,34 @@ class TestBuildCandidateIndex:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             build_candidate_index(make_params(), make_candidates(0))
+
+
+class TestCandidateIndex:
+    def embeddings(self, n=3, d=4):
+        return np.eye(n, d), np.eye(n, d)[::-1].copy()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["image_embeddings", "text_embeddings"])
+    def test_non_finite_embeddings_rejected(self, bad, side):
+        image, text = self.embeddings()
+        {"image_embeddings": image, "text_embeddings": text}[side][1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            CandidateIndex(np.arange(3), image, text, "fp")
+
+    @pytest.mark.parametrize(
+        "image,text",
+        [(np.zeros(3), np.zeros((3, 4))), (np.zeros((3, 4)), np.zeros((3, 4, 1))),
+         (np.zeros((3, 4)), np.zeros((3, 5)))],
+        ids=["vector", "3-d", "widths-differ"],
+    )
+    def test_embeddings_must_be_matrices_of_one_width(self, image, text):
+        with pytest.raises(ValueError, match="matrices of one width"):
+            CandidateIndex(np.arange(3), image, text, "fp")
+
+    def test_row_count_must_match_ids(self):
+        image, text = self.embeddings()
+        with pytest.raises(ValueError, match="row count"):
+            CandidateIndex(np.arange(2), image, text, "fp")
 
 
 def retrieval_oracle(index, params, mode, queries, k):

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorft.anchors import lookup_rows
 from anchorft.benchgen import (
     GenConfig,
     SynthCaptionProvider,
+    _matvec_rows,
     generate_benchmark,
     random_rotation,
 )
@@ -53,6 +56,47 @@ class TestRandomRotation:
     def test_dim_one(self):
         r = random_rotation(0, 1)
         assert r.shape == (1, 1) and abs(abs(r[0, 0]) - 1.0) <= 1e-12
+
+
+class TestMatvecRows:
+    """The broadcast matmul gives each row the bits of its own matrix @ row."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 64),
+        width=st.integers(1, 64),
+        n=st.integers(0, 300),
+        column_slice=st.booleans(),
+        masked=st.booleans(),
+        into_slice=st.booleans(),
+    )
+    def test_bits_equal_a_per_row_loop(self, seed, dim, width, n, column_slice, masked,
+                                       into_slice):
+        rng = np.random.default_rng(seed)
+        # A column slice of a square matrix, as m_img and m_txt are: rows of
+        # the view are not contiguous.
+        matrix = rng.standard_normal((dim, max(dim, width) + 1))
+        matrix = matrix[:, 1 : width + 1] if column_slice else np.ascontiguousarray(
+            matrix[:, :width]
+        )
+        rows = rng.standard_normal((n, width))
+        if masked:
+            rows = rows[rng.random(n) < 0.5]
+        expected = np.empty((len(rows), dim))
+        for k, row in enumerate(rows):
+            np.matmul(matrix, row, out=expected[k])
+        if into_slice:
+            host = np.full((len(rows) + 3, dim + 2), np.nan)
+            out = host[2 : len(rows) + 2, 1 : dim + 1]
+            got = _matvec_rows(matrix, rows, out=out)
+            untouched = np.ones(host.shape, dtype=bool)
+            untouched[2 : len(rows) + 2, 1 : dim + 1] = False
+            assert got is out and np.isnan(host[untouched]).all()
+        else:
+            got = _matvec_rows(matrix, rows)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestGenConfig:

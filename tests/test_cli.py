@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import shutil
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,21 @@ def flip_first_byte(path):
     path.write_bytes(bytes(raw))
 
 
+def edited_copy(source, directory, edit, byte, data):
+    """A copy of source in directory with one byte flipped (xor byte), deleted or inserted."""
+    raw = bytearray(source.read_bytes())
+    at = data.draw(st.integers(0, len(raw) - (edit != "insert")), label="at")
+    if edit == "flip":
+        raw[at] ^= byte
+    elif edit == "delete":
+        del raw[at]
+    else:
+        raw.insert(at, byte)
+    path = directory / source.name
+    path.write_bytes(bytes(raw))
+    return path
+
+
 def stage_argvs(pipeline, bench, out) -> dict[str, list[str]]:
     """The five bundle-reading stages of run_pipeline on `bench`, writing under `out`.
 
@@ -200,6 +216,49 @@ class TestPerStageReads:
         assert main(argv) == 1
 
 
+class TestCheckpointAndIndexInputs:
+    def test_non_finite_index_embedding_exits_one(self, pipeline, tmp_path, capsys):
+        index = shutil.copytree(pipeline / "index", tmp_path / "index")
+        path = index / "text_embeddings.arfi"
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 4 + 12, float("nan"))
+        path.write_bytes(bytes(raw))
+        argv = stage_argvs(pipeline, pipeline / "bench", tmp_path)["train"]
+        argv[argv.index("--index") + 1] = str(index)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: embeddings contain non-finite entries"
+        )
+        assert not (tmp_path / "ft.json").exists()
+
+    @pytest.mark.parametrize("leaf", [None, "b1"], ids=["log-tau", "leaf"])
+    def test_integer_past_float_range_exits_one(self, pipeline, tmp_path, capsys, leaf):
+        doc = json.loads((pipeline / "ft.json").read_text())
+        if leaf is None:
+            doc["log_tau"] = 10**400
+        else:
+            doc["image"][leaf][0] = 10**400
+        bad = tmp_path / "ft.json"
+        bad.write_text(json.dumps(doc))
+        argv = ["eval", "--checkpoint", str(bad), "--bundle", str(pipeline / "bench")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edit=st.sampled_from(["flip", "delete", "insert"]),
+        byte=st.integers(1, 255),
+        data=st.data(),
+    )
+    def test_one_byte_edit_of_a_checkpoint_exits_zero_or_one(
+        self, pipeline, tmp_path_factory, edit, byte, data
+    ):
+        path = edited_copy(pipeline / "ft.json", tmp_path_factory.mktemp("edit"), edit, byte, data)
+        argv = ["eval", "--checkpoint", str(path), "--bundle", str(pipeline / "bench")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1)
+
+
 class TestReportInputs:
     def test_mistyped_metrics_exit_one(self, pipeline, tmp_path, capsys):
         doc = json.loads((pipeline / "metrics.json").read_text())
@@ -228,16 +287,7 @@ class TestReportInputs:
     )
     def test_one_byte_edit_exits_zero_or_one(self, pipeline, tmp_path_factory, name, edit,
                                              byte, data):
-        raw = bytearray((pipeline / name).read_bytes())
-        at = data.draw(st.integers(0, len(raw) - (edit != "insert")), label="at")
-        if edit == "flip":
-            raw[at] ^= byte
-        elif edit == "delete":
-            del raw[at]
-        else:
-            raw.insert(at, byte)
-        path = tmp_path_factory.mktemp("edit") / name
-        path.write_bytes(bytes(raw))
+        path = edited_copy(pipeline / name, tmp_path_factory.mktemp("edit"), edit, byte, data)
         flag = ["--metrics", f"a={path}"] if name == "metrics.json" else ["--curve", str(path)]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["report", *flag]) in (0, 1)

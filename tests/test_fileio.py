@@ -81,6 +81,24 @@ def write_sample_feature_set(stem, n=10, d=4):
     return ids, class_ids, domain_ids, matrix
 
 
+def edit_one_byte(path, edit, byte, data):
+    """Flip (xor with byte), delete or insert byte at a drawn offset of the file."""
+    raw = bytearray(path.read_bytes())
+    at = data.draw(st.integers(0, len(raw) - (edit != "insert")), label="at")
+    if edit == "flip":
+        raw[at] ^= byte
+    elif edit == "delete":
+        del raw[at]
+    else:
+        raw.insert(at, byte)
+    path.write_bytes(bytes(raw))
+
+
+ONE_BYTE_EDITS = dict(
+    edit=st.sampled_from(["flip", "delete", "insert"]), byte=st.integers(1, 255), data=st.data()
+)
+
+
 def rewrite_manifest_line(stem, lineno, **fields):
     manifest = stem.parent / (stem.name + ".manifest.jsonl")
     lines = manifest.read_text().splitlines()
@@ -465,6 +483,25 @@ class TestCheckpointCodec:
         with pytest.raises(FieldTypeError, match=re.escape(f"{path}: text w2 is not numeric")):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda doc: doc.update(log_tau=10**400), "log_tau 1000"),
+            (lambda doc: doc["text"]["b1"].__setitem__(0, 10**400), "text b1 is not numeric"),
+            (lambda doc: doc["image"]["w1"][0].__setitem__(1, -(10**400)),
+             "image w1 is not numeric"),
+        ],
+        ids=["log-tau", "vector-leaf", "matrix-leaf"],
+    )
+    def test_integer_past_float_range(self, tmp_path, edit, message):
+        path = tmp_path / "ck.json"
+        write_checkpoint(path, self.checkpoint())
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FieldTypeError, match=re.escape(f"{path}: {message}")):
+            read_checkpoint(path)
+
     def test_unsupported_version(self, tmp_path):
         write_checkpoint(tmp_path / "ck.json", self.checkpoint())
         doc = json.loads((tmp_path / "ck.json").read_text())
@@ -472,6 +509,28 @@ class TestCheckpointCodec:
         (tmp_path / "ck.json").write_text(json.dumps(doc))
         with pytest.raises(VersionUnsupportedError):
             read_checkpoint(tmp_path / "ck.json")
+
+    @settings(max_examples=200, deadline=None)
+    @given(**ONE_BYTE_EDITS)
+    def test_one_byte_edit_reads_back_equal_or_raises_value_error(
+        self, tmp_path_factory, edit, byte, data
+    ):
+        # ValueError covers CodecError and UnicodeDecodeError. An edit that
+        # reads back at all (whitespace, a redundant digit) must not change
+        # a single parameter bit or string.
+        ckpt = self.checkpoint()
+        path = tmp_path_factory.mktemp("ck") / "ck.json"
+        write_checkpoint(path, ckpt)
+        edit_one_byte(path, edit, byte, data)
+        try:
+            back = read_checkpoint(path)
+        except ValueError:
+            return
+        assert back.params.theta.tobytes() == ckpt.params.theta.tobytes()
+        assert back.params.dims == ckpt.params.dims
+        assert (back.id, back.provenance, back.config_fingerprint) == (
+            ckpt.id, ckpt.provenance, ckpt.config_fingerprint
+        )
 
 
 class TestIndexCodec:
@@ -511,6 +570,39 @@ class TestIndexCodec:
             FieldTypeError, match=re.escape(f"{meta_path}: candidate_ids: expected a JSON list")
         ):
             read_candidate_index(tmp_path / "idx")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["image_embeddings.arfi", "text_embeddings.arfi"])
+    def test_non_finite_embedding_rejected_naming_the_file(self, tmp_path, name, bad):
+        index = build_candidate_index(init_params(0, (6, 7), 8, 4), small_bundle().candidates)
+        write_candidate_index(tmp_path / "idx", index)
+        path = tmp_path / "idx" / name
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, 4 + 12 + 8 * 5, bad)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CodecError, match=re.escape(f"{path}: embeddings contain non-finite")):
+            read_candidate_index(tmp_path / "idx")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(["meta.json", "image_embeddings.arfi", "text_embeddings.arfi"]),
+        **ONE_BYTE_EDITS,
+    )
+    def test_one_byte_edit_raises_value_error_or_reads_finite(
+        self, tmp_path_factory, name, edit, byte, data
+    ):
+        index = build_candidate_index(init_params(0, (6, 7), 8, 4), small_bundle().candidates)
+        root = tmp_path_factory.mktemp("idx") / "idx"
+        write_candidate_index(root, index)
+        edit_one_byte(root / name, edit, byte, data)
+        try:
+            back = read_candidate_index(root)
+        except ValueError:
+            return
+        assert np.isfinite(back.image_embeddings).all()
+        assert np.isfinite(back.text_embeddings).all()
+        assert back.image_embeddings.shape == index.image_embeddings.shape
+        assert back.text_embeddings.shape == index.text_embeddings.shape
 
 
 class TestStrictConfigs:
@@ -621,9 +713,7 @@ class TestBundleCodec:
             ["pretrain.image", "pretrain.text", "candidates.image", "candidates.text", "finetune",
              "captions", "prompts_id", "prompts_zsl", "test_id", "test_ds1", "test_zsl"]
         ),
-        edit=st.sampled_from(["flip", "delete", "insert"]),
-        byte=st.integers(1, 255),
-        data=st.data(),
+        **ONE_BYTE_EDITS,
     )
     def test_one_byte_edit_of_a_manifest_loads_or_raises_value_error(
         self, tmp_path_factory, stem, edit, byte, data
@@ -631,16 +721,7 @@ class TestBundleCodec:
         # ValueError covers CodecError, the sets' own checks and UnicodeDecodeError.
         root = tmp_path_factory.mktemp("b")
         write_bundle(root, small_bundle())
-        manifest = root / f"{stem}.manifest.jsonl"
-        raw = bytearray(manifest.read_bytes())
-        at = data.draw(st.integers(0, len(raw) - (edit != "insert")), label="at")
-        if edit == "flip":
-            raw[at] ^= byte
-        elif edit == "delete":
-            del raw[at]
-        else:
-            raw.insert(at, byte)
-        manifest.write_bytes(bytes(raw))
+        edit_one_byte(root / f"{stem}.manifest.jsonl", edit, byte, data)
         try:
             load_bundle(root)
         except ValueError:

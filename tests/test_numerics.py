@@ -118,6 +118,27 @@ class TestRandomStream:
     def test_permutation_deterministic(self):
         assert RandomStream(17).permutation(50) == RandomStream(17).permutation(50)
 
+    @settings(deadline=None, max_examples=150)
+    @given(U64, st.integers(0, 3), st.integers(0, 300))
+    @example(0, 0, 0)
+    @example(1, 0, 1)
+    @example(2**64 - 1, 2, 2)
+    def test_permutation_matches_a_next_u64_loop(self, seed, skip, n):
+        # permutation runs the recurrence inline; it must leave the stream
+        # exactly where a Fisher-Yates loop over next_u64 leaves it.
+        inline, reference = RandomStream(seed), RandomStream(seed)
+        for stream in (inline, reference):
+            for _ in range(skip):
+                stream.next_u64()
+        items = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = reference.next_u64() % (i + 1)
+            items[i], items[j] = items[j], items[i]
+        assert inline.permutation(n) == items
+        assert inline._s == reference._s
+        assert inline.draw_count == reference.draw_count == skip + max(n - 1, 0)
+        assert inline.next_u64() == reference.next_u64()
+
     def test_sample_indices_distinct(self):
         stream = RandomStream(11)
         for _ in range(50):
