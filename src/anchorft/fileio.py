@@ -67,12 +67,14 @@ __all__ = [
 
 FEATURE_MAGIC = b"ARFM"  # 32-bit feature storage
 EMBEDDING_MAGIC = b"ARFI"  # 64-bit embedding storage
+COLUMN_MAGIC = b"ARFC"  # int64 id and tag columns of a feature set
 MATRIX_VERSION = 1
+COLUMN_VERSION = 1
 CHECKPOINT_VERSION = 1
 INDEX_VERSION = 1
 METRICS_VERSION = 1
 
-_HEADER = struct.Struct("<III")  # version, rows, cols
+_HEADER = struct.Struct("<III")  # version, rows, then cols (.arfm) or header length (.arfc)
 
 
 class CodecError(ValueError):
@@ -88,7 +90,7 @@ class VersionUnsupportedError(CodecError):
 
 
 class RowCountMismatchError(CodecError):
-    """Row counts disagree between a header, payload, or manifest."""
+    """Row counts disagree between a header, payload, or column file."""
 
 
 class MissingFieldError(CodecError):
@@ -96,7 +98,7 @@ class MissingFieldError(CodecError):
 
 
 class FieldTypeError(CodecError):
-    """A field has the wrong JSON type, e.g. an id or tag that is not a 64-bit integer."""
+    """A field has the wrong type, e.g. an id or tag that is not a 64-bit integer."""
 
 
 class HashMismatchError(CodecError):
@@ -104,7 +106,7 @@ class HashMismatchError(CodecError):
 
 
 class UnknownKeyError(CodecError):
-    """A config or manifest carries a key this build does not define."""
+    """A config or column file carries a key or column this build does not define."""
 
 
 class WidthMismatchError(CodecError):
@@ -199,32 +201,15 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
     write_text(path, "".join(json.dumps(r) + "\n" for r in records))
 
 
-_DECODE = json.JSONDecoder().raw_decode
-_JSON_SPACE = " \t\n\r"
-
-
 def read_jsonl(path) -> list:
-    """The JSON value of every non-blank line, each exactly what json.loads(line) gives.
-
-    A line stripped of JSON whitespace must decode to its end in one
-    raw_decode; any other line goes to json.loads, whose error is reported
-    as a CodecError naming the line.
-    """
+    """json.loads of every non-blank line; a line it rejects raises CodecError naming the line."""
     records = []
     for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        text = line.strip(_JSON_SPACE)
-        try:
-            value, end = _DECODE(text)
-        except ValueError:
-            end = None
-        if end != len(text):
+        if line.strip():
             try:
-                value = json.loads(line)
+                records.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise CodecError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
-        records.append(value)
     return records
 
 
@@ -282,13 +267,13 @@ def read_matrix(path, magic: bytes = FEATURE_MAGIC) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# feature sets (manifest JSONL + matrix)
+# feature sets (int64 column file + matrix)
 
-_MANIFEST_KEYS = ("id", "class_id", "domain_id", "kind")
+_COLUMNS = ("id", "class_id", "domain_id")
 
 
-def _manifest_path(stem) -> Path:
-    return Path(str(stem) + ".manifest.jsonl")
+def _column_path(stem) -> Path:
+    return Path(str(stem) + ".arfc")
 
 
 def _matrix_path(stem) -> Path:
@@ -296,67 +281,82 @@ def _matrix_path(stem) -> Path:
 
 
 def write_feature_set(stem, kind: str, ids, matrix, class_ids=None, domain_ids=None) -> None:
-    """A manifest line per row (id, class_id, domain_id, kind), then the 32-bit matrix.
+    """An .arfc column file of the ids and given tags, then the 32-bit .arfm matrix.
 
-    Row i of the matrix belongs to line i; a tag column given as None is
-    null on every line. Every line is rendered from one template and equals
-    json.dumps of the row's record. Ids and tags must be 64-bit integers, as
-    the reader requires: anything else raises FieldTypeError before a file
-    is written.
+    The column file is magic ARFC, u32 LE version/rows/header length, the
+    compact JSON header {"kind": kind, "columns": names}, then each named
+    column as LE int64: id first, then class_id and domain_id unless passed
+    as None. Row i of the matrix belongs to row i of every column. Ids and
+    tags must be 64-bit integers, as the reader requires: anything else
+    raises FieldTypeError before a file is written.
     """
     n = len(matrix)
-    tags = {"class_id": class_ids, "domain_id": domain_ids}
-    columns = {"id": ids, **{name: c for name, c in tags.items() if c is not None}}
-    columns = {name: np.asarray(c).tolist() for name, c in columns.items()}
+    columns = {}
+    for name, column in zip(_COLUMNS, (ids, class_ids, domain_ids)):
+        if column is not None:
+            column = np.asarray(column)
+            ints = column.dtype.kind == "i"
+            columns[name] = column if ints else _int_column(column.tolist(), f"{stem}: {name}")
     if any(len(c) != n for c in columns.values()):
         raise RowCountMismatchError(f"{stem}: every id and tag column needs {n} rows")
-    for name, values in columns.items():
-        _int_column(values, f"{stem}: {name}")
-    cells = [f'"{name}": ' + ("%d" if name in columns else "null") for name in ("id", *tags)]
-    line = "{" + ", ".join(cells) + ', "kind": ' + json.dumps(kind).replace("%", "%%") + "}\n"
-    write_text(_manifest_path(stem), "".join(map(line.__mod__, zip(*columns.values()))))
+    header = json.dumps({"kind": kind, "columns": list(columns)}, separators=(",", ":")).encode()
+    payload = [COLUMN_MAGIC, _HEADER.pack(COLUMN_VERSION, n, len(header)), header]
+    payload += [c.astype("<i8").tobytes() for c in columns.values()]
+    _atomic_write_bytes(_column_path(stem), b"".join(payload))
     write_matrix(_matrix_path(stem), matrix, FEATURE_MAGIC)
 
 
-def _line_number(path, index: int) -> int:
-    """The line of a JSONL file that read_jsonl returns as record `index`."""
-    lines = Path(path).read_text("utf-8").splitlines()
-    return [n for n, line in enumerate(lines, start=1) if line.strip()][index]
+def _read_columns(path: Path, kind: str) -> dict:
+    """{name: int64 column} of a column file whose header has `kind`, every check applied."""
+    raw = path.read_bytes()
+    start = 4 + _HEADER.size
+    if len(raw) < start:
+        raise CodecError(f"{path}: shorter than the fixed header")
+    if raw[:4] != COLUMN_MAGIC:
+        raise BadMagicError(f"{path}: magic {raw[:4]!r}, expected {COLUMN_MAGIC!r}")
+    version, rows, size = _HEADER.unpack_from(raw, 4)
+    if version != COLUMN_VERSION:
+        raise VersionUnsupportedError(f"{path}: version {version}, supported {COLUMN_VERSION}")
+    if len(raw) < start + size:
+        raise CodecError(f"{path}: the JSON header runs past the end of the file")
+    try:
+        header = json.loads(raw[start : start + size].decode("utf-8"))
+    except ValueError as exc:
+        raise CodecError(f"{path}: the header is not valid JSON ({exc})") from exc
+    if type(header) is not dict or sorted(header) != ["columns", "kind"]:
+        raise CodecError(f"{path}: the header must be a JSON object of kind and columns")
+    if header["kind"] != kind:
+        raise CodecError(f"{path}: kind {header['kind']!r}, expected {kind!r}")
+    names = header["columns"]
+    if type(names) is not list or not all(type(name) is str for name in names):
+        raise FieldTypeError(f"{path}: columns must be a JSON list of strings")
+    unknown = sorted(set(names) - set(_COLUMNS))
+    if unknown:
+        raise UnknownKeyError(f"{path}: unknown columns {unknown}")
+    _require(names, ("id",), str(path))
+    if names != [name for name in _COLUMNS if name in names]:
+        raise CodecError(f"{path}: columns {names} repeat or are out of the order {_COLUMNS}")
+    body = raw[start + size :]
+    if len(body) != 8 * rows * len(names):
+        raise RowCountMismatchError(f"{path}: {len(body)} bytes for {len(names)}x{rows} int64")
+    block = np.frombuffer(body, dtype="<i8").reshape(len(names), rows).astype(np.int64)
+    return dict(zip(names, block))
 
 
 def read_feature_set(stem, kind: str) -> tuple:
-    """(ids, class_ids, domain_ids, matrix) of a feature set whose lines all have `kind`.
+    """(ids, class_ids, domain_ids, matrix) of a feature set whose column file has `kind`.
 
-    Every line must be a JSON object. Keys are checked once per distinct key
-    layout and the columns are built a whole column at a time. Ids and tags
-    come back as int64 columns. A tag column is None when a non-empty
-    manifest has it null on every line; a null beside integers raises
-    FieldTypeError.
+    Ids and tags come back as int64 columns, and a tag column the file
+    leaves out as None. The column file must hold exactly its header's
+    columns of rows, and as many rows as the matrix.
     """
-    manifest = _manifest_path(stem)
-    docs = read_jsonl(manifest)
-    if set(map(type, docs)) - {dict}:
-        index = next(i for i, doc in enumerate(docs) if type(doc) is not dict)
-        raise CodecError(f"{manifest}:{_line_number(manifest, index)}: expected a JSON object")
-    for layout in dict.fromkeys(map(tuple, docs)):
-        unknown = sorted(set(layout) - set(_MANIFEST_KEYS))
-        if unknown:
-            raise UnknownKeyError(f"{manifest}: unknown manifest keys {unknown}")
-        _require(layout, ("id", "kind"), str(manifest))
-    wrong = [doc["kind"] for doc in docs if doc["kind"] != kind]
-    if wrong:
-        raise CodecError(f"{manifest}: kind {wrong[0]!r}, expected {kind!r}")
-    columns = [_int_column([doc["id"] for doc in docs], f"{manifest}: id")]
-    for name in ("class_id", "domain_id"):
-        values = [doc.get(name) for doc in docs]
-        null = bool(values) and all(v is None for v in values)
-        columns.append(None if null else _int_column(values, f"{manifest}: {name}"))
+    columns = _read_columns(_column_path(stem), kind)
     matrix = read_matrix(_matrix_path(stem), FEATURE_MAGIC)
-    if matrix.shape[0] != len(docs):
+    if matrix.shape[0] != len(columns["id"]):
         raise RowCountMismatchError(
-            f"{manifest}: {len(docs)} manifest lines vs {matrix.shape[0]} matrix rows"
+            f"{_column_path(stem)}: {len(columns['id'])} rows vs {matrix.shape[0]} matrix rows"
         )
-    return (*columns, matrix)
+    return (*map(columns.get, _COLUMNS), matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +547,7 @@ def _read_pairs(dir_path: Path, stem: str, config: GenConfig) -> PairSet:
     ids, _, _, images = _read_checked(image, "pair_image", config.d_img_raw)
     text_ids, _, _, texts = _read_checked(text, "pair_text", config.d_txt_raw)
     if not np.array_equal(ids, text_ids):
-        raise CodecError(f"{dir_path}/{stem}: image and text manifests disagree on ids")
+        raise CodecError(f"{dir_path}/{stem}: image and text column files disagree on ids")
     return PairSet(ids, images, texts)
 
 
@@ -564,7 +564,7 @@ def _bundle_files(config: GenConfig) -> list[str]:
         "captions", "prompts_id", "prompts_zsl", "test_id",
         *(f"test_ds{domain}" for domain in range(1, config.n_domains)), "test_zsl",
     ]
-    return ["gen_config.json", *(s + ext for s in stems for ext in (".manifest.jsonl", ".arfm"))]
+    return ["gen_config.json", *(s + ext for s in stems for ext in (".arfc", ".arfm"))]
 
 
 def write_bundle(dir_path, bundle: BenchmarkBundle) -> None:

@@ -203,8 +203,39 @@ class RandomStream:
         return r * math.cos(theta)
 
     def normals(self, n: int) -> np.ndarray:
-        """n standard normal draws as a float64 vector."""
-        return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+        """n standard normal draws as a float64 vector: n calls of normal(), bit for bit.
+
+        A cached spare comes first. The rest come from fresh Box-Muller
+        pairs, whose draws run the next_u64 recurrence inline on local ints
+        (as permutation does) and whose log, cos and sin are libm's applied
+        to whole arrays. An odd count caches the last pair's second value.
+        """
+        out = np.empty(n)
+        done = 0
+        if n and self._spare_normal is not None:
+            out[0], self._spare_normal, done = self._spare_normal, None, 1
+        pairs = (n - done + 1) // 2
+        words = []
+        s0, s1, s2, s3 = self._s
+        for _ in range(2 * pairs):
+            x = (s1 * 5) & _MASK64
+            words.append((((x << 7) | (x >> 57)) * 9) & _MASK64)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s = [s0, s1, s2, s3]
+        self.draw_count += 2 * pairs
+        words = np.array(words, dtype=np.uint64)
+        z = np.empty(2 * pairs)
+        z[0::2], z[1::2] = _box_muller(words[0::2], words[1::2])
+        out[done:] = z[: n - done]
+        if (n - done) % 2:
+            self._spare_normal = float(z[-1])
+        return out
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """rows x cols standard normals, filled in row-major draw order."""
@@ -245,11 +276,16 @@ class RandomStream:
         return pool[:m]
 
 
+# The xoshiro256** multipliers and shifts as uint64 scalars, so lane
+# arithmetic stays in uint64.
+_U5, _U9, _U7, _U57, _U17, _U45, _U19 = map(np.uint64, (5, 9, 7, 57, 17, 45, 19))
+
+
 class _Lanes:
     """xoshiro256** state for a block of fresh streams, one uint64 lane each.
 
-    Seeded and advanced exactly as RandomStream; next_u64 returns every
-    lane's output at once.
+    Seeded and advanced exactly as RandomStream; next_u64 writes every
+    lane's output at once, updating the state in place.
     """
 
     def __init__(self, seeds: np.ndarray):
@@ -259,19 +295,27 @@ class _Lanes:
         for _ in range(4):
             state, out = _splitmix64_lanes(state)
             self.s.append(out)
+        self._t = np.empty(self.size, dtype=np.uint64)
 
-    def next_u64(self) -> np.ndarray:
+    def next_u64(self, out: np.ndarray) -> np.ndarray:
+        """Write every lane's next output into `out`, a uint64 vector of `size`, and return it."""
         s0, s1, s2, s3 = self.s
-        x = s1 * np.uint64(5)
-        x = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
-        t = s1 << np.uint64(17)
+        t = self._t
+        np.multiply(s1, _U5, out=out)
+        np.left_shift(out, _U7, out=t)
+        np.right_shift(out, _U57, out=out)
+        out |= t
+        out *= _U9
+        np.left_shift(s1, _U17, out=t)
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        self.s[3] = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
-        return x
+        np.left_shift(s3, _U45, out=t)
+        s3 >>= _U19
+        s3 |= t
+        return out
 
 
 def _lane_blocks(seeds: np.ndarray):
@@ -285,6 +329,15 @@ def _libm(fn, values: np.ndarray) -> np.ndarray:
     """fn from `math` on every element: libm's rounding, not numpy's."""
     flat = np.ascontiguousarray(values).reshape(-1)
     return np.fromiter(map(fn, memoryview(flat)), np.float64, flat.size).reshape(values.shape)
+
+
+def _box_muller(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z0, z1) of RandomStream.normal's Box-Muller transform on uint64 draw arrays a, b."""
+    u1 = ((a >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    u2 = (b >> np.uint64(11)) * 2.0**-53
+    r = np.sqrt(-2.0 * _libm(math.log, u1))
+    theta = 2.0 * math.pi * u2
+    return r * _libm(math.cos, theta), r * _libm(math.sin, theta)
 
 
 def lane_normals(seeds, n: int) -> np.ndarray:
@@ -301,15 +354,11 @@ def lane_normals(seeds, n: int) -> np.ndarray:
         a = np.empty((pairs, lanes.size), dtype=np.uint64)
         b = np.empty_like(a)
         for p in range(pairs):
-            a[p] = lanes.next_u64()
-            b[p] = lanes.next_u64()
-        u1 = ((a >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
-        u2 = (b >> np.uint64(11)) * 2.0**-53
-        r = np.sqrt(-2.0 * _libm(math.log, u1))
-        theta = 2.0 * math.pi * u2
+            lanes.next_u64(a[p])
+            lanes.next_u64(b[p])
         z = np.empty((lanes.size, 2 * pairs))
-        z[:, 0::2] = (r * _libm(math.cos, theta)).T
-        z[:, 1::2] = (r * _libm(math.sin, theta)).T
+        z0, z1 = _box_muller(a, b)
+        z[:, 0::2], z[:, 1::2] = z0.T, z1.T
         out[rows] = z[:, :n]
     return out
 
@@ -323,8 +372,9 @@ def lane_sample_indices(seeds, n: int, m: int) -> np.ndarray:
     for rows, lanes in _lane_blocks(seeds):
         pool = np.tile(np.arange(n, dtype=np.int64), (lanes.size, 1))
         lane = np.arange(lanes.size)
+        draw = np.empty(lanes.size, dtype=np.uint64)
         for i in range(m):
-            j = i + (lanes.next_u64() % np.uint64(n - i)).astype(np.int64)
+            j = i + (lanes.next_u64(draw) % np.uint64(n - i)).astype(np.int64)
             picked = pool[lane, j]
             pool[lane, j] = pool[:, i]
             pool[:, i] = picked

@@ -77,29 +77,29 @@ SMALL_TRAIN = dict(batch_size=4, epochs=2, hidden=8, embed_dim=4, seed=0)
 # sha256 of every file the SMALL_GEN/SMALL_TRAIN pipeline writes. A change
 # that alters artifact bytes on purpose updates these and says so.
 GOLDEN_SMALL_PIPELINE = {
+    "bench/candidates.image.arfc": "eb517ab5d32a0d89fd988e8770cc0cdd2be2532b47a7f50fdf0aaeb42a2543cc",
     "bench/candidates.image.arfm": "9377ad9b123d8788e4d2715207494d5ce7d73feb97f82b221ced15c5324e8050",
-    "bench/candidates.image.manifest.jsonl": "be1406d042c347c8f85d072ec6e44ee40e22d2ca5c33dd85b7e1e35e4d255de6",
+    "bench/candidates.text.arfc": "76aceb43adb40a9781ebf3827e88a652f11a5c9aa54d0d5332db380666a24262",
     "bench/candidates.text.arfm": "81aba3ff2caf365da8abf75a440f7ce09c583e2a4f5511a2bd9fb0def97e7dd6",
-    "bench/candidates.text.manifest.jsonl": "c192ad27751bb80afe6f7199215b8b4ce4cae8d92623e1a63dd13c64427f1be0",
+    "bench/captions.arfc": "90be6f72eca0c7372b7256bc25008d7bf9abd858735577ca502b3195449f38d8",
     "bench/captions.arfm": "a58038ffe896784e091ee0dfa5f0d0945b6003015d2cc8c303ac7e5f4206d429",
-    "bench/captions.manifest.jsonl": "2c5365cfa4a5f7b4fbe39903719c8a4856e0a6e3f8c2f2c4bdf652baa14b227d",
+    "bench/finetune.arfc": "ec3ba460d1921dae7e77cabde05951bbcb53d91ca40e40fc5050b02cbf05d686",
     "bench/finetune.arfm": "6ba54e7d727408e7dd4a56e0e6ee32cf3df4042d34559e5b64b3692334880bfe",
-    "bench/finetune.manifest.jsonl": "2829a202119affb94569421c56cdda830f4b9aa44b9dd985300e4b6e7b2184a4",
     "bench/gen_config.json": "1c1a47c525c4b5248833ba02749512144a6b917b8eba34113adf9ab333a6e46e",
+    "bench/pretrain.image.arfc": "7ba8c61c19513b80d61f363adadb5eb0ba8a50e41b1d1749bdf1ddb46d7acb3b",
     "bench/pretrain.image.arfm": "0f24128acccdfe117897e36ce89e27a97b1885fda1801b06e40713bbd8381eb1",
-    "bench/pretrain.image.manifest.jsonl": "08bcc62f8199077efc19875764e0775f1e6b81f513fa0df354b3e6f3ab7cc2d0",
+    "bench/pretrain.text.arfc": "bd62752cec0170267d548529392a0b53813634575e78d8ac90969931e2d99ed4",
     "bench/pretrain.text.arfm": "f71b68fc391259224e257fd5831e6c51228a8a80245db32a43787fc0e81412cb",
-    "bench/pretrain.text.manifest.jsonl": "6fffbebb0e95fc1f8dea103822dd57d143c38e7e4e528e4629ec764aa592fe71",
+    "bench/prompts_id.arfc": "e66993e6166c727b299f5c2b23dfee7c8ce1ccdaad87335ebe9ffcd76f338ea2",
     "bench/prompts_id.arfm": "8c70cca24b7ce23426841e7baea8ce3626e46e97a9ce53b631a123ea2d504925",
-    "bench/prompts_id.manifest.jsonl": "853fa753faaac3b46bf3e0072d4ecad1ebd387caf41c02072cabf93520ffeddc",
+    "bench/prompts_zsl.arfc": "0a615e797f5bac7599870ff0175a9693b879a9e310dc8fa3e4c396fe02387318",
     "bench/prompts_zsl.arfm": "7ed96131339f9a02e18de814c47aca54396682cb015cdf6a7c29a86dc7557a53",
-    "bench/prompts_zsl.manifest.jsonl": "a351cebbd3ae7422a739c72eeed6a878c371af719e403fe6df5d3fc3b251174f",
+    "bench/test_ds1.arfc": "7b9ccdd1ed40b67876c576a4e8ea98c5d0faa6d80de2e3be44b2f9b7ec484805",
     "bench/test_ds1.arfm": "154ec65e2195cc15b18f3f8c2f9e56ede7f6432e394476fc0fb531b4f05ad3b8",
-    "bench/test_ds1.manifest.jsonl": "da54a7c13ee70aa899a1461454f9e7264dc473099d9b6f646c16fbda65b6aae8",
+    "bench/test_id.arfc": "4a7682f12779515989c35322afe884ac5b44cd9fdd76bcfb4b5b41108d16372e",
     "bench/test_id.arfm": "1b01d9462ffc5d662fa7d375d7f269ae9772c289bd2144690277654b3c4b1aa2",
-    "bench/test_id.manifest.jsonl": "93c9fd55f3e06fb3d48ff871417f8c17f1394d698f719864d89c582787e04da5",
+    "bench/test_zsl.arfc": "e95104abab4e4bed491d5d4b968a2022be20a8cfb063ace8f48e8e99842561e4",
     "bench/test_zsl.arfm": "a51a7758666d44bb986b8dd79d37a6df674a0c458677df9e6856bbd26c147927",
-    "bench/test_zsl.manifest.jsonl": "3441181bd424e106662818a76a5dc13093adc9f01c9cf94c1fd4ee3547091fa2",
     "curve.csv": "8a84e27c7b448389583bfd89eb838e91e7629e88c777f79c8e1154489439097d",
     "ft.json": "eb0bd784ca9d3f4d6ba6e56523989414262a37da7f54905da1e2a913708374b9",
     "ft.log.jsonl": "caff07f57b7f8640e35258b3169df80f2c516070f351d08c7afa036db31c4e0d",
@@ -118,31 +118,31 @@ GOLDEN_SEED0_ANCHORED_ID = "8aeba7979a620c46c74fcd04066302e6d41909f3ebe902b89fa1
 # The seed-0 default bundle: every file write_bundle writes, plus "float64"
 # over the in-memory columns (see _bundle_digests).
 GOLDEN_SEED0_BUNDLE = {
+    "candidates.image.arfc": "1309c91db5795ba556d831cd17d00c55cfc71f4d38ace7a49ca981eddee3c8f5",
     "candidates.image.arfm": "61edf8bebded13acc602e36142eecfed55a236cefb99d4eee2455c7e11ef668b",
-    "candidates.image.manifest.jsonl": "b52e3f0365bd049b943b18deb7e750ee382c8613c6663e237b795223e4198d4b",
+    "candidates.text.arfc": "4cc872c98a82748266adf25ca571e4137440effd1ae0d17740b0079b40a8fc02",
     "candidates.text.arfm": "d6f52ceb7e1b8e2a6eb230d5d33807c8ec5b2d4a2db2648008b608bbf94ea758",
-    "candidates.text.manifest.jsonl": "518b588ff7dc1a1a696d6486eef479345fff87b09d0e59e328b7d514379ece32",
+    "captions.arfc": "fd30d7e71a65c2ae1bace795e07df2de7cbf58c49fdc94e94a7fea68c4c31219",
     "captions.arfm": "ea738a678bdaf5e0b70212f19e9abe265e24c95059e0ed3f6633115510ee56d8",
-    "captions.manifest.jsonl": "04a291c9ea726943d0493ac17bbff80503f60ef16fa8d7b0cb8b854a807c0885",
+    "finetune.arfc": "07ab0f4a17c0ba803d59285b509c6f54b4fef6d8b30096ca86e238113d3aaccc",
     "finetune.arfm": "132682e74ae84bb77abd1c99071cc0bc66c0c47946d70c878506de74f145ba47",
-    "finetune.manifest.jsonl": "d683a119e14f1590b1b87d861c927b12ab54227b6a718f9b7edae13ef65c8e90",
     "gen_config.json": "6544f6bb1610fe213d9e5c50dfb6b1c1dd98b3f383afb528351d85dbb2e32f38",
+    "pretrain.image.arfc": "efeeba8171a56f998a51b6a63d4fe795028097b613e5b52c7996e7480697d1ef",
     "pretrain.image.arfm": "644be1a235136442ed2d0e428888ecaaeee8c2111a0cfe8b4509552224899603",
-    "pretrain.image.manifest.jsonl": "d5766ed3b28462ea57d0a7299781b16bdc07b5b1c4481fd93466fd3ca8d3154c",
+    "pretrain.text.arfc": "00e357d42b436ea3607cc8ec0f0abc40dfecb3a429cfe506cfbdb674a4e98dc0",
     "pretrain.text.arfm": "87a254becd885b59a6d827de3d24ced1e275d8cb2f8d5ba5ef2f7bcd8b5f2f47",
-    "pretrain.text.manifest.jsonl": "33a1ff7e0a63ed74c2dc5b2c34a83d7b7597ab1e14a9ac2c3c581137d9100f11",
+    "prompts_id.arfc": "20a625dec313b3bbb462ed23066c86cb33106619a8c8e86adeaa7a20e0f2f87f",
     "prompts_id.arfm": "e84a02699d1c643818274953ef0cc25d298d4e5dd49ca5bd2661677a02d8e571",
-    "prompts_id.manifest.jsonl": "8bb5c69e77609e3afe59cee74f4701db38e1f45fbe328fd6a36f9d199d4f1b04",
+    "prompts_zsl.arfc": "7b6e3ac0f251cd059ece4cfc437fb96c3587ceddddbbf412c3208f321332693b",
     "prompts_zsl.arfm": "2aab1e2d962d047ceac6fe5975197ad5699ebb310c95bf4d8fb1fcabd575e2d0",
-    "prompts_zsl.manifest.jsonl": "45cbda8c70fe5f3ab4baa3abe8d0ffede80da59697b1e39ad330f7973b3e3a43",
+    "test_ds1.arfc": "020292d126e6ccd47c73eefa5a370dfca8edb3c264df32eb230f5ddbeafe4b61",
     "test_ds1.arfm": "4db02d17a8c0b6ba3becfa80a263fbbe378146dee6d9fc113d62bb3463160272",
-    "test_ds1.manifest.jsonl": "72d267eaedf8bba58c52ea0901bc2a4d1b0749c6d30f2b1521bd03e83b78c785",
+    "test_ds2.arfc": "3cc9ea4af50b81dfa04b6a94fcff493161896a16f155bf174fd01601f78c8e15",
     "test_ds2.arfm": "572836c343d2828a4d810ddcd300335a2d41ad1da64edfa4f422fb5b9ae588fa",
-    "test_ds2.manifest.jsonl": "f1636bb2f2a11b964cbd2625160342fef448eb1c2ba366bd1236a14ec1e5a4fe",
+    "test_id.arfc": "fa6fa80fd32ac937c50c05f0c0e5f680e717cfdd386ebe90e3118d819d83b8db",
     "test_id.arfm": "6f5a16430c4edea180a09285d8faa8da386b9cca4c825e682057700e6691af88",
-    "test_id.manifest.jsonl": "2952a84f669a38f758b63746a96c9f84ea5c1558471911a216eb895080eb27d6",
+    "test_zsl.arfc": "ee17607544be9c60ba5a5b758469ec672dadc3dc48bdde835b3abc020eeab8aa",
     "test_zsl.arfm": "fea0128e7e8d5b6c4abf9a46065230a165241ebfb71ea408b249914f0d894517",
-    "test_zsl.manifest.jsonl": "3b8a37d4390a012eadb57357f15f265c7ffebd6768ba1de07b9f5db6f067dfef",
     "float64": "714c91e8931f67d9392f35beebd49b091d9cdd5e0443e43ed00da8ce5075d7e0",
 }
 # Step variants finetuned from the SMALL_GEN/SMALL_TRAIN pretrained
@@ -207,11 +207,11 @@ GOLDEN_SMALL_VARIANTS = {
 # _bundle_digests dict, its "float64" entry).
 GOLDEN_SMALL_BUNDLES = {
     0: (
-        "5e3b20c6f10ce2dc1e852a594f7f0c817749feb06d3f2f5c3e79afb5c6b03380",
+        "943d615717ffada922a9932d7d6783bc65755bf52b70ee2f14539d58ccad382d",
         "f6a12eb31f24bfcc6be99639433b08d752596cd4189cbd7c0dd04522ef414828",
     ),
     3: (
-        "16984cedf3db6c87a5f80784f15cddfa5996bbb27aae04f568847000d2c1452a",
+        "62d72b983fa5a0fbb95c35f021f9a827beeb5f3afbf32c2ac0306ca781674bf7",
         "67d7f632745ef417c618648d8d8472410a86e41e7d40a7f600bab9e2ed857381",
     ),
 }

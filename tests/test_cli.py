@@ -164,8 +164,8 @@ class TestPerStageReads:
         return shutil.copytree(pipeline / "bench", tmp_path / "bench")
 
     def test_only_pretrain_reads_the_pretraining_pool(self, pipeline, bench, tmp_path, capsys):
-        manifest = bench / "pretrain.image.manifest.jsonl"
-        flip_first_byte(manifest)
+        columns = bench / "pretrain.image.arfc"
+        flip_first_byte(columns)
         out = tmp_path / "out"
         out.mkdir()
         argvs = stage_argvs(pipeline, bench, out)
@@ -177,7 +177,7 @@ class TestPerStageReads:
             assert (out / name).read_bytes() == (pipeline / name).read_bytes(), name
         capsys.readouterr()
         assert main(argvs["pretrain"]) == 1
-        assert f"{manifest}:1: not valid JSON" in capsys.readouterr().err
+        assert f"{columns}: magic" in capsys.readouterr().err
         with pytest.raises(CodecError):
             load_bundle(bench)
 
@@ -202,18 +202,41 @@ class TestPerStageReads:
             shutil.rmtree(partial)
 
     def test_eval_id_split_reads_only_its_files(self, pipeline, bench, capsys):
-        flip_first_byte(bench / "test_zsl.manifest.jsonl")
+        flip_first_byte(bench / "test_zsl.arfc")
         argv = ["eval", "--checkpoint", str(pipeline / "ft.json"), "--bundle", str(bench)]
         assert main(argv + ["--splits", "id"]) == 0
         assert capsys.readouterr().out.startswith("id:")
         assert main(argv) == 1
-        assert "test_zsl.manifest.jsonl:1: not valid JSON" in capsys.readouterr().err
+        assert f"{bench / 'test_zsl.arfc'}: magic" in capsys.readouterr().err
 
-    def test_cl_baseline_does_not_read_the_candidate_pool(self, pipeline, bench, tmp_path):
-        flip_first_byte(bench / "candidates.image.manifest.jsonl")
+    def test_cl_baseline_does_not_read_the_candidate_pool(self, pipeline, bench, tmp_path, capsys):
+        flip_first_byte(bench / "candidates.image.arfc")
         argv = stage_argvs(pipeline, bench, tmp_path)["train"]
         assert main(argv + ["--losses", "cl"]) == 0
+        capsys.readouterr()
         assert main(argv) == 1
+        assert f"{bench / 'candidates.image.arfc'}: magic" in capsys.readouterr().err
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stem=st.sampled_from(["test_id", "test_ds1", "test_zsl", "prompts_id", "prompts_zsl",
+                              "candidates.image", "candidates.text"]),
+        suffix=st.sampled_from([".arfc", ".arfm"]),
+        edit=st.sampled_from(["flip", "delete", "insert"]),
+        byte=st.integers(1, 255),
+        data=st.data(),
+    )
+    def test_one_byte_edit_of_a_bundle_file_exits_zero_or_one(
+        self, pipeline, tmp_path_factory, stem, suffix, edit, byte, data
+    ):
+        # eval reads every test split and prompt table, precompute the candidates.
+        root = tmp_path_factory.mktemp("edit")
+        bench = shutil.copytree(pipeline / "bench", root / "bench")
+        edited_copy(bench / (stem + suffix), bench, edit, byte, data)
+        stage = "precompute" if stem.startswith("candidates") else "eval"
+        argv = stage_argvs(pipeline, bench, root)[stage]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1)
 
 
 class TestCheckpointAndIndexInputs:

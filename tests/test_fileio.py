@@ -99,11 +99,38 @@ ONE_BYTE_EDITS = dict(
 )
 
 
-def rewrite_manifest_line(stem, lineno, **fields):
-    manifest = stem.parent / (stem.name + ".manifest.jsonl")
-    lines = manifest.read_text().splitlines()
-    lines[lineno] = json.dumps({**json.loads(lines[lineno]), **fields})
-    manifest.write_text("".join(line + "\n" for line in lines))
+def column_file(stem):
+    return stem.parent / (stem.name + ".arfc")
+
+
+def encode_columns(header, columns):
+    """Column-file bytes as the format lays them out, written independently of the codec.
+
+    Magic ARFC, u32 LE version 1, rows and header length, the compact JSON
+    header, then each column (all of one length) as LE int64.
+    """
+    text = json.dumps(header, separators=(",", ":")).encode()
+    rows = len(next(iter(columns.values())))
+    body = b"".join(np.asarray(c, dtype="<i8").tobytes() for c in columns.values())
+    return b"ARFC" + struct.pack("<III", 1, rows, len(text)) + text + body
+
+
+def decode_columns(stem):
+    """(kind, {name: column}) of a well-formed column file, parsed here without the codec."""
+    raw = column_file(stem).read_bytes()
+    _, rows, size = struct.unpack_from("<III", raw, 4)
+    header = json.loads(raw[16 : 16 + size])
+    block = np.frombuffer(raw[16 + size :], dtype="<i8").reshape(-1, rows)
+    return header["kind"], dict(zip(header["columns"], block.copy()))
+
+
+def rewrite_columns(stem, kind=None, row=0, **values):
+    """Rewrite a column file with another kind and/or new values at one row."""
+    old_kind, columns = decode_columns(stem)
+    for name, value in values.items():
+        columns[name][row] = value
+    header = {"kind": old_kind if kind is None else kind, "columns": list(columns)}
+    column_file(stem).write_bytes(encode_columns(header, columns))
 
 
 class TestMatrixCodec:
@@ -189,9 +216,16 @@ class TestFeatureSetCodec:
         assert np.array_equal(back[3], matrix.astype(np.float32).astype(np.float64))
 
     def test_manifest_key_order(self, tmp_path):
-        write_sample_feature_set(tmp_path / "fs", n=1)
-        line = (tmp_path / "fs.manifest.jsonl").read_text().splitlines()[0]
-        assert list(json.loads(line)) == ["id", "class_id", "domain_id", "kind"]
+        # The column file's header is compact JSON with kind first, and the
+        # columns run id, class_id, domain_id.
+        ids, class_ids, domain_ids, _ = write_sample_feature_set(tmp_path / "fs", n=3)
+        raw = (tmp_path / "fs.arfc").read_bytes()
+        header = b'{"kind":"image","columns":["id","class_id","domain_id"]}'
+        assert raw[:16] == b"ARFC" + struct.pack("<III", 1, 3, len(header))
+        assert raw[16 : 16 + len(header)] == header
+        assert raw[16 + len(header) :] == np.concatenate([ids, class_ids, domain_ids]).astype(
+            "<i8"
+        ).tobytes()
 
     def test_manifest_vs_matrix_rows(self, tmp_path):
         *_, matrix = write_sample_feature_set(tmp_path / "fs", n=10)
@@ -206,23 +240,26 @@ class TestFeatureSetCodec:
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_manifest_key(self, tmp_path):
-        write_sample_feature_set(tmp_path / "fs", n=2, d=2)
-        rewrite_manifest_line(tmp_path / "fs", 0, surprise=1)
-        with pytest.raises(UnknownKeyError):
+        ids, class_ids, domain_ids, _ = write_sample_feature_set(tmp_path / "fs", n=2, d=2)
+        columns = {"id": ids, "class_id": class_ids, "domain_id": domain_ids, "surprise": ids}
+        header = {"kind": "image", "columns": list(columns)}
+        (tmp_path / "fs.arfc").write_bytes(encode_columns(header, columns))
+        with pytest.raises(UnknownKeyError, match=re.escape("unknown columns ['surprise']")):
             read_feature_set(tmp_path / "fs", "image")
 
     def test_missing_id(self, tmp_path):
-        write_sample_feature_set(tmp_path / "fs", n=1, d=2)
-        manifest = tmp_path / "fs.manifest.jsonl"
-        manifest.write_text(json.dumps({"kind": "image"}) + "\n")
+        _, class_ids, domain_ids, _ = write_sample_feature_set(tmp_path / "fs", n=1, d=2)
+        columns = {"class_id": class_ids, "domain_id": domain_ids}
+        header = {"kind": "image", "columns": list(columns)}
+        (tmp_path / "fs.arfc").write_bytes(encode_columns(header, columns))
         with pytest.raises(MissingFieldError):
             read_feature_set(tmp_path / "fs", "image")
 
     def test_duplicate_ids_rejected(self, tmp_path):
         # The codec returns columns; the set built from them rejects repeated keys.
         write_bundle(tmp_path / "b", small_bundle())
-        rewrite_manifest_line(tmp_path / "b" / "finetune", 1, id=0)
-        rewrite_manifest_line(tmp_path / "b" / "finetune", 0, id=0)
+        rewrite_columns(tmp_path / "b" / "finetune", row=1, id=0)
+        rewrite_columns(tmp_path / "b" / "finetune", row=0, id=0)
         with pytest.raises(ValueError, match="ids must be unique"):
             load_bundle(tmp_path / "b")
 
@@ -230,41 +267,94 @@ class TestFeatureSetCodec:
         write_sample_feature_set(tmp_path / "fs", n=3)
         with pytest.raises(CodecError, match="kind 'image', expected 'caption'"):
             read_feature_set(tmp_path / "fs", "caption")
-        rewrite_manifest_line(tmp_path / "fs", 2, kind="caption")
+        rewrite_columns(tmp_path / "fs", kind="caption")
         with pytest.raises(CodecError, match="kind 'caption', expected 'image'"):
             read_feature_set(tmp_path / "fs", "image")
 
     @pytest.mark.parametrize("field", ["id", "class_id", "domain_id"])
     @pytest.mark.parametrize("value", [2.9, 2.0, "0", True, False, None, 2**63, -(2**63) - 1])
     def test_ids_and_tags_must_be_64_bit_json_integers(self, tmp_path, field, value):
-        write_sample_feature_set(tmp_path / "fs", n=3)
-        rewrite_manifest_line(tmp_path / "fs", 1, **{field: value})
+        # An int64 column cannot hold anything else, so the writer is where
+        # these values are refused; the object column keeps each value's type.
+        ids, class_ids, domain_ids, matrix = sample_feature_set(n=3)
+        columns = {"id": ids, "class_id": class_ids, "domain_id": domain_ids}
+        columns[field] = np.array(columns[field], dtype=object)
+        columns[field][1] = value
         with pytest.raises(FieldTypeError, match=re.escape(f"{field}: {json.dumps(value)} is not")):
+            write_feature_set(tmp_path / "fs", "image", columns["id"], matrix,
+                              columns["class_id"], columns["domain_id"])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            (5, "the header must be a JSON object of kind and columns"),
+            (None, "the header must be a JSON object of kind and columns"),
+            (True, "the header must be a JSON object of kind and columns"),
+            ("abc", "the header must be a JSON object of kind and columns"),
+            ([], "the header must be a JSON object of kind and columns"),
+            (2.5, "the header must be a JSON object of kind and columns"),
+            ([{"kind": "image", "columns": ["id"]}],
+             "the header must be a JSON object of kind and columns"),
+            ({"kind": ["image"], "columns": ["id"]}, "kind ['image'], expected 'image'"),
+            ({"kind": {"image": 1}, "columns": ["id"]}, "kind {'image': 1}, expected 'image'"),
+            ({"kind": "image"}, "the header must be a JSON object of kind and columns"),
+            ({"columns": ["id"]}, "the header must be a JSON object of kind and columns"),
+            ({"kind": "image", "columns": ["id"], "rows": 2},
+             "the header must be a JSON object of kind and columns"),
+        ],
+        ids=["int", "null", "bool", "string", "list", "float", "list-of-object", "list-kind",
+             "object-kind", "no-columns", "no-kind", "extra-key"],
+    )
+    def test_header_must_be_an_object_of_the_kind(self, tmp_path, header, message):
+        ids, *_ = write_sample_feature_set(tmp_path / "fs", n=2, d=2)
+        (tmp_path / "fs.arfc").write_bytes(encode_columns(header, {"id": ids}))
+        with pytest.raises(CodecError, match=re.escape(f"fs.arfc: {message}")):
             read_feature_set(tmp_path / "fs", "image")
 
     @pytest.mark.parametrize(
-        "line,message",
+        "edit,error,message",
         [
-            ("5", "fs.manifest.jsonl:3: expected a JSON object"),
-            ("null", "fs.manifest.jsonl:3: expected a JSON object"),
-            ("true", "fs.manifest.jsonl:3: expected a JSON object"),
-            ('"abc"', "fs.manifest.jsonl:3: expected a JSON object"),
-            ("[]", "fs.manifest.jsonl:3: expected a JSON object"),
-            ("2.5", "fs.manifest.jsonl:3: expected a JSON object"),
-            ('[{"id": 101, "kind": "image"}]', "fs.manifest.jsonl:3: expected a JSON object"),
-            ('{"id": 101, "kind": ["image"]}', "kind ['image'], expected 'image'"),
-            ('{"id": 101, "kind": {"image": 1}}', "kind {'image': 1}, expected 'image'"),
+            (lambda raw: b"ARFX" + raw[4:], BadMagicError, "magic b'ARFX', expected b'ARFC'"),
+            (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:], VersionUnsupportedError,
+             "version 2, supported 1"),
+            (lambda raw: raw + b"\0", RowCountMismatchError, "49 bytes for 3x2 int64"),
+            (lambda raw: raw[:-8], RowCountMismatchError, "40 bytes for 3x2 int64"),
+            (lambda raw: raw[:8] + struct.pack("<I", 3) + raw[12:], RowCountMismatchError,
+             "48 bytes for 3x3 int64"),
+            (lambda raw: raw[:12] + struct.pack("<I", 999) + raw[16:], CodecError,
+             "the JSON header runs past the end of the file"),
+            (lambda raw: raw[:15], CodecError, "shorter than the fixed header"),
+            (lambda raw: raw[:16] + b"x" + raw[17:], CodecError, "the header is not valid JSON"),
+            (lambda raw: raw[:16] + b"\xff" + raw[17:], CodecError,
+             "the header is not valid JSON"),
         ],
-        ids=["int", "null", "bool", "string", "list", "float", "list-of-object", "list-kind",
-             "object-kind"],
+        ids=["magic", "version", "trailing-byte", "short-payload", "rows", "header-length",
+             "fixed-header", "header-json", "header-utf8"],
     )
-    def test_every_line_must_be_an_object_of_the_kind(self, tmp_path, line, message):
-        # Line 2 is blank, so the faulty record is the second but sits on line 3.
+    def test_malformed_column_file_rejected(self, tmp_path, edit, error, message):
         write_sample_feature_set(tmp_path / "fs", n=2, d=2)
-        manifest = tmp_path / "fs.manifest.jsonl"
-        first = manifest.read_text().splitlines()[0]
-        manifest.write_text(f"{first}\n  \n{line}\n")
-        with pytest.raises(CodecError, match=re.escape(message)):
+        path = tmp_path / "fs.arfc"
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(error, match=re.escape(f"{path}: {message}")):
+            read_feature_set(tmp_path / "fs", "image")
+
+    @pytest.mark.parametrize(
+        "names,error,message",
+        [
+            (["class_id", "id", "domain_id"], CodecError, "repeat or are out of the order"),
+            (["id", "id", "domain_id"], CodecError, "repeat or are out of the order"),
+            (["id", "class_id", 3], FieldTypeError, "columns must be a JSON list of strings"),
+            ("id", FieldTypeError, "columns must be a JSON list of strings"),
+        ],
+        ids=["out-of-order", "repeated", "not-a-string", "not-a-list"],
+    )
+    def test_column_names_checked(self, tmp_path, names, error, message):
+        ids, class_ids, domain_ids, _ = write_sample_feature_set(tmp_path / "fs", n=2, d=2)
+        columns = {"a": ids, "b": class_ids, "c": domain_ids}
+        header = {"kind": "image", "columns": names}
+        (tmp_path / "fs.arfc").write_bytes(encode_columns(header, columns))
+        with pytest.raises(error, match=re.escape(message)):
             read_feature_set(tmp_path / "fs", "image")
 
     @pytest.mark.parametrize(
@@ -293,12 +383,12 @@ class TestFeatureSetCodec:
     def test_kind_with_format_and_escape_characters(self, tmp_path, kind):
         ids, class_ids, domain_ids, matrix = sample_feature_set(n=2)
         write_feature_set(tmp_path / "fs", kind, ids, matrix, None, domain_ids)
-        expected = "".join(
-            json.dumps({"id": i, "class_id": None, "domain_id": d, "kind": kind}) + "\n"
-            for i, d in zip(ids.tolist(), domain_ids.tolist())
-        )
-        assert (tmp_path / "fs.manifest.jsonl").read_text("utf-8") == expected
-        assert read_feature_set(tmp_path / "fs", kind)[0].tolist() == ids.tolist()
+        header = {"kind": kind, "columns": ["id", "domain_id"]}
+        expected = encode_columns(header, {"id": ids, "domain_id": domain_ids})
+        assert (tmp_path / "fs.arfc").read_bytes() == expected
+        back_ids, back_class, back_domain, _ = read_feature_set(tmp_path / "fs", kind)
+        assert back_ids.tolist() == ids.tolist() and back_domain.tolist() == domain_ids.tolist()
+        assert back_class is None
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -308,7 +398,7 @@ class TestFeatureSetCodec:
         data=st.data(),
     )
     def test_codec_property(self, tmp_path_factory, ids, tags, kind, data):
-        # A tag is either null on every row or an integer column.
+        # A tag is either left out (None) or an integer column.
         n = len(ids)
         class_ids, domain_ids = (
             None if tag is None else [tag ^ i for i in range(n)] for tag in tags
@@ -319,26 +409,25 @@ class TestFeatureSetCodec:
         stem = tmp_path_factory.mktemp("fs") / "fs"
         write_feature_set(stem, kind, ids, matrix, class_ids, domain_ids)
 
-        # The manifest is byte for byte what a per-row record writer produced.
-        oracle = "".join(
-            json.dumps({"id": i, "class_id": c, "domain_id": d, "kind": kind}) + "\n"
-            for i, c, d in zip(ids, class_ids or [None] * n, domain_ids or [None] * n)
-        )
-        assert (stem.parent / "fs.manifest.jsonl").read_text("utf-8") == oracle
+        # The column file is byte for byte the format's layout of the given columns.
+        given = {"id": ids, "class_id": class_ids, "domain_id": domain_ids}
+        columns = {name: c for name, c in given.items() if c is not None}
+        oracle = encode_columns({"kind": kind, "columns": list(columns)}, columns)
+        assert (stem.parent / "fs.arfc").read_bytes() == oracle
 
         back_ids, back_class, back_domain, back_matrix = read_feature_set(stem, kind)
         assert back_ids.dtype == np.int64 and back_ids.tolist() == ids
         for got, want in ((back_class, class_ids), (back_domain, domain_ids)):
-            if want is None and n:
+            if want is None:
                 assert got is None
             else:
-                assert got.dtype == np.int64 and got.tolist() == (want or [])
+                assert got.dtype == np.int64 and got.tolist() == want
         assert back_matrix.tobytes() == matrix.tobytes()
 
-        arfm = stem.parent / "fs.arfm"
-        payload = arfm.read_bytes()
+        name = data.draw(st.sampled_from(["fs.arfm", "fs.arfc"]), label="truncated file")
+        payload = (stem.parent / name).read_bytes()
         cut = data.draw(st.integers(0, len(payload) - 1), label="truncate at")
-        arfm.write_bytes(payload[:cut])
+        (stem.parent / name).write_bytes(payload[:cut])
         with pytest.raises(CodecError):
             read_feature_set(stem, kind)
 
@@ -630,6 +719,15 @@ class TestStrictConfigs:
             parse_gen_config({"n_domains": 0})
 
 
+BUNDLE_STEMS = [
+    "pretrain.image", "pretrain.text", "candidates.image", "candidates.text", "finetune",
+    "captions", "prompts_id", "prompts_zsl", "test_id", "test_ds1", "test_zsl",
+]
+BUNDLE_FILES = ["gen_config.json"] + [
+    stem + ext for stem in BUNDLE_STEMS for ext in (".arfc", ".arfm")
+]
+
+
 class TestBundleCodec:
     def test_round_trip_structure(self, tmp_path):
         bundle = small_bundle()
@@ -656,7 +754,7 @@ class TestBundleCodec:
     def test_swapped_pair_sides_rejected(self, tmp_path):
         root = tmp_path / "b"
         write_bundle(root, small_bundle())
-        for suffix in (".manifest.jsonl", ".arfm"):
+        for suffix in (".arfc", ".arfm"):
             image, text = (root / f"pretrain.{side}{suffix}" for side in ("image", "text"))
             image.rename(tmp_path / "swap")
             text.rename(image)
@@ -665,7 +763,7 @@ class TestBundleCodec:
             load_bundle(root)
 
     def test_swapped_pair_matrices_rejected_by_width(self, tmp_path):
-        # Manifests stay put, so every kind check passes; only the widths
+        # Column files stay put, so every kind check passes; only the widths
         # (d_img_raw 6, d_txt_raw 7) tell the two matrices apart.
         root = tmp_path / "b"
         write_bundle(root, small_bundle())
@@ -694,57 +792,79 @@ class TestBundleCodec:
         ):
             load_bundle(tmp_path / "b")
 
-    def test_finetune_line_of_another_kind_rejected(self, tmp_path):
+    def test_finetune_of_another_kind_rejected(self, tmp_path):
         write_bundle(tmp_path / "b", small_bundle())
-        rewrite_manifest_line(tmp_path / "b" / "finetune", 4, kind="caption")
+        rewrite_columns(tmp_path / "b" / "finetune", kind="caption")
         with pytest.raises(CodecError, match="kind 'caption', expected 'image'"):
             load_bundle(tmp_path / "b")
 
-    @pytest.mark.parametrize("field,value", [("class_id", 2.9), ("id", "0"), ("domain_id", True)])
-    def test_finetune_ids_and_tags_must_be_integers(self, tmp_path, field, value):
+    def test_finetune_without_a_tag_column_rejected(self, tmp_path):
         write_bundle(tmp_path / "b", small_bundle())
-        rewrite_manifest_line(tmp_path / "b" / "finetune", 0, **{field: value})
-        with pytest.raises(FieldTypeError):
+        _, columns = decode_columns(tmp_path / "b" / "finetune")
+        del columns["domain_id"]
+        header = {"kind": "image", "columns": list(columns)}
+        (tmp_path / "b" / "finetune.arfc").write_bytes(encode_columns(header, columns))
+        with pytest.raises(MissingFieldError, match="sample records need class_id and domain_id"):
             load_bundle(tmp_path / "b")
 
     @settings(max_examples=100, deadline=None)
     @given(
-        stem=st.sampled_from(
-            ["pretrain.image", "pretrain.text", "candidates.image", "candidates.text", "finetune",
-             "captions", "prompts_id", "prompts_zsl", "test_id", "test_ds1", "test_zsl"]
-        ),
+        stem=st.sampled_from(BUNDLE_STEMS),
         **ONE_BYTE_EDITS,
     )
     def test_one_byte_edit_of_a_manifest_loads_or_raises_value_error(
         self, tmp_path_factory, stem, edit, byte, data
     ):
-        # ValueError covers CodecError, the sets' own checks and UnicodeDecodeError.
+        # ValueError covers CodecError and the sets' own checks.
         root = tmp_path_factory.mktemp("b")
         write_bundle(root, small_bundle())
-        edit_one_byte(root / f"{stem}.manifest.jsonl", edit, byte, data)
+        edit_one_byte(root / f"{stem}.arfc", edit, byte, data)
         try:
             load_bundle(root)
         except ValueError:
             pass
 
+    @settings(max_examples=100, deadline=None)
+    @given(stem=st.sampled_from(BUNDLE_STEMS), **ONE_BYTE_EDITS)
+    def test_one_byte_edit_of_a_matrix_past_its_header_loads_or_raises_value_error(
+        self, tmp_path_factory, stem, edit, byte, data
+    ):
+        # Past the 16-byte header an edit changes a float or the payload
+        # length: the bundle loads with finite features of the same shape,
+        # or a non-finite entry or a length mismatch raises ValueError.
+        root = tmp_path_factory.mktemp("b")
+        bundle = small_bundle()
+        write_bundle(root, bundle)
+        path = root / f"{stem}.arfm"
+        raw = bytearray(path.read_bytes())
+        at = data.draw(st.integers(16, len(raw) - (edit != "insert")), label="at")
+        if edit == "flip":
+            raw[at] ^= byte
+        elif edit == "delete":
+            del raw[at]
+        else:
+            raw.insert(at, byte)
+        path.write_bytes(bytes(raw))
+        try:
+            back = load_bundle(root)
+        except ValueError:
+            return
+        for name in ("pretrain_pool", "finetune", "captions", "prompts_zsl", "zsl_test"):
+            for f in dataclasses.fields(getattr(back, name)):
+                column = getattr(getattr(back, name), f.name)
+                want = getattr(getattr(bundle, name), f.name)
+                assert column.shape == want.shape
+                assert column.dtype == np.int64 or np.isfinite(column).all()
+
     def test_pair_manifest_disagreement(self, tmp_path):
         bundle = small_bundle()
         write_bundle(tmp_path / "b", bundle)
-        manifest = tmp_path / "b" / "candidates.text.manifest.jsonl"
-        lines = manifest.read_text().splitlines()
-        lines[0], lines[1] = lines[1], lines[0]
-        manifest.write_text("".join(line + "\n" for line in lines))
-        with pytest.raises(CodecError):
+        stem = tmp_path / "b" / "candidates.text"
+        _, columns = decode_columns(stem)
+        rewrite_columns(stem, row=0, id=columns["id"][1])
+        rewrite_columns(stem, row=1, id=columns["id"][0])
+        with pytest.raises(CodecError, match="image and text column files disagree on ids"):
             load_bundle(tmp_path / "b")
-
-
-BUNDLE_STEMS = [
-    "pretrain.image", "pretrain.text", "candidates.image", "candidates.text", "finetune",
-    "captions", "prompts_id", "prompts_zsl", "test_id", "test_ds1", "test_zsl",
-]
-BUNDLE_FILES = ["gen_config.json"] + [
-    stem + ext for stem in BUNDLE_STEMS for ext in (".manifest.jsonl", ".arfm")
-]
 
 
 def same_part(a, b) -> bool:
@@ -789,14 +909,14 @@ class TestBundleReader:
 
     def test_corrupt_part_raises_when_read(self, tmp_path):
         write_bundle(tmp_path / "b", small_bundle())
-        manifest = tmp_path / "b" / "pretrain.image.manifest.jsonl"
-        raw = bytearray(manifest.read_bytes())
+        path = tmp_path / "b" / "pretrain.image.arfc"
+        raw = bytearray(path.read_bytes())
         raw[0] ^= 0x01
-        manifest.write_bytes(bytes(raw))
+        path.write_bytes(bytes(raw))
         reader = BundleReader(tmp_path / "b")
         assert len(reader.finetune) and len(reader.candidates)
-        match = re.escape(f"{manifest}:1: not valid JSON")
-        with pytest.raises(CodecError, match=match):
+        match = re.escape(f"{path}: magic b'@RFC', expected b'ARFC'")
+        with pytest.raises(BadMagicError, match=match):
             reader.pretrain_pool
         with pytest.raises(CodecError, match=match):
             load_bundle(tmp_path / "b")

@@ -139,6 +139,31 @@ class TestRandomStream:
         assert inline.draw_count == reference.draw_count == skip + max(n - 1, 0)
         assert inline.next_u64() == reference.next_u64()
 
+    @settings(deadline=None, max_examples=150)
+    @given(U64, st.integers(0, 5), st.integers(0, 40))
+    @example(0, 0, 0)
+    @example(1, 1, 0)
+    @example(2, 1, 1)
+    @example(3, 1, 2)
+    @example(2**64 - 1, 2, 7)
+    @example(12, 0, 40)
+    def test_normals_match_a_normal_loop(self, seed, prior, n):
+        # normals runs the draws inline and Box-Muller on arrays; it must give
+        # what n normal() calls give and leave the same spare and state behind.
+        # Seed 12's first 20 pairs include a u1 where numpy's log can differ
+        # from math.log by an ulp (numpy 2.4 on x86-64 does).
+        batched, reference = RandomStream(seed), RandomStream(seed)
+        for stream in (batched, reference):
+            for _ in range(prior):
+                stream.normal()
+        expected = np.array([reference.normal() for _ in range(n)], dtype=np.float64)
+        assert batched.normals(n).tobytes() == expected.tobytes()
+        assert batched._s == reference._s
+        assert batched.draw_count == reference.draw_count
+        assert batched._spare_normal == reference._spare_normal
+        assert type(batched._spare_normal) is type(reference._spare_normal)
+        assert batched.normal() == reference.normal()
+
     def test_sample_indices_distinct(self):
         stream = RandomStream(11)
         for _ in range(50):
