@@ -306,7 +306,8 @@ class TestFeatureSetCodec:
         ids=["int", "null", "bool", "string", "list", "float", "list-of-object", "list-kind",
              "object-kind", "no-columns", "no-kind", "extra-key"],
     )
-    def test_header_must_be_an_object_of_the_kind(self, tmp_path, header, message):
+    def test_every_line_must_be_an_object_of_the_kind(self, tmp_path, header, message):
+        # The column file's header is the one JSON line a feature set keeps.
         ids, *_ = write_sample_feature_set(tmp_path / "fs", n=2, d=2)
         (tmp_path / "fs.arfc").write_bytes(encode_columns(header, {"id": ids}))
         with pytest.raises(CodecError, match=re.escape(f"fs.arfc: {message}")):
@@ -797,6 +798,18 @@ class TestBundleCodec:
         rewrite_columns(tmp_path / "b" / "finetune", kind="caption")
         with pytest.raises(CodecError, match="kind 'caption', expected 'image'"):
             load_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("field,value", [("class_id", 2.9), ("id", "0"), ("domain_id", True)])
+    def test_finetune_ids_and_tags_must_be_integers(self, tmp_path, field, value):
+        # An int64 column file cannot hold such a value, so the bundle writer
+        # refuses it and leaves no bundle behind.
+        bundle = small_bundle()
+        column = getattr(bundle.finetune, f"{field}s").astype(object)
+        column[0] = value
+        setattr(bundle.finetune, f"{field}s", column)
+        with pytest.raises(FieldTypeError, match=re.escape(f"{field}: {json.dumps(value)} is not")):
+            write_bundle(tmp_path / "b", bundle)
+        assert list(tmp_path.iterdir()) == []
 
     def test_finetune_without_a_tag_column_rejected(self, tmp_path):
         write_bundle(tmp_path / "b", small_bundle())
