@@ -5,163 +5,28 @@ multi-domain benchmark, pretrain a two-tower encoder, finetune with anchor
 regularizers, evaluate in-distribution / domain-shift / held-out-class
 accuracy, and ensemble checkpoints by weight interpolation. `anchorft --help`
 exposes the same pipeline as a CLI.
+
+The root holds the names of that loop. Everything else is imported from its
+module: datasets and retrieval from `anchorft.anchors`, the generator from
+`anchorft.benchgen`, parameters from `anchorft.encoders`, the loss from
+`anchorft.contrastive`, checkpoints and training from `anchorft.training`,
+metrics from `anchorft.evaluation` and the file formats from `anchorft.fileio`.
 """
 
-from .anchors import (
-    AnchorBatch,
-    CandidateIndex,
-    CandidatePair,
-    CaptionRecord,
-    CaptionSet,
-    CheckpointMismatchError,
-    MissingAssignmentError,
-    MissingCaptionError,
-    PairSet,
-    RETRIEVAL_MODES,
-    Sample,
-    SampleSet,
-    assemble_anchor_batch,
-    build_candidate_index,
-    retrieve,
-)
-from .benchgen import (
-    BenchmarkBundle,
-    GenConfig,
-    RotationError,
-    SynthCaptionProvider,
-    generate_benchmark,
-    random_rotation,
-)
-from .contrastive import PairBatch, contrastive_loss, contrastive_loss_and_grads
-from .encoders import (
-    DualEncoderParams,
-    EncoderParams,
-    encode_batch,
-    init_params,
-    param_fingerprint,
-)
-from .evaluation import (
-    EmptySplitError,
-    EnsembleCurve,
-    Metrics,
-    PromptTable,
-    SplitResult,
-    best_alpha,
-    build_prompt_classifier,
-    classify,
-    ensemble_sweep,
-    ensemble_weights,
-    evaluate_splits,
-)
-from .fileio import (
-    BadMagicError,
-    BundleReader,
-    CodecError,
-    FieldTypeError,
-    HashMismatchError,
-    MissingFieldError,
-    RowCountMismatchError,
-    UnknownKeyError,
-    VersionUnsupportedError,
-    WidthMismatchError,
-    load_bundle,
-    read_checkpoint,
-    read_feature_set,
-    write_bundle,
-    write_checkpoint,
-    write_feature_set,
-)
-from .numerics import RandomStream, ZeroVectorError, derive_seed, l2_normalize
-from .training import (
-    CheckReport,
-    Checkpoint,
-    DivergenceError,
-    EmptyFinetuneSetError,
-    LOSS_TERMS,
-    LossBreakdown,
-    TrainConfig,
-    check_gradients,
-    checkpoint_id,
-    config_fingerprint,
-    make_checkpoint,
-    pretrain,
-    run_finetune,
-)
+from .anchors import build_candidate_index
+from .benchgen import GenConfig, generate_benchmark
+from .evaluation import ensemble_sweep, evaluate_splits
+from .training import TrainConfig, pretrain, run_finetune
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorBatch",
-    "BadMagicError",
-    "BenchmarkBundle",
-    "BundleReader",
-    "CandidateIndex",
-    "CandidatePair",
-    "CaptionRecord",
-    "CaptionSet",
-    "CheckReport",
-    "Checkpoint",
-    "CheckpointMismatchError",
-    "CodecError",
-    "DivergenceError",
-    "DualEncoderParams",
-    "EmptyFinetuneSetError",
-    "EmptySplitError",
-    "EncoderParams",
-    "EnsembleCurve",
-    "FieldTypeError",
     "GenConfig",
-    "HashMismatchError",
-    "LOSS_TERMS",
-    "LossBreakdown",
-    "Metrics",
-    "MissingAssignmentError",
-    "MissingCaptionError",
-    "MissingFieldError",
-    "PairBatch",
-    "PairSet",
-    "PromptTable",
-    "RETRIEVAL_MODES",
-    "RandomStream",
-    "RotationError",
-    "RowCountMismatchError",
-    "Sample",
-    "SampleSet",
-    "SplitResult",
-    "SynthCaptionProvider",
     "TrainConfig",
-    "UnknownKeyError",
-    "VersionUnsupportedError",
-    "WidthMismatchError",
-    "ZeroVectorError",
-    "assemble_anchor_batch",
-    "best_alpha",
     "build_candidate_index",
-    "build_prompt_classifier",
-    "check_gradients",
-    "checkpoint_id",
-    "classify",
-    "config_fingerprint",
-    "contrastive_loss",
-    "contrastive_loss_and_grads",
-    "derive_seed",
-    "encode_batch",
     "ensemble_sweep",
-    "ensemble_weights",
     "evaluate_splits",
     "generate_benchmark",
-    "init_params",
-    "l2_normalize",
-    "load_bundle",
-    "make_checkpoint",
-    "param_fingerprint",
     "pretrain",
-    "random_rotation",
-    "read_checkpoint",
-    "read_feature_set",
-    "retrieve",
     "run_finetune",
-    "write_bundle",
-    "write_checkpoint",
-    "write_feature_set",
 ]

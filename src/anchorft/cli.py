@@ -12,8 +12,8 @@ Each subcommand reads the artifacts the previous one wrote, so a full run is
 with no hidden state beyond those files: rerunning any stage with the same
 inputs rewrites its outputs byte for byte. A stage opens the bundle with
 fileio.BundleReader and reads only the parts it uses. The effective run
-configuration is the strict JSON config (unknown keys rejected) plus
-explicit flags.
+configuration is the strict JSON config (unknown keys and values not of
+their default's JSON type rejected) plus explicit flags.
 
 Exit codes: 0 success, 1 usage or validation error, 2 verification failure.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +62,7 @@ def _train_config(args):
     config = fileio.parse_train_config(doc)
     overrides = {}
     if getattr(args, "losses", None) is not None:
-        overrides["enabled_losses"] = tuple(t for t in args.losses.split(",") if t)
+        overrides["enabled_losses"] = [t for t in args.losses.split(",") if t]
     if getattr(args, "anchor_mode", None) is not None:
         overrides["anchor_layout"] = args.anchor_mode
     if getattr(args, "retrieval_mode", None) is not None:
@@ -74,9 +73,8 @@ def _train_config(args):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    if overrides:
-        config = replace(config, **overrides)
-        config.validate()
+    if overrides:  # flags are checked as config values too, so a NaN rate is refused
+        config = fileio.parse_train_config({**doc, **overrides})
     return config
 
 
@@ -271,7 +269,7 @@ def cmd_report(args) -> int:
 
 
 def _add_train_flags(parser, with_anchors: bool) -> None:
-    parser.add_argument("--config", help="train config JSON (strict keys)")
+    parser.add_argument("--config", help="train config JSON (strict keys and types)")
     parser.add_argument("--seed", type=int, help="training seed override")
     parser.add_argument("--epochs", type=int, help="epoch count override")
     parser.add_argument("--batch-size", type=int, help="batch size override")
@@ -289,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchgen", help="generate a synthetic benchmark bundle")
     p.add_argument("--out", required=True, help="bundle directory")
-    p.add_argument("--config", help="generator config JSON (strict keys)")
+    p.add_argument("--config", help="generator config JSON (strict keys and types)")
     p.add_argument("--seed", type=int, help="generator seed override")
     p.set_defaults(handler=cmd_benchgen)
 

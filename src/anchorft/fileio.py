@@ -14,19 +14,20 @@ import contextlib
 import dataclasses
 import errno
 import json
+import math
 import os
 import shutil
 import struct
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .anchors import CandidateIndex, CaptionSet, PairSet, SampleSet
 from .benchgen import BenchmarkBundle, GenConfig
-from .encoders import MODALITIES, DualEncoderParams, EncoderParams
+from .encoders import DualEncoderParams
 from .evaluation import EnsembleCurve, Metrics, PromptTable
 from .numerics import as_float_array
 from .training import Checkpoint, TrainConfig, checkpoint_id
@@ -70,7 +71,7 @@ EMBEDDING_MAGIC = b"ARFI"  # 64-bit embedding storage
 COLUMN_MAGIC = b"ARFC"  # int64 id and tag columns of a feature set
 MATRIX_VERSION = 1
 COLUMN_VERSION = 1
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 INDEX_VERSION = 1
 METRICS_VERSION = 1
 
@@ -213,20 +214,75 @@ def read_jsonl(path) -> list:
     return records
 
 
-def _require(doc: dict, keys: Sequence[str], where: str) -> None:
-    missing = [k for k in keys if k not in doc]
+_KINDS = {int: "64-bit JSON integer", float: "finite JSON number", str: "JSON string",
+          bool: "JSON boolean", dict: "JSON object", type(None): "JSON null"}
+
+
+def _is(value, kind) -> bool:
+    """Whether a parsed JSON value has the JSON type `kind` (see _fields)."""
+    if type(kind) is tuple:
+        return any(_is(value, k) for k in kind)
+    if type(kind) is list:
+        return type(value) is list and all(_is(item, kind[0]) for item in value)
+    if kind is int:
+        return type(value) is int and -(2**63) <= value < 2**63
+    if kind is float:
+        return (type(value) is float and math.isfinite(value)) or (
+            type(value) is int and abs(value) <= sys.float_info.max
+        )
+    return type(value) is kind
+
+
+def _check(value, kind, label: str) -> None:
+    """Raise FieldTypeError naming label and the value at fault (a list's first bad item)."""
+    if _is(value, kind):
+        return
+    if type(kind) is list and type(value) is list:
+        kind = kind[0]
+        value = next(item for item in value if not _is(item, kind))
+    shown = json.dumps(value)
+    shown = shown if len(shown) <= 60 else shown[:57] + "..."
+    raise FieldTypeError(f"{label}: {shown} is not {_describe(kind)}")
+
+
+def _describe(kind) -> str:
+    if type(kind) is tuple:
+        return " or ".join(map(_describe, kind))
+    return f"a JSON list of {_KINDS[kind[0]]}s" if type(kind) is list else f"a {_KINDS[kind]}"
+
+
+def _fields(doc: dict, types: dict, where: str, version: int | None = None) -> dict:
+    """doc, once every field of `types` is present (MissingFieldError) and of its JSON type.
+
+    A type is int (a JSON integer in int64 range), float (a finite JSON
+    number: a float, or an integer in float range; never a bool), str, bool,
+    dict, type(None) (null), [type] (a list of that type) or a tuple of
+    types (any one of them). A mistyped field raises FieldTypeError starting
+    "<where>: <field>". With `version`, doc["version"] must be that integer
+    (VersionUnsupportedError), checked first: other versions have other fields.
+    """
+    found = doc.get("version", version)
+    if version and (type(found) is not int or found != version):
+        raise VersionUnsupportedError(f"{where}: version {found}, supported {version}")
+    missing = [k for k in (["version"] if version else []) + list(types) if k not in doc]
     if missing:
         raise MissingFieldError(f"{where}: missing fields {missing}")
+    for key, kind in types.items():
+        _check(doc[key], kind, f"{where}: {key}")
+    return doc
 
 
-def _int_column(values: list, where: str) -> np.ndarray:
-    """An int64 column of a JSON list; floats, strings, bools and nulls are rejected."""
-    if type(values) is not list:
-        raise FieldTypeError(f"{where}: expected a JSON list of integers")
-    bad = [v for v in values if type(v) is not int or not -(2**63) <= v < 2**63]
-    if bad:
-        raise FieldTypeError(f"{where}: {json.dumps(bad[0])} is not a 64-bit JSON integer")
-    return np.array(values, dtype=np.int64)
+def _read_binary(path, magic: bytes, version: int) -> tuple:
+    """(rows, the header's third u32, the rest of the file) of a file of this magic and version."""
+    raw = Path(path).read_bytes()
+    if len(raw) < 4 + _HEADER.size:
+        raise CodecError(f"{path}: shorter than the fixed header")
+    if raw[:4] != magic:
+        raise BadMagicError(f"{path}: magic {raw[:4]!r}, expected {magic!r}")
+    found, rows, third = _HEADER.unpack_from(raw, 4)
+    if found != version:
+        raise VersionUnsupportedError(f"{path}: version {found}, supported {version}")
+    return rows, third, memoryview(raw)[4 + _HEADER.size :]
 
 
 # ---------------------------------------------------------------------------
@@ -249,21 +305,14 @@ def write_matrix(path, matrix: np.ndarray, magic: bytes = FEATURE_MAGIC) -> None
 
 
 def read_matrix(path, magic: bytes = FEATURE_MAGIC) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 + _HEADER.size:
-        raise CodecError(f"{path}: shorter than the fixed header")
-    if raw[:4] != magic:
-        raise BadMagicError(f"{path}: magic {raw[:4]!r}, expected {magic!r}")
-    version, rows, cols = _HEADER.unpack_from(raw, 4)
-    if version != MATRIX_VERSION:
-        raise VersionUnsupportedError(f"{path}: version {version}, supported {MATRIX_VERSION}")
+    rows, cols, body = _read_binary(path, magic, MATRIX_VERSION)
     dtype = np.dtype("<f4") if magic == FEATURE_MAGIC else np.dtype("<f8")
-    body = raw[4 + _HEADER.size :]
     if len(body) != rows * cols * dtype.itemsize:
         raise RowCountMismatchError(
             f"{path}: payload holds {len(body)} bytes, header claims {rows}x{cols}"
         )
-    return np.frombuffer(body, dtype=dtype).reshape(rows, cols).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN is left to the caller's finite check
+        return np.frombuffer(body, dtype=dtype).reshape(rows, cols).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -295,32 +344,25 @@ def write_feature_set(stem, kind: str, ids, matrix, class_ids=None, domain_ids=N
     for name, column in zip(_COLUMNS, (ids, class_ids, domain_ids)):
         if column is not None:
             column = np.asarray(column)
-            ints = column.dtype.kind == "i"
-            columns[name] = column if ints else _int_column(column.tolist(), f"{stem}: {name}")
+            if column.dtype.kind != "i":
+                _check(column.tolist(), [int], f"{stem}: {name}")
+            columns[name] = column.astype("<i8", copy=False)
     if any(len(c) != n for c in columns.values()):
         raise RowCountMismatchError(f"{stem}: every id and tag column needs {n} rows")
     header = json.dumps({"kind": kind, "columns": list(columns)}, separators=(",", ":")).encode()
     payload = [COLUMN_MAGIC, _HEADER.pack(COLUMN_VERSION, n, len(header)), header]
-    payload += [c.astype("<i8").tobytes() for c in columns.values()]
+    payload += [c.tobytes() for c in columns.values()]
     _atomic_write_bytes(_column_path(stem), b"".join(payload))
     write_matrix(_matrix_path(stem), matrix, FEATURE_MAGIC)
 
 
 def _read_columns(path: Path, kind: str) -> dict:
     """{name: int64 column} of a column file whose header has `kind`, every check applied."""
-    raw = path.read_bytes()
-    start = 4 + _HEADER.size
-    if len(raw) < start:
-        raise CodecError(f"{path}: shorter than the fixed header")
-    if raw[:4] != COLUMN_MAGIC:
-        raise BadMagicError(f"{path}: magic {raw[:4]!r}, expected {COLUMN_MAGIC!r}")
-    version, rows, size = _HEADER.unpack_from(raw, 4)
-    if version != COLUMN_VERSION:
-        raise VersionUnsupportedError(f"{path}: version {version}, supported {COLUMN_VERSION}")
-    if len(raw) < start + size:
+    rows, size, body = _read_binary(path, COLUMN_MAGIC, COLUMN_VERSION)
+    if len(body) < size:
         raise CodecError(f"{path}: the JSON header runs past the end of the file")
     try:
-        header = json.loads(raw[start : start + size].decode("utf-8"))
+        header = json.loads(bytes(body[:size]).decode("utf-8"))
     except ValueError as exc:
         raise CodecError(f"{path}: the header is not valid JSON ({exc})") from exc
     if type(header) is not dict or sorted(header) != ["columns", "kind"]:
@@ -328,15 +370,16 @@ def _read_columns(path: Path, kind: str) -> dict:
     if header["kind"] != kind:
         raise CodecError(f"{path}: kind {header['kind']!r}, expected {kind!r}")
     names = header["columns"]
-    if type(names) is not list or not all(type(name) is str for name in names):
+    if not _is(names, [str]):
         raise FieldTypeError(f"{path}: columns must be a JSON list of strings")
     unknown = sorted(set(names) - set(_COLUMNS))
     if unknown:
         raise UnknownKeyError(f"{path}: unknown columns {unknown}")
-    _require(names, ("id",), str(path))
+    if "id" not in names:
+        raise MissingFieldError(f"{path}: missing fields ['id']")
     if names != [name for name in _COLUMNS if name in names]:
         raise CodecError(f"{path}: columns {names} repeat or are out of the order {_COLUMNS}")
-    body = raw[start + size :]
+    body = body[size:]
     if len(body) != 8 * rows * len(names):
         raise RowCountMismatchError(f"{path}: {len(body)} bytes for {len(names)}x{rows} int64")
     block = np.frombuffer(body, dtype="<i8").reshape(len(names), rows).astype(np.int64)
@@ -363,74 +406,33 @@ def read_feature_set(stem, kind: str) -> tuple:
 # checkpoints
 
 
-def _tower_doc(tower: EncoderParams) -> dict:
-    return {name: leaf.tolist() for name, leaf in zip(EncoderParams._fields, tower)}
-
-
-def _params_from_doc(doc: dict, where: str) -> DualEncoderParams:
-    """Pack the named leaves of both towers and log_tau into one theta vector."""
-    leaves = []
-    for modality in MODALITIES:
-        tower = doc[modality]
-        if type(tower) is not dict:
-            raise FieldTypeError(f"{where}: the {modality} tower must be a JSON object")
-        _require(tower, EncoderParams._fields, f"{where}: {modality} tower")
-        for name in EncoderParams._fields:
-            try:
-                leaves.append(np.array(tower[name], dtype=np.float64))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise FieldTypeError(f"{where}: {modality} {name} is not numeric ({exc})") from exc
-    image_w1, _, image_w2, _, text_w1, _, _, _ = leaves
-    if image_w1.ndim != 2 or image_w2.ndim != 2 or text_w1.ndim != 2:
-        raise CodecError(f"{where}: w1 and w2 must be matrices")
-    dims = (image_w1.shape[1], text_w1.shape[1], image_w1.shape[0], image_w2.shape[0])
-    if not _is_number(doc["log_tau"]):
-        raise FieldTypeError(f"{where}: log_tau {json.dumps(doc['log_tau'])} is not a JSON number")
-    log_tau = np.array([float(doc["log_tau"])])
-    params = DualEncoderParams(np.concatenate([leaf.ravel() for leaf in leaves] + [log_tau]), dims)
-    if [leaf.shape for leaf in leaves] != [view.shape for view in (*params.image, *params.text)]:
-        raise CodecError(f"{where}: encoder parameter shapes are inconsistent")
-    return params
-
-
 def write_checkpoint(path, ckpt: Checkpoint) -> None:
-    """JSON with a fixed key order; the id is verifiable on read."""
+    """JSON with a fixed key order, dims and the theta vector; the id is verifiable on read."""
     doc = {
         "version": CHECKPOINT_VERSION,
         "provenance": ckpt.provenance,
         "config_fingerprint": ckpt.config_fingerprint,
         "id": ckpt.id,
-        "log_tau": ckpt.params.log_tau,
-        "image": _tower_doc(ckpt.params.image),
-        "text": _tower_doc(ckpt.params.text),
+        "dims": list(ckpt.params.dims),
+        "theta": ckpt.params.theta.tolist(),
     }
     write_json(path, doc)
 
 
 def read_checkpoint(path) -> Checkpoint:
-    doc = read_json(path)
-    _require(
-        doc,
-        ("version", "provenance", "config_fingerprint", "id", "log_tau", "image", "text"),
-        str(path),
-    )
-    if doc["version"] != CHECKPOINT_VERSION:
-        raise VersionUnsupportedError(
-            f"{path}: version {doc['version']}, supported {CHECKPOINT_VERSION}"
-        )
-    for key in ("provenance", "config_fingerprint", "id"):
-        if type(doc[key]) is not str:
-            raise FieldTypeError(f"{path}: {key} must be a JSON string")
-    params = _params_from_doc(doc, str(path))
+    types = {"provenance": str, "config_fingerprint": str, "id": str, "dims": [int],
+             "theta": [float]}
+    doc = _fields(read_json(path), types, str(path), CHECKPOINT_VERSION)
+    if len(doc["dims"]) != 4:
+        raise FieldTypeError(f"{path}: dims must be four JSON integers")
+    try:
+        params = DualEncoderParams(np.array(doc["theta"], dtype=np.float64), doc["dims"])
+    except (ValueError, OverflowError) as exc:
+        raise CodecError(f"{path}: {exc}") from exc
     expected = checkpoint_id(params, doc["config_fingerprint"], doc["provenance"])
     if expected != doc["id"]:
         raise HashMismatchError(f"{path}: stored id does not match recomputed content hash")
-    return Checkpoint(
-        params=params,
-        config_fingerprint=doc["config_fingerprint"],
-        provenance=doc["provenance"],
-        id=doc["id"],
-    )
+    return Checkpoint(params, doc["config_fingerprint"], doc["provenance"], doc["id"])
 
 
 # ---------------------------------------------------------------------------
@@ -461,26 +463,18 @@ def _read_embeddings(path: Path) -> np.ndarray:
 
 def read_candidate_index(dir_path) -> CandidateIndex:
     dir_path = Path(dir_path)
-    meta = read_json(dir_path / "meta.json")
-    _require(meta, ("version", "source_checkpoint_id", "candidate_ids"), str(dir_path))
-    if meta["version"] != INDEX_VERSION:
-        raise VersionUnsupportedError(
-            f"{dir_path}: version {meta['version']}, supported {INDEX_VERSION}"
-        )
+    types = {"source_checkpoint_id": str, "candidate_ids": [int]}
+    meta = _fields(read_json(dir_path / "meta.json"), types, str(dir_path / "meta.json"),
+                   INDEX_VERSION)
     image = _read_embeddings(dir_path / "image_embeddings.arfi")
     text = _read_embeddings(dir_path / "text_embeddings.arfi")
-    ids = _int_column(meta["candidate_ids"], f"{dir_path / 'meta.json'}: candidate_ids")
+    ids = meta["candidate_ids"]
     if image.shape[0] != len(ids) or text.shape[0] != len(ids):
         raise RowCountMismatchError(
             f"{dir_path}: {len(ids)} candidate ids vs "
             f"{image.shape[0]}/{text.shape[0]} embedding rows"
         )
-    return CandidateIndex(
-        candidate_ids=ids,
-        image_embeddings=image,
-        text_embeddings=text,
-        source_checkpoint_id=meta["source_checkpoint_id"],
-    )
+    return CandidateIndex(ids, image, text, meta["source_checkpoint_id"])
 
 
 # ---------------------------------------------------------------------------
@@ -488,27 +482,30 @@ def read_candidate_index(dir_path) -> CandidateIndex:
 
 
 def _strict_config(doc: dict, cls):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - names)
+    """cls(**doc), validated, once every key is a field of cls holding its default's JSON type.
+
+    A tuple default types a JSON list of its items' type, and every number
+    must be finite. Unknown keys raise UnknownKeyError; omitted keys fall to
+    the defaults.
+    """
+    kinds = {
+        f.name: [type(f.default[0])] if type(f.default) is tuple else type(f.default)
+        for f in dataclasses.fields(cls)
+    }
+    unknown = sorted(set(doc) - set(kinds))
     if unknown:
         raise UnknownKeyError(f"unknown {cls.__name__} keys {unknown}")
-    return cls(**doc)
+    config = cls(**_fields(doc, {key: kinds[key] for key in doc}, cls.__name__))
+    config.validate()
+    return config
 
 
 def parse_gen_config(doc: dict) -> GenConfig:
-    """Strict parse: unknown keys rejected, omitted keys fall to defaults."""
-    config = _strict_config(doc, GenConfig)
-    config.validate()
-    return config
+    return _strict_config(doc, GenConfig)
 
 
 def parse_train_config(doc: dict) -> TrainConfig:
-    doc = dict(doc)
-    if "enabled_losses" in doc:
-        doc["enabled_losses"] = tuple(doc["enabled_losses"])
-    config = _strict_config(doc, TrainConfig)
-    config.validate()
-    return config
+    return _strict_config(doc, TrainConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -549,12 +546,6 @@ def _read_pairs(dir_path: Path, stem: str, config: GenConfig) -> PairSet:
     if not np.array_equal(ids, text_ids):
         raise CodecError(f"{dir_path}/{stem}: image and text column files disagree on ids")
     return PairSet(ids, images, texts)
-
-
-def _read_keyed(stem: Path, kind: str, cls, width: int):
-    """A set of a key column and one matrix: captions or prompts."""
-    ids, _, _, matrix = _read_checked(stem, kind, width)
-    return cls(ids, matrix)
 
 
 def _bundle_files(config: GenConfig) -> list[str]:
@@ -650,7 +641,9 @@ class BundleReader:
         return _read_samples(self.path / "test_zsl", self.gen_config.d_img_raw)
 
     def _prompts_or_captions(self, stem: str, kind: str, cls):
-        return _read_keyed(self.path / stem, kind, cls, self.gen_config.d_txt_raw)
+        """A set of a key column and one matrix: captions or prompts."""
+        ids, _, _, matrix = _read_checked(self.path / stem, kind, self.gen_config.d_txt_raw)
+        return cls(ids, matrix)
 
 
 def load_bundle(dir_path) -> BenchmarkBundle:
@@ -671,30 +664,13 @@ def write_metrics(path, metrics: Metrics, checkpoint: str | None = None) -> None
     write_json(path, doc)
 
 
-def _is_number(value) -> bool:
-    """A JSON number that converts to a float: bools and ints past float range are not."""
-    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
-
-
 def read_metrics(path) -> dict:
     """A metrics document, with the fields report reads type-checked."""
-    doc = read_json(path)
-    _require(doc, ("version", "splits", "avg_ood"), str(path))
-    if doc["version"] != METRICS_VERSION:
-        raise VersionUnsupportedError(
-            f"{path}: version {doc['version']}, supported {METRICS_VERSION}"
-        )
-    splits = doc["splits"]
-    if type(splits) is not list or not all(
-        type(s) is dict and type(s.get("split")) is str and _is_number(s.get("accuracy_percent"))
-        for s in splits
-    ):
-        raise FieldTypeError(
-            f"{path}: splits must be a JSON list of objects with a string split "
-            f"and a numeric accuracy_percent"
-        )
-    if doc["avg_ood"] is not None and not _is_number(doc["avg_ood"]):
-        raise FieldTypeError(f"{path}: avg_ood must be a JSON number or null")
+    types = {"splits": [dict], "avg_ood": (float, type(None))}
+    doc = _fields(read_json(path), types, str(path), METRICS_VERSION)
+    for split in doc["splits"]:
+        _check(split.get("split"), str, f"{path}: splits: split")
+        _check(split.get("accuracy_percent"), float, f"{path}: splits: accuracy_percent")
     return doc
 
 

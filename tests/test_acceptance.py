@@ -101,14 +101,14 @@ GOLDEN_SMALL_PIPELINE = {
     "bench/test_zsl.arfc": "e95104abab4e4bed491d5d4b968a2022be20a8cfb063ace8f48e8e99842561e4",
     "bench/test_zsl.arfm": "a51a7758666d44bb986b8dd79d37a6df674a0c458677df9e6856bbd26c147927",
     "curve.csv": "8a84e27c7b448389583bfd89eb838e91e7629e88c777f79c8e1154489439097d",
-    "ft.json": "eb0bd784ca9d3f4d6ba6e56523989414262a37da7f54905da1e2a913708374b9",
+    "ft.json": "2be2d61aa96be95b7a88e2a2556c8efd2d30e5c764aacb0082a88644e1a46977",
     "ft.log.jsonl": "caff07f57b7f8640e35258b3169df80f2c516070f351d08c7afa036db31c4e0d",
     "gen.json": "e23b4302d28950e71de4ffee6857d21a27e64f5e126d435e0906c9d6c529aa55",
     "index/image_embeddings.arfi": "01984c2bd733451bc9cf81cb45d78568ea2cfa9d70686bba96c78d81096086a8",
     "index/meta.json": "4cc40d47d491081cb9f1a980e1a56c9a729cd94a5d1b2eab5c13cb2f3ef0cbcc",
     "index/text_embeddings.arfi": "dff56df08e8067f06dfe83fc9a5622f44cf25ef85f93f640d81483ad5e1b5375",
     "metrics.json": "cf602347fc48ec02f2f038bdd332a9eee784f510ef0ad9df819ae27e2ea7d9b7",
-    "pre.json": "df2899f56db62330b728e3682e5b9379807c411a0d6d859f069a9a8696416742",
+    "pre.json": "1ba21b2797009c978204819ae85ae453bc7eee1d94ac9390fd3860eb141a5f34",
     "pre.log.jsonl": "31c6499b4f569d9a083a74effdc9536487cb0f60daa4385ff98aebea306a24c6",
     "train.json": "0f77e92899c0b5b06f7597193f8017d27609e543455244c4d538a58777e27e50",
 }
@@ -648,7 +648,7 @@ def test_codecs_round_trip_and_reject_corruption(tmp_path):
     assert reread.id == ckpt.id
 
     doc = json.loads((tmp_path / "ckpt.json").read_text())
-    doc["image"]["w1"][0][0] += 1.0
+    doc["theta"][0] += 1.0
     (tmp_path / "ckpt.json").write_text(json.dumps(doc))
     with pytest.raises(HashMismatchError):
         read_checkpoint(tmp_path / "ckpt.json")

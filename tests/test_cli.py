@@ -5,15 +5,18 @@ import io
 import json
 import shutil
 import struct
+from dataclasses import fields
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorft import cli
+from anchorft.benchgen import GenConfig
 from anchorft.cli import _train_config, build_parser, main
-from anchorft.fileio import CodecError, load_bundle
-from anchorft.training import CheckReport
+from anchorft.fileio import CodecError, load_bundle, read_checkpoint
+from anchorft.training import CheckReport, TrainConfig
 
 GEN = {
     "n_id_classes": 3,
@@ -90,7 +93,7 @@ class TestPipeline:
 
     def test_tampered_checkpoint_fails_validation(self, pipeline, tmp_path, capsys):
         doc = json.loads((pipeline / "pre.json").read_text())
-        doc["image"]["w1"][0][0] += 1.0
+        doc["theta"][0] += 1.0
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["precompute", "--checkpoint", str(bad),
@@ -254,13 +257,11 @@ class TestCheckpointAndIndexInputs:
         )
         assert not (tmp_path / "ft.json").exists()
 
-    @pytest.mark.parametrize("leaf", [None, "b1"], ids=["log-tau", "leaf"])
-    def test_integer_past_float_range_exits_one(self, pipeline, tmp_path, capsys, leaf):
+    @pytest.mark.parametrize("at", [-1, 0], ids=["log-tau", "leaf"])
+    def test_integer_past_float_range_exits_one(self, pipeline, tmp_path, capsys, at):
+        # log_tau is theta's last element and every other element is a tower leaf.
         doc = json.loads((pipeline / "ft.json").read_text())
-        if leaf is None:
-            doc["log_tau"] = 10**400
-        else:
-            doc["image"][leaf][0] = 10**400
+        doc["theta"][at] = 10**400
         bad = tmp_path / "ft.json"
         bad.write_text(json.dumps(doc))
         argv = ["eval", "--checkpoint", str(bad), "--bundle", str(pipeline / "bench")]
@@ -314,6 +315,68 @@ class TestReportInputs:
         flag = ["--metrics", f"a={path}"] if name == "metrics.json" else ["--curve", str(path)]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["report", *flag]) in (0, 1)
+
+
+# Any value json.loads can return, NaN and infinities included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+class TestConfigInputs:
+    @pytest.mark.parametrize(
+        "doc,message",
+        [({"batch_size": "32"}, 'batch_size: "32" is not'), ({"epochs": 1.5}, "epochs: 1.5"),
+         ({"enabled_losses": 5}, "enabled_losses: 5"), ({"tau_trainable": "no"}, "tau_trainable"),
+         ({"lambda_cl": float("nan")}, "lambda_cl: NaN"),
+         ({"learning_rate": float("nan")}, "learning_rate: NaN")],
+    )
+    def test_mistyped_train_config_exits_one(self, pipeline, tmp_path, capsys, doc, message):
+        (tmp_path / "train.json").write_text(json.dumps(doc))
+        argv = stage_argvs(pipeline, pipeline / "bench", tmp_path)["pretrain"]
+        argv[argv.index("--config") + 1] = str(tmp_path / "train.json")
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: TrainConfig: {message}")
+        assert not (tmp_path / "pre.json").exists()
+
+    @pytest.mark.parametrize("rate,shown", [("nan", "NaN"), ("inf", "Infinity")])
+    def test_non_finite_rate_flag_exits_one(self, pipeline, tmp_path, capsys, rate, shown):
+        argv = stage_argvs(pipeline, pipeline / "bench", tmp_path)["pretrain"]
+        assert main([*argv, "--learning-rate", rate]) == 1
+        assert capsys.readouterr().err.startswith(f"error: TrainConfig: learning_rate: {shown}")
+        assert not (tmp_path / "pre.json").exists()
+
+    def test_mistyped_gen_config_exits_one(self, tmp_path, capsys):
+        (tmp_path / "gen.json").write_text(json.dumps({"seed": "1"}))
+        argv = ["benchgen", "--out", str(tmp_path / "b"), "--config", str(tmp_path / "gen.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith('error: GenConfig: seed: "1" is not')
+        assert not (tmp_path / "b").exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(command=st.sampled_from(["pretrain", "benchgen"]), value=JSON_VALUES, data=st.data())
+    def test_any_json_value_in_any_field_exits_zero_or_one(
+        self, pipeline, tmp_path_factory, command, value, data
+    ):
+        # The stage itself is replaced by a lookup of the pipeline's own
+        # result, so a config that parses costs nothing to run: what is
+        # tested is the config's path from file to stage.
+        cls = TrainConfig if command == "pretrain" else GenConfig
+        name = data.draw(st.sampled_from([f.name for f in fields(cls)]), label="field")
+        out = tmp_path_factory.mktemp("cfg")
+        (out / "cfg.json").write_text(json.dumps({name: value}))
+        if command == "pretrain":
+            argv = ["pretrain", "--bundle", str(pipeline / "bench"), "--out", str(out / "pre.json")]
+            stage = "pretrain", lambda pool, config: (read_checkpoint(pipeline / "pre.json"), [])
+        else:
+            argv = ["benchgen", "--out", str(out / "b")]
+            stage = "generate_benchmark", lambda config: load_bundle(pipeline / "bench")
+        with mock.patch.object(cli, *stage), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main([*argv, "--config", str(out / "cfg.json")]) in (0, 1)
 
 
 class TestExitCodes:

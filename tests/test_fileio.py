@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from anchorft import fileio
 from anchorft.anchors import build_candidate_index
 from anchorft.benchgen import GenConfig, generate_benchmark
-from anchorft.encoders import init_params
+from anchorft.encoders import EncoderParams, init_params
 from anchorft.evaluation import ensemble_sweep
 from anchorft.fileio import (
     BadMagicError,
@@ -518,24 +518,26 @@ class TestCheckpointCodec:
     def test_tampered_weight(self, tmp_path):
         write_checkpoint(tmp_path / "ck.json", self.checkpoint())
         doc = json.loads((tmp_path / "ck.json").read_text())
-        doc["image"]["w1"][0][0] += 1e-9
+        doc["theta"][0] += 1e-9
         (tmp_path / "ck.json").write_text(json.dumps(doc))
         with pytest.raises(HashMismatchError):
             read_checkpoint(tmp_path / "ck.json")
 
     def test_inconsistent_leaf_shapes(self, tmp_path):
+        # theta is the leaves laid end to end, so a leaf of the wrong shape
+        # shows as a theta whose length does not fit dims.
         write_checkpoint(tmp_path / "ck.json", self.checkpoint())
         doc = json.loads((tmp_path / "ck.json").read_text())
-        doc["text"]["b1"] = doc["text"]["b1"][:-1]
-        doc["text"]["b2"].append(0.0)
+        doc["theta"].append(0.0)
         (tmp_path / "ck.json").write_text(json.dumps(doc))
-        with pytest.raises(CodecError):
+        with pytest.raises(CodecError, match="theta must have shape"):
             read_checkpoint(tmp_path / "ck.json")
 
     def test_missing_log_tau(self, tmp_path):
+        # log_tau is theta's last element, so it goes missing with theta.
         write_checkpoint(tmp_path / "ck.json", self.checkpoint())
         doc = json.loads((tmp_path / "ck.json").read_text())
-        del doc["log_tau"]
+        del doc["theta"]
         (tmp_path / "ck.json").write_text(json.dumps(doc))
         with pytest.raises(MissingFieldError):
             read_checkpoint(tmp_path / "ck.json")
@@ -543,21 +545,32 @@ class TestCheckpointCodec:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            ({"image": 5}, "the image tower must be a JSON object"),
-            ({"text": None}, "the text tower must be a JSON object"),
-            ({"image": "w1 b1 w2 b2"}, "the image tower must be a JSON object"),
-            ({"log_tau": [1]}, "log_tau [1] is not a JSON number"),
-            ({"log_tau": True}, "log_tau true is not a JSON number"),
-            ({"provenance": 5}, "provenance must be a JSON string"),
-            ({"config_fingerprint": None}, "config_fingerprint must be a JSON string"),
+            (lambda doc: doc.update(theta=5), "theta: 5 is not a JSON list of finite JSON numbers"),
+            (lambda doc: doc.update(theta=None),
+             "theta: null is not a JSON list of finite JSON numbers"),
+            (lambda doc: doc.update(theta="w1 b1 w2 b2"),
+             'theta: "w1 b1 w2 b2" is not a JSON list of finite JSON numbers'),
+            (lambda doc: doc["theta"].__setitem__(-1, [1]),
+             "theta: [1] is not a finite JSON number"),
+            (lambda doc: doc["theta"].__setitem__(-1, True),
+             "theta: true is not a finite JSON number"),
+            (lambda doc: doc.update(provenance=5), "provenance: 5 is not a JSON string"),
+            (lambda doc: doc.update(config_fingerprint=None),
+             "config_fingerprint: null is not a JSON string"),
+            (lambda doc: doc["dims"].pop(), "dims must be four JSON integers"),
+            (lambda doc: doc["dims"].__setitem__(3, 4.0), "dims: 4.0 is not a 64-bit JSON integer"),
         ],
         ids=["int-tower", "null-tower", "string-tower", "list-log-tau", "bool-log-tau",
-             "int-provenance", "null-fingerprint"],
+             "int-provenance", "null-fingerprint", "three-dims", "float-dim"],
     )
     def test_field_of_the_wrong_type(self, tmp_path, edit, message):
+        # The towers and log_tau are theta: the "tower" cases replace all of
+        # it and the "log-tau" cases its last element.
         path = tmp_path / "ck.json"
         write_checkpoint(path, self.checkpoint())
-        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
         with pytest.raises(FieldTypeError, match=re.escape(f"{path}: {message}")):
             read_checkpoint(path)
 
@@ -566,31 +579,55 @@ class TestCheckpointCodec:
     )
     def test_leaf_that_is_not_numeric(self, tmp_path, leaf):
         path = tmp_path / "ck.json"
-        write_checkpoint(path, self.checkpoint())
+        ckpt = self.checkpoint()
+        write_checkpoint(path, ckpt)
         doc = json.loads(path.read_text())
-        doc["text"]["w2"] = leaf
+        doc["theta"][ckpt.params.span("text").start] = leaf
         path.write_text(json.dumps(doc))
-        with pytest.raises(FieldTypeError, match=re.escape(f"{path}: text w2 is not numeric")):
+        with pytest.raises(FieldTypeError, match=re.escape(
+            f"{path}: theta: {json.dumps(leaf)} is not a finite JSON number"
+        )):
             read_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "edit,message",
-        [
-            (lambda doc: doc.update(log_tau=10**400), "log_tau 1000"),
-            (lambda doc: doc["text"]["b1"].__setitem__(0, 10**400), "text b1 is not numeric"),
-            (lambda doc: doc["image"]["w1"][0].__setitem__(1, -(10**400)),
-             "image w1 is not numeric"),
-        ],
+        "leaf,value",
+        [("log_tau", 10**400), ("text b2", 10**400), ("image w1", -(10**400))],
         ids=["log-tau", "vector-leaf", "matrix-leaf"],
     )
-    def test_integer_past_float_range(self, tmp_path, edit, message):
+    def test_integer_past_float_range(self, tmp_path, leaf, value):
+        path = tmp_path / "ck.json"
+        ckpt = self.checkpoint()
+        write_checkpoint(path, ckpt)
+        doc = json.loads(path.read_text())
+        span = ckpt.params.span
+        at = {"log_tau": -1, "text b2": span("text").stop - 1, "image w1": span("image").start}
+        doc["theta"][at[leaf]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FieldTypeError, match=re.escape(f"{path}: theta: {str(value)[:10]}")):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("log_tau", [1e300, -1e300, 5.0])
+    def test_log_tau_outside_the_tau_range(self, tmp_path, log_tau):
+        # exp(1e300) overflows rather than giving a tau to check, and is
+        # rejected as a bad checkpoint all the same.
         path = tmp_path / "ck.json"
         write_checkpoint(path, self.checkpoint())
         doc = json.loads(path.read_text())
-        edit(doc)
+        doc["theta"][-1] = log_tau
         path.write_text(json.dumps(doc))
-        with pytest.raises(FieldTypeError, match=re.escape(f"{path}: {message}")):
+        with pytest.raises(CodecError, match=re.escape(f"{path}: ")):
             read_checkpoint(path)
+
+    def test_version_1_layout_rejected(self, tmp_path):
+        # Version 1 stored each tower's leaves by name and log_tau apart.
+        params = self.checkpoint().params
+        towers = {m: dict(zip(EncoderParams._fields, (leaf.tolist() for leaf in params.tower(m))))
+                  for m in ("image", "text")}
+        doc = {"version": 1, "provenance": "pretrained", "config_fingerprint": "f", "id": "i",
+               "log_tau": params.log_tau, **towers}
+        (tmp_path / "ck.json").write_text(json.dumps(doc))
+        with pytest.raises(VersionUnsupportedError, match="version 1, supported 2"):
+            read_checkpoint(tmp_path / "ck.json")
 
     def test_unsupported_version(self, tmp_path):
         write_checkpoint(tmp_path / "ck.json", self.checkpoint())
@@ -656,9 +693,9 @@ class TestIndexCodec:
         meta_path = tmp_path / "idx" / "meta.json"
         meta = json.loads(meta_path.read_text())
         meta_path.write_text(json.dumps({**meta, "candidate_ids": value}))
-        with pytest.raises(
-            FieldTypeError, match=re.escape(f"{meta_path}: candidate_ids: expected a JSON list")
-        ):
+        with pytest.raises(FieldTypeError, match=re.escape(
+            f"{meta_path}: candidate_ids: {json.dumps(value)} is not a JSON list"
+        )):
             read_candidate_index(tmp_path / "idx")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -718,6 +755,52 @@ class TestStrictConfigs:
             parse_train_config({"batch_size": 1})
         with pytest.raises(ValueError):
             parse_gen_config({"n_domains": 0})
+
+    @pytest.mark.parametrize(
+        "parse,doc,message",
+        [
+            (parse_train_config, {"batch_size": "32"},
+             'TrainConfig: batch_size: "32" is not a 64-bit JSON integer'),
+            (parse_train_config, {"epochs": 1.5}, "TrainConfig: epochs: 1.5 is not"),
+            (parse_train_config, {"enabled_losses": 5},
+             "TrainConfig: enabled_losses: 5 is not a JSON list of JSON strings"),
+            (parse_train_config, {"enabled_losses": ["cl", 5]},
+             "TrainConfig: enabled_losses: 5 is not a JSON string"),
+            (parse_train_config, {"tau_trainable": "no"},
+             'TrainConfig: tau_trainable: "no" is not a JSON boolean'),
+            (parse_train_config, {"hidden": True}, "TrainConfig: hidden: true is not"),
+            (parse_train_config, {"lambda_cl": float("nan")},
+             "TrainConfig: lambda_cl: NaN is not a finite JSON number"),
+            (parse_train_config, {"learning_rate": float("inf")},
+             "TrainConfig: learning_rate: Infinity is not a finite JSON number"),
+            (parse_train_config, {"weight_decay": 10**400}, "TrainConfig: weight_decay: 1000"),
+            (parse_gen_config, {"seed": "1"}, 'GenConfig: seed: "1" is not'),
+            (parse_gen_config, {"sigma_img": float("-inf")},
+             "GenConfig: sigma_img: -Infinity is not a finite JSON number"),
+            (parse_gen_config, {"n_domains": 2**63}, "GenConfig: n_domains: 9223372036854775808"),
+        ],
+    )
+    def test_values_must_have_their_defaults_json_type(self, parse, doc, message):
+        with pytest.raises(FieldTypeError, match=re.escape(message)):
+            parse(doc)
+
+    def test_numbers_may_be_integers_and_keep_their_value(self):
+        config = parse_train_config({"learning_rate": 1, "lambda_ret": 0})
+        assert (config.learning_rate, config.lambda_ret) == (1, 0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), value=JSON_VALUES)
+    def test_any_json_value_in_any_field_parses_or_raises_value_error(self, data, value):
+        cls, parse = data.draw(st.sampled_from(
+            [(GenConfig, parse_gen_config), (TrainConfig, parse_train_config)]
+        ))
+        name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(cls)]), label="field")
+        try:
+            config = parse({name: value})
+        except ValueError:
+            return
+        # What parses is finite, so it has a strict JSON form (the config fingerprint).
+        json.dumps(config.to_dict(), allow_nan=False)
 
 
 BUNDLE_STEMS = [
@@ -919,6 +1002,25 @@ class TestBundleReader:
             "prompts_zsl", "candidates.image", "candidates.text", "test_id", "test_ds1",
             "test_zsl",
         ]
+
+    def test_mistyped_gen_config_rejected_on_open(self, tmp_path):
+        write_bundle(tmp_path / "b", small_bundle())
+        path = tmp_path / "b" / "gen_config.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "n_domains": "2"}))
+        with pytest.raises(FieldTypeError, match=re.escape('GenConfig: n_domains: "2" is not')):
+            BundleReader(tmp_path / "b")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_signalling_nan_feature_raises_only_the_finite_check(self, tmp_path):
+        # Widening a float32 signalling NaN raises the FP invalid flag; the
+        # set's own non-finite check is the one error the read may give.
+        write_bundle(tmp_path / "b", small_bundle())
+        path = tmp_path / "b" / "finetune.arfm"
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 4 + 12, 0x7F800001)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="contains non-finite entries"):
+            BundleReader(tmp_path / "b").finetune
 
     def test_corrupt_part_raises_when_read(self, tmp_path):
         write_bundle(tmp_path / "b", small_bundle())
