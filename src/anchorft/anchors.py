@@ -351,8 +351,8 @@ def assemble_anchor_batch(
             raise MissingAssignmentError(
                 f"no retrieval assignment for sample {exc.args[0]}"
             ) from None
-        _, first = np.unique(ranked, return_index=True)
-        retrieved_pairs = candidates[ranked[np.sort(first)]]
+        first_seen = list(dict.fromkeys(ranked.tolist()))
+        retrieved_pairs = candidates[np.array(first_seen, dtype=np.int64)]
 
     skip_ret = len(retrieved_pairs) < 2
     if layout == "merge":

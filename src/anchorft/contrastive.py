@@ -7,6 +7,10 @@ row softmax and Q the column softmax of S,
     dL/dS = ((P - I) + (Q - I)) / B,
     dL/dF = (dL/dS) G / tau,      dL/dG = (dL/dS)^T F / tau,
     dL/d log_tau = -sum(dL/dS * S).
+
+A batch may also hold a stack of T independent terms, (T, n, d) per side.
+Every result then gains a leading T axis, and each slice is bit for bit
+what the batch of that slice alone gives.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ _UNIT_ROW_TOL = 1e-9
 class PairBatch:
     """Aligned unit-embedding batches; row i of each side is a positive pair.
 
-    Training steps build theirs with _from_encoded, which skips the finite
-    and unit-row scan: encode_batch has just checked those rows' norms.
+    Each side is (n, d), or (T, n, d) for a stack of T batches. Training
+    steps build theirs with _from_encoded, which skips the finite and
+    unit-row scan: encode_batch has just checked those rows' norms.
     """
 
     image_embeddings: np.ndarray
@@ -45,7 +50,7 @@ class PairBatch:
         self.text_embeddings = g
         self._check_shapes()
         for name, side in (("image", f), ("text", g)):
-            norms = np.linalg.norm(side, axis=1)
+            norms = np.linalg.norm(side, axis=-1)
             if np.max(np.abs(norms - 1.0)) > _UNIT_ROW_TOL:
                 raise ValueError(f"{name} embeddings must have unit rows")
 
@@ -59,39 +64,48 @@ class PairBatch:
 
     def _check_shapes(self) -> None:
         f, g = self.image_embeddings, self.text_embeddings
-        if f.ndim != 2 or f.shape != g.shape or f.shape[0] < 1:
+        if f.ndim not in (2, 3) or f.shape != g.shape or f.shape[-2] < 1:
             raise ValueError(f"embedding batches must match, got {f.shape} vs {g.shape}")
 
     @property
     def size(self) -> int:
-        return self.image_embeddings.shape[0]
+        """Rows per batch."""
+        return self.image_embeddings.shape[-2]
 
 
 @dataclass
 class LossValue:
-    total: float
-    image_to_text: float
-    text_to_image: float
+    """Floats for one batch; (T,) arrays for a stack of T."""
+
+    total: float | np.ndarray
+    image_to_text: float | np.ndarray
+    text_to_image: float | np.ndarray
 
 
 def _log_softmax_rows(s: np.ndarray) -> np.ndarray:
-    shifted = s - s.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = s - s.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def _similarity_terms(batch: PairBatch, tau: float):
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    s = batch.image_embeddings @ batch.text_embeddings.T / tau
+    s = batch.image_embeddings @ batch.text_embeddings.mT
+    s /= tau
     row_ls = _log_softmax_rows(s)
-    col_ls = _log_softmax_rows(s.T).T
+    col_ls = _log_softmax_rows(s.mT).mT
     return s, row_ls, col_ls
 
 
+def _diagonal_mean(ls: np.ndarray, b: int):
+    """Minus the diagonal mean; sum()/b is np.mean's own arithmetic, bit for bit."""
+    mean = -(ls.diagonal(0, -2, -1).sum(axis=-1) / b)
+    return float(mean) if mean.ndim == 0 else mean
+
+
 def _loss_value(row_ls: np.ndarray, col_ls: np.ndarray, b: int) -> LossValue:
-    """Minus the diagonal means; sum()/b is np.mean's own arithmetic, bit for bit."""
-    i2t = float(-(row_ls.diagonal().sum() / b))
-    t2i = float(-(col_ls.diagonal().sum() / b))
+    i2t, t2i = _diagonal_mean(row_ls, b), _diagonal_mean(col_ls, b)
     return LossValue(total=i2t + t2i, image_to_text=i2t, text_to_image=t2i)
 
 
@@ -103,16 +117,27 @@ def contrastive_loss(batch: PairBatch, tau: float) -> LossValue:
 
 def contrastive_loss_and_grads(
     batch: PairBatch, tau: float
-) -> tuple[LossValue, np.ndarray, np.ndarray, float]:
-    """Loss plus embedding gradients and d(loss)/d(log tau), sharing one pass."""
+) -> tuple[LossValue, np.ndarray, np.ndarray, float | np.ndarray]:
+    """Loss plus embedding gradients and d(loss)/d(log tau), sharing one pass.
+
+    For a stack of T batches, dlog_tau is a (T,) array like the losses.
+    """
     s, row_ls, col_ls = _similarity_terms(batch, tau)
     b = batch.size
-    p = np.exp(row_ls)
-    q = np.exp(col_ls)
-    dlds = p + q
-    dlds.flat[:: b + 1] -= 2.0  # minus 2I: x - 0.0 is x, so off-diagonals need no pass
+    lead = s.shape[:-2]
+    loss = _loss_value(row_ls, col_ls, b)
+    # Past their diagonals the log-softmaxes are only needed as P and Q, so
+    # they turn into them in place. Both are C-ordered like s, so the
+    # reshapes below are views.
+    dlds = np.exp(row_ls, out=row_ls)
+    dlds += np.exp(col_ls, out=col_ls)
+    # minus 2I: x - 0.0 is x, so off-diagonals need no pass
+    dlds.reshape(*lead, b * b)[..., :: b + 1] -= 2.0
     dlds /= b
-    df = dlds @ batch.text_embeddings / tau
-    dg = dlds.T @ batch.image_embeddings / tau
-    dlog_tau = float(-(dlds * s).sum())
-    return _loss_value(row_ls, col_ls, b), df, dg, dlog_tau
+    df = dlds @ batch.text_embeddings
+    df /= tau
+    dg = dlds.mT @ batch.image_embeddings
+    dg /= tau
+    s *= dlds
+    dlog_tau = -s.reshape(*lead, b * b).sum(axis=-1)
+    return loss, df, dg, float(dlog_tau) if not lead else dlog_tau

@@ -8,6 +8,13 @@ All parameters live in one flat float64 vector theta, laid out as image
 w1, b1, w2, b2, then text w1, b1, w2, b2, then log_tau. The named leaves
 are reshaped views into it; gradients and optimizer moments are vectors
 with the same layout.
+
+Training encodes pairs with both towers at once: every array after the
+first-layer product carries a tower axis, behind a term axis when several
+terms share the images, and each slice of it is computed with the
+one-tower arithmetic, bit for bit. numpy's matmul over leading axes makes
+one GEMM per slice, the same call as a 2-D product, and the elementwise
+ops and last-axis reductions treat each slice alike.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .numerics import (
 
 __all__ = [
     "DEFAULT_LOG_TAU",
+    "MODALITIES",
     "DualEncoderParams",
     "EncodeCache",
     "EncoderParams",
@@ -45,6 +53,8 @@ DEFAULT_LOG_TAU = math.log(0.07)
 TAU_MIN = 1e-4
 TAU_MAX = 10.0
 
+# The towers in theta's order. As the modality of encode_batch or
+# encoder_backward_batch, it runs both towers at once.
 MODALITIES = ("image", "text")
 
 
@@ -76,6 +86,25 @@ def _tower_views(vec: np.ndarray, start: int, in_dim: int, hidden: int, embed: i
     return EncoderParams(*views)
 
 
+def _tail_views(vec: np.ndarray, dims: tuple[int, int, int, int]):
+    """(..., 2, ·) views of both towers' b1, w2 and b2 over the C-ordered buffer vec.
+
+    The last axis of vec has theta's layout and becomes the tower axis;
+    leading axes stay in front. After w1 both towers lay out b1, w2 and b2
+    alike, so each text leaf sits a fixed distance after its image twin.
+    """
+    image_in, text_in, hidden, embed = dims
+    gap = _tower_size(image_in, hidden, embed) + hidden * (text_in - image_in)
+    w2_end = hidden + embed * hidden
+    item = vec.itemsize
+    tails = np.ndarray(
+        (*vec.shape[:-1], 2, w2_end + embed), vec.dtype, vec, hidden * image_in * item,
+        (*vec.strides[:-1], gap * item, item),
+    )
+    w2 = tails[..., hidden:w2_end].reshape(*tails.shape[:-1], embed, hidden)
+    return tails[..., :hidden], w2, tails[..., w2_end:]
+
+
 def _param_count(dims: tuple[int, int, int, int]) -> int:
     """Length of theta for dims (image_in, text_in, hidden, embed)."""
     image_in, text_in, hidden, embed = dims
@@ -87,7 +116,9 @@ class DualEncoderParams:
 
     dims is (image_in, text_in, hidden, embed). `image` and `text` are
     EncoderParams of views into theta, and theta[-1] is log_tau, so writing
-    through any of them changes the others.
+    through any of them changes the others. The pair forward reads b1, w2
+    and b2 of both towers through (2, ...) views over theta, built here
+    once: theta is only ever updated in place, so they stay valid.
     """
 
     def __init__(self, theta, dims: tuple[int, int, int, int]):
@@ -105,6 +136,9 @@ class DualEncoderParams:
         self.image = _tower_views(self.theta, 0, image_in, hidden, embed)
         self.text = _tower_views(self.theta, split, text_in, hidden, embed)
         self._spans = {"image": slice(0, split), "text": slice(split, self.theta.size - 1)}
+        b1, w2, b2 = _tail_views(self.theta, self.dims)
+        # Shaped to broadcast over ([term,] tower, row, ·) stacks.
+        self._pair_leaves = (b1[:, None], w2, b2[:, None])
         self.check_tau()
 
     def check_tau(self) -> None:
@@ -162,18 +196,97 @@ def init_params(
 
 @dataclass
 class EncodeCache:
-    """Forward activations kept for the backward pass."""
+    """Forward activations kept for the backward pass.
 
-    x: np.ndarray  # (n, in)
+    One tower's cache holds (n, ·) matrices. A pair cache holds stacks with
+    a tower axis before the rows, and x is the (images, texts) pair.
+    """
+
+    x: np.ndarray | tuple[np.ndarray, np.ndarray]  # (n, in)
     h: np.ndarray  # (n, hidden), post-tanh
     e: np.ndarray  # (n, embed), unit rows
     norms: np.ndarray  # (n,), pre-normalization lengths
 
 
+def _check_norms(norms: np.ndarray, modalities: tuple[str, ...]) -> None:
+    """Raise for the first bad slice, towers first, as one-tower checks would.
+
+    norms is (..., len(modalities), n), or one tower's (n,).
+    """
+    if norms.min(initial=np.inf) > ZERO_NORM_THRESHOLD and norms.max(initial=0.0) < np.inf:
+        return  # a NaN fails the first test, an infinity the second
+    terms = norms.reshape(-1, len(modalities), norms.shape[-1])
+    for i, modality in enumerate(modalities):
+        for term_norms in terms[:, i]:
+            if not np.isfinite(term_norms).all():
+                raise NonFiniteError(
+                    f"{modality} encoder produced a non-finite pre-normalization norm"
+                )
+            if (term_norms <= ZERO_NORM_THRESHOLD).any():
+                raise ZeroVectorError("encoder produced a zero-length pre-normalization vector")
+
+
+def _embed(z1: np.ndarray, b1, w2, b2, modalities: tuple[str, ...]):
+    """Everything after the first-layer product z1 (..., n, hidden): (h, e, norms).
+
+    z1 is overwritten with h. The leaves broadcast against it, and
+    modalities names its towers (one name for an (n, hidden) z1). The
+    embeddings are only formed once every norm has passed its check.
+    """
+    z1 += b1
+    h = np.tanh(z1, out=z1)
+    u = h @ w2.mT
+    u += b2
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.add.reduce(u * u, axis=-1))  # np.linalg.norm's own formula
+    _check_norms(norms, modalities)
+    u /= norms[..., None]
+    return h, u, norms
+
+
+def _encode_pairs(params: DualEncoderParams, images, texts) -> tuple[np.ndarray, EncodeCache]:
+    image_in, text_in, hidden, embed = params.dims
+    x_image = as_float_array(images, name="raw features")
+    x_text = as_float_array(texts, name="raw features")
+    if x_image.ndim != 2 or x_image.shape[1] != image_in:
+        raise ValueError(
+            f"image features must have {image_in} columns, got shape {x_image.shape}"
+        )
+    if x_text.ndim not in (2, 3) or x_text.shape[-1] != text_in:
+        raise ValueError(
+            f"text features must have {text_in} columns, got shape {x_text.shape}"
+        )
+    n = x_text.shape[-2]
+    if n != len(x_image):
+        raise ValueError(
+            f"image and text embedding batches must match, got {(len(x_image), embed)} "
+            f"vs {(n, embed)}"
+        )
+    z1 = np.empty((*x_text.shape[:-2], 2, n, hidden))
+    terms = z1.reshape(-1, 2, n, hidden)
+    np.matmul(x_image, params.image.w1.T, out=terms[0, 0])
+    terms[1:, 0] = terms[0, 0]  # every term reads the same image rows
+    np.matmul(x_text, params.text.w1.T, out=z1[..., 1, :, :])
+    h, e, norms = _embed(z1, *params._pair_leaves, MODALITIES)
+    return e, EncodeCache(x=(x_image, x_text), h=h, e=e, norms=norms)
+
+
 def encode_batch(
-    params: DualEncoderParams, modality: str, raw_batch
+    params: DualEncoderParams, modality: str | tuple[str, str], raw_batch
 ) -> tuple[np.ndarray, EncodeCache]:
-    """Embed a batch of raw feature rows; returns unit embeddings and the cache."""
+    """Embed a batch of raw feature rows; returns unit embeddings and the cache.
+
+    With modality "image" or "text", raw_batch is an (n, in) matrix or one
+    row and the embeddings are (n, embed). With modality MODALITIES, both
+    towers run at once on pairs: raw_batch is (images, texts), an
+    (n, image_in) matrix and a row-aligned (n, text_in) text matrix, or a
+    (T, n, text_in) stack of T text matrices that all pair with the same
+    images. The embeddings are then (2, n, embed), or (T, 2, n, embed):
+    [..., 0, :, :] embeds the images and [..., 1, :, :] the texts, each
+    slice bit for bit what the one-tower call gives.
+    """
+    if modality == MODALITIES:
+        return _encode_pairs(params, *raw_batch)
     tower = params.tower(modality)
     x = as_float_array(raw_batch, name="raw features")
     if x.ndim == 1:
@@ -182,39 +295,71 @@ def encode_batch(
         raise ValueError(
             f"{modality} features must have {tower.input_dim} columns, got shape {x.shape}"
         )
-    h = np.tanh(x @ tower.w1.T + tower.b1)
-    u = h @ tower.w2.T + tower.b2
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.add.reduce(u * u, axis=1))  # np.linalg.norm's own formula
-    if not np.isfinite(norms).all():
-        raise NonFiniteError(f"{modality} encoder produced a non-finite pre-normalization norm")
-    if (norms <= ZERO_NORM_THRESHOLD).any():
-        raise ZeroVectorError("encoder produced a zero-length pre-normalization vector")
-    e = u / norms[:, None]
+    h, e, norms = _embed(x @ tower.w1.T, tower.b1, tower.w2, tower.b2, (modality,))
     return e, EncodeCache(x=x, h=h, e=e, norms=norms)
 
 
-def encoder_backward_batch(
-    params: DualEncoderParams, modality: str, cache: EncodeCache, grad_embeddings
-) -> np.ndarray:
-    """Gradient of one tower's slice of theta given d(loss)/d(embeddings).
+def _backprop(cache: EncodeCache, de: np.ndarray, w2) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients at the second and first affine outputs, du and dz1.
 
-    Gradients of all rows are summed. The normalization backward is
-    du = (dE - (dE . e) e)/|u| per row. The result is one vector, the leaf
-    gradients concatenated in layout order, lined up with
-    theta[params.span(modality)]. grad_embeddings is not scanned for
-    non-finite entries; training rejects a non-finite gradient at its step.
+    du = (de - proj e)/|u| and dz1 = (1 - h^2)(du w2), evaluated in place.
     """
-    tower = params.tower(modality)
+    du = de * cache.e
+    proj = du.sum(axis=-1, keepdims=True)
+    np.subtract(de, np.multiply(proj, cache.e, out=du), out=du)
+    du /= cache.norms[..., None]
+    dz1 = cache.h**2
+    np.subtract(1.0, dz1, out=dz1)
+    dz1 *= du @ w2
+    return du, dz1
+
+
+def _tail_grads(cache: EncodeCache, du, dz1, b1, w2, b2) -> None:
+    """Write the b1, w2 and b2 gradients, rows summed, into the given views."""
+    np.add.reduce(dz1, axis=-2, out=b1)
+    np.matmul(du.mT, cache.h, out=w2)
+    np.add.reduce(du, axis=-2, out=b2)
+
+
+def encoder_backward_batch(
+    params: DualEncoderParams,
+    modality: str | tuple[str, str],
+    cache: EncodeCache,
+    grad_embeddings,
+) -> np.ndarray:
+    """Gradient over theta given d(loss)/d(embeddings) and encode_batch's cache.
+
+    grad_embeddings is shaped like the embeddings. Gradients of all rows are
+    summed. The normalization backward is du = (dE - (dE . e) e)/|u| per
+    row. For one tower the result is one vector, the leaf gradients
+    concatenated in layout order, lined up with theta[params.span(modality)].
+    For MODALITIES it is shaped like theta, or (T, theta.size) for a stack
+    of T terms, one gradient per term, with log_tau's entry 0.
+    grad_embeddings is not scanned for non-finite entries; training rejects
+    a non-finite gradient at its step.
+    """
     de = np.asarray(grad_embeddings, dtype=np.float64)
     if de.shape != cache.e.shape:
         raise ValueError("embedding grads must match the cached embeddings' shape")
-    proj = (de * cache.e).sum(axis=1, keepdims=True)
-    du = (de - proj * cache.e) / cache.norms[:, None]
-    dz1 = (1.0 - cache.h**2) * (du @ tower.w2)
-    return np.concatenate(
-        ((dz1.T @ cache.x).ravel(), dz1.sum(axis=0), (du.T @ cache.h).ravel(), du.sum(axis=0))
-    )
+    hidden = params.dims[2]
+    if modality == MODALITIES:
+        lead = de.shape[:-3]
+        out = np.empty((*lead, params.theta.size))
+        du, dz1 = _backprop(cache, de, params._pair_leaves[1])
+        for i, x in enumerate(cache.x):
+            start, width = params.span(MODALITIES[i]).start, x.shape[-1]
+            w1 = out[..., start : start + hidden * width].reshape(*lead, hidden, width)
+            np.matmul(dz1[..., i, :, :].mT, x, out=w1)
+        _tail_grads(cache, du, dz1, *_tail_views(out, params.dims))
+        out[..., -1] = 0.0
+        return out
+    tower = params.tower(modality)
+    out = np.empty(params.span(modality).stop - params.span(modality).start)
+    w1, b1, w2, b2 = _tower_views(out, 0, tower.input_dim, hidden, params.embed_dim)
+    du, dz1 = _backprop(cache, de, tower.w2)
+    np.matmul(dz1.T, cache.x, out=w1)
+    _tail_grads(cache, du, dz1, b1, w2, b2)
+    return out
 
 
 def param_fingerprint(params: DualEncoderParams) -> str:

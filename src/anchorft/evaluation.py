@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -118,9 +119,10 @@ def classify(
     return ids[order][np.argmax(sims, axis=1)]
 
 
-def _accuracy(params, samples: "SampleSet", prompts: PromptTable, split_name: str) -> SplitResult:
-    classifier = build_prompt_classifier(params, prompts)
-    predictions = classify(params, samples.features, classifier, prompts.class_ids)
+def _accuracy(
+    params, samples: "SampleSet", classifier: np.ndarray, class_ids, split_name: str
+) -> SplitResult:
+    predictions = classify(params, samples.features, classifier, class_ids)
     correct = int(np.sum(predictions == samples.class_ids))
     return SplitResult(
         split_name=split_name,
@@ -128,6 +130,10 @@ def _accuracy(params, samples: "SampleSet", prompts: PromptTable, split_name: st
         correct=correct,
         accuracy_percent=100.0 * correct / len(samples),
     )
+
+
+def _classifier(params, prompts: PromptTable) -> tuple[np.ndarray, np.ndarray]:
+    return build_prompt_classifier(params, prompts), prompts.class_ids
 
 
 def evaluate_splits(
@@ -151,6 +157,8 @@ def evaluate_splits(
     if unknown:
         raise ValueError(f"unknown splits {unknown}; choose from {EVAL_SPLITS}")
 
+    # id and every ds split share one seen-class classifier, encoded on first use
+    seen = cache(lambda: _classifier(params, bundle.prompts_id))
     results: list[SplitResult] = []
     for split in EVAL_SPLITS:  # fixed output order regardless of request order
         if split not in requested:
@@ -158,7 +166,7 @@ def evaluate_splits(
         if split == "id":
             if not bundle.id_test:
                 raise EmptySplitError("id split is empty")
-            results.append(_accuracy(params, bundle.id_test, bundle.prompts_id, "id"))
+            results.append(_accuracy(params, bundle.id_test, *seen(), "id"))
         elif split == "ds":
             if not bundle.ds_tests:
                 raise EmptySplitError("no domain-shift splits in this bundle")
@@ -166,14 +174,15 @@ def evaluate_splits(
                 samples = bundle.ds_tests[domain]
                 if not samples:
                     raise EmptySplitError(f"ds split for domain {domain} is empty")
-                results.append(_accuracy(params, samples, bundle.prompts_id, f"ds{domain}"))
+                results.append(_accuracy(params, samples, *seen(), f"ds{domain}"))
         else:
             if not bundle.zsl_test:
                 raise EmptySplitError("zsl split is empty")
             prompts = bundle.prompts_zsl
             if zsl_strict:
                 prompts = bundle.prompts_id.concat(bundle.prompts_zsl)
-            results.append(_accuracy(params, bundle.zsl_test, prompts, "zsl"))
+            zsl = _classifier(params, prompts)
+            results.append(_accuracy(params, bundle.zsl_test, *zsl, "zsl"))
 
     ood = [r.accuracy_percent for r in results if r.split_name != "id"]
     return Metrics(splits=results, avg_ood=float(np.mean(ood)) if ood else None)

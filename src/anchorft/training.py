@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -33,8 +33,8 @@ from .anchors import (
 )
 from .contrastive import PairBatch, contrastive_loss_and_grads
 from .encoders import (
+    MODALITIES,
     DualEncoderParams,
-    EncodeCache,
     encode_batch,
     encoder_backward_batch,
     init_params,
@@ -194,11 +194,20 @@ class LossBreakdown:
 
 @dataclass
 class OptimizerState:
-    """Adam first/second moments (vectors shaped like theta) and step count."""
+    """Adam first/second moments (vectors shaped like theta) and step count.
+
+    work is the update's scratch space, two rows shaped like theta, made
+    once so that no update allocates a theta-sized array.
+    """
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    work: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.work is None:
+            self.work = np.empty((2, *self.m.shape))
 
 
 def init_optimizer_state(params: DualEncoderParams) -> OptimizerState:
@@ -210,33 +219,39 @@ def _pair_term(
     images: np.ndarray,
     texts: np.ndarray,
     grads: np.ndarray,
-    weight: float,
+    weights,
     tau_trainable: bool,
-    image_forward: tuple[np.ndarray, EncodeCache] | None = None,
-) -> float:
-    """One contrastive term over row-aligned raw image and text matrices.
+) -> list[float]:
+    """Contrastive terms over one raw image matrix, run as one stacked kernel.
 
-    Adds weight times the term's gradient into the theta-shaped vector grads
-    and returns the unweighted loss. Gradient work is skipped entirely when
-    the weight is zero so that zero-weight runs match disabled-term runs bit
-    for bit. image_forward is what encode_batch returned for images, when
-    the caller already has it. The embeddings go to the loss without a
-    second unit-row scan: encode_batch has checked their norms.
+    texts is the term's text matrix, row-aligned with images, and weights
+    its weight; or texts is a (T, n, text_in) stack of T terms' text
+    matrices and weights holds T weights. Adds each term's weighted gradient
+    into the theta-shaped vector grads, in stack order, and returns the
+    unweighted losses. A zero-weight term adds nothing, so zero-weight runs
+    match disabled-term runs bit for bit, and with every weight zero no
+    gradient work runs. The embeddings go to the loss without a second
+    unit-row scan: encode_batch has checked their norms.
     """
-    f, cache_f = image_forward or encode_batch(params, "image", images)
-    g, cache_g = encode_batch(params, "text", texts)
-    batch = PairBatch._from_encoded(f, g)
-    loss, df, dg, dlog_tau = contrastive_loss_and_grads(batch, params.tau)
-    if weight != 0.0:
-        grads[params.span("image")] += weight * encoder_backward_batch(
-            params, "image", cache_f, df
-        )
-        grads[params.span("text")] += weight * encoder_backward_batch(
-            params, "text", cache_g, dg
-        )
+    single = np.ndim(texts) == 2
+    weights = [weights] if single else list(weights)
+    e, cache = encode_batch(params, MODALITIES, (images, texts))
+    loss, df, dg, dlog_tau = contrastive_loss_and_grads(
+        PairBatch._from_encoded(e[..., 0, :, :], e[..., 1, :, :]), params.tau
+    )
+    if any(weights):
+        # (2, [T,] n, embed) -> ([T,] 2, n, embed), the embeddings' axes
+        de = np.asarray((df, dg)).swapaxes(0, -3)
+        term_grads = encoder_backward_batch(params, MODALITIES, cache, de)
+        term_grads = term_grads.reshape(len(weights), -1)
         if tau_trainable:
-            grads[-1] += weight * dlog_tau
-    return loss.total
+            term_grads[:, -1] = dlog_tau
+        for weight, term_grad in zip(weights, term_grads):
+            if weight != 0.0:
+                if weight != 1.0:  # x * 1.0 is x
+                    term_grad *= weight
+                grads += term_grad
+    return [loss.total] if single else loss.total.tolist()
 
 
 def compute_total_loss_and_grads(
@@ -253,8 +268,7 @@ def compute_total_loss_and_grads(
     Disabled terms and a skipped retrieval term are exactly 0. Class prompts
     go through the text tower, so the prompt embeddings receive text-tower
     gradients like any caption would. When the caption pairs' image matrix
-    is batch.features itself, cl and cap share one image forward pass; each
-    still runs its own backward pass.
+    is batch.features itself, cl and cap run as one two-term stack.
     """
     grads = np.zeros_like(params.theta)
     enabled = set(config.enabled_losses)
@@ -264,21 +278,22 @@ def compute_total_loss_and_grads(
     use_cap = "cap" in enabled and len(captions)
     if use_cap and anchor_batch.layout == "sep" and len(captions) != len(batch):
         raise ValueError("caption pairs must cover the batch exactly in the sep layout")
-    shared = None
+
     if use_cl and use_cap and captions.images is batch.features:
-        shared = encode_batch(params, "image", batch.features)
-
-    if use_cl:
-        l_cl = _pair_term(
-            params, batch.features, prompts, grads, config.lambda_cl, config.tau_trainable,
-            shared,
+        l_cl, l_cap = _pair_term(
+            params, batch.features, np.array((prompts, captions.texts)), grads,
+            (config.lambda_cl, config.lambda_cap), config.tau_trainable,
         )
-
-    if use_cap:
-        l_cap = _pair_term(
-            params, captions.images, captions.texts, grads, config.lambda_cap,
-            config.tau_trainable, shared,
-        )
+    else:
+        if use_cl:
+            (l_cl,) = _pair_term(
+                params, batch.features, prompts, grads, config.lambda_cl, config.tau_trainable
+            )
+        if use_cap:
+            (l_cap,) = _pair_term(
+                params, captions.images, captions.texts, grads, config.lambda_cap,
+                config.tau_trainable,
+            )
 
     retrieved = anchor_batch.retrieved_pairs
     if (
@@ -287,7 +302,7 @@ def compute_total_loss_and_grads(
         and not anchor_batch.skip_ret
         and len(retrieved)
     ):
-        l_ret = _pair_term(
+        (l_ret,) = _pair_term(
             params, retrieved.images, retrieved.texts, grads, config.lambda_ret,
             config.tau_trainable,
         )
@@ -363,7 +378,8 @@ def adamw_update(
 
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta), with
     the out-of-place formula's elementwise order, so its bits. theta, m and
-    v are overwritten and the same params and state returned. log_tau is
+    v are overwritten, every intermediate goes to state.work, and the same
+    params and state are returned. log_tau is
     left untouched (moments included) unless tau_trainable; a trained tau
     that leaves its range raises ValueError.
     """
@@ -371,14 +387,17 @@ def adamw_update(
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     theta, m, v = params.theta, state.m, state.v
+    step, tmp = state.work
     frozen = (theta[-1], m[-1], v[-1])
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grads
+    m += np.multiply(1.0 - ADAM_BETA1, grads, out=tmp)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grads * grads
-    step = m / bc1
-    step /= np.sqrt(v / bc2) + ADAM_EPS
-    step += wd * theta
+    np.multiply(1.0 - ADAM_BETA2, grads, out=tmp)
+    v += np.multiply(tmp, grads, out=tmp)
+    np.divide(m, bc1, out=step)
+    np.divide(v, bc2, out=tmp)
+    step /= np.add(np.sqrt(tmp, out=tmp), ADAM_EPS, out=tmp)
+    step += np.multiply(wd, theta, out=tmp)
     step *= lr
     theta -= step
     state.step = t
@@ -457,7 +476,7 @@ def pretrain(pool: PairSet, config: TrainConfig) -> tuple[Checkpoint, list[dict]
 
     def pair_step(params: DualEncoderParams, batch_idx: np.ndarray):
         grads = np.zeros_like(params.theta)
-        loss = _pair_term(
+        (loss,) = _pair_term(
             params, pool.images[batch_idx], pool.texts[batch_idx], grads, 1.0,
             config.tau_trainable,
         )

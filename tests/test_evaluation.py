@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import anchorft.evaluation as evaluation
 from anchorft.anchors import SampleSet, lookup_rows
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.encoders import encode_batch, init_params
@@ -155,6 +156,33 @@ class TestEvaluateSplits:
         )
         metrics = evaluate_splits(params, bundle, ("id",))
         assert metrics.accuracy("id") == 100.0
+
+    def test_each_prompt_table_is_encoded_once(self, monkeypatch):
+        # id and the three ds splits share one seen-class classifier; the
+        # accuracies are those of a classifier encoded per split.
+        bundle = tiny_bundle()
+        params = tiny_params()
+        encoded = []
+        real_build = evaluation.build_prompt_classifier
+
+        def counted_build(params, prompts):
+            encoded.append(prompts)
+            return real_build(params, prompts)
+
+        monkeypatch.setattr(evaluation, "build_prompt_classifier", counted_build)
+        metrics = evaluate_splits(params, bundle)
+        assert encoded == [bundle.prompts_id, bundle.prompts_zsl]
+
+        def accuracy(samples, prompts):
+            classifier = build_prompt_classifier(params, prompts)
+            predictions = classify(params, samples.features, classifier, prompts.class_ids)
+            return 100.0 * int(np.sum(predictions == samples.class_ids)) / len(samples)
+
+        assert [r.accuracy_percent for r in metrics.splits] == [
+            accuracy(bundle.id_test, bundle.prompts_id),
+            *(accuracy(bundle.ds_tests[d], bundle.prompts_id) for d in sorted(bundle.ds_tests)),
+            accuracy(bundle.zsl_test, bundle.prompts_zsl),
+        ]
 
     def test_unknown_split_rejected(self):
         with pytest.raises(ValueError):

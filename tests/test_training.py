@@ -1,15 +1,24 @@
 """Optimizer, composite loss, and training-loop checks."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anchorft.training as training
 from anchorft.anchors import CaptionSet, MissingCaptionError, PairSet, build_candidate_index
 from anchorft.benchgen import GenConfig, generate_benchmark
-from anchorft.contrastive import PairBatch
-from anchorft.encoders import DEFAULT_LOG_TAU, init_params
+from anchorft.contrastive import PairBatch, contrastive_loss_and_grads
+from anchorft.encoders import (
+    DEFAULT_LOG_TAU,
+    MODALITIES,
+    encode_batch,
+    encoder_backward_batch,
+    init_params,
+)
 from anchorft.training import (
     DivergenceError,
     EmptyFinetuneSetError,
@@ -235,27 +244,31 @@ class TestComputeTotalLoss:
         assert g_a.tobytes() == g_b.tobytes()
 
     def test_shared_image_forward_matches_separate_forwards_bitwise(self, monkeypatch):
+        # cl and cap share the batch images, so they run as one two-term
+        # stack over one image matrix; given a copy of the images they run
+        # as two one-term stacks. Both give the same bits.
         bundle, start, index, _ = finetune_inputs()
         cfg = tiny_train_config(tau_trainable=True, retrieval_k=2)
         batch, prompts, anchor_batch = step_inputs(bundle, start.params, index, cfg, 4)
         captions, retrieved = anchor_batch.caption_pairs, anchor_batch.retrieved_pairs
         assert captions.images is batch.features
-        image_rows = []
+        stacks = []  # (image rows, terms) of each pair encode
         real_encode = training.encode_batch
 
         def counted_encode(params, modality, raw):
-            if modality == "image":
-                image_rows.append(len(raw))
+            if modality == MODALITIES:
+                images, texts = raw
+                stacks.append((len(images), 1 if np.ndim(texts) == 2 else len(texts)))
             return real_encode(params, modality, raw)
 
         monkeypatch.setattr(training, "encode_batch", counted_encode)
         shared = compute_total_loss_and_grads(start.params, batch, prompts, anchor_batch, cfg)
-        assert image_rows == [4, len(retrieved)]
+        assert stacks == [(4, 2), (len(retrieved), 1)]
         copied = PairSet(captions.ids, captions.images.copy(), captions.texts)
         separate = compute_total_loss_and_grads(
             start.params, batch, prompts, replace(anchor_batch, caption_pairs=copied), cfg
         )
-        assert image_rows[2:] == [4, 4, len(retrieved)]
+        assert stacks[2:] == [(4, 1), (4, 1), (len(retrieved), 1)]
         assert vars(shared[0]) == vars(separate[0])
         assert shared[1].tobytes() == separate[1].tobytes()
 
@@ -369,11 +382,15 @@ class TestRunFinetune:
 
             return wrapper
 
+        real_loss = training.contrastive_loss_and_grads
+
+        def counted_loss(batch, tau):
+            # one loss per slice of a stacked batch
+            calls["loss"] += math.prod(batch.image_embeddings.shape[:-2])
+            return real_loss(batch, tau)
+
         monkeypatch.setattr(training, "adamw_update", counted("adamw", training.adamw_update))
-        monkeypatch.setattr(
-            training, "contrastive_loss_and_grads",
-            counted("loss", training.contrastive_loss_and_grads),
-        )
+        monkeypatch.setattr(training, "contrastive_loss_and_grads", counted_loss)
         monkeypatch.setattr(
             PairBatch, "__post_init__", counted("pairbatch", PairBatch.__post_init__)
         )
@@ -386,6 +403,54 @@ class TestRunFinetune:
             1 + ("cap" in cfg.enabled_losses) + (sep_ret and not r["skip_ret"]) for r in log
         ]
         assert log and calls == {"adamw": len(log), "loss": sum(terms), "pairbatch": 0}
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        weights=st.lists(st.sampled_from([0.0, 1.0, 0.37]), min_size=1, max_size=2),
+        widths=st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(lambda w: w[0] != w[1]),
+        hidden=st.integers(1, 12),
+        embed=st.integers(2, 6),
+        tau_trainable=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_terms_match_the_per_term_path_bitwise(
+        self, n, weights, widths, hidden, embed, tau_trainable, seed
+    ):
+        # One- and two-term stacks against each term run alone through the
+        # one-tower encoder, the 2-D loss and the one-tower backward, added
+        # into grads in term order: image span, text span, then log_tau.
+        rng = np.random.default_rng(seed)
+        params = init_params(seed % 1000, widths, hidden, embed)
+        images = rng.normal(size=(n, widths[0]))
+        texts = rng.normal(size=(len(weights), n, widths[1]))
+        start = rng.normal(size=params.theta.size)
+
+        expected, want = [], start.copy()
+        f, cache_f = encode_batch(params, "image", images)
+        for term_texts, weight in zip(texts, weights):
+            g, cache_g = encode_batch(params, "text", term_texts)
+            loss, df, dg, dlog_tau = contrastive_loss_and_grads(
+                PairBatch._from_encoded(f, g), params.tau
+            )
+            expected.append(loss.total)
+            if weight != 0.0:
+                want[params.span("image")] += weight * encoder_backward_batch(
+                    params, "image", cache_f, df
+                )
+                want[params.span("text")] += weight * encoder_backward_batch(
+                    params, "text", cache_g, dg
+                )
+                if tau_trainable:
+                    want[-1] += weight * dlog_tau
+
+        got = start.copy()
+        if len(weights) == 1:
+            losses = training._pair_term(params, images, texts[0], got, weights[0], tau_trainable)
+        else:
+            losses = training._pair_term(params, images, texts, got, weights, tau_trainable)
+        assert losses == expected
+        assert got.tobytes() == want.tobytes()
 
     def test_pair_term_rejects_misaligned_rows(self):
         params = init_params(0, (6, 7), 10, 5)
