@@ -100,6 +100,7 @@ class _Columns:
     gives one row as _row; a slice or an index array gives a set of the
     same kind, and so does concat. Such a set's columns are cut from checked
     ones, so it is built by _from_checked, which checks only shapes and keys.
+    _take gathers rows that hold no repeat by construction, with no check.
     """
 
     _matrices: tuple[str, ...]
@@ -125,12 +126,23 @@ class _Columns:
                 )
 
     @classmethod
-    def _from_checked(cls, *columns):
-        """A set over columns cut from checked ones: no dtype conversion or finite scan."""
+    def _from_columns(cls, *columns):
+        """A set over columns known to be consistent, with unique keys: nothing is checked."""
         out = cls.__new__(cls)
         out.__dict__.update(zip(_column_names(cls), columns))
+        return out
+
+    @classmethod
+    def _from_checked(cls, *columns):
+        """A set over columns cut from checked ones: no dtype conversion or finite scan."""
+        out = cls._from_columns(*columns)
         out._check_shapes_and_keys()
         return out
+
+    def _take(self, rows: np.ndarray):
+        """The set of the given row positions, which must not repeat; nothing is checked."""
+        names = _column_names(type(self))
+        return self._from_columns(*(getattr(self, name)[rows] for name in names))
 
     def _check_shapes_and_keys(self) -> None:
         names = _column_names(type(self))
@@ -326,22 +338,28 @@ def assemble_anchor_batch(
     """Collect anchor pairs for one batch of samples.
 
     captions holds one caption feature row per batch row, so caption pairs
-    keep batch order and their image matrix is batch.features itself. Its
-    rows are not scanned here: finetune_batcher checks every caption once,
-    before the first step, and encode_batch rejects a non-finite row.
+    keep batch order, carry the batch's ids and use batch.features itself
+    as their image matrix. Its rows are not scanned here: finetune_batcher
+    checks every caption once, before the first step, and encode_batch
+    rejects a non-finite row.
     assignments maps a sample id to its ranked candidates as row positions
     in `candidates`; pass None when retrieval anchors are disabled.
     Retrieved pairs are the batch's ranked candidates (each sample's in rank
     order, samples in batch order) deduped with the first occurrence
     winning; a duplicated pair would appear as its own false negative in the
-    contrastive term.
+    contrastive term. Both pair sets are built unchecked: the batch's ids
+    are unique, and so are the first-seen rows of the checked pool.
     """
     if layout not in ANCHOR_LAYOUTS:
         raise ValueError(f"layout must be one of {ANCHOR_LAYOUTS}, got {layout!r}")
+    captions = np.asarray(captions, dtype=np.float64)
+    if captions.ndim != 2 or len(captions) != len(batch):
+        raise ValueError(
+            f"captions must hold one row per batch row, got shape {captions.shape} "
+            f"for {len(batch)} rows"
+        )
 
-    caption_pairs = PairSet._from_checked(
-        batch.ids, batch.features, np.asarray(captions, dtype=np.float64)
-    )
+    caption_pairs = PairSet._from_columns(batch.ids, batch.features, captions)
     if assignments is None:
         retrieved_pairs = caption_pairs[:0]
     else:
@@ -352,7 +370,7 @@ def assemble_anchor_batch(
                 f"no retrieval assignment for sample {exc.args[0]}"
             ) from None
         first_seen = list(dict.fromkeys(ranked.tolist()))
-        retrieved_pairs = candidates[np.array(first_seen, dtype=np.int64)]
+        retrieved_pairs = candidates._take(np.array(first_seen, dtype=np.int64))
 
     skip_ret = len(retrieved_pairs) < 2
     if layout == "merge":

@@ -116,15 +116,25 @@ def contrastive_loss(batch: PairBatch, tau: float) -> LossValue:
 
 
 def contrastive_loss_and_grads(
-    batch: PairBatch, tau: float
-) -> tuple[LossValue, np.ndarray, np.ndarray, float | np.ndarray]:
+    batch: PairBatch, tau: float, *, log_tau_grad: bool = True, out: np.ndarray | None = None
+) -> tuple[LossValue, np.ndarray, np.ndarray, float | np.ndarray | None]:
     """Loss plus embedding gradients and d(loss)/d(log tau), sharing one pass.
 
     For a stack of T batches, dlog_tau is a (T,) array like the losses.
+    With log_tau_grad False it is None, and its n x n pass is skipped. out,
+    if given, is a ([T,] 2, n, d) array that receives df in [..., 0, :, :]
+    and dg in [..., 1, :, :], the layout of encode_batch's pair embeddings;
+    the returned df and dg are those views.
     """
     s, row_ls, col_ls = _similarity_terms(batch, tau)
+    f, g = batch.image_embeddings, batch.text_embeddings
     b = batch.size
     lead = s.shape[:-2]
+    df = dg = None
+    if out is not None:
+        if out.shape != (*lead, 2, *f.shape[-2:]):
+            raise ValueError(f"out must have shape {(*lead, 2, *f.shape[-2:])}, got {out.shape}")
+        df, dg = out[..., 0, :, :], out[..., 1, :, :]
     loss = _loss_value(row_ls, col_ls, b)
     # Past their diagonals the log-softmaxes are only needed as P and Q, so
     # they turn into them in place. Both are C-ordered like s, so the
@@ -134,10 +144,12 @@ def contrastive_loss_and_grads(
     # minus 2I: x - 0.0 is x, so off-diagonals need no pass
     dlds.reshape(*lead, b * b)[..., :: b + 1] -= 2.0
     dlds /= b
-    df = dlds @ batch.text_embeddings
+    df = np.matmul(dlds, g, out=df)
     df /= tau
-    dg = dlds.mT @ batch.image_embeddings
+    dg = np.matmul(dlds.mT, f, out=dg)
     dg /= tau
+    if not log_tau_grad:
+        return loss, df, dg, None
     s *= dlds
     dlog_tau = -s.reshape(*lead, b * b).sum(axis=-1)
     return loss, df, dg, float(dlog_tau) if not lead else dlog_tau

@@ -9,6 +9,7 @@ the temperature is only updated when tau_trainable is set.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -35,6 +36,7 @@ from .contrastive import PairBatch, contrastive_loss_and_grads
 from .encoders import (
     MODALITIES,
     DualEncoderParams,
+    GradWorkspace,
     encode_batch,
     encoder_backward_batch,
     init_params,
@@ -221,6 +223,7 @@ def _pair_term(
     grads: np.ndarray,
     weights,
     tau_trainable: bool,
+    workspace: GradWorkspace | None = None,
 ) -> list[float]:
     """Contrastive terms over one raw image matrix, run as one stacked kernel.
 
@@ -231,17 +234,23 @@ def _pair_term(
     unweighted losses. A zero-weight term adds nothing, so zero-weight runs
     match disabled-term runs bit for bit, and with every weight zero no
     gradient work runs. The embeddings go to the loss without a second
-    unit-row scan: encode_batch has checked their norms.
+    unit-row scan: encode_batch has checked their norms. The loss writes
+    its embedding gradients straight into the array the backward reads,
+    d(loss)/d(log tau) is only computed when tau is trained, and the
+    per-term gradient rows come from workspace when one is given.
     """
     single = np.ndim(texts) == 2
     weights = [weights] if single else list(weights)
     e, cache = encode_batch(params, MODALITIES, (images, texts))
-    loss, df, dg, dlog_tau = contrastive_loss_and_grads(
-        PairBatch._from_encoded(e[..., 0, :, :], e[..., 1, :, :]), params.tau
+    cache.workspace = workspace
+    de = np.empty_like(e)
+    loss, _, _, dlog_tau = contrastive_loss_and_grads(
+        PairBatch._from_encoded(e[..., 0, :, :], e[..., 1, :, :]),
+        params.tau,
+        log_tau_grad=tau_trainable,
+        out=de,
     )
     if any(weights):
-        # (2, [T,] n, embed) -> ([T,] 2, n, embed), the embeddings' axes
-        de = np.asarray((df, dg)).swapaxes(0, -3)
         term_grads = encoder_backward_batch(params, MODALITIES, cache, de)
         term_grads = term_grads.reshape(len(weights), -1)
         if tau_trainable:
@@ -260,6 +269,7 @@ def compute_total_loss_and_grads(
     prompts: np.ndarray,
     anchor_batch: AnchorBatch,
     config: TrainConfig,
+    workspace: GradWorkspace | None = None,
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Weighted sum of the enabled pair-loss terms, with its gradient over theta.
 
@@ -268,7 +278,9 @@ def compute_total_loss_and_grads(
     Disabled terms and a skipped retrieval term are exactly 0. Class prompts
     go through the text tower, so the prompt embeddings receive text-tower
     gradients like any caption would. When the caption pairs' image matrix
-    is batch.features itself, cl and cap run as one two-term stack.
+    is batch.features itself, cl and cap run as one two-term stack. A
+    training run passes its GradWorkspace for the per-term gradient rows;
+    the returned gradient is always a new vector.
     """
     grads = np.zeros_like(params.theta)
     enabled = set(config.enabled_losses)
@@ -282,17 +294,18 @@ def compute_total_loss_and_grads(
     if use_cl and use_cap and captions.images is batch.features:
         l_cl, l_cap = _pair_term(
             params, batch.features, np.array((prompts, captions.texts)), grads,
-            (config.lambda_cl, config.lambda_cap), config.tau_trainable,
+            (config.lambda_cl, config.lambda_cap), config.tau_trainable, workspace,
         )
     else:
         if use_cl:
             (l_cl,) = _pair_term(
-                params, batch.features, prompts, grads, config.lambda_cl, config.tau_trainable
+                params, batch.features, prompts, grads, config.lambda_cl, config.tau_trainable,
+                workspace,
             )
         if use_cap:
             (l_cap,) = _pair_term(
                 params, captions.images, captions.texts, grads, config.lambda_cap,
-                config.tau_trainable,
+                config.tau_trainable, workspace,
             )
 
     retrieved = anchor_batch.retrieved_pairs
@@ -304,7 +317,7 @@ def compute_total_loss_and_grads(
     ):
         (l_ret,) = _pair_term(
             params, retrieved.images, retrieved.texts, grads, config.lambda_ret,
-            config.tau_trainable,
+            config.tau_trainable, workspace,
         )
 
     total = config.lambda_cl * l_cl + config.lambda_cap * l_cap + config.lambda_ret * l_ret
@@ -408,13 +421,25 @@ def adamw_update(
     return params, state
 
 
+@functools.lru_cache(maxsize=64)
 def _epoch_batches(
     n: int, batch_size: int, seed: int, epoch: int, tag: int
-) -> list[np.ndarray]:
-    """Seeded shuffle split into index arrays; a trailing batch of 1 is dropped."""
+) -> tuple[np.ndarray, ...]:
+    """Seeded shuffle split into index arrays; a trailing batch of 1 is dropped.
+
+    A pure function of its arguments, so it is memoized: runs that share a
+    seed (a grid's points, the gate's variants of one seed) share one
+    read-only set of index arrays per process instead of re-drawing the
+    shuffle in Python.
+    """
     perm = np.array(RandomStream(derive_seed(seed, tag, epoch)).permutation(n), dtype=np.int64)
-    batches = [perm[i : i + batch_size] for i in range(0, n, batch_size)]
-    return [b for b in batches if len(b) >= 2]
+    perm.flags.writeable = False  # its slices are read-only too
+    batches = (perm[i : i + batch_size] for i in range(0, n, batch_size))
+    return tuple(b for b in batches if len(b) >= 2)
+
+
+def _diverged(step: int, epoch: int, why) -> DivergenceError:
+    return DivergenceError(f"training diverged at step {step} (epoch {epoch}): {why}")
 
 
 def _optimize(
@@ -437,13 +462,12 @@ def _optimize(
     log: list[dict] = []
     for epoch in range(config.epochs):
         for batch_idx in _epoch_batches(n_items, config.batch_size, config.seed, epoch, tag):
-            where = f"training diverged at step {len(log)} (epoch {epoch})"
             try:
                 breakdown, grads = step_loss(params, batch_idx)
             except NonFiniteError as exc:
-                raise DivergenceError(f"{where}: {exc}") from exc
+                raise _diverged(len(log), epoch, exc) from exc
             if not (math.isfinite(breakdown.total) and np.isfinite(grads).all()):
-                raise DivergenceError(f"{where}: non-finite loss or gradient")
+                raise _diverged(len(log), epoch, "non-finite loss or gradient")
             try:
                 params, state = adamw_update(
                     params,
@@ -454,7 +478,7 @@ def _optimize(
                     tau_trainable=config.tau_trainable,
                 )
             except ValueError as exc:  # the updated tau left its range
-                raise DivergenceError(f"{where}: {exc}") from exc
+                raise _diverged(len(log), epoch, exc) from exc
             log.append({"step": len(log), "epoch": epoch, **vars(breakdown)})
     return params, log
 
@@ -473,12 +497,13 @@ def pretrain(pool: PairSet, config: TrainConfig) -> tuple[Checkpoint, list[dict]
         )
     input_dims = (pool.images.shape[1], pool.texts.shape[1])
     params = init_params(config.seed, input_dims, config.hidden, config.embed_dim)
+    workspace = GradWorkspace(params.dims)
 
     def pair_step(params: DualEncoderParams, batch_idx: np.ndarray):
         grads = np.zeros_like(params.theta)
         (loss,) = _pair_term(
             params, pool.images[batch_idx], pool.texts[batch_idx], grads, 1.0,
-            config.tau_trainable,
+            config.tau_trainable, workspace,
         )
         return LossBreakdown(l_cl=loss, l_cap=0.0, l_ret=0.0, total=loss, skip_ret=True), grads
 
@@ -503,7 +528,10 @@ def finetune_batcher(
     the CaptionSet checked every caption row, so the steps do not scan
     them again. In the merge layout, a retrieved candidate whose id is
     also a finetune sample id raises ValueError here too. The cutter maps
-    an index array of finetune rows to (batch, prompts, anchor_batch).
+    an index array of finetune rows to (batch, prompts, anchor_batch). With
+    distinct=True the caller promises that the index array holds no repeat,
+    as a slice of one epoch's shuffle does, and the batch is gathered
+    without the unique-id check.
     """
     prompts = prompt_table.prompt_features[
         lookup_rows(prompt_table.class_ids, finetune_set.class_ids)
@@ -535,8 +563,10 @@ def finetune_batcher(
                 )
         assignments = dict(zip(finetune_set.ids.tolist(), ranked))
 
-    def batch_inputs(batch_idx: np.ndarray) -> tuple[SampleSet, np.ndarray, AnchorBatch]:
-        batch = finetune_set[batch_idx]
+    def batch_inputs(
+        batch_idx: np.ndarray, *, distinct: bool = False
+    ) -> tuple[SampleSet, np.ndarray, AnchorBatch]:
+        batch = finetune_set._take(batch_idx) if distinct else finetune_set[batch_idx]
         anchor_batch = assemble_anchor_batch(
             batch, caption_features[batch_idx], assignments, candidates, config.anchor_layout
         )
@@ -568,9 +598,11 @@ def run_finetune(
     batch_inputs = finetune_batcher(
         finetune_set, prompt_table, captions, candidate_index, candidates, start.params, config
     )
+    workspace = GradWorkspace(start.params.dims)
 
     def anchored_step(params: DualEncoderParams, batch_idx: np.ndarray):
-        return compute_total_loss_and_grads(params, *batch_inputs(batch_idx), config)
+        inputs = batch_inputs(batch_idx, distinct=True)
+        return compute_total_loss_and_grads(params, *inputs, config, workspace)
 
     params, log = _optimize(
         start.params.copy(), config, len(finetune_set), _TAG_FINETUNE_EPOCH, anchored_step

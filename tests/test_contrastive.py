@@ -120,6 +120,25 @@ class TestContrastiveLoss:
 
 
 class TestContrastiveGrads:
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_out_and_skipped_log_tau_gradient_keep_every_bit(self, lead):
+        # df and dg written into a ([T,] 2, n, d) array are the bits of the
+        # default call; without the log_tau gradient the rest is unchanged.
+        n, d = 6, 4
+        stack = np.stack([unit_rows(s, n, d) for s in range(2 * math.prod(lead))])
+        f, g = (side.reshape(*lead, n, d) for side in (stack[0::2], stack[1::2]))
+        batch = PairBatch(f, g)
+        loss, df, dg, dlog_tau = contrastive_loss_and_grads(batch, 0.07)
+        out = np.full((*lead, 2, n, d), np.nan)
+        got = contrastive_loss_and_grads(batch, 0.07, log_tau_grad=False, out=out)
+        assert got[1].base is out and got[2].base is out and got[3] is None
+        assert out[..., 0, :, :].tobytes() == df.tobytes()
+        assert out[..., 1, :, :].tobytes() == dg.tobytes()
+        assert np.asarray(got[0].total).tobytes() == np.asarray(loss.total).tobytes()
+        assert np.isfinite(dlog_tau).all()
+        with pytest.raises(ValueError, match="out must have shape"):
+            contrastive_loss_and_grads(batch, 0.07, out=out[..., :-1])
+
     def test_single_pair_zero_grads(self):
         batch = random_batch(0, n=1)
         _, df, dg, _ = contrastive_loss_and_grads(batch, 0.07)
@@ -203,8 +222,9 @@ class TestGradCheck:
         assert report.eps == 1e-5
 
     def test_fails_when_corrupted(self, monkeypatch):
-        def corrupted(batch, tau):
-            loss, df, dg, dlog_tau = contrastive_loss_and_grads(batch, tau)
+        def corrupted(batch, tau, **kwargs):
+            # df may be a view of the array the backward reads, so corrupt it in place
+            loss, df, dg, dlog_tau = contrastive_loss_and_grads(batch, tau, **kwargs)
             df[0, 0] += 1e-2
             return loss, df, dg, dlog_tau
 

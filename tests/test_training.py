@@ -9,16 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anchorft.training as training
-from anchorft.anchors import CaptionSet, MissingCaptionError, PairSet, build_candidate_index
+from anchorft.anchors import (
+    ANCHOR_LAYOUTS,
+    CaptionSet,
+    MissingCaptionError,
+    PairSet,
+    build_candidate_index,
+)
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.contrastive import PairBatch, contrastive_loss_and_grads
 from anchorft.encoders import (
     DEFAULT_LOG_TAU,
     MODALITIES,
+    GradWorkspace,
     encode_batch,
     encoder_backward_batch,
     init_params,
 )
+from anchorft.numerics import RandomStream, derive_seed
 from anchorft.training import (
     DivergenceError,
     EmptyFinetuneSetError,
@@ -76,6 +84,39 @@ def step_inputs(bundle, params, index, cfg, n):
         params, cfg,
     )
     return batch_inputs(np.arange(n))
+
+
+def per_term_path(params, images, texts, weights, tau_trainable, start):
+    """(losses, grads) of each term run alone through the one-tower encoder,
+    the 2-D loss and the one-tower backward, added into a copy of start in
+    term order: image span, text span, then log_tau. Every buffer is new."""
+    expected, want = [], start.copy()
+    f, cache_f = encode_batch(params, "image", images)
+    for term_texts, weight in zip(texts, weights):
+        g, cache_g = encode_batch(params, "text", term_texts)
+        loss, df, dg, dlog_tau = contrastive_loss_and_grads(
+            PairBatch._from_encoded(f, g), params.tau
+        )
+        expected.append(loss.total)
+        if weight != 0.0:
+            want[params.span("image")] += weight * encoder_backward_batch(
+                params, "image", cache_f, df
+            )
+            want[params.span("text")] += weight * encoder_backward_batch(
+                params, "text", cache_g, dg
+            )
+            if tau_trainable:
+                want[-1] += weight * dlog_tau
+    return expected, want
+
+
+def pair_term(params, images, texts, grads, weights, tau_trainable, workspace=None):
+    """training._pair_term on one term's (n, text_in) texts, or on a (T, n, text_in) stack."""
+    if len(weights) == 1:
+        return training._pair_term(
+            params, images, texts[0], grads, weights[0], tau_trainable, workspace
+        )
+    return training._pair_term(params, images, texts, grads, weights, tau_trainable, workspace)
 
 
 class TestTrainConfig:
@@ -291,8 +332,8 @@ class TestComputeTotalLoss:
         problem = self.anchored_problem()
         real_loss = training.contrastive_loss_and_grads
 
-        def skewed_loss(batch, tau):
-            loss, df, dg, dlog_tau = real_loss(batch, tau)
+        def skewed_loss(batch, tau, **kwargs):
+            loss, df, dg, dlog_tau = real_loss(batch, tau, **kwargs)
             return loss, df, dg, 1.01 * dlog_tau
 
         monkeypatch.setattr(training, "contrastive_loss_and_grads", skewed_loss)
@@ -384,10 +425,10 @@ class TestRunFinetune:
 
         real_loss = training.contrastive_loss_and_grads
 
-        def counted_loss(batch, tau):
+        def counted_loss(batch, tau, **kwargs):
             # one loss per slice of a stacked batch
             calls["loss"] += math.prod(batch.image_embeddings.shape[:-2])
-            return real_loss(batch, tau)
+            return real_loss(batch, tau, **kwargs)
 
         monkeypatch.setattr(training, "adamw_update", counted("adamw", training.adamw_update))
         monkeypatch.setattr(training, "contrastive_loss_and_grads", counted_loss)
@@ -425,32 +466,113 @@ class TestRunFinetune:
         images = rng.normal(size=(n, widths[0]))
         texts = rng.normal(size=(len(weights), n, widths[1]))
         start = rng.normal(size=params.theta.size)
-
-        expected, want = [], start.copy()
-        f, cache_f = encode_batch(params, "image", images)
-        for term_texts, weight in zip(texts, weights):
-            g, cache_g = encode_batch(params, "text", term_texts)
-            loss, df, dg, dlog_tau = contrastive_loss_and_grads(
-                PairBatch._from_encoded(f, g), params.tau
-            )
-            expected.append(loss.total)
-            if weight != 0.0:
-                want[params.span("image")] += weight * encoder_backward_batch(
-                    params, "image", cache_f, df
-                )
-                want[params.span("text")] += weight * encoder_backward_batch(
-                    params, "text", cache_g, dg
-                )
-                if tau_trainable:
-                    want[-1] += weight * dlog_tau
+        expected, want = per_term_path(params, images, texts, weights, tau_trainable, start)
 
         got = start.copy()
-        if len(weights) == 1:
-            losses = training._pair_term(params, images, texts[0], got, weights[0], tau_trainable)
-        else:
-            losses = training._pair_term(params, images, texts, got, weights, tau_trainable)
+        losses = pair_term(params, images, texts, got, weights, tau_trainable)
         assert losses == expected
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.integers(2, 12),
+                st.lists(st.sampled_from([0.0, 1.0, 0.37]), min_size=1, max_size=2),
+                st.booleans(),
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+        widths=st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(lambda w: w[0] != w[1]),
+        hidden=st.integers(1, 8),
+        embed=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_reused_workspace_matches_fresh_buffers_bitwise(
+        self, calls, widths, hidden, embed, seed
+    ):
+        # A run's workspace serves calls of every row count, stack depth,
+        # weight mix and tau setting in turn. Each call must match the
+        # per-term path, which makes every buffer anew: an entry that one
+        # call leaves behind and the next does not overwrite shows up here.
+        rng = np.random.default_rng(seed)
+        params = init_params(seed % 1000, widths, hidden, embed)
+        workspace = GradWorkspace(params.dims)
+        for n, weights, tau_trainable in calls:
+            images = rng.normal(size=(n, widths[0]))
+            texts = rng.normal(size=(len(weights), n, widths[1]))
+            start = rng.normal(size=params.theta.size)
+            expected, want = per_term_path(params, images, texts, weights, tau_trainable, start)
+            got = start.copy()
+            losses = pair_term(params, images, texts, got, weights, tau_trainable, workspace)
+            assert losses == expected
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout", ANCHOR_LAYOUTS)
+    def test_the_sets_built_unchecked_have_unique_keys(self, monkeypatch, layout):
+        # A step's batch, its caption pairs and its retrieved pairs are built
+        # without the shape and unique-key check, since their keys are unique
+        # by construction. Run that check on every one of them here.
+        bundle, start, index, _ = finetune_inputs()
+        cfg = tiny_train_config(anchor_layout=layout, retrieval_k=2, epochs=3)
+        real_batcher = training.finetune_batcher
+        retrieved_rows = []
+
+        def checked_batcher(*args):
+            cut = real_batcher(*args)
+
+            def checked_cut(batch_idx, **kwargs):
+                assert kwargs == {"distinct": True}
+                batch, prompts, anchor_batch = cut(batch_idx, **kwargs)
+                captions = anchor_batch.caption_pairs
+                if layout == "merge":  # the retrieved pairs follow the captions
+                    captions, retrieved = captions[: len(batch)], captions[len(batch) :]
+                else:
+                    retrieved = anchor_batch.retrieved_pairs
+                for columns in (batch, captions, retrieved, anchor_batch.caption_pairs):
+                    columns._check_shapes_and_keys()
+                assert captions.ids.tolist() == batch.ids.tolist()
+                retrieved_rows.append(len(retrieved))
+                return batch, prompts, anchor_batch
+
+            return checked_cut
+
+        monkeypatch.setattr(training, "finetune_batcher", checked_batcher)
+        _, log = run_finetune(
+            bundle.finetune, bundle.prompts_id, bundle.captions, index,
+            bundle.candidates, start, cfg,
+        )
+        assert log and len(retrieved_rows) == len(log) and min(retrieved_rows) >= 2
+
+    def test_the_cutter_checks_a_caller_index_unless_told_it_is_distinct(self):
+        bundle, start, index, cfg = finetune_inputs()
+        batch_inputs = finetune_batcher(
+            bundle.finetune, bundle.prompts_id, bundle.captions, index, bundle.candidates,
+            start.params, cfg,
+        )
+        with pytest.raises(ValueError, match="ids must be unique"):
+            batch_inputs(np.array([3, 1, 3]))
+        batch, _, anchor_batch = batch_inputs(np.array([3, 1, 2]), distinct=True)
+        assert batch.ids.tolist() == bundle.finetune.ids[[3, 1, 2]].tolist()
+        assert anchor_batch.caption_pairs.ids.tolist() == batch.ids.tolist()
+
+    def test_frozen_tau_leaves_the_log_tau_gradient_at_zero(self):
+        # With tau frozen no d(loss)/d(log tau) is computed, and the last
+        # gradient entry is exactly +0.0, even from a workspace that a
+        # trainable step wrote a nonzero log_tau entry into just before.
+        bundle, start, index, _ = finetune_inputs()
+        workspace = GradWorkspace(start.params.dims)
+        last = {}
+        for tau_trainable in (True, False, True, False):
+            cfg = tiny_train_config(tau_trainable=tau_trainable, retrieval_k=2)
+            inputs = step_inputs(bundle, start.params, index, cfg, 4)
+            _, grads = compute_total_loss_and_grads(start.params, *inputs, cfg, workspace)
+            _, fresh = compute_total_loss_and_grads(start.params, *inputs, cfg)
+            assert grads.tobytes() == fresh.tobytes()
+            last[tau_trainable] = grads[-1]
+        assert last[True] != 0.0
+        assert last[False].tobytes() == np.float64(0.0).tobytes()
 
     def test_pair_term_rejects_misaligned_rows(self):
         params = init_params(0, (6, 7), 10, 5)
@@ -640,6 +762,39 @@ class TestRunFinetune:
             bundle.candidates, start, cfg,
         )
         assert len(log) > 0
+
+
+class TestEpochBatches:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 150),
+        batch_size=st.integers(2, 40),
+        seed=st.integers(0, 2**64 - 1),
+        epoch=st.integers(0, 30),
+        tag=st.sampled_from([training._TAG_PRETRAIN_EPOCH, training._TAG_FINETUNE_EPOCH]),
+    )
+    def test_is_the_seeded_shuffle_split_and_never_repeats_an_index(
+        self, n, batch_size, seed, epoch, tag
+    ):
+        batches = training._epoch_batches(n, batch_size, seed, epoch, tag)
+        perm = RandomStream(derive_seed(seed, tag, epoch)).permutation(n)
+        want = [perm[i : i + batch_size] for i in range(0, n, batch_size)]
+        assert isinstance(batches, tuple)
+        assert [b.tolist() for b in batches] == [b for b in want if len(b) >= 2]
+        assert all(b.dtype == np.int64 for b in batches)
+        flat = [i for b in batches for i in b.tolist()]
+        assert len(set(flat)) == len(flat) >= n - 1
+        assert set(flat) <= set(range(n))
+
+    def test_a_repeat_call_returns_the_same_read_only_arrays(self):
+        first = training._epoch_batches(65, 32, 5, 2, training._TAG_FINETUNE_EPOCH)
+        assert training._epoch_batches(65, 32, 5, 2, training._TAG_FINETUNE_EPOCH) is first
+        for batch in first:
+            assert not batch.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                batch[0] = 0
+        again = RandomStream(derive_seed(5, training._TAG_FINETUNE_EPOCH, 2)).permutation(65)
+        assert np.concatenate(first).tolist() == again[:64]
 
 
 class TestCheckpointIdentity:
