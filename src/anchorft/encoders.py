@@ -41,7 +41,6 @@ __all__ = [
     "DualEncoderParams",
     "EncodeCache",
     "EncoderParams",
-    "GradWorkspace",
     "encode_batch",
     "encoder_backward_batch",
     "init_params",
@@ -200,16 +199,13 @@ class EncodeCache:
     """Forward activations kept for the backward pass.
 
     One tower's cache holds (n, ·) matrices. A pair cache holds stacks with
-    a tower axis before the rows, and x is the (images, texts) pair. A
-    training run sets a pair cache's workspace to its own GradWorkspace,
-    which the pair backward then writes into instead of a new array.
+    a tower axis before the rows, and x is the (images, texts) pair.
     """
 
     x: np.ndarray | tuple[np.ndarray, np.ndarray]  # (n, in)
     h: np.ndarray  # (n, hidden), post-tanh
     e: np.ndarray  # (n, embed), unit rows
     norms: np.ndarray  # (n,), pre-normalization lengths
-    workspace: GradWorkspace | None = None
 
 
 def _check_norms(norms: np.ndarray, modalities: tuple[str, ...]) -> None:
@@ -325,41 +321,6 @@ def _tail_grads(cache: EncodeCache, du, dz1, b1, w2, b2) -> None:
     np.add.reduce(du, axis=-2, out=b2)
 
 
-def _pair_grad_rows(dims: tuple[int, int, int, int], lead: tuple[int, ...]):
-    """A (*lead, theta.size) buffer and its (w1 views, tail views) for the pair backward."""
-    image_in, text_in, hidden, embed = dims
-    out = np.empty((*lead, _param_count(dims)))
-    split = _tower_size(image_in, hidden, embed)
-    w1 = (
-        out[..., : hidden * image_in].reshape(*lead, hidden, image_in),
-        out[..., split : split + hidden * text_in].reshape(*lead, hidden, text_in),
-    )
-    return out, (w1, _tail_views(out, dims))
-
-
-class GradWorkspace:
-    """Output buffers of the pair backward, made once per run and reused.
-
-    For each stack shape ((), or (T,) for T terms) it holds one buffer
-    shaped like theta behind that shape, with its leaf views, made on first
-    use. encoder_backward_batch writes every entry of it on each call with
-    that shape and returns it, so the owner must be done with one result
-    before the next call. A training run owns one and hands it to the
-    backward through EncodeCache.workspace; every other caller gets fresh
-    buffers.
-    """
-
-    def __init__(self, dims: tuple[int, int, int, int]):
-        self.dims = tuple(dims)
-        self._rows: dict[tuple[int, ...], tuple] = {}
-
-    def rows(self, lead: tuple[int, ...]):
-        rows = self._rows.get(lead)
-        if rows is None:
-            rows = self._rows[lead] = _pair_grad_rows(self.dims, lead)
-        return rows
-
-
 def encoder_backward_batch(
     params: DualEncoderParams,
     modality: str | tuple[str, str],
@@ -373,8 +334,7 @@ def encoder_backward_batch(
     row. For one tower the result is one vector, the leaf gradients
     concatenated in layout order, lined up with theta[params.span(modality)].
     For MODALITIES it is shaped like theta, or (T, theta.size) for a stack
-    of T terms, one gradient per term, with log_tau's entry 0; when the
-    cache carries a workspace, it is the workspace's buffer for that shape.
+    of T terms, one gradient per term, with log_tau's entry 0.
     grad_embeddings is not scanned for non-finite entries; training rejects
     a non-finite gradient at its step.
     """
@@ -383,17 +343,14 @@ def encoder_backward_batch(
         raise ValueError("embedding grads must match the cached embeddings' shape")
     hidden = params.dims[2]
     if modality == MODALITIES:
-        lead, workspace = de.shape[:-3], cache.workspace
-        if workspace is None:
-            out, (w1, tails) = _pair_grad_rows(params.dims, lead)
-        elif workspace.dims != params.dims:
-            raise ValueError(f"workspace dims {workspace.dims} do not match {params.dims}")
-        else:
-            out, (w1, tails) = workspace.rows(lead)
+        lead = de.shape[:-3]
+        out = np.empty((*lead, params.theta.size))
         du, dz1 = _backprop(cache, de, params._pair_leaves[1])
         for i, x in enumerate(cache.x):
-            np.matmul(dz1[..., i, :, :].mT, x, out=w1[i])
-        _tail_grads(cache, du, dz1, *tails)
+            start, width = params.span(MODALITIES[i]).start, x.shape[-1]
+            w1 = out[..., start : start + hidden * width].reshape(*lead, hidden, width)
+            np.matmul(dz1[..., i, :, :].mT, x, out=w1)
+        _tail_grads(cache, du, dz1, *_tail_views(out, params.dims))
         out[..., -1] = 0.0
         return out
     tower = params.tower(modality)

@@ -36,7 +36,6 @@ from .contrastive import PairBatch, contrastive_loss_and_grads
 from .encoders import (
     MODALITIES,
     DualEncoderParams,
-    GradWorkspace,
     encode_batch,
     encoder_backward_batch,
     init_params,
@@ -223,7 +222,6 @@ def _pair_term(
     grads: np.ndarray,
     weights,
     tau_trainable: bool,
-    workspace: GradWorkspace | None = None,
 ) -> list[float]:
     """Contrastive terms over one raw image matrix, run as one stacked kernel.
 
@@ -235,22 +233,23 @@ def _pair_term(
     match disabled-term runs bit for bit, and with every weight zero no
     gradient work runs. The embeddings go to the loss without a second
     unit-row scan: encode_batch has checked their norms. The loss writes
-    its embedding gradients straight into the array the backward reads,
-    d(loss)/d(log tau) is only computed when tau is trained, and the
-    per-term gradient rows come from workspace when one is given.
+    its embedding gradients straight into the array the backward reads, and
+    d(loss)/d(log tau) is only computed when tau is trained.
     """
     single = np.ndim(texts) == 2
     weights = [weights] if single else list(weights)
     e, cache = encode_batch(params, MODALITIES, (images, texts))
-    cache.workspace = workspace
     de = np.empty_like(e)
-    loss, _, _, dlog_tau = contrastive_loss_and_grads(
+    loss, df, dg, dlog_tau = contrastive_loss_and_grads(
         PairBatch._from_encoded(e[..., 0, :, :], e[..., 1, :, :]),
         params.tau,
         log_tau_grad=tau_trainable,
         out=de,
     )
     if any(weights):
+        for side, grad in enumerate((df, dg)):
+            if grad.base is not de:  # returned in an array of its own, not written into de
+                de[..., side, :, :] = grad
         term_grads = encoder_backward_batch(params, MODALITIES, cache, de)
         term_grads = term_grads.reshape(len(weights), -1)
         if tau_trainable:
@@ -269,7 +268,6 @@ def compute_total_loss_and_grads(
     prompts: np.ndarray,
     anchor_batch: AnchorBatch,
     config: TrainConfig,
-    workspace: GradWorkspace | None = None,
 ) -> tuple[LossBreakdown, np.ndarray]:
     """Weighted sum of the enabled pair-loss terms, with its gradient over theta.
 
@@ -278,9 +276,7 @@ def compute_total_loss_and_grads(
     Disabled terms and a skipped retrieval term are exactly 0. Class prompts
     go through the text tower, so the prompt embeddings receive text-tower
     gradients like any caption would. When the caption pairs' image matrix
-    is batch.features itself, cl and cap run as one two-term stack. A
-    training run passes its GradWorkspace for the per-term gradient rows;
-    the returned gradient is always a new vector.
+    is batch.features itself, cl and cap run as one two-term stack.
     """
     grads = np.zeros_like(params.theta)
     enabled = set(config.enabled_losses)
@@ -294,18 +290,17 @@ def compute_total_loss_and_grads(
     if use_cl and use_cap and captions.images is batch.features:
         l_cl, l_cap = _pair_term(
             params, batch.features, np.array((prompts, captions.texts)), grads,
-            (config.lambda_cl, config.lambda_cap), config.tau_trainable, workspace,
+            (config.lambda_cl, config.lambda_cap), config.tau_trainable,
         )
     else:
         if use_cl:
             (l_cl,) = _pair_term(
-                params, batch.features, prompts, grads, config.lambda_cl, config.tau_trainable,
-                workspace,
+                params, batch.features, prompts, grads, config.lambda_cl, config.tau_trainable
             )
         if use_cap:
             (l_cap,) = _pair_term(
                 params, captions.images, captions.texts, grads, config.lambda_cap,
-                config.tau_trainable, workspace,
+                config.tau_trainable,
             )
 
     retrieved = anchor_batch.retrieved_pairs
@@ -317,7 +312,7 @@ def compute_total_loss_and_grads(
     ):
         (l_ret,) = _pair_term(
             params, retrieved.images, retrieved.texts, grads, config.lambda_ret,
-            config.tau_trainable, workspace,
+            config.tau_trainable,
         )
 
     total = config.lambda_cl * l_cl + config.lambda_cap * l_cap + config.lambda_ret * l_ret
@@ -421,21 +416,28 @@ def adamw_update(
     return params, state
 
 
-@functools.lru_cache(maxsize=64)
 def _epoch_batches(
     n: int, batch_size: int, seed: int, epoch: int, tag: int
 ) -> tuple[np.ndarray, ...]:
-    """Seeded shuffle split into index arrays; a trailing batch of 1 is dropped.
-
-    A pure function of its arguments, so it is memoized: runs that share a
-    seed (a grid's points, the gate's variants of one seed) share one
-    read-only set of index arrays per process instead of re-drawing the
-    shuffle in Python.
-    """
+    """Seeded shuffle split into read-only index arrays; a trailing batch of 1 is dropped."""
     perm = np.array(RandomStream(derive_seed(seed, tag, epoch)).permutation(n), dtype=np.int64)
     perm.flags.writeable = False  # its slices are read-only too
     batches = (perm[i : i + batch_size] for i in range(0, n, batch_size))
     return tuple(b for b in batches if len(b) >= 2)
+
+
+@functools.lru_cache(maxsize=32)
+def _finetune_epoch_batches(
+    n: int, batch_size: int, seed: int, epoch: int
+) -> tuple[np.ndarray, ...]:
+    """A finetuning epoch's batches, memoized per process.
+
+    Finetuning runs over one finetune set with one seed, such as the points
+    of a grid sweep, draw the same shuffles, so they share one read-only
+    set instead of each re-drawing it in pure Python. A process that runs
+    one finetuning gains nothing from it. Pretraining shuffles are not kept.
+    """
+    return _epoch_batches(n, batch_size, seed, epoch, _TAG_FINETUNE_EPOCH)
 
 
 def _diverged(step: int, epoch: int, why) -> DivergenceError:
@@ -445,14 +447,14 @@ def _diverged(step: int, epoch: int, why) -> DivergenceError:
 def _optimize(
     params: DualEncoderParams,
     config: TrainConfig,
-    n_items: int,
-    tag: int,
+    epoch_batches: Callable[[int], tuple[np.ndarray, ...]],
     step_loss: Callable[[DualEncoderParams, np.ndarray], tuple[LossBreakdown, np.ndarray]],
 ) -> tuple[DualEncoderParams, list[dict]]:
     """The epoch loop shared by pretraining and finetuning.
 
-    step_loss maps the current parameters and an index array of items to
-    the step's losses and gradient. params is updated in place, so callers
+    epoch_batches maps an epoch to its index arrays of items. step_loss
+    maps the current parameters and an index array of items to the step's
+    losses and gradient. params is updated in place, so callers
     pass parameters they own. The log gets one record per step:
     {step, epoch, l_cl, l_cap, l_ret, total, skip_ret}. The first step with
     a non-finite loss, gradient or embedding, or whose update moves a
@@ -461,7 +463,7 @@ def _optimize(
     state = init_optimizer_state(params)
     log: list[dict] = []
     for epoch in range(config.epochs):
-        for batch_idx in _epoch_batches(n_items, config.batch_size, config.seed, epoch, tag):
+        for batch_idx in epoch_batches(epoch):
             try:
                 breakdown, grads = step_loss(params, batch_idx)
             except NonFiniteError as exc:
@@ -497,17 +499,19 @@ def pretrain(pool: PairSet, config: TrainConfig) -> tuple[Checkpoint, list[dict]
         )
     input_dims = (pool.images.shape[1], pool.texts.shape[1])
     params = init_params(config.seed, input_dims, config.hidden, config.embed_dim)
-    workspace = GradWorkspace(params.dims)
 
     def pair_step(params: DualEncoderParams, batch_idx: np.ndarray):
         grads = np.zeros_like(params.theta)
         (loss,) = _pair_term(
             params, pool.images[batch_idx], pool.texts[batch_idx], grads, 1.0,
-            config.tau_trainable, workspace,
+            config.tau_trainable,
         )
         return LossBreakdown(l_cl=loss, l_cap=0.0, l_ret=0.0, total=loss, skip_ret=True), grads
 
-    params, log = _optimize(params, config, len(pool), _TAG_PRETRAIN_EPOCH, pair_step)
+    shuffle = functools.partial(
+        _epoch_batches, len(pool), config.batch_size, config.seed, tag=_TAG_PRETRAIN_EPOCH
+    )
+    params, log = _optimize(params, config, shuffle, pair_step)
     return make_checkpoint(params, config, "pretrained"), log
 
 
@@ -528,10 +532,7 @@ def finetune_batcher(
     the CaptionSet checked every caption row, so the steps do not scan
     them again. In the merge layout, a retrieved candidate whose id is
     also a finetune sample id raises ValueError here too. The cutter maps
-    an index array of finetune rows to (batch, prompts, anchor_batch). With
-    distinct=True the caller promises that the index array holds no repeat,
-    as a slice of one epoch's shuffle does, and the batch is gathered
-    without the unique-id check.
+    an index array of finetune rows to (batch, prompts, anchor_batch).
     """
     prompts = prompt_table.prompt_features[
         lookup_rows(prompt_table.class_ids, finetune_set.class_ids)
@@ -563,10 +564,8 @@ def finetune_batcher(
                 )
         assignments = dict(zip(finetune_set.ids.tolist(), ranked))
 
-    def batch_inputs(
-        batch_idx: np.ndarray, *, distinct: bool = False
-    ) -> tuple[SampleSet, np.ndarray, AnchorBatch]:
-        batch = finetune_set._take(batch_idx) if distinct else finetune_set[batch_idx]
+    def batch_inputs(batch_idx: np.ndarray) -> tuple[SampleSet, np.ndarray, AnchorBatch]:
+        batch = finetune_set[batch_idx]
         anchor_batch = assemble_anchor_batch(
             batch, caption_features[batch_idx], assignments, candidates, config.anchor_layout
         )
@@ -598,13 +597,12 @@ def run_finetune(
     batch_inputs = finetune_batcher(
         finetune_set, prompt_table, captions, candidate_index, candidates, start.params, config
     )
-    workspace = GradWorkspace(start.params.dims)
 
     def anchored_step(params: DualEncoderParams, batch_idx: np.ndarray):
-        inputs = batch_inputs(batch_idx, distinct=True)
-        return compute_total_loss_and_grads(params, *inputs, config, workspace)
+        return compute_total_loss_and_grads(params, *batch_inputs(batch_idx), config)
 
-    params, log = _optimize(
-        start.params.copy(), config, len(finetune_set), _TAG_FINETUNE_EPOCH, anchored_step
+    shuffle = functools.partial(
+        _finetune_epoch_batches, len(finetune_set), config.batch_size, config.seed
     )
+    params, log = _optimize(start.params.copy(), config, shuffle, anchored_step)
     return make_checkpoint(params, config, "finetuned"), log

@@ -232,5 +232,28 @@ class TestGradCheck:
         report = check_gradients(*pair_term_problem(0))
         assert not report.passed
 
+    def test_fails_when_corrupted_in_a_new_array(self, monkeypatch):
+        def corrupted(batch, tau, **kwargs):
+            loss, df, dg, dlog_tau = contrastive_loss_and_grads(batch, tau, **kwargs)
+            return loss, df * 2, dg, dlog_tau
+
+        monkeypatch.setattr(training, "contrastive_loss_and_grads", corrupted)
+        report = check_gradients(*pair_term_problem(0))
+        assert not report.passed
+
+    def test_passes_with_gradients_returned_in_new_arrays(self, monkeypatch):
+        # A loss that ignores out and returns df and dg in arrays of its own
+        # gives the step the same gradient, bit for bit.
+        problem = pair_term_problem(0)
+        _, want = training.compute_total_loss_and_grads(*problem)
+
+        def own_arrays(batch, tau, *, log_tau_grad=True, out=None):
+            return contrastive_loss_and_grads(batch, tau, log_tau_grad=log_tau_grad)
+
+        monkeypatch.setattr(training, "contrastive_loss_and_grads", own_arrays)
+        _, got = training.compute_total_loss_and_grads(*problem)
+        assert got.tobytes() == want.tobytes()
+        assert check_gradients(*problem).passed
+
     def test_deterministic(self):
         assert check_gradients(*pair_term_problem(3)) == check_gradients(*pair_term_problem(3))

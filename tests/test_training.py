@@ -21,7 +21,6 @@ from anchorft.contrastive import PairBatch, contrastive_loss_and_grads
 from anchorft.encoders import (
     DEFAULT_LOG_TAU,
     MODALITIES,
-    GradWorkspace,
     encode_batch,
     encoder_backward_batch,
     init_params,
@@ -110,13 +109,11 @@ def per_term_path(params, images, texts, weights, tau_trainable, start):
     return expected, want
 
 
-def pair_term(params, images, texts, grads, weights, tau_trainable, workspace=None):
+def pair_term(params, images, texts, grads, weights, tau_trainable):
     """training._pair_term on one term's (n, text_in) texts, or on a (T, n, text_in) stack."""
     if len(weights) == 1:
-        return training._pair_term(
-            params, images, texts[0], grads, weights[0], tau_trainable, workspace
-        )
-    return training._pair_term(params, images, texts, grads, weights, tau_trainable, workspace)
+        return training._pair_term(params, images, texts[0], grads, weights[0], tau_trainable)
+    return training._pair_term(params, images, texts, grads, weights, tau_trainable)
 
 
 class TestTrainConfig:
@@ -489,31 +486,32 @@ class TestRunFinetune:
         embed=st.integers(2, 5),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_a_reused_workspace_matches_fresh_buffers_bitwise(
+    def test_a_sequence_of_calls_matches_fresh_buffers_bitwise(
         self, calls, widths, hidden, embed, seed
     ):
-        # A run's workspace serves calls of every row count, stack depth,
-        # weight mix and tau setting in turn. Each call must match the
-        # per-term path, which makes every buffer anew: an entry that one
-        # call leaves behind and the next does not overwrite shows up here.
+        # One params serves calls of every row count, stack depth, weight
+        # mix and tau setting in turn. Each call must match the per-term
+        # path, whose buffers are all new. The loss and backward write into
+        # uninitialized arrays, often the memory the previous call freed: an
+        # entry that one call leaves behind and the next does not overwrite
+        # shows up here.
         rng = np.random.default_rng(seed)
         params = init_params(seed % 1000, widths, hidden, embed)
-        workspace = GradWorkspace(params.dims)
         for n, weights, tau_trainable in calls:
             images = rng.normal(size=(n, widths[0]))
             texts = rng.normal(size=(len(weights), n, widths[1]))
             start = rng.normal(size=params.theta.size)
             expected, want = per_term_path(params, images, texts, weights, tau_trainable, start)
             got = start.copy()
-            losses = pair_term(params, images, texts, got, weights, tau_trainable, workspace)
+            losses = pair_term(params, images, texts, got, weights, tau_trainable)
             assert losses == expected
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("layout", ANCHOR_LAYOUTS)
     def test_the_sets_built_unchecked_have_unique_keys(self, monkeypatch, layout):
-        # A step's batch, its caption pairs and its retrieved pairs are built
-        # without the shape and unique-key check, since their keys are unique
-        # by construction. Run that check on every one of them here.
+        # A step's caption pairs and retrieved pairs are built without the
+        # shape and unique-key check, since their keys are unique by
+        # construction. Run that check on them, and on the batch, here.
         bundle, start, index, _ = finetune_inputs()
         cfg = tiny_train_config(anchor_layout=layout, retrieval_k=2, epochs=3)
         real_batcher = training.finetune_batcher
@@ -522,9 +520,8 @@ class TestRunFinetune:
         def checked_batcher(*args):
             cut = real_batcher(*args)
 
-            def checked_cut(batch_idx, **kwargs):
-                assert kwargs == {"distinct": True}
-                batch, prompts, anchor_batch = cut(batch_idx, **kwargs)
+            def checked_cut(batch_idx):
+                batch, prompts, anchor_batch = cut(batch_idx)
                 captions = anchor_batch.caption_pairs
                 if layout == "merge":  # the retrieved pairs follow the captions
                     captions, retrieved = captions[: len(batch)], captions[len(batch) :]
@@ -545,7 +542,7 @@ class TestRunFinetune:
         )
         assert log and len(retrieved_rows) == len(log) and min(retrieved_rows) >= 2
 
-    def test_the_cutter_checks_a_caller_index_unless_told_it_is_distinct(self):
+    def test_the_cutter_checks_a_caller_index(self):
         bundle, start, index, cfg = finetune_inputs()
         batch_inputs = finetune_batcher(
             bundle.finetune, bundle.prompts_id, bundle.captions, index, bundle.candidates,
@@ -553,23 +550,20 @@ class TestRunFinetune:
         )
         with pytest.raises(ValueError, match="ids must be unique"):
             batch_inputs(np.array([3, 1, 3]))
-        batch, _, anchor_batch = batch_inputs(np.array([3, 1, 2]), distinct=True)
+        batch, _, anchor_batch = batch_inputs(np.array([3, 1, 2]))
         assert batch.ids.tolist() == bundle.finetune.ids[[3, 1, 2]].tolist()
         assert anchor_batch.caption_pairs.ids.tolist() == batch.ids.tolist()
 
     def test_frozen_tau_leaves_the_log_tau_gradient_at_zero(self):
         # With tau frozen no d(loss)/d(log tau) is computed, and the last
-        # gradient entry is exactly +0.0, even from a workspace that a
-        # trainable step wrote a nonzero log_tau entry into just before.
+        # gradient entry is exactly +0.0, also right after a trainable step
+        # wrote a nonzero one.
         bundle, start, index, _ = finetune_inputs()
-        workspace = GradWorkspace(start.params.dims)
         last = {}
         for tau_trainable in (True, False, True, False):
             cfg = tiny_train_config(tau_trainable=tau_trainable, retrieval_k=2)
             inputs = step_inputs(bundle, start.params, index, cfg, 4)
-            _, grads = compute_total_loss_and_grads(start.params, *inputs, cfg, workspace)
-            _, fresh = compute_total_loss_and_grads(start.params, *inputs, cfg)
-            assert grads.tobytes() == fresh.tobytes()
+            _, grads = compute_total_loss_and_grads(start.params, *inputs, cfg)
             last[tau_trainable] = grads[-1]
         assert last[True] != 0.0
         assert last[False].tobytes() == np.float64(0.0).tobytes()
@@ -786,9 +780,12 @@ class TestEpochBatches:
         assert len(set(flat)) == len(flat) >= n - 1
         assert set(flat) <= set(range(n))
 
-    def test_a_repeat_call_returns_the_same_read_only_arrays(self):
-        first = training._epoch_batches(65, 32, 5, 2, training._TAG_FINETUNE_EPOCH)
-        assert training._epoch_batches(65, 32, 5, 2, training._TAG_FINETUNE_EPOCH) is first
+    def test_a_repeat_finetuning_call_returns_the_same_read_only_arrays(self):
+        first = training._finetune_epoch_batches(65, 32, 5, 2)
+        assert training._finetune_epoch_batches(65, 32, 5, 2) is first
+        fresh = training._epoch_batches(65, 32, 5, 2, training._TAG_FINETUNE_EPOCH)
+        assert fresh is not first
+        assert [b.tolist() for b in fresh] == [b.tolist() for b in first]
         for batch in first:
             assert not batch.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
