@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -331,7 +331,7 @@ def retrieve(
 def assemble_anchor_batch(
     batch: SampleSet,
     captions: np.ndarray,
-    assignments: Mapping[int, np.ndarray] | None,
+    assignments: Mapping[int, Sequence[int]] | None,
     candidates: PairSet | None,
     layout: str = "sep",
 ) -> AnchorBatch:
@@ -364,13 +364,12 @@ def assemble_anchor_batch(
         retrieved_pairs = caption_pairs[:0]
     else:
         try:
-            ranked = np.concatenate([assignments[i] for i in batch.ids.tolist()])
+            ranked = [row for i in batch.ids.tolist() for row in assignments[i]]
         except KeyError as exc:
             raise MissingAssignmentError(
                 f"no retrieval assignment for sample {exc.args[0]}"
             ) from None
-        first_seen = list(dict.fromkeys(ranked.tolist()))
-        retrieved_pairs = candidates._take(np.array(first_seen, dtype=np.int64))
+        retrieved_pairs = candidates._take(np.fromiter(dict.fromkeys(ranked), np.int64))
 
     skip_ret = len(retrieved_pairs) < 2
     if layout == "merge":

@@ -24,7 +24,6 @@ from .numerics import as_float_array
 __all__ = [
     "LossValue",
     "PairBatch",
-    "contrastive_loss",
     "contrastive_loss_and_grads",
 ]
 
@@ -109,22 +108,17 @@ def _loss_value(row_ls: np.ndarray, col_ls: np.ndarray, b: int) -> LossValue:
     return LossValue(total=i2t + t2i, image_to_text=i2t, text_to_image=t2i)
 
 
-def contrastive_loss(batch: PairBatch, tau: float) -> LossValue:
-    """Mean bidirectional cross-entropy at the diagonal. 0 for a single pair."""
-    _, row_ls, col_ls = _similarity_terms(batch, tau)
-    return _loss_value(row_ls, col_ls, batch.size)
-
-
 def contrastive_loss_and_grads(
     batch: PairBatch, tau: float, *, log_tau_grad: bool = True, out: np.ndarray | None = None
 ) -> tuple[LossValue, np.ndarray, np.ndarray, float | np.ndarray | None]:
     """Loss plus embedding gradients and d(loss)/d(log tau), sharing one pass.
 
-    For a stack of T batches, dlog_tau is a (T,) array like the losses.
-    With log_tau_grad False it is None, and its n x n pass is skipped. out,
-    if given, is a ([T,] 2, n, d) array that receives df in [..., 0, :, :]
-    and dg in [..., 1, :, :], the layout of encode_batch's pair embeddings;
-    the returned df and dg are those views.
+    The loss is the mean bidirectional cross-entropy at the diagonal (0 for
+    one pair). For a stack of T batches, dlog_tau is a (T,) array like the
+    losses. With log_tau_grad False it is None, and its n x n pass is
+    skipped. out, if given, is a ([T,] 2, n, d) array that receives df in
+    [..., 0, :, :] and dg in [..., 1, :, :], the layout of encode_batch's
+    pair embeddings; the returned df and dg are those views.
     """
     s, row_ls, col_ls = _similarity_terms(batch, tau)
     f, g = batch.image_embeddings, batch.text_embeddings

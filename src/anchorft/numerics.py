@@ -9,9 +9,10 @@ Vigna, "Scrambled linear pseudorandom number generators") advanced in pure
 Python. derive_seeds, lane_normals and lane_sample_indices run many fresh
 streams in lockstep instead, one numpy uint64 lane per stream, and give row
 i exactly what RandomStream(seeds[i]) gives. The integer recurrence is
-exact in any lane width; Box-Muller's log, cos and sin are applied with the
-libm functions in `math`, element by element, because numpy's own versions
-differ from them by an ulp on some inputs.
+exact in any lane width. Box-Muller's log is `math.log` element by element,
+as numpy's float64 log is its own SIMD code and differs by an ulp on some
+inputs; its cos and sin are numpy's float64 loops, which call libm and so
+match `math` bit for bit (a test checks a million angles).
 """
 
 from __future__ import annotations
@@ -207,8 +208,8 @@ class RandomStream:
 
         A cached spare comes first. The rest come from fresh Box-Muller
         pairs, whose draws run the next_u64 recurrence inline on local ints
-        (as permutation does) and whose log, cos and sin are libm's applied
-        to whole arrays. An odd count caches the last pair's second value.
+        (as permutation does) and whose transform runs on whole arrays
+        (_box_muller). An odd count caches the last pair's second value.
         """
         out = np.empty(n)
         done = 0
@@ -337,7 +338,7 @@ def _box_muller(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u2 = (b >> np.uint64(11)) * 2.0**-53
     r = np.sqrt(-2.0 * _libm(math.log, u1))
     theta = 2.0 * math.pi * u2
-    return r * _libm(math.cos, theta), r * _libm(math.sin, theta)
+    return r * np.cos(theta), r * np.sin(theta)
 
 
 def lane_normals(seeds, n: int) -> np.ndarray:

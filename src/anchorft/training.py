@@ -527,7 +527,8 @@ def finetune_batcher(
     """Build what every finetuning step reads, once, and return its batch cutter.
 
     That is each finetune sample's class-prompt and caption rows and, with
-    the ret term, its retrieved candidates as row positions in `candidates`.
+    the ret term, its retrieved candidates as a tuple of row positions in
+    `candidates`, best first.
     A sample without a caption raises MissingCaptionError here; building
     the CaptionSet checked every caption row, so the steps do not scan
     them again. In the merge layout, a retrieved candidate whose id is
@@ -562,7 +563,7 @@ def finetune_batcher(
                     f"one pair set, so their ids must be distinct; retrieved candidate "
                     f"{shared[0]} is also a finetune sample id"
                 )
-        assignments = dict(zip(finetune_set.ids.tolist(), ranked))
+        assignments = dict(zip(finetune_set.ids.tolist(), map(tuple, ranked.tolist())))
 
     def batch_inputs(batch_idx: np.ndarray) -> tuple[SampleSet, np.ndarray, AnchorBatch]:
         batch = finetune_set[batch_idx]

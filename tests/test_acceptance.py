@@ -8,10 +8,13 @@ defaults, per-seed ablation direction, argmax scale invariance, and codec
 integrity. Tolerances are pinned here and nowhere else.
 """
 
+import ctypes
 import hashlib
 import json
+import platform
 import time
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from anchorft import benchgen, numerics
 from anchorft.anchors import PairSet, RETRIEVAL_MODES, build_candidate_index, retrieve
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.cli import main
-from anchorft.contrastive import PairBatch, contrastive_loss
+from anchorft.contrastive import PairBatch, contrastive_loss_and_grads
 from anchorft.encoders import encode_batch, init_params
 from anchorft.evaluation import (
     PromptTable,
@@ -73,6 +76,10 @@ SMALL_GEN = dict(
     seed=0,
 )
 SMALL_TRAIN = dict(batch_size=4, epochs=2, hidden=8, embed_dim=4, seed=0)
+
+# Every golden below was pinned with numpy 2.4.6, glibc 2.36 and OpenBLAS
+# 0.3.31 on its SkylakeX core. Another BLAS kernel may sum in another order
+# and round differently, so a failing golden names the host it ran on.
 
 # sha256 of every file the SMALL_GEN/SMALL_TRAIN pipeline writes. A change
 # that alters artifact bytes on purpose updates these and says so.
@@ -217,6 +224,26 @@ GOLDEN_SMALL_BUNDLES = {
 }
 
 
+def host_versions() -> str:
+    """The numpy version, libc version and OpenBLAS core this process runs on."""
+    libc = " ".join(platform.libc_ver()).strip() or "libc unknown"
+    return f"numpy {np.__version__}, {libc}, OpenBLAS core {_openblas_core()}"
+
+
+def _openblas_core() -> str:
+    """The kernel family numpy's bundled OpenBLAS picked, or "unknown" without one."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def _bundle_digests(bundle, root) -> dict[str, str]:
     """sha256 of every file write_bundle writes, plus "float64" over the columns in memory.
 
@@ -258,7 +285,8 @@ def test_single_pair_loss_is_zero():
         f = l2_normalize(stream.normals(d)).reshape(1, d)
         g = l2_normalize(stream.normals(d)).reshape(1, d)
         tau = float(np.exp(np.clip(stream.normal(), -2.0, 1.5)))
-        worst = max(worst, abs(contrastive_loss(PairBatch(f, g), tau).total))
+        loss = contrastive_loss_and_grads(PairBatch(f, g), tau, log_tau_grad=False)[0]
+        worst = max(worst, abs(loss.total))
     elapsed = time.perf_counter() - t0
     assert worst <= TOL_SINGLE_PAIR
     assert elapsed < 1.0
@@ -286,7 +314,7 @@ def test_loss_matches_softmax_cross_entropy_oracle():
         f = np.stack([l2_normalize(stream.normals(d)) for _ in range(b)])
         g = np.stack([l2_normalize(stream.normals(d)) for _ in range(b)])
         tau = float(np.exp(np.clip(stream.normal(), -2.0, 1.5)))
-        got = contrastive_loss(PairBatch(f, g), tau).total
+        got = contrastive_loss_and_grads(PairBatch(f, g), tau, log_tau_grad=False)[0].total
         worst = max(worst, abs(got - oracle(f, g, tau)))
     elapsed = time.perf_counter() - t0
     assert worst <= TOL_LOSS_ORACLE
@@ -444,7 +472,7 @@ def test_ensemble_interpolation_identities(small_checkpoints):
 def test_small_finetune_variants_match_golden_ids(small_start, variant):
     ckpt, log = _small_finetune(small_start, **SMALL_VARIANTS[variant])
     log_digest = hashlib.sha256("".join(json.dumps(r) + "\n" for r in log).encode()).hexdigest()
-    assert (ckpt.id, log_digest) == GOLDEN_SMALL_VARIANTS[variant]
+    assert (ckpt.id, log_digest) == GOLDEN_SMALL_VARIANTS[variant], host_versions()
     print(f"[PASS] the {variant} finetune matches its golden checkpoint id and step log")
 
 
@@ -489,7 +517,9 @@ def test_identical_runs_are_byte_identical(tmp_path):
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in left.items()}
     assert digests.keys() == GOLDEN_SMALL_PIPELINE.keys()
     for name, digest in digests.items():
-        assert digest == GOLDEN_SMALL_PIPELINE[name], f"{name} differs from its golden digest"
+        assert digest == GOLDEN_SMALL_PIPELINE[name], (
+            f"{name} differs from its golden digest on {host_versions()}"
+        )
     print(
         f"[PASS] two identical pipeline runs agree byte for byte on {len(left)} files, "
         f"all matching their golden digests"
@@ -503,7 +533,9 @@ def test_small_bundles_match_golden_digests(contexts, tmp_path):
     config = GenConfig(**{**SMALL_GEN, "contexts_per_sample": contexts, "d_img_raw": 9})
     digests = _bundle_digests(generate_benchmark(config), tmp_path)
     files = hashlib.sha256(json.dumps(digests, sort_keys=True).encode()).hexdigest()
-    assert (files, digests["float64"]) == GOLDEN_SMALL_BUNDLES[contexts], digests
+    assert (files, digests["float64"]) == GOLDEN_SMALL_BUNDLES[contexts], (
+        f"{digests} on {host_versions()}"
+    )
     print(f"[PASS] small bundle with {contexts} context picks matches its golden digests")
 
 
@@ -516,7 +548,9 @@ def test_small_bundle_digests_do_not_depend_on_the_lane_block(block, tmp_path, m
     config = GenConfig(**{**SMALL_GEN, "contexts_per_sample": 3, "d_img_raw": 9})
     digests = _bundle_digests(generate_benchmark(config), tmp_path)
     files = hashlib.sha256(json.dumps(digests, sort_keys=True).encode()).hexdigest()
-    assert (files, digests["float64"]) == GOLDEN_SMALL_BUNDLES[3], block
+    assert (files, digests["float64"]) == GOLDEN_SMALL_BUNDLES[3], (
+        f"block {block} on {host_versions()}"
+    )
     print(f"[PASS] small bundle built {block} entities at a time matches its golden digests")
 
 
@@ -594,14 +628,14 @@ def test_each_anchor_alone_beats_baseline_zsl_per_seed(frozen_default_runs):
 
 def test_seed0_default_checkpoints_match_golden_ids(frozen_default_runs):
     _, _, _, seed0_ids = frozen_default_runs
-    assert seed0_ids["pretrained"] == GOLDEN_SEED0_PRETRAINED_ID
-    assert seed0_ids["anchored"] == GOLDEN_SEED0_ANCHORED_ID
+    assert seed0_ids["pretrained"] == GOLDEN_SEED0_PRETRAINED_ID, host_versions()
+    assert seed0_ids["anchored"] == GOLDEN_SEED0_ANCHORED_ID, host_versions()
     print("[PASS] seed-0 pretrained and anchored checkpoint ids match their golden values")
 
 
 def test_seed0_default_bundle_matches_golden_digests(frozen_default_runs):
     _, _, _, seed0_ids = frozen_default_runs
-    assert seed0_ids["bundle"] == GOLDEN_SEED0_BUNDLE
+    assert seed0_ids["bundle"] == GOLDEN_SEED0_BUNDLE, host_versions()
     print(f"[PASS] seed-0 default bundle matches its {len(GOLDEN_SEED0_BUNDLE)} golden digests")
 
 

@@ -18,6 +18,7 @@ from anchorft.numerics import (
     lane_sample_indices,
     splitmix64,
 )
+from test_acceptance import host_versions
 
 U64 = st.integers(0, 2**64 - 1)
 SEED_LISTS = st.lists(U64, max_size=6)
@@ -181,6 +182,40 @@ class TestRandomStream:
         assert stream.draw_count == 2  # Box-Muller consumes a pair
         stream.normal()
         assert stream.draw_count == 2  # second of the pair was cached
+
+
+class TestBoxMullerOracle:
+    """Box-Muller on arrays against libm through `math`, wide enough to pin the bundles' bytes."""
+
+    def test_numpy_cos_and_sin_are_libm(self):
+        # 2^20 angles 2*pi*u2 on Box-Muller's grid u2 = k * 2^-53, spread over
+        # [0, 2*pi) with an odd stride so that the low bits of k vary too.
+        k = np.arange(2**20, dtype=np.uint64) * np.uint64((2**53 - 1) // 2**20)
+        theta = 2.0 * math.pi * (k * 2.0**-53)
+        for name in ("cos", "sin"):
+            got = getattr(np, name)(theta)
+            expected = np.fromiter(map(getattr(math, name), theta.tolist()), np.float64, k.size)
+            bad = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+            assert not bad.size, (
+                f"np.{name} differs from math.{name} on {bad.size} of {k.size} angles, "
+                f"first at {theta[bad[0]]!r}, on {host_versions()}"
+            )
+
+    def test_box_muller_matches_the_scalar_normal(self):
+        # 64 streams x 1,600 pairs: lane_normals puts every pair through
+        # _box_muller, normal() applies math.log, math.cos and math.sin to one.
+        seeds = np.concatenate(
+            [np.array([0, 1, 12, 2**64 - 1], dtype=np.uint64), derive_seeds(7, np.arange(60))]
+        )
+        draws = 3200
+        for row, seed in zip(lane_normals(seeds, draws), seeds.tolist()):
+            stream = RandomStream(seed)
+            expected = np.array([stream.normal() for _ in range(draws)])
+            bad = np.flatnonzero(row.view(np.uint64) != expected.view(np.uint64))
+            assert not bad.size, (
+                f"seed {seed}: _box_muller differs from normal() on {bad.size} of "
+                f"{draws} draws, first at draw {bad[0]}, on {host_versions()}"
+            )
 
 
 class TestLanes:
