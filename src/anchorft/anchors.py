@@ -93,14 +93,15 @@ def _column_names(cls) -> tuple[str, ...]:
 class _Columns:
     """A set whose dataclass fields are columns with one entry per row.
 
-    The first field is the key column. Checked once, when built: the fields
-    named in _matrices become finite 2-D float64 matrices, the others int64
-    vectors, every column has the same number of rows, and keys are unique.
-    A non-finite matrix row raises ValueError naming its key. An int index
-    gives one row as _row; a slice or an index array gives a set of the
-    same kind, and so does concat. Such a set's columns are cut from checked
-    ones, so it is built by _from_checked, which checks only shapes and keys.
-    _take gathers rows that hold no repeat by construction, with no check.
+    The first field is the key column. The dataclass constructor is the one
+    checked way to build a set: the fields named in _matrices become finite
+    2-D float64 matrices, the others int64 vectors, every column has the same
+    number of rows, and keys are unique. A non-finite matrix row raises
+    ValueError naming its key. _from_columns is the one unchecked way, for
+    columns already known to pass. An int index gives one row as _row. A
+    slice of a checked set is valid, so it is built unchecked; an index
+    array and concat go through the checked constructor, so a repeated row
+    or a shared key raises.
     """
 
     _matrices: tuple[str, ...]
@@ -112,14 +113,23 @@ class _Columns:
 
     def __post_init__(self):
         names = _column_names(type(self))
+        rows = set()
         for name in names:
-            dtype = np.float64 if name in self._matrices else np.int64
-            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        self._check_shapes_and_keys()
+            ndim = 2 if name in self._matrices else 1
+            column = np.asarray(getattr(self, name), dtype=np.float64 if ndim == 2 else np.int64)
+            if column.ndim != ndim:
+                raise ValueError(f"{name} must be {ndim}-D, got shape {column.shape}")
+            setattr(self, name, column)
+            rows.add(len(column))
+        if len(rows) != 1:
+            raise ValueError("every column needs one entry per row")
         key = getattr(self, names[0])
+        if len(set(key.tolist())) != len(key):
+            raise ValueError(f"{names[0]} must be unique")
         for name in self._matrices:
-            finite = np.isfinite(getattr(self, name)).all(axis=1)
-            if not finite.all():
+            matrix = getattr(self, name)
+            if not np.isfinite(matrix).all():
+                finite = np.isfinite(matrix).all(axis=1)
                 raise ValueError(
                     f"{type(self).__name__}.{name}: the row with {names[0]} "
                     f"{key[~finite][0]} contains non-finite entries"
@@ -132,32 +142,6 @@ class _Columns:
         out.__dict__.update(zip(_column_names(cls), columns))
         return out
 
-    @classmethod
-    def _from_checked(cls, *columns):
-        """A set over columns cut from checked ones: no dtype conversion or finite scan."""
-        out = cls._from_columns(*columns)
-        out._check_shapes_and_keys()
-        return out
-
-    def _take(self, rows: np.ndarray):
-        """The set of the given row positions, which must not repeat; nothing is checked."""
-        names = _column_names(type(self))
-        return self._from_columns(*(getattr(self, name)[rows] for name in names))
-
-    def _check_shapes_and_keys(self) -> None:
-        names = _column_names(type(self))
-        rows = set()
-        for name in names:
-            column = getattr(self, name)
-            ndim = 2 if name in self._matrices else 1
-            if column.ndim != ndim:
-                raise ValueError(f"{name} must be {ndim}-D, got shape {column.shape}")
-            rows.add(len(column))
-        if len(rows) != 1:
-            raise ValueError("every column needs one entry per row")
-        if len(set(getattr(self, names[0]).tolist())) != len(self):
-            raise ValueError(f"{names[0]} must be unique")
-
     def __len__(self) -> int:
         return len(getattr(self, _column_names(type(self))[0]))
 
@@ -169,11 +153,13 @@ class _Columns:
         columns = [getattr(self, name)[key] for name in _column_names(type(self))]
         if isinstance(key, (int, np.integer)):
             return self._row(*(c.item() if c.ndim == 0 else c for c in columns))
-        return self._from_checked(*columns)
+        if isinstance(key, slice):
+            return self._from_columns(*columns)
+        return type(self)(*columns)
 
     def concat(self, other):
         """This set's rows followed by other's; the keys of both must be disjoint."""
-        return self._from_checked(*(
+        return type(self)(*(
             np.concatenate([getattr(self, name), getattr(other, name)])
             for name in _column_names(type(self))
         ))
@@ -235,17 +221,12 @@ class CandidateIndex:
     source_checkpoint_id: str
 
     def __post_init__(self):
-        self.candidate_ids = np.asarray(self.candidate_ids, dtype=np.int64)
-        n = self.candidate_ids.size
-        if len(set(self.candidate_ids.tolist())) != n:
-            raise ValueError("candidate ids must be unique")
-        image, text = self.image_embeddings, self.text_embeddings
-        if image.ndim != 2 or text.ndim != 2 or image.shape[1] != text.shape[1]:
+        pairs = PairSet(self.candidate_ids, self.image_embeddings, self.text_embeddings)
+        if pairs.images.shape[1] != pairs.texts.shape[1]:
             raise ValueError("image and text embeddings must be matrices of one width")
-        if image.shape[0] != n or text.shape[0] != n:
-            raise ValueError("embedding row count must match candidate_ids")
-        if not (np.isfinite(image).all() and np.isfinite(text).all()):
-            raise ValueError("candidate embeddings contain non-finite entries")
+        self.candidate_ids, self.image_embeddings, self.text_embeddings = (
+            pairs.ids, pairs.images, pairs.texts
+        )
 
     @property
     def size(self) -> int:
@@ -369,7 +350,10 @@ def assemble_anchor_batch(
             raise MissingAssignmentError(
                 f"no retrieval assignment for sample {exc.args[0]}"
             ) from None
-        retrieved_pairs = candidates._take(np.fromiter(dict.fromkeys(ranked), np.int64))
+        rows = np.fromiter(dict.fromkeys(ranked), np.int64)
+        retrieved_pairs = PairSet._from_columns(
+            candidates.ids[rows], candidates.images[rows], candidates.texts[rows]
+        )
 
     skip_ret = len(retrieved_pairs) < 2
     if layout == "merge":

@@ -23,6 +23,7 @@ from .evaluation import PromptTable
 from .numerics import (
     LANE_BLOCK,
     RandomStream,
+    check_finite_fields,
     derive_seed,
     derive_seeds,
     l2_normalize,
@@ -84,6 +85,7 @@ class GenConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_finite_fields(self)
         if self.n_id_classes < 2 or self.n_zsl_classes < 2:
             raise ValueError("need at least two seen and two held-out classes")
         if self.n_domains < 1:

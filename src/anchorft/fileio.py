@@ -693,7 +693,7 @@ def read_curve_csv(path) -> tuple[list[str], list[dict]]:
 
     There must be at least one row. The first column must be alpha and one
     column must be id; both are set on every row. A cell that is not a
-    number raises CodecError.
+    finite number raises CodecError.
     """
     lines = Path(path).read_text("utf-8").splitlines()
     if len(lines) < 2:
@@ -714,7 +714,11 @@ def read_curve_csv(path) -> tuple[list[str], list[dict]]:
         if not row["alpha"] or not row["id"]:
             raise CodecError(f"{path}:{lineno}: empty alpha or id cell")
         try:
-            rows.append({name: (float(cell) if cell else None) for name, cell in row.items()})
+            values = {name: (float(cell) if cell else None) for name, cell in row.items()}
         except ValueError as exc:
             raise CodecError(f"{path}:{lineno}: {exc}") from exc
+        for name, value in values.items():
+            if value is not None and not math.isfinite(value):
+                raise CodecError(f"{path}:{lineno}: {name} cell is {value}, not a finite number")
+        rows.append(values)
     return header, rows

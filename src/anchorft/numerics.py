@@ -18,6 +18,7 @@ match `math` bit for bit (a test checks a million angles).
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "ZERO_NORM_THRESHOLD",
     "ZeroVectorError",
     "as_float_array",
+    "check_finite_fields",
     "derive_seed",
     "derive_seeds",
     "l2_normalize",
@@ -58,6 +60,14 @@ def as_float_array(values, *, name: str = "array") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def check_finite_fields(config) -> None:
+    """Raise ValueError naming the first float field of a dataclass that is NaN or infinite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def l2_normalize(v) -> np.ndarray:
@@ -183,10 +193,6 @@ class RandomStream:
         self._s = [s0, s1, s2, s3]
         self.draw_count += 1
         return result
-
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits of one output."""
-        return (self.next_u64() >> 11) * 2.0**-53
 
     def normal(self) -> float:
         """One standard normal draw (Box-Muller, pairs cached)."""

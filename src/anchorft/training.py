@@ -42,7 +42,7 @@ from .encoders import (
     param_fingerprint,
 )
 from .evaluation import PromptTable
-from .numerics import NonFiniteError, RandomStream, derive_seed
+from .numerics import NonFiniteError, RandomStream, check_finite_fields, derive_seed
 
 __all__ = [
     "CheckReport",
@@ -108,6 +108,7 @@ class TrainConfig:
         self.enabled_losses = tuple(self.enabled_losses)
 
     def validate(self) -> None:
+        check_finite_fields(self)
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
         if self.epochs < 0:
@@ -203,16 +204,13 @@ class OptimizerState:
 
     m: np.ndarray
     v: np.ndarray
-    step: int = 0
-    work: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.work is None:
-            self.work = np.empty((2, *self.m.shape))
+    step: int
+    work: np.ndarray = field(repr=False)
 
 
 def init_optimizer_state(params: DualEncoderParams) -> OptimizerState:
-    return OptimizerState(m=np.zeros_like(params.theta), v=np.zeros_like(params.theta), step=0)
+    zeros = np.zeros_like(params.theta)
+    return OptimizerState(zeros, zeros.copy(), 0, np.empty((2, *zeros.shape)))
 
 
 def _pair_term(

@@ -230,19 +230,25 @@ class TestCandidateIndex:
             CandidateIndex(np.arange(3), image, text, "fp")
 
     @pytest.mark.parametrize(
-        "image,text",
-        [(np.zeros(3), np.zeros((3, 4))), (np.zeros((3, 4)), np.zeros((3, 4, 1))),
-         (np.zeros((3, 4)), np.zeros((3, 5)))],
+        "image,text,match",
+        [(np.zeros(3), np.zeros((3, 4)), "images must be 2-D"),
+         (np.zeros((3, 4)), np.zeros((3, 4, 1)), "texts must be 2-D"),
+         (np.zeros((3, 4)), np.zeros((3, 5)), "matrices of one width")],
         ids=["vector", "3-d", "widths-differ"],
     )
-    def test_embeddings_must_be_matrices_of_one_width(self, image, text):
-        with pytest.raises(ValueError, match="matrices of one width"):
+    def test_embeddings_must_be_matrices_of_one_width(self, image, text, match):
+        with pytest.raises(ValueError, match=match):
             CandidateIndex(np.arange(3), image, text, "fp")
 
     def test_row_count_must_match_ids(self):
         image, text = self.embeddings()
-        with pytest.raises(ValueError, match="row count"):
+        with pytest.raises(ValueError, match="one entry per row"):
             CandidateIndex(np.arange(2), image, text, "fp")
+
+    def test_ids_must_be_unique(self):
+        image, text = self.embeddings()
+        with pytest.raises(ValueError, match="ids must be unique"):
+            CandidateIndex([4, 2, 4], image, text, "fp")
 
 
 def retrieval_oracle(index, params, mode, queries, k):

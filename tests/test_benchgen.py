@@ -1,5 +1,7 @@
 """Generator checks: determinism, class coverage, rotations, captions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,14 @@ class TestGenConfig:
 
     def test_default_config_is_valid(self):
         GenConfig().validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["sigma_img", "sigma_txt", "context_strength", "template_offset_scale"]
+    )
+    def test_non_finite_floats_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            small_config(**{name: value}).validate()
 
 
 class TestGenerateBenchmark:

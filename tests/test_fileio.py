@@ -1186,7 +1186,10 @@ class TestMetricsAndCurves:
          ("alpha,id,zsl\n,50.0,1.0\n", "empty alpha or id cell"),
          ("alpha,id,zsl\n0.0,fifty,1.0\n", "could not convert"),
          ("alpha,ids,zsl\n0.0,50.0,1.0\n", "no id column"),
-         ("alpha,id,zsl\n", "at least one row")],
+         ("alpha,id,zsl\n", "at least one row"),
+         ("alpha,id,zsl\nnan,50.0,1.0\n", r"c.csv:2: alpha cell is nan"),
+         ("alpha,id,zsl\n0.0,50.0,1.0\n0.5,inf,1.0\n", r"c.csv:3: id cell is inf"),
+         ("alpha,id,zsl\n0.0,50.0,-inf\n", r"c.csv:2: zsl cell is -inf")],
     )
     def test_curve_cells_checked(self, tmp_path, text, match):
         (tmp_path / "c.csv").write_text(text)

@@ -1,7 +1,7 @@
 """Optimizer, composite loss, and training-loop checks."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -124,6 +124,14 @@ class TestTrainConfig:
     def test_merge_needs_caption_term_for_ret(self):
         with pytest.raises(ValueError):
             tiny_train_config(anchor_layout="merge", enabled_losses=("cl", "ret")).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["learning_rate", "weight_decay", "lambda_cl", "lambda_cap", "lambda_ret"]
+    )
+    def test_non_finite_floats_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            tiny_train_config(**{name: value}).validate()
 
     def test_fingerprint_tracks_content(self):
         a = tiny_train_config()
@@ -509,9 +517,9 @@ class TestRunFinetune:
 
     @pytest.mark.parametrize("layout", ANCHOR_LAYOUTS)
     def test_the_sets_built_unchecked_have_unique_keys(self, monkeypatch, layout):
-        # A step's caption pairs and retrieved pairs are built without the
-        # shape and unique-key check, since their keys are unique by
-        # construction. Run that check on them, and on the batch, here.
+        # A step's caption pairs and retrieved pairs are built unchecked,
+        # since their keys are unique by construction. Rebuild them, and the
+        # batch, through the checked constructor here.
         bundle, start, index, _ = finetune_inputs()
         cfg = tiny_train_config(anchor_layout=layout, retrieval_k=2, epochs=3)
         real_batcher = training.finetune_batcher
@@ -528,7 +536,7 @@ class TestRunFinetune:
                 else:
                     retrieved = anchor_batch.retrieved_pairs
                 for columns in (batch, captions, retrieved, anchor_batch.caption_pairs):
-                    columns._check_shapes_and_keys()
+                    type(columns)(*(getattr(columns, f.name) for f in fields(columns)))
                 assert captions.ids.tolist() == batch.ids.tolist()
                 retrieved_rows.append(len(retrieved))
                 return batch, prompts, anchor_batch
