@@ -82,30 +82,15 @@ class LossValue:
 
 
 def _log_softmax_rows(s: np.ndarray) -> np.ndarray:
-    shifted = s - s.max(axis=-1, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = s - np.maximum.reduce(s, axis=-1, keepdims=True)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
     return shifted
 
 
-def _similarity_terms(batch: PairBatch, tau: float):
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    s = batch.image_embeddings @ batch.text_embeddings.mT
-    s /= tau
-    row_ls = _log_softmax_rows(s)
-    col_ls = _log_softmax_rows(s.mT).mT
-    return s, row_ls, col_ls
-
-
 def _diagonal_mean(ls: np.ndarray, b: int):
-    """Minus the diagonal mean; sum()/b is np.mean's own arithmetic, bit for bit."""
-    mean = -(ls.diagonal(0, -2, -1).sum(axis=-1) / b)
-    return float(mean) if mean.ndim == 0 else mean
-
-
-def _loss_value(row_ls: np.ndarray, col_ls: np.ndarray, b: int) -> LossValue:
-    i2t, t2i = _diagonal_mean(row_ls, b), _diagonal_mean(col_ls, b)
-    return LossValue(total=i2t + t2i, image_to_text=i2t, text_to_image=t2i)
+    """Minus the diagonal mean; sum/b is np.mean's own arithmetic, bit for bit."""
+    total = np.add.reduce(ls.diagonal(0, -2, -1), axis=-1)
+    return -(float(total) / b) if total.ndim == 0 else -(total / b)
 
 
 def contrastive_loss_and_grads(
@@ -116,20 +101,24 @@ def contrastive_loss_and_grads(
     The loss is the mean bidirectional cross-entropy at the diagonal (0 for
     one pair). For a stack of T batches, dlog_tau is a (T,) array like the
     losses. With log_tau_grad False it is None, and its n x n pass is
-    skipped. out, if given, is a ([T,] 2, n, d) array that receives df in
-    [..., 0, :, :] and dg in [..., 1, :, :], the layout of encode_batch's
-    pair embeddings; the returned df and dg are those views.
+    skipped. df and dg are the [..., 0, :, :] and [..., 1, :, :] views of
+    one ([T,] 2, n, d) array, the layout of encode_batch's pair embeddings:
+    out, if given, else a new one.
     """
-    s, row_ls, col_ls = _similarity_terms(batch, tau)
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
     f, g = batch.image_embeddings, batch.text_embeddings
-    b = batch.size
-    lead = s.shape[:-2]
-    df = dg = None
-    if out is not None:
-        if out.shape != (*lead, 2, *f.shape[-2:]):
-            raise ValueError(f"out must have shape {(*lead, 2, *f.shape[-2:])}, got {out.shape}")
-        df, dg = out[..., 0, :, :], out[..., 1, :, :]
-    loss = _loss_value(row_ls, col_ls, b)
+    s = np.matmul(f, g.mT)
+    s /= tau
+    lead, b = s.shape[:-2], s.shape[-1]
+    if out is None:
+        out = np.empty((*lead, 2, *f.shape[-2:]))
+    elif out.shape != (*lead, 2, *f.shape[-2:]):
+        raise ValueError(f"out must have shape {(*lead, 2, *f.shape[-2:])}, got {out.shape}")
+    row_ls = _log_softmax_rows(s)
+    col_ls = _log_softmax_rows(s.mT).mT
+    i2t, t2i = _diagonal_mean(row_ls, b), _diagonal_mean(col_ls, b)
+    loss = LossValue(total=i2t + t2i, image_to_text=i2t, text_to_image=t2i)
     # Past their diagonals the log-softmaxes are only needed as P and Q, so
     # they turn into them in place. Both are C-ordered like s, so the
     # reshapes below are views.
@@ -138,12 +127,11 @@ def contrastive_loss_and_grads(
     # minus 2I: x - 0.0 is x, so off-diagonals need no pass
     dlds.reshape(*lead, b * b)[..., :: b + 1] -= 2.0
     dlds /= b
-    df = np.matmul(dlds, g, out=df)
-    df /= tau
-    dg = np.matmul(dlds.mT, f, out=dg)
-    dg /= tau
+    df = np.matmul(dlds, g, out=out[..., 0, :, :])
+    dg = np.matmul(dlds.mT, f, out=out[..., 1, :, :])
+    out /= tau
     if not log_tau_grad:
         return loss, df, dg, None
     s *= dlds
-    dlog_tau = -s.reshape(*lead, b * b).sum(axis=-1)
+    dlog_tau = -np.add.reduce(s.reshape(*lead, b * b), axis=-1)
     return loss, df, dg, float(dlog_tau) if not lead else dlog_tau

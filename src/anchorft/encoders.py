@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
     "DEFAULT_LOG_TAU",
     "MODALITIES",
     "DualEncoderParams",
-    "EncodeCache",
     "EncoderParams",
     "encode_batch",
     "encoder_backward_batch",
@@ -194,26 +192,15 @@ def init_params(
     return params
 
 
-@dataclass
-class EncodeCache:
-    """Forward activations kept for the backward pass.
-
-    One tower's cache holds (n, ·) matrices. A pair cache holds stacks with
-    a tower axis before the rows, and x is the (images, texts) pair.
-    """
-
-    x: np.ndarray | tuple[np.ndarray, np.ndarray]  # (n, in)
-    h: np.ndarray  # (n, hidden), post-tanh
-    e: np.ndarray  # (n, embed), unit rows
-    norms: np.ndarray  # (n,), pre-normalization lengths
-
-
 def _check_norms(norms: np.ndarray, modalities: tuple[str, ...]) -> None:
     """Raise for the first bad slice, towers first, as one-tower checks would.
 
     norms is (..., len(modalities), n), or one tower's (n,).
     """
-    if norms.min(initial=np.inf) > ZERO_NORM_THRESHOLD and norms.max(initial=0.0) < np.inf:
+    if (
+        np.minimum.reduce(norms, None, initial=np.inf) > ZERO_NORM_THRESHOLD
+        and np.maximum.reduce(norms, None, initial=0.0) < np.inf
+    ):
         return  # a NaN fails the first test, an infinity the second
     terms = norms.reshape(-1, len(modalities), norms.shape[-1])
     for i, modality in enumerate(modalities):
@@ -244,7 +231,7 @@ def _embed(z1: np.ndarray, b1, w2, b2, modalities: tuple[str, ...]):
     return h, u, norms
 
 
-def _encode_pairs(params: DualEncoderParams, images, texts) -> tuple[np.ndarray, EncodeCache]:
+def _encode_pairs(params: DualEncoderParams, images, texts) -> tuple[np.ndarray, tuple]:
     image_in, text_in, hidden, embed = params.dims
     x_image = as_float_array(images, name="raw features")
     x_text = as_float_array(texts, name="raw features")
@@ -263,17 +250,19 @@ def _encode_pairs(params: DualEncoderParams, images, texts) -> tuple[np.ndarray,
             f"vs {(n, embed)}"
         )
     z1 = np.empty((*x_text.shape[:-2], 2, n, hidden))
-    terms = z1.reshape(-1, 2, n, hidden)
-    np.matmul(x_image, params.image.w1.T, out=terms[0, 0])
-    terms[1:, 0] = terms[0, 0]  # every term reads the same image rows
+    if x_text.ndim == 2:
+        np.matmul(x_image, params.image.w1.T, out=z1[0])
+    else:
+        np.matmul(x_image, params.image.w1.T, out=z1[0, 0])
+        z1[1:, 0] = z1[0, 0]  # every term reads the same image rows
     np.matmul(x_text, params.text.w1.T, out=z1[..., 1, :, :])
     h, e, norms = _embed(z1, *params._pair_leaves, MODALITIES)
-    return e, EncodeCache(x=(x_image, x_text), h=h, e=e, norms=norms)
+    return e, ((x_image, x_text), h, e, norms)
 
 
 def encode_batch(
     params: DualEncoderParams, modality: str | tuple[str, str], raw_batch
-) -> tuple[np.ndarray, EncodeCache]:
+) -> tuple[np.ndarray, tuple]:
     """Embed a batch of raw feature rows; returns unit embeddings and the cache.
 
     With modality "image" or "text", raw_batch is an (n, in) matrix or one
@@ -284,6 +273,10 @@ def encode_batch(
     images. The embeddings are then (2, n, embed), or (T, 2, n, embed):
     [..., 0, :, :] embeds the images and [..., 1, :, :] the texts, each
     slice bit for bit what the one-tower call gives.
+
+    The cache is the tuple (x, h, e, norms) of what the backward reads: the
+    raw rows (the (images, texts) pair for MODALITIES), the post-tanh
+    activations, the embeddings and the pre-normalization lengths.
     """
     if modality == MODALITIES:
         return _encode_pairs(params, *raw_batch)
@@ -296,69 +289,48 @@ def encode_batch(
             f"{modality} features must have {tower.input_dim} columns, got shape {x.shape}"
         )
     h, e, norms = _embed(x @ tower.w1.T, tower.b1, tower.w2, tower.b2, (modality,))
-    return e, EncodeCache(x=x, h=h, e=e, norms=norms)
-
-
-def _backprop(cache: EncodeCache, de: np.ndarray, w2) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients at the second and first affine outputs, du and dz1.
-
-    du = (de - proj e)/|u| and dz1 = (1 - h^2)(du w2), evaluated in place.
-    """
-    du = de * cache.e
-    proj = du.sum(axis=-1, keepdims=True)
-    np.subtract(de, np.multiply(proj, cache.e, out=du), out=du)
-    du /= cache.norms[..., None]
-    dz1 = cache.h**2
-    np.subtract(1.0, dz1, out=dz1)
-    dz1 *= du @ w2
-    return du, dz1
-
-
-def _tail_grads(cache: EncodeCache, du, dz1, b1, w2, b2) -> None:
-    """Write the b1, w2 and b2 gradients, rows summed, into the given views."""
-    np.add.reduce(dz1, axis=-2, out=b1)
-    np.matmul(du.mT, cache.h, out=w2)
-    np.add.reduce(du, axis=-2, out=b2)
+    return e, (x, h, e, norms)
 
 
 def encoder_backward_batch(
-    params: DualEncoderParams,
-    modality: str | tuple[str, str],
-    cache: EncodeCache,
-    grad_embeddings,
+    params: DualEncoderParams, modality: tuple[str, str], cache: tuple, grad_embeddings
 ) -> np.ndarray:
-    """Gradient over theta given d(loss)/d(embeddings) and encode_batch's cache.
+    """Gradient over theta given d(loss)/d(embeddings) and encode_batch's pair cache.
 
-    grad_embeddings is shaped like the embeddings. Gradients of all rows are
-    summed. The normalization backward is du = (dE - (dE . e) e)/|u| per
-    row. For one tower the result is one vector, the leaf gradients
-    concatenated in layout order, lined up with theta[params.span(modality)].
-    For MODALITIES it is shaped like theta, or (T, theta.size) for a stack
-    of T terms, one gradient per term, with log_tau's entry 0.
+    modality must be MODALITIES, and grad_embeddings is shaped like the
+    pair embeddings. Gradients of all rows are summed. The normalization
+    backward is du = (dE - (dE . e) e)/|u| per row. The result is shaped
+    like theta, or (T, theta.size) for a stack of T terms, one gradient per
+    term, with log_tau's entry 0. Each tower's span of a term's gradient is
+    bit for bit that tower's 2-D backward over the term's rows.
     grad_embeddings is not scanned for non-finite entries; training rejects
     a non-finite gradient at its step.
     """
+    if modality != MODALITIES:
+        raise ValueError(f"the backward runs both towers: modality must be {MODALITIES}")
+    (x_image, x_text), h, e, norms = cache
     de = np.asarray(grad_embeddings, dtype=np.float64)
-    if de.shape != cache.e.shape:
+    if de.shape != e.shape:
         raise ValueError("embedding grads must match the cached embeddings' shape")
+    lead = de.shape[:-3]
     hidden = params.dims[2]
-    if modality == MODALITIES:
-        lead = de.shape[:-3]
-        out = np.empty((*lead, params.theta.size))
-        du, dz1 = _backprop(cache, de, params._pair_leaves[1])
-        for i, x in enumerate(cache.x):
-            start, width = params.span(MODALITIES[i]).start, x.shape[-1]
-            w1 = out[..., start : start + hidden * width].reshape(*lead, hidden, width)
-            np.matmul(dz1[..., i, :, :].mT, x, out=w1)
-        _tail_grads(cache, du, dz1, *_tail_views(out, params.dims))
-        out[..., -1] = 0.0
-        return out
-    tower = params.tower(modality)
-    out = np.empty(params.span(modality).stop - params.span(modality).start)
-    w1, b1, w2, b2 = _tower_views(out, 0, tower.input_dim, hidden, params.embed_dim)
-    du, dz1 = _backprop(cache, de, tower.w2)
-    np.matmul(dz1.T, cache.x, out=w1)
-    _tail_grads(cache, du, dz1, b1, w2, b2)
+    du = de * e
+    proj = np.add.reduce(du, axis=-1, keepdims=True)
+    np.subtract(de, np.multiply(proj, e, out=du), out=du)
+    du /= norms[..., None]
+    dz1 = h**2
+    np.subtract(1.0, dz1, out=dz1)
+    dz1 *= du @ params._pair_leaves[1]
+    out = np.empty((*lead, params.theta.size))
+    for i, x in enumerate((x_image, x_text)):
+        start, width = params.span(MODALITIES[i]).start, x.shape[-1]
+        w1 = out[..., start : start + hidden * width].reshape(*lead, hidden, width)
+        np.matmul(dz1[..., i, :, :].mT, x, out=w1)
+    b1, w2, b2 = _tail_views(out, params.dims)
+    np.add.reduce(dz1, axis=-2, out=b1)
+    np.matmul(du.mT, h, out=w2)
+    np.add.reduce(du, axis=-2, out=b2)
+    out[..., -1] = 0.0
     return out
 
 

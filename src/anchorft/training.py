@@ -214,28 +214,23 @@ def init_optimizer_state(params: DualEncoderParams) -> OptimizerState:
 
 
 def _pair_term(
-    params: DualEncoderParams,
-    images: np.ndarray,
-    texts: np.ndarray,
-    grads: np.ndarray,
-    weights,
-    tau_trainable: bool,
-) -> list[float]:
+    params: DualEncoderParams, images: np.ndarray, texts: np.ndarray, weights, tau_trainable: bool
+) -> tuple[list[float], list[np.ndarray]]:
     """Contrastive terms over one raw image matrix, run as one stacked kernel.
 
     texts is the term's text matrix, row-aligned with images, and weights
     its weight; or texts is a (T, n, text_in) stack of T terms' text
-    matrices and weights holds T weights. Adds each term's weighted gradient
-    into the theta-shaped vector grads, in stack order, and returns the
-    unweighted losses. A zero-weight term adds nothing, so zero-weight runs
-    match disabled-term runs bit for bit, and with every weight zero no
-    gradient work runs. The embeddings go to the loss without a second
-    unit-row scan: encode_batch has checked their norms. The loss writes
-    its embedding gradients straight into the array the backward reads, and
-    d(loss)/d(log tau) is only computed when tau is trained.
+    matrices and weights holds T weights. Returns the unweighted losses and
+    the weighted gradient over theta of each term whose weight is not zero,
+    in stack order. So zero-weight runs match disabled-term runs bit for
+    bit, and with every weight zero no gradient work runs. The embeddings
+    go to the loss without a second unit-row scan: encode_batch has checked
+    their norms. The loss writes its embedding gradients straight into the
+    array the backward reads, and d(loss)/d(log tau) is only computed when
+    tau is trained.
     """
     single = np.ndim(texts) == 2
-    weights = [weights] if single else list(weights)
+    weights = (weights,) if single else weights
     e, cache = encode_batch(params, MODALITIES, (images, texts))
     de = np.empty_like(e)
     loss, df, dg, dlog_tau = contrastive_loss_and_grads(
@@ -244,20 +239,22 @@ def _pair_term(
         log_tau_grad=tau_trainable,
         out=de,
     )
-    if any(weights):
-        for side, grad in enumerate((df, dg)):
-            if grad.base is not de:  # returned in an array of its own, not written into de
-                de[..., side, :, :] = grad
-        term_grads = encoder_backward_batch(params, MODALITIES, cache, de)
-        term_grads = term_grads.reshape(len(weights), -1)
-        if tau_trainable:
-            term_grads[:, -1] = dlog_tau
-        for weight, term_grad in zip(weights, term_grads):
-            if weight != 0.0:
-                if weight != 1.0:  # x * 1.0 is x
-                    term_grad *= weight
-                grads += term_grad
-    return [loss.total] if single else loss.total.tolist()
+    losses = [loss.total] if single else loss.total.tolist()
+    if not any(weights):
+        return losses, []
+    for side, grad in enumerate((df, dg)):
+        if grad.base is not de:  # returned in an array of its own, not written into de
+            de[..., side, :, :] = grad
+    rows = encoder_backward_batch(params, MODALITIES, cache, de).reshape(len(weights), -1)
+    if tau_trainable:
+        rows[:, -1] = dlog_tau
+    grads = []
+    for weight, row in zip(weights, rows):
+        if weight != 0.0:
+            if weight != 1.0:  # x * 1.0 is x
+                row *= weight
+            grads.append(row)
+    return losses, grads
 
 
 def compute_total_loss_and_grads(
@@ -270,13 +267,16 @@ def compute_total_loss_and_grads(
     """Weighted sum of the enabled pair-loss terms, with its gradient over theta.
 
     prompts holds the class-prompt feature of each batch row. Accumulation
-    order is fixed (cl, then cap, then ret) so runs are bit-reproducible.
-    Disabled terms and a skipped retrieval term are exactly 0. Class prompts
-    go through the text tower, so the prompt embeddings receive text-tower
-    gradients like any caption would. When the caption pairs' image matrix
-    is batch.features itself, cl and cap run as one two-term stack.
+    order is fixed (cl, then cap, then ret) so runs are bit-reproducible:
+    the gradient is the first engaged term's row, with the others added
+    into it. Adding that row into zeros would only turn its -0.0 entries
+    into +0.0, which adamw_update cannot tell apart. Disabled terms and a
+    skipped retrieval term are exactly 0. Class prompts go through the text
+    tower, so the prompt embeddings receive text-tower gradients like any
+    caption would. When the caption pairs' image matrix is batch.features
+    itself, cl and cap run as one two-term stack.
     """
-    grads = np.zeros_like(params.theta)
+    rows: list[np.ndarray] = []
     enabled = set(config.enabled_losses)
     l_cl = l_cap = l_ret = 0.0
     captions = anchor_batch.caption_pairs
@@ -286,20 +286,20 @@ def compute_total_loss_and_grads(
         raise ValueError("caption pairs must cover the batch exactly in the sep layout")
 
     if use_cl and use_cap and captions.images is batch.features:
-        l_cl, l_cap = _pair_term(
-            params, batch.features, np.array((prompts, captions.texts)), grads,
+        (l_cl, l_cap), rows = _pair_term(
+            params, batch.features, np.array((prompts, captions.texts)),
             (config.lambda_cl, config.lambda_cap), config.tau_trainable,
         )
     else:
         if use_cl:
-            (l_cl,) = _pair_term(
-                params, batch.features, prompts, grads, config.lambda_cl, config.tau_trainable
+            (l_cl,), rows = _pair_term(
+                params, batch.features, prompts, config.lambda_cl, config.tau_trainable
             )
         if use_cap:
-            (l_cap,) = _pair_term(
-                params, captions.images, captions.texts, grads, config.lambda_cap,
-                config.tau_trainable,
+            (l_cap,), cap_rows = _pair_term(
+                params, captions.images, captions.texts, config.lambda_cap, config.tau_trainable
             )
+            rows += cap_rows
 
     retrieved = anchor_batch.retrieved_pairs
     if (
@@ -308,16 +308,20 @@ def compute_total_loss_and_grads(
         and not anchor_batch.skip_ret
         and len(retrieved)
     ):
-        (l_ret,) = _pair_term(
-            params, retrieved.images, retrieved.texts, grads, config.lambda_ret,
-            config.tau_trainable,
+        (l_ret,), ret_rows = _pair_term(
+            params, retrieved.images, retrieved.texts, config.lambda_ret, config.tau_trainable
         )
+        rows += ret_rows
 
     total = config.lambda_cl * l_cl + config.lambda_cap * l_cap + config.lambda_ret * l_ret
     breakdown = LossBreakdown(
         l_cl=l_cl, l_cap=l_cap, l_ret=l_ret, total=total, skip_ret=anchor_batch.skip_ret
     )
-    return breakdown, grads
+    if not rows:
+        return breakdown, np.zeros_like(params.theta)
+    for row in rows[1:]:
+        rows[0] += row
+    return breakdown, rows[0]
 
 
 @dataclass
@@ -499,10 +503,8 @@ def pretrain(pool: PairSet, config: TrainConfig) -> tuple[Checkpoint, list[dict]
     params = init_params(config.seed, input_dims, config.hidden, config.embed_dim)
 
     def pair_step(params: DualEncoderParams, batch_idx: np.ndarray):
-        grads = np.zeros_like(params.theta)
-        (loss,) = _pair_term(
-            params, pool.images[batch_idx], pool.texts[batch_idx], grads, 1.0,
-            config.tau_trainable,
+        (loss,), (grads,) = _pair_term(
+            params, pool.images[batch_idx], pool.texts[batch_idx], 1.0, config.tau_trainable
         )
         return LossBreakdown(l_cl=loss, l_cap=0.0, l_ret=0.0, total=loss, skip_ret=True), grads
 

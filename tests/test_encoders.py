@@ -7,6 +7,7 @@ import pytest
 
 from anchorft.encoders import (
     DEFAULT_LOG_TAU,
+    MODALITIES,
     DualEncoderParams,
     encode_batch,
     encoder_backward_batch,
@@ -24,9 +25,23 @@ def encode_row(p, modality, x):
     return encode_batch(p, modality, x)[0][0]
 
 
+def tower_backward(params, modality, cache, grad_embeddings):
+    """One tower's backward over a one-tower encode_batch cache, rows summed.
+
+    The 2-D reference for the pair backward: a gradient over
+    theta[params.span(modality)], the leaf gradients in layout order.
+    """
+    x, h, e, norms = cache
+    de = np.asarray(grad_embeddings, dtype=np.float64)
+    du = (de - (de * e).sum(axis=1, keepdims=True) * e) / norms[:, None]
+    dz1 = (1.0 - h**2) * (du @ params.tower(modality).w2)
+    leaves = (dz1.T @ x, dz1.sum(axis=0), du.T @ h, du.sum(axis=0))
+    return np.concatenate([leaf.reshape(-1) for leaf in leaves])
+
+
 def backward_row(p, modality, x, grad_embedding):
     _, cache = encode_batch(p, modality, x)
-    return encoder_backward_batch(p, modality, cache, np.asarray(grad_embedding)[None, :])
+    return tower_backward(p, modality, cache, np.asarray(grad_embedding)[None, :])
 
 
 class TestParamLayout:
@@ -179,7 +194,7 @@ class TestEncoderBackward:
         xs = RandomStream(4).normal_matrix(3, 5)
         de = RandomStream(5).normal_matrix(3, 4)
         _, cache = encode_batch(p, "image", xs)
-        batch_grads = encoder_backward_batch(p, "image", cache, de)
+        batch_grads = tower_backward(p, "image", cache, de)
         acc = sum(backward_row(p, "image", row, grad_row) for row, grad_row in zip(xs, de))
         assert np.max(np.abs(batch_grads - acc)) <= 1e-12
 
@@ -210,6 +225,45 @@ class TestEncoderBackward:
                 if abs(a) > 1e-8:
                     rel = abs(a - numeric) / max(abs(a), abs(numeric))
                     assert rel <= 1e-4, f"seed {seed} image[{idx}]: {rel:.2e}"
+
+
+class TestPairBackward:
+    @pytest.mark.parametrize("terms", [None, 1, 3])
+    @pytest.mark.parametrize("widths", [(5, 6), (6, 5), (4, 4)])
+    def test_each_tower_span_is_the_one_tower_backward_bitwise(self, terms, widths):
+        # Both towers, and every term of a stack, through one call; each
+        # span of each term's row against the 2-D reference alone.
+        p = tiny_params(11, *widths)
+        stream = RandomStream(12)
+        images = stream.normal_matrix(9, widths[0])
+        texts = [stream.normal_matrix(9, widths[1]) for _ in range(terms or 1)]
+        e, cache = encode_batch(p, MODALITIES, (images, texts[0] if terms is None else texts))
+        de = np.array(RandomStream(13).normals(e.size)).reshape(e.shape)
+        de[..., 0, :2, :] = 0.0  # a zero row of an embedding gradient keeps its zeros
+        rows = encoder_backward_batch(p, MODALITIES, cache, de).reshape(terms or 1, -1)
+        f, cache_f = encode_batch(p, "image", images)
+        for row, term_texts, term_de in zip(rows, texts, de.reshape(-1, *e.shape[-3:])):
+            g, cache_g = encode_batch(p, "text", term_texts)
+            assert row[p.span("image")].tobytes() == tower_backward(
+                p, "image", cache_f, term_de[0]
+            ).tobytes()
+            assert row[p.span("text")].tobytes() == tower_backward(
+                p, "text", cache_g, term_de[1]
+            ).tobytes()
+            assert row[-1:].tobytes() == np.zeros(1).tobytes()
+
+    @pytest.mark.parametrize("modality", ["image", "text", "audio"])
+    def test_a_single_tower_is_rejected(self, modality):
+        p = tiny_params()
+        _, cache = encode_batch(p, MODALITIES, (np.ones((2, 5)), np.ones((2, 6))))
+        with pytest.raises(ValueError, match="runs both towers"):
+            encoder_backward_batch(p, modality, cache, np.zeros((2, 2, 4)))
+
+    def test_gradient_shape_must_match_the_embeddings(self):
+        p = tiny_params()
+        _, cache = encode_batch(p, MODALITIES, (np.ones((2, 5)), np.ones((2, 6))))
+        with pytest.raises(ValueError, match="must match the cached embeddings"):
+            encoder_backward_batch(p, MODALITIES, cache, np.zeros((2, 3, 4)))
 
 
 class TestParamFingerprint:

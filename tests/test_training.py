@@ -18,14 +18,8 @@ from anchorft.anchors import (
 )
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.contrastive import PairBatch, contrastive_loss_and_grads
-from anchorft.encoders import (
-    DEFAULT_LOG_TAU,
-    MODALITIES,
-    encode_batch,
-    encoder_backward_batch,
-    init_params,
-)
-from anchorft.numerics import RandomStream, derive_seed
+from anchorft.encoders import DEFAULT_LOG_TAU, MODALITIES, encode_batch, init_params
+from anchorft.numerics import RandomStream, ZeroVectorError, derive_seed
 from anchorft.training import (
     DivergenceError,
     EmptyFinetuneSetError,
@@ -41,6 +35,7 @@ from anchorft.training import (
     pretrain,
     run_finetune,
 )
+from test_encoders import tower_backward
 
 
 def tiny_gen_config(**overrides) -> GenConfig:
@@ -85,11 +80,12 @@ def step_inputs(bundle, params, index, cfg, n):
     return batch_inputs(np.arange(n))
 
 
-def per_term_path(params, images, texts, weights, tau_trainable, start):
-    """(losses, grads) of each term run alone through the one-tower encoder,
-    the 2-D loss and the one-tower backward, added into a copy of start in
-    term order: image span, text span, then log_tau. Every buffer is new."""
-    expected, want = [], start.copy()
+def per_term_path(params, images, texts, weights, tau_trainable):
+    """(losses, rows) of each term run alone through the one-tower encoder,
+    the 2-D loss and the one-tower backward. rows holds the weighted
+    gradient of each term whose weight is not zero, in term order: image
+    span, text span, then log_tau. Every buffer is new."""
+    expected, rows = [], []
     f, cache_f = encode_batch(params, "image", images)
     for term_texts, weight in zip(texts, weights):
         g, cache_g = encode_batch(params, "text", term_texts)
@@ -98,22 +94,24 @@ def per_term_path(params, images, texts, weights, tau_trainable, start):
         )
         expected.append(loss.total)
         if weight != 0.0:
-            want[params.span("image")] += weight * encoder_backward_batch(
-                params, "image", cache_f, df
-            )
-            want[params.span("text")] += weight * encoder_backward_batch(
-                params, "text", cache_g, dg
-            )
-            if tau_trainable:
-                want[-1] += weight * dlog_tau
-    return expected, want
+            row = np.concatenate([
+                tower_backward(params, "image", cache_f, df),
+                tower_backward(params, "text", cache_g, dg),
+                [dlog_tau if tau_trainable else 0.0],
+            ])
+            rows.append(weight * row)
+    return expected, rows
 
 
-def pair_term(params, images, texts, grads, weights, tau_trainable):
+def pair_term(params, images, texts, weights, tau_trainable):
     """training._pair_term on one term's (n, text_in) texts, or on a (T, n, text_in) stack."""
     if len(weights) == 1:
-        return training._pair_term(params, images, texts[0], grads, weights[0], tau_trainable)
-    return training._pair_term(params, images, texts, grads, weights, tau_trainable)
+        return training._pair_term(params, images, texts[0], weights[0], tau_trainable)
+    return training._pair_term(params, images, texts, weights, tau_trainable)
+
+
+def assert_same_rows(got, want):
+    assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
 
 
 class TestTrainConfig:
@@ -237,6 +235,38 @@ class TestAdamW:
             assert state.step == ref[3]
         assert (params.log_tau != DEFAULT_LOG_TAU) == tau_trainable
 
+    @pytest.mark.parametrize("tau_trainable", [False, True])
+    def test_the_sign_of_a_zero_gradient_changes_no_bit(self, tau_trainable):
+        # A step's gradient is its first term's row, not that row added into
+        # zeros, so an entry may be -0.0 where a zero-filled sum has +0.0.
+        # m and v start at +0.0, and 0.9 x and 0.999 x never round a nonzero
+        # double to 0, so no update can tell the two apart. Entries of a few
+        # subnormals leave m at the smallest subnormal, which maps to itself.
+        tiny = np.nextafter(0.0, 1.0)
+        assert training.ADAM_BETA1 * tiny == tiny and training.ADAM_BETA2 * tiny == tiny
+        runs = []
+        for flip in (False, True):
+            params = init_params(3, (4, 5), 6, 3)
+            state = init_optimizer_state(params)
+            rng = np.random.default_rng(0)
+            for step in range(8):
+                grads = rng.normal(size=params.theta.size)
+                grads[step % 3 :: 3] = 0.0
+                grads[1::7] = -0.0
+                # m of these entries becomes +-tiny at step 0 and stays there
+                signs = rng.choice([-1.0, 1.0], size=grads[2::7].size)
+                grads[2::7] = signs * (10 * tiny if step == 0 else 0.0)
+                if flip:
+                    zeros = grads == 0.0
+                    grads[zeros] = -grads[zeros]
+                    assert 0 < np.signbit(grads[zeros]).sum() < zeros.sum()
+                params, state = adamw_update(
+                    params, grads, state, 1e-3, 0.1, tau_trainable=tau_trainable
+                )
+                assert (np.abs(state.m[2::7]) == tiny).all()
+            runs.append([a.tobytes() for a in (params.theta, state.m, state.v)])
+        assert runs[0] == runs[1]
+
     def test_two_steps_accumulate_moments(self):
         # Same gradient twice: with bias correction the normalized step stays
         # lr/(1+eps)-sized, so theta decreases by about 2*lr.
@@ -345,6 +375,143 @@ class TestComputeTotalLoss:
         report = check_gradients(*problem, eps=1e-5, skip_below=1e-8, tol=1e-4)
         assert not report.passed
         assert report.max_rel_err > 1e-3
+
+
+class TestStepChecks:
+    """The pair term and the step keep every check that can fail."""
+
+    def pair_problem(self):
+        rng = np.random.default_rng(0)
+        return init_params(0, (6, 7), 10, 5), rng.normal(size=(4, 6)), rng.normal(size=(2, 4, 7))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["images", "texts", "second slice"])
+    def test_a_non_finite_raw_row_raises_in_the_pair_term(self, bad, where):
+        params, images, texts = self.pair_problem()
+        {"images": images[1], "texts": texts[0, 3], "second slice": texts[1, 0]}[where][2] = bad
+        with pytest.raises(ValueError, match="raw features contains non-finite"):
+            training._pair_term(params, images, texts, (1.0, 1.0), False)
+        if where != "second slice":
+            with pytest.raises(ValueError, match="raw features contains non-finite"):
+                training._pair_term(params, images, texts[0], 1.0, False)
+
+    @pytest.mark.parametrize("where", ["images", "texts", "second slice"])
+    def test_a_zero_length_row_raises_in_the_pair_term(self, where):
+        # Biases start at zero, so a raw row of zeros encodes to u = 0.
+        params, images, texts = self.pair_problem()
+        {"images": images[1], "texts": texts[0, 3], "second slice": texts[1, 0]}[where][:] = 0.0
+        with pytest.raises(ZeroVectorError):
+            training._pair_term(params, images, texts, (1.0, 0.0), False)
+
+    @pytest.mark.parametrize(
+        "image_shape, text_shape, match",
+        [
+            ((4, 6), (2, 3, 7), "must match"),
+            ((4, 6), (2, 4, 8), "text features must have 7 columns"),
+            ((4, 6), (1, 2, 4, 7), "text features must have 7 columns"),
+            ((4, 5), (2, 4, 7), "image features must have 6 columns"),
+        ],
+    )
+    def test_stack_shapes_that_do_not_match_raise(self, image_shape, text_shape, match):
+        params, _, _ = self.pair_problem()
+        with pytest.raises(ValueError, match=match):
+            training._pair_term(
+                params, np.ones(image_shape), np.ones(text_shape), (1.0, 1.0), False
+            )
+
+    def step_problem(self):
+        bundle, start, index, _ = finetune_inputs()
+        cfg = tiny_train_config(retrieval_k=2)
+        batch, prompts, anchor_batch = step_inputs(bundle, start.params, index, cfg, 4)
+        assert anchor_batch.caption_pairs.images is batch.features  # cl and cap stack
+        rows = {
+            "batch images": batch.features[1],
+            "prompts": prompts[2],  # the cl slice of the stack
+            "caption texts": anchor_batch.caption_pairs.texts[0],  # the cap slice
+            "retrieved images": anchor_batch.retrieved_pairs.images[0],
+            "retrieved texts": anchor_batch.retrieved_pairs.texts[-1],
+        }
+        return start.params, (batch, prompts, anchor_batch), cfg, rows
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize(
+        "where",
+        ["batch images", "prompts", "caption texts", "retrieved images", "retrieved texts"],
+    )
+    def test_a_non_finite_raw_row_raises_in_the_step(self, bad, where):
+        params, problem, cfg, rows = self.step_problem()
+        rows[where][0] = bad
+        with pytest.raises(ValueError, match="raw features contains non-finite"):
+            compute_total_loss_and_grads(params, *problem, cfg)
+
+    @pytest.mark.parametrize(
+        "where",
+        ["batch images", "prompts", "caption texts", "retrieved images", "retrieved texts"],
+    )
+    def test_a_zero_length_row_raises_in_the_step(self, where):
+        params, problem, cfg, rows = self.step_problem()
+        fresh = init_params(1, params.dims[:2], *params.dims[2:])  # zero biases
+        rows[where][:] = 0.0
+        with pytest.raises(ZeroVectorError):
+            compute_total_loss_and_grads(fresh, *problem, cfg)
+
+    def test_stack_shapes_that_do_not_match_raise_in_the_step(self):
+        params, (batch, prompts, anchor_batch), cfg, _ = self.step_problem()
+        with pytest.raises(ValueError):
+            compute_total_loss_and_grads(params, batch, prompts[:3], anchor_batch, cfg)
+        short = replace(anchor_batch, caption_pairs=anchor_batch.caption_pairs[:3])
+        with pytest.raises(ValueError, match="caption pairs must cover the batch"):
+            compute_total_loss_and_grads(params, batch, prompts, short, cfg)
+
+
+class TestLayerBoundaries:
+    LAYERS = ("encode_batch", "contrastive_loss_and_grads", "encoder_backward_batch")
+
+    @pytest.mark.parametrize("enabled, calls", [(training.LOSS_TERMS, 2), (("cl",), 1)])
+    def test_a_step_calls_each_layer_through_the_training_names(
+        self, monkeypatch, enabled, calls
+    ):
+        # perfbench times encoders.encode_s, contrastive.loss_s and
+        # encoders.backward_s by wrapping these names where training looks
+        # them up, so a step must go through them: cl and cap as one stack,
+        # then ret.
+        bundle, start, index, _ = finetune_inputs()
+        cfg = tiny_train_config(enabled_losses=enabled, retrieval_k=2)
+        problem = step_inputs(bundle, start.params, index, cfg, 4)
+        assert len(problem[2].retrieved_pairs) >= 2 or enabled == ("cl",)
+        counts = dict.fromkeys(self.LAYERS, 0)
+        for name in self.LAYERS:
+
+            def counted(*args, _name=name, _real=getattr(training, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(training, name, counted)
+        breakdown, grads = compute_total_loss_and_grads(start.params, *problem, cfg)
+        assert counts == dict.fromkeys(self.LAYERS, calls)
+        assert breakdown.total > 0.0 and grads.any()
+
+    def test_the_step_gradient_is_the_per_term_rows_added_in_order(self):
+        # cl, cap and ret against the per-term path: the first term's row,
+        # then the others added into it, zero signs included.
+        bundle, start, index, _ = finetune_inputs()
+        cfg = tiny_train_config(lambda_cap=0.37, tau_trainable=True, retrieval_k=2)
+        batch, prompts, anchor_batch = step_inputs(bundle, start.params, index, cfg, 4)
+        captions, retrieved = anchor_batch.caption_pairs, anchor_batch.retrieved_pairs
+        losses, rows = per_term_path(
+            start.params, batch.features, [prompts, captions.texts],
+            [cfg.lambda_cl, cfg.lambda_cap], cfg.tau_trainable,
+        )
+        ret_losses, ret_rows = per_term_path(
+            start.params, retrieved.images, [retrieved.texts], [cfg.lambda_ret],
+            cfg.tau_trainable,
+        )
+        want = rows[0] + rows[1] + ret_rows[0]
+        breakdown, grads = compute_total_loss_and_grads(
+            start.params, batch, prompts, anchor_batch, cfg
+        )
+        assert [breakdown.l_cl, breakdown.l_cap, breakdown.l_ret] == losses + ret_losses
+        assert grads.tobytes() == want.tobytes()
 
 
 class TestPretrain:
@@ -464,19 +631,17 @@ class TestRunFinetune:
         self, n, weights, widths, hidden, embed, tau_trainable, seed
     ):
         # One- and two-term stacks against each term run alone through the
-        # one-tower encoder, the 2-D loss and the one-tower backward, added
-        # into grads in term order: image span, text span, then log_tau.
+        # one-tower encoder, the 2-D loss and the one-tower backward: every
+        # weighted gradient row, zero signs included, in term order.
         rng = np.random.default_rng(seed)
         params = init_params(seed % 1000, widths, hidden, embed)
         images = rng.normal(size=(n, widths[0]))
         texts = rng.normal(size=(len(weights), n, widths[1]))
-        start = rng.normal(size=params.theta.size)
-        expected, want = per_term_path(params, images, texts, weights, tau_trainable, start)
+        expected, want = per_term_path(params, images, texts, weights, tau_trainable)
 
-        got = start.copy()
-        losses = pair_term(params, images, texts, got, weights, tau_trainable)
+        losses, got = pair_term(params, images, texts, weights, tau_trainable)
         assert losses == expected
-        assert got.tobytes() == want.tobytes()
+        assert_same_rows(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -508,12 +673,10 @@ class TestRunFinetune:
         for n, weights, tau_trainable in calls:
             images = rng.normal(size=(n, widths[0]))
             texts = rng.normal(size=(len(weights), n, widths[1]))
-            start = rng.normal(size=params.theta.size)
-            expected, want = per_term_path(params, images, texts, weights, tau_trainable, start)
-            got = start.copy()
-            losses = pair_term(params, images, texts, got, weights, tau_trainable)
+            expected, want = per_term_path(params, images, texts, weights, tau_trainable)
+            losses, got = pair_term(params, images, texts, weights, tau_trainable)
             assert losses == expected
-            assert got.tobytes() == want.tobytes()
+            assert_same_rows(got, want)
 
     @pytest.mark.parametrize("layout", ANCHOR_LAYOUTS)
     def test_the_sets_built_unchecked_have_unique_keys(self, monkeypatch, layout):
@@ -579,10 +742,8 @@ class TestRunFinetune:
     def test_pair_term_rejects_misaligned_rows(self):
         params = init_params(0, (6, 7), 10, 5)
         images, texts = np.ones((3, 6)), np.ones((4, 7))
-        grads = np.zeros_like(params.theta)
         with pytest.raises(ValueError, match=r"must match, got \(3, 5\) vs \(4, 5\)"):
-            training._pair_term(params, images, texts, grads, 1.0, False)
-        assert not grads.any()
+            training._pair_term(params, images, texts, 1.0, False)
 
     def test_log_record_count_full_batches(self):
         # 12 finetune samples, batch 4: exactly 3 steps per epoch.
