@@ -1,8 +1,8 @@
 """Columnar datasets, anchor supervision, retrieval, and batch assembly.
 
-A SampleSet holds a labeled split, a CaptionSet the finetune captions, and
-a PairSet (image, text) pairs: the pretraining pool, the candidate pool, and
-each step's anchor pairs.
+A SampleSet holds a labeled split, a CaptionSet the finetune captions, a
+PromptTable the class prompts, and a PairSet (image, text) pairs: the
+pretraining pool, the candidate pool, and each step's anchor pairs.
 
 Two kinds of anchors regularize finetuning: caption pairs attached to each
 finetune sample, and image-text pairs retrieved from a fixed candidate pool
@@ -30,6 +30,7 @@ __all__ = [
     "MissingAssignmentError",
     "MissingCaptionError",
     "PairSet",
+    "PromptTable",
     "RETRIEVAL_MODES",
     "Sample",
     "SampleSet",
@@ -193,6 +194,15 @@ class PairSet(_Columns):
     ids: np.ndarray
     images: np.ndarray
     texts: np.ndarray
+
+
+@dataclass(eq=False)
+class PromptTable(_Columns):
+    """Class prompts as columns keyed by class id; row i is the prompt for class_ids[i]."""
+
+    _matrices = ("prompt_features",)
+    class_ids: np.ndarray
+    prompt_features: np.ndarray
 
 
 def lookup_rows(ids, wanted) -> np.ndarray:

@@ -18,8 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .anchors import CaptionSet, PairSet, SampleSet
-from .evaluation import PromptTable
+from .anchors import CaptionSet, PairSet, PromptTable, SampleSet
 from .numerics import (
     LANE_BLOCK,
     RandomStream,
@@ -61,9 +60,10 @@ class RotationError(RuntimeError):
 class GenConfig:
     """Benchmark shape and noise knobs.
 
-    Defaults are the calibrated desk-scale setting shipped in defaults.json;
-    a regression test keeps the two in sync. n_pretrain_per_class counts per
-    class per domain, the finetune/test counts are per class.
+    Defaults are the calibrated desk-scale setting; the seed-0 bundle's
+    golden digests pin them. n_pretrain_per_class counts per class per
+    domain, the finetune/test counts are per class. With n_domains 1 the
+    bundle has no domain-shift split.
     """
 
     n_id_classes: int = 12
@@ -202,8 +202,8 @@ class SynthCaptionProvider:
         return _matvec_rows(self.m_txt, latents) + self.sigma_txt * noise
 
 
-def _matvec_rows(matrix: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None):
-    """out[k] = matrix @ rows[k] for every row k; out defaults to a new array.
+def _matvec_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """matrix @ rows[k] for every row k, one output row each.
 
     Each row stays its own matrix-vector product: numpy's matmul loop runs
     one BLAS gemv per (dim, 1) column of the broadcast operand, the same
@@ -211,8 +211,7 @@ def _matvec_rows(matrix: np.ndarray, rows: np.ndarray, out: np.ndarray | None = 
     rows rounds differently, and the bundle's bytes are fixed by the
     per-row products.
     """
-    if out is None:
-        out = np.empty((len(rows), matrix.shape[0]))
+    out = np.empty((len(rows), matrix.shape[0]))
     np.matmul(matrix, rows[:, :, None], out=out[:, :, None])
     return out
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -57,32 +58,27 @@ def _log_path(checkpoint_path) -> Path:
     return out.with_name(out.stem + ".log.jsonl")
 
 
-def _train_config(args):
+def _comma_list(text: str) -> list[str]:
+    """argparse type of the comma-list flags: the entries, empty ones dropped."""
+    return [t for t in text.split(",") if t]
+
+
+def _config(args, parse):
+    """The --config file's config with every given override flag laid over it.
+
+    Each override flag's dest is its config field's name, and a flag left
+    out is None. The file is parsed alone first; the flags are then checked
+    as config values too, so a NaN rate is refused.
+    """
     doc = fileio.read_json(args.config) if args.config else {}
-    config = fileio.parse_train_config(doc)
-    overrides = {}
-    if getattr(args, "losses", None) is not None:
-        overrides["enabled_losses"] = [t for t in args.losses.split(",") if t]
-    if getattr(args, "anchor_mode", None) is not None:
-        overrides["anchor_layout"] = args.anchor_mode
-    if getattr(args, "retrieval_mode", None) is not None:
-        overrides["retrieval_mode"] = args.retrieval_mode
-    if getattr(args, "retrieval_k", None) is not None:
-        overrides["retrieval_k"] = args.retrieval_k
-    for name in ("seed", "epochs", "batch_size", "learning_rate"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if overrides:  # flags are checked as config values too, so a NaN rate is refused
-        config = fileio.parse_train_config({**doc, **overrides})
-    return config
+    config = parse(doc)
+    given = {f.name: getattr(args, f.name, None) for f in fields(config)}
+    overrides = {name: value for name, value in given.items() if value is not None}
+    return parse({**doc, **overrides}) if overrides else config
 
 
 def cmd_benchgen(args) -> int:
-    doc = fileio.read_json(args.config) if args.config else {}
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    config = fileio.parse_gen_config(doc)
+    config = _config(args, fileio.parse_gen_config)
     bundle = generate_benchmark(config)
     fileio.write_bundle(args.out, bundle)
     print(
@@ -95,7 +91,7 @@ def cmd_benchgen(args) -> int:
 
 def cmd_pretrain(args) -> int:
     bundle = fileio.BundleReader(args.bundle)
-    config = _train_config(args)
+    config = _config(args, fileio.parse_train_config)
     checkpoint, log = pretrain(bundle.pretrain_pool, config)
     fileio.write_checkpoint(args.out, checkpoint)
     fileio.write_jsonl(_log_path(args.out), log)
@@ -115,7 +111,7 @@ def cmd_precompute(args) -> int:
 def cmd_train(args) -> int:
     bundle = fileio.BundleReader(args.bundle)
     start = fileio.read_checkpoint(args.start)
-    config = _train_config(args)
+    config = _config(args, fileio.parse_train_config)
     index = fileio.read_candidate_index(args.index) if args.index else None
     candidates = bundle.candidates if "ret" in config.enabled_losses else None
     checkpoint, log = run_finetune(
@@ -139,8 +135,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     checkpoint = fileio.read_checkpoint(args.checkpoint)
     bundle = fileio.BundleReader(args.bundle)
-    splits = [s for s in args.splits.split(",") if s] if args.splits else list(EVAL_SPLITS)
-    metrics = evaluate_splits(checkpoint.params, bundle, splits, zsl_strict=args.zsl_strict)
+    metrics = evaluate_splits(checkpoint.params, bundle, args.splits, zsl_strict=args.zsl_strict)
     if args.out:
         fileio.write_metrics(args.out, metrics, checkpoint=checkpoint.id)
     for result in metrics.splits:
@@ -154,12 +149,8 @@ def cmd_ensemble(args) -> int:
     pre = fileio.read_checkpoint(args.pre)
     ft = fileio.read_checkpoint(args.ft)
     bundle = fileio.BundleReader(args.bundle)
-    if args.alphas:
-        alphas = [float(a) for a in args.alphas.split(",") if a]
-    else:
-        alphas = [i / 10 for i in range(11)]
-    splits = [s for s in args.splits.split(",") if s] if args.splits else list(EVAL_SPLITS)
-    curve = ensemble_sweep(pre, ft, alphas, bundle, splits)
+    alphas = [i / 10 for i in range(11)] if args.alphas is None else list(map(float, args.alphas))
+    curve = ensemble_sweep(pre, ft, alphas, bundle, args.splits)
     fileio.write_curve_csv(args.out, curve)
     print(f"swept {len(alphas)} alphas -> {args.out}; best by id accuracy: {curve.best_id_alpha}")
     return 0
@@ -275,8 +266,9 @@ def _add_train_flags(parser, with_anchors: bool) -> None:
     parser.add_argument("--batch-size", type=int, help="batch size override")
     parser.add_argument("--learning-rate", type=float, help="learning rate override")
     if with_anchors:
-        parser.add_argument("--losses", help="comma list from cl,cap,ret")
-        parser.add_argument("--anchor-mode", choices=ANCHOR_LAYOUTS)
+        parser.add_argument("--losses", dest="enabled_losses", type=_comma_list,
+                            help="comma list from cl,cap,ret")
+        parser.add_argument("--anchor-mode", dest="anchor_layout", choices=ANCHOR_LAYOUTS)
         parser.add_argument("--retrieval-mode", choices=RETRIEVAL_MODES)
         parser.add_argument("--retrieval-k", type=int)
 
@@ -311,10 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p, with_anchors=True)
     p.set_defaults(handler=cmd_train)
 
+    splits_help = f"comma list from {','.join(EVAL_SPLITS)}; default: all the bundle has"
     p = sub.add_parser("eval", help="prompt-classifier accuracy on benchmark splits")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--bundle", required=True)
-    p.add_argument("--splits", help=f"comma list from {','.join(EVAL_SPLITS)}")
+    p.add_argument("--splits", type=_comma_list, help=splits_help)
     p.add_argument("--zsl-strict", action="store_true",
                    help="classify held-out samples over the union label space")
     p.add_argument("--out", help="metrics JSON path")
@@ -324,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pre", required=True, help="pretrained checkpoint JSON")
     p.add_argument("--ft", required=True, help="finetuned checkpoint JSON")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--alphas", help="comma list; default 0,0.1,...,1")
-    p.add_argument("--splits", help=f"comma list from {','.join(EVAL_SPLITS)}")
+    p.add_argument("--alphas", type=_comma_list, help="comma list; default 0,0.1,...,1")
+    p.add_argument("--splits", type=_comma_list, help=splits_help)
     p.add_argument("--out", required=True, help="curve CSV path")
     p.set_defaults(handler=cmd_ensemble)
 

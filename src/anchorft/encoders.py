@@ -73,34 +73,28 @@ def _tower_size(in_dim: int, hidden: int, embed: int) -> int:
     return hidden * in_dim + hidden + embed * hidden + embed
 
 
-def _tower_views(vec: np.ndarray, start: int, in_dim: int, hidden: int, embed: int):
-    """EncoderParams of reshaped views into vec, beginning at offset start."""
-    shapes = ((hidden, in_dim), (hidden,), (embed, hidden), (embed,))
-    views = []
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(vec[start : start + size].reshape(shape))
-        start += size
-    return EncoderParams(*views)
+def _leaf_views(vec: np.ndarray, dims: tuple[int, int, int, int]):
+    """Views of theta's leaves over vec, whose last axis has theta's layout.
 
-
-def _tail_views(vec: np.ndarray, dims: tuple[int, int, int, int]):
-    """(..., 2, ·) views of both towers' b1, w2 and b2 over the C-ordered buffer vec.
-
-    The last axis of vec has theta's layout and becomes the tower axis;
-    leading axes stay in front. After w1 both towers lay out b1, w2 and b2
-    alike, so each text leaf sits a fixed distance after its image twin.
+    Returns (image w1, text w1, b1, w2, b2): each w1 is (..., hidden, in),
+    and b1, w2 and b2 are (..., 2, ·), the tower axis in front of the
+    leaf's own axes. Leading axes of vec stay in front. After w1 both towers
+    lay out b1, w2 and b2 alike, so each text leaf sits a fixed distance
+    after its image twin.
     """
     image_in, text_in, hidden, embed = dims
-    gap = _tower_size(image_in, hidden, embed) + hidden * (text_in - image_in)
+    lead = vec.shape[:-1]
+    split = _tower_size(image_in, hidden, embed)
+    w1_image = vec[..., : hidden * image_in].reshape(*lead, hidden, image_in)
+    w1_text = vec[..., split : split + hidden * text_in].reshape(*lead, hidden, text_in)
     w2_end = hidden + embed * hidden
     item = vec.itemsize
     tails = np.ndarray(
-        (*vec.shape[:-1], 2, w2_end + embed), vec.dtype, vec, hidden * image_in * item,
-        (*vec.strides[:-1], gap * item, item),
+        (*lead, 2, w2_end + embed), vec.dtype, vec, hidden * image_in * item,
+        (*vec.strides[:-1], (split + hidden * (text_in - image_in)) * item, item),
     )
-    w2 = tails[..., hidden:w2_end].reshape(*tails.shape[:-1], embed, hidden)
-    return tails[..., :hidden], w2, tails[..., w2_end:]
+    w2 = tails[..., hidden:w2_end].reshape(*lead, 2, embed, hidden)
+    return w1_image, w1_text, tails[..., :hidden], w2, tails[..., w2_end:]
 
 
 def _param_count(dims: tuple[int, int, int, int]) -> int:
@@ -131,10 +125,10 @@ class DualEncoderParams:
                 f"got {self.theta.shape}"
             )
         split = _tower_size(image_in, hidden, embed)
-        self.image = _tower_views(self.theta, 0, image_in, hidden, embed)
-        self.text = _tower_views(self.theta, split, text_in, hidden, embed)
         self._spans = {"image": slice(0, split), "text": slice(split, self.theta.size - 1)}
-        b1, w2, b2 = _tail_views(self.theta, self.dims)
+        w1_image, w1_text, b1, w2, b2 = _leaf_views(self.theta, self.dims)
+        self.image = EncoderParams(w1_image, b1[0], w2[0], b2[0])
+        self.text = EncoderParams(w1_text, b1[1], w2[1], b2[1])
         # Shaped to broadcast over ([term,] tower, row, ·) stacks.
         self._pair_leaves = (b1[:, None], w2, b2[:, None])
         self.check_tau()
@@ -313,7 +307,6 @@ def encoder_backward_batch(
     if de.shape != e.shape:
         raise ValueError("embedding grads must match the cached embeddings' shape")
     lead = de.shape[:-3]
-    hidden = params.dims[2]
     du = de * e
     proj = np.add.reduce(du, axis=-1, keepdims=True)
     np.subtract(de, np.multiply(proj, e, out=du), out=du)
@@ -322,11 +315,9 @@ def encoder_backward_batch(
     np.subtract(1.0, dz1, out=dz1)
     dz1 *= du @ params._pair_leaves[1]
     out = np.empty((*lead, params.theta.size))
-    for i, x in enumerate((x_image, x_text)):
-        start, width = params.span(MODALITIES[i]).start, x.shape[-1]
-        w1 = out[..., start : start + hidden * width].reshape(*lead, hidden, width)
-        np.matmul(dz1[..., i, :, :].mT, x, out=w1)
-    b1, w2, b2 = _tail_views(out, params.dims)
+    w1_image, w1_text, b1, w2, b2 = _leaf_views(out, params.dims)
+    np.matmul(dz1[..., 0, :, :].mT, x_image, out=w1_image)
+    np.matmul(dz1[..., 1, :, :].mT, x_text, out=w1_text)
     np.add.reduce(dz1, axis=-2, out=b1)
     np.matmul(du.mT, h, out=w2)
     np.add.reduce(du, axis=-2, out=b2)

@@ -8,12 +8,11 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .anchors import _Columns
 from .encoders import DualEncoderParams, encode_batch
 from .numerics import as_float_array
 
 if TYPE_CHECKING:
-    from .anchors import SampleSet
+    from .anchors import PromptTable, SampleSet
     from .benchgen import BenchmarkBundle
     from .fileio import BundleReader
     from .training import Checkpoint
@@ -22,7 +21,6 @@ __all__ = [
     "EmptySplitError",
     "EnsembleCurve",
     "Metrics",
-    "PromptTable",
     "SplitResult",
     "best_alpha",
     "build_prompt_classifier",
@@ -37,15 +35,6 @@ EVAL_SPLITS = ("id", "ds", "zsl")
 
 class EmptySplitError(ValueError):
     """A requested evaluation split has no samples."""
-
-
-@dataclass(eq=False)
-class PromptTable(_Columns):
-    """Class prompts as columns keyed by class id; row i is the prompt for class_ids[i]."""
-
-    _matrices = ("prompt_features",)
-    class_ids: np.ndarray
-    prompt_features: np.ndarray
 
 
 @dataclass
@@ -88,7 +77,7 @@ class Metrics:
         }
 
 
-def build_prompt_classifier(params: DualEncoderParams, prompts: PromptTable) -> np.ndarray:
+def build_prompt_classifier(params: DualEncoderParams, prompts: "PromptTable") -> np.ndarray:
     """Encode each class prompt; row order follows prompts.class_ids."""
     classifier, _ = encode_batch(params, "text", prompts.prompt_features)
     return classifier
@@ -132,18 +121,23 @@ def _accuracy(
     )
 
 
-def _classifier(params, prompts: PromptTable) -> tuple[np.ndarray, np.ndarray]:
+def _classifier(params, prompts: "PromptTable") -> tuple[np.ndarray, np.ndarray]:
     return build_prompt_classifier(params, prompts), prompts.class_ids
+
+
+def _bundle_splits(bundle: "BenchmarkBundle | BundleReader") -> list[str]:
+    """Every split the bundle has: ds only when it has a shifted domain."""
+    return [s for s in EVAL_SPLITS if s != "ds" or bundle.gen_config.n_domains > 1]
 
 
 def evaluate_splits(
     params: DualEncoderParams,
     bundle: "BenchmarkBundle | BundleReader",
-    splits: Iterable[str] = EVAL_SPLITS,
+    splits: Iterable[str] | None = None,
     *,
     zsl_strict: bool = False,
 ) -> Metrics:
-    """Accuracy on the requested splits of a benchmark bundle.
+    """Accuracy on the requested splits of a benchmark bundle, by default all it has.
 
     `id` and the per-domain `ds` splits classify over the seen-class prompts;
     `zsl` classifies over the held-out-class prompts only, unless zsl_strict
@@ -152,7 +146,7 @@ def evaluate_splits(
     prompt tables of the requested splits are touched, so a reader reads
     no other file.
     """
-    requested = list(splits)
+    requested = _bundle_splits(bundle) if splits is None else list(splits)
     unknown = [s for s in requested if s not in EVAL_SPLITS]
     if unknown:
         raise ValueError(f"unknown splits {unknown}; choose from {EVAL_SPLITS}")
@@ -230,7 +224,7 @@ def ensemble_sweep(
     ft: "Checkpoint",
     alphas: Sequence[float],
     bundle: "BenchmarkBundle | BundleReader",
-    splits: Iterable[str] = EVAL_SPLITS,
+    splits: Iterable[str] | None = None,
 ) -> EnsembleCurve:
     """Evaluate every interpolated model; pick the best alpha with best_alpha.
 
@@ -242,7 +236,7 @@ def ensemble_sweep(
         raise ValueError("need at least one alpha")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
-    requested = list(splits)
+    requested = _bundle_splits(bundle) if splits is None else list(splits)
     if "id" not in requested:
         raise ValueError("the sweep selects by ID accuracy; include the id split")
 

@@ -25,10 +25,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .anchors import CandidateIndex, CaptionSet, PairSet, SampleSet
+from .anchors import CandidateIndex, CaptionSet, PairSet, PromptTable, SampleSet
 from .benchgen import BenchmarkBundle, GenConfig
 from .encoders import DualEncoderParams
-from .evaluation import EnsembleCurve, Metrics, PromptTable
+from .evaluation import EnsembleCurve, Metrics
 from .numerics import as_float_array
 from .training import Checkpoint, TrainConfig, checkpoint_id
 

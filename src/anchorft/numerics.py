@@ -135,10 +135,6 @@ def _splitmix64_lanes(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return state, z ^ (z >> np.uint64(31))
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class RandomStream:
     """Deterministic xoshiro256** stream with Box-Muller normal draws.
 
@@ -179,20 +175,31 @@ class RandomStream:
         self._spare_normal: float | None = None
         self.draw_count = 0
 
+    def _words(self, count: int) -> list[int]:
+        """The next count raw 64-bit outputs.
+
+        The one copy of the recurrence: it runs on local ints, and the state
+        and draw_count are written back once.
+        """
+        words = []
+        s0, s1, s2, s3 = self._s
+        for _ in range(count):
+            x = (s1 * 5) & _MASK64
+            words.append((((x << 7) | (x >> 57)) * 9) & _MASK64)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s = [s0, s1, s2, s3]
+        self.draw_count += count
+        return words
+
     def next_u64(self) -> int:
         """Next raw 64-bit output."""
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        self.draw_count += 1
-        return result
+        return self._words(1)[0]
 
     def normal(self) -> float:
         """One standard normal draw (Box-Muller, pairs cached)."""
@@ -200,8 +207,7 @@ class RandomStream:
             z = self._spare_normal
             self._spare_normal = None
             return z
-        a = self.next_u64()
-        b = self.next_u64()
+        a, b = self._words(2)
         u1 = ((a >> 11) + 1) * 2.0**-53
         u2 = (b >> 11) * 2.0**-53
         r = math.sqrt(-2.0 * math.log(u1))
@@ -213,30 +219,15 @@ class RandomStream:
         """n standard normal draws as a float64 vector: n calls of normal(), bit for bit.
 
         A cached spare comes first. The rest come from fresh Box-Muller
-        pairs, whose draws run the next_u64 recurrence inline on local ints
-        (as permutation does) and whose transform runs on whole arrays
-        (_box_muller). An odd count caches the last pair's second value.
+        pairs, whose transform runs on whole arrays (_box_muller). An odd
+        count caches the last pair's second value.
         """
         out = np.empty(n)
         done = 0
         if n and self._spare_normal is not None:
             out[0], self._spare_normal, done = self._spare_normal, None, 1
         pairs = (n - done + 1) // 2
-        words = []
-        s0, s1, s2, s3 = self._s
-        for _ in range(2 * pairs):
-            x = (s1 * 5) & _MASK64
-            words.append((((x << 7) | (x >> 57)) * 9) & _MASK64)
-            t = (s1 << 17) & _MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s = [s0, s1, s2, s3]
-        self.draw_count += 2 * pairs
-        words = np.array(words, dtype=np.uint64)
+        words = np.array(self._words(2 * pairs), dtype=np.uint64)
         z = np.empty(2 * pairs)
         z[0::2], z[1::2] = _box_muller(words[0::2], words[1::2])
         out[done:] = z[: n - done]
@@ -249,27 +240,11 @@ class RandomStream:
         return self.normals(rows * cols).reshape(rows, cols)
 
     def permutation(self, n: int) -> list[int]:
-        """Fisher-Yates shuffle of range(n); index via next_u64() % m.
-
-        The next_u64 recurrence runs inline on local ints, and the state and
-        draw_count are written back once: the same draws, without a method
-        call per swap.
-        """
+        """Fisher-Yates shuffle of range(n); the swap at i takes index next_u64() % (i + 1)."""
         items = list(range(n))
-        s0, s1, s2, s3 = self._s
-        for i in range(n - 1, 0, -1):
-            x = (s1 * 5) & _MASK64
-            j = ((((x << 7) | (x >> 57)) * 9) & _MASK64) % (i + 1)
-            t = (s1 << 17) & _MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        for i, word in zip(range(n - 1, 0, -1), self._words(max(n - 1, 0))):
+            j = word % (i + 1)
             items[i], items[j] = items[j], items[i]
-        self._s = [s0, s1, s2, s3]
-        self.draw_count += max(n - 1, 0)
         return items
 
     def sample_indices(self, n: int, m: int) -> list[int]:
@@ -277,8 +252,8 @@ class RandomStream:
         if not 0 <= m <= n:
             raise ValueError(f"cannot draw {m} distinct indices from {n}")
         pool = list(range(n))
-        for i in range(m):
-            j = i + self.next_u64() % (n - i)
+        for i, word in enumerate(self._words(m)):
+            j = i + word % (n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:m]
 

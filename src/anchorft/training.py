@@ -27,6 +27,7 @@ from .anchors import (
     MissingAssignmentError,
     MissingCaptionError,
     PairSet,
+    PromptTable,
     SampleSet,
     assemble_anchor_batch,
     lookup_rows,
@@ -41,7 +42,6 @@ from .encoders import (
     init_params,
     param_fingerprint,
 )
-from .evaluation import PromptTable
 from .numerics import NonFiniteError, RandomStream, check_finite_fields, derive_seed
 
 __all__ = [
@@ -122,6 +122,8 @@ class TrainConfig:
         unknown = [t for t in self.enabled_losses if t not in LOSS_TERMS]
         if unknown or len(set(self.enabled_losses)) != len(self.enabled_losses):
             raise ValueError(f"enabled_losses must be distinct terms from {LOSS_TERMS}")
+        if not self.enabled_losses:
+            raise ValueError("enabled_losses must name at least one term")
         if self.anchor_layout not in ANCHOR_LAYOUTS:
             raise ValueError(f"anchor_layout must be one of {ANCHOR_LAYOUTS}")
         if self.anchor_layout == "merge" and "ret" in self.enabled_losses and (
@@ -349,14 +351,21 @@ def check_gradients(
 
     Every element of theta whose analytic gradient exceeds skip_below in
     magnitude, log_tau included, is moved by +-eps in place and restored.
-    The check passes iff the worst relative error is at most tol.
+    The check passes iff the worst relative error is at most tol. eps
+    must be a positive finite number.
     """
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be a positive finite number, got {eps}")
+
+    problem = (params, batch, prompts, anchor_batch, config)
 
     def total_loss() -> float:
-        breakdown, _ = compute_total_loss_and_grads(params, batch, prompts, anchor_batch, config)
-        return breakdown.total
+        try:
+            return compute_total_loss_and_grads(*problem)[0].total
+        except NonFiniteError as exc:
+            raise ValueError(f"a step of eps={eps} left the model non-finite: {exc}") from exc
 
-    _, analytic = compute_total_loss_and_grads(params, batch, prompts, anchor_batch, config)
+    _, analytic = compute_total_loss_and_grads(*problem)
     theta = params.theta
     checked = np.flatnonzero(np.abs(analytic) > skip_below)
     worst = 0.0

@@ -20,13 +20,18 @@ import numpy as np
 import pytest
 
 from anchorft import benchgen, numerics
-from anchorft.anchors import PairSet, RETRIEVAL_MODES, build_candidate_index, retrieve
+from anchorft.anchors import (
+    PairSet,
+    PromptTable,
+    RETRIEVAL_MODES,
+    build_candidate_index,
+    retrieve,
+)
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.cli import main
 from anchorft.contrastive import PairBatch, contrastive_loss_and_grads
 from anchorft.encoders import encode_batch, init_params
 from anchorft.evaluation import (
-    PromptTable,
     build_prompt_classifier,
     classify,
     ensemble_weights,

@@ -15,6 +15,7 @@ from anchorft.anchors import (
     CheckpointMismatchError,
     MissingAssignmentError,
     PairSet,
+    PromptTable,
     RETRIEVAL_MODES,
     Sample,
     SampleSet,
@@ -24,7 +25,6 @@ from anchorft.anchors import (
     retrieve,
 )
 from anchorft.encoders import encode_batch, init_params
-from anchorft.evaluation import PromptTable
 from anchorft.numerics import RandomStream
 
 

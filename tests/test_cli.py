@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from anchorft import cli
 from anchorft.benchgen import GenConfig
-from anchorft.cli import _train_config, build_parser, main
-from anchorft.fileio import CodecError, load_bundle, read_checkpoint
+from anchorft.cli import _config, build_parser, main
+from anchorft.fileio import CodecError, load_bundle, parse_train_config, read_checkpoint
 from anchorft.training import CheckReport, TrainConfig
 
 GEN = {
@@ -34,10 +34,10 @@ GEN = {
 TRAIN = {"batch_size": 4, "epochs": 1, "hidden": 8, "embed_dim": 4, "seed": 0}
 
 
-def run_pipeline(root):
+def run_pipeline(root, gen=GEN):
     """benchgen through ensemble under one directory; returns its path."""
     root.mkdir(parents=True, exist_ok=True)
-    (root / "gen.json").write_text(json.dumps(GEN))
+    (root / "gen.json").write_text(json.dumps(gen))
     (root / "train.json").write_text(json.dumps(TRAIN))
     steps = [
         ["benchgen", "--out", str(root / "bench"), "--config", str(root / "gen.json")],
@@ -90,6 +90,38 @@ class TestPipeline:
                      "--out", str(tmp_path / "ft2.json"),
                      "--config", str(pipeline / "train.json"),
                      "--losses", "cl,cap"]) == 0
+
+    def test_one_domain_bundle_runs_every_stage(self, tmp_path, capsys):
+        # No domain-shift split exists, so eval and ensemble default to id and zsl.
+        root = run_pipeline(tmp_path / "one", gen={**GEN, "n_domains": 1})
+        metrics = json.loads((root / "metrics.json").read_text())
+        assert [row["split"] for row in metrics["splits"]] == ["id", "zsl"]
+        assert (root / "curve.csv").read_text().splitlines()[0] == "alpha,id,zsl,avg_ood"
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(root / "ft.json"),
+                     "--bundle", str(root / "bench"), "--splits", "ds"]) == 1
+        assert "no domain-shift splits in this bundle" in capsys.readouterr().err
+
+    def test_empty_split_and_alpha_lists(self, pipeline, tmp_path, capsys):
+        bundle = ["--bundle", str(pipeline / "bench")]
+        assert main(["eval", "--checkpoint", str(pipeline / "ft.json"), *bundle,
+                     "--splits", ",", "--out", str(tmp_path / "m.json")]) == 0
+        assert json.loads((tmp_path / "m.json").read_text())["splits"] == []
+        assert main(["ensemble", "--pre", str(pipeline / "pre.json"),
+                     "--ft", str(pipeline / "ft.json"), *bundle, "--alphas", ",",
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        assert "need at least one alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,losses", [
+        (["--losses", ""], None), (["--losses", ","], None), ([], {"enabled_losses": []}),
+    ])
+    def test_empty_loss_set_exits_one(self, pipeline, tmp_path, capsys, flags, losses):
+        (tmp_path / "train.json").write_text(json.dumps({**TRAIN, **(losses or {})}))
+        argv = stage_argvs(pipeline, pipeline / "bench", tmp_path)["train"]
+        argv[argv.index("--config") + 1] = str(tmp_path / "train.json")
+        assert main([*argv, *flags]) == 1
+        assert "enabled_losses must name at least one term" in capsys.readouterr().err
+        assert not (tmp_path / "ft.json").exists()
 
     def test_tampered_checkpoint_fails_validation(self, pipeline, tmp_path, capsys):
         doc = json.loads((pipeline / "pre.json").read_text())
@@ -420,6 +452,12 @@ class TestExitCodes:
         assert main(["gradcheck", "--seed", "0"]) == 0
         assert "pass" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("eps", ["0", "-1e-5", "nan", "inf", "1e300"])
+    def test_gradcheck_bad_eps_exits_one_naming_eps(self, capsys, eps):
+        assert main(["gradcheck", f"--eps={eps}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "eps" in err
+
     def test_gradcheck_failure_exit_two(self, monkeypatch, capsys):
         import anchorft.cli as cli
 
@@ -439,19 +477,29 @@ class TestFlagResolution:
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"epochs": 1, "batch_size": 4}))
         args = self.parse("train", "--bundle", "b", "--start", "s", "--out", "o",
-                          "--config", str(path), "--epochs", "7", "--losses", "cl",
-                          "--retrieval-k", "3", "--anchor-mode", "sep")
-        config = _train_config(args)
+                          "--config", str(path), "--epochs", "7", "--losses", "cl,,cap",
+                          "--retrieval-k", "3", "--anchor-mode", "merge")
+        # Each override flag's dest is its config field.
+        assert args.enabled_losses == ["cl", "cap"] and args.anchor_layout == "merge"
+        config = _config(args, parse_train_config)
         assert config.epochs == 7
         assert config.batch_size == 4
-        assert config.enabled_losses == ("cl",)
+        assert config.enabled_losses == ("cl", "cap")
+        assert config.anchor_layout == "merge"
         assert config.retrieval_k == 3
 
     def test_invalid_loss_name_rejected(self):
         args = self.parse("train", "--bundle", "b", "--start", "s", "--out", "o",
                           "--losses", "cl,warp")
         with pytest.raises(ValueError):
-            _train_config(args)
+            _config(args, parse_train_config)
+
+    def test_benchgen_config_is_checked_before_the_seed_flag(self, tmp_path, capsys):
+        (tmp_path / "gen.json").write_text(json.dumps({"seed": "1"}))
+        assert main(["benchgen", "--out", str(tmp_path / "b"), "--seed", "3",
+                     "--config", str(tmp_path / "gen.json")]) == 1
+        assert capsys.readouterr().err.startswith('error: GenConfig: seed: "1" is not')
+        assert not (tmp_path / "b").exists()
 
     def test_bad_anchor_mode_is_usage_error(self, capsys):
         assert main(["train", "--bundle", "b", "--start", "s", "--out", "o",

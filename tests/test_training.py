@@ -131,6 +131,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             tiny_train_config(**{name: value}).validate()
 
+    @pytest.mark.parametrize("enabled", [(), []])
+    def test_empty_loss_set_rejected(self, enabled):
+        with pytest.raises(ValueError, match="enabled_losses must name at least one term"):
+            tiny_train_config(enabled_losses=enabled).validate()
+
     def test_fingerprint_tracks_content(self):
         a = tiny_train_config()
         b = tiny_train_config()
@@ -360,6 +365,18 @@ class TestComputeTotalLoss:
         report = check_gradients(*problem, eps=1e-5, skip_below=1e-8, tol=1e-4)
         assert report.passed
         assert report.n_checked > 0.9 * problem[0].theta.size
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, math.nan, math.inf, -math.inf])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        problem = self.anchored_problem()
+        theta = problem[0].theta.copy()
+        with pytest.raises(ValueError, match="eps must be a positive finite number"):
+            check_gradients(*problem, eps=eps)
+        assert problem[0].theta.tobytes() == theta.tobytes()
+
+    def test_an_eps_that_overflows_the_model_is_named(self):
+        with pytest.raises(ValueError, match=r"a step of eps=1e\+300 left the model non-finite"):
+            check_gradients(*self.anchored_problem(), eps=1e300)
 
     def test_checker_catches_a_wrong_log_tau_gradient(self, monkeypatch):
         # log_tau is checked like any other element: a 1% error in its
