@@ -46,6 +46,9 @@ RETRIEVAL_MODES = ("v2t", "v2v", "t2t", "t2v")
 
 ANCHOR_LAYOUTS = ("sep", "merge")
 
+# retrieve scores about this many (query, candidate) entries at a time.
+_SCORE_BLOCK_ENTRIES = 1 << 18
+
 
 class MissingCaptionError(KeyError):
     """A sample had no caption available."""
@@ -290,6 +293,13 @@ def retrieve(
     scores broken toward the lower candidate id. The k argmax passes run
     over columns ordered by candidate id, and argmax picks the first of
     equal maxima.
+
+    Scores are computed one block of query rows at a time, so peak memory is
+    one block's scores (about 2**18 entries) rather than n_queries x pool.
+    Every block has at least two rows unless the query matrix has one: numpy
+    sends a one-row product to gemv, which can round differently from gemm,
+    while gemm over any block of two or more rows gives the bytes of one
+    gemm over all the queries on the kernel the goldens pin.
     """
     if mode not in RETRIEVAL_MODES:
         raise ValueError(f"mode must be one of {RETRIEVAL_MODES}, got {mode!r}")
@@ -306,16 +316,26 @@ def retrieve(
     ids = index.candidate_ids
     order = np.argsort(ids, kind="stable")
     query_emb, _ = encode_batch(params, modality, query_features)
-    scores = query_emb @ side[order].T
+    columns = side[order].T
 
-    queries = np.arange(scores.shape[0])
-    top_ids = np.empty((queries.size, k), dtype=np.int64)
-    top_scores = np.empty((queries.size, k))
-    for rank in range(k):
-        best = np.argmax(scores, axis=1)
-        top_ids[:, rank] = ids[order[best]]
-        top_scores[:, rank] = scores[queries, best]
-        scores[queries, best] = -np.inf
+    n = len(query_emb)
+    top_ids = np.empty((n, k), dtype=np.int64)
+    top_scores = np.empty((n, k))
+    rows = max(2, _SCORE_BLOCK_ENTRIES // index.size)
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()  # a one-row tail joins the block before it
+    for start, stop in zip(starts, [*starts[1:], n]):
+        scores = query_emb[start:stop] @ columns
+        queries = np.arange(stop - start)
+        for rank in range(k):
+            best = np.argmax(scores, axis=1)
+            top_ids[start:stop, rank] = ids[order[best]]
+            top_scores[start:stop, rank] = scores[queries, best]
+            scores[queries, best] = -np.inf
+        # Free this block before the next product is allocated, so one block
+        # is live at a time and malloc hands its memory to the next one.
+        del scores
     return top_ids, top_scores
 
 

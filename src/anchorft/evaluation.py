@@ -147,6 +147,8 @@ def evaluate_splits(
     no other file.
     """
     requested = _bundle_splits(bundle) if splits is None else list(splits)
+    if not requested:
+        raise ValueError("need at least one split")
     unknown = [s for s in requested if s not in EVAL_SPLITS]
     if unknown:
         raise ValueError(f"unknown splits {unknown}; choose from {EVAL_SPLITS}")

@@ -1,5 +1,6 @@
 """Columnar sets, candidate indexing, retrieval, and batch assembly."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorft import anchors
 from anchorft.anchors import (
     CandidateIndex,
     CandidatePair,
@@ -261,6 +263,19 @@ def retrieval_oracle(index, params, mode, queries, k):
     return ids[top], np.take_along_axis(scores, top, axis=1)
 
 
+def tied_candidates(rng, book, copies):
+    """A pool where every codebook row appears `copies` times under shuffled ids.
+
+    Equal scores are everywhere, and row order is not id order.
+    """
+    n = book * copies
+    rows = np.tile(np.arange(book), copies)
+    ids = rng.permutation(10 * n)[:n]
+    return PairSet(
+        ids, rng.normal(size=(book, IMG_DIM))[rows], rng.normal(size=(book, TXT_DIM))[rows]
+    )
+
+
 class TestRetrieve:
     def test_exact_match_query_wins(self):
         # Give both towers identical weights; then a query equal to a
@@ -335,23 +350,60 @@ class TestRetrieve:
     def test_duplicated_rows_and_shuffled_ids_match_lexsort(
         self, book, copies, n_queries, k_frac, seed, mode
     ):
-        # Every codebook row appears `copies` times, so equal scores are
-        # everywhere, and ids are a shuffled sample so row order is not id order.
         rng = np.random.default_rng(seed)
-        n = book * copies
-        rows = np.tile(np.arange(book), copies)
-        ids = rng.permutation(10 * n)[:n]
-        candidates = PairSet(
-            ids, rng.normal(size=(book, IMG_DIM))[rows], rng.normal(size=(book, TXT_DIM))[rows]
-        )
         params = make_params(seed % 7)
-        index = build_candidate_index(params, candidates)
+        index = build_candidate_index(params, tied_candidates(rng, book, copies))
         queries = rng.normal(size=(n_queries, IMG_DIM))
-        k = 1 + int(k_frac * (n - 1))
+        k = 1 + int(k_frac * (index.size - 1))
 
         got_ids, got_scores = retrieve(index, queries, params, mode, k)
         want_ids, want_scores = retrieval_oracle(index, params, mode, queries, k)
         assert got_ids.shape == got_scores.shape == (n_queries, k)
+        assert np.array_equal(got_ids, want_ids)
+        assert got_scores.tobytes() == want_scores.tobytes()
+
+    @pytest.mark.parametrize("mode", RETRIEVAL_MODES)
+    @pytest.mark.parametrize(
+        "n_queries", [1, 4, 5, 14], ids=["one-row", "one-block", "one-row-tail", "blocks+2"]
+    )
+    def test_row_blocks_match_one_gemm(self, monkeypatch, mode, n_queries):
+        # Four query rows per score block: a single query, exactly one block,
+        # one block plus a one-row tail, and three blocks plus two rows.
+        rng = np.random.default_rng(n_queries)
+        params = make_params(12)
+        index = build_candidate_index(params, tied_candidates(rng, 5, 3))
+        monkeypatch.setattr(anchors, "_SCORE_BLOCK_ENTRIES", 4 * index.size)
+        queries = rng.normal(size=(n_queries, IMG_DIM))
+        for k in (1, 4, index.size):
+            got_ids, got_scores = retrieve(index, queries, params, mode, k)
+            want_ids, want_scores = retrieval_oracle(index, params, mode, queries, k)
+            assert np.array_equal(got_ids, want_ids)
+            assert got_scores.tobytes() == want_scores.tobytes()
+
+    def test_zero_queries_give_zero_rows(self):
+        params = make_params(11)
+        index = build_candidate_index(params, make_candidates(4))
+        ids, scores = retrieve(index, np.empty((0, IMG_DIM)), params, "v2t", k=2)
+        assert ids.shape == scores.shape == (0, 2)
+        assert ids.dtype == np.int64
+
+    def test_peak_memory_is_one_score_block(self):
+        # The default shape: 1,200 finetune queries against the 2,048-pair
+        # pool with 16-d embeddings. Scoring them all at once would hold a
+        # 1,200 x 2,048 float64 matrix (19.7 MB).
+        params = init_params(0, (48, 48), 64, 16)
+        stream = RandomStream(31)
+        images, texts = stream.normal_matrix(2048, 48), stream.normal_matrix(2048, 48)
+        index = build_candidate_index(params, PairSet(np.arange(2048), images, texts))
+        queries = stream.normal_matrix(1200, 48)
+        tracemalloc.start()
+        try:
+            got_ids, got_scores = retrieve(index, queries, params, "v2t", k=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1200 * 2048 * 8 / 2
+        want_ids, want_scores = retrieval_oracle(index, params, "v2t", queries, 4)
         assert np.array_equal(got_ids, want_ids)
         assert got_scores.tobytes() == want_scores.tobytes()
 

@@ -104,9 +104,11 @@ class TestPipeline:
 
     def test_empty_split_and_alpha_lists(self, pipeline, tmp_path, capsys):
         bundle = ["--bundle", str(pipeline / "bench")]
-        assert main(["eval", "--checkpoint", str(pipeline / "ft.json"), *bundle,
-                     "--splits", ",", "--out", str(tmp_path / "m.json")]) == 0
-        assert json.loads((tmp_path / "m.json").read_text())["splits"] == []
+        for splits in (",", ""):
+            assert main(["eval", "--checkpoint", str(pipeline / "ft.json"), *bundle,
+                         "--splits", splits, "--out", str(tmp_path / "m.json")]) == 1
+            assert "need at least one split" in capsys.readouterr().err
+            assert not (tmp_path / "m.json").exists()
         assert main(["ensemble", "--pre", str(pipeline / "pre.json"),
                      "--ft", str(pipeline / "ft.json"), *bundle, "--alphas", ",",
                      "--out", str(tmp_path / "c.csv")]) == 1

@@ -187,6 +187,10 @@ class TestEvaluateSplits:
         with pytest.raises(ValueError):
             evaluate_splits(tiny_params(), tiny_bundle(), ("id", "ood"))
 
+    def test_empty_split_list_rejected(self):
+        with pytest.raises(ValueError, match="need at least one split"):
+            evaluate_splits(tiny_params(), tiny_bundle(), [])
+
     def test_empty_split_raises(self):
         bundle = tiny_bundle()
         hollow = SimpleNamespace(
