@@ -228,6 +228,7 @@ def lookup_rows(ids, wanted) -> np.ndarray:
 class CandidateIndex:
     """Precomputed pool embeddings; row i belongs to candidate_ids[i], an int64 column."""
 
+    _matrices = ("image_embeddings", "text_embeddings")
     candidate_ids: np.ndarray
     image_embeddings: np.ndarray
     text_embeddings: np.ndarray

@@ -51,8 +51,8 @@ DEFAULT_LOG_TAU = math.log(0.07)
 TAU_MIN = 1e-4
 TAU_MAX = 10.0
 
-# The towers in theta's order. As the modality of encode_batch or
-# encoder_backward_batch, it runs both towers at once.
+# The towers in theta's order. As the modality of encode_batch, it runs
+# both towers at once; encoder_backward_batch always runs both.
 MODALITIES = ("image", "text")
 
 
@@ -286,22 +286,18 @@ def encode_batch(
     return e, (x, h, e, norms)
 
 
-def encoder_backward_batch(
-    params: DualEncoderParams, modality: tuple[str, str], cache: tuple, grad_embeddings
-) -> np.ndarray:
-    """Gradient over theta given d(loss)/d(embeddings) and encode_batch's pair cache.
+def encoder_backward_batch(params: DualEncoderParams, cache: tuple, grad_embeddings) -> np.ndarray:
+    """Gradient over theta given d(loss)/d(embeddings) and encode_batch's MODALITIES cache.
 
-    modality must be MODALITIES, and grad_embeddings is shaped like the
-    pair embeddings. Gradients of all rows are summed. The normalization
-    backward is du = (dE - (dE . e) e)/|u| per row. The result is shaped
+    grad_embeddings is shaped like the pair embeddings. Gradients of all
+    rows are summed. The normalization backward is
+    du = (dE - (dE . e) e)/|u| per row. The result is shaped
     like theta, or (T, theta.size) for a stack of T terms, one gradient per
     term, with log_tau's entry 0. Each tower's span of a term's gradient is
     bit for bit that tower's 2-D backward over the term's rows.
     grad_embeddings is not scanned for non-finite entries; training rejects
     a non-finite gradient at its step.
     """
-    if modality != MODALITIES:
-        raise ValueError(f"the backward runs both towers: modality must be {MODALITIES}")
     (x_image, x_text), h, e, norms = cache
     de = np.asarray(grad_embeddings, dtype=np.float64)
     if de.shape != e.shape:

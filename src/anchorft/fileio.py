@@ -1,11 +1,14 @@
-"""Bit-exact artifact codecs: feature sets, checkpoints, indexes, bundles.
+"""Bit-exact artifact codecs: sets, checkpoints, indexes, bundles.
 
-Feature matrices are stored at 32-bit precision (file size) and upcast to
-64-bit on read (gradient-check precision); that boundary is the only lossy
-step in the pipeline. Index embeddings and checkpoints round-trip the full
-64-bit values. All writes go to a temp file first and are renamed into
-place, so readers never observe a half-written artifact; a directory
-artifact is built in a temp directory and renamed into place the same way.
+Every set (a sample split, captions, a prompt table, a pair set, a
+candidate index) is one table file: one magic, a JSON header of its kind,
+row count and columns, then each column as one little-endian block. Bundle
+matrices are stored at 32-bit precision (file size) and upcast to 64-bit on
+read (gradient-check precision); that boundary is the only lossy step in the
+pipeline. Index embeddings and checkpoints round-trip the full 64-bit
+values. All writes go to a temp file first and are renamed into place, so
+readers never observe a half-written artifact; a directory artifact is
+built in a temp directory and renamed into place the same way.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import struct
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_type_hints
 
 import numpy as np
 
@@ -29,7 +32,6 @@ from .anchors import CandidateIndex, CaptionSet, PairSet, PromptTable, SampleSet
 from .benchgen import BenchmarkBundle, GenConfig
 from .encoders import DualEncoderParams
 from .evaluation import EnsembleCurve, Metrics
-from .numerics import as_float_array
 from .training import Checkpoint, TrainConfig, checkpoint_id
 
 __all__ = [
@@ -66,16 +68,14 @@ __all__ = [
     "write_text",
 ]
 
-FEATURE_MAGIC = b"ARFM"  # 32-bit feature storage
-EMBEDDING_MAGIC = b"ARFI"  # 64-bit embedding storage
-COLUMN_MAGIC = b"ARFC"  # int64 id and tag columns of a feature set
-MATRIX_VERSION = 1
-COLUMN_VERSION = 1
+TABLE_MAGIC = b"ARFT"
+TABLE_VERSION = 1
 CHECKPOINT_VERSION = 2
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 METRICS_VERSION = 1
 
-_HEADER = struct.Struct("<III")  # version, rows, then cols (.arfm) or header length (.arfc)
+_PREFIX = struct.Struct("<4sII")  # magic, version, header length
+_READ_CHUNK = 1 << 15  # entries of a table block read at a time
 
 
 class CodecError(ValueError):
@@ -91,7 +91,7 @@ class VersionUnsupportedError(CodecError):
 
 
 class RowCountMismatchError(CodecError):
-    """Row counts disagree between a header, payload, or column file."""
+    """A payload or a column holds another number of rows than its header or its peers."""
 
 
 class MissingFieldError(CodecError):
@@ -107,11 +107,11 @@ class HashMismatchError(CodecError):
 
 
 class UnknownKeyError(CodecError):
-    """A config or column file carries a key or column this build does not define."""
+    """A config or table file carries a key or column this build does not define."""
 
 
 class WidthMismatchError(CodecError):
-    """A bundle matrix does not have the width its gen_config declares."""
+    """A table column does not have the width its kind and gen_config declare."""
 
 
 # ---------------------------------------------------------------------------
@@ -272,134 +272,174 @@ def _fields(doc: dict, types: dict, where: str, version: int | None = None) -> d
     return doc
 
 
-def _read_binary(path, magic: bytes, version: int) -> tuple:
-    """(rows, the header's third u32, the rest of the file) of a file of this magic and version."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 + _HEADER.size:
-        raise CodecError(f"{path}: shorter than the fixed header")
-    if raw[:4] != magic:
-        raise BadMagicError(f"{path}: magic {raw[:4]!r}, expected {magic!r}")
-    found, rows, third = _HEADER.unpack_from(raw, 4)
-    if found != version:
-        raise VersionUnsupportedError(f"{path}: version {found}, supported {version}")
-    return rows, third, memoryview(raw)[4 + _HEADER.size :]
-
-
 # ---------------------------------------------------------------------------
-# binary matrices
+# table files
 
 
-def write_matrix(path, matrix: np.ndarray, magic: bytes = FEATURE_MAGIC) -> None:
-    """Magic, then u32 LE version/rows/cols, then row-major LE floats.
+def write_matrix(path, kind: str, columns: list) -> None:
+    """A table file of `kind` holding `columns`, (name, dtype, array) triples of one length.
 
-    FEATURE_MAGIC stores 32-bit floats, EMBEDDING_MAGIC 64-bit.
+    The file is TABLE_MAGIC, u32 LE version and header length, the compact
+    JSON header {"kind": kind, "rows": n, "columns": [[name, dtype, width],
+    ...]}, then each column as one contiguous little-endian block of its
+    dtype (`<i8`, `<f4` or `<f8`): a 1-D array is one entry per row (width
+    1), a matrix row-major. Each array is cast straight into the payload.
     """
-    matrix = as_float_array(matrix, name="matrix")
-    if matrix.ndim != 2:
-        raise ValueError("matrix must be 2-D")
-    dtype = np.dtype("<f4") if magic == FEATURE_MAGIC else np.dtype("<f8")
-    rows, cols = matrix.shape
-    header = magic + _HEADER.pack(MATRIX_VERSION, rows, cols)
-    payload = np.ascontiguousarray(matrix, dtype=dtype).tobytes()
-    _atomic_write_bytes(Path(path), header + payload)
+    arrays = [np.asarray(array) for _, _, array in columns]
+    dtypes = [np.dtype(dtype) for _, dtype, _ in columns]
+    rows = len(arrays[0])
+    if any(len(array) != rows for array in arrays):
+        raise RowCountMismatchError(f"{path}: every column needs {rows} rows")
+    spec = [[name, dtype, array.shape[1] if array.ndim == 2 else 1]
+            for (name, dtype, _), array in zip(columns, arrays)]
+    header = {"kind": kind, "rows": rows, "columns": spec}
+    header = json.dumps(header, separators=(",", ":")).encode()
+    head = _PREFIX.pack(TABLE_MAGIC, TABLE_VERSION, len(header)) + header
+    payload = bytearray(len(head) + sum(a.size * d.itemsize for a, d in zip(arrays, dtypes)))
+    payload[: len(head)] = head
+    at = len(head)
+    for array, dtype in zip(arrays, dtypes):
+        np.frombuffer(payload, dtype, array.size, at)[...] = array.reshape(-1)
+        at += array.size * dtype.itemsize
+    _atomic_write_bytes(Path(path), payload)
 
 
-def read_matrix(path, magic: bytes = FEATURE_MAGIC) -> np.ndarray:
-    rows, cols, body = _read_binary(path, magic, MATRIX_VERSION)
-    dtype = np.dtype("<f4") if magic == FEATURE_MAGIC else np.dtype("<f8")
-    if len(body) != rows * cols * dtype.itemsize:
-        raise RowCountMismatchError(
-            f"{path}: payload holds {len(body)} bytes, header claims {rows}x{cols}"
-        )
-    with np.errstate(invalid="ignore"):  # a signalling NaN is left to the caller's finite check
-        return np.frombuffer(body, dtype=dtype).reshape(rows, cols).astype(np.float64)
+def read_matrix(path, kind: str, columns: list) -> dict:
+    """{name: column} of a table file of `kind` whose header lists exactly `columns`.
 
-
-# ---------------------------------------------------------------------------
-# feature sets (int64 column file + matrix)
-
-_COLUMNS = ("id", "class_id", "domain_id")
-
-
-def _column_path(stem) -> Path:
-    return Path(str(stem) + ".arfc")
-
-
-def _matrix_path(stem) -> Path:
-    return Path(str(stem) + ".arfm")
-
-
-def write_feature_set(stem, kind: str, ids, matrix, class_ids=None, domain_ids=None) -> None:
-    """An .arfc column file of the ids and given tags, then the 32-bit .arfm matrix.
-
-    The column file is magic ARFC, u32 LE version/rows/header length, the
-    compact JSON header {"kind": kind, "columns": names}, then each named
-    column as LE int64: id first, then class_id and domain_id unless passed
-    as None. Row i of the matrix belongs to row i of every column. Ids and
-    tags must be 64-bit integers, as the reader requires: anything else
-    raises FieldTypeError before a file is written.
+    `columns` holds (name, dtype, width) triples in file order; a width of
+    None accepts any positive width. Every check of the format applies:
+    magic, version, a JSON header of kind, rows and columns, the column
+    names, dtypes and widths, and a payload of exactly rows of them. An
+    `<i8` column comes back as a 1-D int64 array, a float column as a
+    float64 matrix. Each block is read in chunks straight into its column,
+    so no stored copy of the table is ever held in memory.
     """
-    n = len(matrix)
-    columns = {}
-    for name, column in zip(_COLUMNS, (ids, class_ids, domain_ids)):
-        if column is not None:
-            column = np.asarray(column)
-            if column.dtype.kind != "i":
-                _check(column.tolist(), [int], f"{stem}: {name}")
-            columns[name] = column.astype("<i8", copy=False)
-    if any(len(c) != n for c in columns.values()):
-        raise RowCountMismatchError(f"{stem}: every id and tag column needs {n} rows")
-    header = json.dumps({"kind": kind, "columns": list(columns)}, separators=(",", ":")).encode()
-    payload = [COLUMN_MAGIC, _HEADER.pack(COLUMN_VERSION, n, len(header)), header]
-    payload += [c.tobytes() for c in columns.values()]
-    _atomic_write_bytes(_column_path(stem), b"".join(payload))
-    write_matrix(_matrix_path(stem), matrix, FEATURE_MAGIC)
+    with open(path, "rb") as handle:
+        file_size = os.fstat(handle.fileno()).st_size
+        if file_size < _PREFIX.size:
+            raise CodecError(f"{path}: shorter than the fixed header")
+        magic, version, size = _PREFIX.unpack(handle.read(_PREFIX.size))
+        if magic != TABLE_MAGIC:
+            raise BadMagicError(f"{path}: magic {magic!r}, expected {TABLE_MAGIC!r}")
+        if version != TABLE_VERSION:
+            raise VersionUnsupportedError(f"{path}: version {version}, supported {TABLE_VERSION}")
+        if file_size < _PREFIX.size + size:
+            raise CodecError(f"{path}: the JSON header runs past the end of the file")
+        try:
+            header = json.loads(handle.read(size).decode("utf-8"))
+        except ValueError as exc:
+            raise CodecError(f"{path}: the header is not valid JSON ({exc})") from exc
+        rows, found = _table_header(path, header, kind, columns)
+        payload = file_size - _PREFIX.size - size
+        expected = sum(rows * width * np.dtype(dtype).itemsize for _, dtype, width in found)
+        if payload != expected:
+            raise RowCountMismatchError(
+                f"{path}: payload holds {payload} bytes, the header claims {expected} "
+                f"for {rows} rows"
+            )
+        out = {}
+        for name, dtype, width in found:
+            column = np.empty((rows, width), np.int64 if dtype == "<i8" else np.float64)
+            flat = column.reshape(-1)
+            chunk = np.empty(max(1, min(flat.size, _READ_CHUNK)), dtype)
+            for at in range(0, flat.size, chunk.size):
+                part = chunk[: flat.size - at]
+                handle.readinto(part)
+                with np.errstate(invalid="ignore"):  # a signalling NaN is left to the set's check
+                    flat[at : at + part.size] = part
+            out[name] = flat if dtype == "<i8" else column
+    return out
 
 
-def _read_columns(path: Path, kind: str) -> dict:
-    """{name: int64 column} of a column file whose header has `kind`, every check applied."""
-    rows, size, body = _read_binary(path, COLUMN_MAGIC, COLUMN_VERSION)
-    if len(body) < size:
-        raise CodecError(f"{path}: the JSON header runs past the end of the file")
-    try:
-        header = json.loads(bytes(body[:size]).decode("utf-8"))
-    except ValueError as exc:
-        raise CodecError(f"{path}: the header is not valid JSON ({exc})") from exc
-    if type(header) is not dict or sorted(header) != ["columns", "kind"]:
-        raise CodecError(f"{path}: the header must be a JSON object of kind and columns")
+def _table_header(path, header, kind: str, columns: list) -> tuple[int, list]:
+    """(rows, columns) of a parsed table header, once it is exactly what read_matrix expects."""
+    if type(header) is not dict or sorted(header) != ["columns", "kind", "rows"]:
+        raise CodecError(f"{path}: the header must be a JSON object of kind, rows and columns")
     if header["kind"] != kind:
         raise CodecError(f"{path}: kind {header['kind']!r}, expected {kind!r}")
-    names = header["columns"]
-    if not _is(names, [str]):
-        raise FieldTypeError(f"{path}: columns must be a JSON list of strings")
-    unknown = sorted(set(names) - set(_COLUMNS))
+    rows, found = header["rows"], header["columns"]
+    if type(rows) is not int or rows < 0:
+        raise FieldTypeError(f"{path}: rows {json.dumps(rows)} is not a row count")
+    if not _is(found, [list]) or any(len(c) != 3 or not _is(c[:2], [str]) for c in found):
+        raise FieldTypeError(f"{path}: columns must be a JSON list of [name, dtype, width]")
+    names, wanted = [c[0] for c in found], [c[0] for c in columns]
+    unknown = sorted(set(names) - set(wanted))
     if unknown:
         raise UnknownKeyError(f"{path}: unknown columns {unknown}")
-    if "id" not in names:
-        raise MissingFieldError(f"{path}: missing fields ['id']")
-    if names != [name for name in _COLUMNS if name in names]:
-        raise CodecError(f"{path}: columns {names} repeat or are out of the order {_COLUMNS}")
-    body = body[size:]
-    if len(body) != 8 * rows * len(names):
-        raise RowCountMismatchError(f"{path}: {len(body)} bytes for {len(names)}x{rows} int64")
-    block = np.frombuffer(body, dtype="<i8").reshape(len(names), rows).astype(np.int64)
-    return dict(zip(names, block))
+    missing = [name for name in wanted if name not in names]
+    if missing:
+        raise MissingFieldError(f"{path}: missing columns {missing}")
+    if names != wanted:
+        raise CodecError(f"{path}: columns {names} repeat or are out of the order {wanted}")
+    for (name, dtype, width), (_, want_dtype, want_width) in zip(found, columns):
+        if dtype != want_dtype:
+            raise FieldTypeError(f"{path}: column {name} is {dtype}, expected {want_dtype}")
+        if type(width) is not int or width < 1 or want_width not in (None, width):
+            raise WidthMismatchError(
+                f"{path}: column {name} is {json.dumps(width)} wide, expected {want_width}"
+            )
+    return rows, found
 
 
-def read_feature_set(stem, kind: str) -> tuple:
-    """(ids, class_ids, domain_ids, matrix) of a feature set whose column file has `kind`.
+# ---------------------------------------------------------------------------
+# sets
 
-    Ids and tags come back as int64 columns, and a tag column the file
-    leaves out as None. The column file must hold exactly its header's
-    columns of rows, and as many rows as the matrix.
+# kind: (set type, the dtype its matrices are stored at). Bundle sets keep
+# the 32-bit storage boundary; an index keeps its full 64-bit embeddings.
+_SETS = {
+    "samples": (SampleSet, "<f4"),
+    "captions": (CaptionSet, "<f4"),
+    "prompts": (PromptTable, "<f4"),
+    "pairs": (PairSet, "<f4"),
+    "index": (CandidateIndex, "<f8"),
+}
+
+
+def _set_columns(kind: str) -> list[tuple[str, str]]:
+    """(name, dtype) of each column of a `kind` table: its set type's array fields, in order."""
+    cls, float_dtype = _SETS[kind]
+    hints = get_type_hints(cls)
+    return [
+        (f.name, float_dtype if f.name in cls._matrices else "<i8")
+        for f in dataclasses.fields(cls)
+        if hints[f.name] is np.ndarray
+    ]
+
+
+_COLUMNS = {kind: _set_columns(kind) for kind in _SETS}
+
+
+def write_feature_set(path, kind: str, table) -> None:
+    """The table file of a set of `kind`: one column per array field of its set type.
+
+    An int column holding anything but 64-bit integers raises FieldTypeError
+    before a file is written.
     """
-    columns = _read_columns(_column_path(stem), kind)
-    matrix = read_matrix(_matrix_path(stem), FEATURE_MAGIC)
-    if matrix.shape[0] != len(columns["id"]):
-        raise RowCountMismatchError(
-            f"{_column_path(stem)}: {len(columns['id'])} rows vs {matrix.shape[0]} matrix rows"
-        )
-    return (*map(columns.get, _COLUMNS), matrix)
+    columns = []
+    for name, dtype in _COLUMNS[kind]:
+        column = np.asarray(getattr(table, name))
+        if dtype == "<i8" and column.dtype.kind != "i":
+            _check(column.tolist(), [int], f"{path}: {name}")
+        columns.append((name, dtype, column))
+    write_matrix(path, kind, columns)
+
+
+def read_feature_set(path, kind: str, widths: dict, *rest):
+    """The set of `kind` in a table file, built by its checked constructor.
+
+    The constructor gets the table's columns, then `rest` (an index's source
+    checkpoint id). widths maps a matrix column to the width it must have;
+    one it leaves out may have any width. The constructor's own checks (a
+    non-finite row, a repeated key) raise CodecError naming the file.
+    """
+    spec = [(name, dtype, 1 if dtype == "<i8" else widths.get(name))
+            for name, dtype in _COLUMNS[kind]]
+    columns = read_matrix(path, kind, spec)
+    try:
+        return _SETS[kind][0](*columns.values(), *rest)
+    except ValueError as exc:
+        raise CodecError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -440,41 +480,20 @@ def read_checkpoint(path) -> Checkpoint:
 
 
 def write_candidate_index(dir_path, index: CandidateIndex) -> None:
-    """Directory with a meta JSON and two 64-bit embedding matrices, renamed into place."""
+    """Directory of a meta JSON and the 64-bit embeddings table, renamed into place."""
     with _atomic_dir(dir_path, "meta.json") as tmp:
-        write_json(
-            tmp / "meta.json",
-            {
-                "version": INDEX_VERSION,
-                "source_checkpoint_id": index.source_checkpoint_id,
-                "candidate_ids": index.candidate_ids.tolist(),
-            },
-        )
-        write_matrix(tmp / "image_embeddings.arfi", index.image_embeddings, EMBEDDING_MAGIC)
-        write_matrix(tmp / "text_embeddings.arfi", index.text_embeddings, EMBEDDING_MAGIC)
-
-
-def _read_embeddings(path: Path) -> np.ndarray:
-    matrix = read_matrix(path, EMBEDDING_MAGIC)
-    if not np.isfinite(matrix).all():
-        raise CodecError(f"{path}: embeddings contain non-finite entries")
-    return matrix
+        meta = {"version": INDEX_VERSION, "source_checkpoint_id": index.source_checkpoint_id}
+        write_json(tmp / "meta.json", meta)
+        write_feature_set(tmp / "embeddings.arft", "index", index)
 
 
 def read_candidate_index(dir_path) -> CandidateIndex:
-    dir_path = Path(dir_path)
-    types = {"source_checkpoint_id": str, "candidate_ids": [int]}
-    meta = _fields(read_json(dir_path / "meta.json"), types, str(dir_path / "meta.json"),
-                   INDEX_VERSION)
-    image = _read_embeddings(dir_path / "image_embeddings.arfi")
-    text = _read_embeddings(dir_path / "text_embeddings.arfi")
-    ids = meta["candidate_ids"]
-    if image.shape[0] != len(ids) or text.shape[0] != len(ids):
-        raise RowCountMismatchError(
-            f"{dir_path}: {len(ids)} candidate ids vs "
-            f"{image.shape[0]}/{text.shape[0]} embedding rows"
-        )
-    return CandidateIndex(ids, image, text, meta["source_checkpoint_id"])
+    """The index in dir_path, every check made once, by the table reader and CandidateIndex."""
+    path = Path(dir_path) / "meta.json"
+    meta = _fields(read_json(path), {"source_checkpoint_id": str}, str(path), INDEX_VERSION)
+    return read_feature_set(
+        Path(dir_path) / "embeddings.arft", "index", {}, meta["source_checkpoint_id"]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -511,72 +530,30 @@ def parse_train_config(doc: dict) -> TrainConfig:
 # ---------------------------------------------------------------------------
 # benchmark bundles
 
-def _write_samples(stem: Path, samples: SampleSet) -> None:
-    write_feature_set(
-        stem, "image", samples.ids, samples.features, samples.class_ids, samples.domain_ids
-    )
-
-
-def _read_checked(stem: Path, kind: str, width: int) -> tuple:
-    """read_feature_set, with the matrix width checked against the bundle's gen_config."""
-    *columns, matrix = read_feature_set(stem, kind)
-    if matrix.shape[1] != width:
-        raise WidthMismatchError(
-            f"{_matrix_path(stem)}: {matrix.shape[1]} columns, gen_config says {width}"
-        )
-    return (*columns, matrix)
-
-
-def _read_samples(stem: Path, width: int) -> SampleSet:
-    ids, class_ids, domain_ids, matrix = _read_checked(stem, "image", width)
-    if class_ids is None or domain_ids is None:
-        raise MissingFieldError(f"{stem}: sample records need class_id and domain_id")
-    return SampleSet(ids, matrix, class_ids, domain_ids)
-
-
-def _write_pairs(dir_path: Path, stem: str, pairs: PairSet) -> None:
-    for side, matrix in (("image", pairs.images), ("text", pairs.texts)):
-        write_feature_set(dir_path / f"{stem}.{side}", f"pair_{side}", pairs.ids, matrix)
-
-
-def _read_pairs(dir_path: Path, stem: str, config: GenConfig) -> PairSet:
-    image, text = dir_path / f"{stem}.image", dir_path / f"{stem}.text"
-    ids, _, _, images = _read_checked(image, "pair_image", config.d_img_raw)
-    text_ids, _, _, texts = _read_checked(text, "pair_text", config.d_txt_raw)
-    if not np.array_equal(ids, text_ids):
-        raise CodecError(f"{dir_path}/{stem}: image and text column files disagree on ids")
-    return PairSet(ids, images, texts)
-
 
 def _bundle_files(config: GenConfig) -> list[str]:
     """The name of every file write_bundle writes for a bundle of this config."""
     stems = [
-        "pretrain.image", "pretrain.text", "candidates.image", "candidates.text", "finetune",
-        "captions", "prompts_id", "prompts_zsl", "test_id",
+        "pretrain", "candidates", "finetune", "captions", "prompts_id", "prompts_zsl", "test_id",
         *(f"test_ds{domain}" for domain in range(1, config.n_domains)), "test_zsl",
     ]
-    return ["gen_config.json", *(s + ext for s in stems for ext in (".arfc", ".arfm"))]
+    return ["gen_config.json", *(stem + ".arft" for stem in stems)]
 
 
 def write_bundle(dir_path, bundle: BenchmarkBundle) -> None:
     """One directory holding every artifact generate_benchmark produced, renamed into place."""
     with _atomic_dir(dir_path, "gen_config.json") as tmp:
         write_json(tmp / "gen_config.json", bundle.gen_config.to_dict())
-        _write_pairs(tmp, "pretrain", bundle.pretrain_pool)
-        _write_pairs(tmp, "candidates", bundle.candidates)
-        _write_samples(tmp / "finetune", bundle.finetune)
-        captions = bundle.captions
-        write_feature_set(tmp / "captions", "caption", captions.ids, captions.features)
-        for name in ("prompts_id", "prompts_zsl"):
-            prompts = getattr(bundle, name)
-            write_feature_set(
-                tmp / name, "prompt", prompts.class_ids, prompts.prompt_features,
-                prompts.class_ids,
-            )
-        _write_samples(tmp / "test_id", bundle.id_test)
+        write_feature_set(tmp / "pretrain.arft", "pairs", bundle.pretrain_pool)
+        write_feature_set(tmp / "candidates.arft", "pairs", bundle.candidates)
+        write_feature_set(tmp / "finetune.arft", "samples", bundle.finetune)
+        write_feature_set(tmp / "captions.arft", "captions", bundle.captions)
+        write_feature_set(tmp / "prompts_id.arft", "prompts", bundle.prompts_id)
+        write_feature_set(tmp / "prompts_zsl.arft", "prompts", bundle.prompts_zsl)
+        write_feature_set(tmp / "test_id.arft", "samples", bundle.id_test)
         for domain in sorted(bundle.ds_tests):
-            _write_samples(tmp / f"test_ds{domain}", bundle.ds_tests[domain])
-        _write_samples(tmp / "test_zsl", bundle.zsl_test)
+            write_feature_set(tmp / f"test_ds{domain}.arft", "samples", bundle.ds_tests[domain])
+        write_feature_set(tmp / "test_zsl.arft", "samples", bundle.zsl_test)
 
 
 class BundleReader:
@@ -585,11 +562,11 @@ class BundleReader:
     Opening one parses gen_config.json strictly and checks that every file
     write_bundle writes is present, so a missing file raises
     FileNotFoundError naming it before any work starts. Every other
-    BenchmarkBundle field is an attribute read and checked on first access
-    and cached after: kinds, integer ids and tags, widths against
-    gen_config (a matrix not d_img_raw or d_txt_raw wide raises
-    WidthMismatchError), image/text id agreement and the set's own checks.
-    Features come back through the 32-bit store.
+    BenchmarkBundle field is an attribute read from its table file on first
+    access and cached after, with every check of read_feature_set: matrix
+    widths are those gen_config gives (d_img_raw for images, d_txt_raw for
+    captions, prompts and texts). Features come back through the 32-bit
+    store.
     """
 
     def __init__(self, dir_path):
@@ -601,49 +578,50 @@ class BundleReader:
                     errno.ENOENT, os.strerror(errno.ENOENT), str(self.path / name)
                 )
 
+    def _read(self, stem: str, kind: str):
+        image, text = self.gen_config.d_img_raw, self.gen_config.d_txt_raw
+        widths = {"features": text if kind == "captions" else image, "images": image,
+                  "texts": text, "prompt_features": text}
+        return read_feature_set(self.path / f"{stem}.arft", kind, widths)
+
     @cached_property
     def pretrain_pool(self) -> PairSet:
-        return _read_pairs(self.path, "pretrain", self.gen_config)
+        return self._read("pretrain", "pairs")
 
     @cached_property
     def finetune(self) -> SampleSet:
-        return _read_samples(self.path / "finetune", self.gen_config.d_img_raw)
+        return self._read("finetune", "samples")
 
     @cached_property
     def captions(self) -> CaptionSet:
-        return self._prompts_or_captions("captions", "caption", CaptionSet)
+        return self._read("captions", "captions")
 
     @cached_property
     def prompts_id(self) -> PromptTable:
-        return self._prompts_or_captions("prompts_id", "prompt", PromptTable)
+        return self._read("prompts_id", "prompts")
 
     @cached_property
     def prompts_zsl(self) -> PromptTable:
-        return self._prompts_or_captions("prompts_zsl", "prompt", PromptTable)
+        return self._read("prompts_zsl", "prompts")
 
     @cached_property
     def candidates(self) -> PairSet:
-        return _read_pairs(self.path, "candidates", self.gen_config)
+        return self._read("candidates", "pairs")
 
     @cached_property
     def id_test(self) -> SampleSet:
-        return _read_samples(self.path / "test_id", self.gen_config.d_img_raw)
+        return self._read("test_id", "samples")
 
     @cached_property
     def ds_tests(self) -> dict[int, SampleSet]:
         return {
-            domain: _read_samples(self.path / f"test_ds{domain}", self.gen_config.d_img_raw)
+            domain: self._read(f"test_ds{domain}", "samples")
             for domain in range(1, self.gen_config.n_domains)
         }
 
     @cached_property
     def zsl_test(self) -> SampleSet:
-        return _read_samples(self.path / "test_zsl", self.gen_config.d_img_raw)
-
-    def _prompts_or_captions(self, stem: str, kind: str, cls):
-        """A set of a key column and one matrix: captions or prompts."""
-        ids, _, _, matrix = _read_checked(self.path / stem, kind, self.gen_config.d_txt_raw)
-        return cls(ids, matrix)
+        return self._read("test_zsl", "samples")
 
 
 def load_bundle(dir_path) -> BenchmarkBundle:

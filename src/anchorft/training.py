@@ -247,7 +247,7 @@ def _pair_term(
     for side, grad in enumerate((df, dg)):
         if grad.base is not de:  # returned in an array of its own, not written into de
             de[..., side, :, :] = grad
-    rows = encoder_backward_batch(params, MODALITIES, cache, de).reshape(len(weights), -1)
+    rows = encoder_backward_batch(params, cache, de).reshape(len(weights), -1)
     if tau_trainable:
         rows[:, -1] = dlog_tau
     grads = []

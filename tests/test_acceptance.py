@@ -24,6 +24,7 @@ from anchorft.anchors import (
     PairSet,
     PromptTable,
     RETRIEVAL_MODES,
+    SampleSet,
     build_candidate_index,
     retrieve,
 )
@@ -89,36 +90,22 @@ SMALL_TRAIN = dict(batch_size=4, epochs=2, hidden=8, embed_dim=4, seed=0)
 # sha256 of every file the SMALL_GEN/SMALL_TRAIN pipeline writes. A change
 # that alters artifact bytes on purpose updates these and says so.
 GOLDEN_SMALL_PIPELINE = {
-    "bench/candidates.image.arfc": "eb517ab5d32a0d89fd988e8770cc0cdd2be2532b47a7f50fdf0aaeb42a2543cc",
-    "bench/candidates.image.arfm": "9377ad9b123d8788e4d2715207494d5ce7d73feb97f82b221ced15c5324e8050",
-    "bench/candidates.text.arfc": "76aceb43adb40a9781ebf3827e88a652f11a5c9aa54d0d5332db380666a24262",
-    "bench/candidates.text.arfm": "81aba3ff2caf365da8abf75a440f7ce09c583e2a4f5511a2bd9fb0def97e7dd6",
-    "bench/captions.arfc": "90be6f72eca0c7372b7256bc25008d7bf9abd858735577ca502b3195449f38d8",
-    "bench/captions.arfm": "a58038ffe896784e091ee0dfa5f0d0945b6003015d2cc8c303ac7e5f4206d429",
-    "bench/finetune.arfc": "ec3ba460d1921dae7e77cabde05951bbcb53d91ca40e40fc5050b02cbf05d686",
-    "bench/finetune.arfm": "6ba54e7d727408e7dd4a56e0e6ee32cf3df4042d34559e5b64b3692334880bfe",
+    "bench/candidates.arft": "45a8d94e1927cf068d477cdc0babba38742a3afbde7b44020fcf6772e130478d",
+    "bench/captions.arft": "02408f7036549ea527564f0ce148139121f3ec9020ce1136b3a3c4cf424e801d",
+    "bench/finetune.arft": "72aa8b20bb3a4639acdbdb110fa5b3a5c9311febf560696b8b9bd8615c2f48f7",
     "bench/gen_config.json": "1c1a47c525c4b5248833ba02749512144a6b917b8eba34113adf9ab333a6e46e",
-    "bench/pretrain.image.arfc": "7ba8c61c19513b80d61f363adadb5eb0ba8a50e41b1d1749bdf1ddb46d7acb3b",
-    "bench/pretrain.image.arfm": "0f24128acccdfe117897e36ce89e27a97b1885fda1801b06e40713bbd8381eb1",
-    "bench/pretrain.text.arfc": "bd62752cec0170267d548529392a0b53813634575e78d8ac90969931e2d99ed4",
-    "bench/pretrain.text.arfm": "f71b68fc391259224e257fd5831e6c51228a8a80245db32a43787fc0e81412cb",
-    "bench/prompts_id.arfc": "e66993e6166c727b299f5c2b23dfee7c8ce1ccdaad87335ebe9ffcd76f338ea2",
-    "bench/prompts_id.arfm": "8c70cca24b7ce23426841e7baea8ce3626e46e97a9ce53b631a123ea2d504925",
-    "bench/prompts_zsl.arfc": "0a615e797f5bac7599870ff0175a9693b879a9e310dc8fa3e4c396fe02387318",
-    "bench/prompts_zsl.arfm": "7ed96131339f9a02e18de814c47aca54396682cb015cdf6a7c29a86dc7557a53",
-    "bench/test_ds1.arfc": "7b9ccdd1ed40b67876c576a4e8ea98c5d0faa6d80de2e3be44b2f9b7ec484805",
-    "bench/test_ds1.arfm": "154ec65e2195cc15b18f3f8c2f9e56ede7f6432e394476fc0fb531b4f05ad3b8",
-    "bench/test_id.arfc": "4a7682f12779515989c35322afe884ac5b44cd9fdd76bcfb4b5b41108d16372e",
-    "bench/test_id.arfm": "1b01d9462ffc5d662fa7d375d7f269ae9772c289bd2144690277654b3c4b1aa2",
-    "bench/test_zsl.arfc": "e95104abab4e4bed491d5d4b968a2022be20a8cfb063ace8f48e8e99842561e4",
-    "bench/test_zsl.arfm": "a51a7758666d44bb986b8dd79d37a6df674a0c458677df9e6856bbd26c147927",
+    "bench/pretrain.arft": "5879ce968f4f3840f66003bc20d7f90bc58330fc800d6652dc0ebc5e51a9de78",
+    "bench/prompts_id.arft": "0d6363c39fc798c965ffad05cccb289c3f80dea28d77ea2923b4fc9bac883afc",
+    "bench/prompts_zsl.arft": "120f516ba53523dbd1ad1a3476d7160ed560a173e405901a07ea7564b5ed4d71",
+    "bench/test_ds1.arft": "ac2c7f5dba14ee7751430c96e2b42ab9943658433d6c5b6195b83f23a5f575d9",
+    "bench/test_id.arft": "2333408b7e493e475a36061f03e30a3020e23cdda4801a5d4d420b6f7615789c",
+    "bench/test_zsl.arft": "d3613e85340b30f823da67898f93d9104dfebb7edde6faae6935a184fab5171f",
     "curve.csv": "8a84e27c7b448389583bfd89eb838e91e7629e88c777f79c8e1154489439097d",
     "ft.json": "2be2d61aa96be95b7a88e2a2556c8efd2d30e5c764aacb0082a88644e1a46977",
     "ft.log.jsonl": "caff07f57b7f8640e35258b3169df80f2c516070f351d08c7afa036db31c4e0d",
     "gen.json": "e23b4302d28950e71de4ffee6857d21a27e64f5e126d435e0906c9d6c529aa55",
-    "index/image_embeddings.arfi": "01984c2bd733451bc9cf81cb45d78568ea2cfa9d70686bba96c78d81096086a8",
-    "index/meta.json": "4cc40d47d491081cb9f1a980e1a56c9a729cd94a5d1b2eab5c13cb2f3ef0cbcc",
-    "index/text_embeddings.arfi": "dff56df08e8067f06dfe83fc9a5622f44cf25ef85f93f640d81483ad5e1b5375",
+    "index/embeddings.arft": "bf67a356aeacf09f8067428f95f33dfa286634a2ff8dc920890afe8286314104",
+    "index/meta.json": "ee640f19142e073fe8e5ff7ec978f0d90f0f6d28e047974084ff9954cfb9467e",
     "metrics.json": "cf602347fc48ec02f2f038bdd332a9eee784f510ef0ad9df819ae27e2ea7d9b7",
     "pre.json": "1ba21b2797009c978204819ae85ae453bc7eee1d94ac9390fd3860eb141a5f34",
     "pre.log.jsonl": "31c6499b4f569d9a083a74effdc9536487cb0f60daa4385ff98aebea306a24c6",
@@ -130,31 +117,17 @@ GOLDEN_SEED0_ANCHORED_ID = "8aeba7979a620c46c74fcd04066302e6d41909f3ebe902b89fa1
 # The seed-0 default bundle: every file write_bundle writes, plus "float64"
 # over the in-memory columns (see _bundle_digests).
 GOLDEN_SEED0_BUNDLE = {
-    "candidates.image.arfc": "1309c91db5795ba556d831cd17d00c55cfc71f4d38ace7a49ca981eddee3c8f5",
-    "candidates.image.arfm": "61edf8bebded13acc602e36142eecfed55a236cefb99d4eee2455c7e11ef668b",
-    "candidates.text.arfc": "4cc872c98a82748266adf25ca571e4137440effd1ae0d17740b0079b40a8fc02",
-    "candidates.text.arfm": "d6f52ceb7e1b8e2a6eb230d5d33807c8ec5b2d4a2db2648008b608bbf94ea758",
-    "captions.arfc": "fd30d7e71a65c2ae1bace795e07df2de7cbf58c49fdc94e94a7fea68c4c31219",
-    "captions.arfm": "ea738a678bdaf5e0b70212f19e9abe265e24c95059e0ed3f6633115510ee56d8",
-    "finetune.arfc": "07ab0f4a17c0ba803d59285b509c6f54b4fef6d8b30096ca86e238113d3aaccc",
-    "finetune.arfm": "132682e74ae84bb77abd1c99071cc0bc66c0c47946d70c878506de74f145ba47",
+    "candidates.arft": "330fbfaee7148b80745fcfe7b7e6bf307dc31acee256e07d1c6fe4579608ca6b",
+    "captions.arft": "3754530676a0f5029eed597de7dd38df785be1d082530f51959d850158d95556",
+    "finetune.arft": "a9b3366d9ae39bb954c8b433a8493c4f35d470b90401636dfffdb74d39907cc4",
     "gen_config.json": "6544f6bb1610fe213d9e5c50dfb6b1c1dd98b3f383afb528351d85dbb2e32f38",
-    "pretrain.image.arfc": "efeeba8171a56f998a51b6a63d4fe795028097b613e5b52c7996e7480697d1ef",
-    "pretrain.image.arfm": "644be1a235136442ed2d0e428888ecaaeee8c2111a0cfe8b4509552224899603",
-    "pretrain.text.arfc": "00e357d42b436ea3607cc8ec0f0abc40dfecb3a429cfe506cfbdb674a4e98dc0",
-    "pretrain.text.arfm": "87a254becd885b59a6d827de3d24ced1e275d8cb2f8d5ba5ef2f7bcd8b5f2f47",
-    "prompts_id.arfc": "20a625dec313b3bbb462ed23066c86cb33106619a8c8e86adeaa7a20e0f2f87f",
-    "prompts_id.arfm": "e84a02699d1c643818274953ef0cc25d298d4e5dd49ca5bd2661677a02d8e571",
-    "prompts_zsl.arfc": "7b6e3ac0f251cd059ece4cfc437fb96c3587ceddddbbf412c3208f321332693b",
-    "prompts_zsl.arfm": "2aab1e2d962d047ceac6fe5975197ad5699ebb310c95bf4d8fb1fcabd575e2d0",
-    "test_ds1.arfc": "020292d126e6ccd47c73eefa5a370dfca8edb3c264df32eb230f5ddbeafe4b61",
-    "test_ds1.arfm": "4db02d17a8c0b6ba3becfa80a263fbbe378146dee6d9fc113d62bb3463160272",
-    "test_ds2.arfc": "3cc9ea4af50b81dfa04b6a94fcff493161896a16f155bf174fd01601f78c8e15",
-    "test_ds2.arfm": "572836c343d2828a4d810ddcd300335a2d41ad1da64edfa4f422fb5b9ae588fa",
-    "test_id.arfc": "fa6fa80fd32ac937c50c05f0c0e5f680e717cfdd386ebe90e3118d819d83b8db",
-    "test_id.arfm": "6f5a16430c4edea180a09285d8faa8da386b9cca4c825e682057700e6691af88",
-    "test_zsl.arfc": "ee17607544be9c60ba5a5b758469ec672dadc3dc48bdde835b3abc020eeab8aa",
-    "test_zsl.arfm": "fea0128e7e8d5b6c4abf9a46065230a165241ebfb71ea408b249914f0d894517",
+    "pretrain.arft": "8f893ada69fedce8ae568fdb0e0e4bc9d6267f667594a6ef73f7c65f07b7ba55",
+    "prompts_id.arft": "b08d925ae74e9314b6f9991ce6394474cfd8590c40b00fbe2486d63cfd73845c",
+    "prompts_zsl.arft": "2a130ba3885cadc036ce096386a2cfeafba2c84091546a9a90459e68ae3925aa",
+    "test_ds1.arft": "581400c509c7bfcfa557e18860668cef789d32cb0b1baf4fa5e98db752ff0796",
+    "test_ds2.arft": "0c9aeba9b38cb328518e40bfdf9f4bb50dcafabb72ac1cea402c2a6ee666420a",
+    "test_id.arft": "a6c68195c389107cd1a8a22ddcc94755e2c849dce50f898f2b6ddc1ba6f08e33",
+    "test_zsl.arft": "1c5cd47370d66bb998b293aece67b9afa09c70fd0029e850371151cdaacf32bd",
     "float64": "714c91e8931f67d9392f35beebd49b091d9cdd5e0443e43ed00da8ce5075d7e0",
 }
 # Step variants finetuned from the SMALL_GEN/SMALL_TRAIN pretrained
@@ -219,11 +192,11 @@ GOLDEN_SMALL_VARIANTS = {
 # _bundle_digests dict, its "float64" entry).
 GOLDEN_SMALL_BUNDLES = {
     0: (
-        "943d615717ffada922a9932d7d6783bc65755bf52b70ee2f14539d58ccad382d",
+        "7323622ba1191342d53b3f3b3e8559b450f310755a177a2b1f3a0783e5eab9e4",
         "f6a12eb31f24bfcc6be99639433b08d752596cd4189cbd7c0dd04522ef414828",
     ),
     3: (
-        "62d72b983fa5a0fbb95c35f021f9a827beeb5f3afbf32c2ac0306ca781674bf7",
+        "b9d59182e48dca73d6ed2a2d905137697033bdd8c8b0a4665fab43c99cd4903a",
         "67d7f632745ef417c618648d8d8472410a86e41e7d40a7f600bab9e2ed857381",
     ),
 }
@@ -666,18 +639,20 @@ def test_classification_invariant_under_positive_score_scaling():
 def test_codecs_round_trip_and_reject_corruption(tmp_path):
     stream = RandomStream(derive_seed(910, 0))
     rows = np.arange(6)
-    columns = (50 + rows, rows % 3, rows % 2)
-    matrix = stream.normal_matrix(6, 5)
-    write_feature_set(tmp_path / "fs", "image", columns[0], matrix, *columns[1:])
-    *loaded, loaded_matrix = read_feature_set(tmp_path / "fs", "image")
-    stored = matrix.astype(np.float32).astype(np.float64)
-    assert loaded_matrix.tobytes() == stored.tobytes()
-    assert all(np.array_equal(got, want) for got, want in zip(loaded, columns))
+    samples = SampleSet(50 + rows, stream.normal_matrix(6, 5), rows % 3, rows % 2)
+    write_feature_set(tmp_path / "t.arft", "samples", samples)
+    loaded = read_feature_set(tmp_path / "t.arft", "samples", {"features": 5})
+    stored = samples.features.astype(np.float32).astype(np.float64)
+    assert loaded.features.tobytes() == stored.tobytes()
+    assert all(
+        np.array_equal(getattr(loaded, name), getattr(samples, name))
+        for name in ("ids", "class_ids", "domain_ids")
+    )
 
-    payload = (tmp_path / "fs.arfm").read_bytes()
-    (tmp_path / "fs.arfm").write_bytes(b"XXXX" + payload[4:])
+    payload = (tmp_path / "t.arft").read_bytes()
+    (tmp_path / "t.arft").write_bytes(b"XXXX" + payload[4:])
     with pytest.raises(BadMagicError):
-        read_feature_set(tmp_path / "fs", "image")
+        read_feature_set(tmp_path / "t.arft", "samples", {"features": 5})
 
     params = init_params(3, (6, 7), 8, 4)
     ckpt = make_checkpoint(params, TrainConfig(**SMALL_TRAIN), "pretrained")

@@ -201,8 +201,8 @@ class TestPerStageReads:
         return shutil.copytree(pipeline / "bench", tmp_path / "bench")
 
     def test_only_pretrain_reads_the_pretraining_pool(self, pipeline, bench, tmp_path, capsys):
-        columns = bench / "pretrain.image.arfc"
-        flip_first_byte(columns)
+        table = bench / "pretrain.arft"
+        flip_first_byte(table)
         out = tmp_path / "out"
         out.mkdir()
         argvs = stage_argvs(pipeline, bench, out)
@@ -214,7 +214,7 @@ class TestPerStageReads:
             assert (out / name).read_bytes() == (pipeline / name).read_bytes(), name
         capsys.readouterr()
         assert main(argvs["pretrain"]) == 1
-        assert f"{columns}: magic" in capsys.readouterr().err
+        assert f"{table}: magic" in capsys.readouterr().err
         with pytest.raises(CodecError):
             load_bundle(bench)
 
@@ -228,7 +228,7 @@ class TestPerStageReads:
                      "ensemble_sweep"):
             monkeypatch.setattr(cli, name, no_step)
         names = sorted(p.name for p in bench.iterdir())
-        assert len(names) == 23
+        assert len(names) == 10
         for name in names:
             partial = shutil.copytree(bench, tmp_path / "partial")
             (partial / name).unlink()
@@ -239,37 +239,36 @@ class TestPerStageReads:
             shutil.rmtree(partial)
 
     def test_eval_id_split_reads_only_its_files(self, pipeline, bench, capsys):
-        flip_first_byte(bench / "test_zsl.arfc")
+        flip_first_byte(bench / "test_zsl.arft")
         argv = ["eval", "--checkpoint", str(pipeline / "ft.json"), "--bundle", str(bench)]
         assert main(argv + ["--splits", "id"]) == 0
         assert capsys.readouterr().out.startswith("id:")
         assert main(argv) == 1
-        assert f"{bench / 'test_zsl.arfc'}: magic" in capsys.readouterr().err
+        assert f"{bench / 'test_zsl.arft'}: magic" in capsys.readouterr().err
 
     def test_cl_baseline_does_not_read_the_candidate_pool(self, pipeline, bench, tmp_path, capsys):
-        flip_first_byte(bench / "candidates.image.arfc")
+        flip_first_byte(bench / "candidates.arft")
         argv = stage_argvs(pipeline, bench, tmp_path)["train"]
         assert main(argv + ["--losses", "cl"]) == 0
         capsys.readouterr()
         assert main(argv) == 1
-        assert f"{bench / 'candidates.image.arfc'}: magic" in capsys.readouterr().err
+        assert f"{bench / 'candidates.arft'}: magic" in capsys.readouterr().err
 
     @settings(max_examples=100, deadline=None)
     @given(
         stem=st.sampled_from(["test_id", "test_ds1", "test_zsl", "prompts_id", "prompts_zsl",
-                              "candidates.image", "candidates.text"]),
-        suffix=st.sampled_from([".arfc", ".arfm"]),
+                              "candidates"]),
         edit=st.sampled_from(["flip", "delete", "insert"]),
         byte=st.integers(1, 255),
         data=st.data(),
     )
     def test_one_byte_edit_of_a_bundle_file_exits_zero_or_one(
-        self, pipeline, tmp_path_factory, stem, suffix, edit, byte, data
+        self, pipeline, tmp_path_factory, stem, edit, byte, data
     ):
         # eval reads every test split and prompt table, precompute the candidates.
         root = tmp_path_factory.mktemp("edit")
         bench = shutil.copytree(pipeline / "bench", root / "bench")
-        edited_copy(bench / (stem + suffix), bench, edit, byte, data)
+        edited_copy(bench / (stem + ".arft"), bench, edit, byte, data)
         stage = "precompute" if stem.startswith("candidates") else "eval"
         argv = stage_argvs(pipeline, bench, root)[stage]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -279,16 +278,27 @@ class TestPerStageReads:
 class TestCheckpointAndIndexInputs:
     def test_non_finite_index_embedding_exits_one(self, pipeline, tmp_path, capsys):
         index = shutil.copytree(pipeline / "index", tmp_path / "index")
-        path = index / "text_embeddings.arfi"
+        path = index / "embeddings.arft"
         raw = bytearray(path.read_bytes())
-        struct.pack_into("<d", raw, 4 + 12, float("nan"))
+        size = struct.unpack_from("<I", raw, 8)[0]
+        rows = json.loads(raw[12 : 12 + size])["rows"]
+        struct.pack_into("<d", raw, 12 + size + 8 * rows, float("nan"))  # past the ids
         path.write_bytes(bytes(raw))
         argv = stage_argvs(pipeline, pipeline / "bench", tmp_path)["train"]
         argv[argv.index("--index") + 1] = str(index)
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: {path}: embeddings contain non-finite entries"
-        )
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "non-finite entries" in err
+        assert not (tmp_path / "ft.json").exists()
+
+    def test_version_1_index_exits_one(self, pipeline, tmp_path, capsys):
+        index = shutil.copytree(pipeline / "index", tmp_path / "index")
+        meta = json.loads((index / "meta.json").read_text())
+        (index / "meta.json").write_text(json.dumps({**meta, "version": 1}))
+        argv = stage_argvs(pipeline, pipeline / "bench", tmp_path)["train"]
+        argv[argv.index("--index") + 1] = str(index)
+        assert main(argv) == 1
+        assert "version 1, supported 2" in capsys.readouterr().err
         assert not (tmp_path / "ft.json").exists()
 
     @pytest.mark.parametrize("at", [-1, 0], ids=["log-tau", "leaf"])

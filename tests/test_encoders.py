@@ -240,7 +240,7 @@ class TestPairBackward:
         e, cache = encode_batch(p, MODALITIES, (images, texts[0] if terms is None else texts))
         de = np.array(RandomStream(13).normals(e.size)).reshape(e.shape)
         de[..., 0, :2, :] = 0.0  # a zero row of an embedding gradient keeps its zeros
-        rows = encoder_backward_batch(p, MODALITIES, cache, de).reshape(terms or 1, -1)
+        rows = encoder_backward_batch(p, cache, de).reshape(terms or 1, -1)
         f, cache_f = encode_batch(p, "image", images)
         for row, term_texts, term_de in zip(rows, texts, de.reshape(-1, *e.shape[-3:])):
             g, cache_g = encode_batch(p, "text", term_texts)
@@ -252,18 +252,11 @@ class TestPairBackward:
             ).tobytes()
             assert row[-1:].tobytes() == np.zeros(1).tobytes()
 
-    @pytest.mark.parametrize("modality", ["image", "text", "audio"])
-    def test_a_single_tower_is_rejected(self, modality):
-        p = tiny_params()
-        _, cache = encode_batch(p, MODALITIES, (np.ones((2, 5)), np.ones((2, 6))))
-        with pytest.raises(ValueError, match="runs both towers"):
-            encoder_backward_batch(p, modality, cache, np.zeros((2, 2, 4)))
-
     def test_gradient_shape_must_match_the_embeddings(self):
         p = tiny_params()
         _, cache = encode_batch(p, MODALITIES, (np.ones((2, 5)), np.ones((2, 6))))
         with pytest.raises(ValueError, match="must match the cached embeddings"):
-            encoder_backward_batch(p, MODALITIES, cache, np.zeros((2, 3, 4)))
+            encoder_backward_batch(p, cache, np.zeros((2, 3, 4)))
 
 
 class TestParamFingerprint:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorft import fileio
-from anchorft.anchors import build_candidate_index
+from anchorft.anchors import SampleSet, build_candidate_index
 from anchorft.benchgen import GenConfig, generate_benchmark
 from anchorft.encoders import EncoderParams, init_params
 from anchorft.evaluation import ensemble_sweep
@@ -20,7 +20,6 @@ from anchorft.fileio import (
     BadMagicError,
     BundleReader,
     CodecError,
-    EMBEDDING_MAGIC,
     FieldTypeError,
     HashMismatchError,
     MissingFieldError,
@@ -68,23 +67,20 @@ def small_bundle(seed=0):
     return generate_benchmark(cfg)
 
 
-def sample_feature_set(n=10, d=4, seed=0):
-    """(ids, class_ids, domain_ids, matrix) columns of an "image" feature set."""
+def small_index():
+    return build_candidate_index(init_params(0, (6, 7), 8, 4), small_bundle().candidates)
+
+
+def sample_set(n=10, d=4, seed=0):
     rng = np.random.default_rng(seed)
     rows = np.arange(n)
-    return 100 + rows, rows % 3, rows % 2, rng.normal(size=(n, d))
+    return SampleSet(100 + rows, rng.normal(size=(n, d)), rows % 3, rows % 2)
 
 
-def write_sample_feature_set(stem, n=10, d=4):
-    ids, class_ids, domain_ids, matrix = sample_feature_set(n, d)
-    write_feature_set(stem, "image", ids, matrix, class_ids, domain_ids)
-    return ids, class_ids, domain_ids, matrix
-
-
-def edit_one_byte(path, edit, byte, data):
-    """Flip (xor with byte), delete or insert byte at a drawn offset of the file."""
+def edit_one_byte(path, edit, byte, data, start=0):
+    """Flip (xor with byte), delete or insert byte at a drawn offset of the file from start."""
     raw = bytearray(path.read_bytes())
-    at = data.draw(st.integers(0, len(raw) - (edit != "insert")), label="at")
+    at = data.draw(st.integers(start, len(raw) - (edit != "insert")), label="at")
     if edit == "flip":
         raw[at] ^= byte
     elif edit == "delete":
@@ -99,96 +95,112 @@ ONE_BYTE_EDITS = dict(
 )
 
 
-def column_file(stem):
-    return stem.parent / (stem.name + ".arfc")
+def pack_table(header, body: bytes, version=1, magic=b"ARFT") -> bytes:
+    """Table-file bytes as the format lays them out, packed independently of the codec.
 
-
-def encode_columns(header, columns):
-    """Column-file bytes as the format lays them out, written independently of the codec.
-
-    Magic ARFC, u32 LE version 1, rows and header length, the compact JSON
-    header, then each column (all of one length) as LE int64.
+    The magic, u32 LE version and header length, the header (a dict as
+    compact JSON, or raw bytes), then the column blocks.
     """
-    text = json.dumps(header, separators=(",", ":")).encode()
-    rows = len(next(iter(columns.values())))
-    body = b"".join(np.asarray(c, dtype="<i8").tobytes() for c in columns.values())
-    return b"ARFC" + struct.pack("<III", 1, rows, len(text)) + text + body
+    text = header if isinstance(header, bytes) else json.dumps(header, separators=(",", ":"))
+    text = text if isinstance(text, bytes) else text.encode()
+    return struct.pack("<4sII", magic, version, len(text)) + text + body
 
 
-def decode_columns(stem):
-    """(kind, {name: column}) of a well-formed column file, parsed here without the codec."""
-    raw = column_file(stem).read_bytes()
-    _, rows, size = struct.unpack_from("<III", raw, 4)
-    header = json.loads(raw[16 : 16 + size])
-    block = np.frombuffer(raw[16 + size :], dtype="<i8").reshape(-1, rows)
-    return header["kind"], dict(zip(header["columns"], block.copy()))
+def encode_table(kind, columns) -> bytes:
+    """pack_table of (name, dtype, array) columns: each one LE block, a matrix row-major."""
+    arrays = [np.asarray(array, dtype) for _, dtype, array in columns]
+    spec = [[name, dtype, a.shape[1] if a.ndim == 2 else 1]
+            for (name, dtype, _), a in zip(columns, arrays)]
+    header = {"kind": kind, "rows": len(arrays[0]), "columns": spec}
+    return pack_table(header, b"".join(a.tobytes() for a in arrays))
 
 
-def rewrite_columns(stem, kind=None, row=0, **values):
-    """Rewrite a column file with another kind and/or new values at one row."""
-    old_kind, columns = decode_columns(stem)
-    for name, value in values.items():
-        columns[name][row] = value
-    header = {"kind": old_kind if kind is None else kind, "columns": list(columns)}
-    column_file(stem).write_bytes(encode_columns(header, columns))
+def decode_table(path):
+    """(header, body) of a well-formed table file, split here without the codec."""
+    raw = Path(path).read_bytes()
+    size = struct.unpack_from("<I", raw, 8)[0]
+    return json.loads(raw[12 : 12 + size]), raw[12 + size :]
 
 
-class TestMatrixCodec:
-    def test_round_trip_is_float32_exact(self, tmp_path):
-        path = tmp_path / "m.arfm"
-        matrix = np.random.default_rng(0).normal(size=(5, 3))
-        write_matrix(path, matrix)
-        back = read_matrix(path)
-        assert back.dtype == np.float64
-        assert np.array_equal(back, matrix.astype(np.float32).astype(np.float64))
+def table_columns(path):
+    """[(name, dtype, column)] of a well-formed table file, decoded without the codec."""
+    header, body = decode_table(path)
+    columns, at = [], 0
+    for name, dtype, width in header["columns"]:
+        block = np.frombuffer(body, dtype, header["rows"] * width, at).copy()
+        at += block.nbytes
+        columns.append((name, dtype, block if dtype == "<i8" else block.reshape(-1, width)))
+    return columns
 
-    def test_embedding_variant_is_lossless(self, tmp_path):
-        path = tmp_path / "m.arfi"
-        matrix = np.random.default_rng(1).normal(size=(4, 6))
-        write_matrix(path, matrix, EMBEDDING_MAGIC)
-        assert read_matrix(path, EMBEDDING_MAGIC).tobytes() == matrix.tobytes()
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "m.arfm"
-        write_matrix(path, np.zeros((2, 2)))
-        raw = bytearray(path.read_bytes())
-        raw[:4] = b"NOPE"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(BadMagicError):
-            read_matrix(path)
+def rewrite_table(path, kind=None, **replace):
+    """Rewrite a table file with another kind and/or new values of some columns."""
+    header, _ = decode_table(path)
+    columns = [(n, d, replace.get(n, c)) for n, d, c in table_columns(path)]
+    Path(path).write_bytes(encode_table(kind or header["kind"], columns))
 
-    def test_unsupported_version(self, tmp_path):
-        path = tmp_path / "m.arfm"
-        write_matrix(path, np.zeros((2, 2)))
-        raw = bytearray(path.read_bytes())
-        raw[4:8] = struct.pack("<I", 9)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(VersionUnsupportedError):
-            read_matrix(path)
 
-    def test_header_row_tamper(self, tmp_path):
-        path = tmp_path / "m.arfm"
-        write_matrix(path, np.zeros((10, 3)))
-        raw = bytearray(path.read_bytes())
-        raw[8:12] = struct.pack("<I", 9)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(RowCountMismatchError):
-            read_matrix(path)
+def sample_columns(samples, float_dtype="<f4"):
+    return [("ids", "<i8", samples.ids), ("features", float_dtype, samples.features),
+            ("class_ids", "<i8", samples.class_ids), ("domain_ids", "<i8", samples.domain_ids)]
 
-    def test_truncated_header(self, tmp_path):
-        path = tmp_path / "m.arfm"
-        path.write_bytes(b"ARFM\x01")
-        with pytest.raises(CodecError):
-            read_matrix(path)
 
-    def test_empty_matrix(self, tmp_path):
-        path = tmp_path / "m.arfm"
-        write_matrix(path, np.zeros((0, 7)))
-        assert read_matrix(path).shape == (0, 7)
+class TestTableCodec:
+    def test_writer_and_reader_follow_the_hand_packed_layout(self, tmp_path):
+        samples = sample_set(n=3, d=2)
+        body = b"".join([
+            samples.ids.astype("<i8").tobytes(), samples.features.astype("<f4").tobytes(),
+            samples.class_ids.astype("<i8").tobytes(), samples.domain_ids.astype("<i8").tobytes(),
+        ])
+        header = (b'{"kind":"samples","rows":3,"columns":[["ids","<i8",1],["features","<f4",2],'
+                  b'["class_ids","<i8",1],["domain_ids","<i8",1]]}')
+        oracle = b"ARFT" + struct.pack("<II", 1, len(header)) + header + body
+        write_feature_set(tmp_path / "written.arft", "samples", samples)
+        assert (tmp_path / "written.arft").read_bytes() == oracle
+        (tmp_path / "packed.arft").write_bytes(oracle)
+        back = read_feature_set(tmp_path / "packed.arft", "samples", {"features": 2})
+        for name in ("ids", "class_ids", "domain_ids"):
+            assert getattr(back, name).dtype == np.int64
+            assert getattr(back, name).tobytes() == getattr(samples, name).tobytes()
+        stored = samples.features.astype(np.float32).astype(np.float64)
+        assert back.features.tobytes() == stored.tobytes()
+
+    def test_index_embeddings_are_lossless(self, tmp_path):
+        index = small_index()
+        write_feature_set(tmp_path / "e.arft", "index", index)
+        columns = [("candidate_ids", "<i8", index.candidate_ids),
+                   ("image_embeddings", "<f8", index.image_embeddings),
+                   ("text_embeddings", "<f8", index.text_embeddings)]
+        assert (tmp_path / "e.arft").read_bytes() == encode_table("index", columns)
+        back = read_feature_set(tmp_path / "e.arft", "index", {}, "source")
+        for name, _, column in columns:
+            assert getattr(back, name).tobytes() == column.tobytes()
+        assert back.source_checkpoint_id == "source"
+
+    def test_empty_table(self, tmp_path):
+        write_feature_set(tmp_path / "t.arft", "samples", sample_set(n=0, d=7))
+        back = read_feature_set(tmp_path / "t.arft", "samples", {"features": 7})
+        assert back.features.shape == (0, 7) and back.ids.shape == (0,)
+
+    def test_writer_needs_one_length_for_every_column(self, tmp_path):
+        samples = sample_set(n=3)
+        columns = sample_columns(samples)
+        columns[2] = ("class_ids", "<i8", samples.class_ids[:2])
+        with pytest.raises(RowCountMismatchError, match="every column needs 3 rows"):
+            write_matrix(tmp_path / "t.arft", "samples", columns)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["100%", "%d %s %%", 'say "hi"\\', "caf\xe9 \u2028"])
+    def test_kind_with_format_and_escape_characters(self, tmp_path, kind):
+        columns = sample_columns(sample_set(n=2))
+        write_matrix(tmp_path / "t.arft", kind, columns)
+        assert (tmp_path / "t.arft").read_bytes() == encode_table(kind, columns)
+        back = read_matrix(tmp_path / "t.arft", kind, [(n, d, None) for n, d, _ in columns])
+        assert back["ids"].tolist() == columns[0][2].tolist()
 
     def test_no_temp_files_left(self, tmp_path):
-        write_matrix(tmp_path / "m.arfm", np.zeros((2, 2)))
-        assert [p.name for p in tmp_path.iterdir()] == ["m.arfm"]
+        write_feature_set(tmp_path / "t.arft", "samples", sample_set(n=2))
+        assert [p.name for p in tmp_path.iterdir()] == ["t.arft"]
 
     def test_leftover_tmp_directory_does_not_block_writes(self, tmp_path):
         # Temp files get unique names, so a stale "<name>.tmp" is not in the way.
@@ -207,230 +219,185 @@ class TestMatrixCodec:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestFeatureSetCodec:
-    def test_round_trip(self, tmp_path):
-        ids, class_ids, domain_ids, matrix = write_sample_feature_set(tmp_path / "fs")
-        back = read_feature_set(tmp_path / "fs", "image")
-        for got, want in zip(back[:3], (ids, class_ids, domain_ids)):
-            assert got.dtype == np.int64 and np.array_equal(got, want)
-        assert np.array_equal(back[3], matrix.astype(np.float32).astype(np.float64))
+IDS, FEATURES = ["ids", "<i8", 1], ["features", "<f4", 2]
+CLASSES, DOMAINS = ["class_ids", "<i8", 1], ["domain_ids", "<i8", 1]
+SURPRISE = ["surprise", "<i8", 1]
+NOT_AN_OBJECT = "the header must be a JSON object of kind, rows and columns"
+NOT_TRIPLES = "columns must be a JSON list of [name, dtype, width]"
 
-    def test_manifest_key_order(self, tmp_path):
-        # The column file's header is compact JSON with kind first, and the
-        # columns run id, class_id, domain_id.
-        ids, class_ids, domain_ids, _ = write_sample_feature_set(tmp_path / "fs", n=3)
-        raw = (tmp_path / "fs.arfc").read_bytes()
-        header = b'{"kind":"image","columns":["id","class_id","domain_id"]}'
-        assert raw[:16] == b"ARFC" + struct.pack("<III", 1, 3, len(header))
-        assert raw[16 : 16 + len(header)] == header
-        assert raw[16 + len(header) :] == np.concatenate([ids, class_ids, domain_ids]).astype(
-            "<i8"
-        ).tobytes()
 
-    def test_manifest_vs_matrix_rows(self, tmp_path):
-        *_, matrix = write_sample_feature_set(tmp_path / "fs", n=10)
-        write_matrix(tmp_path / "fs.arfm", matrix[:9])
-        with pytest.raises(RowCountMismatchError):
-            read_feature_set(tmp_path / "fs", "image")
+def _header(**changes):
+    """Replace header fields, and with `extra` append that many int64 blocks to the body."""
+    extra = changes.pop("extra", 0)
+    return lambda h, b: pack_table({**h, **changes}, b + bytes(24 * extra))
 
-    def test_writer_needs_a_column_entry_per_matrix_row(self, tmp_path):
-        ids, class_ids, domain_ids, matrix = sample_feature_set(n=3)
-        with pytest.raises(RowCountMismatchError):
-            write_feature_set(tmp_path / "fs", "image", ids, matrix, class_ids[:2], domain_ids)
-        assert list(tmp_path.iterdir()) == []
 
-    def test_unknown_manifest_key(self, tmp_path):
-        ids, class_ids, domain_ids, _ = write_sample_feature_set(tmp_path / "fs", n=2, d=2)
-        columns = {"id": ids, "class_id": class_ids, "domain_id": domain_ids, "surprise": ids}
-        header = {"kind": "image", "columns": list(columns)}
-        (tmp_path / "fs.arfc").write_bytes(encode_columns(header, columns))
-        with pytest.raises(UnknownKeyError, match=re.escape("unknown columns ['surprise']")):
-            read_feature_set(tmp_path / "fs", "image")
+# A 3-row samples table with 2-wide features: its header and 96-byte body,
+# as edited into each corrupt file.
+CORRUPTIONS = {
+    "magic": (lambda h, b: pack_table(h, b, magic=b"ARFX"), BadMagicError,
+              "magic b'ARFX', expected b'ARFT'"),
+    "version": (lambda h, b: pack_table(h, b, version=2), VersionUnsupportedError,
+                "version 2, supported 1"),
+    "fixed-header": (lambda h, b: pack_table(h, b)[:11], CodecError,
+                     "shorter than the fixed header"),
+    "header-past-eof": (lambda h, b: pack_table(h, b)[:40], CodecError,
+                        "the JSON header runs past the end of the file"),
+    "header-json": (lambda h, b: pack_table(b'{"kind":', b), CodecError,
+                    "the header is not valid JSON"),
+    "header-utf8": (lambda h, b: pack_table(b"\xff", b), CodecError,
+                    "the header is not valid JSON"),
+    "header-list": (lambda h, b: pack_table([h], b), CodecError, NOT_AN_OBJECT),
+    "header-extra-key": (_header(extra_key=1), CodecError, NOT_AN_OBJECT),
+    "header-no-rows": (lambda h, b: pack_table({"kind": h["kind"], "columns": h["columns"]}, b),
+                       CodecError, NOT_AN_OBJECT),
+    "kind": (_header(kind="captions"), CodecError, "kind 'captions', expected 'samples'"),
+    "rows-negative": (_header(rows=-1), FieldTypeError, "rows -1 is not a row count"),
+    "rows-bool": (_header(rows=True), FieldTypeError, "rows true is not a row count"),
+    "rows": (_header(rows=4), RowCountMismatchError,
+             "payload holds 96 bytes, the header claims 128 for 4 rows"),
+    "columns-string": (_header(columns="ids"), FieldTypeError, NOT_TRIPLES),
+    "column-pair": (_header(columns=[["ids", "<i8"], FEATURES, CLASSES, DOMAINS]),
+                    FieldTypeError, NOT_TRIPLES),
+    "column-name-number": (_header(columns=[[3, "<i8", 1], FEATURES, CLASSES, DOMAINS]),
+                           FieldTypeError, NOT_TRIPLES),
+    "unknown-column": (_header(columns=[IDS, FEATURES, CLASSES, DOMAINS, SURPRISE], extra=1),
+                       UnknownKeyError, "unknown columns ['surprise']"),
+    "missing-column": (lambda h, b: pack_table({**h, "columns": [IDS, FEATURES, CLASSES]},
+                                               b[:-24]),
+                       MissingFieldError, "missing columns ['domain_ids']"),
+    "repeated-column": (_header(columns=[IDS, FEATURES, CLASSES, DOMAINS, IDS], extra=1),
+                        CodecError, "columns ['ids', 'features', 'class_ids', 'domain_ids', 'ids'] "
+                        "repeat or are out of the order ['ids', 'features', 'class_ids', "
+                        "'domain_ids']"),
+    "out-of-order": (_header(columns=[IDS, FEATURES, DOMAINS, CLASSES]), CodecError,
+                     "columns ['ids', 'features', 'domain_ids', 'class_ids'] repeat or are out"),
+    "dtype": (_header(columns=[IDS, ["features", "<f8", 1], CLASSES, DOMAINS]), FieldTypeError,
+              "column features is <f8, expected <f4"),
+    "id-dtype": (_header(columns=[["ids", "<f8", 1], FEATURES, CLASSES, DOMAINS]),
+                 FieldTypeError, "column ids is <f8, expected <i8"),
+    "width": (_header(columns=[IDS, ["features", "<f4", 3], CLASSES, DOMAINS]),
+              WidthMismatchError, "column features is 3 wide, expected 2"),
+    "id-width": (_header(columns=[["ids", "<i8", 2], FEATURES, CLASSES, DOMAINS]),
+                 WidthMismatchError, "column ids is 2 wide, expected 1"),
+    "width-zero": (_header(columns=[IDS, ["features", "<f4", 0], CLASSES, DOMAINS]),
+                   WidthMismatchError, "column features is 0 wide, expected 2"),
+    "width-string": (_header(columns=[IDS, ["features", "<f4", "2"], CLASSES, DOMAINS]),
+                     WidthMismatchError, 'column features is "2" wide, expected 2'),
+    "short-payload": (lambda h, b: pack_table(h, b[:-1]), RowCountMismatchError,
+                      "payload holds 95 bytes, the header claims 96 for 3 rows"),
+    "long-payload": (lambda h, b: pack_table(h, b + b"\0"), RowCountMismatchError,
+                     "payload holds 97 bytes, the header claims 96 for 3 rows"),
+}
 
-    def test_missing_id(self, tmp_path):
-        _, class_ids, domain_ids, _ = write_sample_feature_set(tmp_path / "fs", n=1, d=2)
-        columns = {"class_id": class_ids, "domain_id": domain_ids}
-        header = {"kind": "image", "columns": list(columns)}
-        (tmp_path / "fs.arfc").write_bytes(encode_columns(header, columns))
-        with pytest.raises(MissingFieldError):
-            read_feature_set(tmp_path / "fs", "image")
 
-    def test_duplicate_ids_rejected(self, tmp_path):
-        # The codec returns columns; the set built from them rejects repeated keys.
-        write_bundle(tmp_path / "b", small_bundle())
-        rewrite_columns(tmp_path / "b" / "finetune", row=1, id=0)
-        rewrite_columns(tmp_path / "b" / "finetune", row=0, id=0)
-        with pytest.raises(ValueError, match="ids must be unique"):
-            load_bundle(tmp_path / "b")
+class TestSetCodec:
+    def test_round_trip_is_float32_exact(self, tmp_path):
+        samples = sample_set(n=5, d=3)
+        write_feature_set(tmp_path / "t.arft", "samples", samples)
+        back = read_feature_set(tmp_path / "t.arft", "samples", {"features": 3})
+        assert back.features.dtype == np.float64
+        assert np.array_equal(back.features, samples.features.astype(np.float32))
 
-    def test_kind_must_match_the_reader(self, tmp_path):
-        write_sample_feature_set(tmp_path / "fs", n=3)
-        with pytest.raises(CodecError, match="kind 'image', expected 'caption'"):
-            read_feature_set(tmp_path / "fs", "caption")
-        rewrite_columns(tmp_path / "fs", kind="caption")
-        with pytest.raises(CodecError, match="kind 'caption', expected 'image'"):
-            read_feature_set(tmp_path / "fs", "image")
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_corrupt_table_rejected_naming_the_file(self, tmp_path, case):
+        edit, error, message = CORRUPTIONS[case]
+        path = tmp_path / "t.arft"
+        write_feature_set(path, "samples", sample_set(n=3, d=2))
+        header, body = decode_table(path)
+        assert len(body) == 96
+        path.write_bytes(edit(header, body))
+        with pytest.raises(error, match=re.escape(f"{path}: {message}")):
+            read_feature_set(path, "samples", {"features": 2})
 
-    @pytest.mark.parametrize("field", ["id", "class_id", "domain_id"])
+    @pytest.mark.parametrize("kind", ["samples", "captions", "prompts", "pairs", "index"])
+    def test_every_kind_stores_its_set_fields(self, tmp_path, kind):
+        bundle, index = small_bundle(), small_index()
+        table = {"samples": bundle.finetune, "captions": bundle.captions,
+                 "prompts": bundle.prompts_id, "pairs": bundle.candidates, "index": index}[kind]
+        path = tmp_path / "t.arft"
+        write_feature_set(path, kind, table)
+        names = [f.name for f in dataclasses.fields(table) if f.name != "source_checkpoint_id"]
+        assert [c[0] for c in decode_table(path)[0]["columns"]] == names
+        rest = [index.source_checkpoint_id] if kind == "index" else []
+        back = read_feature_set(path, kind, {}, *rest)
+        assert type(back) is type(table)
+        stored = "<f8" if kind == "index" else "<f4"
+        for name in names:
+            want = getattr(table, name)
+            want = want.astype(stored).astype(np.float64) if want.ndim == 2 else want
+            assert getattr(back, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("field", ["ids", "class_ids", "domain_ids"])
     @pytest.mark.parametrize("value", [2.9, 2.0, "0", True, False, None, 2**63, -(2**63) - 1])
     def test_ids_and_tags_must_be_64_bit_json_integers(self, tmp_path, field, value):
         # An int64 column cannot hold anything else, so the writer is where
         # these values are refused; the object column keeps each value's type.
-        ids, class_ids, domain_ids, matrix = sample_feature_set(n=3)
-        columns = {"id": ids, "class_id": class_ids, "domain_id": domain_ids}
+        samples = sample_set(n=3)
+        columns = {n: getattr(samples, n) for n in ("ids", "features", "class_ids", "domain_ids")}
         columns[field] = np.array(columns[field], dtype=object)
         columns[field][1] = value
         with pytest.raises(FieldTypeError, match=re.escape(f"{field}: {json.dumps(value)} is not")):
-            write_feature_set(tmp_path / "fs", "image", columns["id"], matrix,
-                              columns["class_id"], columns["domain_id"])
+            write_feature_set(tmp_path / "t.arft", "samples", SampleSet._from_columns(
+                *columns.values()
+            ))
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize(
-        "header,message",
-        [
-            (5, "the header must be a JSON object of kind and columns"),
-            (None, "the header must be a JSON object of kind and columns"),
-            (True, "the header must be a JSON object of kind and columns"),
-            ("abc", "the header must be a JSON object of kind and columns"),
-            ([], "the header must be a JSON object of kind and columns"),
-            (2.5, "the header must be a JSON object of kind and columns"),
-            ([{"kind": "image", "columns": ["id"]}],
-             "the header must be a JSON object of kind and columns"),
-            ({"kind": ["image"], "columns": ["id"]}, "kind ['image'], expected 'image'"),
-            ({"kind": {"image": 1}, "columns": ["id"]}, "kind {'image': 1}, expected 'image'"),
-            ({"kind": "image"}, "the header must be a JSON object of kind and columns"),
-            ({"columns": ["id"]}, "the header must be a JSON object of kind and columns"),
-            ({"kind": "image", "columns": ["id"], "rows": 2},
-             "the header must be a JSON object of kind and columns"),
-        ],
-        ids=["int", "null", "bool", "string", "list", "float", "list-of-object", "list-kind",
-             "object-kind", "no-columns", "no-kind", "extra-key"],
-    )
-    def test_every_line_must_be_an_object_of_the_kind(self, tmp_path, header, message):
-        # The column file's header is the one JSON line a feature set keeps.
-        ids, *_ = write_sample_feature_set(tmp_path / "fs", n=2, d=2)
-        (tmp_path / "fs.arfc").write_bytes(encode_columns(header, {"id": ids}))
-        with pytest.raises(CodecError, match=re.escape(f"fs.arfc: {message}")):
-            read_feature_set(tmp_path / "fs", "image")
-
-    @pytest.mark.parametrize(
-        "edit,error,message",
-        [
-            (lambda raw: b"ARFX" + raw[4:], BadMagicError, "magic b'ARFX', expected b'ARFC'"),
-            (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:], VersionUnsupportedError,
-             "version 2, supported 1"),
-            (lambda raw: raw + b"\0", RowCountMismatchError, "49 bytes for 3x2 int64"),
-            (lambda raw: raw[:-8], RowCountMismatchError, "40 bytes for 3x2 int64"),
-            (lambda raw: raw[:8] + struct.pack("<I", 3) + raw[12:], RowCountMismatchError,
-             "48 bytes for 3x3 int64"),
-            (lambda raw: raw[:12] + struct.pack("<I", 999) + raw[16:], CodecError,
-             "the JSON header runs past the end of the file"),
-            (lambda raw: raw[:15], CodecError, "shorter than the fixed header"),
-            (lambda raw: raw[:16] + b"x" + raw[17:], CodecError, "the header is not valid JSON"),
-            (lambda raw: raw[:16] + b"\xff" + raw[17:], CodecError,
-             "the header is not valid JSON"),
-        ],
-        ids=["magic", "version", "trailing-byte", "short-payload", "rows", "header-length",
-             "fixed-header", "header-json", "header-utf8"],
-    )
-    def test_malformed_column_file_rejected(self, tmp_path, edit, error, message):
-        write_sample_feature_set(tmp_path / "fs", n=2, d=2)
-        path = tmp_path / "fs.arfc"
-        path.write_bytes(edit(path.read_bytes()))
-        with pytest.raises(error, match=re.escape(f"{path}: {message}")):
-            read_feature_set(tmp_path / "fs", "image")
-
-    @pytest.mark.parametrize(
-        "names,error,message",
-        [
-            (["class_id", "id", "domain_id"], CodecError, "repeat or are out of the order"),
-            (["id", "id", "domain_id"], CodecError, "repeat or are out of the order"),
-            (["id", "class_id", 3], FieldTypeError, "columns must be a JSON list of strings"),
-            ("id", FieldTypeError, "columns must be a JSON list of strings"),
-        ],
-        ids=["out-of-order", "repeated", "not-a-string", "not-a-list"],
-    )
-    def test_column_names_checked(self, tmp_path, names, error, message):
-        ids, class_ids, domain_ids, _ = write_sample_feature_set(tmp_path / "fs", n=2, d=2)
-        columns = {"a": ids, "b": class_ids, "c": domain_ids}
-        header = {"kind": "image", "columns": names}
-        (tmp_path / "fs.arfc").write_bytes(encode_columns(header, columns))
-        with pytest.raises(error, match=re.escape(message)):
-            read_feature_set(tmp_path / "fs", "image")
 
     @pytest.mark.parametrize(
         "field,column,shown",
         [
-            ("id", [100.0, 101.0, 102.0], "100.0"),
-            ("id", np.array([2**63, 1, 2], dtype=np.uint64), str(2**63)),
-            ("class_id", [True, False, True], "true"),
-            ("class_id", [0, 1.5, 2], "0.0"),
-            ("domain_id", np.array([2.0, 1.0, 0.0]), "2.0"),
-            ("domain_id", [0, None, 1], "null"),
+            ("ids", [100.0, 101.0, 102.0], "100.0"),
+            ("ids", np.array([2**63, 1, 2], dtype=np.uint64), str(2**63)),
+            ("class_ids", [True, False, True], "true"),
+            ("class_ids", [0, 1.5, 2], "0.0"),
+            ("domain_ids", np.array([2.0, 1.0, 0.0]), "2.0"),
+            ("domain_ids", [0, None, 1], "null"),
         ],
         ids=["float-id", "uint64-id", "bool-tag", "mixed-tag", "float-tag", "null-in-tag"],
     )
     def test_writer_refuses_what_the_reader_refuses(self, tmp_path, field, column, shown):
-        ids, class_ids, domain_ids, matrix = sample_feature_set(n=3)
-        columns = {"id": ids, "class_id": class_ids, "domain_id": domain_ids, field: column}
+        samples = sample_set(n=3)
+        columns = {n: getattr(samples, n) for n in ("ids", "features", "class_ids", "domain_ids")}
+        columns[field] = np.asarray(column)
         with pytest.raises(FieldTypeError, match=re.escape(f"{field}: {shown} is not")):
-            write_feature_set(
-                tmp_path / "fs", "image", columns["id"], matrix,
-                columns["class_id"], columns["domain_id"],
-            )
+            write_feature_set(tmp_path / "t.arft", "samples", SampleSet._from_columns(
+                *columns.values()
+            ))
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("kind", ["100%", "%d %s %%", 'say "hi"\\', "caf\xe9 \u2028"])
-    def test_kind_with_format_and_escape_characters(self, tmp_path, kind):
-        ids, class_ids, domain_ids, matrix = sample_feature_set(n=2)
-        write_feature_set(tmp_path / "fs", kind, ids, matrix, None, domain_ids)
-        header = {"kind": kind, "columns": ["id", "domain_id"]}
-        expected = encode_columns(header, {"id": ids, "domain_id": domain_ids})
-        assert (tmp_path / "fs.arfc").read_bytes() == expected
-        back_ids, back_class, back_domain, _ = read_feature_set(tmp_path / "fs", kind)
-        assert back_ids.tolist() == ids.tolist() and back_domain.tolist() == domain_ids.tolist()
-        assert back_class is None
 
     @settings(max_examples=60, deadline=None)
     @given(
         ids=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=8, unique=True),
-        tags=st.lists(st.none() | st.integers(-(2**63), 2**63 - 1), min_size=2, max_size=2),
+        tags=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=2, max_size=2),
         kind=st.text(max_size=12),
         data=st.data(),
     )
     def test_codec_property(self, tmp_path_factory, ids, tags, kind, data):
-        # A tag is either left out (None) or an integer column.
         n = len(ids)
-        class_ids, domain_ids = (
-            None if tag is None else [tag ^ i for i in range(n)] for tag in tags
-        )
+        class_ids, domain_ids = ([tag ^ i for i in range(n)] for tag in tags)
         finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
         values = data.draw(st.lists(finite32, min_size=3 * n, max_size=3 * n), label="matrix")
         matrix = np.array(values).reshape(n, 3)
-        stem = tmp_path_factory.mktemp("fs") / "fs"
-        write_feature_set(stem, kind, ids, matrix, class_ids, domain_ids)
+        columns = [("ids", "<i8", ids), ("features", "<f4", matrix),
+                   ("class_ids", "<i8", class_ids), ("domain_ids", "<i8", domain_ids)]
+        path = tmp_path_factory.mktemp("t") / "t.arft"
+        write_matrix(path, kind, columns)
 
-        # The column file is byte for byte the format's layout of the given columns.
-        given = {"id": ids, "class_id": class_ids, "domain_id": domain_ids}
-        columns = {name: c for name, c in given.items() if c is not None}
-        oracle = encode_columns({"kind": kind, "columns": list(columns)}, columns)
-        assert (stem.parent / "fs.arfc").read_bytes() == oracle
-
-        back_ids, back_class, back_domain, back_matrix = read_feature_set(stem, kind)
-        assert back_ids.dtype == np.int64 and back_ids.tolist() == ids
-        for got, want in ((back_class, class_ids), (back_domain, domain_ids)):
-            if want is None:
-                assert got is None
+        # The file is byte for byte the format's layout of the given columns.
+        assert path.read_bytes() == encode_table(kind, columns)
+        back = read_matrix(path, kind, [(name, dtype, None) for name, dtype, _ in columns])
+        assert list(back) == ["ids", "features", "class_ids", "domain_ids"]
+        for (name, _, want), got in zip(columns, back.values()):
+            if name == "features":
+                assert got.dtype == np.float64 and got.tobytes() == matrix.tobytes()
             else:
                 assert got.dtype == np.int64 and got.tolist() == want
-        assert back_matrix.tobytes() == matrix.tobytes()
 
-        name = data.draw(st.sampled_from(["fs.arfm", "fs.arfc"]), label="truncated file")
-        payload = (stem.parent / name).read_bytes()
+        payload = path.read_bytes()
         cut = data.draw(st.integers(0, len(payload) - 1), label="truncate at")
-        (stem.parent / name).write_bytes(payload[:cut])
+        path.write_bytes(payload[:cut])
         with pytest.raises(CodecError):
-            read_feature_set(stem, kind)
+            read_matrix(path, kind, [(name, dtype, None) for name, dtype, _ in columns])
 
 
 # JSON text pieces: values with random separators, escapes and padding, and
@@ -662,10 +629,11 @@ class TestCheckpointCodec:
 
 class TestIndexCodec:
     def test_round_trip(self, tmp_path):
-        bundle = small_bundle()
-        params = init_params(0, (6, 7), 8, 4)
-        index = build_candidate_index(params, bundle.candidates)
+        index = small_index()
         write_candidate_index(tmp_path / "idx", index)
+        assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
+            "embeddings.arft", "meta.json"
+        ]
         back = read_candidate_index(tmp_path / "idx")
         assert back.candidate_ids.dtype == np.int64
         assert np.array_equal(back.candidate_ids, index.candidate_ids)
@@ -673,52 +641,42 @@ class TestIndexCodec:
         assert back.text_embeddings.tobytes() == index.text_embeddings.tobytes()
         assert back.source_checkpoint_id == index.source_checkpoint_id
 
-    def test_id_row_mismatch(self, tmp_path):
-        bundle = small_bundle()
-        index = build_candidate_index(init_params(0, (6, 7), 8, 4), bundle.candidates)
+    def test_version_1_meta_rejected(self, tmp_path):
+        # A version-1 index kept its ids in meta.json beside two .arfi files.
+        index = small_index()
         write_candidate_index(tmp_path / "idx", index)
-        meta = json.loads((tmp_path / "idx" / "meta.json").read_text())
-        meta["candidate_ids"] = meta["candidate_ids"][:-1]
+        meta = {"version": 1, "source_checkpoint_id": index.source_checkpoint_id,
+                "candidate_ids": index.candidate_ids.tolist()}
         (tmp_path / "idx" / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(RowCountMismatchError):
+        with pytest.raises(VersionUnsupportedError, match="version 1, supported 2"):
             read_candidate_index(tmp_path / "idx")
 
-    @pytest.mark.parametrize(
-        "value", [5, None, "0", {"0": 0}], ids=["int", "null", "string", "object"]
-    )
-    def test_candidate_ids_must_be_a_list(self, tmp_path, value):
-        bundle = small_bundle()
-        index = build_candidate_index(init_params(0, (6, 7), 8, 4), bundle.candidates)
+    def test_embedding_widths_must_agree(self, tmp_path):
+        index = small_index()
         write_candidate_index(tmp_path / "idx", index)
-        meta_path = tmp_path / "idx" / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta_path.write_text(json.dumps({**meta, "candidate_ids": value}))
-        with pytest.raises(FieldTypeError, match=re.escape(
-            f"{meta_path}: candidate_ids: {json.dumps(value)} is not a JSON list"
-        )):
+        path = tmp_path / "idx" / "embeddings.arft"
+        rewrite_table(path, text_embeddings=index.text_embeddings[:, :3])
+        with pytest.raises(CodecError, match=re.escape(f"{path}: image and text embeddings")):
             read_candidate_index(tmp_path / "idx")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("name", ["image_embeddings.arfi", "text_embeddings.arfi"])
-    def test_non_finite_embedding_rejected_naming_the_file(self, tmp_path, name, bad):
-        index = build_candidate_index(init_params(0, (6, 7), 8, 4), small_bundle().candidates)
+    @pytest.mark.parametrize("column", ["image_embeddings", "text_embeddings"])
+    def test_non_finite_embedding_rejected_naming_the_file(self, tmp_path, column, bad):
+        index = small_index()
         write_candidate_index(tmp_path / "idx", index)
-        path = tmp_path / "idx" / name
-        raw = bytearray(path.read_bytes())
-        struct.pack_into("<d", raw, 4 + 12 + 8 * 5, bad)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CodecError, match=re.escape(f"{path}: embeddings contain non-finite")):
+        path = tmp_path / "idx" / "embeddings.arft"
+        embeddings = getattr(index, column).copy()
+        embeddings[5, 1] = bad
+        rewrite_table(path, **{column: embeddings})
+        with pytest.raises(CodecError, match=re.escape(f"{path}: ") + ".*non-finite entries"):
             read_candidate_index(tmp_path / "idx")
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        name=st.sampled_from(["meta.json", "image_embeddings.arfi", "text_embeddings.arfi"]),
-        **ONE_BYTE_EDITS,
-    )
+    @given(name=st.sampled_from(["meta.json", "embeddings.arft"]), **ONE_BYTE_EDITS)
     def test_one_byte_edit_raises_value_error_or_reads_finite(
         self, tmp_path_factory, name, edit, byte, data
     ):
-        index = build_candidate_index(init_params(0, (6, 7), 8, 4), small_bundle().candidates)
+        index = small_index()
         root = tmp_path_factory.mktemp("idx") / "idx"
         write_candidate_index(root, index)
         edit_one_byte(root / name, edit, byte, data)
@@ -804,11 +762,17 @@ class TestStrictConfigs:
 
 
 BUNDLE_STEMS = [
-    "pretrain.image", "pretrain.text", "candidates.image", "candidates.text", "finetune",
-    "captions", "prompts_id", "prompts_zsl", "test_id", "test_ds1", "test_zsl",
+    "pretrain", "candidates", "finetune", "captions", "prompts_id", "prompts_zsl", "test_id",
+    "test_ds1", "test_zsl",
 ]
-BUNDLE_FILES = ["gen_config.json"] + [
-    stem + ext for stem in BUNDLE_STEMS for ext in (".arfc", ".arfm")
+BUNDLE_FILES = ["gen_config.json"] + [stem + ".arft" for stem in BUNDLE_STEMS]
+# Each bundle table's kind and its matrix columns with the widths of
+# small_bundle's gen_config (d_img_raw 6, d_txt_raw 7).
+BUNDLE_MATRICES = [
+    ("pretrain", "images", 6), ("pretrain", "texts", 7), ("candidates", "images", 6),
+    ("candidates", "texts", 7), ("finetune", "features", 6), ("captions", "features", 7),
+    ("prompts_id", "prompt_features", 7), ("prompts_zsl", "prompt_features", 7),
+    ("test_id", "features", 6), ("test_ds1", "features", 6), ("test_zsl", "features", 6),
 ]
 
 
@@ -835,86 +799,99 @@ class TestBundleCodec:
         for name in sorted(p.name for p in (tmp_path / "a").iterdir()):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_swapped_pair_sides_rejected(self, tmp_path):
+    def test_swapped_tables_rejected_by_kind(self, tmp_path):
         root = tmp_path / "b"
         write_bundle(root, small_bundle())
-        for suffix in (".arfc", ".arfm"):
-            image, text = (root / f"pretrain.{side}{suffix}" for side in ("image", "text"))
-            image.rename(tmp_path / "swap")
-            text.rename(image)
-            (tmp_path / "swap").rename(text)
-        with pytest.raises(CodecError, match="kind 'pair_text', expected 'pair_image'"):
+        (root / "pretrain.arft").rename(tmp_path / "swap")
+        (root / "finetune.arft").rename(root / "pretrain.arft")
+        (tmp_path / "swap").rename(root / "finetune.arft")
+        with pytest.raises(CodecError, match="kind 'samples', expected 'pairs'"):
             load_bundle(root)
 
-    def test_swapped_pair_matrices_rejected_by_width(self, tmp_path):
-        # Column files stay put, so every kind check passes; only the widths
-        # (d_img_raw 6, d_txt_raw 7) tell the two matrices apart.
+    def test_swapped_pair_sides_rejected_by_width(self, tmp_path):
+        # Kind and names stay right; only the widths tell the two sides apart.
         root = tmp_path / "b"
         write_bundle(root, small_bundle())
-        image, text = root / "pretrain.image.arfm", root / "pretrain.text.arfm"
-        image.rename(tmp_path / "swap")
-        text.rename(image)
-        (tmp_path / "swap").rename(text)
+        columns = dict((n, c) for n, _, c in table_columns(root / "pretrain.arft"))
+        rewrite_table(root / "pretrain.arft", images=columns["texts"], texts=columns["images"])
         with pytest.raises(
-            WidthMismatchError, match=r"pretrain\.image\.arfm: 7 columns, gen_config says 6"
+            WidthMismatchError, match=r"pretrain\.arft: column images is 7 wide, expected 6"
         ):
             load_bundle(root)
+
+    @pytest.mark.parametrize("stem,column,width", BUNDLE_MATRICES)
+    def test_every_matrix_width_is_checked(self, tmp_path, stem, column, width):
+        write_bundle(tmp_path / "b", small_bundle())
+        path = tmp_path / "b" / f"{stem}.arft"
+        matrix = dict((n, c) for n, _, c in table_columns(path))[column]
+        rewrite_table(path, **{column: np.hstack([matrix, matrix[:, :1]])})
+        with pytest.raises(WidthMismatchError, match=re.escape(
+            f"{stem}.arft: column {column} is {width + 1} wide, expected {width}"
+        )):
+            load_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("stem", BUNDLE_STEMS)
+    def test_every_table_of_another_kind_rejected(self, tmp_path, stem):
+        write_bundle(tmp_path / "b", small_bundle())
+        path = tmp_path / "b" / f"{stem}.arft"
+        kind = decode_table(path)[0]["kind"]
+        rewrite_table(path, kind="captions" if kind != "captions" else "samples")
+        with pytest.raises(CodecError, match=re.escape(f"{path}: kind ")):
+            load_bundle(tmp_path / "b")
+        rewrite_table(path, kind=kind)
+        load_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("stem", BUNDLE_STEMS)
+    def test_repeated_key_rejected_naming_the_table(self, tmp_path, stem):
+        # The reader returns columns; the set built from them rejects a repeated key.
+        write_bundle(tmp_path / "b", small_bundle())
+        path = tmp_path / "b" / f"{stem}.arft"
+        name, _, key = table_columns(path)[0]
+        rewrite_table(path, **{name: np.r_[key[1], key[1:]]})
+        with pytest.raises(CodecError, match=re.escape(f"{path}: {name} must be unique")):
+            load_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("stem,column,width", BUNDLE_MATRICES)
+    def test_non_finite_entry_rejected_naming_the_table(self, tmp_path, stem, column, width):
+        write_bundle(tmp_path / "b", small_bundle())
+        path = tmp_path / "b" / f"{stem}.arft"
+        matrix = dict((n, c) for n, _, c in table_columns(path))[column].copy()
+        matrix[1, width - 1] = np.inf
+        rewrite_table(path, **{column: matrix})
+        with pytest.raises(CodecError, match=re.escape(f"{path}: ") + ".*non-finite entries"):
+            load_bundle(tmp_path / "b")
 
     @pytest.mark.parametrize(
-        "stem,width",
-        [("pretrain.text", 7), ("candidates.image", 6), ("candidates.text", 7),
-         ("finetune", 6), ("captions", 7), ("prompts_id", 7), ("prompts_zsl", 7),
-         ("test_id", 6), ("test_ds1", 6), ("test_zsl", 6)],
+        "field,value", [("class_ids", 2.9), ("ids", "0"), ("domain_ids", True)]
     )
-    def test_every_matrix_width_is_checked(self, tmp_path, stem, width):
-        write_bundle(tmp_path / "b", small_bundle())
-        path = tmp_path / "b" / f"{stem}.arfm"
-        matrix = read_matrix(path)
-        write_matrix(path, np.hstack([matrix, matrix[:, :1]]))
-        with pytest.raises(
-            WidthMismatchError, match=rf"{stem}\.arfm: {width + 1} columns, gen_config says {width}"
-        ):
-            load_bundle(tmp_path / "b")
-
-    def test_finetune_of_another_kind_rejected(self, tmp_path):
-        write_bundle(tmp_path / "b", small_bundle())
-        rewrite_columns(tmp_path / "b" / "finetune", kind="caption")
-        with pytest.raises(CodecError, match="kind 'caption', expected 'image'"):
-            load_bundle(tmp_path / "b")
-
-    @pytest.mark.parametrize("field,value", [("class_id", 2.9), ("id", "0"), ("domain_id", True)])
     def test_finetune_ids_and_tags_must_be_integers(self, tmp_path, field, value):
-        # An int64 column file cannot hold such a value, so the bundle writer
+        # An int64 column cannot hold such a value, so the bundle writer
         # refuses it and leaves no bundle behind.
         bundle = small_bundle()
-        column = getattr(bundle.finetune, f"{field}s").astype(object)
+        column = getattr(bundle.finetune, field).astype(object)
         column[0] = value
-        setattr(bundle.finetune, f"{field}s", column)
+        setattr(bundle.finetune, field, column)
         with pytest.raises(FieldTypeError, match=re.escape(f"{field}: {json.dumps(value)} is not")):
             write_bundle(tmp_path / "b", bundle)
         assert list(tmp_path.iterdir()) == []
 
     def test_finetune_without_a_tag_column_rejected(self, tmp_path):
         write_bundle(tmp_path / "b", small_bundle())
-        _, columns = decode_columns(tmp_path / "b" / "finetune")
-        del columns["domain_id"]
-        header = {"kind": "image", "columns": list(columns)}
-        (tmp_path / "b" / "finetune.arfc").write_bytes(encode_columns(header, columns))
-        with pytest.raises(MissingFieldError, match="sample records need class_id and domain_id"):
+        path = tmp_path / "b" / "finetune.arft"
+        columns = [c for c in table_columns(path) if c[0] != "domain_ids"]
+        path.write_bytes(encode_table("samples", columns))
+        with pytest.raises(MissingFieldError, match=re.escape("missing columns ['domain_ids']")):
             load_bundle(tmp_path / "b")
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        stem=st.sampled_from(BUNDLE_STEMS),
-        **ONE_BYTE_EDITS,
-    )
-    def test_one_byte_edit_of_a_manifest_loads_or_raises_value_error(
+    @given(stem=st.sampled_from(BUNDLE_STEMS), **ONE_BYTE_EDITS)
+    def test_one_byte_edit_of_a_table_loads_or_raises_value_error(
         self, tmp_path_factory, stem, edit, byte, data
     ):
         # ValueError covers CodecError and the sets' own checks.
         root = tmp_path_factory.mktemp("b")
         write_bundle(root, small_bundle())
-        edit_one_byte(root / f"{stem}.arfc", edit, byte, data)
+        edit_one_byte(root / f"{stem}.arft", edit, byte, data)
         try:
             load_bundle(root)
         except ValueError:
@@ -922,25 +899,19 @@ class TestBundleCodec:
 
     @settings(max_examples=100, deadline=None)
     @given(stem=st.sampled_from(BUNDLE_STEMS), **ONE_BYTE_EDITS)
-    def test_one_byte_edit_of_a_matrix_past_its_header_loads_or_raises_value_error(
+    def test_one_byte_edit_of_a_payload_loads_or_raises_value_error(
         self, tmp_path_factory, stem, edit, byte, data
     ):
-        # Past the 16-byte header an edit changes a float or the payload
-        # length: the bundle loads with finite features of the same shape,
-        # or a non-finite entry or a length mismatch raises ValueError.
+        # Past the header an edit changes a value or the payload length: the
+        # bundle loads with finite features of the same shape, or a
+        # non-finite entry, a repeated id or a length mismatch raises
+        # ValueError.
         root = tmp_path_factory.mktemp("b")
         bundle = small_bundle()
         write_bundle(root, bundle)
-        path = root / f"{stem}.arfm"
-        raw = bytearray(path.read_bytes())
-        at = data.draw(st.integers(16, len(raw) - (edit != "insert")), label="at")
-        if edit == "flip":
-            raw[at] ^= byte
-        elif edit == "delete":
-            del raw[at]
-        else:
-            raw.insert(at, byte)
-        path.write_bytes(bytes(raw))
+        path = root / f"{stem}.arft"
+        header_end = len(path.read_bytes()) - len(decode_table(path)[1])
+        edit_one_byte(path, edit, byte, data, start=header_end)
         try:
             back = load_bundle(root)
         except ValueError:
@@ -951,16 +922,6 @@ class TestBundleCodec:
                 want = getattr(getattr(bundle, name), f.name)
                 assert column.shape == want.shape
                 assert column.dtype == np.int64 or np.isfinite(column).all()
-
-    def test_pair_manifest_disagreement(self, tmp_path):
-        bundle = small_bundle()
-        write_bundle(tmp_path / "b", bundle)
-        stem = tmp_path / "b" / "candidates.text"
-        _, columns = decode_columns(stem)
-        rewrite_columns(stem, row=0, id=columns["id"][1])
-        rewrite_columns(stem, row=1, id=columns["id"][0])
-        with pytest.raises(CodecError, match="image and text column files disagree on ids"):
-            load_bundle(tmp_path / "b")
 
 
 def same_part(a, b) -> bool:
@@ -986,21 +947,20 @@ class TestBundleReader:
         read = []
         original = fileio.read_feature_set
 
-        def recording(stem, kind):
-            read.append(Path(stem).name)
-            return original(stem, kind)
+        def recording(path, kind, *args):
+            read.append(Path(path).stem)
+            return original(path, kind, *args)
 
         monkeypatch.setattr(fileio, "read_feature_set", recording)
         reader = BundleReader(tmp_path / "b")
         assert read == []
         assert reader.id_test is reader.id_test
         assert reader.candidates is reader.candidates
-        assert read == ["test_id", "candidates.image", "candidates.text"]
+        assert read == ["test_id", "candidates"]
         load_bundle(tmp_path / "b")  # every part, in BenchmarkBundle field order
-        assert read[3:] == [
-            "pretrain.image", "pretrain.text", "finetune", "captions", "prompts_id",
-            "prompts_zsl", "candidates.image", "candidates.text", "test_id", "test_ds1",
-            "test_zsl",
+        assert read[2:] == [
+            "pretrain", "finetune", "captions", "prompts_id", "prompts_zsl", "candidates",
+            "test_id", "test_ds1", "test_zsl",
         ]
 
     def test_mistyped_gen_config_rejected_on_open(self, tmp_path):
@@ -1015,22 +975,23 @@ class TestBundleReader:
         # Widening a float32 signalling NaN raises the FP invalid flag; the
         # set's own non-finite check is the one error the read may give.
         write_bundle(tmp_path / "b", small_bundle())
-        path = tmp_path / "b" / "finetune.arfm"
+        path = tmp_path / "b" / "finetune.arft"
         raw = bytearray(path.read_bytes())
-        struct.pack_into("<I", raw, 4 + 12, 0x7F800001)
+        features = len(raw) - len(decode_table(path)[1]) + 8 * 9  # past the 9 ids
+        struct.pack_into("<I", raw, features, 0x7F800001)
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="contains non-finite entries"):
+        with pytest.raises(CodecError, match="contains non-finite entries"):
             BundleReader(tmp_path / "b").finetune
 
     def test_corrupt_part_raises_when_read(self, tmp_path):
         write_bundle(tmp_path / "b", small_bundle())
-        path = tmp_path / "b" / "pretrain.image.arfc"
+        path = tmp_path / "b" / "pretrain.arft"
         raw = bytearray(path.read_bytes())
         raw[0] ^= 0x01
         path.write_bytes(bytes(raw))
         reader = BundleReader(tmp_path / "b")
         assert len(reader.finetune) and len(reader.candidates)
-        match = re.escape(f"{path}: magic b'@RFC', expected b'ARFC'")
+        match = re.escape(f"{path}: magic b'@RFT', expected b'ARFT'")
         with pytest.raises(BadMagicError, match=match):
             reader.pretrain_pool
         with pytest.raises(CodecError, match=match):
@@ -1047,6 +1008,21 @@ class TestBundleReader:
         for open_bundle in (BundleReader, load_bundle):
             with pytest.raises(FileNotFoundError, match=re.escape(name)):
                 open_bundle(tmp_path / "b")
+
+    def test_bundle_of_the_column_and_matrix_files_rejected_at_open(self, tmp_path):
+        # Bundles written before the table format kept each set as an .arfc
+        # column file and an .arfm matrix, a pair set as two of each.
+        write_bundle(tmp_path / "b", small_bundle())
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "gen_config.json").write_bytes((tmp_path / "b" / "gen_config.json").read_bytes())
+        for stem in ["pretrain.image", "pretrain.text", "candidates.image", "candidates.text",
+                     *BUNDLE_STEMS[2:]]:
+            for suffix in (".arfc", ".arfm"):
+                (old / (stem + suffix)).write_bytes(b"")
+        for open_bundle in (BundleReader, load_bundle):
+            with pytest.raises(FileNotFoundError, match=re.escape(str(old / "pretrain.arft"))):
+                open_bundle(old)
 
 
 def _fail_on_call(monkeypatch, owner, name: str, n: int) -> None:
@@ -1070,7 +1046,7 @@ class TestDirectoryWrites:
     def test_rewrite_replaces_the_whole_bundle(self, tmp_path):
         three = dataclasses.replace(small_bundle().gen_config, n_domains=3)
         write_bundle(tmp_path / "b", generate_benchmark(three))
-        assert (tmp_path / "b" / "test_ds2.arfm").exists()
+        assert (tmp_path / "b" / "test_ds2.arft").exists()
         write_bundle(tmp_path / "b", small_bundle())
         write_bundle(tmp_path / "fresh", small_bundle())
         assert tree_bytes(tmp_path / "b") == tree_bytes(tmp_path / "fresh")
@@ -1086,14 +1062,14 @@ class TestDirectoryWrites:
         assert [p.name for p in tmp_path.iterdir()] == ["b"]
 
     def test_failed_index_write_leaves_nothing(self, tmp_path, monkeypatch):
-        index = build_candidate_index(init_params(0, (6, 7), 8, 4), small_bundle().candidates)
-        _fail_on_call(monkeypatch, fileio, "write_matrix", 2)
+        index = small_index()
+        _fail_on_call(monkeypatch, fileio, "write_matrix", 1)
         with pytest.raises(OSError, match="disk full"):
             write_candidate_index(tmp_path / "idx", index)
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_rename_restores_the_old_directory(self, tmp_path, monkeypatch):
-        index = build_candidate_index(init_params(0, (6, 7), 8, 4), small_bundle().candidates)
+        index = small_index()
         write_candidate_index(tmp_path / "idx", index)
         before = tree_bytes(tmp_path / "idx")
         _fail_on_call(monkeypatch, fileio.os, "rename", 2)
@@ -1104,7 +1080,7 @@ class TestDirectoryWrites:
 
     @pytest.mark.parametrize("other", ["notes.txt", "gen_config.json"])
     def test_foreign_directory_is_not_replaced(self, tmp_path, other):
-        index = build_candidate_index(init_params(0, (6, 7), 8, 4), small_bundle().candidates)
+        index = small_index()
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / other).write_text("keep")
         with pytest.raises(FileExistsError, match="not an empty directory or one holding meta"):

@@ -837,8 +837,8 @@ class TestRunFinetune:
         bundle, start, index, cfg = finetune_inputs()
         real_backward = training.encoder_backward_batch
 
-        def backward_with_nan(params, modality, cache, grad_embeddings):
-            grad = real_backward(params, modality, cache, grad_embeddings)
+        def backward_with_nan(params, cache, grad_embeddings):
+            grad = real_backward(params, cache, grad_embeddings)
             grad[0] = np.nan
             return grad
 
