@@ -94,6 +94,31 @@ def _column_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
+def _check_columns(table, names) -> None:
+    """Convert and check the columns `names` of table as _Columns describes; names[0] is the key."""
+    rows = set()
+    for name in names:
+        ndim = 2 if name in table._matrices else 1
+        column = np.asarray(getattr(table, name), dtype=np.float64 if ndim == 2 else np.int64)
+        if column.ndim != ndim:
+            raise ValueError(f"{name} must be {ndim}-D, got shape {column.shape}")
+        setattr(table, name, column)
+        rows.add(len(column))
+    if len(rows) != 1:
+        raise ValueError("every column needs one entry per row")
+    key = getattr(table, names[0])
+    if len(set(key.tolist())) != len(key):
+        raise ValueError(f"{names[0]} must be unique")
+    for name in table._matrices:
+        matrix = getattr(table, name)
+        if not np.isfinite(matrix).all():
+            finite = np.isfinite(matrix).all(axis=1)
+            raise ValueError(
+                f"{type(table).__name__}.{name}: the row with {names[0]} "
+                f"{key[~finite][0]} contains non-finite entries"
+            )
+
+
 class _Columns:
     """A set whose dataclass fields are columns with one entry per row.
 
@@ -116,28 +141,7 @@ class _Columns:
         return entries
 
     def __post_init__(self):
-        names = _column_names(type(self))
-        rows = set()
-        for name in names:
-            ndim = 2 if name in self._matrices else 1
-            column = np.asarray(getattr(self, name), dtype=np.float64 if ndim == 2 else np.int64)
-            if column.ndim != ndim:
-                raise ValueError(f"{name} must be {ndim}-D, got shape {column.shape}")
-            setattr(self, name, column)
-            rows.add(len(column))
-        if len(rows) != 1:
-            raise ValueError("every column needs one entry per row")
-        key = getattr(self, names[0])
-        if len(set(key.tolist())) != len(key):
-            raise ValueError(f"{names[0]} must be unique")
-        for name in self._matrices:
-            matrix = getattr(self, name)
-            if not np.isfinite(matrix).all():
-                finite = np.isfinite(matrix).all(axis=1)
-                raise ValueError(
-                    f"{type(self).__name__}.{name}: the row with {names[0]} "
-                    f"{key[~finite][0]} contains non-finite entries"
-                )
+        _check_columns(self, _column_names(type(self)))
 
     @classmethod
     def _from_columns(cls, *columns):
@@ -235,12 +239,9 @@ class CandidateIndex:
     source_checkpoint_id: str
 
     def __post_init__(self):
-        pairs = PairSet(self.candidate_ids, self.image_embeddings, self.text_embeddings)
-        if pairs.images.shape[1] != pairs.texts.shape[1]:
+        _check_columns(self, _column_names(type(self))[:3])
+        if self.image_embeddings.shape[1] != self.text_embeddings.shape[1]:
             raise ValueError("image and text embeddings must be matrices of one width")
-        self.candidate_ids, self.image_embeddings, self.text_embeddings = (
-            pairs.ids, pairs.images, pairs.texts
-        )
 
     @property
     def size(self) -> int:

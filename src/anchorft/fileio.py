@@ -75,7 +75,6 @@ INDEX_VERSION = 2
 METRICS_VERSION = 1
 
 _PREFIX = struct.Struct("<4sII")  # magic, version, header length
-_READ_CHUNK = 1 << 15  # entries of a table block read at a time
 
 
 class CodecError(ValueError):
@@ -312,8 +311,8 @@ def read_matrix(path, kind: str, columns: list) -> dict:
     magic, version, a JSON header of kind, rows and columns, the column
     names, dtypes and widths, and a payload of exactly rows of them. An
     `<i8` column comes back as a 1-D int64 array, a float column as a
-    float64 matrix. Each block is read in chunks straight into its column,
-    so no stored copy of the table is ever held in memory.
+    float64 matrix. Blocks are read one at a time, so at most one column's
+    stored copy is held in memory.
     """
     with open(path, "rb") as handle:
         file_size = os.fstat(handle.fileno()).st_size
@@ -340,15 +339,16 @@ def read_matrix(path, kind: str, columns: list) -> dict:
             )
         out = {}
         for name, dtype, width in found:
-            column = np.empty((rows, width), np.int64 if dtype == "<i8" else np.float64)
-            flat = column.reshape(-1)
-            chunk = np.empty(max(1, min(flat.size, _READ_CHUNK)), dtype)
-            for at in range(0, flat.size, chunk.size):
-                part = chunk[: flat.size - at]
-                handle.readinto(part)
+            nbytes = rows * width * np.dtype(dtype).itemsize
+            stored = handle.read(nbytes)
+            if len(stored) != nbytes:
+                raise RowCountMismatchError(f"{path}: the file shrank while it was read")
+            column = np.frombuffer(stored, dtype)
+            if dtype == "<i8":
+                out[name] = column.astype(np.int64)
+            else:
                 with np.errstate(invalid="ignore"):  # a signalling NaN is left to the set's check
-                    flat[at : at + part.size] = part
-            out[name] = flat if dtype == "<i8" else column
+                    out[name] = column.astype(np.float64).reshape(rows, width)
     return out
 
 

@@ -1,5 +1,6 @@
 """Columnar sets, candidate indexing, retrieval, and batch assembly."""
 
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -228,13 +229,14 @@ class TestCandidateIndex:
     def test_non_finite_embeddings_rejected(self, bad, side):
         image, text = self.embeddings()
         {"image_embeddings": image, "text_embeddings": text}[side][1, 2] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        message = f"CandidateIndex.{side}: the row with candidate_ids 1 contains non-finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
             CandidateIndex(np.arange(3), image, text, "fp")
 
     @pytest.mark.parametrize(
         "image,text,match",
-        [(np.zeros(3), np.zeros((3, 4)), "images must be 2-D"),
-         (np.zeros((3, 4)), np.zeros((3, 4, 1)), "texts must be 2-D"),
+        [(np.zeros(3), np.zeros((3, 4)), "image_embeddings must be 2-D"),
+         (np.zeros((3, 4)), np.zeros((3, 4, 1)), "text_embeddings must be 2-D"),
          (np.zeros((3, 4)), np.zeros((3, 5)), "matrices of one width")],
         ids=["vector", "3-d", "widths-differ"],
     )
@@ -249,7 +251,7 @@ class TestCandidateIndex:
 
     def test_ids_must_be_unique(self):
         image, text = self.embeddings()
-        with pytest.raises(ValueError, match="ids must be unique"):
+        with pytest.raises(ValueError, match="candidate_ids must be unique"):
             CandidateIndex([4, 2, 4], image, text, "fp")
 
 

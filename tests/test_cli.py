@@ -282,13 +282,16 @@ class TestCheckpointAndIndexInputs:
         raw = bytearray(path.read_bytes())
         size = struct.unpack_from("<I", raw, 8)[0]
         rows = json.loads(raw[12 : 12 + size])["rows"]
+        first_id = struct.unpack_from("<q", raw, 12 + size)[0]
         struct.pack_into("<d", raw, 12 + size + 8 * rows, float("nan"))  # past the ids
         path.write_bytes(bytes(raw))
         argv = stage_argvs(pipeline, pipeline / "bench", tmp_path)["train"]
         argv[argv.index("--index") + 1] = str(index)
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and "non-finite entries" in err
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: CandidateIndex.image_embeddings: the row with candidate_ids "
+            f"{first_id} contains non-finite entries"
+        )
         assert not (tmp_path / "ft.json").exists()
 
     def test_version_1_index_exits_one(self, pipeline, tmp_path, capsys):

@@ -177,6 +177,20 @@ class TestTableCodec:
             assert getattr(back, name).tobytes() == column.tobytes()
         assert back.source_checkpoint_id == "source"
 
+    def test_file_that_shrinks_while_read_is_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.arft"
+        write_feature_set(path, "samples", sample_set(n=3, d=2))
+        fstat = fileio.os.fstat
+
+        def stat_then_truncate(fd):
+            result = fstat(fd)
+            fileio.os.truncate(path, result.st_size - 8)
+            return result
+
+        monkeypatch.setattr(fileio.os, "fstat", stat_then_truncate)
+        with pytest.raises(RowCountMismatchError, match=re.escape(f"{path}: the file shrank")):
+            read_feature_set(path, "samples", {"features": 2})
+
     def test_empty_table(self, tmp_path):
         write_feature_set(tmp_path / "t.arft", "samples", sample_set(n=0, d=7))
         back = read_feature_set(tmp_path / "t.arft", "samples", {"features": 7})
@@ -243,15 +257,31 @@ CORRUPTIONS = {
                      "shorter than the fixed header"),
     "header-past-eof": (lambda h, b: pack_table(h, b)[:40], CodecError,
                         "the JSON header runs past the end of the file"),
+    "header-length": (lambda h, b: pack_table(h, b)[:8] + struct.pack("<I", 999)
+                      + pack_table(h, b)[12:], CodecError,
+                      "the JSON header runs past the end of the file"),
     "header-json": (lambda h, b: pack_table(b'{"kind":', b), CodecError,
                     "the header is not valid JSON"),
     "header-utf8": (lambda h, b: pack_table(b"\xff", b), CodecError,
                     "the header is not valid JSON"),
     "header-list": (lambda h, b: pack_table([h], b), CodecError, NOT_AN_OBJECT),
+    "header-empty-list": (lambda h, b: pack_table([], b), CodecError, NOT_AN_OBJECT),
     "header-extra-key": (_header(extra_key=1), CodecError, NOT_AN_OBJECT),
     "header-no-rows": (lambda h, b: pack_table({"kind": h["kind"], "columns": h["columns"]}, b),
                        CodecError, NOT_AN_OBJECT),
+    "header-no-kind": (lambda h, b: pack_table({"rows": h["rows"], "columns": h["columns"]}, b),
+                       CodecError, NOT_AN_OBJECT),
+    "header-no-columns": (lambda h, b: pack_table({"kind": h["kind"], "rows": h["rows"]}, b),
+                          CodecError, NOT_AN_OBJECT),
+    "header-int": (lambda h, b: pack_table(5, b), CodecError, NOT_AN_OBJECT),
+    "header-null": (lambda h, b: pack_table(None, b), CodecError, NOT_AN_OBJECT),
+    "header-bool": (lambda h, b: pack_table(True, b), CodecError, NOT_AN_OBJECT),
+    "header-string": (lambda h, b: pack_table("abc", b), CodecError, NOT_AN_OBJECT),
+    "header-float": (lambda h, b: pack_table(2.5, b), CodecError, NOT_AN_OBJECT),
     "kind": (_header(kind="captions"), CodecError, "kind 'captions', expected 'samples'"),
+    "list-kind": (_header(kind=["samples"]), CodecError, "kind ['samples'], expected 'samples'"),
+    "object-kind": (_header(kind={"samples": 1}), CodecError,
+                    "kind {'samples': 1}, expected 'samples'"),
     "rows-negative": (_header(rows=-1), FieldTypeError, "rows -1 is not a row count"),
     "rows-bool": (_header(rows=True), FieldTypeError, "rows true is not a row count"),
     "rows": (_header(rows=4), RowCountMismatchError,
