@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -91,7 +91,9 @@ class CandidatePair:
 
 @cache
 def _column_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
+    """The columns of a set type: its np.ndarray fields in order, the key first."""
+    hints = get_type_hints(cls)
+    return tuple(f.name for f in fields(cls) if hints[f.name] is np.ndarray)
 
 
 def _check_columns(table, names) -> None:
@@ -239,7 +241,7 @@ class CandidateIndex:
     source_checkpoint_id: str
 
     def __post_init__(self):
-        _check_columns(self, _column_names(type(self))[:3])
+        _check_columns(self, _column_names(type(self)))
         if self.image_embeddings.shape[1] != self.text_embeddings.shape[1]:
             raise ValueError("image and text embeddings must be matrices of one width")
 

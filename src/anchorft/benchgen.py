@@ -95,6 +95,8 @@ class GenConfig:
         n_classes = self.n_id_classes + self.n_zsl_classes
         if self.candidate_pool_size < n_classes:
             raise ValueError("candidate pool must be able to cover every class")
+        if self.context_bank_size < 1:
+            raise ValueError("context_bank_size must be at least 1")
         if not 0 <= self.contexts_per_sample <= self.context_bank_size:
             raise ValueError("contexts_per_sample must fit in the context bank")
         if min(self.sigma_img, self.sigma_txt, self.context_strength) < 0:

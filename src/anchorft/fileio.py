@@ -22,13 +22,12 @@ import os
 import shutil
 import struct
 import sys
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, get_type_hints
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .anchors import CandidateIndex, CaptionSet, PairSet, PromptTable, SampleSet
+from .anchors import CandidateIndex, CaptionSet, PairSet, PromptTable, SampleSet, _column_names
 from .benchgen import BenchmarkBundle, GenConfig
 from .encoders import DualEncoderParams
 from .evaluation import EnsembleCurve, Metrics
@@ -282,7 +281,9 @@ def write_matrix(path, kind: str, columns: list) -> None:
     JSON header {"kind": kind, "rows": n, "columns": [[name, dtype, width],
     ...]}, then each column as one contiguous little-endian block of its
     dtype (`<i8`, `<f4` or `<f8`): a 1-D array is one entry per row (width
-    1), a matrix row-major. Each array is cast straight into the payload.
+    1), a matrix row-major. Each array is cast straight into the payload; a
+    finite value too large for its dtype raises CodecError naming its column
+    and the key (first column) of its row before a file is written.
     """
     arrays = [np.asarray(array) for _, _, array in columns]
     dtypes = [np.dtype(dtype) for _, dtype, _ in columns]
@@ -297,8 +298,17 @@ def write_matrix(path, kind: str, columns: list) -> None:
     payload = bytearray(len(head) + sum(a.size * d.itemsize for a, d in zip(arrays, dtypes)))
     payload[: len(head)] = head
     at = len(head)
-    for array, dtype in zip(arrays, dtypes):
-        np.frombuffer(payload, dtype, array.size, at)[...] = array.reshape(-1)
+    for (name, _, _), array, dtype in zip(columns, arrays, dtypes):
+        try:
+            with np.errstate(over="raise"):
+                np.frombuffer(payload, dtype, array.size, at)[...] = array.reshape(-1)
+        except FloatingPointError:
+            with np.errstate(over="ignore"):
+                fits = np.isfinite(array.astype(dtype)).reshape(rows, -1).all(axis=1)
+            raise CodecError(
+                f"{path}: {name}: the row with {columns[0][0]} {arrays[0][~fits][0]} "
+                f"does not fit in {dtype.str}"
+            ) from None
         at += array.size * dtype.itemsize
     _atomic_write_bytes(Path(path), payload)
 
@@ -395,19 +405,11 @@ _SETS = {
     "index": (CandidateIndex, "<f8"),
 }
 
-
-def _set_columns(kind: str) -> list[tuple[str, str]]:
-    """(name, dtype) of each column of a `kind` table: its set type's array fields, in order."""
-    cls, float_dtype = _SETS[kind]
-    hints = get_type_hints(cls)
-    return [
-        (f.name, float_dtype if f.name in cls._matrices else "<i8")
-        for f in dataclasses.fields(cls)
-        if hints[f.name] is np.ndarray
-    ]
-
-
-_COLUMNS = {kind: _set_columns(kind) for kind in _SETS}
+# kind: (name, dtype) of each column of its table, the set type's columns in order.
+_COLUMNS = {
+    kind: [(name, dtype if name in cls._matrices else "<i8") for name in _column_names(cls)]
+    for kind, (cls, dtype) in _SETS.items()
+}
 
 
 def write_feature_set(path, kind: str, table) -> None:
@@ -531,29 +533,38 @@ def parse_train_config(doc: dict) -> TrainConfig:
 # benchmark bundles
 
 
-def _bundle_files(config: GenConfig) -> list[str]:
-    """The name of every file write_bundle writes for a bundle of this config."""
-    stems = [
-        "pretrain", "candidates", "finetune", "captions", "prompts_id", "prompts_zsl", "test_id",
-        *(f"test_ds{domain}" for domain in range(1, config.n_domains)), "test_zsl",
-    ]
-    return ["gen_config.json", *(stem + ".arft" for stem in stems)]
+# BenchmarkBundle field: (file stem, table kind), in the order write_bundle
+# writes them. ds_tests is one test_ds<d> table per shifted domain d.
+_BUNDLE_SETS = {
+    "pretrain_pool": ("pretrain", "pairs"),
+    "candidates": ("candidates", "pairs"),
+    "finetune": ("finetune", "samples"),
+    "captions": ("captions", "captions"),
+    "prompts_id": ("prompts_id", "prompts"),
+    "prompts_zsl": ("prompts_zsl", "prompts"),
+    "id_test": ("test_id", "samples"),
+    "ds_tests": ("test_ds", "samples"),
+    "zsl_test": ("test_zsl", "samples"),
+}
+
+
+def _bundle_tables(config: GenConfig) -> Iterator[tuple[str, int | None, str, str]]:
+    """(field, domain, file name, kind) of every table of a bundle of config, in write order.
+
+    domain is the shifted domain of a ds_tests table and None for every other field.
+    """
+    for field, (stem, kind) in _BUNDLE_SETS.items():
+        for domain in range(1, config.n_domains) if field == "ds_tests" else [None]:
+            yield field, domain, f"{stem}{domain or ''}.arft", kind
 
 
 def write_bundle(dir_path, bundle: BenchmarkBundle) -> None:
     """One directory holding every artifact generate_benchmark produced, renamed into place."""
     with _atomic_dir(dir_path, "gen_config.json") as tmp:
         write_json(tmp / "gen_config.json", bundle.gen_config.to_dict())
-        write_feature_set(tmp / "pretrain.arft", "pairs", bundle.pretrain_pool)
-        write_feature_set(tmp / "candidates.arft", "pairs", bundle.candidates)
-        write_feature_set(tmp / "finetune.arft", "samples", bundle.finetune)
-        write_feature_set(tmp / "captions.arft", "captions", bundle.captions)
-        write_feature_set(tmp / "prompts_id.arft", "prompts", bundle.prompts_id)
-        write_feature_set(tmp / "prompts_zsl.arft", "prompts", bundle.prompts_zsl)
-        write_feature_set(tmp / "test_id.arft", "samples", bundle.id_test)
-        for domain in sorted(bundle.ds_tests):
-            write_feature_set(tmp / f"test_ds{domain}.arft", "samples", bundle.ds_tests[domain])
-        write_feature_set(tmp / "test_zsl.arft", "samples", bundle.zsl_test)
+        for field, domain, name, kind in _bundle_tables(bundle.gen_config):
+            part = getattr(bundle, field)
+            write_feature_set(tmp / name, kind, part if domain is None else part[domain])
 
 
 class BundleReader:
@@ -562,7 +573,7 @@ class BundleReader:
     Opening one parses gen_config.json strictly and checks that every file
     write_bundle writes is present, so a missing file raises
     FileNotFoundError naming it before any work starts. Every other
-    BenchmarkBundle field is an attribute read from its table file on first
+    BenchmarkBundle field is an attribute read from its table files on first
     access and cached after, with every check of read_feature_set: matrix
     widths are those gen_config gives (d_img_raw for images, d_txt_raw for
     captions, prompts and texts). Features come back through the 32-bit
@@ -572,56 +583,26 @@ class BundleReader:
     def __init__(self, dir_path):
         self.path = Path(dir_path)
         self.gen_config = parse_gen_config(read_json(self.path / "gen_config.json"))
-        for name in _bundle_files(self.gen_config):
+        for _, _, name, _ in _bundle_tables(self.gen_config):
             if not (self.path / name).is_file():
                 raise FileNotFoundError(
                     errno.ENOENT, os.strerror(errno.ENOENT), str(self.path / name)
                 )
 
-    def _read(self, stem: str, kind: str):
+    def __getattr__(self, field: str):
+        """Read a field that is not cached yet from its tables, and cache it."""
+        if field not in _BUNDLE_SETS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {field!r}")
         image, text = self.gen_config.d_img_raw, self.gen_config.d_txt_raw
-        widths = {"features": text if kind == "captions" else image, "images": image,
-                  "texts": text, "prompt_features": text}
-        return read_feature_set(self.path / f"{stem}.arft", kind, widths)
-
-    @cached_property
-    def pretrain_pool(self) -> PairSet:
-        return self._read("pretrain", "pairs")
-
-    @cached_property
-    def finetune(self) -> SampleSet:
-        return self._read("finetune", "samples")
-
-    @cached_property
-    def captions(self) -> CaptionSet:
-        return self._read("captions", "captions")
-
-    @cached_property
-    def prompts_id(self) -> PromptTable:
-        return self._read("prompts_id", "prompts")
-
-    @cached_property
-    def prompts_zsl(self) -> PromptTable:
-        return self._read("prompts_zsl", "prompts")
-
-    @cached_property
-    def candidates(self) -> PairSet:
-        return self._read("candidates", "pairs")
-
-    @cached_property
-    def id_test(self) -> SampleSet:
-        return self._read("test_id", "samples")
-
-    @cached_property
-    def ds_tests(self) -> dict[int, SampleSet]:
-        return {
-            domain: self._read(f"test_ds{domain}", "samples")
-            for domain in range(1, self.gen_config.n_domains)
-        }
-
-    @cached_property
-    def zsl_test(self) -> SampleSet:
-        return self._read("test_zsl", "samples")
+        parts = {}
+        for owner, domain, name, kind in _bundle_tables(self.gen_config):
+            if owner == field:
+                widths = {"features": text if kind == "captions" else image, "images": image,
+                          "texts": text, "prompt_features": text}
+                parts[domain] = read_feature_set(self.path / name, kind, widths)
+        value = parts if field == "ds_tests" else parts[None]
+        setattr(self, field, value)
+        return value
 
 
 def load_bundle(dir_path) -> BenchmarkBundle:
@@ -643,13 +624,21 @@ def write_metrics(path, metrics: Metrics, checkpoint: str | None = None) -> None
 
 
 def read_metrics(path) -> dict:
-    """A metrics document, with the fields report reads type-checked."""
+    """A metrics document, with the fields report reads type-checked and split names unique."""
     types = {"splits": [dict], "avg_ood": (float, type(None))}
     doc = _fields(read_json(path), types, str(path), METRICS_VERSION)
     for split in doc["splits"]:
         _check(split.get("split"), str, f"{path}: splits: split")
         _check(split.get("accuracy_percent"), float, f"{path}: splits: accuracy_percent")
+    _check_unique(path, "splits", [split["split"] for split in doc["splits"]])
     return doc
+
+
+def _check_unique(path, what: str, names: list) -> None:
+    """Raise CodecError naming every name that appears more than once."""
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise CodecError(f"{path}: repeated {what} {repeated}")
 
 
 def write_curve_csv(path, curve: EnsembleCurve) -> None:
@@ -669,14 +658,15 @@ def write_curve_csv(path, curve: EnsembleCurve) -> None:
 def read_curve_csv(path) -> tuple[list[str], list[dict]]:
     """Returns (column names, one dict per row); empty cells come back as None.
 
-    There must be at least one row. The first column must be alpha and one
-    column must be id; both are set on every row. A cell that is not a
+    There must be at least one row. Column names are unique; the first must
+    be alpha and one must be id, both set on every row. A cell that is not a
     finite number raises CodecError.
     """
     lines = Path(path).read_text("utf-8").splitlines()
     if len(lines) < 2:
         raise CodecError(f"{path}: a curve needs a header and at least one row")
     header = lines[0].split(",")
+    _check_unique(path, "columns", header)
     if header[0] != "alpha":
         raise CodecError(f"{path}: first column must be alpha, got {header[0]!r}")
     if "id" not in header:

@@ -349,6 +349,17 @@ class TestReportInputs:
         assert main(["report", "--curve", str(bad)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}:2: empty alpha or id cell")
 
+    def test_repeated_split_or_column_exits_one(self, pipeline, tmp_path, capsys):
+        doc = json.loads((pipeline / "metrics.json").read_text())
+        doc["splits"] += doc["splits"][:1]
+        metrics, curve = tmp_path / "m.json", tmp_path / "c.csv"
+        metrics.write_text(json.dumps(doc))
+        curve.write_text("alpha,id,alpha\n0.0,50,0.5\n")
+        assert main(["report", "--metrics", f"a={metrics}"]) == 1
+        assert capsys.readouterr().err == f"error: {metrics}: repeated splits ['id']\n"
+        assert main(["report", "--curve", str(curve)]) == 1
+        assert capsys.readouterr().err == f"error: {curve}: repeated columns ['alpha']\n"
+
     @settings(max_examples=200, deadline=None)
     @given(
         name=st.sampled_from(["metrics.json", "curve.csv"]),
@@ -401,6 +412,14 @@ class TestConfigInputs:
         argv = ["benchgen", "--out", str(tmp_path / "b"), "--config", str(tmp_path / "gen.json")]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith('error: GenConfig: seed: "1" is not')
+        assert not (tmp_path / "b").exists()
+
+    def test_empty_context_bank_exits_one(self, tmp_path, capsys):
+        doc = {"context_bank_size": 0, "contexts_per_sample": 0}
+        (tmp_path / "gen.json").write_text(json.dumps(doc))
+        argv = ["benchgen", "--out", str(tmp_path / "b"), "--config", str(tmp_path / "gen.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: context_bank_size must be at least 1\n"
         assert not (tmp_path / "b").exists()
 
     @settings(max_examples=200, deadline=None)

@@ -50,11 +50,11 @@ from anchorft.fileio import (
 from anchorft.training import TrainConfig, make_checkpoint, pretrain
 
 
-def small_bundle(seed=0):
+def small_bundle(seed=0, n_domains=2):
     cfg = GenConfig(
         n_id_classes=3,
         n_zsl_classes=2,
-        n_domains=2,
+        n_domains=n_domains,
         d_latent=4,
         d_img_raw=6,
         d_txt_raw=7,
@@ -393,6 +393,18 @@ class TestSetCodec:
             write_feature_set(tmp_path / "t.arft", "samples", SampleSet._from_columns(
                 *columns.values()
             ))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value,row", [(1e39, 0), (-1e39, 1), (np.finfo(np.float64).max, 1)])
+    def test_finite_value_past_float32_range_refused_before_writing(self, tmp_path, value, row):
+        # Stored as inf, the value would make the writer's own reader refuse the file.
+        features = np.array([[0.0, 1.0], [1.0, 0.0]])
+        features[row, 0] = value
+        path = tmp_path / "t.arft"
+        match = re.escape(f"{path}: features: the row with ids {row + 1} does not fit in <f4")
+        with pytest.raises(CodecError, match=match):
+            write_feature_set(path, "samples", SampleSet([1, 2], features, [0, 0], [0, 0]))
         assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=60, deadline=None)
@@ -795,7 +807,12 @@ BUNDLE_STEMS = [
     "pretrain", "candidates", "finetune", "captions", "prompts_id", "prompts_zsl", "test_id",
     "test_ds1", "test_zsl",
 ]
-BUNDLE_FILES = ["gen_config.json"] + [stem + ".arft" for stem in BUNDLE_STEMS]
+# The files of a bundle of n domains: one test_ds<d> table per shifted domain d.
+BUNDLE_FILES = {
+    n: ["gen_config.json", *(stem + ".arft" for stem in BUNDLE_STEMS if stem != "test_ds1"),
+        *(f"test_ds{d}.arft" for d in range(1, n))]
+    for n in (1, 2, 3)
+}
 # Each bundle table's kind and its matrix columns with the widths of
 # small_bundle's gen_config (d_img_raw 6, d_txt_raw 7).
 BUNDLE_MATRICES = [
@@ -1027,13 +1044,15 @@ class TestBundleReader:
         with pytest.raises(CodecError, match=match):
             load_bundle(tmp_path / "b")
 
-    def test_writes_exactly_the_files_it_requires(self, tmp_path):
-        write_bundle(tmp_path / "b", small_bundle())
-        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == sorted(BUNDLE_FILES)
+    @pytest.mark.parametrize("n_domains", BUNDLE_FILES)
+    def test_writes_exactly_the_files_it_requires(self, tmp_path, n_domains):
+        write_bundle(tmp_path / "b", small_bundle(n_domains=n_domains))
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == sorted(BUNDLE_FILES[n_domains])
 
-    @pytest.mark.parametrize("name", BUNDLE_FILES)
-    def test_missing_file_rejected_at_open(self, tmp_path, name):
-        write_bundle(tmp_path / "b", small_bundle())
+    @pytest.mark.parametrize("n_domains,name", [(n, name) for n in BUNDLE_FILES
+                                                for name in BUNDLE_FILES[n]])
+    def test_missing_file_rejected_at_open(self, tmp_path, n_domains, name):
+        write_bundle(tmp_path / "b", small_bundle(n_domains=n_domains))
         (tmp_path / "b" / name).unlink()
         for open_bundle in (BundleReader, load_bundle):
             with pytest.raises(FileNotFoundError, match=re.escape(name)):
@@ -1147,6 +1166,15 @@ class TestMetricsAndCurves:
         assert doc["avg_ood"] == metrics.avg_ood
         assert [s["split"] for s in doc["splits"]] == metrics.split_names
 
+    def test_metrics_with_a_repeated_split_rejected(self, tmp_path):
+        curve, _ = self.curve()
+        write_metrics(tmp_path / "m.json", curve.rows[0][1])
+        doc = json.loads((tmp_path / "m.json").read_text())
+        doc["splits"].append({**doc["splits"][0], "accuracy_percent": 0.0})
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(CodecError, match=re.escape("m.json: repeated splits ['id']")):
+            read_metrics(tmp_path / "m.json")
+
     def test_curve_round_trip(self, tmp_path):
         curve, _ = self.curve()
         write_curve_csv(tmp_path / "c.csv", curve)
@@ -1195,7 +1223,9 @@ class TestMetricsAndCurves:
          ("alpha,id,zsl\n", "at least one row"),
          ("alpha,id,zsl\nnan,50.0,1.0\n", r"c.csv:2: alpha cell is nan"),
          ("alpha,id,zsl\n0.0,50.0,1.0\n0.5,inf,1.0\n", r"c.csv:3: id cell is inf"),
-         ("alpha,id,zsl\n0.0,50.0,-inf\n", r"c.csv:2: zsl cell is -inf")],
+         ("alpha,id,zsl\n0.0,50.0,-inf\n", r"c.csv:2: zsl cell is -inf"),
+         ("alpha,id,zsl,zsl,avg_ood\n0.0,50,10,20,15\n", r"c.csv: repeated columns \['zsl'\]"),
+         ("alpha,id,alpha\n0.0,50,0.5\n", r"c.csv: repeated columns \['alpha'\]")],
     )
     def test_curve_cells_checked(self, tmp_path, text, match):
         (tmp_path / "c.csv").write_text(text)
