@@ -9,10 +9,13 @@ Vigna, "Scrambled linear pseudorandom number generators") advanced in pure
 Python. derive_seeds, lane_normals and lane_sample_indices run many fresh
 streams in lockstep instead, one numpy uint64 lane per stream, and give row
 i exactly what RandomStream(seeds[i]) gives. The integer recurrence is
-exact in any lane width. Box-Muller's log is `math.log` element by element,
-as numpy's float64 log is its own SIMD code and differs by an ulp on some
-inputs; its cos and sin are numpy's float64 loops, which call libm and so
-match `math` bit for bit (a test checks a million angles).
+exact in any lane width. Box-Muller's log has `math.log`'s bits at array
+speed: libm's extended `logl` rounded to float64, with `math.log` for the
+values within 1/16 ulp of a rounding midpoint or at a power of two. That
+is exact while libm's double `log` errs by under 0.56 ulp (glibc states
+0.519); hosts whose long double has under 64 significand bits use
+`math.log` throughout. Its cos and sin are numpy's float64 loops, which
+call libm and so match `math` bit for bit (a test checks a million angles).
 """
 
 from __future__ import annotations
@@ -73,11 +76,21 @@ def check_finite_fields(config) -> None:
 def l2_normalize(v) -> np.ndarray:
     """Scale a vector to unit Euclidean length.
 
-    Raises ZeroVectorError when the norm is at or below 1e-12; anything
-    larger is safe to divide by in float64.
+    Raises ZeroVectorError when the norm is at or below 1e-12 and
+    NonFiniteError when its square overflows float64; anything between is
+    safe to divide by.
     """
     arr = as_float_array(v, name="vector")
-    norm = float(np.linalg.norm(arr))
+    # Fewer than 2^20 squares below 2^1000 cannot overflow. Only larger
+    # vectors enter np.errstate: entering it on every call raised the
+    # datagen benchmark's peak RSS by about 1 MB (x86-64, numpy 2.4).
+    if arr.size < 2**20 and np.abs(arr).max(initial=0.0) < 2.0**500:
+        norm = float(np.linalg.norm(arr))
+    else:
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(arr))
+    if norm == math.inf:
+        raise NonFiniteError("cannot normalize vector: its squared norm overflows float64")
     if norm <= ZERO_NORM_THRESHOLD:
         raise ZeroVectorError(f"cannot normalize vector with norm {norm:.3e}")
     return arr / norm
@@ -307,17 +320,62 @@ def _lane_blocks(seeds: np.ndarray):
         yield rows, _Lanes(seeds[rows])
 
 
-def _libm(fn, values: np.ndarray) -> np.ndarray:
-    """fn from `math` on every element: libm's rounding, not numpy's."""
+def _math_log(values: np.ndarray) -> np.ndarray:
+    """math.log on every element, one call each: libm's rounding, not numpy's."""
     flat = np.ascontiguousarray(values).reshape(-1)
-    return np.fromiter(map(fn, memoryview(flat)), np.float64, flat.size).reshape(values.shape)
+    return np.fromiter(map(math.log, memoryview(flat)), np.float64, flat.size).reshape(values.shape)
+
+
+# Box-Muller's log rounds libm's logl when the long double carries at least
+# 64 significand bits (x87 extended on x86-64), 11 more than float64.
+_EXTENDED_LOG = np.finfo(np.longdouble).nmant >= 63
+
+# Elements per extended-precision temporary in _log.
+_LOG_CHUNK = 4096
+
+_EXPONENT_BITS = np.uint64(0x7FF0000000000000)
+
+# floor * _NEAR_MIDPOINT is 7/16 of d's ulp (floor is the power of two at or
+# below |d|): an extended log that far from d is within 1/16 ulp of a midpoint.
+_NEAR_MIDPOINT = 7 / 16 * 2.0**-52
+
+
+def _log(u: np.ndarray) -> np.ndarray:
+    """math.log on every element of a float64 array in (0, 1], bit for bit (see _box_muller)."""
+    if not _EXTENDED_LOG:
+        return _math_log(u)
+    flat = np.ascontiguousarray(u).reshape(-1)
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _LOG_CHUNK):
+        x, d = flat[start : start + _LOG_CHUNK], out[start : start + _LOG_CHUNK]
+        ext = np.log(x.astype(np.longdouble))
+        d[:] = ext
+        floor = (d.view(np.uint64) & _EXPONENT_BITS).view(np.float64)
+        off = np.abs((ext - d).astype(np.float64))
+        redo = np.flatnonzero((off >= floor * _NEAR_MIDPOINT) | (np.abs(d) == floor))
+        d[redo] = _math_log(x[redo])
+    return out.reshape(u.shape)
 
 
 def _box_muller(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(z0, z1) of RandomStream.normal's Box-Muller transform on uint64 draw arrays a, b."""
+    """(z0, z1) of RandomStream.normal's Box-Muller transform on uint64 draw arrays a, b.
+
+    Bit for bit with `math`. numpy's float64 cos and sin call libm. The log
+    (_log) is numpy's long double log (libm's logl) rounded to float64 as d,
+    with math.log recomputing two kinds of element: those whose extended
+    log lies within 1/16 ulp of a float64 rounding midpoint, and those whose
+    d is a power of two or zero, where the ulp below d is half the ulp
+    above; about 1/8 of draws. Every other element is more than 1/16 ulp
+    from a midpoint, so any double log that errs by less than 0.5 + 1/16
+    ulp, less logl's own error (a few units in its 64th bit, each 2^-11
+    float64 ulp), rounds to d. glibc's log states a worst case of 0.519 ulp
+    in its source (sysdeps/ieee754/dbl-64/e_log.c, glibc 2.28 on; earlier
+    glibc rounded log correctly). Hosts whose long double has fewer than 64
+    significand bits take math.log on every element.
+    """
     u1 = ((a >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
     u2 = (b >> np.uint64(11)) * 2.0**-53
-    r = np.sqrt(-2.0 * _libm(math.log, u1))
+    r = np.sqrt(-2.0 * _log(u1))
     theta = 2.0 * math.pi * u2
     return r * np.cos(theta), r * np.sin(theta)
 

@@ -1,17 +1,21 @@
 """Checks for normalization, the seeded random stream, and its lockstep lanes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from anchorft import numerics
 from anchorft.numerics import (
     LANE_BLOCK,
+    NonFiniteError,
     RandomStream,
     ZeroVectorError,
     _Lanes,
+    _log,
     derive_seed,
     derive_seeds,
     l2_normalize,
@@ -49,6 +53,13 @@ class TestL2Normalize:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             l2_normalize([1.0, np.inf])
+
+    def test_overflowing_norm_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="squared norm overflows"):
+                l2_normalize([1e200, 1e200])
+            assert np.allclose(l2_normalize([1e153, 1e153]), math.sqrt(0.5), rtol=1e-15, atol=0)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -213,6 +224,47 @@ class TestBoxMullerOracle:
                 f"seed {seed}: _box_muller differs from normal() on {bad.size} of "
                 f"{draws} draws, first at draw {bad[0]}, on {host_versions()}"
             )
+
+    @staticmethod
+    def _assert_log_is_libm(u1: np.ndarray) -> None:
+        got = _log(u1)
+        expected = np.fromiter(map(math.log, u1.tolist()), np.float64, u1.size)
+        bad = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+        assert not bad.size, (
+            f"_log differs from math.log on {bad.size} of {u1.size} values, "
+            f"first at u1 = {u1[bad[0]]!r}, on {host_versions()}"
+        )
+
+    def test_log_is_libm(self, monkeypatch):
+        # u1 = k * 2^-53 on Box-Muller's grid: the smallest draws, the draws
+        # next to 1 (whose logs are tiny), every power of two, the draws
+        # whose logs are nearest -2^j, where the ulp changes, and 2^20 seeded
+        # draws. About 1/8 of uniform draws should go to math.log.
+        near_powers = [
+            round(math.exp(-(2.0**j)) * 2**53) + i for j in range(-33, 6) for i in range(-4, 5)
+        ]
+        k = np.concatenate([
+            np.arange(1, 2**19 + 1, dtype=np.uint64),
+            np.arange(2**53 - 2**19, 2**53 + 1, dtype=np.uint64),
+            np.uint64(1) << np.arange(54, dtype=np.uint64),
+            np.array(near_powers, dtype=np.uint64),
+            np.random.default_rng(23).integers(1, 2**53, 2**20, np.uint64, endpoint=True),
+        ])
+        sent = []
+        math_log = numerics._math_log
+        monkeypatch.setattr(numerics, "_math_log", lambda v: sent.append(v.size) or math_log(v))
+        self._assert_log_is_libm(k * 2.0**-53)
+        if numerics._EXTENDED_LOG:
+            assert 0.1 < sum(sent) / k.size < 0.15
+
+    def test_log_without_extended_precision_is_all_math_log(self, monkeypatch):
+        sent = []
+        math_log = numerics._math_log
+        monkeypatch.setattr(numerics, "_EXTENDED_LOG", False)
+        monkeypatch.setattr(numerics, "_math_log", lambda v: sent.append(v.size) or math_log(v))
+        k = np.random.default_rng(24).integers(1, 2**53, 2**14, np.uint64, endpoint=True)
+        self._assert_log_is_libm(k * 2.0**-53)
+        assert sent == [k.size]
 
 
 class TestLanes:
