@@ -46,7 +46,7 @@ RETRIEVAL_MODES = ("v2t", "v2v", "t2t", "t2v")
 
 ANCHOR_LAYOUTS = ("sep", "merge")
 
-# retrieve scores about this many (query, candidate) entries at a time.
+# _top_k scores about this many (query, key) entries at a time.
 _SCORE_BLOCK_ENTRIES = 1 << 18
 
 
@@ -129,10 +129,10 @@ class _Columns:
     2-D float64 matrices, the others int64 vectors, every column has the same
     number of rows, and keys are unique. A non-finite matrix row raises
     ValueError naming its key. _from_columns is the one unchecked way, for
-    columns already known to pass. An int index gives one row as _row. A
-    slice of a checked set is valid, so it is built unchecked; an index
-    array and concat go through the checked constructor, so a repeated row
-    or a shared key raises.
+    columns already known to pass. A slice of a checked set is valid, so it
+    is built unchecked; an index array and concat go through the checked
+    constructor, so a repeated row or a shared key raises. Iteration gives
+    each row as _row.
     """
 
     _matrices: tuple[str, ...]
@@ -161,8 +161,6 @@ class _Columns:
 
     def __getitem__(self, key):
         columns = [getattr(self, name)[key] for name in _column_names(type(self))]
-        if isinstance(key, (int, np.integer)):
-            return self._row(*(c.item() if c.ndim == 0 else c for c in columns))
         if isinstance(key, slice):
             return self._from_columns(*columns)
         return type(self)(*columns)
@@ -282,6 +280,45 @@ def build_candidate_index(params: DualEncoderParams, candidates: PairSet) -> Can
     )
 
 
+def _top_k(queries: np.ndarray, keys: np.ndarray, ids: np.ndarray, k: int):
+    """(top_ids, top_scores), both (len(queries), k), by inner product with rows of keys.
+
+    keys has one row per entry of ids. Row q holds query q's top k in
+    strictly descending score order, equal scores broken toward the lower
+    id: the k argmax passes run over columns ordered by id, and argmax picks
+    the first of equal maxima.
+
+    Scores are computed one block of query rows at a time, so peak memory is
+    one block's scores (about 2**18 entries) rather than queries x keys.
+    Every block has at least two rows unless there is one query: numpy
+    sends a one-row product to gemv, which can round differently from gemm,
+    while gemm over any block of two or more rows gives the bytes of one
+    gemm over all the queries on the kernel the goldens pin.
+    """
+    order = np.argsort(ids, kind="stable")
+    ids, columns = ids[order], keys[order].T
+    n = len(queries)
+    top_ids = np.empty((n, k), dtype=np.int64)
+    top_scores = np.empty((n, k))
+    rows = max(2, _SCORE_BLOCK_ENTRIES // len(ids))
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()  # a one-row tail joins the block before it
+    for start, stop in zip(starts, [*starts[1:], n]):
+        scores = queries[start:stop] @ columns
+        block = np.arange(stop - start)
+        for rank in range(k):
+            best = np.argmax(scores, axis=1)
+            top_ids[start:stop, rank] = ids[best]
+            top_scores[start:stop, rank] = scores[block, best]
+            if rank + 1 < k:
+                scores[block, best] = -np.inf
+        # Free this block before the next product is allocated, so one block
+        # is live at a time and malloc hands its memory to the next one.
+        del scores
+    return top_ids, top_scores
+
+
 def retrieve(
     index: CandidateIndex,
     query_features: np.ndarray,
@@ -294,16 +331,7 @@ def retrieve(
     Scores are inner products between the encoded query and the indexed side
     selected by `mode`. Returns (candidate_ids, scores), both (n_queries, k):
     row q holds query q's top k in strictly descending score order, equal
-    scores broken toward the lower candidate id. The k argmax passes run
-    over columns ordered by candidate id, and argmax picks the first of
-    equal maxima.
-
-    Scores are computed one block of query rows at a time, so peak memory is
-    one block's scores (about 2**18 entries) rather than n_queries x pool.
-    Every block has at least two rows unless the query matrix has one: numpy
-    sends a one-row product to gemv, which can round differently from gemm,
-    while gemm over any block of two or more rows gives the bytes of one
-    gemm over all the queries on the kernel the goldens pin.
+    scores broken toward the lower candidate id (see _top_k).
     """
     if mode not in RETRIEVAL_MODES:
         raise ValueError(f"mode must be one of {RETRIEVAL_MODES}, got {mode!r}")
@@ -314,33 +342,10 @@ def retrieve(
         raise CheckpointMismatchError(
             "query params do not match the checkpoint that built the index"
         )
-
     modality = "image" if mode[0] == "v" else "text"
     side = index.text_embeddings if mode[-1] == "t" else index.image_embeddings
-    ids = index.candidate_ids
-    order = np.argsort(ids, kind="stable")
     query_emb, _ = encode_batch(params, modality, query_features)
-    columns = side[order].T
-
-    n = len(query_emb)
-    top_ids = np.empty((n, k), dtype=np.int64)
-    top_scores = np.empty((n, k))
-    rows = max(2, _SCORE_BLOCK_ENTRIES // index.size)
-    starts = list(range(0, n, rows))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()  # a one-row tail joins the block before it
-    for start, stop in zip(starts, [*starts[1:], n]):
-        scores = query_emb[start:stop] @ columns
-        queries = np.arange(stop - start)
-        for rank in range(k):
-            best = np.argmax(scores, axis=1)
-            top_ids[start:stop, rank] = ids[order[best]]
-            top_scores[start:stop, rank] = scores[queries, best]
-            scores[queries, best] = -np.inf
-        # Free this block before the next product is allocated, so one block
-        # is live at a time and malloc hands its memory to the next one.
-        del scores
-    return top_ids, top_scores
+    return _top_k(query_emb, side, index.candidate_ids, k)
 
 
 def assemble_anchor_batch(

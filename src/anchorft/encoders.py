@@ -5,9 +5,9 @@ Backpropagation is closed-form; for pre-normalization output u with unit
 embedding e = u/|u|, the normalization Jacobian is (I - e e^T)/|u|.
 
 All parameters live in one flat float64 vector theta, laid out as image
-w1, b1, w2, b2, then text w1, b1, w2, b2, then log_tau. The named leaves
-are reshaped views into it; gradients and optimizer moments are vectors
-with the same layout.
+w1, b1, w2, b2, then text w1, b1, w2, b2, then log_tau. Every reader takes
+its leaves from one tuple of reshaped views into it (_leaf_views);
+gradients and optimizer moments are vectors with the same layout.
 
 Training encodes pairs with both towers at once: every array after the
 first-layer product carries a tower axis, behind a term axis when several
@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "DEFAULT_LOG_TAU",
     "MODALITIES",
     "DualEncoderParams",
-    "EncoderParams",
     "encode_batch",
     "encoder_backward_batch",
     "init_params",
@@ -54,19 +52,6 @@ TAU_MAX = 10.0
 # The towers in theta's order. As the modality of encode_batch, it runs
 # both towers at once; encoder_backward_batch always runs both.
 MODALITIES = ("image", "text")
-
-
-class EncoderParams(NamedTuple):
-    """One tower: w1 (hidden, in), b1 (hidden,), w2 (embed, hidden), b2 (embed,)."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    @property
-    def input_dim(self) -> int:
-        return self.w1.shape[1]
 
 
 def _tower_size(in_dim: int, hidden: int, embed: int) -> int:
@@ -106,11 +91,11 @@ def _param_count(dims: tuple[int, int, int, int]) -> int:
 class DualEncoderParams:
     """Both towers plus the shared temperature, stored as one vector theta.
 
-    dims is (image_in, text_in, hidden, embed). `image` and `text` are
-    EncoderParams of views into theta, and theta[-1] is log_tau, so writing
-    through any of them changes the others. The pair forward reads b1, w2
-    and b2 of both towers through (2, ...) views over theta, built here
-    once: theta is only ever updated in place, so they stay valid.
+    dims is (image_in, text_in, hidden, embed). The leaves are the tuple
+    _leaf_views(theta, dims) returns, built here once: theta is only ever
+    updated in place, so the views stay valid, and writing through one
+    changes theta. tower(modality) reads one tower's leaves from it, and
+    theta[-1] is log_tau.
     """
 
     def __init__(self, theta, dims: tuple[int, int, int, int]):
@@ -124,13 +109,7 @@ class DualEncoderParams:
                 f"theta must have shape ({_param_count(self.dims)},) for dims {self.dims}, "
                 f"got {self.theta.shape}"
             )
-        split = _tower_size(image_in, hidden, embed)
-        self._spans = {"image": slice(0, split), "text": slice(split, self.theta.size - 1)}
-        w1_image, w1_text, b1, w2, b2 = _leaf_views(self.theta, self.dims)
-        self.image = EncoderParams(w1_image, b1[0], w2[0], b2[0])
-        self.text = EncoderParams(w1_text, b1[1], w2[1], b2[1])
-        # Shaped to broadcast over ([term,] tower, row, ·) stacks.
-        self._pair_leaves = (b1[:, None], w2, b2[:, None])
+        self._leaves = _leaf_views(self.theta, self.dims)
         self.check_tau()
 
     def check_tau(self) -> None:
@@ -146,25 +125,16 @@ class DualEncoderParams:
     def tau(self) -> float:
         return math.exp(self.log_tau)
 
-    @property
-    def embed_dim(self) -> int:
-        return self.dims[3]
-
     def copy(self) -> "DualEncoderParams":
         return DualEncoderParams(self.theta.copy(), self.dims)
 
-    def tower(self, modality: str) -> EncoderParams:
-        if modality == "image":
-            return self.image
-        if modality == "text":
-            return self.text
-        raise ValueError(f"unknown modality {modality!r}")
-
-    def span(self, modality: str) -> slice:
-        """The slice of theta that holds one tower."""
-        if modality not in self._spans:
+    def tower(self, modality: str) -> tuple[np.ndarray, ...]:
+        """One tower's (w1, b1, w2, b2): (hidden, in), (hidden,), (embed, hidden), (embed,)."""
+        if modality not in MODALITIES:
             raise ValueError(f"unknown modality {modality!r}")
-        return self._spans[modality]
+        i = MODALITIES.index(modality)
+        b1, w2, b2 = self._leaves[2:]
+        return self._leaves[i], b1[i], w2[i], b2[i]
 
 
 def init_params(
@@ -180,9 +150,9 @@ def init_params(
     theta[-1] = DEFAULT_LOG_TAU
     params = DualEncoderParams(theta, dims)
     stream = RandomStream(seed)
-    for tower in (params.image, params.text):
-        tower.w1[...] = stream.normal_matrix(hidden, tower.input_dim) / math.sqrt(tower.input_dim)
-        tower.w2[...] = stream.normal_matrix(embed_dim, hidden) / math.sqrt(hidden)
+    for w1, _, w2, _ in map(params.tower, MODALITIES):
+        w1[...] = stream.normal_matrix(hidden, w1.shape[1]) / math.sqrt(w1.shape[1])
+        w2[...] = stream.normal_matrix(embed_dim, hidden) / math.sqrt(hidden)
     return params
 
 
@@ -243,14 +213,16 @@ def _encode_pairs(params: DualEncoderParams, images, texts) -> tuple[np.ndarray,
             f"image and text embedding batches must match, got {(len(x_image), embed)} "
             f"vs {(n, embed)}"
         )
+    w1_image, w1_text, b1, w2, b2 = params._leaves
     z1 = np.empty((*x_text.shape[:-2], 2, n, hidden))
     if x_text.ndim == 2:
-        np.matmul(x_image, params.image.w1.T, out=z1[0])
+        np.matmul(x_image, w1_image.T, out=z1[0])
     else:
-        np.matmul(x_image, params.image.w1.T, out=z1[0, 0])
+        np.matmul(x_image, w1_image.T, out=z1[0, 0])
         z1[1:, 0] = z1[0, 0]  # every term reads the same image rows
-    np.matmul(x_text, params.text.w1.T, out=z1[..., 1, :, :])
-    h, e, norms = _embed(z1, *params._pair_leaves, MODALITIES)
+    np.matmul(x_text, w1_text.T, out=z1[..., 1, :, :])
+    # The biases get a row axis to broadcast over ([term,] tower, row, ·).
+    h, e, norms = _embed(z1, b1[:, None], w2, b2[:, None], MODALITIES)
     return e, ((x_image, x_text), h, e, norms)
 
 
@@ -274,15 +246,15 @@ def encode_batch(
     """
     if modality == MODALITIES:
         return _encode_pairs(params, *raw_batch)
-    tower = params.tower(modality)
+    w1, b1, w2, b2 = params.tower(modality)
     x = as_float_array(raw_batch, name="raw features")
     if x.ndim == 1:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != tower.input_dim:
+    if x.ndim != 2 or x.shape[1] != w1.shape[1]:
         raise ValueError(
-            f"{modality} features must have {tower.input_dim} columns, got shape {x.shape}"
+            f"{modality} features must have {w1.shape[1]} columns, got shape {x.shape}"
         )
-    h, e, norms = _embed(x @ tower.w1.T, tower.b1, tower.w2, tower.b2, (modality,))
+    h, e, norms = _embed(x @ w1.T, b1, w2, b2, (modality,))
     return e, (x, h, e, norms)
 
 
@@ -309,7 +281,7 @@ def encoder_backward_batch(params: DualEncoderParams, cache: tuple, grad_embeddi
     du /= norms[..., None]
     dz1 = h**2
     np.subtract(1.0, dz1, out=dz1)
-    dz1 *= du @ params._pair_leaves[1]
+    dz1 *= du @ params._leaves[3]
     out = np.empty((*lead, params.theta.size))
     w1_image, w1_text, b1, w2, b2 = _leaf_views(out, params.dims)
     np.matmul(dz1[..., 0, :, :].mT, x_image, out=w1_image)
@@ -330,7 +302,7 @@ def param_fingerprint(params: DualEncoderParams) -> str:
     """
     digest = hashlib.sha256()
     for tower_name in MODALITIES:
-        for leaf_name, arr in zip(EncoderParams._fields, params.tower(tower_name)):
+        for leaf_name, arr in zip(("w1", "b1", "w2", "b2"), params.tower(tower_name)):
             digest.update(f"{tower_name}.{leaf_name}".encode())
             digest.update(struct.pack("<q", arr.ndim))
             for dim in arr.shape:

@@ -8,6 +8,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .anchors import _top_k
 from .encoders import DualEncoderParams, encode_batch
 from .numerics import as_float_array
 
@@ -91,9 +92,8 @@ def classify(
 ) -> np.ndarray:
     """Predict a class id per row of a raw image feature matrix.
 
-    Each row gets the class of maximum embedding similarity. Ties go to the
-    lowest class id: columns are ordered by ascending id before the argmax,
-    which picks the first maximum.
+    Each row gets the class of maximum embedding similarity; ties go to the
+    lowest class id, as in retrieval (anchors._top_k with k=1).
     """
     classifier = as_float_array(classifier, name="classifier")
     ids = np.asarray(class_ids, dtype=np.int64)
@@ -102,10 +102,7 @@ def classify(
     if len(set(ids.tolist())) != ids.size:
         raise ValueError("class ids must be unique")
     embeddings, _ = encode_batch(params, "image", images)
-
-    order = np.argsort(ids)
-    sims = embeddings @ classifier[order].T
-    return ids[order][np.argmax(sims, axis=1)]
+    return _top_k(embeddings, classifier, ids, 1)[0][:, 0]
 
 
 def _accuracy(
@@ -215,10 +212,6 @@ class EnsembleCurve:
 
     rows: list[tuple[float, Metrics]]
     best_id_alpha: float
-
-    @property
-    def alphas(self) -> list[float]:
-        return [alpha for alpha, _ in self.rows]
 
 
 def ensemble_sweep(

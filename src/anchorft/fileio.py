@@ -186,11 +186,29 @@ def write_json(path, doc: dict) -> None:
     write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def read_json(path) -> dict:
+def _read_text(path) -> str:
+    """A file's UTF-8 text; bytes that are not UTF-8 raise CodecError naming the file."""
     try:
-        doc = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CodecError(f"{path}: not valid JSON ({exc})") from exc
+        return Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _decode_json(text, where: str, what: str = "not valid JSON"):
+    """json.loads of text, or of bytes as UTF-8, for every JSON reader.
+
+    Bad UTF-8, bad JSON and nesting deeper than the parser's recursion
+    limit all raise CodecError "<where>: <what> (<reason>)", so no reader
+    lets a UnicodeDecodeError or RecursionError out without its file.
+    """
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:
+        raise CodecError(f"{where}: {what} ({exc})") from exc
+
+
+def read_json(path) -> dict:
+    doc = _decode_json(_read_text(path), str(path))
     if not isinstance(doc, dict):
         raise CodecError(f"{path}: expected a JSON object")
     return doc
@@ -202,14 +220,9 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
 
 def read_jsonl(path) -> list:
     """json.loads of every non-blank line; a line it rejects raises CodecError naming the line."""
-    records = []
-    for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
-        if line.strip():
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise CodecError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
-    return records
+    lines = _read_text(path).splitlines()
+    return [_decode_json(line, f"{path}:{lineno}")
+            for lineno, line in enumerate(lines, start=1) if line.strip()]
 
 
 _KINDS = {int: "64-bit JSON integer", float: "finite JSON number", str: "JSON string",
@@ -231,6 +244,19 @@ def _is(value, kind) -> bool:
     return type(value) is kind
 
 
+def _show(value, render=json.dumps) -> str:
+    """A parsed value as an error message shows it: rendered, cut to 60 characters.
+
+    The parser lets in values nested a few levels deeper than render can
+    recurse, so those show as a placeholder rather than raise RecursionError.
+    """
+    try:
+        shown = render(value)
+    except RecursionError:
+        return "<a value nested too deep to show>"
+    return shown if len(shown) <= 60 else shown[:57] + "..."
+
+
 def _check(value, kind, label: str) -> None:
     """Raise FieldTypeError naming label and the value at fault (a list's first bad item)."""
     if _is(value, kind):
@@ -238,9 +264,7 @@ def _check(value, kind, label: str) -> None:
     if type(kind) is list and type(value) is list:
         kind = kind[0]
         value = next(item for item in value if not _is(item, kind))
-    shown = json.dumps(value)
-    shown = shown if len(shown) <= 60 else shown[:57] + "..."
-    raise FieldTypeError(f"{label}: {shown} is not {_describe(kind)}")
+    raise FieldTypeError(f"{label}: {_show(value)} is not {_describe(kind)}")
 
 
 def _describe(kind) -> str:
@@ -261,7 +285,7 @@ def _fields(doc: dict, types: dict, where: str, version: int | None = None) -> d
     """
     found = doc.get("version", version)
     if version and (type(found) is not int or found != version):
-        raise VersionUnsupportedError(f"{where}: version {found}, supported {version}")
+        raise VersionUnsupportedError(f"{where}: version {_show(found, str)}, supported {version}")
     missing = [k for k in (["version"] if version else []) + list(types) if k not in doc]
     if missing:
         raise MissingFieldError(f"{where}: missing fields {missing}")
@@ -335,10 +359,7 @@ def read_matrix(path, kind: str, columns: list) -> dict:
             raise VersionUnsupportedError(f"{path}: version {version}, supported {TABLE_VERSION}")
         if file_size < _PREFIX.size + size:
             raise CodecError(f"{path}: the JSON header runs past the end of the file")
-        try:
-            header = json.loads(handle.read(size).decode("utf-8"))
-        except ValueError as exc:
-            raise CodecError(f"{path}: the header is not valid JSON ({exc})") from exc
+        header = _decode_json(handle.read(size), str(path), "the header is not valid JSON")
         rows, found = _table_header(path, header, kind, columns)
         payload = file_size - _PREFIX.size - size
         expected = sum(rows * width * np.dtype(dtype).itemsize for _, dtype, width in found)
@@ -367,10 +388,10 @@ def _table_header(path, header, kind: str, columns: list) -> tuple[int, list]:
     if type(header) is not dict or sorted(header) != ["columns", "kind", "rows"]:
         raise CodecError(f"{path}: the header must be a JSON object of kind, rows and columns")
     if header["kind"] != kind:
-        raise CodecError(f"{path}: kind {header['kind']!r}, expected {kind!r}")
+        raise CodecError(f"{path}: kind {_show(header['kind'], repr)}, expected {kind!r}")
     rows, found = header["rows"], header["columns"]
     if type(rows) is not int or rows < 0:
-        raise FieldTypeError(f"{path}: rows {json.dumps(rows)} is not a row count")
+        raise FieldTypeError(f"{path}: rows {_show(rows)} is not a row count")
     if not _is(found, [list]) or any(len(c) != 3 or not _is(c[:2], [str]) for c in found):
         raise FieldTypeError(f"{path}: columns must be a JSON list of [name, dtype, width]")
     names, wanted = [c[0] for c in found], [c[0] for c in columns]
@@ -387,7 +408,7 @@ def _table_header(path, header, kind: str, columns: list) -> tuple[int, list]:
             raise FieldTypeError(f"{path}: column {name} is {dtype}, expected {want_dtype}")
         if type(width) is not int or width < 1 or want_width not in (None, width):
             raise WidthMismatchError(
-                f"{path}: column {name} is {json.dumps(width)} wide, expected {want_width}"
+                f"{path}: column {name} is {_show(width)} wide, expected {want_width}"
             )
     return rows, found
 
@@ -662,7 +683,7 @@ def read_curve_csv(path) -> tuple[list[str], list[dict]]:
     be alpha and one must be id, both set on every row. A cell that is not a
     finite number raises CodecError.
     """
-    lines = Path(path).read_text("utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     if len(lines) < 2:
         raise CodecError(f"{path}: a curve needs a header and at least one row")
     header = lines[0].split(",")

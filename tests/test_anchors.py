@@ -64,17 +64,17 @@ def oracle_top_k(scores_row, ids, k):
 
 
 class TestSets:
-    def test_iteration_and_int_index_give_rows(self):
+    def test_iteration_gives_rows(self):
         samples = make_samples(4)
         rows = list(samples)
         assert isinstance(rows[0], Sample) and isinstance(rows[0].id, int)
         assert [s.id for s in samples] == [0, 1, 2, 3]
         assert [s.class_id for s in samples] == [0, 1, 2, 0]
-        assert np.array_equal(samples[-1].feature, samples.features[3])
-        pair = make_candidates(3)[1]
+        assert np.array_equal(rows[-1].feature, samples.features[3])
+        pair = list(make_candidates(3))[1]
         assert isinstance(pair, CandidatePair) and pair.id == 1001
         assert np.array_equal(pair.text_feature, make_candidates(3).texts[1])
-        caption = CaptionSet([7, 3], np.eye(2))[1]
+        caption = list(CaptionSet([7, 3], np.eye(2)))[1]
         assert isinstance(caption, CaptionRecord) and caption.sample_id == 3
         assert caption.caption_feature.tolist() == [0.0, 1.0]
 
@@ -118,7 +118,7 @@ class TestSets:
             PromptTable([4, 4], np.zeros((2, 3)))
         prompts = PromptTable([4, 9], np.eye(2)).concat(PromptTable([1], np.ones((1, 2))))
         assert prompts.class_ids.tolist() == [4, 9, 1] and len(prompts) == 3
-        assert prompts[1][0] == 9
+        assert list(prompts)[1][0] == 9  # a row starts with its key
 
     def test_concat_keeps_row_order(self):
         a, b = make_candidates(2), make_candidates(3, start_id=7)
@@ -283,7 +283,8 @@ class TestRetrieve:
         # Give both towers identical weights; then a query equal to a
         # candidate's text feature lands exactly on its text embedding.
         params = make_params(2)
-        params.theta[params.span("text")] = params.theta[params.span("image")]
+        for text_leaf, image_leaf in zip(params.tower("text"), params.tower("image")):
+            text_leaf[...] = image_leaf
         candidates = make_candidates(6)
         index = build_candidate_index(params, candidates)
         ids, scores = retrieve(index, candidates.texts[3:4], params, "v2t", k=1)
@@ -309,7 +310,8 @@ class TestRetrieve:
         # The copy comes first in row order but has the higher id.
         dup = PairSet([base.ids[1] + 5000], base.images[1:2], base.texts[1:2])
         candidates = dup.concat(base)
-        params.theta[params.span("text")] = params.theta[params.span("image")]
+        for text_leaf, image_leaf in zip(params.tower("text"), params.tower("image")):
+            text_leaf[...] = image_leaf
         index = build_candidate_index(params, candidates)
         query = base.texts[1:2]  # lands exactly on the duplicated pair
         ids, scores = retrieve(index, query, params, "v2t", k=2)

@@ -171,15 +171,15 @@ class TestGenerateBenchmark:
     def test_deterministic_bundles(self):
         a = generate_benchmark(small_config())
         b = generate_benchmark(small_config())
-        assert a.finetune[5].feature.tobytes() == b.finetune[5].feature.tobytes()
-        assert a.candidates[3].text_feature.tobytes() == b.candidates[3].text_feature.tobytes()
+        assert a.finetune.features[5].tobytes() == b.finetune.features[5].tobytes()
+        assert a.candidates.texts[3].tobytes() == b.candidates.texts[3].tobytes()
         assert a.prompts_id.prompt_features.tobytes() == b.prompts_id.prompt_features.tobytes()
-        assert a.zsl_test[0].feature.tobytes() == b.zsl_test[0].feature.tobytes()
+        assert a.zsl_test.features[0].tobytes() == b.zsl_test.features[0].tobytes()
 
     def test_seed_changes_everything(self):
         a = generate_benchmark(small_config(seed=0))
         b = generate_benchmark(small_config(seed=1))
-        assert not np.array_equal(a.finetune[0].feature, b.finetune[0].feature)
+        assert not np.array_equal(a.finetune.features[0], b.finetune.features[0])
         assert not np.array_equal(a.prompts_id.prompt_features, b.prompts_id.prompt_features)
 
     def test_prompt_tables_match_class_lists(self):
@@ -200,7 +200,7 @@ class TestGenerateBenchmark:
         for _class in range(cfg.n_id_classes + cfg.n_zsl_classes):
             for d in range(cfg.n_domains):
                 for _ in range(per_domain):
-                    norms[d].append(np.linalg.norm(bundle.pretrain_pool[i].image_feature))
+                    norms[d].append(np.linalg.norm(bundle.pretrain_pool.images[i]))
                     i += 1
         means = [np.mean(norms[d]) for d in range(cfg.n_domains)]
         assert max(means) - min(means) <= 0.05
@@ -271,8 +271,8 @@ class TestSynthCaptionProvider:
 
     def test_deterministic_per_id(self):
         bundle = generate_benchmark(small_config())
-        a = bundle.captions[0].caption_feature
-        regenerated = generate_benchmark(small_config()).captions[0].caption_feature
+        a = bundle.captions.features[0]
+        regenerated = generate_benchmark(small_config()).captions.features[0]
         assert a.tobytes() == regenerated.tobytes()
 
     def test_zero_knobs_reduce_to_class_lift(self):
@@ -280,15 +280,15 @@ class TestSynthCaptionProvider:
         # class center (prompt minus its template offset).
         cfg = small_config(context_strength=0.0, sigma_txt=0.0)
         bundle = generate_benchmark(cfg)
-        sample = bundle.finetune[0]
-        caption = bundle.captions[0].caption_feature
+        class_id = bundle.finetune.class_ids[0]
+        caption = bundle.captions.features[0]
         regen = generate_benchmark(small_config(context_strength=0.0, sigma_txt=0.0))
-        assert caption.tobytes() == regen.captions[0].caption_feature.tobytes()
+        assert caption.tobytes() == regen.captions.features[0].tobytes()
         # Same class center reappears in every caption of the class.
         same_class = [
             r.caption_feature
             for s, r in zip(bundle.finetune, bundle.captions)
-            if s.class_id == sample.class_id
+            if s.class_id == class_id
         ]
         for other in same_class[1:]:
             assert np.array_equal(caption, other)

@@ -315,6 +315,14 @@ class TestCheckpointAndIndexInputs:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
+    @pytest.mark.parametrize("content", [b"[" * 200_000, b'{"id": "\xff"}'],
+                             ids=["nested-too-deep", "not-utf8"])
+    def test_unreadable_checkpoint_exits_one_naming_it(self, tmp_path, capsys, content):
+        bad = tmp_path / "ft.json"
+        bad.write_bytes(content)
+        assert main(["eval", "--checkpoint", str(bad), "--bundle", str(tmp_path / "bench")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
     @settings(max_examples=200, deadline=None)
     @given(
         edit=st.sampled_from(["flip", "delete", "insert"]),

@@ -25,16 +25,22 @@ def encode_row(p, modality, x):
     return encode_batch(p, modality, x)[0][0]
 
 
+def span(params, modality):
+    """The slice of theta that holds one tower's leaves, in layout order."""
+    split = sum(leaf.size for leaf in params.tower("image"))
+    return slice(0, split) if modality == "image" else slice(split, params.theta.size - 1)
+
+
 def tower_backward(params, modality, cache, grad_embeddings):
     """One tower's backward over a one-tower encode_batch cache, rows summed.
 
     The 2-D reference for the pair backward: a gradient over
-    theta[params.span(modality)], the leaf gradients in layout order.
+    theta[span(params, modality)], the leaf gradients in layout order.
     """
     x, h, e, norms = cache
     de = np.asarray(grad_embeddings, dtype=np.float64)
     du = (de - (de * e).sum(axis=1, keepdims=True) * e) / norms[:, None]
-    dz1 = (1.0 - h**2) * (du @ params.tower(modality).w2)
+    dz1 = (1.0 - h**2) * (du @ params.tower(modality)[2])
     leaves = (dz1.T @ x, dz1.sum(axis=0), du.T @ h, du.sum(axis=0))
     return np.concatenate([leaf.reshape(-1) for leaf in leaves])
 
@@ -50,7 +56,7 @@ class TestParamLayout:
         img, txt, hidden, embed = p.dims
         assert p.theta.shape == (hidden * (img + txt + 2) + 2 * embed * (hidden + 1) + 1,)
         offset = 0
-        for leaf in (*p.image, *p.text):
+        for leaf in (*p.tower("image"), *p.tower("text")):
             assert np.shares_memory(leaf, p.theta)
             assert np.array_equal(leaf.reshape(-1), p.theta[offset : offset + leaf.size])
             offset += leaf.size
@@ -59,9 +65,9 @@ class TestParamLayout:
 
     def test_writes_through_theta_reach_the_leaves(self):
         p = tiny_params()
-        p.theta[p.span("text")] = 0.0
-        assert not p.text.w1.any() and not p.text.b2.any()
-        assert p.image.w1.any()
+        p.theta[span(p, "text")] = 0.0
+        assert not p.tower("text")[0].any() and not p.tower("text")[3].any()
+        assert p.tower("image")[0].any()
 
     def test_wrong_length_rejected(self):
         p = tiny_params()
@@ -78,32 +84,34 @@ class TestParamLayout:
     def test_copy_is_independent(self):
         p = tiny_params()
         q = p.copy()
-        q.image.w1[0, 0] += 1.0
-        assert q.image.w1[0, 0] != p.image.w1[0, 0]
+        q.tower("image")[0][0, 0] += 1.0
+        assert q.tower("image")[0][0, 0] != p.tower("image")[0][0, 0]
 
 
 class TestInitParams:
     def test_deterministic(self):
         a = tiny_params(3)
         b = tiny_params(3)
-        assert a.image.w1.tobytes() == b.image.w1.tobytes()
-        assert a.text.w2.tobytes() == b.text.w2.tobytes()
+        assert a.tower("image")[0].tobytes() == b.tower("image")[0].tobytes()
+        assert a.tower("text")[2].tobytes() == b.tower("text")[2].tobytes()
 
     def test_seeds_differ(self):
-        assert not np.array_equal(tiny_params(0).image.w1, tiny_params(1).image.w1)
+        w1_seed0, w1_seed1 = (tiny_params(seed).tower("image")[0] for seed in (0, 1))
+        assert not np.array_equal(w1_seed0, w1_seed1)
 
     def test_biases_zero_and_log_tau_default(self):
         p = tiny_params()
-        assert not p.image.b1.any()
-        assert not p.text.b2.any()
+        assert not p.tower("image")[1].any()
+        assert not p.tower("text")[3].any()
         assert p.log_tau == DEFAULT_LOG_TAU
         assert abs(p.tau - 0.07) <= 1e-15
 
     def test_weight_scale_tracks_fan_in(self):
         # 1/sqrt(fan_in) scaling: empirical std of a wide layer is close to it.
         p = init_params(0, (400, 400), 200, 8)
-        assert abs(p.image.w1.std() - 1 / math.sqrt(400)) < 0.01
-        assert abs(p.image.w2.std() - 1 / math.sqrt(200)) < 0.01
+        w1, _, w2, _ = p.tower("image")
+        assert abs(w1.std() - 1 / math.sqrt(400)) < 0.01
+        assert abs(w2.std() - 1 / math.sqrt(200)) < 0.01
 
     def test_embed_dim_floor(self):
         with pytest.raises(ValueError):
@@ -119,8 +127,9 @@ class TestEncodeForward:
     def test_constant_tower(self):
         # With w2 = 0 the pre-normalization output is b2 for every input.
         p = tiny_params()
-        p.image.w2[:] = 0.0
-        p.image.b2[:] = [3.0, 0.0, 4.0, 0.0]
+        _, _, w2, b2 = p.tower("image")
+        w2[:] = 0.0
+        b2[:] = [3.0, 0.0, 4.0, 0.0]
         e = encode_row(p, "image", np.ones(5))
         assert np.allclose(e, [0.6, 0.0, 0.8, 0.0], atol=1e-15)
 
@@ -139,8 +148,9 @@ class TestEncodeForward:
         p = tiny_params(2)
         x = RandomStream(0).normals(5)
         base = encode_row(p, "image", x)
-        p.image.w2[...] *= 3.7
-        p.image.b2[...] *= 3.7
+        _, _, w2, b2 = p.tower("image")
+        w2 *= 3.7
+        b2 *= 3.7
         assert np.max(np.abs(encode_row(p, "image", x) - base)) <= 1e-12
 
     def test_batch_matches_single(self):
@@ -168,7 +178,7 @@ class TestEncodeForward:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_norm_rejected(self):
         p = tiny_params()
-        p.image.w2[...] *= 1e300
+        p.tower("image")[2][...] *= 1e300
         with pytest.raises(NonFiniteError):
             encode_batch(p, "image", np.ones(5))
 
@@ -177,7 +187,7 @@ class TestEncoderBackward:
     def test_zero_grad_in_zero_out(self):
         p = tiny_params()
         g = backward_row(p, "image", np.ones(5), np.zeros(4))
-        assert g.shape == p.theta[p.span("image")].shape
+        assert g.shape == p.theta[span(p, "image")].shape
         assert not g.any()
 
     def test_grad_parallel_to_embedding_vanishes(self):
@@ -212,7 +222,7 @@ class TestEncoderBackward:
             def objective() -> float:
                 return float(np.dot(ge, encode_row(p, "image", x)))
 
-            tower = p.theta[p.span("image")]
+            tower = p.theta[span(p, "image")]
             for idx in range(tower.size):
                 orig = tower[idx]
                 tower[idx] = orig + eps
@@ -230,9 +240,10 @@ class TestEncoderBackward:
 class TestPairBackward:
     @pytest.mark.parametrize("terms", [None, 1, 3])
     @pytest.mark.parametrize("widths", [(5, 6), (6, 5), (4, 4)])
-    def test_each_tower_span_is_the_one_tower_backward_bitwise(self, terms, widths):
+    def test_each_tower_is_the_one_tower_forward_and_backward_bitwise(self, terms, widths):
         # Both towers, and every term of a stack, through one call; each
-        # span of each term's row against the 2-D reference alone.
+        # tower of each term's embeddings against the one-tower forward, and
+        # each span of each term's gradient against the 2-D reference alone.
         p = tiny_params(11, *widths)
         stream = RandomStream(12)
         images = stream.normal_matrix(9, widths[0])
@@ -242,12 +253,16 @@ class TestPairBackward:
         de[..., 0, :2, :] = 0.0  # a zero row of an embedding gradient keeps its zeros
         rows = encoder_backward_batch(p, cache, de).reshape(terms or 1, -1)
         f, cache_f = encode_batch(p, "image", images)
-        for row, term_texts, term_de in zip(rows, texts, de.reshape(-1, *e.shape[-3:])):
+        for row, term_texts, term_e, term_de in zip(
+            rows, texts, e.reshape(-1, *e.shape[-3:]), de.reshape(-1, *e.shape[-3:])
+        ):
             g, cache_g = encode_batch(p, "text", term_texts)
-            assert row[p.span("image")].tobytes() == tower_backward(
+            assert term_e[0].tobytes() == f.tobytes()
+            assert term_e[1].tobytes() == g.tobytes()
+            assert row[span(p, "image")].tobytes() == tower_backward(
                 p, "image", cache_f, term_de[0]
             ).tobytes()
-            assert row[p.span("text")].tobytes() == tower_backward(
+            assert row[span(p, "text")].tobytes() == tower_backward(
                 p, "text", cache_g, term_de[1]
             ).tobytes()
             assert row[-1:].tobytes() == np.zeros(1).tobytes()
@@ -264,7 +279,7 @@ class TestParamFingerprint:
         p = tiny_params(1)
         q = tiny_params(1)
         assert param_fingerprint(p) == param_fingerprint(q)
-        q.text.b2[0] += 1e-12
+        q.tower("text")[3][0] += 1e-12
         assert param_fingerprint(p) != param_fingerprint(q)
 
     def test_log_tau_included(self):

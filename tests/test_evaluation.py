@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import anchorft.anchors as anchors
 import anchorft.evaluation as evaluation
 from anchorft.anchors import PromptTable, SampleSet, lookup_rows
 from anchorft.benchgen import GenConfig, generate_benchmark
@@ -113,6 +114,18 @@ class TestClassify:
         scaled = classify(params, images, 7.3 * classifier, ids)
         assert np.array_equal(base, scaled)
 
+    def test_row_blocks_give_the_one_block_predictions(self, monkeypatch):
+        # Four rows per score block (three blocks plus two rows) predicts
+        # byte for byte what one block does.
+        params = tiny_params()
+        rng = np.random.default_rng(13)
+        images = rng.normal(size=(14, 6))
+        classifier = rng.normal(size=(5, 5))
+        ids = [8, 2, 6, 4, 0]
+        whole = classify(params, images, classifier, ids)
+        monkeypatch.setattr(anchors, "_SCORE_BLOCK_ENTRIES", 4 * len(ids))
+        assert classify(params, images, classifier, ids).tobytes() == whole.tobytes()
+
     def test_shape_and_id_validation(self):
         params = tiny_params()
         images = np.zeros((2, 6))
@@ -145,7 +158,8 @@ class TestEvaluateSplits:
         # Shared towers plus image features copied from the prompts give
         # self-similarity 1 per class, so ID accuracy is exactly 100.
         params = tiny_params(dims=(7, 7))
-        params.theta[params.span("text")] = params.theta[params.span("image")]
+        for text_leaf, image_leaf in zip(params.tower("text"), params.tower("image")):
+            text_leaf[...] = image_leaf
         rng = np.random.default_rng(8)
         prompts = PromptTable([0, 1, 2], rng.normal(size=(3, 7)))
         classes = np.arange(9) % 3
@@ -246,17 +260,17 @@ class TestEnsembleWeights:
         pre, ft = two_checkpoints()
         at0 = ensemble_weights(pre, ft, 0.0)
         at1 = ensemble_weights(pre, ft, 1.0)
-        assert at0.image.w1.tobytes() == pre.params.image.w1.tobytes()
-        assert at1.text.b2.tobytes() == ft.params.text.b2.tobytes()
+        assert at0.tower("image")[0].tobytes() == pre.params.tower("image")[0].tobytes()
+        assert at1.tower("text")[3].tobytes() == ft.params.tower("text")[3].tobytes()
         assert at0.log_tau == pre.params.log_tau
-        at0.image.w1[0, 0] += 1.0
-        assert at0.image.w1[0, 0] != pre.params.image.w1[0, 0]
+        at0.tower("image")[0][0, 0] += 1.0
+        assert at0.tower("image")[0][0, 0] != pre.params.tower("image")[0][0, 0]
 
     def test_midpoint_blend(self):
         pre, ft = two_checkpoints()
         mid = ensemble_weights(pre, ft, 0.5)
-        expected = 0.5 * (pre.params.image.w1 + ft.params.image.w1)
-        assert np.allclose(mid.image.w1, expected, atol=1e-15)
+        expected = 0.5 * (pre.params.tower("image")[0] + ft.params.tower("image")[0])
+        assert np.allclose(mid.tower("image")[0], expected, atol=1e-15)
         assert mid.log_tau == 0.5 * pre.params.log_tau + 0.5 * ft.params.log_tau
 
     def test_alpha_bounds(self):
@@ -278,12 +292,12 @@ class TestEnsembleSweep:
         pre, ft = two_checkpoints()
         bundle = tiny_bundle()
         curve = ensemble_sweep(pre, ft, [0.0, 0.5, 1.0], bundle)
-        assert curve.alphas == [0.0, 0.5, 1.0]
+        assert [alpha for alpha, _ in curve.rows] == [0.0, 0.5, 1.0]
         direct = evaluate_splits(pre.params, bundle)
         assert curve.rows[0][1].to_dict() == direct.to_dict()
         direct_ft = evaluate_splits(ft.params, bundle)
         assert curve.rows[-1][1].to_dict() == direct_ft.to_dict()
-        assert curve.best_id_alpha in curve.alphas
+        assert curve.best_id_alpha in [alpha for alpha, _ in curve.rows]
 
     def test_tied_id_accuracy_prefers_smaller_alpha(self):
         pre, _ = two_checkpoints()

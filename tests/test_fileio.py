@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from anchorft import fileio
 from anchorft.anchors import SampleSet, build_candidate_index
 from anchorft.benchgen import GenConfig, generate_benchmark
-from anchorft.encoders import EncoderParams, init_params
+from anchorft.encoders import init_params
 from anchorft.evaluation import ensemble_sweep
 from anchorft.fileio import (
     BadMagicError,
@@ -509,6 +509,71 @@ class TestJsonl:
             assert str(info.value) == fault
 
 
+def nested(depth):
+    """A list nested depth levels deep, built without recursion."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# Bytes json cannot decode: nesting past the parser's recursion limit, and
+# bytes that are not UTF-8.
+DEEP_JSON = b"[" * 200_000
+NOT_UTF8 = b'{"version": "\xff"}\n'
+TABLE_COLUMNS = [("ids", "<i8", 1)]
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("content,reason", [(DEEP_JSON, "maximum recursion depth"),
+                                                (NOT_UTF8, "can't decode byte 0xff")],
+                             ids=["deep", "not-utf8"])
+    @pytest.mark.parametrize("name,read", [
+        ("ck.json", read_checkpoint),
+        ("config.json", lambda path: parse_train_config(fileio.read_json(path))),
+        ("metrics.json", read_metrics),
+        ("meta.json", lambda path: read_candidate_index(path.parent)),
+        ("log.jsonl", read_jsonl),
+        ("table.arft", lambda path: read_matrix(path, "samples", TABLE_COLUMNS)),
+    ], ids=["checkpoint", "config", "metrics", "index-meta", "jsonl", "table-header"])
+    def test_raises_codec_error_naming_the_file(self, tmp_path, name, read, content, reason):
+        path = tmp_path / name
+        path.write_bytes(pack_table(content, b"") if name.endswith(".arft") else content)
+        with pytest.raises(CodecError) as info:
+            read(path)
+        assert str(info.value).startswith(f"{path}:")
+        assert reason in str(info.value)
+
+    def test_curve_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_bytes(b"alpha,id\n0.\xff,1\n")
+        with pytest.raises(CodecError, match=re.escape(f"{path}: not UTF-8 text")):
+            read_curve_csv(path)
+
+    @pytest.mark.parametrize("doc,read", [
+        ({"version": nested(5000)}, read_metrics),
+        ({"version": 2, "provenance": nested(5000), "config_fingerprint": "f", "id": "i",
+          "dims": [1, 1, 1, 2], "theta": [0.0]}, read_checkpoint),
+        ({"seed": nested(5000)}, lambda path: parse_gen_config(fileio.read_json(path))),
+        ({"kind": nested(5000), "rows": 0, "columns": []},
+         lambda path: read_matrix(path, "samples", TABLE_COLUMNS)),
+        ({"kind": "samples", "rows": nested(5000), "columns": []},
+         lambda path: read_matrix(path, "samples", TABLE_COLUMNS)),
+        ({"kind": "samples", "rows": 0, "columns": [["ids", "<i8", nested(5000)]]},
+         lambda path: read_matrix(path, "samples", TABLE_COLUMNS)),
+    ], ids=["version", "checkpoint-field", "config-field", "kind", "rows", "width"])
+    def test_value_too_deep_to_show_still_raises_codec_error(
+        self, tmp_path, monkeypatch, doc, read
+    ):
+        # json.loads admits values a few levels deeper than json.dumps and repr
+        # can render in an error message; a stand-in parser returns one far deeper.
+        path = tmp_path / "doc"
+        path.write_bytes(pack_table(b"{}", b""))
+        monkeypatch.setattr(fileio.json, "loads", lambda text: doc)
+        with pytest.raises(CodecError, match="<a value nested too deep to show>"):
+            read(path)
+
+
 class TestCheckpointCodec:
     def checkpoint(self, seed=0):
         params = init_params(seed, (6, 7), 8, 4)
@@ -591,7 +656,8 @@ class TestCheckpointCodec:
         ckpt = self.checkpoint()
         write_checkpoint(path, ckpt)
         doc = json.loads(path.read_text())
-        doc["theta"][ckpt.params.span("text").start] = leaf
+        text_w1 = sum(a.size for a in ckpt.params.tower("image"))  # the text tower's first entry
+        doc["theta"][text_w1] = leaf
         path.write_text(json.dumps(doc))
         with pytest.raises(FieldTypeError, match=re.escape(
             f"{path}: theta: {json.dumps(leaf)} is not a finite JSON number"
@@ -608,8 +674,7 @@ class TestCheckpointCodec:
         ckpt = self.checkpoint()
         write_checkpoint(path, ckpt)
         doc = json.loads(path.read_text())
-        span = ckpt.params.span
-        at = {"log_tau": -1, "text b2": span("text").stop - 1, "image w1": span("image").start}
+        at = {"log_tau": -1, "text b2": -2, "image w1": 0}  # theta ends with text b2, log_tau
         doc["theta"][at[leaf]] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(FieldTypeError, match=re.escape(f"{path}: theta: {str(value)[:10]}")):
@@ -630,7 +695,8 @@ class TestCheckpointCodec:
     def test_version_1_layout_rejected(self, tmp_path):
         # Version 1 stored each tower's leaves by name and log_tau apart.
         params = self.checkpoint().params
-        towers = {m: dict(zip(EncoderParams._fields, (leaf.tolist() for leaf in params.tower(m))))
+        towers = {m: {name: leaf.tolist() for name, leaf in zip(("w1", "b1", "w2", "b2"),
+                                                                 params.tower(m))}
                   for m in ("image", "text")}
         doc = {"version": 1, "provenance": "pretrained", "config_fingerprint": "f", "id": "i",
                "log_tau": params.log_tau, **towers}
@@ -836,7 +902,7 @@ class TestBundleCodec:
         assert [c.sample_id for c in back.captions] == [c.sample_id for c in bundle.captions]
         assert sorted(back.ds_tests) == sorted(bundle.ds_tests)
         assert np.allclose(
-            back.candidates[3].text_feature, bundle.candidates[3].text_feature, atol=1e-6
+            back.candidates.texts[3], bundle.candidates.texts[3], atol=1e-6
         )
 
     def test_rewrite_is_byte_identical(self, tmp_path):

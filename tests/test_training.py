@@ -160,7 +160,7 @@ class TestAdamW:
         state = init_optimizer_state(params)
         new_params, new_state = adamw_update(params, grads, state, lr=0.1, wd=0.0)
         expected = 1.0 - 0.1 / (1.0 + 1e-8)
-        assert abs(new_params.image.w1[0, 0] - expected) <= 1e-15
+        assert abs(new_params.tower("image")[0][0, 0] - expected) <= 1e-15
         assert new_state.step == 1
 
     def test_zero_grads_no_decay_leaves_params(self):
@@ -175,7 +175,7 @@ class TestAdamW:
         zero = np.zeros_like(params.theta)
         new_params, _ = adamw_update(params, zero, init_optimizer_state(params), 0.1, 0.5)
         expected = 2.0 * (1.0 - 0.1 * 0.5)
-        assert abs(new_params.image.w1[0, 0] - expected) <= 1e-15 * abs(expected)
+        assert abs(new_params.tower("image")[0][0, 0] - expected) <= 1e-15 * abs(expected)
 
     def test_log_tau_frozen_by_default(self):
         params, grads = self.scalar_setup()
@@ -207,7 +207,7 @@ class TestAdamW:
         assert params.theta is theta and state.m is m and state.v is v
         assert theta.tobytes() != before.tobytes()
         assert m.any() and v.any() and state.step == 1
-        assert params.image.w1.base is theta  # the leaves still view theta
+        assert params.tower("image")[0].base is theta  # the leaves still view theta
 
     @pytest.mark.parametrize("tau_trainable", [False, True])
     def test_matches_the_out_of_place_formula_bitwise(self, tau_trainable):
@@ -280,7 +280,7 @@ class TestAdamW:
         params, state = adamw_update(params, grads, state, 0.1, 0.0)
         params, state = adamw_update(params, grads, state, 0.1, 0.0)
         assert state.step == 2
-        assert abs(params.image.w1[0, 0] - 0.8) <= 1e-7
+        assert abs(params.tower("image")[0][0, 0] - 0.8) <= 1e-7
 
 
 class TestComputeTotalLoss:
@@ -542,8 +542,8 @@ class TestPretrain:
             cfg.hidden,
             cfg.embed_dim,
         )
-        assert ckpt.params.image.w1.tobytes() == fresh.image.w1.tobytes()
-        assert ckpt.params.text.w2.tobytes() == fresh.text.w2.tobytes()
+        assert ckpt.params.tower("image")[0].tobytes() == fresh.tower("image")[0].tobytes()
+        assert ckpt.params.tower("text")[2].tobytes() == fresh.tower("text")[2].tobytes()
         assert log == []
         assert ckpt.provenance == "pretrained"
 
@@ -560,7 +560,7 @@ class TestPretrain:
         a, _ = pretrain(bundle.pretrain_pool, tiny_train_config())
         b, _ = pretrain(bundle.pretrain_pool, tiny_train_config())
         assert a.id == b.id
-        assert a.params.image.w1.tobytes() == b.params.image.w1.tobytes()
+        assert a.params.tower("image")[0].tobytes() == b.params.tower("image")[0].tobytes()
 
     def test_pool_too_small(self):
         bundle = generate_benchmark(tiny_gen_config())
@@ -796,7 +796,7 @@ class TestRunFinetune:
             bundle.candidates, start, cfg,
         )
         assert a.id == b.id
-        assert a.params.text.w1.tobytes() == b.params.text.w1.tobytes()
+        assert a.params.tower("text")[0].tobytes() == b.params.tower("text")[0].tobytes()
         assert log_a == log_b
 
     def test_cl_only_equals_zero_weight_anchors(self):
@@ -811,8 +811,8 @@ class TestRunFinetune:
             bundle.finetune, bundle.prompts_id, bundle.captions, index,
             bundle.candidates, start, zero_w,
         )
-        assert a.params.image.w1.tobytes() == b.params.image.w1.tobytes()
-        assert a.params.text.w2.tobytes() == b.params.text.w2.tobytes()
+        assert a.params.tower("image")[0].tobytes() == b.params.tower("image")[0].tobytes()
+        assert a.params.tower("text")[2].tobytes() == b.params.tower("text")[2].tobytes()
         assert a.params.log_tau == b.params.log_tau
 
     def test_requires_pretrained_start(self):
@@ -859,7 +859,7 @@ class TestRunFinetune:
             return real_step(*args)
 
         monkeypatch.setattr(training, "compute_total_loss_and_grads", counted_step)
-        with pytest.raises(MissingCaptionError, match=str(bundle.finetune[-1].id)):
+        with pytest.raises(MissingCaptionError, match=str(bundle.finetune.ids[-1])):
             run_finetune(
                 bundle.finetune, bundle.prompts_id, bundle.captions[:-1], index,
                 bundle.candidates, start, cfg,
@@ -989,5 +989,5 @@ class TestCheckpointIdentity:
         assert a.id == b.id
         c = make_checkpoint(params, cfg, "finetuned")
         assert c.id != a.id
-        params.image.b2[0] += 1e-9
+        params.tower("image")[3][0] += 1e-9
         assert make_checkpoint(params, cfg, "pretrained").id != a.id
