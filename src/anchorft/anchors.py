@@ -131,8 +131,9 @@ class _Columns:
     ValueError naming its key. _from_columns is the one unchecked way, for
     columns already known to pass. A slice of a checked set is valid, so it
     is built unchecked; an index array and concat go through the checked
-    constructor, so a repeated row or a shared key raises. Iteration gives
-    each row as _row.
+    constructor, so a repeated row or a shared key raises. A set has no int
+    index: an int or bool key raises TypeError. Iteration gives each row as
+    _row.
     """
 
     _matrices: tuple[str, ...]
@@ -160,6 +161,12 @@ class _Columns:
         return map(self._row, *(c.tolist() if c.ndim == 1 else c for c in columns))
 
     def __getitem__(self, key):
+        if isinstance(key, (int, np.integer, np.bool_)):
+            column = self._matrices[0]
+            raise TypeError(
+                f"{type(self).__name__} has no int index; read one entry from a column, "
+                f"such as {column}[{key}]"
+            )
         columns = [getattr(self, name)[key] for name in _column_names(type(self))]
         if isinstance(key, slice):
             return self._from_columns(*columns)

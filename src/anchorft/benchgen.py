@@ -199,9 +199,15 @@ class SynthCaptionProvider:
         return self.latent_prototypes[class_ids] + self.strength * self.context_mix(ids)
 
     def caption_feature(self, ids: np.ndarray, latents: np.ndarray) -> np.ndarray:
-        """Caption rows for the ids whose content_latents are `latents`."""
+        """Caption rows for the ids whose content_latents are `latents`.
+
+        Built in place in the noise matrix; float sums and products commute
+        exactly, so each row has the bits of m_txt @ latent + sigma_txt * noise.
+        """
         noise = lane_normals(derive_seeds(self.seed, _TAG_CAPTION, ids), self.m_txt.shape[0])
-        return _matvec_rows(self.m_txt, latents) + self.sigma_txt * noise
+        noise *= self.sigma_txt
+        noise += _matvec_rows(self.m_txt, latents)
+        return noise
 
 
 def _matvec_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -239,9 +245,9 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
     m_img = random_rotation(derive_seed(seed, _TAG_LIFT_IMG), cfg.d_img_raw)[:, : cfg.d_latent]
     m_txt = random_rotation(derive_seed(seed, _TAG_LIFT_TXT), cfg.d_txt_raw)[:, : cfg.d_latent]
 
-    rotations = [np.eye(cfg.d_img_raw)]
-    for domain in range(1, cfg.n_domains):
-        rotations.append(random_rotation(seed ^ domain, cfg.d_img_raw))
+    rotations = {
+        domain: random_rotation(seed ^ domain, cfg.d_img_raw) for domain in range(1, cfg.n_domains)
+    }
 
     template = l2_normalize(RandomStream(derive_seed(seed, _TAG_TEMPLATE)).normals(cfg.d_txt_raw))
     prompt_rows = _matvec_rows(m_txt, prototypes) + cfg.template_offset_scale * template
@@ -270,17 +276,20 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
         nonlocal next_id
         ids = np.arange(next_id, next_id + class_ids.size, dtype=np.int64)
         next_id += ids.size
-        images = np.empty((ids.size, cfg.d_img_raw))
+        # The set's image noise becomes its image matrix: sigma * noise, then
+        # each row's lift is added (as in caption_feature) and the shifted
+        # domains are rotated in place. Domain 0's rows are the raw images.
+        images = lane_normals(derive_seeds(seed, _TAG_IMG_NOISE, ids), cfg.d_img_raw)
+        images *= cfg.sigma_img
         texts = np.empty((ids.size, cfg.d_txt_raw)) if captions else None
         for start in range(0, ids.size, LANE_BLOCK):
             rows = slice(start, start + LANE_BLOCK)
             latents = provider.content_latents(ids[rows], class_ids[rows])
-            noise = lane_normals(derive_seeds(seed, _TAG_IMG_NOISE, ids[rows]), cfg.d_img_raw)
-            raw = _matvec_rows(m_img, latents) + cfg.sigma_img * noise
             block, block_domains = images[rows], domain_ids[rows]
-            for domain, rotation in enumerate(rotations):
+            block += _matvec_rows(m_img, latents)
+            for domain, rotation in rotations.items():
                 in_domain = block_domains == domain
-                block[in_domain] = _matvec_rows(rotation, raw[in_domain])
+                block[in_domain] = _matvec_rows(rotation, block[in_domain])
             if captions:
                 texts[rows] = provider.caption_feature(ids[rows], latents)
         return ids, images, texts

@@ -16,11 +16,28 @@ is exact while libm's double `log` errs by under 0.56 ulp (glibc states
 0.519); hosts whose long double has under 64 significand bits use
 `math.log` throughout. Its cos and sin are numpy's float64 loops, which
 call libm and so match `math` bit for bit (a test checks a million angles).
+
+lane_normals steps its lanes a run of draws at a time and cuts each run into
+chunks of about _CHUNK_PAIRS Box-Muller pairs, which are transformed straight
+into the output's columns. When the process may run on more than one CPU, a
+worker thread takes chunks as they are queued while the calling thread steps
+on and then transforms what is left; numpy's loops (logl, cos, sin, sqrt)
+release the GIL, so the two cores overlap. The worker runs only private
+helpers (_transform, _box_muller, _log, _math_log) and numpy, never a public
+name or a RandomStream method, and lane_normals joins it and re-raises its
+exception before returning. The bits cannot change: each element comes from
+the same ufuncs on the same two draws whichever thread or chunk computes it,
+and chunks write disjoint columns. With one CPU in the affinity mask, or
+input too small for two chunks, no thread starts and the caller transforms
+every chunk itself.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -43,7 +60,13 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 # Streams advanced together by the lane functions; bounds their temporaries.
-LANE_BLOCK = 512
+LANE_BLOCK = 2048
+
+# lane_normals transforms whole steps of a lane block, about this many
+# Box-Muller pairs, at a time; it steps _RUN_CHUNKS chunks before transforming
+# them, which bounds the draws it holds.
+_CHUNK_PAIRS = 8192
+_RUN_CHUNKS = 2
 
 # Norms at or below this are treated as zero; normalizing them is an error.
 ZERO_NORM_THRESHOLD = 1e-12
@@ -385,22 +408,70 @@ def lane_normals(seeds, n: int) -> np.ndarray:
 
     Bit for bit, odd n included: each lane draws the Box-Muller pairs a
     fresh RandomStream would, in the same order, and an odd n drops the last
-    pair's second value, which RandomStream would have cached.
+    pair's second value, which RandomStream would have cached. With a spare
+    CPU, a worker thread shares the Box-Muller transform (module docstring).
     """
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     out = np.empty((seeds.size, n))
     pairs = (n + 1) // 2
-    for rows, lanes in _lane_blocks(seeds):
-        a = np.empty((pairs, lanes.size), dtype=np.uint64)
-        b = np.empty_like(a)
-        for p in range(pairs):
-            lanes.next_u64(a[p])
-            lanes.next_u64(b[p])
-        z = np.empty((lanes.size, 2 * pairs))
-        z0, z1 = _box_muller(a, b)
-        z[:, 0::2], z[:, 1::2] = z0.T, z1.T
-        out[rows] = z[:, :n]
+    ready, failed = queue.SimpleQueue(), []
+    worker = None
+    if seeds.size * pairs > _CHUNK_PAIRS and _spare_core():
+        worker = threading.Thread(target=_transform_all, args=(ready, out, failed), daemon=True)
+        worker.start()
+    try:
+        for rows, lanes in _lane_blocks(seeds):
+            steps = max(1, _CHUNK_PAIRS // lanes.size)
+            for start in range(0, pairs, _RUN_CHUNKS * steps):
+                a = np.empty((min(pairs - start, _RUN_CHUNKS * steps), lanes.size), dtype=np.uint64)
+                b = np.empty_like(a)
+                for a_row, b_row in zip(a, b):
+                    lanes.next_u64(a_row)
+                    lanes.next_u64(b_row)
+                for i in range(0, len(a), steps):
+                    ready.put((rows, start + i, a[i : i + steps], b[i : i + steps]))
+                while True:
+                    try:
+                        chunk = ready.get_nowait()
+                    except queue.Empty:
+                        break
+                    _transform(out, *chunk)
+    finally:
+        if worker is not None:
+            ready.put(None)
+            worker.join()
+    if failed:
+        raise failed[0]
     return out
+
+
+def _spare_core() -> bool:
+    """Whether this process may run on more than one CPU."""
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) > 1
+
+
+def _transform(out: np.ndarray, rows: slice, first: int, a: np.ndarray, b: np.ndarray) -> None:
+    """Write the Box-Muller pairs first, first + 1, ... of lanes `rows`, drawn as a and b.
+
+    Pair p fills columns 2p and 2p + 1 of out; a last pair past an odd
+    width keeps only its first value.
+    """
+    z0, z1 = _box_muller(a, b)
+    stop = min(out.shape[1], 2 * (first + len(a)))
+    out[rows, 2 * first : stop : 2] = z0.T
+    out[rows, 2 * first + 1 : stop : 2] = z1[: (stop - 2 * first) // 2].T
+
+
+def _transform_all(ready, out: np.ndarray, failed: list) -> None:
+    """The worker: transform chunks from `ready` until None; an exception goes to `failed`."""
+    try:
+        while (chunk := ready.get()) is not None:
+            _transform(out, *chunk)
+    except BaseException as exc:  # re-raised by lane_normals on the calling thread
+        failed.append(exc)
 
 
 def lane_sample_indices(seeds, n: int, m: int) -> np.ndarray:

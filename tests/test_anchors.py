@@ -87,6 +87,18 @@ class TestSets:
         assert len(make_candidates(5)[:0]) == 0
         assert make_candidates(5)[:0].images.shape == (0, IMG_DIM)
 
+    @pytest.mark.parametrize("key", [5, np.int64(2), True, np.bool_(False)])
+    @pytest.mark.parametrize(
+        "make, column",
+        [(lambda: make_samples(6), "features"), (lambda: make_candidates(6), "images")],
+    )
+    def test_an_int_key_is_a_type_error_naming_a_column_read(self, make, column, key):
+        # Sets have no int index; a bool is an int to Python and a mask to numpy.
+        with pytest.raises(TypeError, match=re.escape(f"no int index") + ".*" + re.escape(
+            f"such as {column}[{key}]"
+        )):
+            make()[key]
+
     def test_columns_must_have_one_entry_per_row(self):
         with pytest.raises(ValueError):
             SampleSet([0, 1], np.zeros((2, 3)), [0], [0, 0])

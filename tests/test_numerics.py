@@ -1,6 +1,8 @@
 """Checks for normalization, the seeded random stream, and its lockstep lanes."""
 
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -334,3 +336,98 @@ class TestLanes:
     def test_lane_sample_indices_bounds(self):
         with pytest.raises(ValueError):
             lane_sample_indices([0], 3, 4)
+
+
+class TestTransformWorker:
+    """lane_normals' Box-Muller transform on a second thread keeps every byte and stays private."""
+
+    SEEDS = derive_seeds(13, 25, np.arange(11))
+
+    @staticmethod
+    def _count_threads(monkeypatch) -> list:
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(numerics.threading, "Thread", Counted)
+        return started
+
+    @staticmethod
+    def _split_small(monkeypatch, block: int, chunk: int, spare_core: bool = True) -> None:
+        # Small blocks and chunks so that 11 seeds make many lane blocks and
+        # runs of draws, and a worker even on a one-CPU host.
+        monkeypatch.setattr(numerics, "LANE_BLOCK", block)
+        monkeypatch.setattr(numerics, "_CHUNK_PAIRS", chunk)
+        if spare_core:
+            monkeypatch.setattr(numerics, "_spare_core", lambda: True)
+
+    def _assert_rows_are_streams(self, got: np.ndarray, n: int) -> None:
+        assert got.shape == (self.SEEDS.size, n)
+        for row, seed in zip(got, self.SEEDS.tolist()):
+            assert row.tobytes() == RandomStream(seed).normals(n).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 10, 13])
+    @pytest.mark.parametrize("block, chunk", [(4, 3), (5, 10), (3, 7), (11, 5)])
+    def test_split_transform_matches_random_stream(self, monkeypatch, n, block, chunk):
+        # 11 lanes are no multiple of any block; chunks cover 1-3 draws of a
+        # block and an odd n ends on half a pair.
+        self._split_small(monkeypatch, block, chunk)
+        started = self._count_threads(monkeypatch)
+        self._assert_rows_are_streams(lane_normals(self.SEEDS, n), n)
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_one_cpu_transforms_inline(self, monkeypatch):
+        self._split_small(monkeypatch, 4, 3, spare_core=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        started = self._count_threads(monkeypatch)
+        self._assert_rows_are_streams(lane_normals(self.SEEDS, 13), 13)
+        assert started == []
+
+    def test_only_the_calling_thread_runs_public_names(self, monkeypatch):
+        # A benchmark tracer wraps every public name of a module and the
+        # RandomStream methods, and keeps one span stack for one thread.
+        callers = []
+
+        def recorded(name, function):
+            def call(*args, **kwargs):
+                callers.append((name, threading.get_ident()))
+                return function(*args, **kwargs)
+            return call
+
+        for name in numerics.__all__:
+            value = getattr(numerics, name)
+            if callable(value) and not isinstance(value, type):
+                monkeypatch.setattr(numerics, name, recorded(name, value))
+        for name, value in vars(RandomStream).items():
+            if callable(value):
+                monkeypatch.setattr(RandomStream, name, recorded(name, value))
+        self._split_small(monkeypatch, 4, 3)
+        self._assert_rows_are_streams(numerics.lane_normals(self.SEEDS, 13), 13)
+        assert {"lane_normals", "__init__", "normals"} <= {name for name, _ in callers}
+        assert {ident for _, ident in callers} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_failed_chunk_is_raised_and_the_worker_joined(self, monkeypatch, failing):
+        self._split_small(monkeypatch, 4, 3)
+        started = self._count_threads(monkeypatch)
+        box_muller, worker_took_one = numerics._box_muller, threading.Event()
+
+        def flaky(a, b):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker:
+                worker_took_one.set()
+            elif failing == "worker":
+                # Hold the calling thread back until the worker has a chunk.
+                assert worker_took_one.wait(timeout=30)
+            if on_worker == (failing == "worker"):
+                raise RuntimeError(f"chunk failed on the {failing}")
+            return box_muller(a, b)
+
+        monkeypatch.setattr(numerics, "_box_muller", flaky)
+        with pytest.raises(RuntimeError, match=f"chunk failed on the {failing}"):
+            lane_normals(self.SEEDS, 13)
+        assert len(started) == 1 and not started[0].is_alive()
