@@ -20,7 +20,6 @@ import numpy as np
 
 from .anchors import CaptionSet, PairSet, PromptTable, SampleSet
 from .numerics import (
-    LANE_BLOCK,
     RandomStream,
     check_finite_fields,
     derive_seed,
@@ -50,6 +49,13 @@ _TAG_CAPTION = 22
 _TAG_ROTATION = 23
 _TAG_CONTEXT_PICK = 24
 _TAG_IMG_NOISE = 25
+
+
+# Entities whose latents, lifts and captions are built at once; a set's
+# image noise is drawn in one call, in full lane blocks. Blocks of 2,048
+# made the datagen benchmark about 6% faster than 1,024 but raised its peak
+# RSS by 0.4-1.6 MB (x86-64, two cores).
+_ENTITY_BLOCK = 1024
 
 
 class RotationError(RuntimeError):
@@ -282,8 +288,8 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
         images = lane_normals(derive_seeds(seed, _TAG_IMG_NOISE, ids), cfg.d_img_raw)
         images *= cfg.sigma_img
         texts = np.empty((ids.size, cfg.d_txt_raw)) if captions else None
-        for start in range(0, ids.size, LANE_BLOCK):
-            rows = slice(start, start + LANE_BLOCK)
+        for start in range(0, ids.size, _ENTITY_BLOCK):
+            rows = slice(start, start + _ENTITY_BLOCK)
             latents = provider.content_latents(ids[rows], class_ids[rows])
             block, block_domains = images[rows], domain_ids[rows]
             block += _matvec_rows(m_img, latents)

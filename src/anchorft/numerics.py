@@ -396,11 +396,19 @@ def _box_muller(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     glibc rounded log correctly). Hosts whose long double has fewer than 64
     significand bits take math.log on every element.
     """
-    u1 = ((a >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
-    u2 = (b >> np.uint64(11)) * 2.0**-53
-    r = np.sqrt(-2.0 * _log(u1))
-    theta = 2.0 * math.pi * u2
-    return r * np.cos(theta), r * np.sin(theta)
+    # In place, to hold fewer chunk-sized temporaries; a float product is
+    # the same whichever operand comes first, so these are the bits of
+    # sqrt(-2.0 * log(u1)) * cos(2.0 * pi * u2) and its sine.
+    r = _log(((a >> np.uint64(11)) + np.uint64(1)) * 2.0**-53)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = (b >> np.uint64(11)) * 2.0**-53
+    theta *= 2.0 * math.pi
+    z0 = np.cos(theta)
+    z0 *= r
+    z1 = np.sin(theta, out=theta)
+    z1 *= r
+    return z0, z1
 
 
 def lane_normals(seeds, n: int) -> np.ndarray:

@@ -522,7 +522,7 @@ def test_small_bundle_digests_do_not_depend_on_the_lane_block(block, tmp_path, m
     # Lanes are independent streams and each entity's products are its own,
     # so how many entities are built at once cannot change a byte.
     monkeypatch.setattr(numerics, "LANE_BLOCK", block)
-    monkeypatch.setattr(benchgen, "LANE_BLOCK", block)
+    monkeypatch.setattr(benchgen, "_ENTITY_BLOCK", block)
     config = GenConfig(**{**SMALL_GEN, "contexts_per_sample": 3, "d_img_raw": 9})
     digests = _bundle_digests(generate_benchmark(config), tmp_path)
     files = hashlib.sha256(json.dumps(digests, sort_keys=True).encode()).hexdigest()
