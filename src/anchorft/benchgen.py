@@ -52,9 +52,10 @@ _TAG_IMG_NOISE = 25
 
 
 # Entities whose latents, lifts and captions are built at once; a set's
-# image noise is drawn in one call, in full lane blocks. Blocks of 2,048
-# made the datagen benchmark about 6% faster than 1,024 but raised its peak
-# RSS by 0.4-1.6 MB (x86-64, two cores).
+# image noise is drawn in one call, in full lane blocks. Blocks of 2,048 ran
+# the datagen benchmark about 8% faster than 1,024, but raised its peak RSS
+# by up to 1.6 MB over blocks of 512, against 0.7 MB at 1,024 (x86-64, two
+# cores).
 _ENTITY_BLOCK = 1024
 
 

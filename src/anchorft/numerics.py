@@ -20,16 +20,18 @@ call libm and so match `math` bit for bit (a test checks a million angles).
 lane_normals steps its lanes a run of draws at a time and cuts each run into
 chunks of about _CHUNK_PAIRS Box-Muller pairs, which are transformed straight
 into the output's columns. When the process may run on more than one CPU, a
-worker thread takes chunks as they are queued while the calling thread steps
-on and then transforms what is left; numpy's loops (logl, cos, sin, sqrt)
-release the GIL, so the two cores overlap. The worker runs only private
-helpers (_transform, _box_muller, _log, _math_log) and numpy, never a public
-name or a RandomStream method, and lane_normals joins it and re-raises its
-exception before returning. The bits cannot change: each element comes from
-the same ufuncs on the same two draws whichever thread or chunk computes it,
-and chunks write disjoint columns. With one CPU in the affinity mask, or
-input too small for two chunks, no thread starts and the caller transforms
-every chunk itself.
+worker thread transforms queued chunks alongside the calling thread, which
+queues a run's chunks, takes its share and then steps the next run. numpy's
+loops (logl, cos, sin, sqrt) release the GIL, so the two cores overlap; a
+thread waiting for the GIL while the other makes many short numpy calls
+waits long, which is why chunks are large and only the caller steps lanes.
+The worker runs only private helpers (_transform, _box_muller, _log,
+_math_log) and numpy, never a public name or a RandomStream method, and
+lane_normals joins it and re-raises its exception before returning. The
+bits cannot change: each element comes from the same ufuncs on the same two
+draws whichever thread or chunk computes it, and chunks write disjoint
+columns. With one CPU in the affinity mask, or input too small for two
+chunks, no thread starts and the caller transforms every chunk itself.
 """
 
 from __future__ import annotations

@@ -364,6 +364,28 @@ class TestTransformWorker:
         if spare_core:
             monkeypatch.setattr(numerics, "_spare_core", lambda: True)
 
+    @staticmethod
+    def _worker_takes_a_chunk(monkeypatch, fail_on: str | None = None) -> set:
+        """Hold the caller's chunks until the worker has one; return the threads that ran one.
+
+        With fail_on "worker" or "caller", that side's chunks raise.
+        """
+        box_muller, worker_has_one, threads = numerics._box_muller, threading.Event(), set()
+
+        def held(a, b):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            threads.add(threading.get_ident())
+            if on_worker:
+                worker_has_one.set()
+            else:
+                assert worker_has_one.wait(timeout=30)
+            if fail_on == ("worker" if on_worker else "caller"):
+                raise RuntimeError(f"chunk failed on the {fail_on}")
+            return box_muller(a, b)
+
+        monkeypatch.setattr(numerics, "_box_muller", held)
+        return threads
+
     def _assert_rows_are_streams(self, got: np.ndarray, n: int) -> None:
         assert got.shape == (self.SEEDS.size, n)
         for row, seed in zip(got, self.SEEDS.tolist()):
@@ -406,7 +428,9 @@ class TestTransformWorker:
             if callable(value):
                 monkeypatch.setattr(RandomStream, name, recorded(name, value))
         self._split_small(monkeypatch, 4, 3)
+        transformed_on = self._worker_takes_a_chunk(monkeypatch)
         self._assert_rows_are_streams(numerics.lane_normals(self.SEEDS, 13), 13)
+        assert len(transformed_on) == 2
         assert {"lane_normals", "__init__", "normals"} <= {name for name, _ in callers}
         assert {ident for _, ident in callers} == {threading.get_ident()}
 
@@ -414,20 +438,7 @@ class TestTransformWorker:
     def test_a_failed_chunk_is_raised_and_the_worker_joined(self, monkeypatch, failing):
         self._split_small(monkeypatch, 4, 3)
         started = self._count_threads(monkeypatch)
-        box_muller, worker_took_one = numerics._box_muller, threading.Event()
-
-        def flaky(a, b):
-            on_worker = threading.current_thread() is not threading.main_thread()
-            if on_worker:
-                worker_took_one.set()
-            elif failing == "worker":
-                # Hold the calling thread back until the worker has a chunk.
-                assert worker_took_one.wait(timeout=30)
-            if on_worker == (failing == "worker"):
-                raise RuntimeError(f"chunk failed on the {failing}")
-            return box_muller(a, b)
-
-        monkeypatch.setattr(numerics, "_box_muller", flaky)
+        self._worker_takes_a_chunk(monkeypatch, fail_on=failing)
         with pytest.raises(RuntimeError, match=f"chunk failed on the {failing}"):
             lane_normals(self.SEEDS, 13)
         assert len(started) == 1 and not started[0].is_alive()

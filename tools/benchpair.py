@@ -63,6 +63,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
@@ -84,6 +86,24 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "gain": wins >= 0.9 * len(pairs) and gain > a["q3"] - a["q1"],
         }
     return summary
+
+
+def report(workload: str, result: dict, pairs: int, seconds: float) -> str:
+    lines = [
+        f"{workload}: {pairs} pairs of {seconds:g} s runs; outputs "
+        f"{'identical' if result['outputs_match'] else 'DIFFER'}; failed operations "
+        f"A {result['failed']['a']}/{result['attempted']['a']}, "
+        f"B {result['failed']['b']}/{result['attempted']['b']}"
+    ]
+    for name, s in result["summary"].items():
+        change = "n/a" if s["change"] is None else f"{100 * s['change']:+.1f}%"
+        lines.append(
+            f"  {name:12} A {s['a']['median']:.4f} [{s['a']['q1']:.4f}, {s['a']['q3']:.4f}]"
+            f"  B {s['b']['median']:.4f} [{s['b']['q1']:.4f}, {s['b']['q3']:.4f}] {s['unit']}"
+            f"  B better in {s['b_wins']}/{s['pairs']}  {change}"
+            f"{'  gain' if s['gain'] else ''}"
+        )
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -141,24 +161,6 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(record, indent=1) + "\n")
         print(f"record written to {args.out}")
     return 0
-
-
-def report(workload: str, result: dict, pairs: int, seconds: float) -> str:
-    lines = [
-        f"{workload}: {pairs} pairs of {seconds:g} s runs; outputs "
-        f"{'identical' if result['outputs_match'] else 'DIFFER'}; failed operations "
-        f"A {result['failed']['a']}/{result['attempted']['a']}, "
-        f"B {result['failed']['b']}/{result['attempted']['b']}"
-    ]
-    for name, s in result["summary"].items():
-        change = "n/a" if s["change"] is None else f"{100 * s['change']:+.1f}%"
-        lines.append(
-            f"  {name:12} A {s['a']['median']:.4f} [{s['a']['q1']:.4f}, {s['a']['q3']:.4f}]"
-            f"  B {s['b']['median']:.4f} [{s['b']['q1']:.4f}, {s['b']['q3']:.4f}] {s['unit']}"
-            f"  B better in {s['b_wins']}/{s['pairs']}  {change}"
-            f"{'  gain' if s['gain'] else ''}"
-        )
-    return "\n".join(lines)
 
 
 if __name__ == "__main__":
