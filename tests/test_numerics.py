@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 import threading
 import warnings
 
@@ -433,6 +434,33 @@ class TestTransformWorker:
         assert len(transformed_on) == 2
         assert {"lane_normals", "__init__", "normals"} <= {name for name, _ in callers}
         assert {ident for _, ident in callers} == {threading.get_ident()}
+
+    def test_concurrent_callers_each_get_their_own_rows(self, monkeypatch):
+        # Six callers on a two-CPU host, each with its own worker, switching
+        # threads every 10 microseconds: a chunk sent to the wrong output
+        # or lost would change some caller's bytes.
+        self._split_small(monkeypatch, 4, 3)
+        expected = {
+            n: np.stack([RandomStream(seed).normals(n) for seed in self.SEEDS.tolist()]).tobytes()
+            for n in (7, 10, 13)
+        }
+        got, interval = [], sys.getswitchinterval()
+
+        def call(n):
+            for _ in range(5):
+                got.append((n, lane_normals(self.SEEDS, n).tobytes()))
+
+        callers = [threading.Thread(target=call, args=(n,)) for n in (7, 10, 13) * 2]
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert len(got) == 30 and all(rows == expected[n] for n, rows in got)
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_a_failed_chunk_is_raised_and_the_worker_joined(self, monkeypatch, failing):
