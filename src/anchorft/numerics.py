@@ -31,7 +31,8 @@ lane_normals joins it and re-raises its exception before returning. The
 bits cannot change: each element comes from the same ufuncs on the same two
 draws whichever thread or chunk computes it, and chunks write disjoint
 columns. With one CPU in the affinity mask, or input too small for two
-chunks, no thread starts and the caller transforms every chunk itself.
+chunks, no thread starts and the caller transforms every chunk itself; so
+it does when the thread cannot be started (a process at its thread limit).
 """
 
 from __future__ import annotations
@@ -428,7 +429,10 @@ def lane_normals(seeds, n: int) -> np.ndarray:
     worker = None
     if seeds.size * pairs > _CHUNK_PAIRS and _spare_core():
         worker = threading.Thread(target=_transform_all, args=(ready, out, failed), daemon=True)
-        worker.start()
+        try:
+            worker.start()
+        except RuntimeError:  # no thread to be had: the caller transforms every chunk
+            worker = None
     try:
         for rows, lanes in _lane_blocks(seeds):
             steps = max(1, _CHUNK_PAIRS // lanes.size)

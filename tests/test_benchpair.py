@@ -14,10 +14,14 @@ WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
 RATE = {"name": "rate", "unit": "1/s", "better": "higher"}
 
 
-def runs(a_values, b_values, name="wall_s"):
+def runs(a_values, b_values, name="wall_s", b_failed=0):
+    """Pairs of runs of 100 operations each; B's first run fails b_failed of them."""
     return [
-        {"a": {"metrics": {name: a}}, "b": {"metrics": {name: b}}}
-        for a, b in zip(a_values, b_values)
+        {
+            "a": {"metrics": {name: a}, "attempted": 100, "failed": 0},
+            "b": {"metrics": {name: b}, "attempted": 100, "failed": b_failed if i == 0 else 0},
+        }
+        for i, (a, b) in enumerate(zip(a_values, b_values))
     ]
 
 
@@ -47,6 +51,26 @@ def test_a_gap_inside_the_parent_iqr_is_no_gain():
 def test_higher_is_better_counts_the_other_way_and_ties_count_for_neither():
     s = benchpair.summarize(runs([1.0, 1.0, 1.0], [2.0, 2.0, 1.0], "rate"), [RATE])["rate"]
     assert s["b_wins"] == 2 and not s["gain"]
+
+
+@pytest.mark.parametrize("pairs", [1, 9])
+def test_fewer_than_ten_pairs_is_no_gain_however_they_fall(pairs):
+    s = benchpair.summarize(runs(PARENT[:pairs], [0.5] * pairs), [WALL])["wall_s"]
+    assert s["b_wins"] == pairs and not s["gain"]
+
+
+def test_a_larger_share_of_failed_operations_is_no_gain():
+    change = [0.80] * 10
+    assert benchpair.summarize(runs(PARENT, change), [WALL])["wall_s"]["gain"]
+    s = benchpair.summarize(runs(PARENT, change, b_failed=1), [WALL])["wall_s"]
+    assert s["b_wins"] == 10 and not s["gain"]
+
+
+def test_a_failed_share_no_larger_than_the_parents_still_counts():
+    pairs = runs(PARENT, [0.80] * 10, b_failed=1)
+    pairs[0]["a"]["failed"] = 1
+    pairs[1]["b"]["attempted"] = 200
+    assert benchpair.summarize(pairs, [WALL])["wall_s"]["gain"]
 
 
 def test_one_pair_has_degenerate_quartiles():

@@ -410,6 +410,17 @@ class TestTransformWorker:
         self._assert_rows_are_streams(lane_normals(self.SEEDS, 13), 13)
         assert started == []
 
+    def test_a_thread_that_cannot_start_leaves_the_caller_to_transform(self, monkeypatch):
+        self._split_small(monkeypatch, 4, 3)
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(numerics.threading.Thread, "start", refuse)
+        before = threading.active_count()
+        self._assert_rows_are_streams(lane_normals(self.SEEDS, 13), 13)
+        assert threading.active_count() == before
+
     def test_only_the_calling_thread_runs_public_names(self, monkeypatch):
         # A benchmark tracer wraps every public name of a module and the
         # RandomStream methods, and keeps one span stack for one thread.

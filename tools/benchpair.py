@@ -5,14 +5,16 @@
 Run it from inside the repository. Each revision is exported with
 `git archive` into its own temporary directory, and each tree runs its own
 `python3 perfbench/run.py --trace 0` in a subprocess, for the run length
-that A's BENCHMARK.json sets unless --seconds is given. Pairs alternate
-which side runs first. For every end-to-end metric that BENCHMARK.json
-names, it prints each side's median and quartiles, how many pairs B won
-(ties count for neither) and B's median change against A. B shows a gain
-when it wins at least nine tenths of the pairs and the medians differ, in
-the better direction, by more than A's interquartile range. Each run's
-output digests are compared with A's first run. --workload may be given
-more than once; every workload gets its own pairs.
+(`run_seconds`) that A's BENCHMARK.json sets. Pairs alternate which side
+runs first. For every end-to-end metric that BENCHMARK.json names, it
+prints each side's median and quartiles, how many pairs B won (ties count
+for neither) and B's median change against A. B shows a gain when there
+are at least ten pairs, B wins at least nine tenths of them, the medians
+differ, in the better direction, by more than A's interquartile range, and
+no larger share of B's operations failed than of A's. Each run's output
+digests are compared with A's first run. --workload may be given more than
+once; every workload gets its own pairs. For quick timings of one tree,
+run its perfbench/run.py with --seconds directly.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+# Fewer pairs than this never show a gain.
+MIN_PAIRS = 10
 
 
 def _git(*args: str) -> bytes:
@@ -69,8 +74,17 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def totals(runs: list[dict], key: str) -> dict:
+    """Each side's sum of `key` ("failed" or "attempted") over the runs."""
+    return {side: sum(r[side][key] for r in runs) for side in "ab"}
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: each side's quartiles, B's wins and median change, and the gain verdict."""
+    failed, attempted = totals(runs, "failed"), totals(runs, "attempted")
+    # B's failed share is no larger than A's; cross-multiplied, so a side
+    # that attempted nothing needs no division by zero.
+    fails_no_more = failed["b"] * attempted["a"] <= failed["a"] * attempted["b"]
     summary = {}
     for metric in metrics:
         name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
@@ -83,7 +97,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "unit": metric["unit"], "better": metric["better"], "bound": metric.get("bound"),
             "a": a, "b": b, "b_wins": wins, "pairs": len(pairs),
             "change": (b["median"] - a["median"]) / a["median"] if a["median"] else None,
-            "gain": wins >= 0.9 * len(pairs) and gain > a["q3"] - a["q1"],
+            "gain": len(pairs) >= MIN_PAIRS and wins >= 0.9 * len(pairs)
+            and gain > a["q3"] - a["q1"] and fails_no_more,
         }
     return summary
 
@@ -113,7 +128,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--out", type=Path, help="write the record here as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -123,7 +137,7 @@ def main(argv=None) -> int:
         trees = {side: Path(scratch) / side for side in ("a", "b")}
         commits = {side: export(getattr(args, side), tree) for side, tree in trees.items()}
         spec = json.loads((trees["a"] / "BENCHMARK.json").read_text())
-        seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+        seconds = spec["run_seconds"]
         record = {
             "a": {"rev": args.a, "commit": commits["a"]},
             "b": {"rev": args.b, "commit": commits["b"]},
@@ -152,8 +166,8 @@ def main(argv=None) -> int:
             record["workloads"][workload] = {
                 "summary": summary,
                 "outputs_match": all(r[s]["outputs"] == reference for r in runs for s in "ab"),
-                "failed": {s: sum(r[s]["failed"] for r in runs) for s in "ab"},
-                "attempted": {s: sum(r[s]["attempted"] for r in runs) for s in "ab"},
+                "failed": totals(runs, "failed"),
+                "attempted": totals(runs, "attempted"),
                 "runs": runs,
             }
             print(report(workload, record["workloads"][workload], args.pairs, seconds))
