@@ -9,12 +9,24 @@ label, while prompts carry the class lift alone plus a fixed template
 offset: the generator's stand-ins for natural captions versus "a photo of
 a ..." prompts. Domain 0 is the identity; every higher domain applies a
 seeded random rotation to raw image space.
+
+Draw order. The bundle-wide draws come first: class prototypes, the image
+and text lifts, the domain rotations, the prompt template and the context
+bank, each from its own scalar stream. Ids are then handed out to the sets
+in a fixed order (pretraining pool, finetune set, candidate pool, then the
+test splits as one block: seen classes in each domain, held-out classes),
+and every per-entity stream is keyed by (seed, tag, id): one derive_seeds
+call per tag over all the bundle's ids, and one lane_sample_indices call
+for all their context picks. Each set then draws its image noise, and a
+caption set its caption noise, in one lane_normals call each, and the
+noise matrix becomes the set's feature matrix in place. The test block is
+cut into its splits afterwards. Since no stream is shared between
+entities, only the order of the ids fixes the bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -50,13 +62,11 @@ _TAG_ROTATION = 23
 _TAG_CONTEXT_PICK = 24
 _TAG_IMG_NOISE = 25
 
-
-# Entities whose latents, lifts and captions are built at once; a set's
-# image noise is drawn in one call, in full lane blocks. Blocks of 2,048 ran
-# the datagen benchmark about 8% faster than 1,024, but raised its peak RSS
-# by up to 1.6 MB over blocks of 512, against 0.7 MB at 1,024 (x86-64, two
-# cores).
-_ENTITY_BLOCK = 1024
+# Rows whose latents are lifted, or whose images are rotated, per matrix
+# product; bounds the temporaries beside a set's draws. Lifting whole sets
+# at once raised the peak RSS of generating, writing and loading two default
+# bundles by 0.9 MB (x86-64, two cores).
+_LIFT_ROWS = 1024
 
 
 class RotationError(RuntimeError):
@@ -147,11 +157,15 @@ def random_rotation(seed: int, dim: int) -> np.ndarray:
         stream = RandomStream(derive_seed(seed, _TAG_ROTATION, attempt))
         a = stream.normal_matrix(dim, dim)
         q = np.empty_like(a)
+        columns = [q[:, i] for i in range(dim)]
+        step = np.empty(dim)
         ok = True
         for j in range(dim):
             v = a[:, j].copy()
-            for i in range(j):
-                v -= np.dot(q[:, i], v) * q[:, i]
+            # A float product commutes, so these are the bits of
+            # v -= np.dot(q_i, v) * q_i without its temporary.
+            for q_i in columns[:j]:
+                v -= np.multiply(q_i, np.dot(q_i, v), out=step)
             norm = np.linalg.norm(v)
             if norm < 1e-10:
                 ok = False
@@ -175,9 +189,11 @@ class SynthCaptionProvider:
     Images are built from the identical latent point, so a caption carries
     the semantics of its image beyond the class label, the way a natural
     caption describes more than the class word. The subset and eta depend
-    only on (seed, i): captions never change between calls. Every method
-    takes a column of entity ids and draws their streams in lockstep; row
-    k of a result belongs to ids[k].
+    only on (seed, i): captions never change between calls. The draws
+    come from streams keyed by entity ids: context_picks and caption_seeds
+    take a column of ids and key its streams in lockstep, and the other
+    methods take rows already drawn for such a column. Row k of a result
+    belongs to the k-th id.
     """
 
     seed: int
@@ -188,32 +204,58 @@ class SynthCaptionProvider:
     contexts_per_sample: int
     sigma_txt: float
 
-    def context_mix(self, ids: np.ndarray) -> np.ndarray:
-        """Each id's sum of its distinct context bank rows, added in pick order."""
-        if not self.contexts_per_sample:
-            return np.zeros((len(ids), self.context_bank.shape[1]))
-        picks = lane_sample_indices(
+    def context_picks(self, ids: np.ndarray) -> np.ndarray:
+        """(len(ids), contexts_per_sample) int64: each id's distinct bank rows, in pick order."""
+        return lane_sample_indices(
             derive_seeds(self.seed, _TAG_CONTEXT_PICK, ids),
             self.context_bank.shape[0],
             self.contexts_per_sample,
         )
+
+    def context_mix(self, picks: np.ndarray) -> np.ndarray:
+        """Each row's sum of its picked context bank rows, added in pick order."""
+        if not picks.shape[1]:
+            return np.zeros((len(picks), self.context_bank.shape[1]))
         mix = self.context_bank[picks[:, 0]]
         for column in picks[:, 1:].T:
             mix += self.context_bank[column]
         return mix
 
-    def content_latents(self, ids: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
-        return self.latent_prototypes[class_ids] + self.strength * self.context_mix(ids)
+    def content_latents(self, class_ids: np.ndarray, picks: np.ndarray) -> np.ndarray:
+        """Latent content of entities of classes class_ids whose context_picks are picks.
 
-    def caption_feature(self, ids: np.ndarray, latents: np.ndarray) -> np.ndarray:
-        """Caption rows for the ids whose content_latents are `latents`.
+        Built in place in the mix: a float sum commutes, so each row has the
+        bits of prototype + strength * mix.
+        """
+        latents = self.context_mix(picks)
+        latents *= self.strength
+        latents += self.latent_prototypes[class_ids]
+        return latents
+
+    def caption_seeds(self, ids: np.ndarray) -> np.ndarray:
+        """The caption noise stream of each id."""
+        return derive_seeds(self.seed, _TAG_CAPTION, ids)
+
+    def lift(self, out: np.ndarray, matrix: np.ndarray, class_ids: np.ndarray, picks: np.ndarray):
+        """Add matrix @ latent to each row of out, for the content_latents of class_ids and picks.
+
+        Latents and products are built _LIFT_ROWS rows at a time, which
+        bounds their temporaries; each row's product is its own
+        (_matvec_rows), so the bits do not depend on the block.
+        """
+        for start in range(0, len(out), _LIFT_ROWS):
+            rows = slice(start, start + _LIFT_ROWS)
+            out[rows] += _matvec_rows(matrix, self.content_latents(class_ids[rows], picks[rows]))
+
+    def caption_feature(self, seeds: np.ndarray, class_ids: np.ndarray, picks: np.ndarray):
+        """Caption rows of the entities with these caption_seeds, class_ids and context_picks.
 
         Built in place in the noise matrix; float sums and products commute
         exactly, so each row has the bits of m_txt @ latent + sigma_txt * noise.
         """
-        noise = lane_normals(derive_seeds(self.seed, _TAG_CAPTION, ids), self.m_txt.shape[0])
+        noise = lane_normals(seeds, self.m_txt.shape[0])
         noise *= self.sigma_txt
-        noise += _matvec_rows(self.m_txt, latents)
+        self.lift(noise, self.m_txt, class_ids, picks)
         return noise
 
 
@@ -232,7 +274,8 @@ def _matvec_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(stream: RandomStream, n: int, dim: int) -> np.ndarray:
-    return np.stack([l2_normalize(stream.normals(dim)) for _ in range(n)])
+    """n unit rows of width dim: the stream's next n * dim normals in row order, normalized."""
+    return np.stack([l2_normalize(row) for row in stream.normal_matrix(n, dim)])
 
 
 def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
@@ -274,53 +317,14 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
         sigma_txt=cfg.sigma_txt,
     )
 
-    next_id = 0
-
-    # Every entity's features come from streams keyed by its own id, so only
-    # the order in which ids are handed out fixes the bundle. Entities are
-    # built a block at a time, their latents once for image and caption.
-    def entities(class_ids: np.ndarray, domain_ids: np.ndarray, captions: bool):
-        nonlocal next_id
-        ids = np.arange(next_id, next_id + class_ids.size, dtype=np.int64)
-        next_id += ids.size
-        # The set's image noise becomes its image matrix: sigma * noise, then
-        # each row's lift is added (as in caption_feature) and the shifted
-        # domains are rotated in place. Domain 0's rows are the raw images.
-        images = lane_normals(derive_seeds(seed, _TAG_IMG_NOISE, ids), cfg.d_img_raw)
-        images *= cfg.sigma_img
-        texts = np.empty((ids.size, cfg.d_txt_raw)) if captions else None
-        for start in range(0, ids.size, _ENTITY_BLOCK):
-            rows = slice(start, start + _ENTITY_BLOCK)
-            latents = provider.content_latents(ids[rows], class_ids[rows])
-            block, block_domains = images[rows], domain_ids[rows]
-            block += _matvec_rows(m_img, latents)
-            for domain, rotation in rotations.items():
-                in_domain = block_domains == domain
-                block[in_domain] = _matvec_rows(rotation, block[in_domain])
-            if captions:
-                texts[rows] = provider.caption_feature(ids[rows], latents)
-        return ids, images, texts
-
-    def pair_set(class_ids: np.ndarray, domain_ids: np.ndarray) -> PairSet:
-        return PairSet(*entities(class_ids, domain_ids, captions=True))
-
-    def sample_set(class_list: Sequence[int], per_class: int, domain: int) -> SampleSet:
-        class_ids = np.repeat(class_list, per_class)
-        domain_ids = np.full(class_ids.size, domain)
-        ids, features, _ = entities(class_ids, domain_ids, captions=False)
-        return SampleSet(ids, features, class_ids, domain_ids)
-
+    # Every set's (class, domain) columns, in the order its ids are handed out.
     n_classes, n_domains = len(all_classes), cfg.n_domains
-    pretrain_pool = pair_set(
+    pretrain_columns = (
         np.repeat(all_classes, n_domains * cfg.n_pretrain_per_class),
         np.tile(np.repeat(np.arange(n_domains), cfg.n_pretrain_per_class), n_classes),
     )
-
     finetune_classes = np.repeat(id_classes, cfg.n_finetune_per_class)
-    finetune_domains = np.zeros_like(finetune_classes)
-    ids, features, caption_rows = entities(finetune_classes, finetune_domains, captions=True)
-    finetune = SampleSet(ids, features, finetune_classes, finetune_domains)
-    captions = CaptionSet(ids, caption_rows)
+    finetune_columns = (finetune_classes, np.zeros_like(finetune_classes))
 
     # Round-robin over classes so any pool of at least n_classes candidates
     # covers every class, seen and held-out alike. Most candidates live in
@@ -335,14 +339,57 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
         candidate_domains[shifted] = 1 + (slots[shifted] // 4) % (n_domains - 1)
     if set(candidate_classes.tolist()) != set(all_classes):
         raise RuntimeError("candidate pool failed to cover every class")
-    candidates = pair_set(candidate_classes, candidate_domains)
 
-    id_test = sample_set(id_classes, cfg.n_test_per_class, 0)
-    ds_tests = {
-        domain: sample_set(id_classes, cfg.n_test_per_class, domain)
-        for domain in range(1, n_domains)
-    }
-    zsl_test = sample_set(zsl_classes, cfg.n_test_per_class, 0)
+    # The test splits (seen classes in each domain, then the held-out
+    # classes in domain 0) are built as one block and cut apart.
+    splits = [(id_classes, domain) for domain in range(n_domains)] + [(zsl_classes, 0)]
+    split_sizes = [len(classes) * cfg.n_test_per_class for classes, _ in splits]
+    test_columns = (
+        np.repeat(np.concatenate([classes for classes, _ in splits]), cfg.n_test_per_class),
+        np.repeat([domain for _, domain in splits], split_sizes),
+    )
+
+    # Every entity's features come from streams keyed by its own id, so only
+    # the order in which ids are handed out fixes the bundle. Each stream
+    # tag's seeds, and the context picks, are drawn once for the bundle;
+    # each set's noise in one lane_normals call per stream.
+    n_entities = pretrain_columns[0].size + finetune_classes.size + slots.size + sum(split_sizes)
+    ids = np.arange(n_entities, dtype=np.int64)
+    picks = provider.context_picks(ids)
+    image_seeds = derive_seeds(seed, _TAG_IMG_NOISE, ids)
+    caption_seeds = provider.caption_seeds(ids)
+    next_id = 0
+
+    def entities(class_ids: np.ndarray, domain_ids: np.ndarray, captions: bool):
+        nonlocal next_id
+        rows = slice(next_id, next_id + class_ids.size)
+        next_id = rows.stop
+        # The set's image noise becomes its image matrix: sigma * noise, then
+        # each row's lift is added (as in caption_feature) and the shifted
+        # domains are rotated in place. Domain 0's rows are the raw images.
+        images = lane_normals(image_seeds[rows], cfg.d_img_raw)
+        images *= cfg.sigma_img
+        provider.lift(images, m_img, class_ids, picks[rows])
+        for start in range(0, len(images), _LIFT_ROWS):
+            block = images[start : start + _LIFT_ROWS]
+            block_domains = domain_ids[start : start + _LIFT_ROWS]
+            for domain, rotation in rotations.items():
+                in_domain = block_domains == domain
+                block[in_domain] = _matvec_rows(rotation, block[in_domain])
+        texts = None
+        if captions:
+            texts = provider.caption_feature(caption_seeds[rows], class_ids, picks[rows])
+        return ids[rows], images, texts
+
+    pretrain_pool = PairSet(*entities(*pretrain_columns, captions=True))
+    finetune_ids, features, caption_rows = entities(*finetune_columns, captions=True)
+    finetune = SampleSet(finetune_ids, features, *finetune_columns)
+    captions = CaptionSet(finetune_ids, caption_rows)
+    candidates = PairSet(*entities(candidate_classes, candidate_domains, captions=True))
+    test_ids, features, _ = entities(*test_columns, captions=False)
+    tests = SampleSet(test_ids, features, *test_columns)
+    cuts = np.cumsum([0, *split_sizes])
+    id_test, *ds_splits, zsl_test = (tests[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
 
     return BenchmarkBundle(
         gen_config=cfg,
@@ -353,6 +400,6 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
         prompts_zsl=prompts_zsl,
         candidates=candidates,
         id_test=id_test,
-        ds_tests=ds_tests,
+        ds_tests=dict(zip(range(1, n_domains), ds_splits)),
         zsl_test=zsl_test,
     )

@@ -5,17 +5,23 @@ whose exact algorithm is documented here so that whole-pipeline runs are
 bit-reproducible on any platform.
 
 RandomStream is the scalar reference: one xoshiro256** stream (Blackman &
-Vigna, "Scrambled linear pseudorandom number generators") advanced in pure
-Python. derive_seeds, lane_normals and lane_sample_indices run many fresh
-streams in lockstep instead, one numpy uint64 lane per stream, and give row
-i exactly what RandomStream(seeds[i]) gives. The integer recurrence is
-exact in any lane width. Box-Muller's log has `math.log`'s bits at array
-speed: libm's extended `logl` rounded to float64, with `math.log` for the
-values within 1/16 ulp of a rounding midpoint or at a power of two. That
-is exact while libm's double `log` errs by under 0.56 ulp (glibc states
-0.519); hosts whose long double has under 64 significand bits use
-`math.log` throughout. Its cos and sin are numpy's float64 loops, which
-call libm and so match `math` bit for bit (a test checks a million angles).
+Vigna, "Scrambled linear pseudorandom number generators"). Its state update
+runs in Python on ints, one step per draw; the output scrambler, which
+reads only s1, then runs on the collected s1 words as one uint64 array
+(_scramble, shared with the lanes). Integer arithmetic mod 2^64 is exact
+either way, so the words are those of the step-by-step recurrence in the
+RandomStream docstring. derive_seeds, lane_normals and lane_sample_indices
+run many fresh streams in lockstep instead, one numpy uint64 lane per
+stream, and give row i exactly what RandomStream(seeds[i]) gives; they
+raise TypeError for seeds or ids that are not integers or bools, as the
+scalar forms do. The integer recurrence is exact in any lane width.
+Box-Muller's log has `math.log`'s bits at array speed: libm's extended
+`logl` rounded to float64, with `math.log` for the values within 1/16 ulp
+of a rounding midpoint or at a power of two. That is exact while libm's
+double `log` errs by under 0.56 ulp (glibc states 0.519); hosts whose long
+double has under 64 significand bits use `math.log` throughout. Its cos
+and sin are numpy's float64 loops, which call libm and so match `math` bit
+for bit (a test checks a million angles).
 
 lane_normals steps its lanes a run of draws at a time and cuts each run into
 chunks of about _CHUNK_PAIRS Box-Muller pairs, which are transformed straight
@@ -150,13 +156,15 @@ def derive_seed(seed: int, *components: int) -> int:
 def derive_seeds(seed: int, *components) -> np.ndarray:
     """derive_seed over integer arrays, as a 1-D uint64 vector.
 
-    Components are ints or integer arrays, broadcast against each other
-    (negative values wrap mod 2^64, as in derive_seed). Entry i equals
-    derive_seed(seed, *(c[i] for c in components)).
+    Components are ints or integer (or bool) arrays, broadcast against each
+    other (negative values wrap mod 2^64, as in derive_seed). Entry i equals
+    derive_seed(seed, *(c[i] for c in components)). An array of any other
+    dtype raises TypeError, as a float does in derive_seed.
     """
     parts = [
-        np.asarray(c & _MASK64 if isinstance(c, int) else c).astype(np.uint64)
-        for c in components
+        np.asarray(c & _MASK64, dtype=np.uint64) if isinstance(c, int)
+        else _uint64s(c, f"derive_seeds component {k}")
+        for k, c in enumerate(components)
     ]
     shape = np.broadcast_shapes(*(p.shape for p in parts))
     state = np.full(shape, seed & _MASK64, dtype=np.uint64).reshape(-1)
@@ -164,6 +172,18 @@ def derive_seeds(seed: int, *components) -> np.ndarray:
         _, state = _splitmix64_lanes(state ^ np.broadcast_to(part, shape).reshape(-1))
     _, state = _splitmix64_lanes(state)
     return state
+
+
+def _uint64s(values, name: str) -> np.ndarray:
+    """values as a uint64 array, negatives wrapped mod 2^64.
+
+    Raises TypeError naming `name` unless the dtype is integer or bool: a
+    cast would truncate floats and parse strings.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":
+        raise TypeError(f"{name} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.uint64, copy=False)
 
 
 def _splitmix64_lanes(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,6 +219,11 @@ class RandomStream:
     z0 is returned first and z1 cached for the next call. Identical seeds
     give bit-identical sequences on every platform; the pure-integer state
     update never touches floating point.
+
+    The state update runs in Python on ints (_words), the scrambler on the
+    collected s1 words as a uint64 array: the words are the same as the
+    recurrence's, one output per step. Draws are taken in batches:
+    permutation and sample_indices reduce all their words with one array %.
     """
 
     __slots__ = ("seed", "draw_count", "_s", "_spare_normal")
@@ -214,17 +239,19 @@ class RandomStream:
         self._spare_normal: float | None = None
         self.draw_count = 0
 
-    def _words(self, count: int) -> list[int]:
-        """The next count raw 64-bit outputs.
+    def _words(self, count: int) -> np.ndarray:
+        """The next count raw 64-bit outputs, as a uint64 vector.
 
-        The one copy of the recurrence: it runs on local ints, and the state
-        and draw_count are written back once.
+        The one copy of the state update: it runs on local ints, collecting
+        s1 before each step, and the state and draw_count are written back
+        once. The output scrambler then runs on the collected words as one
+        uint64 array (_scramble).
         """
-        words = []
+        ones = []
+        keep = ones.append
         s0, s1, s2, s3 = self._s
         for _ in range(count):
-            x = (s1 * 5) & _MASK64
-            words.append((((x << 7) | (x >> 57)) * 9) & _MASK64)
+            keep(s1)
             t = (s1 << 17) & _MASK64
             s2 ^= s0
             s3 ^= s1
@@ -234,11 +261,12 @@ class RandomStream:
             s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
         self._s = [s0, s1, s2, s3]
         self.draw_count += count
-        return words
+        words = np.array(ones, dtype=np.uint64)
+        return _scramble(words, words, np.empty_like(words))
 
     def next_u64(self) -> int:
         """Next raw 64-bit output."""
-        return self._words(1)[0]
+        return int(self._words(1)[0])
 
     def normal(self) -> float:
         """One standard normal draw (Box-Muller, pairs cached)."""
@@ -246,7 +274,7 @@ class RandomStream:
             z = self._spare_normal
             self._spare_normal = None
             return z
-        a, b = self._words(2)
+        a, b = self._words(2).tolist()
         u1 = ((a >> 11) + 1) * 2.0**-53
         u2 = (b >> 11) * 2.0**-53
         r = math.sqrt(-2.0 * math.log(u1))
@@ -266,7 +294,7 @@ class RandomStream:
         if n and self._spare_normal is not None:
             out[0], self._spare_normal, done = self._spare_normal, None, 1
         pairs = (n - done + 1) // 2
-        words = np.array(self._words(2 * pairs), dtype=np.uint64)
+        words = self._words(2 * pairs)
         z = np.empty(2 * pairs)
         z[0::2], z[1::2] = _box_muller(words[0::2], words[1::2])
         out[done:] = z[: n - done]
@@ -281,18 +309,22 @@ class RandomStream:
     def permutation(self, n: int) -> list[int]:
         """Fisher-Yates shuffle of range(n); the swap at i takes index next_u64() % (i + 1)."""
         items = list(range(n))
-        for i, word in zip(range(n - 1, 0, -1), self._words(max(n - 1, 0))):
-            j = word % (i + 1)
+        picks = self._words(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             items[i], items[j] = items[j], items[i]
         return items
 
     def sample_indices(self, n: int, m: int) -> list[int]:
-        """m distinct indices from range(n), drawn without replacement."""
+        """m distinct indices from range(n), drawn without replacement.
+
+        The swap at i takes index i + next_u64() % (n - i).
+        """
         if not 0 <= m <= n:
             raise ValueError(f"cannot draw {m} distinct indices from {n}")
         pool = list(range(n))
-        for i, word in enumerate(self._words(m)):
-            j = i + word % (n - i)
+        picks = self._words(m) % np.arange(n, n - m, -1, dtype=np.uint64)
+        for i, j in enumerate(picks.tolist()):
+            j += i
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:m]
 
@@ -322,11 +354,7 @@ class _Lanes:
         """Write every lane's next output into `out`, a uint64 vector of `size`, and return it."""
         s0, s1, s2, s3 = self.s
         t = self._t
-        np.multiply(s1, _U5, out=out)
-        np.left_shift(out, _U7, out=t)
-        np.right_shift(out, _U57, out=out)
-        out |= t
-        out *= _U9
+        _scramble(s1, out, t)
         np.left_shift(s1, _U17, out=t)
         s2 ^= s0
         s3 ^= s1
@@ -337,6 +365,19 @@ class _Lanes:
         s3 >>= _U19
         s3 |= t
         return out
+
+
+def _scramble(s1: np.ndarray, out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """xoshiro256**'s output rotl(s1 * 5, 7) * 9 of every word of s1, into out; t is scratch.
+
+    out may be s1 itself; t must be another array of the same size.
+    """
+    np.multiply(s1, _U5, out=out)
+    np.left_shift(out, _U7, out=t)
+    out >>= _U57
+    out |= t
+    out *= _U9
+    return out
 
 
 def _lane_blocks(seeds: np.ndarray):
@@ -422,7 +463,7 @@ def lane_normals(seeds, n: int) -> np.ndarray:
     pair's second value, which RandomStream would have cached. With a spare
     CPU, a worker thread shares the Box-Muller transform (module docstring).
     """
-    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    seeds = _uint64s(seeds, "lane_normals seeds").reshape(-1)
     out = np.empty((seeds.size, n))
     pairs = (n + 1) // 2
     ready, failed = queue.SimpleQueue(), []
@@ -492,7 +533,7 @@ def lane_sample_indices(seeds, n: int, m: int) -> np.ndarray:
     """(len(seeds), m) int64; row i is RandomStream(seeds[i]).sample_indices(n, m)."""
     if not 0 <= m <= n:
         raise ValueError(f"cannot draw {m} distinct indices from {n}")
-    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    seeds = _uint64s(seeds, "lane_sample_indices seeds").reshape(-1)
     out = np.empty((seeds.size, m), dtype=np.int64)
     for rows, lanes in _lane_blocks(seeds):
         pool = np.tile(np.arange(n, dtype=np.int64), (lanes.size, 1))

@@ -520,16 +520,17 @@ def test_small_bundles_match_golden_digests(contexts, tmp_path):
 @pytest.mark.parametrize("block", sorted({1, 7, 256, numerics.LANE_BLOCK}))
 def test_small_bundle_digests_do_not_depend_on_the_lane_block(block, tmp_path, monkeypatch):
     # Lanes are independent streams and each entity's products are its own,
-    # so how many entities are built at once cannot change a byte.
+    # so how many streams are stepped, or rows lifted, at once cannot change
+    # a byte.
     monkeypatch.setattr(numerics, "LANE_BLOCK", block)
-    monkeypatch.setattr(benchgen, "_ENTITY_BLOCK", block)
+    monkeypatch.setattr(benchgen, "_LIFT_ROWS", block)
     config = GenConfig(**{**SMALL_GEN, "contexts_per_sample": 3, "d_img_raw": 9})
     digests = _bundle_digests(generate_benchmark(config), tmp_path)
     files = hashlib.sha256(json.dumps(digests, sort_keys=True).encode()).hexdigest()
     assert (files, digests["float64"]) == GOLDEN_SMALL_BUNDLES[3], (
         f"block {block} on {host_versions()}"
     )
-    print(f"[PASS] small bundle built {block} entities at a time matches its golden digests")
+    print(f"[PASS] small bundle built in blocks of {block} matches its golden digests")
 
 
 @pytest.fixture(scope="module")

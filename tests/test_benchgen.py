@@ -241,15 +241,17 @@ class TestSynthCaptionProvider:
             contexts_per_sample=2,
             sigma_txt=0.1,
         )
+        def captions(ids):
+            return provider.caption_feature(
+                provider.caption_seeds(ids), np.ones_like(ids), provider.context_picks(ids)
+            )
+
         ids = np.array([17, 18])
-        latents = provider.content_latents(ids, np.array([1, 1]))
-        a = provider.caption_feature(ids, latents)
-        b = provider.caption_feature(ids, latents)
+        a, b = captions(ids), captions(ids)
         assert a.tobytes() == b.tobytes()
         assert not np.array_equal(a[0], a[1])
         # A row depends on its own id only, not on the rest of the column.
-        alone = provider.caption_feature(ids[1:], provider.content_latents(ids[1:], np.array([1])))
-        assert alone[0].tobytes() == a[1].tobytes()
+        assert captions(ids[1:])[0].tobytes() == a[1].tobytes()
 
     def test_context_mix_sums_distinct_bank_rows(self):
         # With an identity bank the mix of k picks must be a 0/1 vector with
@@ -264,7 +266,7 @@ class TestSynthCaptionProvider:
             contexts_per_sample=3,
             sigma_txt=0.0,
         )
-        mix = provider.context_mix(np.arange(20))
+        mix = provider.context_mix(provider.context_picks(np.arange(20)))
         assert mix.shape == (20, 6)
         assert set(np.unique(mix)) <= {0.0, 1.0}
         assert np.all(mix.sum(axis=1) == 3)

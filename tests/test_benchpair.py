@@ -1,6 +1,7 @@
-"""The gain rule of tools/benchpair.py, on made-up pairs of runs."""
+"""tools/benchpair.py: the gain rule on made-up pairs of runs, the host record and failed runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,85 @@ def test_a_failed_share_no_larger_than_the_parents_still_counts():
 
 def test_one_pair_has_degenerate_quartiles():
     assert benchpair.quartiles([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0}
+
+
+def test_the_host_names_the_bytecode_setting_and_each_trees_bytecode(tmp_path, monkeypatch):
+    trees = {side: tmp_path / side for side in "ab"}
+    (trees["a"] / "src" / "pkg").mkdir(parents=True)
+    (trees["b"] / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    host = benchpair.host(trees)
+    assert host["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert host["pycache"] == {"a": False, "b": True}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert benchpair.host(trees)["PYTHONDONTWRITEBYTECODE"] is None
+
+
+def test_a_run_that_exits_non_zero_raises_with_its_code_and_stderr_tail(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "for i in range(30):\n"
+        "    print(f'line {i}', file=sys.stderr)\n"
+        "sys.exit(3)\n"
+    )
+    with pytest.raises(benchpair.RunFailed) as failed:
+        benchpair.run_once(tmp_path, "datagen", 1, 0.1)
+    assert failed.value.facts == {
+        "returncode": 3,
+        "stderr_tail": [f"line {i}" for i in range(30 - benchpair.STDERR_LINES, 30)],
+    }
+
+
+def fake_run(metrics_by_call, fail_at):
+    """A run_once that fails on call fail_at and otherwise returns the next wall_s."""
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append(tree.name)
+        if len(calls) == fail_at:
+            raise benchpair.RunFailed(2, "Traceback\nMemoryError")
+        return {"metrics": {"wall_s": metrics_by_call[len(calls) - 1]}, "attempted": 1,
+                "failed": 0, "outputs": {"x": "1"}}
+
+    return run_once, calls
+
+
+def fake_export(rev, dest):
+    dest.mkdir(parents=True)
+    (dest / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 30, "end_to_end": [WALL]}))
+    return f"commit-{rev}"
+
+
+def test_a_failed_run_writes_the_finished_pairs_then_exits_non_zero(tmp_path, monkeypatch, capsys):
+    run_once, calls = fake_run([1.0, 0.9, 0.8, 1.1], fail_at=5)
+    monkeypatch.setattr(benchpair, "export", fake_export)
+    monkeypatch.setattr(benchpair, "run_once", run_once)
+    out = tmp_path / "record.json"
+    argv = ["A", "B", "--workload", "datagen", "--workload", "pipeline", "--seed", "7",
+            "--pairs", "3", "--out", str(out)]
+    assert benchpair.main(argv) == 1
+    assert calls == ["a", "b", "b", "a", "a"]  # the third pair's first run failed
+    record = json.loads(out.read_text())
+    assert record["failure"] == {
+        "workload": "datagen", "pair": 3, "side": "a", "returncode": 2,
+        "stderr_tail": ["Traceback", "MemoryError"],
+    }
+    assert list(record["workloads"]) == ["datagen"]
+    finished = record["workloads"]["datagen"]
+    walls = [(r["a"]["metrics"]["wall_s"], r["b"]["metrics"]["wall_s"]) for r in finished["runs"]]
+    assert walls == [(1.0, 0.9), (1.1, 0.8)]
+    assert finished["summary"]["wall_s"]["pairs"] == 2
+    assert "MemoryError" in capsys.readouterr().err
+
+
+def test_a_run_that_fails_first_writes_a_record_without_pairs(tmp_path, monkeypatch):
+    run_once, calls = fake_run([], fail_at=1)
+    monkeypatch.setattr(benchpair, "export", fake_export)
+    monkeypatch.setattr(benchpair, "run_once", run_once)
+    out = tmp_path / "record.json"
+    assert benchpair.main(["A", "B", "--workload", "datagen", "--seed", "7", "--pairs", "10",
+                           "--out", str(out)]) == 1
+    record = json.loads(out.read_text())
+    assert record["workloads"] == {} and record["failure"]["pair"] == 1
+    assert record["a"]["commit"] == "commit-A" and "host" in record

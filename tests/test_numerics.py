@@ -195,6 +195,103 @@ class TestRandomStream:
         assert stream.draw_count == 2  # second of the pair was cached
 
 
+def reference_stream(seed: int, count: int) -> tuple[list[int], list[int]]:
+    """RandomStream's docstring on Python ints: count outputs and the state after them.
+
+    The four state words are successive splitmix64 outputs of the seed.
+    """
+    mask = 2**64 - 1
+
+    def rotl(x, k):
+        return ((x << k) | (x >> (64 - k))) & mask
+
+    state, words = seed & mask, []
+    for _ in range(4):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        words.append(z ^ (z >> 31))
+    s0, s1, s2, s3 = words
+    out = []
+    for _ in range(count):
+        out.append((rotl((s1 * 5) & mask, 7) * 9) & mask)
+        t = (s1 << 17) & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = rotl(s3, 45)
+    return out, [s0, s1, s2, s3]
+
+
+def reference_normals(words: list[int]) -> list[float]:
+    """The docstring's Box-Muller on consecutive pairs of words, through `math`."""
+    out = []
+    for a, b in zip(words[0::2], words[1::2]):
+        u1 = ((a >> 11) + 1) * 2.0**-53
+        u2 = (b >> 11) * 2.0**-53
+        r = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        out += [r * math.cos(theta), r * math.sin(theta)]
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 2, 5399])
+class TestReferenceRecurrence:
+    """The state update runs on ints and the scrambler on arrays; the words are the docstring's."""
+
+    def test_words(self, seed, count):
+        expected, state = reference_stream(seed, count)
+        stream = RandomStream(seed)
+        got = stream._words(count)
+        assert got.dtype == np.uint64 and got.shape == (count,)
+        assert got.tolist() == expected
+        assert stream._s == state and stream.draw_count == count
+
+    def test_next_u64(self, seed, count):
+        expected, state = reference_stream(seed, count)
+        stream = RandomStream(seed)
+        got = [stream.next_u64() for _ in range(count)]
+        assert got == expected and all(type(word) is int for word in got)
+        assert stream._s == state
+
+    def test_permutation(self, seed, count):
+        words, state = reference_stream(seed, count)
+        n = count + 1
+        items = list(range(n))
+        for i, word in zip(range(n - 1, 0, -1), words):
+            j = word % (i + 1)
+            items[i], items[j] = items[j], items[i]
+        stream = RandomStream(seed)
+        got = stream.permutation(n)
+        assert got == items and all(type(i) is int for i in got)
+        assert stream._s == state
+
+    def test_sample_indices(self, seed, count):
+        words, state = reference_stream(seed, count)
+        n = count + 3
+        pool = list(range(n))
+        for i, word in enumerate(words):
+            j = i + word % (n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        stream = RandomStream(seed)
+        got = stream.sample_indices(n, count)
+        assert got == pool[:count] and all(type(i) is int for i in got)
+        assert stream._s == state
+
+    def test_normals(self, seed, count):
+        pairs = (count + 1) // 2
+        words, state = reference_stream(seed, 2 * pairs)
+        expected = reference_normals(words)
+        stream = RandomStream(seed)
+        got = stream.normals(count)
+        assert got.tobytes() == np.array(expected[:count], dtype=np.float64).tobytes()
+        assert stream._s == state
+        assert stream._spare_normal == (expected[-1] if count % 2 else None)
+
+
 class TestBoxMullerOracle:
     """Box-Muller on arrays against libm through `math`, wide enough to pin the bundles' bytes."""
 
@@ -317,8 +414,9 @@ class TestLanes:
             assert picks[i].tolist() == RandomStream(int(seeds[i])).sample_indices(24, 3)
 
     def test_words_match_lane_steps(self):
-        # _words is RandomStream's one copy of the recurrence, and every
+        # _words is RandomStream's one copy of the state update, and every
         # scalar draw goes through it; _Lanes is an independent copy in numpy.
+        # Both share _scramble, which TestReferenceRecurrence checks.
         seeds = np.concatenate(
             [np.array([0, 1, 2**64 - 1], dtype=np.uint64), derive_seeds(11, np.arange(5))]
         )
@@ -330,9 +428,38 @@ class TestLanes:
         for column, seed in zip(steps.T, seeds.tolist()):
             for k in (0, 1, 2, 7, 64, longest):
                 stream = RandomStream(seed)
-                assert stream._words(skip) == column[:skip].tolist()
-                assert stream._words(k) == column[skip : skip + k].tolist()
+                first, then = stream._words(skip), stream._words(k)
+                assert first.dtype == then.dtype == np.uint64
+                assert np.array_equal(first, column[:skip])
+                assert np.array_equal(then, column[skip : skip + k])
                 assert stream.draw_count == skip + k
+
+    @pytest.mark.parametrize(
+        "bad", [np.array([2.5]), np.array([2.7]), np.array(["3"]), np.array([3], dtype=object),
+                np.array([1 + 0j]), [2.5], 2.5, np.float64(2.0)],
+        ids=["float-2.5", "float-2.7", "str", "object", "complex", "list", "float", "np.float64"],
+    )
+    def test_array_seed_forms_reject_non_integers_naming_the_argument(self, bad):
+        # A cast would truncate 2.7 to 2 and parse "3", where the scalar
+        # forms derive_seed(1, 2.5) and RandomStream(2.0) raise TypeError.
+        with pytest.raises(TypeError, match="component 1 must be integers"):
+            derive_seeds(1, 4, bad)
+        with pytest.raises(TypeError, match="lane_normals seeds must be integers"):
+            lane_normals(bad, 2)
+        with pytest.raises(TypeError, match="lane_sample_indices seeds must be integers"):
+            lane_sample_indices(bad, 5, 2)
+
+    def test_array_seed_forms_take_any_integer_or_bool_dtype(self):
+        for ids in (np.array([3, -1], dtype=np.int8), np.array([3, 2**32 - 1], dtype=np.uint32),
+                    [3, -1], np.array([True, False])):
+            wrapped = [int(i) & (2**64 - 1) for i in np.asarray(ids).tolist()]
+            assert derive_seeds(7, ids).tolist() == [derive_seed(7, i) for i in wrapped]
+            assert lane_normals(ids, 3).tobytes() == np.array(
+                [RandomStream(i).normals(3) for i in wrapped]
+            ).tobytes()
+            assert lane_sample_indices(ids, 6, 2).tolist() == [
+                RandomStream(i).sample_indices(6, 2) for i in wrapped
+            ]
 
     def test_lane_sample_indices_bounds(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,12 @@ are at least ten pairs, B wins at least nine tenths of them, the medians
 differ, in the better direction, by more than A's interquartile range, and
 no larger share of B's operations failed than of A's. Each run's output
 digests are compared with A's first run. --workload may be given more than
-once; every workload gets its own pairs. For quick timings of one tree,
+once; every workload gets its own pairs. The record names the host,
+including PYTHONDONTWRITEBYTECODE and whether each exported tree has
+bytecode: without it every run compiles anchorft, and setup_s includes
+that. A run that exits non-zero stops the comparison: the pairs finished
+so far are summarized and written, with the failed run's exit code and the
+tail of its stderr, and the tool exits 1. For quick timings of one tree,
 run its perfbench/run.py with --seconds directly.
 """
 
@@ -34,6 +39,9 @@ from pathlib import Path
 # Fewer pairs than this never show a gain.
 MIN_PAIRS = 10
 
+# Lines of a failed run's stderr kept in the record.
+STDERR_LINES = 20
+
 
 def _git(*args: str) -> bytes:
     return subprocess.run(["git", *args], capture_output=True, check=True).stdout
@@ -47,15 +55,26 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
+class RunFailed(Exception):
+    """A perfbench run exited non-zero; facts holds its exit code and the tail of its stderr."""
+
+    def __init__(self, returncode: int, stderr: str):
+        self.facts = {"returncode": returncode, "stderr_tail": stderr.splitlines()[-STDERR_LINES:]}
+        super().__init__(f"perfbench exited {returncode}")
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run: its result object and its output digests."""
+    """One untraced perfbench run: its result object and its output digests.
+
+    Raises RunFailed if the run exits non-zero.
+    """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=False,
     )
     if proc.returncode:
-        raise SystemExit(f"error: {tree}: perfbench exited {proc.returncode}:\n{proc.stderr}")
+        raise RunFailed(proc.returncode, proc.stderr)
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     outputs = dict(line.split(" ", 2)[1:] for line in lines if line.startswith("output "))
@@ -64,6 +83,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "outputs": outputs,
+    }
+
+
+def host(trees: dict[str, Path]) -> dict:
+    """The interpreter, CPUs and environment the runs share, and whether each tree has bytecode.
+
+    With PYTHONDONTWRITEBYTECODE set and no __pycache__ in a tree, every
+    run compiles that tree's modules from source, and the compile time is
+    part of its setup_s.
+    """
+    return {
+        "python": platform.python_version(), "machine": platform.machine(),
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
+        **{name: os.environ.get(name) for name in ("NUMPY_MADVISE_HUGEPAGE",
+                                                   "PYTHONDONTWRITEBYTECODE")},
+        "pycache": {side: any(tree.rglob("__pycache__")) for side, tree in trees.items()},
     }
 
 
@@ -142,39 +178,52 @@ def main(argv=None) -> int:
             "a": {"rev": args.a, "commit": commits["a"]},
             "b": {"rev": args.b, "commit": commits["b"]},
             "seed": args.seed, "seconds": seconds, "pairs": args.pairs,
-            "host": {
-                "python": platform.python_version(), "machine": platform.machine(),
-                "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count(),
-                "NUMPY_MADVISE_HUGEPAGE": os.environ.get("NUMPY_MADVISE_HUGEPAGE"),
-            },
+            "host": host(trees),
             "workloads": {},
         }
         for workload in args.workload:
             runs = []
-            for i in range(args.pairs):
-                order = ("a", "b") if i % 2 == 0 else ("b", "a")
-                pair = {"first": order[0]}
-                for side in order:
-                    pair[side] = run_once(trees[side], workload, args.seed, seconds)
-                runs.append(pair)
-                print(f"{workload} pair {i + 1}/{args.pairs}: " + "  ".join(
-                    f"{side} wall_s={pair[side]['metrics']['wall_s']:.4f}" for side in "ab"
-                ), flush=True)
-            reference = runs[0]["a"]["outputs"]
-            summary = summarize(runs, spec["end_to_end"])
-            record["workloads"][workload] = {
-                "summary": summary,
-                "outputs_match": all(r[s]["outputs"] == reference for r in runs for s in "ab"),
-                "failed": totals(runs, "failed"),
-                "attempted": totals(runs, "attempted"),
-                "runs": runs,
-            }
-            print(report(workload, record["workloads"][workload], args.pairs, seconds))
+            try:
+                for i in range(args.pairs):
+                    order = ("a", "b") if i % 2 == 0 else ("b", "a")
+                    pair = {"first": order[0]}
+                    for side in order:
+                        pair[side] = run_once(trees[side], workload, args.seed, seconds)
+                    runs.append(pair)
+                    print(f"{workload} pair {i + 1}/{args.pairs}: " + "  ".join(
+                        f"{side} wall_s={pair[side]['metrics']['wall_s']:.4f}" for side in "ab"
+                    ), flush=True)
+            except RunFailed as failure:
+                record["failure"] = {
+                    "workload": workload, "pair": len(runs) + 1, "side": side, **failure.facts
+                }
+            if runs:
+                record["workloads"][workload] = compare(runs, spec["end_to_end"])
+                print(report(workload, record["workloads"][workload], len(runs), seconds))
+            if "failure" in record:
+                break
     if args.out:
         args.out.write_text(json.dumps(record, indent=1) + "\n")
         print(f"record written to {args.out}")
+    if "failure" in record:
+        failure = record["failure"]
+        print(f"error: side {failure['side']} exited {failure['returncode']} in "
+              f"{failure['workload']} pair {failure['pair']}:", *failure["stderr_tail"],
+              sep="\n", file=sys.stderr)
+        return 1
     return 0
+
+
+def compare(runs: list[dict], metrics: list[dict]) -> dict:
+    """One workload's record: the summary, whether outputs match A's first run, and the runs."""
+    reference = runs[0]["a"]["outputs"]
+    return {
+        "summary": summarize(runs, metrics),
+        "outputs_match": all(r[s]["outputs"] == reference for r in runs for s in "ab"),
+        "failed": totals(runs, "failed"),
+        "attempted": totals(runs, "attempted"),
+        "runs": runs,
+    }
 
 
 if __name__ == "__main__":
