@@ -14,19 +14,20 @@ Draw order. The bundle-wide draws come first: class prototypes, the image
 and text lifts, the domain rotations, the prompt template and the context
 bank, each from its own scalar stream. Ids are then handed out to the sets
 in a fixed order (pretraining pool, finetune set, candidate pool, then the
-test splits as one block: seen classes in each domain, held-out classes),
-and every per-entity stream is keyed by (seed, tag, id): one derive_seeds
-call per tag over all the bundle's ids, and one lane_sample_indices call
-for all their context picks. Each set then draws its image noise, and a
-caption set its caption noise, in one lane_normals call each, and the
-noise matrix becomes the set's feature matrix in place. The test block is
-cut into its splits afterwards. Since no stream is shared between
-entities, only the order of the ids fixes the bytes.
+test splits: seen classes in domain 0, in each shifted domain, held-out
+classes), and every per-entity stream is keyed by (seed, tag, id). A set
+draws each of its streams in one call over its ids: its context picks
+(lane_sample_indices), its image noise and, for a caption set, its caption
+noise (lane_normals). Each noise matrix becomes the set's feature matrix
+in place: scaled, then each row's lifted latent added, _LIFT_ROWS rows at
+a time. No stream is shared between entities, so only the order of the
+ids fixes the bytes, and the order or grouping of the calls does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -63,10 +64,11 @@ _TAG_CONTEXT_PICK = 24
 _TAG_IMG_NOISE = 25
 
 # Rows whose latents are lifted, or whose images are rotated, per matrix
-# product; bounds the temporaries beside a set's draws. Lifting whole sets
-# at once raised the peak RSS of generating, writing and loading two default
-# bundles by 0.9 MB (x86-64, two cores).
-_LIFT_ROWS = 1024
+# product; bounds the temporaries beside a set's draws. Generating and
+# writing a default bundle three times in one process peaked 0.2 MB lower
+# with 512 rows than with 1,024, and 0.5 MB lower than with whole sets
+# (x86-64, one CPU, glibc malloc).
+_LIFT_ROWS = 512
 
 
 class RotationError(RuntimeError):
@@ -189,11 +191,10 @@ class SynthCaptionProvider:
     Images are built from the identical latent point, so a caption carries
     the semantics of its image beyond the class label, the way a natural
     caption describes more than the class word. The subset and eta depend
-    only on (seed, i): captions never change between calls. The draws
-    come from streams keyed by entity ids: context_picks and caption_seeds
-    take a column of ids and key its streams in lockstep, and the other
-    methods take rows already drawn for such a column. Row k of a result
-    belongs to the k-th id.
+    only on (seed, i): captions never change between calls. context_picks
+    and caption_feature take a column of entity ids and draw their streams
+    in lockstep; the other methods take picks already drawn for such a
+    column. Row k of a result belongs to the k-th entity.
     """
 
     seed: int
@@ -232,10 +233,6 @@ class SynthCaptionProvider:
         latents += self.latent_prototypes[class_ids]
         return latents
 
-    def caption_seeds(self, ids: np.ndarray) -> np.ndarray:
-        """The caption noise stream of each id."""
-        return derive_seeds(self.seed, _TAG_CAPTION, ids)
-
     def lift(self, out: np.ndarray, matrix: np.ndarray, class_ids: np.ndarray, picks: np.ndarray):
         """Add matrix @ latent to each row of out, for the content_latents of class_ids and picks.
 
@@ -247,13 +244,14 @@ class SynthCaptionProvider:
             rows = slice(start, start + _LIFT_ROWS)
             out[rows] += _matvec_rows(matrix, self.content_latents(class_ids[rows], picks[rows]))
 
-    def caption_feature(self, seeds: np.ndarray, class_ids: np.ndarray, picks: np.ndarray):
-        """Caption rows of the entities with these caption_seeds, class_ids and context_picks.
+    def caption_feature(self, ids: np.ndarray, class_ids: np.ndarray, picks: np.ndarray):
+        """Caption rows of the entities ids, of classes class_ids, whose context_picks are picks.
 
-        Built in place in the noise matrix; float sums and products commute
-        exactly, so each row has the bits of m_txt @ latent + sigma_txt * noise.
+        The caption noise of all the ids is drawn in one lane_normals call
+        and built in place; float sums and products commute exactly, so each
+        row has the bits of m_txt @ latent + sigma_txt * noise.
         """
-        noise = lane_normals(seeds, self.m_txt.shape[0])
+        noise = lane_normals(derive_seeds(self.seed, _TAG_CAPTION, ids), self.m_txt.shape[0])
         noise *= self.sigma_txt
         self.lift(noise, self.m_txt, class_ids, picks)
         return noise
@@ -317,14 +315,52 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
         sigma_txt=cfg.sigma_txt,
     )
 
-    # Every set's (class, domain) columns, in the order its ids are handed out.
+    next_id = 0
+
+    # Every entity's features come from streams keyed by its own id, so only
+    # the order in which ids are handed out fixes the bundle. A set draws
+    # each of its streams in one call: context picks, image noise and, for
+    # a caption set, caption noise.
+    def entities(class_ids: np.ndarray, domain_ids: np.ndarray, captions: bool):
+        nonlocal next_id
+        ids = np.arange(next_id, next_id + class_ids.size, dtype=np.int64)
+        next_id += ids.size
+        picks = provider.context_picks(ids)
+        # The set's image noise becomes its image matrix: sigma * noise, then
+        # each row's lift is added (as in caption_feature) and the shifted
+        # domains are rotated in place. Domain 0's rows are the raw images.
+        images = lane_normals(derive_seeds(seed, _TAG_IMG_NOISE, ids), cfg.d_img_raw)
+        images *= cfg.sigma_img
+        provider.lift(images, m_img, class_ids, picks)
+        for start in range(0, ids.size, _LIFT_ROWS):
+            block = images[start : start + _LIFT_ROWS]
+            block_domains = domain_ids[start : start + _LIFT_ROWS]
+            for domain, rotation in rotations.items():
+                in_domain = block_domains == domain
+                block[in_domain] = _matvec_rows(rotation, block[in_domain])
+        texts = provider.caption_feature(ids, class_ids, picks) if captions else None
+        return ids, images, texts
+
+    def pair_set(class_ids: np.ndarray, domain_ids: np.ndarray) -> PairSet:
+        return PairSet(*entities(class_ids, domain_ids, captions=True))
+
+    def sample_set(class_list: Sequence[int], per_class: int, domain: int) -> SampleSet:
+        class_ids = np.repeat(class_list, per_class)
+        domain_ids = np.full(class_ids.size, domain)
+        ids, features, _ = entities(class_ids, domain_ids, captions=False)
+        return SampleSet(ids, features, class_ids, domain_ids)
+
     n_classes, n_domains = len(all_classes), cfg.n_domains
-    pretrain_columns = (
+    pretrain_pool = pair_set(
         np.repeat(all_classes, n_domains * cfg.n_pretrain_per_class),
         np.tile(np.repeat(np.arange(n_domains), cfg.n_pretrain_per_class), n_classes),
     )
+
     finetune_classes = np.repeat(id_classes, cfg.n_finetune_per_class)
-    finetune_columns = (finetune_classes, np.zeros_like(finetune_classes))
+    finetune_domains = np.zeros_like(finetune_classes)
+    ids, features, caption_rows = entities(finetune_classes, finetune_domains, captions=True)
+    finetune = SampleSet(ids, features, finetune_classes, finetune_domains)
+    captions = CaptionSet(ids, caption_rows)
 
     # Round-robin over classes so any pool of at least n_classes candidates
     # covers every class, seen and held-out alike. Most candidates live in
@@ -339,57 +375,14 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
         candidate_domains[shifted] = 1 + (slots[shifted] // 4) % (n_domains - 1)
     if set(candidate_classes.tolist()) != set(all_classes):
         raise RuntimeError("candidate pool failed to cover every class")
+    candidates = pair_set(candidate_classes, candidate_domains)
 
-    # The test splits (seen classes in each domain, then the held-out
-    # classes in domain 0) are built as one block and cut apart.
-    splits = [(id_classes, domain) for domain in range(n_domains)] + [(zsl_classes, 0)]
-    split_sizes = [len(classes) * cfg.n_test_per_class for classes, _ in splits]
-    test_columns = (
-        np.repeat(np.concatenate([classes for classes, _ in splits]), cfg.n_test_per_class),
-        np.repeat([domain for _, domain in splits], split_sizes),
-    )
-
-    # Every entity's features come from streams keyed by its own id, so only
-    # the order in which ids are handed out fixes the bundle. Each stream
-    # tag's seeds, and the context picks, are drawn once for the bundle;
-    # each set's noise in one lane_normals call per stream.
-    n_entities = pretrain_columns[0].size + finetune_classes.size + slots.size + sum(split_sizes)
-    ids = np.arange(n_entities, dtype=np.int64)
-    picks = provider.context_picks(ids)
-    image_seeds = derive_seeds(seed, _TAG_IMG_NOISE, ids)
-    caption_seeds = provider.caption_seeds(ids)
-    next_id = 0
-
-    def entities(class_ids: np.ndarray, domain_ids: np.ndarray, captions: bool):
-        nonlocal next_id
-        rows = slice(next_id, next_id + class_ids.size)
-        next_id = rows.stop
-        # The set's image noise becomes its image matrix: sigma * noise, then
-        # each row's lift is added (as in caption_feature) and the shifted
-        # domains are rotated in place. Domain 0's rows are the raw images.
-        images = lane_normals(image_seeds[rows], cfg.d_img_raw)
-        images *= cfg.sigma_img
-        provider.lift(images, m_img, class_ids, picks[rows])
-        for start in range(0, len(images), _LIFT_ROWS):
-            block = images[start : start + _LIFT_ROWS]
-            block_domains = domain_ids[start : start + _LIFT_ROWS]
-            for domain, rotation in rotations.items():
-                in_domain = block_domains == domain
-                block[in_domain] = _matvec_rows(rotation, block[in_domain])
-        texts = None
-        if captions:
-            texts = provider.caption_feature(caption_seeds[rows], class_ids, picks[rows])
-        return ids[rows], images, texts
-
-    pretrain_pool = PairSet(*entities(*pretrain_columns, captions=True))
-    finetune_ids, features, caption_rows = entities(*finetune_columns, captions=True)
-    finetune = SampleSet(finetune_ids, features, *finetune_columns)
-    captions = CaptionSet(finetune_ids, caption_rows)
-    candidates = PairSet(*entities(candidate_classes, candidate_domains, captions=True))
-    test_ids, features, _ = entities(*test_columns, captions=False)
-    tests = SampleSet(test_ids, features, *test_columns)
-    cuts = np.cumsum([0, *split_sizes])
-    id_test, *ds_splits, zsl_test = (tests[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
+    id_test = sample_set(id_classes, cfg.n_test_per_class, 0)
+    ds_tests = {
+        domain: sample_set(id_classes, cfg.n_test_per_class, domain)
+        for domain in range(1, n_domains)
+    }
+    zsl_test = sample_set(zsl_classes, cfg.n_test_per_class, 0)
 
     return BenchmarkBundle(
         gen_config=cfg,
@@ -400,6 +393,6 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
         prompts_zsl=prompts_zsl,
         candidates=candidates,
         id_test=id_test,
-        ds_tests=dict(zip(range(1, n_domains), ds_splits)),
+        ds_tests=ds_tests,
         zsl_test=zsl_test,
     )

@@ -242,9 +242,7 @@ class TestSynthCaptionProvider:
             sigma_txt=0.1,
         )
         def captions(ids):
-            return provider.caption_feature(
-                provider.caption_seeds(ids), np.ones_like(ids), provider.context_picks(ids)
-            )
+            return provider.caption_feature(ids, np.ones_like(ids), provider.context_picks(ids))
 
         ids = np.array([17, 18])
         a, b = captions(ids), captions(ids)

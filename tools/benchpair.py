@@ -89,9 +89,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 def host(trees: dict[str, Path]) -> dict:
     """The interpreter, CPUs and environment the runs share, and whether each tree has bytecode.
 
-    With PYTHONDONTWRITEBYTECODE set and no __pycache__ in a tree, every
-    run compiles that tree's modules from source, and the compile time is
-    part of its setup_s.
+    An exported tree has no __pycache__ unless one was committed. With
+    PYTHONDONTWRITEBYTECODE set, every run then compiles the tree's modules
+    from source, and the compile time is part of its setup_s.
     """
     return {
         "python": platform.python_version(), "machine": platform.machine(),
@@ -137,6 +137,18 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             and gain > a["q3"] - a["q1"] and fails_no_more,
         }
     return summary
+
+
+def compare(runs: list[dict], metrics: list[dict]) -> dict:
+    """One workload's record: the summary, whether outputs match A's first run, and the runs."""
+    reference = runs[0]["a"]["outputs"]
+    return {
+        "summary": summarize(runs, metrics),
+        "outputs_match": all(r[s]["outputs"] == reference for r in runs for s in "ab"),
+        "failed": totals(runs, "failed"),
+        "attempted": totals(runs, "attempted"),
+        "runs": runs,
+    }
 
 
 def report(workload: str, result: dict, pairs: int, seconds: float) -> str:
@@ -212,18 +224,6 @@ def main(argv=None) -> int:
               sep="\n", file=sys.stderr)
         return 1
     return 0
-
-
-def compare(runs: list[dict], metrics: list[dict]) -> dict:
-    """One workload's record: the summary, whether outputs match A's first run, and the runs."""
-    reference = runs[0]["a"]["outputs"]
-    return {
-        "summary": summarize(runs, metrics),
-        "outputs_match": all(r[s]["outputs"] == reference for r in runs for s in "ab"),
-        "failed": totals(runs, "failed"),
-        "attempted": totals(runs, "attempted"),
-        "runs": runs,
-    }
 
 
 if __name__ == "__main__":
