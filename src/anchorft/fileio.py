@@ -2,7 +2,9 @@
 
 Every set (a sample split, captions, a prompt table, a pair set, a
 candidate index) is one table file: one magic, a JSON header of its kind,
-row count and columns, then each column as one little-endian block. Bundle
+row count and columns, then each column as one little-endian block. A
+checkpoint is one JSON document whose parameter vector is a base64 string
+of its little-endian float64 bytes. Bundle
 matrices are stored at 32-bit precision (file size) and upcast to 64-bit on
 read (gradient-check precision); that boundary is the only lossy step in the
 pipeline. Index embeddings and checkpoints round-trip the full 64-bit
@@ -13,6 +15,7 @@ built in a temp directory and renamed into place the same way.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import dataclasses
 import errno
@@ -29,7 +32,7 @@ import numpy as np
 
 from .anchors import CandidateIndex, CaptionSet, PairSet, PromptTable, SampleSet, _column_names
 from .benchgen import BenchmarkBundle, GenConfig
-from .encoders import DualEncoderParams
+from .encoders import MODALITIES, DualEncoderParams, _param_count
 from .evaluation import EnsembleCurve, Metrics
 from .training import Checkpoint, TrainConfig, checkpoint_id
 
@@ -69,7 +72,7 @@ __all__ = [
 
 TABLE_MAGIC = b"ARFT"
 TABLE_VERSION = 1
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 INDEX_VERSION = 2
 METRICS_VERSION = 1
 
@@ -470,26 +473,65 @@ def read_feature_set(path, kind: str, widths: dict, *rest):
 
 
 def write_checkpoint(path, ckpt: Checkpoint) -> None:
-    """JSON with a fixed key order, dims and the theta vector; the id is verifiable on read."""
+    """JSON with a fixed key order, dims and theta; the id is verifiable on read.
+
+    theta is one base64 string of its little-endian float64 bytes.
+    """
     doc = {
         "version": CHECKPOINT_VERSION,
         "provenance": ckpt.provenance,
         "config_fingerprint": ckpt.config_fingerprint,
         "id": ckpt.id,
         "dims": list(ckpt.params.dims),
-        "theta": ckpt.params.theta.tolist(),
+        "theta": base64.b64encode(ckpt.params.theta.astype("<f8").tobytes()).decode("ascii"),
     }
     write_json(path, doc)
 
 
+def _leaf_at(position: int, dims: tuple[int, ...]) -> str:
+    """The name of the leaf ("image w1" ... "text b2", "log_tau") holding theta[position]."""
+    image_in, text_in, hidden, embed = dims
+    end = 0
+    for modality, in_dim in zip(MODALITIES, (image_in, text_in)):
+        for leaf, size in (("w1", hidden * in_dim), ("b1", hidden), ("w2", embed * hidden),
+                           ("b2", embed)):
+            end += size
+            if position < end:
+                return f"{modality} {leaf}"
+    return "log_tau"
+
+
 def read_checkpoint(path) -> Checkpoint:
+    """A checkpoint whose fields, theta bytes, tau and id all check out, or CodecError.
+
+    The checks run in order: the version, each field's JSON type, theta's
+    base64, its byte count against dims, finite entries, the tau range and
+    the id. Theta comes back as an owned, writable float64 array.
+    """
     types = {"provenance": str, "config_fingerprint": str, "id": str, "dims": [int],
-             "theta": [float]}
+             "theta": str}
     doc = _fields(read_json(path), types, str(path), CHECKPOINT_VERSION)
     if len(doc["dims"]) != 4:
         raise FieldTypeError(f"{path}: dims must be four JSON integers")
     try:
-        params = DualEncoderParams(np.array(doc["theta"], dtype=np.float64), doc["dims"])
+        raw = base64.b64decode(doc["theta"], validate=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+        raise CodecError(f"{path}: theta is not base64 ({exc})") from exc
+    count = _param_count(doc["dims"])
+    if len(raw) != 8 * count:
+        raise CodecError(
+            f"{path}: theta holds {len(raw)} bytes, but dims {doc['dims']} have {count} "
+            f"parameters ({8 * count} bytes)"
+        )
+    theta = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    finite = np.isfinite(theta)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        raise FieldTypeError(
+            f"{path}: theta[{at}] ({_leaf_at(at, doc['dims'])}) is {theta[at]}, not finite"
+        )
+    try:
+        params = DualEncoderParams(theta, doc["dims"])
     except (ValueError, OverflowError) as exc:
         raise CodecError(f"{path}: {exc}") from exc
     expected = checkpoint_id(params, doc["config_fingerprint"], doc["provenance"])

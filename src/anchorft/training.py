@@ -413,9 +413,13 @@ def adamw_update(
     v *= ADAM_BETA2
     np.multiply(1.0 - ADAM_BETA2, grads, out=tmp)
     v += np.multiply(tmp, grads, out=tmp)
-    np.divide(m, bc1, out=step)
     np.divide(v, bc2, out=tmp)
-    step /= np.add(np.sqrt(tmp, out=tmp), ADAM_EPS, out=tmp)
+    np.add(np.sqrt(tmp, out=tmp), ADAM_EPS, out=tmp)
+    if bc1 == 1.0:  # from step 356 at beta1 0.9; m / 1.0 is m bit for bit, -0.0 included
+        np.divide(m, tmp, out=step)
+    else:
+        np.divide(m, bc1, out=step)
+        step /= tmp
     step += np.multiply(wd, theta, out=tmp)
     step *= lr
     theta -= step

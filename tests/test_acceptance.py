@@ -57,6 +57,7 @@ from anchorft.training import (
     pretrain,
     run_finetune,
 )
+from test_fileio import checkpoint_theta, rewrite_theta
 
 TOL_SINGLE_PAIR = 1e-12
 TOL_LOSS_ORACLE = 1e-10
@@ -101,13 +102,13 @@ GOLDEN_SMALL_PIPELINE = {
     "bench/test_id.arft": "2333408b7e493e475a36061f03e30a3020e23cdda4801a5d4d420b6f7615789c",
     "bench/test_zsl.arft": "d3613e85340b30f823da67898f93d9104dfebb7edde6faae6935a184fab5171f",
     "curve.csv": "8a84e27c7b448389583bfd89eb838e91e7629e88c777f79c8e1154489439097d",
-    "ft.json": "2be2d61aa96be95b7a88e2a2556c8efd2d30e5c764aacb0082a88644e1a46977",
+    "ft.json": "6d01021146ea574c4c5c10416afff67f811ae7d95e2c2ec10c56c867fb8c8e92",
     "ft.log.jsonl": "caff07f57b7f8640e35258b3169df80f2c516070f351d08c7afa036db31c4e0d",
     "gen.json": "e23b4302d28950e71de4ffee6857d21a27e64f5e126d435e0906c9d6c529aa55",
     "index/embeddings.arft": "bf67a356aeacf09f8067428f95f33dfa286634a2ff8dc920890afe8286314104",
     "index/meta.json": "ee640f19142e073fe8e5ff7ec978f0d90f0f6d28e047974084ff9954cfb9467e",
     "metrics.json": "cf602347fc48ec02f2f038bdd332a9eee784f510ef0ad9df819ae27e2ea7d9b7",
-    "pre.json": "1ba21b2797009c978204819ae85ae453bc7eee1d94ac9390fd3860eb141a5f34",
+    "pre.json": "31b2179f86461e0f4c2ed4aa2e70ea9167dd402f194008c2a10b9f6f826488d4",
     "pre.log.jsonl": "31c6499b4f569d9a083a74effdc9536487cb0f60daa4385ff98aebea306a24c6",
     "train.json": "0f77e92899c0b5b06f7597193f8017d27609e543455244c4d538a58777e27e50",
 }
@@ -662,9 +663,9 @@ def test_codecs_round_trip_and_reject_corruption(tmp_path):
     assert reread.params.theta.tobytes() == ckpt.params.theta.tobytes()
     assert reread.id == ckpt.id
 
-    doc = json.loads((tmp_path / "ckpt.json").read_text())
-    doc["theta"][0] += 1.0
-    (tmp_path / "ckpt.json").write_text(json.dumps(doc))
+    theta = checkpoint_theta(tmp_path / "ckpt.json")
+    theta[0] += 1.0
+    rewrite_theta(tmp_path / "ckpt.json", theta)
     with pytest.raises(HashMismatchError):
         read_checkpoint(tmp_path / "ckpt.json")
     print("[PASS] codecs round trip bit-exactly and reject corrupted magic and hash")

@@ -74,6 +74,38 @@ def test_a_failed_share_no_larger_than_the_parents_still_counts():
     assert benchpair.summarize(pairs, [WALL])["wall_s"]["gain"]
 
 
+def outputs(pretrain_digest="d1", checkpoint_id="c1", accuracy=50.0):
+    return {
+        "pretrain": json.dumps({"digest": pretrain_digest, "checkpoint_id": checkpoint_id}),
+        "eval": json.dumps({"digest": "e1", "accuracy": accuracy}),
+    }
+
+
+def test_outputs_differ_names_each_operation_and_the_facts_that_moved():
+    pairs = runs(PARENT[:2], [0.9, 0.9])
+    for pair in pairs:
+        pair["a"]["outputs"] = outputs()
+        pair["b"]["outputs"] = outputs(pretrain_digest="d2")
+    record = benchpair.compare(pairs, [WALL])
+    assert not record["outputs_match"]
+    assert record["outputs_differ"] == {"pretrain": ["digest"]}
+    assert "output pretrain differs in digest" in benchpair.report("pipeline", record, 2, 30)
+    pairs[1]["a"]["outputs"] = outputs(checkpoint_id="c2", accuracy=40.0)
+    pairs[1]["b"]["outputs"] = {"pretrain": outputs()["pretrain"]}
+    assert benchpair.compare(pairs, [WALL])["outputs_differ"] == {
+        "eval": ["accuracy", "digest"], "pretrain": ["checkpoint_id", "digest"]
+    }
+
+
+def test_matching_outputs_differ_nowhere():
+    pairs = runs(PARENT[:2], [0.9, 0.9])
+    for pair in pairs:
+        pair["a"]["outputs"] = pair["b"]["outputs"] = outputs()
+    record = benchpair.compare(pairs, [WALL])
+    assert record["outputs_match"] and record["outputs_differ"] == {}
+    assert "differs" not in benchpair.report("pipeline", record, 2, 30)
+
+
 def test_one_pair_has_degenerate_quartiles():
     assert benchpair.quartiles([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0}
 
@@ -115,7 +147,7 @@ def fake_run(metrics_by_call, fail_at):
         if len(calls) == fail_at:
             raise benchpair.RunFailed(2, "Traceback\nMemoryError")
         return {"metrics": {"wall_s": metrics_by_call[len(calls) - 1]}, "attempted": 1,
-                "failed": 0, "outputs": {"x": "1"}}
+                "failed": 0, "outputs": {"x": json.dumps({"digest": "1"})}}
 
     return run_once, calls
 

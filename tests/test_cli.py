@@ -8,6 +8,7 @@ import struct
 from dataclasses import fields
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from anchorft.benchgen import GenConfig
 from anchorft.cli import _config, build_parser, main
 from anchorft.fileio import CodecError, load_bundle, parse_train_config, read_checkpoint
 from anchorft.training import CheckReport, TrainConfig
+from test_fileio import checkpoint_theta, rewrite_theta
 
 GEN = {
     "n_id_classes": 3,
@@ -126,10 +128,9 @@ class TestPipeline:
         assert not (tmp_path / "ft.json").exists()
 
     def test_tampered_checkpoint_fails_validation(self, pipeline, tmp_path, capsys):
-        doc = json.loads((pipeline / "pre.json").read_text())
-        doc["theta"][0] += 1.0
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        theta = checkpoint_theta(pipeline / "pre.json")
+        theta[0] += 1.0
+        bad = rewrite_theta(pipeline / "pre.json", theta, tmp_path / "bad.json")
         assert main(["precompute", "--checkpoint", str(bad),
                      "--bundle", str(pipeline / "bench"),
                      "--out", str(tmp_path / "idx")]) == 1
@@ -305,12 +306,11 @@ class TestCheckpointAndIndexInputs:
         assert not (tmp_path / "ft.json").exists()
 
     @pytest.mark.parametrize("at", [-1, 0], ids=["log-tau", "leaf"])
-    def test_integer_past_float_range_exits_one(self, pipeline, tmp_path, capsys, at):
+    def test_non_finite_entry_exits_one(self, pipeline, tmp_path, capsys, at):
         # log_tau is theta's last element and every other element is a tower leaf.
-        doc = json.loads((pipeline / "ft.json").read_text())
-        doc["theta"][at] = 10**400
-        bad = tmp_path / "ft.json"
-        bad.write_text(json.dumps(doc))
+        theta = checkpoint_theta(pipeline / "ft.json")
+        theta[at] = np.inf
+        bad = rewrite_theta(pipeline / "ft.json", theta, tmp_path / "ft.json")
         argv = ["eval", "--checkpoint", str(bad), "--bundle", str(pipeline / "bench")]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")

@@ -1,5 +1,6 @@
 """Codec contracts: round trips, corruption detection, strict configs."""
 
+import base64
 import dataclasses
 import json
 import re
@@ -88,6 +89,25 @@ def edit_one_byte(path, edit, byte, data, start=0):
     else:
         raw.insert(at, byte)
     path.write_bytes(bytes(raw))
+
+
+def checkpoint_theta(path) -> np.ndarray:
+    """A checkpoint file's theta, decoded apart from the codec into a writable float64 array."""
+    doc = json.loads(Path(path).read_text())
+    return np.frombuffer(base64.b64decode(doc["theta"]), "<f8").copy()
+
+
+def rewrite_theta(path, theta, out=None) -> Path:
+    """Write path's checkpoint to out (default path), its theta replaced by theta's bytes.
+
+    theta is an array or raw bytes; it is encoded apart from the codec.
+    """
+    doc = json.loads(Path(path).read_text())
+    raw = theta if isinstance(theta, bytes) else np.asarray(theta, "<f8").tobytes()
+    doc["theta"] = base64.b64encode(raw).decode("ascii")
+    out = Path(out or path)
+    out.write_text(json.dumps(doc))
+    return out
 
 
 ONE_BYTE_EDITS = dict(
@@ -552,8 +572,8 @@ class TestUnreadableInput:
 
     @pytest.mark.parametrize("doc,read", [
         ({"version": nested(5000)}, read_metrics),
-        ({"version": 2, "provenance": nested(5000), "config_fingerprint": "f", "id": "i",
-          "dims": [1, 1, 1, 2], "theta": [0.0]}, read_checkpoint),
+        ({"version": 3, "provenance": nested(5000), "config_fingerprint": "f", "id": "i",
+          "dims": [1, 1, 1, 2], "theta": ""}, read_checkpoint),
         ({"seed": nested(5000)}, lambda path: parse_gen_config(fileio.read_json(path))),
         ({"kind": nested(5000), "rows": 0, "columns": []},
          lambda path: read_matrix(path, "samples", TABLE_COLUMNS)),
@@ -589,23 +609,43 @@ class TestCheckpointCodec:
         assert back.params.theta.tobytes() == ckpt.params.theta.tobytes()
         assert back.params.dims == ckpt.params.dims
 
-    def test_tampered_weight(self, tmp_path):
+    def test_theta_comes_back_owned_and_writable(self, tmp_path):
+        # AdamW and the ensemble update theta in place.
         write_checkpoint(tmp_path / "ck.json", self.checkpoint())
+        theta = read_checkpoint(tmp_path / "ck.json").params.theta
+        assert theta.dtype == np.float64 and theta.flags.owndata and theta.flags.writeable
+        theta[0] = 1.0
+
+    def test_theta_is_the_base64_of_its_little_endian_bytes(self, tmp_path):
+        ckpt = self.checkpoint()
+        write_checkpoint(tmp_path / "ck.json", ckpt)
         doc = json.loads((tmp_path / "ck.json").read_text())
-        doc["theta"][0] += 1e-9
-        (tmp_path / "ck.json").write_text(json.dumps(doc))
+        assert list(doc) == ["version", "provenance", "config_fingerprint", "id", "dims", "theta"]
+        assert doc["version"] == 3 and doc["id"] == ckpt.id
+        assert checkpoint_theta(tmp_path / "ck.json").tobytes() == ckpt.params.theta.tobytes()
+
+    def test_tampered_weight(self, tmp_path):
+        path = tmp_path / "ck.json"
+        write_checkpoint(path, self.checkpoint())
+        theta = checkpoint_theta(path)
+        theta[0] += 1e-9
+        rewrite_theta(path, theta)
         with pytest.raises(HashMismatchError):
-            read_checkpoint(tmp_path / "ck.json")
+            read_checkpoint(path)
 
     def test_inconsistent_leaf_shapes(self, tmp_path):
         # theta is the leaves laid end to end, so a leaf of the wrong shape
-        # shows as a theta whose length does not fit dims.
-        write_checkpoint(tmp_path / "ck.json", self.checkpoint())
-        doc = json.loads((tmp_path / "ck.json").read_text())
-        doc["theta"].append(0.0)
-        (tmp_path / "ck.json").write_text(json.dumps(doc))
-        with pytest.raises(CodecError, match="theta must have shape"):
-            read_checkpoint(tmp_path / "ck.json")
+        # shows as a theta whose length does not fit dims; it is caught
+        # before any array is built.
+        path = tmp_path / "ck.json"
+        write_checkpoint(path, self.checkpoint())
+        size = checkpoint_theta(path).size
+        rewrite_theta(path, checkpoint_theta(path).tobytes() + bytes(8))
+        with pytest.raises(CodecError, match=re.escape(
+            f"{path}: theta holds {8 * size + 8} bytes, but dims [6, 7, 8, 4] have {size} "
+            f"parameters ({8 * size} bytes)"
+        )):
+            read_checkpoint(path)
 
     def test_missing_log_tau(self, tmp_path):
         # log_tau is theta's last element, so it goes missing with theta.
@@ -619,27 +659,24 @@ class TestCheckpointCodec:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            (lambda doc: doc.update(theta=5), "theta: 5 is not a JSON list of finite JSON numbers"),
-            (lambda doc: doc.update(theta=None),
-             "theta: null is not a JSON list of finite JSON numbers"),
-            (lambda doc: doc.update(theta="w1 b1 w2 b2"),
-             'theta: "w1 b1 w2 b2" is not a JSON list of finite JSON numbers'),
-            (lambda doc: doc["theta"].__setitem__(-1, [1]),
-             "theta: [1] is not a finite JSON number"),
-            (lambda doc: doc["theta"].__setitem__(-1, True),
-             "theta: true is not a finite JSON number"),
+            (lambda doc: doc.update(theta=5), "theta: 5 is not a JSON string"),
+            (lambda doc: doc.update(theta=None), "theta: null is not a JSON string"),
+            (lambda doc: doc.update(theta=[0.5, -1.0]), "theta: [0.5, -1.0] is not a JSON string"),
+            (lambda doc: doc.update(theta={"log_tau": 1.0}),
+             'theta: {"log_tau": 1.0} is not a JSON string'),
+            (lambda doc: doc.update(theta=True), "theta: true is not a JSON string"),
             (lambda doc: doc.update(provenance=5), "provenance: 5 is not a JSON string"),
             (lambda doc: doc.update(config_fingerprint=None),
              "config_fingerprint: null is not a JSON string"),
             (lambda doc: doc["dims"].pop(), "dims must be four JSON integers"),
             (lambda doc: doc["dims"].__setitem__(3, 4.0), "dims: 4.0 is not a 64-bit JSON integer"),
         ],
-        ids=["int-tower", "null-tower", "string-tower", "list-log-tau", "bool-log-tau",
+        ids=["int-theta", "null-theta", "list-theta", "object-theta", "bool-theta",
              "int-provenance", "null-fingerprint", "three-dims", "float-dim"],
     )
     def test_field_of_the_wrong_type(self, tmp_path, edit, message):
-        # The towers and log_tau are theta: the "tower" cases replace all of
-        # it and the "log-tau" cases its last element.
+        # The towers and log_tau are theta, one base64 string; the "theta"
+        # cases replace it with another JSON type (a list is version 2's).
         path = tmp_path / "ck.json"
         write_checkpoint(path, self.checkpoint())
         doc = json.loads(path.read_text())
@@ -649,35 +686,52 @@ class TestCheckpointCodec:
             read_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "leaf", [{"a": 1}, "abc", [[1.0, 2.0], [3.0]]], ids=["object", "string", "ragged"]
+        "text", ["w1 b1 w2 b2", "AAAA AAAA", "AAAAAAA", "AAAA=AAA", "AAAA\u00e9AAA"],
+        ids=["words", "space", "short-pad", "inner-pad", "not-ascii"],
     )
-    def test_leaf_that_is_not_numeric(self, tmp_path, leaf):
+    def test_theta_that_is_not_base64(self, tmp_path, text):
+        path = tmp_path / "ck.json"
+        write_checkpoint(path, self.checkpoint())
+        doc = json.loads(path.read_text())
+        doc["theta"] = text
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CodecError, match=re.escape(f"{path}: theta is not base64")):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "bits", [0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000123],
+        ids=["quiet-nan", "signalling-nan", "negative-nan-payload"],
+    )
+    def test_leaf_that_is_not_numeric(self, tmp_path, bits):
+        # Any 8 bytes are a float64, so a leaf entry that is not a number is
+        # a NaN, which base64 carries where JSON could not.
         path = tmp_path / "ck.json"
         ckpt = self.checkpoint()
         write_checkpoint(path, ckpt)
-        doc = json.loads(path.read_text())
         text_w1 = sum(a.size for a in ckpt.params.tower("image"))  # the text tower's first entry
-        doc["theta"][text_w1] = leaf
-        path.write_text(json.dumps(doc))
+        raw = bytearray(checkpoint_theta(path).tobytes())
+        raw[8 * text_w1 : 8 * text_w1 + 8] = struct.pack("<Q", bits)
+        rewrite_theta(path, bytes(raw))
         with pytest.raises(FieldTypeError, match=re.escape(
-            f"{path}: theta: {json.dumps(leaf)} is not a finite JSON number"
+            f"{path}: theta[{text_w1}] (text w1) is nan, not finite"
         )):
             read_checkpoint(path)
 
     @pytest.mark.parametrize(
         "leaf,value",
-        [("log_tau", 10**400), ("text b2", 10**400), ("image w1", -(10**400))],
+        [("log_tau", np.inf), ("text b2", np.inf), ("image w1", -np.inf)],
         ids=["log-tau", "vector-leaf", "matrix-leaf"],
     )
-    def test_integer_past_float_range(self, tmp_path, leaf, value):
+    def test_non_finite_entry_names_its_leaf(self, tmp_path, leaf, value):
         path = tmp_path / "ck.json"
-        ckpt = self.checkpoint()
-        write_checkpoint(path, ckpt)
-        doc = json.loads(path.read_text())
-        at = {"log_tau": -1, "text b2": -2, "image w1": 0}  # theta ends with text b2, log_tau
-        doc["theta"][at[leaf]] = value
-        path.write_text(json.dumps(doc))
-        with pytest.raises(FieldTypeError, match=re.escape(f"{path}: theta: {str(value)[:10]}")):
+        write_checkpoint(path, self.checkpoint())
+        theta = checkpoint_theta(path)
+        at = {"log_tau": -1, "text b2": -2, "image w1": 0}[leaf]  # theta ends text b2, log_tau
+        theta[at] = value
+        rewrite_theta(path, theta)
+        with pytest.raises(FieldTypeError, match=re.escape(
+            f"{path}: theta[{at % theta.size}] ({leaf}) is {value}, not finite"
+        )):
             read_checkpoint(path)
 
     @pytest.mark.parametrize("log_tau", [1e300, -1e300, 5.0])
@@ -686,9 +740,9 @@ class TestCheckpointCodec:
         # rejected as a bad checkpoint all the same.
         path = tmp_path / "ck.json"
         write_checkpoint(path, self.checkpoint())
-        doc = json.loads(path.read_text())
-        doc["theta"][-1] = log_tau
-        path.write_text(json.dumps(doc))
+        theta = checkpoint_theta(path)
+        theta[-1] = log_tau
+        rewrite_theta(path, theta)
         with pytest.raises(CodecError, match=re.escape(f"{path}: ")):
             read_checkpoint(path)
 
@@ -701,13 +755,26 @@ class TestCheckpointCodec:
         doc = {"version": 1, "provenance": "pretrained", "config_fingerprint": "f", "id": "i",
                "log_tau": params.log_tau, **towers}
         (tmp_path / "ck.json").write_text(json.dumps(doc))
-        with pytest.raises(VersionUnsupportedError, match="version 1, supported 2"):
+        with pytest.raises(VersionUnsupportedError, match="version 1, supported 3"):
             read_checkpoint(tmp_path / "ck.json")
+
+    def test_version_2_layout_rejected(self, tmp_path):
+        # Version 2 stored theta as a JSON list of numbers.
+        ckpt = self.checkpoint()
+        doc = {"version": 2, "provenance": ckpt.provenance,
+               "config_fingerprint": ckpt.config_fingerprint, "id": ckpt.id,
+               "dims": list(ckpt.params.dims), "theta": ckpt.params.theta.tolist()}
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps(doc, indent=2))
+        with pytest.raises(VersionUnsupportedError, match=re.escape(
+            f"{path}: version 2, supported 3"
+        )):
+            read_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path):
         write_checkpoint(tmp_path / "ck.json", self.checkpoint())
         doc = json.loads((tmp_path / "ck.json").read_text())
-        doc["version"] = 3
+        doc["version"] = 4
         (tmp_path / "ck.json").write_text(json.dumps(doc))
         with pytest.raises(VersionUnsupportedError):
             read_checkpoint(tmp_path / "ck.json")

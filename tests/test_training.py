@@ -240,6 +240,40 @@ class TestAdamW:
             assert state.step == ref[3]
         assert (params.log_tau != DEFAULT_LOG_TAU) == tau_trainable
 
+    def test_steps_past_a_unit_bias_correction_match_the_two_divide_formula(self):
+        # From step 356, 1 - 0.9**t rounds to 1.0 and the update divides m by
+        # the denominator alone; the formula still divides by bc1 first.
+        # Signed zeros and subnormals in m and v must come out bit for bit.
+        assert [t for t in range(350, 361) if 1.0 - training.ADAM_BETA1**t == 1.0][0] == 356
+        tiny = np.nextafter(0.0, 1.0)
+        params = init_params(5, (4, 5), 6, 3)
+        state = init_optimizer_state(params)
+        rng = np.random.default_rng(1)
+        state.m[:] = rng.normal(scale=1e-3, size=state.m.size)
+        state.v[:] = rng.random(state.v.size) * 1e-6
+        state.m[::5], state.v[::5] = -0.0, 0.0
+        state.m[1::5], state.v[1::5] = tiny, tiny
+        state.m[2::5], state.v[2::5] = -4 * tiny, 3 * tiny
+        state.step = 349
+        theta, m, v = params.theta.copy(), state.m.copy(), state.v.copy()
+        for t in range(350, 361):
+            grads = rng.normal(size=theta.size)
+            grads[::5] = -0.0  # keeps m at -0.0 and v at 0.0
+            grads[1::5] = grads[2::5] = 0.0  # keeps the subnormals
+            grads[-1] = 0.0
+            lr, wd = 1e-2, 0.1 * (t % 2)
+            m = training.ADAM_BETA1 * m + (1.0 - training.ADAM_BETA1) * grads
+            v = training.ADAM_BETA2 * v + (1.0 - training.ADAM_BETA2) * grads * grads
+            bc1, bc2 = 1.0 - training.ADAM_BETA1**t, 1.0 - training.ADAM_BETA2**t
+            step_dir = (m / bc1) / (np.sqrt(v / bc2) + training.ADAM_EPS)
+            theta = theta - lr * (step_dir + wd * theta)
+            theta[-1], m[-1], v[-1] = params.theta[-1], state.m[-1], state.v[-1]
+            params, state = adamw_update(params, grads, state, lr, wd)
+            assert state.step == t
+            for got, want in zip((params.theta, state.m, state.v), (theta, m, v)):
+                assert got.tobytes() == want.tobytes(), t
+        assert np.signbit(state.m[::5]).all() and (state.m[1::5][:-1] == tiny).all()
+
     @pytest.mark.parametrize("tau_trainable", [False, True])
     def test_the_sign_of_a_zero_gradient_changes_no_bit(self, tau_trainable):
         # A step's gradient is its first term's row, not that row added into

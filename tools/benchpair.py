@@ -12,10 +12,11 @@ for neither) and B's median change against A. B shows a gain when there
 are at least ten pairs, B wins at least nine tenths of them, the medians
 differ, in the better direction, by more than A's interquartile range, and
 no larger share of B's operations failed than of A's. Each run's output
-digests are compared with A's first run. --workload may be given more than
-once; every workload gets its own pairs. The record names the host,
-including PYTHONDONTWRITEBYTECODE and whether each exported tree has
-bytecode: without it every run compiles anchorft, and setup_s includes
+facts are compared with A's first run, and the record names, per
+operation, the fact keys that differ (`outputs_differ`). --workload may be
+given more than once; every workload gets its own pairs. The record names
+the host, including PYTHONDONTWRITEBYTECODE and whether each exported tree
+has bytecode: without it every run compiles anchorft, and setup_s includes
 that. A run that exits non-zero stops the comparison: the pairs finished
 so far are summarized and written, with the failed run's exit code and the
 tail of its stderr, and the tool exits 1. For quick timings of one tree,
@@ -139,12 +140,31 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def outputs_differ(runs: list[dict]) -> dict:
+    """Each operation whose output facts differ from A's first run in any run: the differing keys.
+
+    An operation's facts are the JSON object perfbench prints on its output
+    line ("digest", "checkpoint_id", "accuracy"); one that a run lacks
+    differs in every key.
+    """
+    reference = {op: json.loads(shown) for op, shown in runs[0]["a"]["outputs"].items()}
+    differ: dict[str, set] = {}
+    for outputs in (r[side]["outputs"] for r in runs for side in "ab"):
+        for op in reference.keys() | outputs.keys():
+            facts, ref = json.loads(outputs.get(op, "{}")), reference.get(op, {})
+            keys = {k for k in facts.keys() | ref.keys() if facts.get(k) != ref.get(k)}
+            if keys:
+                differ.setdefault(op, set()).update(keys)
+    return {op: sorted(keys) for op, keys in sorted(differ.items())}
+
+
 def compare(runs: list[dict], metrics: list[dict]) -> dict:
-    """One workload's record: the summary, whether outputs match A's first run, and the runs."""
+    """One workload's record: the summary, how outputs compare with A's first run, the runs."""
     reference = runs[0]["a"]["outputs"]
     return {
         "summary": summarize(runs, metrics),
         "outputs_match": all(r[s]["outputs"] == reference for r in runs for s in "ab"),
+        "outputs_differ": outputs_differ(runs),
         "failed": totals(runs, "failed"),
         "attempted": totals(runs, "attempted"),
         "runs": runs,
@@ -158,6 +178,8 @@ def report(workload: str, result: dict, pairs: int, seconds: float) -> str:
         f"A {result['failed']['a']}/{result['attempted']['a']}, "
         f"B {result['failed']['b']}/{result['attempted']['b']}"
     ]
+    lines += [f"  output {op} differs in {', '.join(keys)}"
+              for op, keys in result["outputs_differ"].items()]
     for name, s in result["summary"].items():
         change = "n/a" if s["change"] is None else f"{100 * s['change']:+.1f}%"
         lines.append(
