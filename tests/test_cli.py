@@ -315,6 +315,24 @@ class TestCheckpointAndIndexInputs:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
+    @pytest.mark.parametrize("theta,reason", [
+        (lambda raw: struct.pack("<d", np.nan) + raw[8:], "(image w1) is nan, not finite"),
+        (lambda raw: raw + bytes(8), "theta holds"),
+        ("not base64", "theta is not base64"),
+    ], ids=["nan-leaf", "length", "not-base64"])
+    def test_bad_theta_bytes_exit_one(self, pipeline, tmp_path, capsys, theta, reason):
+        bad = tmp_path / "ft.json"
+        if callable(theta):  # an edit of the decoded bytes
+            raw = checkpoint_theta(pipeline / "ft.json").tobytes()
+            rewrite_theta(pipeline / "ft.json", theta(raw), bad)
+        else:
+            doc = json.loads((pipeline / "ft.json").read_text())
+            bad.write_text(json.dumps({**doc, "theta": theta}))
+        argv = ["eval", "--checkpoint", str(bad), "--bundle", str(pipeline / "bench")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and reason in err
+
     @pytest.mark.parametrize("content", [b"[" * 200_000, b'{"id": "\xff"}'],
                              ids=["nested-too-deep", "not-utf8"])
     def test_unreadable_checkpoint_exits_one_naming_it(self, tmp_path, capsys, content):
