@@ -18,10 +18,12 @@ test splits: seen classes in domain 0, in each shifted domain, held-out
 classes), and every per-entity stream is keyed by (seed, tag, id). A set
 draws each of its streams in one call over its ids: its context picks
 (lane_sample_indices), its image noise and, for a caption set, its caption
-noise (lane_normals). Each noise matrix becomes the set's feature matrix
-in place: scaled, then each row's lifted latent added, _LIFT_ROWS rows at
-a time. No stream is shared between entities, so only the order of the
-ids fixes the bytes, and the order or grouping of the calls does not.
+noise (lane_normals). Images and captions follow one recipe
+(SynthCaptionProvider.noisy_lift): each noise matrix becomes the set's
+feature matrix in place, scaled, then each row's lifted latent added,
+_LIFT_ROWS rows at a time. No stream is shared between entities, so only
+the order of the ids fixes the bytes, and the order or grouping of the
+calls does not.
 """
 
 from __future__ import annotations
@@ -191,10 +193,10 @@ class SynthCaptionProvider:
     Images are built from the identical latent point, so a caption carries
     the semantics of its image beyond the class label, the way a natural
     caption describes more than the class word. The subset and eta depend
-    only on (seed, i): captions never change between calls. context_picks
-    and caption_feature take a column of entity ids and draw their streams
-    in lockstep; the other methods take picks already drawn for such a
-    column. Row k of a result belongs to the k-th entity.
+    only on (seed, i): captions never change between calls. context_picks,
+    noisy_lift and caption_feature take a column of entity ids and draw
+    their streams in lockstep; the other methods take picks already drawn
+    for such a column. Row k of a result belongs to the k-th entity.
     """
 
     seed: int
@@ -222,39 +224,36 @@ class SynthCaptionProvider:
             mix += self.context_bank[column]
         return mix
 
-    def content_latents(self, class_ids: np.ndarray, picks: np.ndarray) -> np.ndarray:
-        """Latent content of entities of classes class_ids whose context_picks are picks.
-
-        Built in place in the mix: a float sum commutes, so each row has the
-        bits of prototype + strength * mix.
-        """
-        latents = self.context_mix(picks)
-        latents *= self.strength
-        latents += self.latent_prototypes[class_ids]
-        return latents
-
     def lift(self, out: np.ndarray, matrix: np.ndarray, class_ids: np.ndarray, picks: np.ndarray):
-        """Add matrix @ latent to each row of out, for the content_latents of class_ids and picks.
+        """Add matrix @ latent to each row of out: the latent content of class_ids and picks.
 
-        Latents and products are built _LIFT_ROWS rows at a time, which
-        bounds their temporaries; each row's product is its own
-        (_matvec_rows), so the bits do not depend on the block.
+        Each latent, prototype + strength * mix, is built in place in its
+        mix, _LIFT_ROWS rows at a time to bound the temporaries. A float sum
+        commutes and each row's product is its own (_matvec_rows), so the
+        bits depend on neither the order nor the block.
         """
         for start in range(0, len(out), _LIFT_ROWS):
             rows = slice(start, start + _LIFT_ROWS)
-            out[rows] += _matvec_rows(matrix, self.content_latents(class_ids[rows], picks[rows]))
+            latents = self.context_mix(picks[rows])
+            latents *= self.strength
+            latents += self.latent_prototypes[class_ids[rows]]
+            out[rows] += _matvec_rows(matrix, latents)
+
+    def noisy_lift(self, tag: int, ids: np.ndarray, matrix: np.ndarray, sigma: float,
+                   class_ids: np.ndarray, picks: np.ndarray) -> np.ndarray:
+        """matrix @ latent + sigma * noise for each of the ids, its noise keyed by (seed, tag, id).
+
+        All the noise is drawn in one lane_normals call and built in place;
+        float sums and products commute, so each row has the formula's bits.
+        """
+        rows = lane_normals(derive_seeds(self.seed, tag, ids), matrix.shape[0])
+        rows *= sigma
+        self.lift(rows, matrix, class_ids, picks)
+        return rows
 
     def caption_feature(self, ids: np.ndarray, class_ids: np.ndarray, picks: np.ndarray):
-        """Caption rows of the entities ids, of classes class_ids, whose context_picks are picks.
-
-        The caption noise of all the ids is drawn in one lane_normals call
-        and built in place; float sums and products commute exactly, so each
-        row has the bits of m_txt @ latent + sigma_txt * noise.
-        """
-        noise = lane_normals(derive_seeds(self.seed, _TAG_CAPTION, ids), self.m_txt.shape[0])
-        noise *= self.sigma_txt
-        self.lift(noise, self.m_txt, class_ids, picks)
-        return noise
+        """Caption rows of the entities ids, of classes class_ids, whose context_picks are picks."""
+        return self.noisy_lift(_TAG_CAPTION, ids, self.m_txt, self.sigma_txt, class_ids, picks)
 
 
 def _matvec_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -297,7 +296,7 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
         domain: random_rotation(seed ^ domain, cfg.d_img_raw) for domain in range(1, cfg.n_domains)
     }
 
-    template = l2_normalize(RandomStream(derive_seed(seed, _TAG_TEMPLATE)).normals(cfg.d_txt_raw))
+    template = _unit_rows(RandomStream(derive_seed(seed, _TAG_TEMPLATE)), 1, cfg.d_txt_raw)[0]
     prompt_rows = _matvec_rows(m_txt, prototypes) + cfg.template_offset_scale * template
     prompts_id = PromptTable(id_classes, prompt_rows[: len(id_classes)])
     prompts_zsl = PromptTable(zsl_classes, prompt_rows[len(id_classes):])
@@ -326,12 +325,9 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
         ids = np.arange(next_id, next_id + class_ids.size, dtype=np.int64)
         next_id += ids.size
         picks = provider.context_picks(ids)
-        # The set's image noise becomes its image matrix: sigma * noise, then
-        # each row's lift is added (as in caption_feature) and the shifted
-        # domains are rotated in place. Domain 0's rows are the raw images.
-        images = lane_normals(derive_seeds(seed, _TAG_IMG_NOISE, ids), cfg.d_img_raw)
-        images *= cfg.sigma_img
-        provider.lift(images, m_img, class_ids, picks)
+        # Images are noisy lifts, as captions are; then the shifted domains
+        # are rotated in place. Domain 0's rows are the raw images.
+        images = provider.noisy_lift(_TAG_IMG_NOISE, ids, m_img, cfg.sigma_img, class_ids, picks)
         for start in range(0, ids.size, _LIFT_ROWS):
             block = images[start : start + _LIFT_ROWS]
             block_domains = domain_ids[start : start + _LIFT_ROWS]
@@ -373,8 +369,6 @@ def generate_benchmark(cfg: GenConfig) -> BenchmarkBundle:
     if n_domains > 1:
         shifted = slots % 4 == 3
         candidate_domains[shifted] = 1 + (slots[shifted] // 4) % (n_domains - 1)
-    if set(candidate_classes.tolist()) != set(all_classes):
-        raise RuntimeError("candidate pool failed to cover every class")
     candidates = pair_set(candidate_classes, candidate_domains)
 
     id_test = sample_set(id_classes, cfg.n_test_per_class, 0)

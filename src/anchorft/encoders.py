@@ -53,6 +53,9 @@ TAU_MAX = 10.0
 # both towers at once; encoder_backward_batch always runs both.
 MODALITIES = ("image", "text")
 
+# Each tower's leaves, in theta's order.
+_LEAF_NAMES = ("w1", "b1", "w2", "b2")
+
 
 def _tower_size(in_dim: int, hidden: int, embed: int) -> int:
     return hidden * in_dim + hidden + embed * hidden + embed
@@ -86,6 +89,21 @@ def _param_count(dims: tuple[int, int, int, int]) -> int:
     """Length of theta for dims (image_in, text_in, hidden, embed)."""
     image_in, text_in, hidden, embed = dims
     return _tower_size(image_in, hidden, embed) + _tower_size(text_in, hidden, embed) + 1
+
+
+def _leaf_at(position: int, dims: tuple[int, int, int, int]) -> str:
+    """The name of the leaf ("image w1" ... "text b2", "log_tau") holding theta[position].
+
+    Dims below 1 lay out no towers, and name the whole of "theta".
+    """
+    if min(dims) < 1:
+        return "theta"
+    w1_image, w1_text, *shared = _leaf_views(np.arange(_param_count(dims)), dims)
+    for name, leaves in zip(_LEAF_NAMES, ((w1_image, w1_text), *shared)):
+        for modality, leaf in zip(MODALITIES, leaves):
+            if position in leaf:
+                return f"{modality} {name}"
+    return "log_tau"
 
 
 class DualEncoderParams:
@@ -302,7 +320,7 @@ def param_fingerprint(params: DualEncoderParams) -> str:
     """
     digest = hashlib.sha256()
     for tower_name in MODALITIES:
-        for leaf_name, arr in zip(("w1", "b1", "w2", "b2"), params.tower(tower_name)):
+        for leaf_name, arr in zip(_LEAF_NAMES, params.tower(tower_name)):
             digest.update(f"{tower_name}.{leaf_name}".encode())
             digest.update(struct.pack("<q", arr.ndim))
             for dim in arr.shape:

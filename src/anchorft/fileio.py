@@ -32,7 +32,7 @@ import numpy as np
 
 from .anchors import CandidateIndex, CaptionSet, PairSet, PromptTable, SampleSet, _column_names
 from .benchgen import BenchmarkBundle, GenConfig
-from .encoders import MODALITIES, DualEncoderParams, _param_count
+from .encoders import DualEncoderParams, _leaf_at, _param_count
 from .evaluation import EnsembleCurve, Metrics
 from .training import Checkpoint, TrainConfig, checkpoint_id
 
@@ -486,19 +486,6 @@ def write_checkpoint(path, ckpt: Checkpoint) -> None:
         "theta": base64.b64encode(ckpt.params.theta.astype("<f8").tobytes()).decode("ascii"),
     }
     write_json(path, doc)
-
-
-def _leaf_at(position: int, dims: tuple[int, ...]) -> str:
-    """The name of the leaf ("image w1" ... "text b2", "log_tau") holding theta[position]."""
-    image_in, text_in, hidden, embed = dims
-    end = 0
-    for modality, in_dim in zip(MODALITIES, (image_in, text_in)):
-        for leaf, size in (("w1", hidden * in_dim), ("b1", hidden), ("w2", embed * hidden),
-                           ("b2", embed)):
-            end += size
-            if position < end:
-                return f"{modality} {leaf}"
-    return "log_tau"
 
 
 def read_checkpoint(path) -> Checkpoint:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anchorft import benchgen, numerics
+from anchorft import benchgen, cli, numerics
 from anchorft.anchors import (
     PairSet,
     PromptTable,
@@ -52,7 +52,6 @@ from anchorft.training import (
     TrainConfig,
     check_gradients,
     compute_total_loss_and_grads,
-    finetune_batcher,
     make_checkpoint,
     pretrain,
     run_finetune,
@@ -303,42 +302,13 @@ def test_loss_matches_softmax_cross_entropy_oracle():
 
 def test_full_objective_gradients_match_finite_differences():
     # Every parameter element of both towers plus log_tau, with all three
-    # loss terms engaged through real anchors, against central differences.
+    # loss terms engaged through real anchors, against central differences:
+    # the step `anchorft gradcheck` checks, at seeds 0-19.
     t0 = time.perf_counter()
     worst = 0.0
     checked = 0
     for seed in range(20):
-        gen = GenConfig(
-            n_id_classes=4,
-            n_zsl_classes=2,
-            n_domains=1,
-            d_latent=5,
-            d_img_raw=6,
-            d_txt_raw=7,
-            n_pretrain_per_class=1,
-            n_finetune_per_class=4,
-            n_test_per_class=1,
-            candidate_pool_size=10,
-            seed=seed,
-        )
-        bundle = generate_benchmark(gen)
-        cfg = TrainConfig(
-            batch_size=4,
-            hidden=8,
-            embed_dim=4,
-            seed=seed,
-            enabled_losses=("cl", "cap", "ret"),
-            retrieval_k=2,
-            tau_trainable=True,
-        )
-        params = init_params(seed, (gen.d_img_raw, gen.d_txt_raw), cfg.hidden, cfg.embed_dim)
-        index = build_candidate_index(params, bundle.candidates)
-        batch_inputs = finetune_batcher(
-            bundle.finetune[:4], bundle.prompts_id, bundle.captions, index, bundle.candidates,
-            params, cfg,
-        )
-        problem = (params, *batch_inputs(np.arange(4)), cfg)
-
+        problem = cli._gradcheck_problem(seed)
         breakdown, _ = compute_total_loss_and_grads(*problem)
         assert breakdown.l_cap > 0.0 and breakdown.l_ret > 0.0 and not breakdown.skip_ret
 

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorft import benchgen
 from anchorft.anchors import lookup_rows
 from anchorft.benchgen import (
     GenConfig,
+    RotationError,
     SynthCaptionProvider,
     _matvec_rows,
     generate_benchmark,
     random_rotation,
 )
+from anchorft.numerics import RandomStream, derive_seed
 
 
 def small_config(**overrides) -> GenConfig:
@@ -43,8 +46,6 @@ class TestRandomRotation:
 
     def test_preserves_norms(self):
         r = random_rotation(3, 9)
-        from anchorft.numerics import RandomStream
-
         for _ in range(10):
             x = RandomStream(5).normals(9)
             assert abs(np.linalg.norm(r @ x) - np.linalg.norm(x)) <= 1e-10
@@ -58,6 +59,33 @@ class TestRandomRotation:
     def test_dim_one(self):
         r = random_rotation(0, 1)
         assert r.shape == (1, 1) and abs(abs(r[0, 0]) - 1.0) <= 1e-12
+
+
+    @pytest.mark.parametrize("seed", [130, 165])
+    def test_a_draw_past_the_orthogonality_bound_is_redrawn(self, seed):
+        # At dim 48, attempt 0 of these seeds orthonormalizes to an error of
+        # 1.4e-12 and 2.5e-12, over the 1e-12 bound; attempt 1 is returned.
+        # Its first column is the draw's first column over its norm.
+        def first_column(attempt):
+            stream = RandomStream(derive_seed(seed, benchgen._TAG_ROTATION, attempt))
+            a = stream.normal_matrix(48, 48)
+            return a[:, 0] / np.linalg.norm(a[:, 0])
+
+        q = random_rotation(seed, 48)
+        assert q[:, 0].tobytes() == first_column(1).tobytes()
+        assert q[:, 0].tobytes() != first_column(0).tobytes()
+
+    def test_rank_deficient_draws_raise_after_eight_attempts(self, monkeypatch):
+        attempts = []
+
+        def rank_deficient(stream, rows, cols):
+            attempts.append(stream)
+            return np.ones((rows, cols))
+
+        monkeypatch.setattr(RandomStream, "normal_matrix", rank_deficient)
+        with pytest.raises(RotationError, match="seed 3 after 8 attempts"):
+            random_rotation(3, 4)
+        assert len(attempts) == 8
 
 
 class TestMatvecRows:

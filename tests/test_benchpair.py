@@ -1,4 +1,5 @@
-"""tools/benchpair.py: the gain rule on made-up pairs of runs, the host record and failed runs."""
+"""tools/benchpair.py: the gain and regression rules on made-up pairs of runs,
+the host record and failed runs."""
 
 import importlib.util
 import json
@@ -19,8 +20,9 @@ def runs(a_values, b_values, name="wall_s", b_failed=0):
     """Pairs of runs of 100 operations each; B's first run fails b_failed of them."""
     return [
         {
-            "a": {"metrics": {name: a}, "attempted": 100, "failed": 0},
-            "b": {"metrics": {name: b}, "attempted": 100, "failed": b_failed if i == 0 else 0},
+            "a": {"metrics": {name: a}, "attempted": 100, "failed": 0, "outputs": {}},
+            "b": {"metrics": {name: b}, "attempted": 100, "failed": b_failed if i == 0 else 0,
+                  "outputs": {}},
         }
         for i, (a, b) in enumerate(zip(a_values, b_values))
     ]
@@ -72,6 +74,27 @@ def test_a_failed_share_no_larger_than_the_parents_still_counts():
     pairs[0]["a"]["failed"] = 1
     pairs[1]["b"]["attempted"] = 200
     assert benchpair.summarize(pairs, [WALL])["wall_s"]["gain"]
+
+
+RSS = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}
+# PARENT's shape with an interquartile range of 0.3 MB, three times RSS's bound.
+SPREAD = [50.0 + 15 * (a - 1.0) for a in PARENT]
+
+
+@pytest.mark.parametrize("metric,a_values,b_values,verdict", [
+    (WALL, PARENT, [a + 0.1 for a in PARENT], "held"),
+    (WALL, PARENT, [a + 0.3 for a in PARENT], "worse"),
+    (RSS, SPREAD, SPREAD, "unresolved"),
+    (RSS, SPREAD, [min(SPREAD) - 0.01] * 10, "held"),
+    (RATE, PARENT, [a + 5.0 for a in PARENT], None),
+], ids=["held-under-bound", "worse-past-bound", "unresolved-spread", "held-every-b-better",
+        "no-bound"])
+def test_regression_verdict_against_the_metrics_bound(metric, a_values, b_values, verdict):
+    record = benchpair.compare(runs(a_values, b_values, metric["name"]), [metric])
+    assert record["summary"][metric["name"]]["regression"] == verdict
+    shown = benchpair.report("datagen", record, 10, 30)
+    assert ("regression" in shown) == (verdict is not None)
+    assert f"regression {verdict}" in shown or verdict is None
 
 
 def outputs(pretrain_digest="d1", checkpoint_id="c1", accuracy=50.0):

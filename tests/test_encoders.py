@@ -11,6 +11,8 @@ from anchorft.encoders import (
     DualEncoderParams,
     encode_batch,
     encoder_backward_batch,
+    _leaf_at,
+    _param_count,
     init_params,
     param_fingerprint,
 )
@@ -62,6 +64,27 @@ class TestParamLayout:
             offset += leaf.size
         assert offset == p.theta.size - 1
         assert p.theta[-1] == p.log_tau
+
+    @pytest.mark.parametrize("dims", [(6, 7, 8, 4), (1, 1, 1, 2), (3, 5, 2, 3), (9, 2, 4, 5)])
+    def test_leaf_at_names_the_leaf_that_holds_each_position(self, dims):
+        # theta holds its own positions, so each leaf view lists the
+        # positions it covers; log_tau holds the last.
+        size = _param_count(dims)
+        theta = np.arange(size, dtype=np.float64)
+        theta[-1] = DEFAULT_LOG_TAU
+        params = DualEncoderParams(theta, dims)
+        owner = {size - 1: "log_tau"}
+        for modality in MODALITIES:
+            for name, leaf in zip(("w1", "b1", "w2", "b2"), params.tower(modality)):
+                owner.update(dict.fromkeys(leaf.ravel().astype(int).tolist(), f"{modality} {name}"))
+        assert sorted(owner) == list(range(size))
+        assert [_leaf_at(position, dims) for position in range(size)] == [
+            owner[position] for position in range(size)
+        ]
+
+    @pytest.mark.parametrize("dims", [(6, 7, 8, -1), (0, 7, 8, 4)])
+    def test_leaf_at_names_theta_when_dims_lay_out_no_towers(self, dims):
+        assert _leaf_at(0, dims) == "theta"
 
     def test_writes_through_theta_reach_the_leaves(self):
         p = tiny_params()

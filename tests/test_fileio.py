@@ -734,6 +734,19 @@ class TestCheckpointCodec:
         )):
             read_checkpoint(path)
 
+    def test_non_finite_entry_under_dims_that_lay_out_no_towers(self, tmp_path):
+        # dims [6, 7, 8, -1] count 103 parameters, so the byte count fits;
+        # the entry is named against theta as a whole, with no leaf to name.
+        path = tmp_path / "ck.json"
+        write_checkpoint(path, self.checkpoint())
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "dims": [6, 7, 8, -1]}))
+        rewrite_theta(path, np.full(103, np.nan))
+        with pytest.raises(FieldTypeError, match=re.escape(
+            f"{path}: theta[0] (theta) is nan, not finite"
+        )):
+            read_checkpoint(path)
+
     @pytest.mark.parametrize("log_tau", [1e300, -1e300, 5.0])
     def test_log_tau_outside_the_tau_range(self, tmp_path, log_tau):
         # exp(1e300) overflows rather than giving a tau to check, and is

@@ -11,7 +11,11 @@ prints each side's median and quartiles, how many pairs B won (ties count
 for neither) and B's median change against A. B shows a gain when there
 are at least ten pairs, B wins at least nine tenths of them, the medians
 differ, in the better direction, by more than A's interquartile range, and
-no larger share of B's operations failed than of A's. Each run's output
+no larger share of B's operations failed than of A's. For a metric with a
+`bound` (in the metric's own unit), B's regression verdict is "unresolved"
+when A's interquartile range exceeds the bound, unless every B run beats
+every A run; otherwise "worse" when B's median is worse than A's by more
+than the bound, and "held" when it is not. Each run's output
 facts are compared with A's first run, and the record names, per
 operation, the fact keys that differ (`outputs_differ`). --workload may be
 given more than once; every workload gets its own pairs. The record names
@@ -116,8 +120,18 @@ def totals(runs: list[dict], key: str) -> dict:
     return {side: sum(r[side][key] for r in runs) for side in "ab"}
 
 
+def regression(pairs: list[tuple], a: dict, b: dict, sign: int, bound) -> str | None:
+    """B's no-regression verdict against a bound in the metric's unit; None without a bound."""
+    if bound is None:
+        return None
+    b_beats_all = all(sign * (x - y) > 0 for x, _ in pairs for _, y in pairs)
+    if a["q3"] - a["q1"] > bound and not b_beats_all:
+        return "unresolved"
+    return "worse" if sign * (b["median"] - a["median"]) > bound else "held"
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's quartiles, B's wins and median change, and the gain verdict."""
+    """Per metric: each side's quartiles, B's wins, its median change, gain and regression."""
     failed, attempted = totals(runs, "failed"), totals(runs, "attempted")
     # B's failed share is no larger than A's; cross-multiplied, so a side
     # that attempted nothing needs no division by zero.
@@ -136,6 +150,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "change": (b["median"] - a["median"]) / a["median"] if a["median"] else None,
             "gain": len(pairs) >= MIN_PAIRS and wins >= 0.9 * len(pairs)
             and gain > a["q3"] - a["q1"] and fails_no_more,
+            "regression": regression(pairs, a, b, sign, metric.get("bound")),
         }
     return summary
 
@@ -187,6 +202,7 @@ def report(workload: str, result: dict, pairs: int, seconds: float) -> str:
             f"  B {s['b']['median']:.4f} [{s['b']['q1']:.4f}, {s['b']['q3']:.4f}] {s['unit']}"
             f"  B better in {s['b_wins']}/{s['pairs']}  {change}"
             f"{'  gain' if s['gain'] else ''}"
+            f"{'' if s['regression'] is None else '  regression ' + s['regression']}"
         )
     return "\n".join(lines)
 
