@@ -60,7 +60,6 @@ class TestRandomRotation:
         r = random_rotation(0, 1)
         assert r.shape == (1, 1) and abs(abs(r[0, 0]) - 1.0) <= 1e-12
 
-
     @pytest.mark.parametrize("seed", [130, 165])
     def test_a_draw_past_the_orthogonality_bound_is_redrawn(self, seed):
         # At dim 48, attempt 0 of these seeds orthonormalizes to an error of

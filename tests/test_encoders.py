@@ -9,10 +9,10 @@ from anchorft.encoders import (
     DEFAULT_LOG_TAU,
     MODALITIES,
     DualEncoderParams,
-    encode_batch,
-    encoder_backward_batch,
     _leaf_at,
     _param_count,
+    encode_batch,
+    encoder_backward_batch,
     init_params,
     param_fingerprint,
 )
