@@ -152,31 +152,31 @@ def random_rotation(seed: int, dim: int) -> np.ndarray:
 
     Columns of a seeded gaussian matrix are orthonormalized in order
     (modified Gram-Schmidt); each pivot is the positive residual norm, which
-    fixes the orientation deterministically. Numerically dependent draws are
-    retried with a reseeded matrix, at most 8 times.
+    fixes the orientation deterministically. Once column j is normalized,
+    its projection leaves every later column in one `np.vecdot` call, so
+    each column still takes its projections in the order j = 0, 1, ...
+    `np.vecdot` makes one BLAS ddot per (column, earlier column) pair, the
+    call `np.dot` makes, with the same strides; a matrix-vector product
+    over the later columns would round differently. Numerically dependent
+    draws are retried with a reseeded matrix, at most 8 times.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
     for attempt in range(8):
         stream = RandomStream(derive_seed(seed, _TAG_ROTATION, attempt))
-        a = stream.normal_matrix(dim, dim)
-        q = np.empty_like(a)
-        columns = [q[:, i] for i in range(dim)]
-        step = np.empty(dim)
-        ok = True
+        # Row k of the working copy is column k of the draw.
+        rows = stream.normal_matrix(dim, dim).T.copy()
+        q = np.empty_like(rows)
         for j in range(dim):
-            v = a[:, j].copy()
-            # A float product commutes, so these are the bits of
-            # v -= np.dot(q_i, v) * q_i without its temporary.
-            for q_i in columns[:j]:
-                v -= np.multiply(q_i, np.dot(q_i, v), out=step)
-            norm = np.linalg.norm(v)
+            norm = np.linalg.norm(rows[j])
             if norm < 1e-10:
-                ok = False
                 break
-            q[:, j] = v / norm
-        if ok and np.max(np.abs(q.T @ q - np.eye(dim))) <= 1e-12:
-            return q
+            q[:, j] = rows[j] / norm
+            later = rows[j + 1 :]
+            later -= np.vecdot(q[:, j], later)[:, None] * q[:, j]
+        else:
+            if np.max(np.abs(q.T @ q - np.eye(dim))) <= 1e-12:
+                return q
     raise RotationError(f"no well-conditioned rotation for seed {seed} after 8 attempts")
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchorft import benchgen
@@ -36,6 +36,30 @@ def small_config(**overrides) -> GenConfig:
     )
     base.update(overrides)
     return GenConfig(**base)
+
+
+def per_pair_gram_schmidt(a):
+    """Modified Gram-Schmidt as a left-looking loop of one np.dot per column pair.
+
+    Returns None where random_rotation redraws: a residual norm under 1e-10
+    or an orthogonality error over 1e-12.
+    """
+    dim = a.shape[0]
+    q = np.empty_like(a)
+    for j in range(dim):
+        v = a[:, j].copy()
+        for i in range(j):
+            v -= q[:, i] * np.dot(q[:, i], v)
+        norm = np.linalg.norm(v)
+        if norm < 1e-10:
+            return None
+        q[:, j] = v / norm
+    return q if np.max(np.abs(q.T @ q - np.eye(dim))) <= 1e-12 else None
+
+
+def rotation_draw(seed, dim, attempt):
+    stream = RandomStream(derive_seed(seed, benchgen._TAG_ROTATION, attempt))
+    return stream.normal_matrix(dim, dim)
 
 
 class TestRandomRotation:
@@ -85,6 +109,47 @@ class TestRandomRotation:
         with pytest.raises(RotationError, match="seed 3 after 8 attempts"):
             random_rotation(3, 4)
         assert len(attempts) == 8
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**64 - 1), dim=st.integers(1, 64))
+    @example(seed=130, dim=48)  # attempt 0 is past the orthogonality bound
+    @example(seed=165, dim=48)
+    def test_bits_equal_a_per_pair_dot_loop(self, seed, dim):
+        for attempt in range(8):
+            expected = per_pair_gram_schmidt(rotation_draw(seed, dim, attempt))
+            if expected is not None:
+                break
+        assert random_rotation(seed, dim).tobytes() == expected.tobytes()
+
+    def test_a_dependent_middle_column_redraws(self, monkeypatch):
+        # Attempt 0 repeats column 2 as column 5. After five projections
+        # column 5's residual is rounding noise, so the loop breaks there,
+        # having projected out only columns 0-4, and attempt 1 is returned.
+        draw = RandomStream.normal_matrix
+        dots_per_attempt = []
+
+        def repeat_column(stream, rows, cols):
+            a = draw(stream, rows, cols)
+            if not dots_per_attempt:
+                a[:, 5] = a[:, 2]
+            dots_per_attempt.append(0)
+            return a
+
+        vecdot = np.vecdot
+
+        def counting_vecdot(x1, x2):
+            dots_per_attempt[-1] += 1
+            return vecdot(x1, x2)
+
+        monkeypatch.setattr(RandomStream, "normal_matrix", repeat_column)
+        monkeypatch.setattr(np, "vecdot", counting_vecdot)
+        q = random_rotation(4, 9)
+        assert len(dots_per_attempt) == 2 and dots_per_attempt[0] == 5
+        monkeypatch.undo()
+        dependent = rotation_draw(4, 9, 0)
+        dependent[:, 5] = dependent[:, 2]
+        assert per_pair_gram_schmidt(dependent) is None
+        assert q.tobytes() == per_pair_gram_schmidt(rotation_draw(4, 9, 1)).tobytes()
 
 
 class TestMatvecRows:

@@ -208,3 +208,56 @@ def test_a_run_that_fails_first_writes_a_record_without_pairs(tmp_path, monkeypa
     record = json.loads(out.read_text())
     assert record["workloads"] == {} and record["failure"]["pair"] == 1
     assert record["a"]["commit"] == "commit-A" and "host" in record
+
+
+RESULT = json.dumps({"metrics": {"wall_s": {"value": 1.0}}, "attempted": 1, "failed": 0})
+SILENT = "import sys\nprint('warming up', file=sys.stderr)\n"
+NOT_JSON = "import sys\nprint('warming up', file=sys.stderr)\nprint('output x {}')\nprint('done')\n"
+NOT_A_RESULT = "import sys\nprint('warming up', file=sys.stderr)\nprint('[1]')\n"
+
+
+def fake_tree(tree, body):
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "run.py").write_text(body)
+
+
+@pytest.mark.parametrize("body,last_line", [(SILENT, ""), (NOT_JSON, "done"),
+                                            (NOT_A_RESULT, "[1]")],
+                         ids=["prints-nothing", "last-line-not-json", "json-not-a-result"])
+def test_a_run_that_exits_zero_without_a_result_raises_with_its_last_line(
+        tmp_path, body, last_line):
+    fake_tree(tmp_path, body)
+    with pytest.raises(benchpair.RunFailed) as failed:
+        benchpair.run_once(tmp_path, "datagen", 1, 0.1)
+    assert failed.value.facts == {
+        "returncode": 0, "stderr_tail": ["warming up"], "stdout_last_line": last_line,
+    }
+
+
+@pytest.mark.parametrize("body,last_line", [(SILENT, ""), (NOT_JSON, "done")],
+                         ids=["prints-nothing", "last-line-not-json"])
+def test_an_unreadable_run_writes_the_finished_pairs_then_exits_non_zero(
+        tmp_path, monkeypatch, capsys, body, last_line):
+    # Each tree's run.py prints a result on its first call and fails after.
+    def export(rev, dest):
+        fake_export(rev, dest)
+        fake_tree(dest, "import pathlib, sys\n"
+                        "calls = pathlib.Path('calls')\n"
+                        "if calls.exists():\n"
+                        f"    exec({body!r})\n"
+                        "    sys.exit(0)\n"
+                        "calls.write_text('1')\n"
+                        f"print({RESULT!r})\n")
+        return f"commit-{rev}"
+
+    monkeypatch.setattr(benchpair, "export", export)
+    out = tmp_path / "record.json"
+    assert benchpair.main(["A", "B", "--workload", "datagen", "--seed", "7", "--pairs", "3",
+                           "--out", str(out)]) == 1
+    record = json.loads(out.read_text())
+    assert record["failure"] == {
+        "workload": "datagen", "pair": 2, "side": "b", "returncode": 0,
+        "stderr_tail": ["warming up"], "stdout_last_line": last_line,
+    }
+    assert record["workloads"]["datagen"]["summary"]["wall_s"]["pairs"] == 1
+    assert f"exited 0 with last stdout line {last_line!r}" in capsys.readouterr().err

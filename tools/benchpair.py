@@ -21,9 +21,10 @@ operation, the fact keys that differ (`outputs_differ`). --workload may be
 given more than once; every workload gets its own pairs. The record names
 the host, including PYTHONDONTWRITEBYTECODE and whether each exported tree
 has bytecode: without it every run compiles anchorft, and setup_s includes
-that. A run that exits non-zero stops the comparison: the pairs finished
-so far are summarized and written, with the failed run's exit code and the
-tail of its stderr, and the tool exits 1. For quick timings of one tree,
+that. A run that exits non-zero, or exits 0 without a JSON result as its
+last line of stdout, stops the comparison: the pairs finished so far are
+summarized and written, with the failed run's exit code, the tail of its
+stderr and, for an exit 0, its last stdout line, and the tool exits 1. For quick timings of one tree,
 run its perfbench/run.py with --seconds directly.
 """
 
@@ -61,17 +62,25 @@ def export(rev: str, dest: Path) -> str:
 
 
 class RunFailed(Exception):
-    """A perfbench run exited non-zero; facts holds its exit code and the tail of its stderr."""
+    """A perfbench run exited non-zero, or exited 0 without a JSON result line.
 
-    def __init__(self, returncode: int, stderr: str):
+    facts holds its exit code and the tail of its stderr, and for a run that
+    exited 0, its last stdout line ("" when it printed nothing).
+    """
+
+    def __init__(self, returncode: int, stderr: str, last_line: str | None = None):
         self.facts = {"returncode": returncode, "stderr_tail": stderr.splitlines()[-STDERR_LINES:]}
-        super().__init__(f"perfbench exited {returncode}")
+        if last_line is not None:
+            self.facts["stdout_last_line"] = last_line
+        super().__init__(f"perfbench exited {returncode}"
+                         + ("" if last_line is None else " without a JSON result line"))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced perfbench run: its result object and its output digests.
 
-    Raises RunFailed if the run exits non-zero.
+    Raises RunFailed if the run exits non-zero or its last stdout line is
+    not a JSON result object.
     """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -81,14 +90,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode:
         raise RunFailed(proc.returncode, proc.stderr)
     lines = proc.stdout.splitlines()
-    result = json.loads(lines[-1])
+    last_line = lines[-1] if lines else ""
+    try:
+        result = json.loads(last_line)
+        facts = {
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "attempted": result["attempted"],
+            "failed": result["failed"],
+        }
+    except (ValueError, KeyError, TypeError, AttributeError):
+        raise RunFailed(0, proc.stderr, last_line) from None
     outputs = dict(line.split(" ", 2)[1:] for line in lines if line.startswith("output "))
-    return {
-        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-        "attempted": result["attempted"],
-        "failed": result["failed"],
-        "outputs": outputs,
-    }
+    return {**facts, "outputs": outputs}
 
 
 def host(trees: dict[str, Path]) -> dict:
@@ -257,7 +270,9 @@ def main(argv=None) -> int:
         print(f"record written to {args.out}")
     if "failure" in record:
         failure = record["failure"]
-        print(f"error: side {failure['side']} exited {failure['returncode']} in "
+        unreadable = ("" if "stdout_last_line" not in failure
+                      else f" with last stdout line {failure['stdout_last_line']!r}")
+        print(f"error: side {failure['side']} exited {failure['returncode']}{unreadable} in "
               f"{failure['workload']} pair {failure['pair']}:", *failure["stderr_tail"],
               sep="\n", file=sys.stderr)
         return 1
