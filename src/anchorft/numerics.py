@@ -15,38 +15,23 @@ run many fresh streams in lockstep instead, one numpy uint64 lane per
 stream, and give row i exactly what RandomStream(seeds[i]) gives; they
 raise TypeError for seeds or ids that are not integers or bools, as the
 scalar forms do. The integer recurrence is exact in any lane width.
-Box-Muller's log has `math.log`'s bits at array speed: libm's extended
-`logl` rounded to float64, with `math.log` for the values within 1/16 ulp
-of a rounding midpoint or at a power of two. That is exact while libm's
-double `log` errs by under 0.56 ulp (glibc states 0.519); hosts whose long
-double has under 64 significand bits use `math.log` throughout. Its cos
-and sin are numpy's float64 loops, which call libm and so match `math` bit
-for bit (a test checks a million angles).
+Box-Muller's log has `math.log`'s bits at array speed: on x87 extended
+long doubles (64 significand bits, 11 more than float64), libm's `logl`
+rounded to float64, with `math.log` for the values whose 11 extra bits put
+them within 1/16 ulp of a rounding midpoint and for those that round to a
+power of two. That is exact while libm's double `log` errs by under 0.56
+ulp (glibc states 0.519); any other long double uses `math.log`
+throughout. Its cos and sin are numpy's float64 loops, which call libm and
+so match `math` bit for bit (a test checks a million angles).
 
-lane_normals steps its lanes a run of draws at a time and cuts each run into
-chunks of about _CHUNK_PAIRS Box-Muller pairs, which are transformed straight
-into the output's columns. When the process may run on more than one CPU, a
-worker thread transforms queued chunks alongside the calling thread, which
-queues a run's chunks, takes its share and then steps the next run. numpy's
-loops (logl, cos, sin, sqrt) release the GIL, so the two cores overlap; a
-thread waiting for the GIL while the other makes many short numpy calls
-waits long, which is why chunks are large and only the caller steps lanes.
-The worker runs only private helpers (_transform, _box_muller, _log,
-_math_log) and numpy, never a public name or a RandomStream method, and
-lane_normals joins it and re-raises its exception before returning. The
-bits cannot change: each element comes from the same ufuncs on the same two
-draws whichever thread or chunk computes it, and chunks write disjoint
-columns. With one CPU in the affinity mask, or input too small for two
-chunks, no thread starts and the caller transforms every chunk itself; so
-it does when the thread cannot be started (a process at its thread limit).
+lane_normals runs on the calling thread. Each lane block steps a chunk of
+about _CHUNK_PAIRS Box-Muller pairs into reused buffers and transforms it
+straight into the output's columns before stepping the next.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import queue
-import threading
 from dataclasses import fields
 
 import numpy as np
@@ -71,11 +56,9 @@ _MASK64 = (1 << 64) - 1
 # Streams advanced together by the lane functions; bounds their temporaries.
 LANE_BLOCK = 2048
 
-# lane_normals transforms whole steps of a lane block, about this many
-# Box-Muller pairs, at a time; it steps _RUN_CHUNKS chunks before transforming
-# them, which bounds the draws it holds.
+# lane_normals steps and transforms whole steps of a lane block, about this
+# many Box-Muller pairs, at a time; this bounds the draws it holds.
 _CHUNK_PAIRS = 8192
-_RUN_CHUNKS = 2
 
 # Norms at or below this are treated as zero; normalizing them is an error.
 ZERO_NORM_THRESHOLD = 1e-12
@@ -393,18 +376,19 @@ def _math_log(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, memoryview(flat)), np.float64, flat.size).reshape(values.shape)
 
 
-# Box-Muller's log rounds libm's logl when the long double carries at least
-# 64 significand bits (x87 extended on x86-64), 11 more than float64.
-_EXTENDED_LOG = np.finfo(np.longdouble).nmant >= 63
+# Box-Muller's log rounds libm's logl where the long double is x87 extended
+# (x86-64): 64 significand bits, 11 more than float64, padded to 16 bytes.
+_EXTENDED_LOG = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
 
 # Elements per extended-precision temporary in _log.
 _LOG_CHUNK = 4096
 
-_EXPONENT_BITS = np.uint64(0x7FF0000000000000)
-
-# floor * _NEAR_MIDPOINT is 7/16 of d's ulp (floor is the power of two at or
-# below |d|): an extended log that far from d is within 1/16 ulp of a midpoint.
-_NEAR_MIDPOINT = 7 / 16 * 2.0**-52
+# L, the 11 bits of an extended log below float64's significand, is the
+# distance to the rounded d in 2^-11 ulp of d: L when it rounds down, 2048 - L
+# up. 896 <= L <= 1152 (L - 896 <= 256 in wrapping uint64) is within 1/16 ulp
+# of the midpoint L = 1024.
+_BELOW_DOUBLE, _NEAR_MIDPOINT_LOW, _NEAR_MIDPOINT_SPAN = map(np.uint64, (0x7FF, 896, 256))
+_U12 = np.uint64(12)
 
 
 def _log(u: np.ndarray) -> np.ndarray:
@@ -417,9 +401,10 @@ def _log(u: np.ndarray) -> np.ndarray:
         x, d = flat[start : start + _LOG_CHUNK], out[start : start + _LOG_CHUNK]
         ext = np.log(x.astype(np.longdouble))
         d[:] = ext
-        floor = (d.view(np.uint64) & _EXPONENT_BITS).view(np.float64)
-        off = np.abs((ext - d).astype(np.float64))
-        redo = np.flatnonzero((off >= floor * _NEAR_MIDPOINT) | (np.abs(d) == floor))
+        below = ext.view(np.uint64)[0::2] & _BELOW_DOUBLE  # the low word holds the significand
+        below -= _NEAR_MIDPOINT_LOW
+        # d is a power of two or zero when its 52 fraction bits are zero.
+        redo = np.flatnonzero((below <= _NEAR_MIDPOINT_SPAN) | (d.view(np.uint64) << _U12 == 0))
         d[redo] = _math_log(x[redo])
     return out.reshape(u.shape)
 
@@ -437,8 +422,8 @@ def _box_muller(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ulp, less logl's own error (a few units in its 64th bit, each 2^-11
     float64 ulp), rounds to d. glibc's log states a worst case of 0.519 ulp
     in its source (sysdeps/ieee754/dbl-64/e_log.c, glibc 2.28 on; earlier
-    glibc rounded log correctly). Hosts whose long double has fewer than 64
-    significand bits take math.log on every element.
+    glibc rounded log correctly). Hosts whose long double is not x87
+    extended take math.log on every element.
     """
     # In place, to hold fewer chunk-sized temporaries; a float product is
     # the same whichever operand comes first, so these are the bits of
@@ -460,52 +445,24 @@ def lane_normals(seeds, n: int) -> np.ndarray:
 
     Bit for bit, odd n included: each lane draws the Box-Muller pairs a
     fresh RandomStream would, in the same order, and an odd n drops the last
-    pair's second value, which RandomStream would have cached. With a spare
-    CPU, a worker thread shares the Box-Muller transform (module docstring).
+    pair's second value, which RandomStream would have cached. Each lane
+    block is stepped and transformed a chunk of about _CHUNK_PAIRS pairs at
+    a time.
     """
     seeds = _uint64s(seeds, "lane_normals seeds").reshape(-1)
     out = np.empty((seeds.size, n))
     pairs = (n + 1) // 2
-    ready, failed = queue.SimpleQueue(), []
-    worker = None
-    if seeds.size * pairs > _CHUNK_PAIRS and _spare_core():
-        worker = threading.Thread(target=_transform_all, args=(ready, out, failed), daemon=True)
-        try:
-            worker.start()
-        except RuntimeError:  # no thread to be had: the caller transforms every chunk
-            worker = None
-    try:
-        for rows, lanes in _lane_blocks(seeds):
-            steps = max(1, _CHUNK_PAIRS // lanes.size)
-            for start in range(0, pairs, _RUN_CHUNKS * steps):
-                a = np.empty((min(pairs - start, _RUN_CHUNKS * steps), lanes.size), dtype=np.uint64)
-                b = np.empty_like(a)
-                for a_row, b_row in zip(a, b):
-                    lanes.next_u64(a_row)
-                    lanes.next_u64(b_row)
-                for i in range(0, len(a), steps):
-                    ready.put((rows, start + i, a[i : i + steps], b[i : i + steps]))
-                while True:
-                    try:
-                        chunk = ready.get_nowait()
-                    except queue.Empty:
-                        break
-                    _transform(out, *chunk)
-    finally:
-        if worker is not None:
-            ready.put(None)
-            worker.join()
-    if failed:
-        raise failed[0]
+    for rows, lanes in _lane_blocks(seeds):
+        steps = max(1, min(pairs, _CHUNK_PAIRS // lanes.size))
+        a = np.empty((steps, lanes.size), dtype=np.uint64)
+        b = np.empty_like(a)
+        for first in range(0, pairs, steps):
+            a_chunk, b_chunk = a[: pairs - first], b[: pairs - first]
+            for a_row, b_row in zip(a_chunk, b_chunk):
+                lanes.next_u64(a_row)
+                lanes.next_u64(b_row)
+            _transform(out, rows, first, a_chunk, b_chunk)
     return out
-
-
-def _spare_core() -> bool:
-    """Whether this process may run on more than one CPU."""
-    try:
-        return len(os.sched_getaffinity(0)) > 1
-    except AttributeError:  # no affinity call on this platform
-        return (os.cpu_count() or 1) > 1
 
 
 def _transform(out: np.ndarray, rows: slice, first: int, a: np.ndarray, b: np.ndarray) -> None:
@@ -518,15 +475,6 @@ def _transform(out: np.ndarray, rows: slice, first: int, a: np.ndarray, b: np.nd
     stop = min(out.shape[1], 2 * (first + len(a)))
     out[rows, 2 * first : stop : 2] = z0.T
     out[rows, 2 * first + 1 : stop : 2] = z1[: (stop - 2 * first) // 2].T
-
-
-def _transform_all(ready, out: np.ndarray, failed: list) -> None:
-    """The worker: transform chunks from `ready` until None; an exception goes to `failed`."""
-    try:
-        while (chunk := ready.get()) is not None:
-            _transform(out, *chunk)
-    except BaseException as exc:  # re-raised by lane_normals on the calling thread
-        failed.append(exc)
 
 
 def lane_sample_indices(seeds, n: int, m: int) -> np.ndarray:

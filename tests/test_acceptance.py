@@ -8,7 +8,6 @@ defaults, per-seed ablation direction, argmax scale invariance, and codec
 integrity. Tolerances are pinned here and nowhere else.
 """
 
-import ctypes
 import hashlib
 import json
 import platform
@@ -56,6 +55,7 @@ from anchorft.training import (
     pretrain,
     run_finetune,
 )
+from test_benchpair import benchpair
 from test_fileio import checkpoint_theta, rewrite_theta
 
 TOL_SINGLE_PAIR = 1e-12
@@ -205,21 +205,7 @@ GOLDEN_SMALL_BUNDLES = {
 def host_versions() -> str:
     """The numpy version, libc version and OpenBLAS core this process runs on."""
     libc = " ".join(platform.libc_ver()).strip() or "libc unknown"
-    return f"numpy {np.__version__}, {libc}, OpenBLAS core {_openblas_core()}"
-
-
-def _openblas_core() -> str:
-    """The kernel family numpy's bundled OpenBLAS picked, or "unknown" without one."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*")):
-        try:
-            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes = []
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
+    return f"numpy {np.__version__}, {libc}, OpenBLAS core {benchpair.openblas_core()}"
 
 
 def _bundle_digests(bundle, root) -> dict[str, str]:

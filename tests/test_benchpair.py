@@ -3,8 +3,10 @@ the host record and failed runs."""
 
 import importlib.util
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "benchpair.py"
@@ -138,6 +140,16 @@ def test_the_host_names_the_bytecode_setting_and_each_trees_bytecode(tmp_path, m
     assert host["pycache"] == {"a": False, "b": True}
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert benchpair.host(trees)["PYTHONDONTWRITEBYTECODE"] is None
+
+
+def test_the_host_names_its_libc_and_openblas_core(tmp_path):
+    host = benchpair.host({"a": tmp_path})
+    assert host["libc"] == (" ".join(platform.libc_ver()).strip() or None)
+    core = benchpair.openblas_core()
+    assert host["openblas_core"] == core and core
+    numpy_libs = Path(np.__file__).parent.parent / "numpy.libs"
+    if any(numpy_libs.glob("libscipy_openblas*")):
+        assert core != "unknown"
 
 
 def test_a_run_that_exits_non_zero_raises_with_its_code_and_stderr_tail(tmp_path):

@@ -1,9 +1,6 @@
 """Checks for normalization, the seeded random stream, and its lockstep lanes."""
 
 import math
-import os
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -335,11 +332,12 @@ class TestBoxMullerOracle:
             f"first at u1 = {u1[bad[0]]!r}, on {host_versions()}"
         )
 
-    def test_log_is_libm(self, monkeypatch):
+    @staticmethod
+    def _log_sample() -> np.ndarray:
         # u1 = k * 2^-53 on Box-Muller's grid: the smallest draws, the draws
         # next to 1 (whose logs are tiny), every power of two, the draws
         # whose logs are nearest -2^j, where the ulp changes, and 2^20 seeded
-        # draws. About 1/8 of uniform draws should go to math.log.
+        # draws.
         near_powers = [
             round(math.exp(-(2.0**j)) * 2**53) + i for j in range(-33, 6) for i in range(-4, 5)
         ]
@@ -350,12 +348,36 @@ class TestBoxMullerOracle:
             np.array(near_powers, dtype=np.uint64),
             np.random.default_rng(23).integers(1, 2**53, 2**20, np.uint64, endpoint=True),
         ])
+        return k * 2.0**-53
+
+    def test_log_is_libm(self, monkeypatch):
+        # About 1/8 of uniform draws should go to math.log.
         sent = []
         math_log = numerics._math_log
         monkeypatch.setattr(numerics, "_math_log", lambda v: sent.append(v.size) or math_log(v))
-        self._assert_log_is_libm(k * 2.0**-53)
+        u1 = self._log_sample()
+        self._assert_log_is_libm(u1)
         if numerics._EXTENDED_LOG:
-            assert 0.1 < sum(sent) / k.size < 0.15
+            assert 0.1 < sum(sent) / u1.size < 0.15
+
+    @pytest.mark.skipif(not numerics._EXTENDED_LOG, reason="the integer band reads x87 extended bits")
+    def test_integer_band_redoes_what_the_float_rule_redoes(self, monkeypatch):
+        # The float rule: an extended log at least 7/16 ulp from its rounding
+        # d (within 1/16 ulp of a midpoint), or a d that is a power of two or
+        # zero. floor is the power of two at or below |d|.
+        u1 = self._log_sample()
+        ext = np.log(u1.astype(np.longdouble))
+        d = ext.astype(np.float64)
+        floor = (d.view(np.uint64) & np.uint64(0x7FF0000000000000)).view(np.float64)
+        off = np.abs((ext - d).astype(np.float64))
+        float_rule = (off >= floor * 7 / 16 * 2.0**-52) | (np.abs(d) == floor)
+        low_bits = ext.view(np.uint64)[0::2] & np.uint64(0x7FF)
+        assert {895, 896, 1152, 1153} <= set(np.unique(low_bits).tolist())
+        sent = []
+        math_log = numerics._math_log
+        monkeypatch.setattr(numerics, "_math_log", lambda v: sent.append(v.copy()) or math_log(v))
+        _log(u1)
+        assert np.concatenate(sent).tobytes() == u1[float_rule].tobytes()
 
     def test_log_without_extended_precision_is_all_math_log(self, monkeypatch):
         sent = []
@@ -466,145 +488,19 @@ class TestLanes:
             lane_sample_indices([0], 3, 4)
 
 
-class TestTransformWorker:
-    """lane_normals' Box-Muller transform on a second thread keeps every byte and stays private."""
+class TestLaneChunks:
+    """lane_normals cut into small lane blocks and chunks keeps every byte."""
 
     SEEDS = derive_seeds(13, 25, np.arange(11))
-
-    @staticmethod
-    def _count_threads(monkeypatch) -> list:
-        started = []
-
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(numerics.threading, "Thread", Counted)
-        return started
-
-    @staticmethod
-    def _split_small(monkeypatch, block: int, chunk: int, spare_core: bool = True) -> None:
-        # Small blocks and chunks so that 11 seeds make many lane blocks and
-        # runs of draws, and a worker even on a one-CPU host.
-        monkeypatch.setattr(numerics, "LANE_BLOCK", block)
-        monkeypatch.setattr(numerics, "_CHUNK_PAIRS", chunk)
-        if spare_core:
-            monkeypatch.setattr(numerics, "_spare_core", lambda: True)
-
-    @staticmethod
-    def _worker_takes_a_chunk(monkeypatch, fail_on: str | None = None) -> set:
-        """Hold the caller's chunks until the worker has one; return the threads that ran one.
-
-        With fail_on "worker" or "caller", that side's chunks raise.
-        """
-        box_muller, worker_has_one, threads = numerics._box_muller, threading.Event(), set()
-
-        def held(a, b):
-            on_worker = threading.current_thread() is not threading.main_thread()
-            threads.add(threading.get_ident())
-            if on_worker:
-                worker_has_one.set()
-            else:
-                assert worker_has_one.wait(timeout=30)
-            if fail_on == ("worker" if on_worker else "caller"):
-                raise RuntimeError(f"chunk failed on the {fail_on}")
-            return box_muller(a, b)
-
-        monkeypatch.setattr(numerics, "_box_muller", held)
-        return threads
-
-    def _assert_rows_are_streams(self, got: np.ndarray, n: int) -> None:
-        assert got.shape == (self.SEEDS.size, n)
-        for row, seed in zip(got, self.SEEDS.tolist()):
-            assert row.tobytes() == RandomStream(seed).normals(n).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 10, 13])
     @pytest.mark.parametrize("block, chunk", [(4, 3), (5, 10), (3, 7), (11, 5)])
     def test_split_transform_matches_random_stream(self, monkeypatch, n, block, chunk):
         # 11 lanes are no multiple of any block; chunks cover 1-3 draws of a
         # block and an odd n ends on half a pair.
-        self._split_small(monkeypatch, block, chunk)
-        started = self._count_threads(monkeypatch)
-        self._assert_rows_are_streams(lane_normals(self.SEEDS, n), n)
-        assert len(started) == 1 and not started[0].is_alive()
-
-    def test_one_cpu_transforms_inline(self, monkeypatch):
-        self._split_small(monkeypatch, 4, 3, spare_core=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        started = self._count_threads(monkeypatch)
-        self._assert_rows_are_streams(lane_normals(self.SEEDS, 13), 13)
-        assert started == []
-
-    def test_a_thread_that_cannot_start_leaves_the_caller_to_transform(self, monkeypatch):
-        self._split_small(monkeypatch, 4, 3)
-
-        def refuse(thread):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(numerics.threading.Thread, "start", refuse)
-        before = threading.active_count()
-        self._assert_rows_are_streams(lane_normals(self.SEEDS, 13), 13)
-        assert threading.active_count() == before
-
-    def test_only_the_calling_thread_runs_public_names(self, monkeypatch):
-        # A benchmark tracer wraps every public name of a module and the
-        # RandomStream methods, and keeps one span stack for one thread.
-        callers = []
-
-        def recorded(name, function):
-            def call(*args, **kwargs):
-                callers.append((name, threading.get_ident()))
-                return function(*args, **kwargs)
-            return call
-
-        for name in numerics.__all__:
-            value = getattr(numerics, name)
-            if callable(value) and not isinstance(value, type):
-                monkeypatch.setattr(numerics, name, recorded(name, value))
-        for name, value in vars(RandomStream).items():
-            if callable(value):
-                monkeypatch.setattr(RandomStream, name, recorded(name, value))
-        self._split_small(monkeypatch, 4, 3)
-        transformed_on = self._worker_takes_a_chunk(monkeypatch)
-        self._assert_rows_are_streams(numerics.lane_normals(self.SEEDS, 13), 13)
-        assert len(transformed_on) == 2
-        assert {"lane_normals", "__init__", "normals"} <= {name for name, _ in callers}
-        assert {ident for _, ident in callers} == {threading.get_ident()}
-
-    def test_concurrent_callers_each_get_their_own_rows(self, monkeypatch):
-        # Six callers on a two-CPU host, each with its own worker, switching
-        # threads every 10 microseconds: a chunk sent to the wrong output
-        # or lost would change some caller's bytes.
-        self._split_small(monkeypatch, 4, 3)
-        expected = {
-            n: np.stack([RandomStream(seed).normals(n) for seed in self.SEEDS.tolist()]).tobytes()
-            for n in (7, 10, 13)
-        }
-        got, interval = [], sys.getswitchinterval()
-
-        def call(n):
-            for _ in range(5):
-                got.append((n, lane_normals(self.SEEDS, n).tobytes()))
-
-        callers = [threading.Thread(target=call, args=(n,)) for n in (7, 10, 13) * 2]
-        sys.setswitchinterval(1e-5)
-        try:
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(caller.is_alive() for caller in callers)
-        assert len(got) == 30 and all(rows == expected[n] for n, rows in got)
-
-    @pytest.mark.parametrize("failing", ["worker", "caller"])
-    def test_a_failed_chunk_is_raised_and_the_worker_joined(self, monkeypatch, failing):
-        self._split_small(monkeypatch, 4, 3)
-        started = self._count_threads(monkeypatch)
-        self._worker_takes_a_chunk(monkeypatch, fail_on=failing)
-        with pytest.raises(RuntimeError, match=f"chunk failed on the {failing}"):
-            lane_normals(self.SEEDS, 13)
-        assert len(started) == 1 and not started[0].is_alive()
+        monkeypatch.setattr(numerics, "LANE_BLOCK", block)
+        monkeypatch.setattr(numerics, "_CHUNK_PAIRS", chunk)
+        got = lane_normals(self.SEEDS, n)
+        assert got.shape == (self.SEEDS.size, n)
+        for row, seed in zip(got, self.SEEDS.tolist()):
+            assert row.tobytes() == RandomStream(seed).normals(n).tobytes()

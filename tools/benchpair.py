@@ -31,6 +31,7 @@ run its perfbench/run.py with --seconds directly.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import io
 import json
 import os
@@ -104,8 +105,26 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {**facts, "outputs": outputs}
 
 
+def openblas_core() -> str:
+    """The kernel family numpy's bundled OpenBLAS picked, or "unknown" without one."""
+    import numpy as np
+
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def host(trees: dict[str, Path]) -> dict:
-    """The interpreter, CPUs and environment the runs share, and whether each tree has bytecode.
+    """The interpreter, libraries, CPUs and environment the runs share, and each tree's bytecode.
+
+    The libraries are libc and the kernel family numpy's OpenBLAS picked.
 
     An exported tree has no __pycache__ unless one was committed. With
     PYTHONDONTWRITEBYTECODE set, every run then compiles the tree's modules
@@ -113,6 +132,7 @@ def host(trees: dict[str, Path]) -> dict:
     """
     return {
         "python": platform.python_version(), "machine": platform.machine(),
+        "libc": " ".join(platform.libc_ver()).strip() or None, "openblas_core": openblas_core(),
         "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),
         **{name: os.environ.get(name) for name in ("NUMPY_MADVISE_HUGEPAGE",
