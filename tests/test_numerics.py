@@ -1,6 +1,8 @@
 """Checks for normalization, the seeded random stream, and its lockstep lanes."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -489,18 +491,106 @@ class TestLanes:
 
 
 class TestLaneChunks:
-    """lane_normals cut into small lane blocks and chunks keeps every byte."""
+    """lane_normals cut into small lane blocks and chunks keeps every byte, on the calling thread."""
 
     SEEDS = derive_seeds(13, 25, np.arange(11))
+
+    @staticmethod
+    def _split_small(monkeypatch, block: int, chunk: int) -> None:
+        # Small blocks and chunks so that 11 seeds make many lane blocks and
+        # chunks of draws.
+        monkeypatch.setattr(numerics, "LANE_BLOCK", block)
+        monkeypatch.setattr(numerics, "_CHUNK_PAIRS", chunk)
+
+    def _assert_rows_are_streams(self, got: np.ndarray, n: int) -> None:
+        assert got.shape == (self.SEEDS.size, n)
+        for row, seed in zip(got, self.SEEDS.tolist()):
+            assert row.tobytes() == RandomStream(seed).normals(n).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 10, 13])
     @pytest.mark.parametrize("block, chunk", [(4, 3), (5, 10), (3, 7), (11, 5)])
     def test_split_transform_matches_random_stream(self, monkeypatch, n, block, chunk):
         # 11 lanes are no multiple of any block; chunks cover 1-3 draws of a
         # block and an odd n ends on half a pair.
-        monkeypatch.setattr(numerics, "LANE_BLOCK", block)
-        monkeypatch.setattr(numerics, "_CHUNK_PAIRS", chunk)
-        got = lane_normals(self.SEEDS, n)
-        assert got.shape == (self.SEEDS.size, n)
-        for row, seed in zip(got, self.SEEDS.tolist()):
-            assert row.tobytes() == RandomStream(seed).normals(n).tobytes()
+        self._split_small(monkeypatch, block, chunk)
+        self._assert_rows_are_streams(lane_normals(self.SEEDS, n), n)
+
+    def test_each_block_is_transformed_in_chunks_of_chunk_pairs_over_its_lanes(self, monkeypatch):
+        # 11 lanes in blocks of 4, 4 and 3, 7 pairs, chunks of 10 pairs: two
+        # steps of 4 lanes or three steps of 3 lanes per chunk, and a short
+        # last chunk.
+        self._split_small(monkeypatch, 4, 10)
+        transform, calls = numerics._transform, []
+
+        def recorded(out, rows, first, a, b):
+            calls.append((rows.start, first, len(a), a.shape[1]))
+            transform(out, rows, first, a, b)
+
+        monkeypatch.setattr(numerics, "_transform", recorded)
+        self._assert_rows_are_streams(lane_normals(self.SEEDS, 13), 13)
+        assert calls == [
+            (0, 0, 2, 4), (0, 2, 2, 4), (0, 4, 2, 4), (0, 6, 1, 4),
+            (4, 0, 2, 4), (4, 2, 2, 4), (4, 4, 2, 4), (4, 6, 1, 4),
+            (8, 0, 3, 3), (8, 3, 3, 3), (8, 6, 1, 3),
+        ]
+
+    def test_lane_normals_starts_no_thread(self, monkeypatch):
+        # A benchmark tracer wraps every public name of a module and keeps
+        # one span stack for one thread, so every draw stays on the caller.
+        self._split_small(monkeypatch, 4, 3)
+        started = []
+
+        def refuse(thread):
+            started.append(thread)
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        before = threading.active_count()
+        self._assert_rows_are_streams(lane_normals(self.SEEDS, 13), 13)
+        assert started == [] and threading.active_count() == before
+
+    def test_concurrent_callers_each_get_their_own_rows(self, monkeypatch):
+        # Six callers switching threads every 10 microseconds: a chunk
+        # buffer shared between calls would change some caller's bytes.
+        self._split_small(monkeypatch, 4, 3)
+        expected = {
+            n: np.stack([RandomStream(seed).normals(n) for seed in self.SEEDS.tolist()]).tobytes()
+            for n in (7, 10, 13)
+        }
+        got, interval = [], sys.getswitchinterval()
+
+        def call(n):
+            for _ in range(5):
+                got.append((n, lane_normals(self.SEEDS, n).tobytes()))
+
+        callers = [threading.Thread(target=call, args=(n,)) for n in (7, 10, 13) * 2]
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert len(got) == 30 and all(rows == expected[n] for n, rows in got)
+
+    @pytest.mark.parametrize("failing", [1, 5])
+    def test_a_failed_chunk_is_raised_and_the_next_call_is_whole(self, monkeypatch, failing):
+        # Blocks of 4 lanes take one pair per chunk of 3, so 4 pairs make 4
+        # chunks a block: chunk 1 is the first of the first block, chunk 5
+        # the first of the second.
+        self._split_small(monkeypatch, 4, 3)
+        box_muller, chunks = numerics._box_muller, []
+
+        def failing_once(a, b):
+            chunks.append(len(a))
+            if len(chunks) == failing:
+                raise RuntimeError(f"chunk {failing} failed")
+            return box_muller(a, b)
+
+        monkeypatch.setattr(numerics, "_box_muller", failing_once)
+        with pytest.raises(RuntimeError, match=f"chunk {failing} failed"):
+            lane_normals(self.SEEDS, 7)
+        assert len(chunks) == failing
+        self._assert_rows_are_streams(lane_normals(self.SEEDS, 7), 7)
